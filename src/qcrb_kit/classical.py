@@ -15,14 +15,13 @@ import numpy as np
 from .errors import DimensionError, InvalidPovm, SupportRegularityError
 from .hermitian import HermitianMatrix, eigh, real_trace_product
 from .models import ParametricStateModel
-from .quantum import helstrom_info_sld, wy_info_generic
+from .quantum import NEAR_ZERO_INFO, helstrom_info_sld, wy_info_generic
 
 SUPPORT_PROB = 1e-12
 SCORE_BLOWUP_ATOL = 1e-8
 COMPLETENESS_ATOL = 1e-10
 EFFECT_EIG_FLOOR = -1e-10
 BOUND_SLACK = 1e-9
-NEAR_ZERO_INFO = 1e-8
 
 
 class Povm:

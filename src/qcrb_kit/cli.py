@@ -27,7 +27,7 @@ from .models import (
     constant_weight,
     rotation_family,
 )
-from .quantum import relation_report
+from .quantum import NEAR_ZERO_INFO, relation_report
 from .simulate import SimConfig, bound_chain_ok, run_sim
 from .verify import VerifyOptions, all_passed, run_suite
 
@@ -40,6 +40,7 @@ EXIT_NUMERIC = 2
 CSV_VERSION_TAG = "#qcrb-kit v1"
 DEFAULT_TOL_ANALYTIC = 1e-8
 DEFAULT_TOL_FD = 1e-6
+GRID_OPTIONS = ("--theta-grid", "--w-grid", "--t-grid")  # each takes lo:hi:steps
 
 COMPUTE_COLUMNS = [
     "theta", "kind", "i_h_sld", "i_h_closed", "i_wy_generic", "i_wy_closed",
@@ -273,7 +274,7 @@ def cmd_sweep_w(args) -> int:
         if report.i_h_closed is None or report.i_wy_closed is None:
             raise QcrbError(f"closed routes unavailable at w={w}: {report.route_errors}")
         gap = report.i_wy_closed - report.i_h_closed
-        ratio = report.i_wy_closed / report.i_h_closed if report.i_h_closed > 1e-8 else None
+        ratio = report.i_wy_closed / report.i_h_closed if report.i_h_closed > NEAR_ZERO_INFO else None
         rows.append({
             "w": float(w),
             "theta": theta,
@@ -397,6 +398,20 @@ def cmd_simulate(args) -> int:
 
 # --- argument parsing --------------------------------------------------------
 
+def _attach_grid_values(argv: list[str]) -> list[str]:
+    """Join each lo:hi:steps option with its value into one ``--opt=value`` token.
+
+    argparse reads a separate value such as ``-1:1:21`` as an option
+    because it starts with a dash; the joined form is parsed as a value.
+    """
+    out = []
+    tokens = iter(argv)
+    for token in tokens:
+        value = next(tokens, None) if token in GRID_OPTIONS else None
+        out.append(token if value is None else f"{token}={value}")
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qcrb",
@@ -458,12 +473,12 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     parser = build_parser()
+    argv_list = _attach_grid_values(list(sys.argv[1:] if argv is None else argv))
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(argv_list)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_CONFIG
     # explicit-override detection for verify's tolerance classes
-    argv_list = list(sys.argv[1:] if argv is None else argv)
     args.tol_analytic_set = any(a == "--tol-analytic" or a.startswith("--tol-analytic=") for a in argv_list)
     args.tol_fd_set = any(a == "--tol-fd" or a.startswith("--tol-fd=") for a in argv_list)
     try:

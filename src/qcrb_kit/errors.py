@@ -24,7 +24,7 @@ class NotDensityMatrix(QcrbError):
 
 
 class EigenConvergenceError(QcrbError):
-    """Jacobi eigensolver failed to converge within the sweep cap."""
+    """Eigensolver failed: no LAPACK convergence, non-finite input, or Jacobi sweep cap."""
 
 
 class RankDeficientInconsistent(QcrbError):

@@ -1,9 +1,10 @@
 """Dense complex-Hermitian linear algebra kernel.
 
-Cyclic Jacobi eigendecomposition, PSD matrix square root, eigenbasis
-solves of the symmetrized-product equation, and trace algebra. All
-operations are pure functions of immutable inputs; matrices are small
-and dense (target scale n <= 16, hard ceiling 64).
+LAPACK eigendecomposition (with a cyclic Jacobi solver kept as its
+reference), PSD matrix square root, eigenbasis solves of the
+symmetrized-product equation, and trace algebra. All operations are pure
+functions of immutable inputs; matrices are small and dense (target scale
+n <= 16, hard ceiling 64).
 """
 
 from __future__ import annotations
@@ -192,8 +193,43 @@ def _off_diag_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a - np.diag(np.diag(a))))
 
 
+def _symmetrized_square(m) -> np.ndarray:
+    a = as_array(m)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionError(f"expected a square matrix, got shape {a.shape}")
+    return (a + a.conj().T) / 2.0
+
+
+def _frozen_decomposition(vals: np.ndarray, vecs: np.ndarray) -> SpectralDecomposition:
+    vecs = _fix_phases(vecs)
+    vals.setflags(write=False)
+    vecs.setflags(write=False)
+    return SpectralDecomposition(eigenvalues=vals, eigenvectors=vecs)
+
+
 def eigh(m) -> SpectralDecomposition:
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi sweeps.
+    """Eigendecomposition of a Hermitian matrix by LAPACK (``np.linalg.eigh``).
+
+    Eigenvalues come back ascending; eigenvector phases are fixed
+    deterministically (largest-magnitude component real positive). A LAPACK
+    convergence failure, or a non-finite entry (on which LAPACK would return
+    NaN silently), raises EigenConvergenceError.
+    """
+    a = _symmetrized_square(m)
+    if not np.all(np.isfinite(a)):
+        raise EigenConvergenceError(f"matrix of dim {a.shape[0]} has non-finite entries")
+    try:
+        vals, vecs = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise EigenConvergenceError(f"LAPACK eigh failed: dim={a.shape[0]}: {exc}") from exc
+    return _frozen_decomposition(vals, vecs)
+
+
+def jacobi_eigh(m) -> SpectralDecomposition:
+    """Reference eigendecomposition by cyclic Jacobi sweeps.
+
+    An independent cross-check of ``eigh`` for the verify suite and the
+    tests; nothing at run time uses it.
 
     Each rotation zeroes one off-diagonal pair: the pivot's phase is
     absorbed first, then a real Jacobi rotation is applied. Stops when the
@@ -201,10 +237,7 @@ def eigh(m) -> SpectralDecomposition:
     sweeps. Eigenvalues come back ascending; eigenvector phases are fixed
     deterministically (largest-magnitude component real positive).
     """
-    a0 = as_array(m)
-    if a0.ndim != 2 or a0.shape[0] != a0.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {a0.shape}")
-    a = (a0 + a0.conj().T) / 2.0
+    a = _symmetrized_square(m)
     n = a.shape[0]
     u = np.eye(n, dtype=complex)
     fnorm = float(np.linalg.norm(a))
@@ -247,11 +280,7 @@ def eigh(m) -> SpectralDecomposition:
         )
     vals = np.diag(a).real.copy()
     order = np.argsort(vals, kind="stable")
-    vals = vals[order]
-    vecs = _fix_phases(u[:, order])
-    vals.setflags(write=False)
-    vecs.setflags(write=False)
-    return SpectralDecomposition(eigenvalues=vals, eigenvectors=vecs)
+    return _frozen_decomposition(vals[order], u[:, order])
 
 
 def _decomposition_of(a) -> SpectralDecomposition:
@@ -325,7 +354,10 @@ def solve_symmetric_product(
             )
     x_tilde = np.zeros_like(r_tilde)
     x_tilde[keep] = 2.0 * r_tilde[keep] / denom[keep]
-    return HermitianMatrix(u @ x_tilde @ u.conj().T)
+    x = u @ x_tilde @ u.conj().T
+    # an ill-conditioned a amplifies the rounding asymmetry of the back
+    # transform past the construction gate; X is Hermitian by construction
+    return HermitianMatrix((x + x.conj().T) / 2.0)
 
 
 def trace_product(ms: Iterable) -> complex:

@@ -8,7 +8,8 @@ Wigner-Yanase skew information, each computable along independent routes:
 * closed forms for two-dimensional orthogonal mixtures in terms of the
   mixing weight and the pure-state information;
 * closed forms for spectral mixtures in terms of the eigenvalue weights
-  and projector derivatives.
+  and projector derivatives, contracted in the model's frame basis
+  (O(n^4) work).
 
 Cross-route residuals are the core correctness surface and are collected
 by ``relation_report``.
@@ -20,13 +21,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BoundaryRegularityError, DomainError
+from .errors import BoundaryRegularityError, DomainError, QcrbError
 from .hermitian import (
     SUPPORT_TOL,
     HermitianMatrix,
     real_trace_product,
     solve_symmetric_product,
-    trace_product,
 )
 from .models import (
     ParametricStateModel,
@@ -169,11 +169,37 @@ def gamma_qubit_closed(model: QubitMixtureModel, theta: float, h: float | None =
 
 
 def _spectral_ingredients(model: SpectralMixtureModel, theta: float, h: float | None):
+    """Eigenvalue weights, their derivatives and the frame-basis projector derivatives.
+
+    D[k] = U^dagger dP_k U with U the model's frame, so that
+    tr{P_l dP_k dP_z} = (D_k D_z)_{ll} and tr{dP_k dP_z} = tr{D_k D_z}.
+    """
     lam = model.lambdas_at(theta)
     dlam = model.dlambdas_at(theta, h)
-    projs = model.projectors_at(theta)
-    dprojs = model.dprojectors_at(theta, h)
-    return lam, dlam, projs, dprojs
+    u = model.frame_at(theta)
+    dprojs = np.asarray(model.dprojectors_at(theta, h))
+    return lam, dlam, u.conj().T @ dprojs @ u
+
+
+def _projector_derivative_gram(d: np.ndarray) -> np.ndarray:
+    """G[k, z] = tr{D_k D_z}."""
+    return np.tensordot(d, d, axes=([1, 2], [2, 1]))
+
+
+def _weighted_triple_sum(lam: np.ndarray, d: np.ndarray) -> complex:
+    """sum_{l!=k} c_lk sum_z lam_z tr{P_l dP_k dP_z}.
+
+    c_lk = lam_l (lam_k - lam_l) / (lam_l + lam_k)^2, and 0 for pairs with
+    lam_l + lam_k at or below the support tolerance. With
+    E = sum_z lam_z D_z the inner sum is (D_k E)_{ll}.
+    """
+    pair = lam[:, None] + lam[None, :]
+    keep = pair > SUPPORT_TOL
+    np.fill_diagonal(keep, False)
+    coeff = np.zeros_like(pair)
+    coeff[keep] = (lam[:, None] * (lam[None, :] - lam[:, None]))[keep] / pair[keep] ** 2
+    e = np.tensordot(lam, d, axes=1)
+    return complex(np.einsum("lk,kla,al->", coeff, d, e))
 
 
 def _eigenweight_fisher(lam: np.ndarray, dlam: np.ndarray) -> float:
@@ -198,23 +224,8 @@ def helstrom_info_spectral(model: SpectralMixtureModel, theta: float, h: float |
       * tr{P_l dP_k dP_z}.
     Eigenvalue pairs below the support tolerance are excluded.
     """
-    lam, dlam, projs, dprojs = _spectral_ingredients(model, theta, h)
-    n = model.dim
-    total = complex(_eigenweight_fisher(lam, dlam))
-    for l in range(n):
-        for k in range(n):
-            if k == l:
-                continue
-            pair = lam[l] + lam[k]
-            if pair <= SUPPORT_TOL:
-                continue
-            coeff = 4.0 * lam[l] * (lam[k] - lam[l]) / (pair * pair)
-            if coeff == 0.0:
-                continue
-            for z in range(n):
-                if lam[z] == 0.0:
-                    continue
-                total += coeff * lam[z] * trace_product([projs[l], dprojs[k], dprojs[z]])
+    lam, dlam, d = _spectral_ingredients(model, theta, h)
+    total = _eigenweight_fisher(lam, dlam) + 4.0 * _weighted_triple_sum(lam, d)
     if abs(total.imag) > SUM_IMAG_ATOL:
         raise ValueError(f"spectral Helstrom sum has imaginary residue {total.imag:.3e}")
     return _check_nonnegative(float(total.real), "spectral Helstrom information")
@@ -227,18 +238,11 @@ def wy_info_spectral(model: SpectralMixtureModel, theta: float, h: float | None 
     + 4 sum_l sum_{k!=l} sqrt(lam_l lam_k) tr{dP_l dP_k},
     with I_WY,l = 4 tr{(dP_l)^2} the pure-state skew information.
     """
-    lam, dlam, projs, dprojs = _spectral_ingredients(model, theta, h)
-    n = model.dim
-    total = complex(_eigenweight_fisher(lam, dlam))
-    for l in range(n):
-        total += 4.0 * lam[l] * trace_product([dprojs[l], dprojs[l]])
-        for k in range(n):
-            if k == l:
-                continue
-            root = np.sqrt(lam[l] * lam[k])
-            if root == 0.0:
-                continue
-            total += 4.0 * root * trace_product([dprojs[l], dprojs[k]])
+    lam, dlam, d = _spectral_ingredients(model, theta, h)
+    root = np.sqrt(np.outer(lam, lam))
+    np.fill_diagonal(root, lam)  # the pure-state terms lam_l I_WY,l
+    skew = complex(np.sum(root * _projector_derivative_gram(d)))
+    total = _eigenweight_fisher(lam, dlam) + 4.0 * skew
     if abs(total.imag) > SUM_IMAG_ATOL:
         raise ValueError(f"spectral skew sum has imaginary residue {total.imag:.3e}")
     return _check_nonnegative(float(total.real), "spectral skew information")
@@ -252,25 +256,11 @@ def gamma_spectral(model: SpectralMixtureModel, theta: float, h: float | None = 
               tr{P_l dP_k dP_z} ],
     and I_WY = I_H + gamma. Vanishes when all eigenvalue weights coincide.
     """
-    lam, _, projs, dprojs = _spectral_ingredients(model, theta, h)
-    n = model.dim
-    total = 0.0 + 0.0j
-    for l in range(n):
-        for k in range(n):
-            if k == l:
-                continue
-            total += (lam[l] - np.sqrt(lam[l] * lam[k])) * trace_product([dprojs[l], dprojs[k]])
-            pair = lam[l] + lam[k]
-            if pair <= SUPPORT_TOL:
-                continue
-            coeff = lam[l] * (lam[k] - lam[l]) / (pair * pair)
-            if coeff == 0.0:
-                continue
-            for z in range(n):
-                if lam[z] == 0.0:
-                    continue
-                total += coeff * lam[z] * trace_product([projs[l], dprojs[k], dprojs[z]])
-    total *= -4.0
+    lam, _, d = _spectral_ingredients(model, theta, h)
+    weight = lam[:, None] - np.sqrt(np.outer(lam, lam))
+    np.fill_diagonal(weight, 0.0)
+    skew = complex(np.sum(weight * _projector_derivative_gram(d)))
+    total = -4.0 * (skew + _weighted_triple_sum(lam, d))
     if abs(total.imag) > SUM_IMAG_ATOL:
         raise ValueError(f"gamma sum has imaginary residue {total.imag:.3e}")
     return float(total.real)
@@ -316,7 +306,7 @@ class QuantumInfoResult:
 def _try_route(result: QuantumInfoResult, name: str, fn):
     try:
         return fn()
-    except Exception as exc:  # noqa: BLE001 - a failed route must not abort the report
+    except (QcrbError, ValueError) as exc:  # a failed route must not abort the report
         result.route_errors[name] = f"{type(exc).__name__}: {exc}"
         return None
 

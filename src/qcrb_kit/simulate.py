@@ -16,10 +16,9 @@ import numpy as np
 from .errors import ZeroInformationError
 from .classical import Povm, classical_fisher, outcome_probs, outcome_scores
 from .models import ParametricStateModel
-from .quantum import helstrom_info_sld, wy_info_generic
+from .quantum import NEAR_ZERO_INFO, helstrom_info_sld, wy_info_generic
 
 MIN_SAMPLES = 100
-NEAR_ZERO_INFO = 1e-8
 
 
 @dataclass(frozen=True)

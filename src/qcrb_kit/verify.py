@@ -20,6 +20,7 @@ from .hermitian import (
     SUPPORT_TOL,
     HermitianMatrix,
     eigh,
+    jacobi_eigh,
     psd_sqrt,
     real_trace_product,
     trace_product,
@@ -97,6 +98,8 @@ def _worst(residual, detail, candidate, where):
 # --- kernel checks ----------------------------------------------------------
 
 def _check_eigh_reconstruction(catalog, opts):
+    # reconstruction and orthonormality of the LAPACK solver, and its
+    # eigenvalues against the reference Jacobi solver
     rng = np.random.default_rng(opts.seed)
     worst, detail = 0.0, ""
     for trial in range(20):
@@ -104,9 +107,11 @@ def _check_eigh_reconstruction(catalog, opts):
         g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         m = HermitianMatrix((g + g.conj().T) / 2.0)
         dec = eigh(m)
-        rec = np.linalg.norm(dec.reconstruct() - m.mat) / max(1.0, np.linalg.norm(m.mat))
+        scale = max(1.0, np.linalg.norm(m.mat))
+        rec = np.linalg.norm(dec.reconstruct() - m.mat) / scale
         orth = np.linalg.norm(dec.eigenvectors.conj().T @ dec.eigenvectors - np.eye(n))
-        worst, detail = _worst(worst, detail, max(rec, orth), f"trial {trial} (n={n})")
+        ref = np.max(np.abs(dec.eigenvalues - jacobi_eigh(m).eigenvalues)) / scale
+        worst, detail = _worst(worst, detail, max(rec, orth, ref), f"trial {trial} (n={n})")
     return worst, detail
 
 

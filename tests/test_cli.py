@@ -83,6 +83,17 @@ def test_compute_theta_grid_row_count(model_paths, capsys):
     assert len(rows_of(out)) == 7
 
 
+def test_compute_theta_grid_negative_lo_as_separate_token(model_paths, capsys):
+    code, out, err = run_cli(
+        ["compute", "--model", model_paths["pure"], "--theta-grid", "-1:1:21"], capsys
+    )
+    assert code == EXIT_OK, err
+    rows = rows_of(out)
+    assert len(rows) == 21
+    assert rows[0]["theta"] == pytest.approx(-1.0)
+    assert rows[-1]["theta"] == pytest.approx(1.0)
+
+
 def test_compute_malformed_json_exits_one(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"kind": nope}')

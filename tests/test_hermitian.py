@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcrb_kit.errors import (
     DimensionError,
+    EigenConvergenceError,
     NotDensityMatrix,
     NotHermitianError,
     NotPositiveSemidefinite,
@@ -17,6 +18,7 @@ from qcrb_kit.hermitian import (
     HermitianMatrix,
     UnitVector,
     eigh,
+    jacobi_eigh,
     psd_sqrt,
     real_trace_product,
     solve_symmetric_product,
@@ -87,6 +89,30 @@ def test_eigh_matches_lapack_eigenvalues():
         m = random_hermitian(rng, n)
         dec = eigh(m)
         np.testing.assert_allclose(dec.eigenvalues, np.linalg.eigvalsh(m), atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16])
+def test_eigh_matches_jacobi_reference(n):
+    m = random_hermitian(np.random.default_rng(100 + n), n)
+    lapack, jacobi = eigh(m), jacobi_eigh(m)
+    scale = max(1.0, np.linalg.norm(m))
+    np.testing.assert_allclose(lapack.eigenvalues, jacobi.eigenvalues, atol=1e-12 * scale)
+    for a, b in zip(lapack.projectors(), jacobi.projectors()):
+        assert np.linalg.norm(a - b) <= 1e-9
+
+
+def test_eigh_maps_lapack_failure_to_convergence_error(monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(EigenConvergenceError):
+        eigh(np.eye(2))
+
+
+def test_eigh_rejects_non_finite_entries():
+    with pytest.raises(EigenConvergenceError):
+        eigh(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
 def test_eigh_phase_fixing_is_deterministic():
@@ -196,6 +222,8 @@ def test_solve_matches_projector_sum_oracle():
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=2, max_value=6))
+@example(seed=2573, n=2)  # ill-conditioned a: back transform drifts from Hermitian
+@example(seed=335, n=3)
 def test_solve_involution_property(seed, n):
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcrb_kit import quantum
 from qcrb_kit.errors import BoundaryRegularityError, DomainError
 from qcrb_kit.models import (
     PureFamily,
@@ -39,6 +40,16 @@ from qcrb_kit.quantum import (
 )
 
 FROZEN = PureStateModel(PureFamily(dim=2, psi=lambda t: np.array([1.0, 0.0])))
+
+# spectral models up to the dimension ceiling, plus a rank-deficient spectrum
+SPECTRAL_CASES = {
+    "random-32": lambda: random_spectral_model(32, 32),
+    "random-64": lambda: random_spectral_model(64, 64),
+    "rank-deficient-4": lambda: fixed_spectrum_model([0.6, 0.4, 0.0, 0.0]),
+}
+spectral_cases = pytest.mark.parametrize(
+    "make_model", list(SPECTRAL_CASES.values()), ids=list(SPECTRAL_CASES)
+)
 
 
 # --- sld -----------------------------------------------------------------------
@@ -155,6 +166,14 @@ def test_helstrom_spectral_matches_sld_route():
     assert abs(a - b) / b <= 1e-7
 
 
+@spectral_cases
+def test_helstrom_spectral_matches_sld_route_across_dims(make_model):
+    model = make_model()
+    a = helstrom_info_spectral(model, 0.3)
+    b = helstrom_info_sld(model, 0.3)
+    assert abs(a - b) / b <= 1e-7
+
+
 def test_spectral_boundary_regularity_guard():
     model = SpectralMixtureModel(
         2,
@@ -203,6 +222,14 @@ def test_wy_spectral_reduces_to_weight_form_in_two_dims():
 
 def test_wy_spectral_matches_generic_route():
     model = random_spectral_model(55, 4)
+    a = wy_info_spectral(model, 0.3)
+    b = wy_info_generic(model, 0.3)
+    assert abs(a - b) / b <= 1e-6
+
+
+@spectral_cases
+def test_wy_spectral_matches_generic_route_across_dims(make_model):
+    model = make_model()
     a = wy_info_spectral(model, 0.3)
     b = wy_info_generic(model, 0.3)
     assert abs(a - b) / b <= 1e-6
@@ -261,6 +288,55 @@ def test_gamma_closes_the_spectral_identity():
         assert abs(i_wy - i_h - gamma) <= 1e-7 * max(1.0, i_h)
 
 
+@spectral_cases
+def test_gamma_spectral_matches_generic_gap(make_model):
+    model = make_model()
+    i_h = helstrom_info_sld(model, 0.3)
+    gap = wy_info_generic(model, 0.3) - i_h
+    assert abs(gamma_spectral(model, 0.3) - gap) <= 1e-7 * max(1.0, i_h)
+
+
+def _spectral_sums_by_loops(model, theta):
+    """(I_H, I_WY, gamma) as explicit projector sums: the reference for the contractions."""
+    lam = model.lambdas_at(theta)
+    dlam = model.dlambdas_at(theta)
+    projs = model.projectors_at(theta)
+    dprojs = model.dprojectors_at(theta)
+    n = model.dim
+    fisher = sum(dlam[l] ** 2 / lam[l] for l in range(n) if lam[l] > 1e-12)
+    skew = gap = triple = 0.0
+    for l in range(n):
+        for k in range(n):
+            tr_lk = np.trace(dprojs[l] @ dprojs[k]).real
+            skew += math.sqrt(lam[l] * lam[k]) * tr_lk
+            if k != l:
+                gap += (lam[l] - math.sqrt(lam[l] * lam[k])) * tr_lk
+            pair = lam[l] + lam[k]
+            if k == l or pair <= 1e-12:
+                continue
+            coeff = lam[l] * (lam[k] - lam[l]) / pair**2
+            for z in range(n):
+                triple += coeff * lam[z] * np.trace(projs[l] @ dprojs[k] @ dprojs[z]).real
+    return fisher + 4.0 * triple, fisher + 4.0 * skew, -4.0 * (gap + triple)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [random_spectral_model(seed, n) for seed, n in ((4, 2), (8, 3), (15, 5), (23, 8))]
+    + [
+        fixed_spectrum_model([0.5, 0.3, 0.2, 0.0, 0.0], seed=3),
+        qubit_mixture_as_spectral(rotation_mixture(sine_weight(0.7))),
+    ],
+    ids=["random-2", "random-3", "random-5", "random-8", "rank-deficient-5", "qubit-fd-frame"],
+)
+def test_spectral_closed_forms_match_projector_loops(model):
+    for theta in (-0.7, 0.1, 0.5):
+        i_h, i_wy, gamma = _spectral_sums_by_loops(model, theta)
+        assert helstrom_info_spectral(model, theta) == pytest.approx(i_h, rel=1e-12, abs=1e-12)
+        assert wy_info_spectral(model, theta) == pytest.approx(i_wy, rel=1e-12, abs=1e-12)
+        assert gamma_spectral(model, theta) == pytest.approx(gamma, rel=1e-12, abs=1e-12)
+
+
 # --- relation report ---------------------------------------------------------------
 
 def test_report_pure_doubling_residual_is_zero():
@@ -309,6 +385,25 @@ def test_report_route_errors_do_not_abort():
     model = rotation_mixture(WeightFunction(w=lambda t: 0.5 + 0.4 * abs(math.sin(t))))
     report = relation_report(model, 0.0)
     assert report.i_h_sld >= 0.0
+
+
+def test_report_records_a_domain_error_from_a_route(monkeypatch):
+    def fail(model, theta, h=None):
+        raise DomainError("route outside its domain")
+
+    monkeypatch.setattr(quantum, "helstrom_info_spectral", fail)
+    report = relation_report(random_spectral_model(7, 3), 0.3)
+    assert report.i_h_closed is None
+    assert report.route_errors["i_h_closed"] == "DomainError: route outside its domain"
+
+
+def test_report_propagates_a_programming_error_from_a_route(monkeypatch):
+    def broken(model, theta, h=None):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(quantum, "helstrom_info_spectral", broken)
+    with pytest.raises(TypeError):
+        relation_report(random_spectral_model(7, 3), 0.3)
 
 
 def test_ratio_bounds_for_constant_weight():
