@@ -4,6 +4,7 @@ Outcome distributions come from the trace rule p(x) = tr{rho m_x}; the
 classical Fisher information of the outcome distribution is summed over
 the support and compared against the Helstrom bound. Outcome spaces are
 finite: the measure-theoretic integral over outcomes is realized as a sum.
+The state functions take ``(point, povm)`` or ``(model, theta, povm)``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 
 from .errors import DimensionError, InvalidPovm, SupportRegularityError
 from .hermitian import HermitianMatrix, eigh, real_trace_product
-from .models import ParametricStateModel
+from .models import StatePoint, _as_point
 from .quantum import NEAR_ZERO_INFO, helstrom_info_sld, wy_info_generic
 
 SUPPORT_PROB = 1e-12
@@ -85,9 +86,16 @@ class OutcomeDistribution:
         return self.probs.shape[0]
 
 
-def outcome_probs(model: ParametricStateModel, theta: float, povm: Povm) -> OutcomeDistribution:
+def _point_and_povm(args: tuple, h: float | None) -> tuple[StatePoint, Povm]:
+    """Split (point, povm) or (model, theta, povm) into the point and the POVM."""
+    *state, povm = args
+    return _as_point(*state, h=h), povm
+
+
+def outcome_probs(*args) -> OutcomeDistribution:
     """Trace-rule distribution p_x = tr{rho(theta) m_x}."""
-    rho = model.rho(theta)
+    pt, povm = _point_and_povm(args, None)
+    rho = pt.rho
     if rho.dim != povm.dim:
         raise DimensionError(f"state dim {rho.dim} vs measurement dim {povm.dim}")
     probs = np.array([real_trace_product([rho, m]) for m in povm])
@@ -100,20 +108,22 @@ def outcome_probs(model: ParametricStateModel, theta: float, povm: Povm) -> Outc
     return OutcomeDistribution(probs=probs, support=probs > SUPPORT_PROB)
 
 
-def outcome_scores(model: ParametricStateModel, theta: float, povm: Povm, h: float | None = None) -> np.ndarray:
+def outcome_scores(*args, h: float | None = None) -> np.ndarray:
     """Per-outcome derivatives tr{drho m_x}; they sum to 0."""
-    drho = model.drho(theta, h)
+    pt, povm = _point_and_povm(args, h)
+    drho = pt.drho
     return np.array([real_trace_product([drho, m]) for m in povm])
 
 
-def classical_fisher(model: ParametricStateModel, theta: float, povm: Povm, h: float | None = None) -> float:
+def classical_fisher(*args, h: float | None = None) -> float:
     """sum over the support of (tr{drho m_x})^2 / p_x.
 
     An outcome with vanishing probability but non-vanishing score makes the
     score function blow up and raises SupportRegularityError.
     """
-    dist = outcome_probs(model, theta, povm)
-    scores = outcome_scores(model, theta, povm, h)
+    pt, povm = _point_and_povm(args, h)
+    dist = outcome_probs(pt, povm)
+    scores = outcome_scores(pt, povm)
     total = 0.0
     for p, s, on_support in zip(dist.probs, scores, dist.support):
         if not on_support:
@@ -139,11 +149,16 @@ class BoundCheck:
     approx_qcrb: float | None  # 1 / i_wy
 
 
-def bound_check(model: ParametricStateModel, theta: float, povm: Povm, h: float | None = None) -> BoundCheck:
-    """Check i(theta, M) <= I_H(theta) and report the reciprocal bounds."""
-    i = classical_fisher(model, theta, povm, h)
-    i_h = helstrom_info_sld(model, theta, h)
-    i_wy = wy_info_generic(model, theta, h)
+def bound_check(*args, h: float | None = None) -> BoundCheck:
+    """Check i(theta, M) <= I_H(theta) and report the reciprocal bounds.
+
+    Given the point of a ``relation_report``, the Helstrom and skew
+    information come from that report's evaluation.
+    """
+    pt, povm = _point_and_povm(args, h)
+    i = classical_fisher(pt, povm)
+    i_h = pt.cached(helstrom_info_sld)
+    i_wy = pt.cached(wy_info_generic)
     return BoundCheck(
         i=i,
         i_h=i_h,

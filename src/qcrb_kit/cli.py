@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 
@@ -40,7 +41,12 @@ EXIT_NUMERIC = 2
 CSV_VERSION_TAG = "#qcrb-kit v1"
 DEFAULT_TOL_ANALYTIC = 1e-8
 DEFAULT_TOL_FD = 1e-6
-GRID_OPTIONS = ("--theta-grid", "--w-grid", "--t-grid")  # each takes lo:hi:steps
+# options whose value is a number, a lo:hi:steps grid or a list of numbers,
+# any of which may start with a minus sign
+NUMERIC_OPTIONS = (
+    "--theta", "--theta0", "--fd-step", "--tol-analytic", "--tol-fd", "--seed",
+    "--n-samples", "--theta-grid", "--w-grid", "--t-grid", "--start-spectrum",
+)
 
 COMPUTE_COLUMNS = [
     "theta", "kind", "i_h_sld", "i_h_closed", "i_wy_generic", "i_wy_closed",
@@ -174,6 +180,8 @@ def parse_grid(spec: str, name: str) -> np.ndarray:
         lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ConfigError(f"{name}: {exc}") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"{name}: bounds must be finite, got {spec!r}")
     if steps < 1:
         raise ConfigError(f"{name}: steps must be >= 1")
     if steps == 1:
@@ -231,7 +239,8 @@ def cmd_compute(args) -> int:
     failures = 0
     for theta in _thetas(args):
         theta = float(theta)
-        report = relation_report(model, theta)
+        point = model.at(theta)  # shared by the report and the bound check
+        report = relation_report(point)
         row = _report_row(report)
         tol = _route_tol(args, model)
         for key in ("res_route_i_h", "res_route_i_wy", "res_relation"):
@@ -242,7 +251,7 @@ def cmd_compute(args) -> int:
             logger.info("theta=%g route errors: %s", theta, report.route_errors)
         row.update({"cfi": None, "cfi_gap": None, "cfi_ok": None, "crb": None})
         if povm is not None:
-            check = bound_check(model, theta, povm)
+            check = bound_check(point, povm)
             row.update({"cfi": check.i, "cfi_gap": check.gap, "cfi_ok": check.ok, "crb": check.crb})
             if not check.ok:
                 failures += 1
@@ -398,18 +407,45 @@ def cmd_simulate(args) -> int:
 
 # --- argument parsing --------------------------------------------------------
 
-def _attach_grid_values(argv: list[str]) -> list[str]:
-    """Join each lo:hi:steps option with its value into one ``--opt=value`` token.
+def _attach_numeric_values(argv: list[str]) -> list[str]:
+    """Join each numeric option with its value into one ``--opt=value`` token.
 
-    argparse reads a separate value such as ``-1:1:21`` as an option
-    because it starts with a dash; the joined form is parsed as a value.
+    argparse reads a separate value such as ``-1e-3`` or ``-1:1:21`` as an
+    option because it starts with a dash; the joined form is parsed as a value.
     """
     out = []
     tokens = iter(argv)
     for token in tokens:
-        value = next(tokens, None) if token in GRID_OPTIONS else None
+        value = next(tokens, None) if token in NUMERIC_OPTIONS else None
         out.append(token if value is None else f"{token}={value}")
     return out
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -422,24 +458,24 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default="stdout", help="output path or 'stdout'")
-        p.add_argument("--fd-step", type=float, default=DEFAULT_FD_STEP, dest="fd_step")
+        p.add_argument("--fd-step", type=_positive_float, default=DEFAULT_FD_STEP, dest="fd_step")
         p.add_argument("--tol-analytic", type=float, default=DEFAULT_TOL_ANALYTIC,
                        dest="tol_analytic")
         p.add_argument("--tol-fd", type=float, default=DEFAULT_TOL_FD, dest="tol_fd")
-        p.add_argument("--seed", type=int, default=20260810)
+        p.add_argument("--seed", type=_seed, default=20260810)
 
     p = sub.add_parser("compute", help="information report at one or more theta")
     add_common(p)
     p.add_argument("--model", required=True, help="model config JSON path")
     p.add_argument("--povm", default=None, help="optional POVM config JSON path")
-    p.add_argument("--theta", type=float, default=0.3)
+    p.add_argument("--theta", type=_finite_float, default=0.3)
     p.add_argument("--theta-grid", default=None, dest="theta_grid", help="lo:hi:steps")
     p.set_defaults(fn=cmd_compute)
 
     p = sub.add_parser("sweep-w", help="constant-weight sweep of the mixture gap")
     add_common(p)
     p.add_argument("--w-grid", default="0.5:0.9:5", dest="w_grid", help="lo:hi:steps in (0,1)")
-    p.add_argument("--theta", type=float, default=0.3)
+    p.add_argument("--theta", type=_finite_float, default=0.3)
     p.add_argument("--psi1", choices=("rotation", "complex-rotation"), default="rotation")
     p.set_defaults(fn=cmd_sweep_w)
 
@@ -447,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--start-spectrum", default="0.7,0.2,0.1", dest="start_spectrum")
     p.add_argument("--t-grid", default="0:1:11", dest="t_grid", help="lo:hi:steps in [0,1]")
-    p.add_argument("--theta", type=float, default=0.3)
+    p.add_argument("--theta", type=_finite_float, default=0.3)
     p.add_argument("--frame", choices=("random", "rotation"), default="random")
     p.set_defaults(fn=cmd_sweep_spectrum)
 
@@ -459,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--model", required=True)
     p.add_argument("--povm", required=True)
-    p.add_argument("--theta0", type=float, default=0.3)
+    p.add_argument("--theta0", type=_finite_float, default=0.3)
     p.add_argument("--n-samples", type=int, default=100_000, dest="n_samples")
     p.set_defaults(fn=cmd_simulate)
 
@@ -473,7 +509,7 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     parser = build_parser()
-    argv_list = _attach_grid_values(list(sys.argv[1:] if argv is None else argv))
+    argv_list = _attach_numeric_values(list(sys.argv[1:] if argv is None else argv))
     try:
         args = parser.parse_args(argv_list)
     except SystemExit as exc:

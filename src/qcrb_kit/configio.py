@@ -18,7 +18,8 @@ POVM config::
       "dim": n, "n_effects": k, "seed": s,
       "effects": [[[re, im] | re, ...], ...] }
 
-Parse failures raise ConfigError with the offending field path.
+Parse failures raise ConfigError with the offending field path, before
+any model or measurement is built.
 """
 
 from __future__ import annotations
@@ -30,8 +31,11 @@ import numpy as np
 
 from .classical import Povm, basis_povm, random_povm
 from .errors import ConfigError, QcrbError
+from .hermitian import DIM_CEILING
 from .models import (
     DEFAULT_FD_STEP,
+    LAMBDA_RANGE_ATOL,
+    LAMBDA_SUM_ATOL,
     ParametricStateModel,
     PureStateModel,
     QubitMixtureModel,
@@ -65,6 +69,47 @@ def _field(cfg: dict, key: str, where: str, required: bool = True, default=None)
     return cfg[key]
 
 
+def _real(value, where: str, finite: bool = True) -> float:
+    """A JSON number as a float; bools, strings and NaN are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
+    if math.isnan(value) or (finite and math.isinf(value)):
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, where: str, lo: int = 0, hi: int | None = None) -> int:
+    """A JSON integer (or integral float) in [lo, hi]."""
+    x = _real(value, where)
+    if not x.is_integer():
+        raise ConfigError(f"{where}: expected an integer, got {value!r}")
+    n = int(x)
+    if n < lo or (hi is not None and n > hi):
+        bound = f"[{lo}, {hi}]" if hi is not None else f">= {lo}"
+        raise ConfigError(f"{where}: {n} outside {bound}")
+    return n
+
+
+def _dim(value, where: str) -> int:
+    return _integer(value, where, lo=1, hi=DIM_CEILING)
+
+
+def _spectrum(raw) -> list[float]:
+    """Nonempty list of weights in [0, 1] that sum to 1, within the model's tolerances."""
+    if not isinstance(raw, (list, tuple)) or not raw:
+        raise ConfigError("model.spectrum: expected a nonempty list")
+    if len(raw) > DIM_CEILING:
+        raise ConfigError(f"model.spectrum: {len(raw)} entries exceed the ceiling {DIM_CEILING}")
+    lam = [_real(v, f"model.spectrum[{i}]") for i, v in enumerate(raw)]
+    for i, v in enumerate(lam):
+        if not -LAMBDA_RANGE_ATOL <= v <= 1.0 + LAMBDA_RANGE_ATOL:
+            raise ConfigError(f"model.spectrum[{i}]: weight {v!r} outside [0, 1]")
+    total = float(np.sum(lam))
+    if abs(total - 1.0) > LAMBDA_SUM_ATOL:
+        raise ConfigError(f"model.spectrum: entries sum to {total!r}, expected 1")
+    return lam
+
+
 def _params(spec: dict, where: str) -> list[float]:
     raw = spec.get("params", [])
     if not isinstance(raw, (list, tuple)):
@@ -88,7 +133,7 @@ def _pure_family(spec, seed, dim, where: str):
             raise ConfigError(f"{where}: family 'random' needs a top-level 'seed'")
         if dim is None:
             raise ConfigError(f"{where}: family 'random' needs a top-level 'dim'")
-        return random_pure_family(int(seed), int(dim))
+        return random_pure_family(_integer(seed, "model.seed"), _dim(dim, "model.dim"))
     raise ConfigError(f"{where}.name: unknown family {name!r}")
 
 
@@ -117,11 +162,17 @@ def model_from_config(cfg: dict, fd_step: float | None = None) -> ParametricStat
     kind = _field(cfg, "kind", "model")
     seed = cfg.get("seed")
     dim = cfg.get("dim")
-    domain = cfg.get("theta_domain", (-math.inf, math.inf))
-    if not (isinstance(domain, (list, tuple)) and len(domain) == 2):
+    domain = cfg.get("theta_domain")
+    if domain is None:
+        lo, hi = -math.inf, math.inf
+    elif isinstance(domain, (list, tuple)) and len(domain) == 2:
+        lo = _real(domain[0], "model.theta_domain[0]", finite=False)
+        hi = _real(domain[1], "model.theta_domain[1]", finite=False)
+    else:
         raise ConfigError("model.theta_domain: expected [lo, hi]")
-    step = fd_step if fd_step is not None else cfg.get("fd_step", DEFAULT_FD_STEP)
-    common = {"domain": (float(domain[0]), float(domain[1])), "fd_step": float(step)}
+    if fd_step is None:
+        fd_step = _real(cfg.get("fd_step", DEFAULT_FD_STEP), "model.fd_step")
+    common = {"domain": (lo, hi), "fd_step": float(fd_step)}
     if kind == "pure":
         family = _pure_family(_field(cfg, "psi1", "model"), seed, dim, "model.psi1")
         return PureStateModel(family, **common)
@@ -131,12 +182,9 @@ def model_from_config(cfg: dict, fd_step: float | None = None) -> ParametricStat
         return QubitMixtureModel(family, weight, **common)
     if kind == "spectral":
         if "spectrum" in cfg:
-            spectrum = cfg["spectrum"]
-            if not isinstance(spectrum, (list, tuple)) or not spectrum:
-                raise ConfigError("model.spectrum: expected a nonempty list")
-            total = float(np.sum(np.asarray(spectrum, dtype=float)))
-            if abs(total - 1.0) > 1e-10:
-                raise ConfigError(f"model.spectrum: entries sum to {total!r}, expected 1")
+            spectrum = _spectrum(cfg["spectrum"])
+            if seed is not None:
+                seed = _integer(seed, "model.seed")
             frame = cfg.get("frame", "random")
             try:
                 return fixed_spectrum_model(spectrum, seed=seed, frame=frame, **common)
@@ -146,7 +194,7 @@ def model_from_config(cfg: dict, fd_step: float | None = None) -> ParametricStat
             raise ConfigError("model.dim: required for spectral models")
         if seed is None:
             raise ConfigError("model.seed: required for random spectral models")
-        return random_spectral_model(int(seed), int(dim), **common)
+        return random_spectral_model(_integer(seed, "model.seed"), _dim(dim, "model.dim"), **common)
     raise ConfigError(f"model.kind: unknown kind {kind!r}")
 
 
@@ -166,12 +214,11 @@ def povm_from_config(cfg: dict) -> Povm:
         raise ConfigError("povm: expected a JSON object")
     kind = _field(cfg, "kind", "povm")
     if kind == "basis":
-        dim = int(_field(cfg, "dim", "povm"))
-        return basis_povm(dim)
+        return basis_povm(_dim(_field(cfg, "dim", "povm"), "povm.dim"))
     if kind == "random":
-        dim = int(_field(cfg, "dim", "povm"))
-        n_eff = int(_field(cfg, "n_effects", "povm"))
-        seed = int(_field(cfg, "seed", "povm"))
+        dim = _dim(_field(cfg, "dim", "povm"), "povm.dim")
+        n_eff = _integer(_field(cfg, "n_effects", "povm"), "povm.n_effects", lo=1)
+        seed = _integer(_field(cfg, "seed", "povm"), "povm.seed")
         try:
             return random_povm(dim, n_eff, seed)
         except QcrbError as exc:

@@ -15,7 +15,13 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import DimensionError, DomainError, RankDeficientInconsistent, StationaryFamilyError
+from .errors import (
+    ConfigError,
+    DimensionError,
+    DomainError,
+    RankDeficientInconsistent,
+    StationaryFamilyError,
+)
 from .hermitian import (
     DensityMatrix,
     HermitianMatrix,
@@ -33,6 +39,7 @@ WEIGHT_EDGE = 1e-12
 STATIONARY_TOL = 1e-12
 ORTHO_ATOL = 1e-10
 LAMBDA_SUM_ATOL = 1e-10
+LAMBDA_RANGE_ATOL = 1e-12
 DLAMBDA_SUM_ATOL = 1e-8
 
 
@@ -114,6 +121,71 @@ class SqrtDerivative:
     fd_fallback: bool = False  # True when the solve route failed and fd took over
 
 
+class StatePoint:
+    """A model at one theta, whose ingredients are each evaluated at most once.
+
+    ``model``, ``theta`` and ``h`` (the finite-difference step, None for the
+    model's own) are fixed at construction. ``rho``, ``drho`` and ``dsqrt``
+    are evaluated on first access; ``cached(fn)`` does the same for any
+    ``fn(point)``, which is how the SLD and the spectral ingredients are
+    shared between routes. A failed evaluation is not kept, so it raises
+    again on every access.
+    """
+
+    __slots__ = ("model", "theta", "h", "_values")
+
+    def __init__(self, model: ParametricStateModel, theta: float, h: float | None = None):
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "_values", {})
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"StatePoint is immutable; cannot set {name!r}")
+
+    def cached(self, fn: Callable[["StatePoint"], object]):
+        """fn(self), computed on the first call for this fn and kept."""
+        values = self._values
+        if fn not in values:
+            values[fn] = fn(self)
+        return values[fn]
+
+    @property
+    def rho(self) -> DensityMatrix:
+        return self.cached(_point_rho)
+
+    @property
+    def drho(self) -> HermitianMatrix:
+        return self.cached(_point_drho)
+
+    @property
+    def dsqrt(self) -> SqrtDerivative:
+        return self.cached(_point_dsqrt)
+
+
+def _point_rho(pt: StatePoint) -> DensityMatrix:
+    return pt.model.rho(pt.theta)
+
+
+def _point_drho(pt: StatePoint) -> HermitianMatrix:
+    return pt.model.drho(pt.theta, pt.h)
+
+
+def _point_dsqrt(pt: StatePoint) -> SqrtDerivative:
+    return pt.model.dsqrt_rho(pt.theta, pt.h, rho=pt.rho, drho=pt.drho)
+
+
+def _as_point(state, theta: float | None = None, h: float | None = None) -> StatePoint:
+    """The point named by a consumer's leading arguments: (point) or (model, theta[, h])."""
+    if isinstance(state, StatePoint):
+        if theta is not None or h is not None:
+            raise TypeError("a StatePoint already fixes theta and h")
+        return state
+    if theta is None:
+        raise TypeError(f"{type(state).__name__} needs a theta")
+    return state.at(theta, h)
+
+
 class ParametricStateModel:
     """Base class: map theta to a density matrix, with derivative access.
 
@@ -133,9 +205,9 @@ class ParametricStateModel:
     ):
         lo, hi = float(domain[0]), float(domain[1])
         if not lo < hi:
-            raise ValueError(f"empty domain [{lo}, {hi}]")
+            raise DomainError(f"empty domain [{lo}, {hi}]")
         if not fd_step > 0.0:
-            raise ValueError("finite-difference step must be positive")
+            raise ConfigError(f"finite-difference step must be positive, got {fd_step!r}")
         self.dim = int(dim)
         self.domain = (lo, hi)
         self.fd_step = float(fd_step)
@@ -161,6 +233,10 @@ class ParametricStateModel:
     def has_analytic_derivative(self) -> bool:
         return False
 
+    def at(self, theta: float, h: float | None = None) -> "StatePoint":
+        """The state at theta, evaluated lazily and at most once per ingredient."""
+        return StatePoint(self, theta, h)
+
     def rho(self, theta: float) -> DensityMatrix:
         self._require_in_domain(theta)
         return DensityMatrix(self.rho_matrix(theta))
@@ -169,7 +245,7 @@ class ParametricStateModel:
         self._require_in_domain(theta)
         step = self.fd_step if h is None else float(h)
         if step <= 0.0:
-            raise ValueError("finite-difference step must be positive")
+            raise ConfigError(f"finite-difference step must be positive, got {step!r}")
         d = None if force_fd else self._drho_analytic(theta, step)
         if d is None:
             self._require_in_domain(theta - step)
@@ -184,17 +260,26 @@ class ParametricStateModel:
             raise ValueError(f"state derivative has trace {tr:.3e} > {TRACELESS_ATOL}")
         return out
 
-    def dsqrt_rho(self, theta: float, h: float | None = None, force_fd: bool = False) -> SqrtDerivative:
+    def dsqrt_rho(
+        self,
+        theta: float,
+        h: float | None = None,
+        force_fd: bool = False,
+        *,
+        rho: DensityMatrix | None = None,
+        drho: HermitianMatrix | None = None,
+    ) -> SqrtDerivative:
         """Derivative of sqrt(rho(theta)).
 
         Default route solves 2 sqrt(rho) X + X 2 sqrt(rho) = 2 drho in the
         eigenbasis of rho; if the right-hand side turns out inconsistent on
         a rank-deficient state, falls back to the central difference of
-        psd_sqrt and flags it.
+        psd_sqrt and flags it. ``rho`` and ``drho`` pass in an already
+        evaluated rho(theta) and drho(theta, h).
         """
-        rho = self.rho(theta)
+        rho = self.rho(theta) if rho is None else rho
         if not force_fd:
-            drho = self.drho(theta, h)
+            drho = self.drho(theta, h) if drho is None else drho
             dec = rho.decomposition
             doubled_roots = 2.0 * sqrt_eigenvalues(dec.eigenvalues)
             u = dec.eigenvectors
@@ -327,7 +412,8 @@ class SpectralMixtureModel(ParametricStateModel):
         total = float(np.sum(vals))
         if abs(total - 1.0) > LAMBDA_SUM_ATOL:
             raise ValueError(f"eigenvalue weights sum to {total!r} at theta={theta}")
-        if float(np.min(vals)) < -1e-12 or float(np.max(vals)) > 1.0 + 1e-12:
+        lo, hi = float(np.min(vals)), float(np.max(vals))
+        if lo < -LAMBDA_RANGE_ATOL or hi > 1.0 + LAMBDA_RANGE_ATOL:
             raise ValueError(f"eigenvalue weights outside [0, 1] at theta={theta}")
         return np.clip(vals, 0.0, 1.0)
 
@@ -551,7 +637,7 @@ def fixed_spectrum_model(
         k = random_skew_hermitian(rng, dim)
         u0 = random_unitary(rng, dim)
     else:
-        raise ValueError(f"unknown frame kind {frame!r}")
+        raise ConfigError(f"unknown frame kind {frame!r}")
 
     def frame_fn(t: float) -> np.ndarray:
         return expm(t * k) @ u0

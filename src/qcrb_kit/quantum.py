@@ -12,7 +12,10 @@ Wigner-Yanase skew information, each computable along independent routes:
   (O(n^4) work).
 
 Cross-route residuals are the core correctness surface and are collected
-by ``relation_report``.
+by ``relation_report``. The definitional and spectral routes take either a
+``StatePoint`` (``model.at(theta)``) or ``(model, theta, h)``; routes that
+read one point share its evaluated rho, drho, square-root derivative, SLD
+and spectral ingredients instead of evaluating the state again.
 """
 
 from __future__ import annotations
@@ -29,11 +32,12 @@ from .hermitian import (
     solve_symmetric_product,
 )
 from .models import (
-    ParametricStateModel,
     PureFamily,
     PureStateModel,
     QubitMixtureModel,
     SpectralMixtureModel,
+    StatePoint,
+    _as_point,
 )
 
 INFO_FLOOR = -1e-9
@@ -54,22 +58,31 @@ class SldResult:
     matrix: HermitianMatrix
     support_dropped: bool  # rho was rank deficient; solution zeroed off-support
     score_mean: float  # tr{rho L}, 0 up to numerical noise
+    min_pair_sum: float  # smallest lam_i + lam_j kept in the solve
 
 
-def sld(model: ParametricStateModel, theta: float, h: float | None = None) -> SldResult:
+def sld(state, theta: float | None = None, h: float | None = None) -> SldResult:
     """Hermitian L solving rho L + L rho = 2 drho, in the eigenbasis of rho.
 
     Entries over eigenvalue pairs with lam_i + lam_j below the support
     tolerance are zeroed; an inconsistent right-hand side there raises
-    RankDeficientInconsistent.
+    RankDeficientInconsistent. Each call solves afresh; ``point.cached(sld)``
+    keeps one solve per point.
     """
-    rho = model.rho(theta)
-    drho = model.drho(theta, h)
+    pt = _as_point(state, theta, h)
+    rho, drho = pt.rho, pt.drho
     dec = rho.decomposition
     l_mat = solve_symmetric_product(rho, drho, decomposition=dec)
-    dropped = bool(2.0 * dec.eigenvalues[0] <= SUPPORT_TOL)
+    lam = dec.eigenvalues
+    pair = lam[:, None] + lam[None, :]
+    dropped = bool(2.0 * lam[0] <= SUPPORT_TOL)
     score = real_trace_product([rho, l_mat])
-    return SldResult(matrix=l_mat, support_dropped=dropped, score_mean=score)
+    return SldResult(
+        matrix=l_mat,
+        support_dropped=dropped,
+        score_mean=score,
+        min_pair_sum=float(np.min(pair[pair > SUPPORT_TOL])),
+    )
 
 
 def sld_spectral_sum(eigenvalues, projectors, drho, tol: float = SUPPORT_TOL) -> HermitianMatrix:
@@ -90,10 +103,11 @@ def sld_spectral_sum(eigenvalues, projectors, drho, tol: float = SUPPORT_TOL) ->
     return HermitianMatrix(total)
 
 
-def helstrom_info_sld(model: ParametricStateModel, theta: float, h: float | None = None) -> float:
+def helstrom_info_sld(state, theta: float | None = None, h: float | None = None) -> float:
     """tr{rho L^2}: the definitional route."""
-    result = sld(model, theta, h)
-    value = real_trace_product([model.rho(theta), result.matrix, result.matrix])
+    pt = _as_point(state, theta, h)
+    l_mat = pt.cached(sld).matrix
+    value = real_trace_product([pt.rho, l_mat, l_mat])
     return _check_nonnegative(value, "Helstrom information")
 
 
@@ -168,12 +182,14 @@ def gamma_qubit_closed(model: QubitMixtureModel, theta: float, h: float | None =
     return float((1.0 - 2.0 * np.sqrt(w * (1.0 - w))) ** 2 * ih1)
 
 
-def _spectral_ingredients(model: SpectralMixtureModel, theta: float, h: float | None):
+def _spectral_ingredients(pt: StatePoint):
     """Eigenvalue weights, their derivatives and the frame-basis projector derivatives.
 
     D[k] = U^dagger dP_k U with U the model's frame, so that
     tr{P_l dP_k dP_z} = (D_k D_z)_{ll} and tr{dP_k dP_z} = tr{D_k D_z}.
+    The three spectral closed forms share one set through ``pt.cached``.
     """
+    model, theta, h = pt.model, pt.theta, pt.h
     lam = model.lambdas_at(theta)
     dlam = model.dlambdas_at(theta, h)
     u = model.frame_at(theta)
@@ -216,7 +232,7 @@ def _eigenweight_fisher(lam: np.ndarray, dlam: np.ndarray) -> float:
     return total
 
 
-def helstrom_info_spectral(model: SpectralMixtureModel, theta: float, h: float | None = None) -> float:
+def helstrom_info_spectral(state, theta: float | None = None, h: float | None = None) -> float:
     """Spectral closed form for the Helstrom information.
 
     sum_l (lam'_l)^2/lam_l
@@ -224,21 +240,21 @@ def helstrom_info_spectral(model: SpectralMixtureModel, theta: float, h: float |
       * tr{P_l dP_k dP_z}.
     Eigenvalue pairs below the support tolerance are excluded.
     """
-    lam, dlam, d = _spectral_ingredients(model, theta, h)
+    lam, dlam, d = _as_point(state, theta, h).cached(_spectral_ingredients)
     total = _eigenweight_fisher(lam, dlam) + 4.0 * _weighted_triple_sum(lam, d)
     if abs(total.imag) > SUM_IMAG_ATOL:
         raise ValueError(f"spectral Helstrom sum has imaginary residue {total.imag:.3e}")
     return _check_nonnegative(float(total.real), "spectral Helstrom information")
 
 
-def wy_info_spectral(model: SpectralMixtureModel, theta: float, h: float | None = None) -> float:
+def wy_info_spectral(state, theta: float | None = None, h: float | None = None) -> float:
     """Spectral closed form for the skew information.
 
     sum_l lam_l I_WY,l + sum_l (lam'_l)^2/lam_l
     + 4 sum_l sum_{k!=l} sqrt(lam_l lam_k) tr{dP_l dP_k},
     with I_WY,l = 4 tr{(dP_l)^2} the pure-state skew information.
     """
-    lam, dlam, d = _spectral_ingredients(model, theta, h)
+    lam, dlam, d = _as_point(state, theta, h).cached(_spectral_ingredients)
     root = np.sqrt(np.outer(lam, lam))
     np.fill_diagonal(root, lam)  # the pure-state terms lam_l I_WY,l
     skew = complex(np.sum(root * _projector_derivative_gram(d)))
@@ -248,7 +264,7 @@ def wy_info_spectral(model: SpectralMixtureModel, theta: float, h: float | None 
     return _check_nonnegative(float(total.real), "spectral skew information")
 
 
-def gamma_spectral(model: SpectralMixtureModel, theta: float, h: float | None = None) -> float:
+def gamma_spectral(state, theta: float | None = None, h: float | None = None) -> float:
     """Eigenvalue-based gap between skew and Helstrom information.
 
     gamma = -4 sum_l sum_{k!=l} [ (lam_l - sqrt(lam_l lam_k)) tr{dP_l dP_k}
@@ -256,7 +272,7 @@ def gamma_spectral(model: SpectralMixtureModel, theta: float, h: float | None = 
               tr{P_l dP_k dP_z} ],
     and I_WY = I_H + gamma. Vanishes when all eigenvalue weights coincide.
     """
-    lam, _, d = _spectral_ingredients(model, theta, h)
+    lam, _, d = _as_point(state, theta, h).cached(_spectral_ingredients)
     weight = lam[:, None] - np.sqrt(np.outer(lam, lam))
     np.fill_diagonal(weight, 0.0)
     skew = complex(np.sum(weight * _projector_derivative_gram(d)))
@@ -266,9 +282,9 @@ def gamma_spectral(model: SpectralMixtureModel, theta: float, h: float | None = 
     return float(total.real)
 
 
-def wy_info_generic(model: ParametricStateModel, theta: float, h: float | None = None) -> float:
+def wy_info_generic(state, theta: float | None = None, h: float | None = None) -> float:
     """4 tr{[(sqrt rho)']^2}: the definitional skew-information route."""
-    d = model.dsqrt_rho(theta, h)
+    d = _as_point(state, theta, h).dsqrt
     value = 4.0 * real_trace_product([d.matrix, d.matrix])
     return _check_nonnegative(value, "skew information")
 
@@ -291,6 +307,10 @@ class QuantumInfoResult:
     approx_bound: float | None = None
     residuals: dict[str, float] = field(default_factory=dict)
     route_errors: dict[str, str] = field(default_factory=dict)
+    # how the definitional routes got their numbers: sqrt_route ("solve" |
+    # "fd"), fd_fallback, support_dropped and min_pair_sum (the smallest
+    # lam_i + lam_j kept in the SLD solve)
+    diagnostics: dict[str, object] = field(default_factory=dict)
 
     @property
     def ratio(self) -> float | None:
@@ -311,7 +331,7 @@ def _try_route(result: QuantumInfoResult, name: str, fn):
         return None
 
 
-def relation_report(model: ParametricStateModel, theta: float, h: float | None = None) -> QuantumInfoResult:
+def relation_report(state, theta: float | None = None, h: float | None = None) -> QuantumInfoResult:
     """Evaluate every applicable route at theta and record their residuals.
 
     Always computes the definitional routes (SLD-based Helstrom, generic
@@ -319,17 +339,21 @@ def relation_report(model: ParametricStateModel, theta: float, h: float | None =
     in per model kind. A failing optional route is recorded in
     ``route_errors`` instead of aborting.
     """
-    s = sld(model, theta, h)
-    rho = model.rho(theta)
-    i_h = _check_nonnegative(
-        real_trace_product([rho, s.matrix, s.matrix]), "Helstrom information"
-    )
+    pt = _as_point(state, theta, h)
+    model, theta, h = pt.model, pt.theta, pt.h
+    s = pt.cached(sld)
     out = QuantumInfoResult(
         theta=theta,
         kind=model.kind,
-        i_h_sld=i_h,
-        i_wy_generic=wy_info_generic(model, theta, h),
+        i_h_sld=pt.cached(helstrom_info_sld),
+        i_wy_generic=pt.cached(wy_info_generic),
         score_mean=s.score_mean,
+        diagnostics={
+            "sqrt_route": pt.dsqrt.route,
+            "fd_fallback": pt.dsqrt.fd_fallback,
+            "support_dropped": s.support_dropped,
+            "min_pair_sum": s.min_pair_sum,
+        },
     )
     res = out.residuals
     if isinstance(model, PureStateModel):
@@ -358,9 +382,9 @@ def relation_report(model: ParametricStateModel, theta: float, h: float | None =
         if out.gamma is not None:
             res["prop2"] = float(abs(out.i_wy_generic - out.i_h_sld - out.gamma) / scale)
     elif isinstance(model, SpectralMixtureModel):
-        out.i_h_closed = _try_route(out, "i_h_closed", lambda: helstrom_info_spectral(model, theta, h))
-        out.i_wy_closed = _try_route(out, "i_wy_closed", lambda: wy_info_spectral(model, theta, h))
-        out.gamma = _try_route(out, "gamma", lambda: gamma_spectral(model, theta, h))
+        out.i_h_closed = _try_route(out, "i_h_closed", lambda: helstrom_info_spectral(pt))
+        out.i_wy_closed = _try_route(out, "i_wy_closed", lambda: wy_info_spectral(pt))
+        out.gamma = _try_route(out, "gamma", lambda: gamma_spectral(pt))
         scale = max(1.0, out.i_h_sld)
         if out.gamma is not None:
             res["prop2"] = float(abs(out.i_wy_generic - out.i_h_sld - out.gamma) / scale)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ZeroInformationError
-from .classical import Povm, classical_fisher, outcome_probs, outcome_scores
+from .classical import Povm, _point_and_povm, classical_fisher, outcome_probs, outcome_scores
 from .models import ParametricStateModel
 from .quantum import NEAR_ZERO_INFO, helstrom_info_sld, wy_info_generic
 
@@ -61,44 +61,47 @@ class SimResult:
         }
 
 
-def sample_outcomes(
-    model: ParametricStateModel, theta0: float, povm: Povm, n: int, seed: int
-) -> np.ndarray:
-    """Draw n outcome indices from the trace-rule distribution at theta0."""
-    dist = outcome_probs(model, theta0, povm)
+def sample_outcomes(*args, seed: int) -> np.ndarray:
+    """Draw n outcome indices from the trace-rule distribution at theta0.
+
+    Called as ``sample_outcomes(point, povm, n, seed=s)`` or
+    ``sample_outcomes(model, theta0, povm, n, seed=s)``.
+    """
+    *state, n = args
+    dist = outcome_probs(*state)
     probs = dist.probs / float(np.sum(dist.probs))
     rng = np.random.default_rng(seed)
     return rng.choice(len(probs), size=n, p=probs)
 
 
-def one_step_estimator(
-    model: ParametricStateModel, theta0: float, povm: Povm, h: float | None = None
-) -> np.ndarray:
+def one_step_estimator(*args, h: float | None = None) -> np.ndarray:
     """Per-outcome estimate t(x) = theta0 + score(x)/(p(x) i(theta0)).
 
     Locally unbiased by construction (the scores sum to zero), with exact
     single-sample variance 1/i. Outcomes off the support never occur and
-    get the neutral value theta0.
+    get the neutral value theta0. Takes (point, povm) or (model, theta0, povm).
     """
-    info = classical_fisher(model, theta0, povm, h)
+    pt, povm = _point_and_povm(args, h)
+    theta0 = pt.theta
+    info = classical_fisher(pt, povm)
     if info <= NEAR_ZERO_INFO:
         raise ZeroInformationError(
             f"classical information {info:.3e} at theta0={theta0}; estimator undefined"
         )
-    dist = outcome_probs(model, theta0, povm)
-    scores = outcome_scores(model, theta0, povm, h)
+    dist = outcome_probs(pt, povm)
+    scores = outcome_scores(pt, povm)
     t = np.full(len(dist), float(theta0))
     on = dist.support
     t[on] = theta0 + (scores[on] / dist.probs[on]) / info
     return t
 
 
-def exact_estimator_moments(
-    model: ParametricStateModel, theta0: float, povm: Povm, h: float | None = None
-) -> tuple[float, float]:
+def exact_estimator_moments(*args, h: float | None = None) -> tuple[float, float]:
     """(mean, variance) of the one-step estimator by direct summation."""
-    dist = outcome_probs(model, theta0, povm)
-    t = one_step_estimator(model, theta0, povm, h)
+    pt, povm = _point_and_povm(args, h)
+    theta0 = pt.theta
+    dist = outcome_probs(pt, povm)
+    t = one_step_estimator(pt, povm)
     mean = float(np.sum(dist.probs * t))
     var = float(np.sum(dist.probs * (t - theta0) ** 2))
     return mean, var
@@ -106,8 +109,9 @@ def exact_estimator_moments(
 
 def run_sim(cfg: SimConfig) -> SimResult:
     """Sample the estimator and compare its variance against the bound chain."""
-    t = one_step_estimator(cfg.model, cfg.theta0, cfg.povm)
-    idx = sample_outcomes(cfg.model, cfg.theta0, cfg.povm, cfg.n_samples, cfg.seed)
+    pt = cfg.model.at(cfg.theta0)
+    t = one_step_estimator(pt, cfg.povm)
+    idx = sample_outcomes(pt, cfg.povm, cfg.n_samples, seed=cfg.seed)
     samples = t[idx]
     n = cfg.n_samples
     mean = float(np.mean(samples))
@@ -116,9 +120,9 @@ def run_sim(cfg: SimConfig) -> SimResult:
     m4 = float(np.mean(devs**4))
     empirical_var = m2 * n / (n - 1)
     se_var = float(np.sqrt(max(m4 - m2 * m2, 0.0) / n))
-    info = classical_fisher(cfg.model, cfg.theta0, cfg.povm)
-    i_h = helstrom_info_sld(cfg.model, cfg.theta0)
-    i_wy = wy_info_generic(cfg.model, cfg.theta0)
+    info = classical_fisher(pt, cfg.povm)
+    i_h = pt.cached(helstrom_info_sld)
+    i_wy = pt.cached(wy_info_generic)
     return SimResult(
         empirical_var=empirical_var,
         crb=1.0 / info,

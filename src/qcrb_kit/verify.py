@@ -6,6 +6,11 @@ finite-difference ingredient is involved; the two classes can be tightened
 independently (tightening the fd class below its truncation error fails
 those checks by design). A catalog can be injected, which is how the tests
 exercise corrupted models.
+
+One suite run evaluates each (model, theta) state once: the checks read a
+shared ``StatePoint`` from a run-wide table, and only the second route a
+check exists to compare (a forced finite difference, the Jacobi solver,
+the projector-sum SLD, the psd_sqrt difference) is computed afresh.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from .hermitian import (
 from .models import (
     DEFAULT_FD_STEP,
     ParametricStateModel,
+    StatePoint,
     builtin_models,
     random_spectral_model,
 )
@@ -79,6 +85,25 @@ class VerifyOptions:
     seed: int = 20260810
 
 
+class _PointTable:
+    """One StatePoint per (model, theta, h) for a whole suite run.
+
+    Keyed on the model objects themselves, which the table keeps alive: an
+    id() key could be reused by a later temporary model once the first one
+    is collected, and hand that model the wrong point.
+    """
+
+    def __init__(self):
+        self._points: dict[tuple, StatePoint] = {}
+
+    def at(self, model: ParametricStateModel, theta: float, h: float | None = None) -> StatePoint:
+        key = (model, theta, h)
+        point = self._points.get(key)
+        if point is None:
+            point = self._points[key] = model.at(theta, h)
+        return point
+
+
 def _models(catalog, kinds=None, analytic=None):
     for name in sorted(catalog):
         m = catalog[name]
@@ -97,7 +122,7 @@ def _worst(residual, detail, candidate, where):
 
 # --- kernel checks ----------------------------------------------------------
 
-def _check_eigh_reconstruction(catalog, opts):
+def _check_eigh_reconstruction(catalog, opts, points):
     # reconstruction and orthonormality of the LAPACK solver, and its
     # eigenvalues against the reference Jacobi solver
     rng = np.random.default_rng(opts.seed)
@@ -115,24 +140,24 @@ def _check_eigh_reconstruction(catalog, opts):
     return worst, detail
 
 
-def _check_psd_sqrt_composition(catalog, opts):
+def _check_psd_sqrt_composition(catalog, opts, points):
     worst, detail = 0.0, ""
     for name, model in _models(catalog):
         for theta in model.sample_thetas:
-            rho = model.rho(theta)
+            rho = points.at(model, theta).rho
             root = psd_sqrt(rho)
             dev = float(np.linalg.norm(root.mat @ root.mat - rho.mat))
             worst, detail = _worst(worst, detail, dev, f"{name} theta={theta:g}")
     return worst, detail
 
 
-def _check_solve_involution(catalog, opts):
+def _check_solve_involution(catalog, opts, points):
     worst, detail = 0.0, ""
     for name, model in _models(catalog):
         for theta in model.sample_thetas:
-            rho = model.rho(theta)
-            drho = model.drho(theta)
-            l_mat = sld(model, theta).matrix
+            pt = points.at(model, theta)
+            rho, drho = pt.rho, pt.drho
+            l_mat = pt.cached(sld).matrix
             resid = 0.5 * (rho.mat @ l_mat.mat + l_mat.mat @ rho.mat) - drho.mat
             dec = rho.decomposition
             r_tilde = dec.eigenvectors.conj().T @ resid @ dec.eigenvectors
@@ -143,13 +168,13 @@ def _check_solve_involution(catalog, opts):
     return worst, detail
 
 
-def _check_phase_invariance(catalog, opts):
+def _check_phase_invariance(catalog, opts, points):
     rng = np.random.default_rng(opts.seed + 1)
     worst, detail = 0.0, ""
     for name, model in _models(catalog, kinds=("qubit_mixture", "spectral")):
         theta = model.sample_thetas[1]
-        rho = model.rho(theta)
-        drho = model.drho(theta)
+        pt = points.at(model, theta)
+        rho, drho = pt.rho, pt.drho
         dec = rho.decomposition
         base_projs = dec.projectors()
         l_base = sld_spectral_sum(dec.eigenvalues, base_projs, drho)
@@ -165,29 +190,29 @@ def _check_phase_invariance(catalog, opts):
 
 # --- model checks -----------------------------------------------------------
 
-def _check_trace_one(catalog, opts):
+def _check_trace_one(catalog, opts, points):
     worst, detail = 0.0, ""
     for name, model in _models(catalog):
         for theta in model.sample_thetas:
-            dev = abs(float(np.trace(model.rho(theta).mat).real) - 1.0)
+            dev = abs(float(np.trace(points.at(model, theta).rho.mat).real) - 1.0)
             worst, detail = _worst(worst, detail, dev, f"{name} theta={theta:g}")
     return worst, detail
 
 
-def _drho_traceless(catalog, opts, analytic):
+def _drho_traceless(catalog, opts, points, analytic):
     worst, detail = 0.0, ""
     for name, model in _models(catalog, analytic=analytic):
         for theta in model.sample_thetas:
-            dev = abs(float(np.trace(model.drho(theta).mat).real))
+            dev = abs(float(np.trace(points.at(model, theta).drho.mat).real))
             worst, detail = _worst(worst, detail, dev, f"{name} theta={theta:g}")
     return worst, detail
 
 
-def _check_drho_route_agreement(catalog, opts):
+def _check_drho_route_agreement(catalog, opts, points):
     worst, detail = 0.0, ""
     for name, model in _models(catalog, analytic=True):
         for theta in model.sample_thetas:
-            a = model.drho(theta).mat
+            a = points.at(model, theta).drho.mat
             b = model.drho(theta, force_fd=True).mat
             worst, detail = _worst(
                 worst, detail, float(np.linalg.norm(a - b)), f"{name} theta={theta:g}"
@@ -195,18 +220,18 @@ def _check_drho_route_agreement(catalog, opts):
     return worst, detail
 
 
-def _check_dsqrt_route_agreement(catalog, opts):
+def _check_dsqrt_route_agreement(catalog, opts, points):
     worst, detail = 0.0, ""
     for name, model in _models(catalog):
         for theta in model.sample_thetas:
-            a = model.dsqrt_rho(theta).matrix.mat
+            a = points.at(model, theta).dsqrt.matrix.mat
             b = model.dsqrt_rho(theta, force_fd=True).matrix.mat
             dev = float(np.linalg.norm(a - b)) / max(1.0, float(np.linalg.norm(a)))
             worst, detail = _worst(worst, detail, dev, f"{name} theta={theta:g}")
     return worst, detail
 
 
-def _check_qubit_complement(catalog, opts):
+def _check_qubit_complement(catalog, opts, points):
     # projector identity for every canonical mixture; the derivative identity
     # only where psi1 has an analytic derivative (differencing a psi2 that was
     # itself built by differences measures rounding jitter, not the identity)
@@ -230,7 +255,7 @@ def _check_qubit_complement(catalog, opts):
     return worst, detail
 
 
-def _check_orthogonal_trace_identities(catalog, opts):
+def _check_orthogonal_trace_identities(catalog, opts, points):
     # tr{rho_k drho_h} = 0 for pure components of the mixtures
     worst, detail = 0.0, ""
     h = opts.fd_step
@@ -249,7 +274,7 @@ def _check_orthogonal_trace_identities(catalog, opts):
     return worst, detail
 
 
-def _check_spectral_identities(catalog, opts):
+def _check_spectral_identities(catalog, opts, points):
     worst, detail = 0.0, ""
     for name, model in _models(catalog, kinds=("spectral",)):
         for theta in model.sample_thetas:
@@ -270,7 +295,7 @@ def _check_spectral_identities(catalog, opts):
     return worst, detail
 
 
-def _check_weight_boundary_regularity(catalog, opts):
+def _check_weight_boundary_regularity(catalog, opts, points):
     worst, detail = 0.0, ""
     for name, model in _models(catalog, kinds=("qubit_mixture",)):
         ratio = model.weight.boundary_regularity_ratio(model.sample_thetas, opts.fd_step)
@@ -280,34 +305,35 @@ def _check_weight_boundary_regularity(catalog, opts):
 
 # --- information checks -----------------------------------------------------
 
-def _score_zero(catalog, opts, analytic):
+def _score_zero(catalog, opts, points, analytic):
     worst, detail = 0.0, ""
     for name, model in _models(catalog, analytic=analytic):
         for theta in model.sample_thetas:
-            dev = abs(sld(model, theta).score_mean)
+            dev = abs(points.at(model, theta).cached(sld).score_mean)
             worst, detail = _worst(worst, detail, dev, f"{name} theta={theta:g}")
     return worst, detail
 
 
-def _pure_doubling(catalog, opts, analytic):
+def _pure_doubling(catalog, opts, points, analytic):
     worst, detail = 0.0, ""
     for name, model in _models(catalog, kinds=("pure",), analytic=analytic):
         for theta in model.sample_thetas:
-            i_h = helstrom_info_sld(model, theta)
+            pt = points.at(model, theta)
+            i_h = helstrom_info_sld(pt)
             if i_h <= NEAR_ZERO_INFO:
                 continue
-            dev = abs(wy_info_generic(model, theta) / i_h - 2.0)
+            dev = abs(wy_info_generic(pt) / i_h - 2.0)
             worst, detail = _worst(worst, detail, dev, f"{name} theta={theta:g}")
     return worst, detail
 
 
-def _sld_vs_spectral_sum(catalog, opts):
+def _sld_vs_spectral_sum(catalog, opts, points):
     worst, detail = 0.0, ""
     for name, model in _models(catalog):
         for theta in model.sample_thetas:
-            rho = model.rho(theta)
-            drho = model.drho(theta)
-            a = sld(model, theta).matrix.mat
+            pt = points.at(model, theta)
+            rho, drho = pt.rho, pt.drho
+            a = pt.cached(sld).matrix.mat
             dec = rho.decomposition
             b = sld_spectral_sum(dec.eigenvalues, dec.projectors(), drho).mat
             worst, detail = _worst(
@@ -316,25 +342,25 @@ def _sld_vs_spectral_sum(catalog, opts):
     return worst, detail
 
 
-def _qubit_routes_h(catalog, opts, analytic):
+def _qubit_routes_h(catalog, opts, points, analytic):
     worst, detail = 0.0, ""
     for name, model in _models(catalog, kinds=("qubit_mixture",), analytic=analytic):
         if not model.canonical:
             continue
         for theta in model.sample_thetas:
             a = helstrom_info_qubit_closed(model, theta)
-            b = helstrom_info_sld(model, theta)
+            b = helstrom_info_sld(points.at(model, theta))
             dev = abs(a - b) / max(1.0, b)
             worst, detail = _worst(worst, detail, dev, f"{name} theta={theta:g}")
     return worst, detail
 
 
-def _qubit_routes_wy(catalog, opts, analytic):
+def _qubit_routes_wy(catalog, opts, points, analytic):
     worst, detail = 0.0, ""
     for name, model in _models(catalog, kinds=("qubit_mixture",), analytic=analytic):
         for theta in model.sample_thetas:
             a = wy_info_qubit_closed(model, theta)
-            b = wy_info_generic(model, theta)
+            b = wy_info_generic(points.at(model, theta))
             dev = abs(a - b) / max(1.0, b)
             worst, detail = _worst(worst, detail, dev, f"{name} theta={theta:g}")
     return worst, detail
@@ -347,93 +373,97 @@ def _extra_spectral_models(opts):
     ]
 
 
-def _spectral_routes_h(catalog, opts):
+def _spectral_routes_h(catalog, opts, points):
     worst, detail = 0.0, ""
     pairs = list(_models(catalog, kinds=("spectral",))) + _extra_spectral_models(opts)
     for name, model in pairs:
         for theta in model.sample_thetas[:3]:
-            a = helstrom_info_spectral(model, theta)
-            b = helstrom_info_sld(model, theta)
+            pt = points.at(model, theta)
+            a = helstrom_info_spectral(pt)
+            b = helstrom_info_sld(pt)
             dev = abs(a - b) / max(1.0, b)
             worst, detail = _worst(worst, detail, dev, f"{name} theta={theta:g}")
     return worst, detail
 
 
-def _spectral_routes_wy(catalog, opts):
+def _spectral_routes_wy(catalog, opts, points):
     worst, detail = 0.0, ""
     pairs = list(_models(catalog, kinds=("spectral",))) + _extra_spectral_models(opts)
     for name, model in pairs:
         for theta in model.sample_thetas[:3]:
-            a = wy_info_spectral(model, theta)
-            b = wy_info_generic(model, theta)
+            pt = points.at(model, theta)
+            a = wy_info_spectral(pt)
+            b = wy_info_generic(pt)
             dev = abs(a - b) / max(1.0, b)
             worst, detail = _worst(worst, detail, dev, f"{name} theta={theta:g}")
     return worst, detail
 
 
-def _prop1(catalog, opts, analytic):
+def _prop1(catalog, opts, points, analytic):
     worst, detail = 0.0, ""
     for name, model in _models(catalog, kinds=("qubit_mixture",), analytic=analytic):
         if not model.canonical:
             continue
         for theta in model.sample_thetas:
-            report = relation_report(model, theta)
+            report = relation_report(points.at(model, theta))
             worst, detail = _worst(
                 worst, detail, report.residuals["prop1"], f"{name} theta={theta:g}"
             )
     return worst, detail
 
 
-def _prop2_spectral(catalog, opts):
+def _prop2_spectral(catalog, opts, points):
     worst, detail = 0.0, ""
     pairs = list(_models(catalog, kinds=("spectral",))) + _extra_spectral_models(opts)
     for name, model in pairs:
         for theta in model.sample_thetas[:3]:
-            report = relation_report(model, theta)
+            report = relation_report(points.at(model, theta))
             worst, detail = _worst(
                 worst, detail, report.residuals["prop2"], f"{name} theta={theta:g}"
             )
     return worst, detail
 
 
-def _ratio_ordering(catalog, opts):
+def _ratio_ordering(catalog, opts, points):
     # constant weights only: there alpha in [1,2] and beta = 0
     worst, detail = 0.0, ""
     for name, model in _models(catalog, kinds=("qubit_mixture",)):
         for theta in model.sample_thetas:
             if abs(model.weight.slope(theta, opts.fd_step)) > 1e-12:
                 continue
-            i_h = helstrom_info_sld(model, theta)
+            pt = points.at(model, theta)
+            i_h = helstrom_info_sld(pt)
             if i_h <= NEAR_ZERO_INFO:
                 continue
-            ratio = wy_info_generic(model, theta) / i_h
+            ratio = wy_info_generic(pt) / i_h
             dev = max(0.0, 1.0 - ratio, ratio - 2.0)
             worst, detail = _worst(worst, detail, dev, f"{name} theta={theta:g}")
     return worst, detail
 
 
-def _monotone_gap(catalog, opts):
+def _monotone_gap(catalog, opts, points):
     from .models import rotation_mixture
 
     theta = 0.3
     gaps = []
     for w in np.arange(0.5, 0.99, 0.02):
-        model = rotation_mixture(float(w))
-        gaps.append(wy_info_generic(model, theta) - helstrom_info_sld(model, theta))
+        pt = rotation_mixture(float(w)).at(theta)
+        gaps.append(wy_info_generic(pt) - helstrom_info_sld(pt))
     worst, detail = 0.0, ""
     for i in range(1, len(gaps)):
         worst, detail = _worst(worst, detail, gaps[i - 1] - gaps[i], f"step {i}")
     return worst, detail
 
 
-def _mixing_information_loss(catalog, opts):
+def _mixing_information_loss(catalog, opts, points):
     worst, detail = 0.0, ""
     for name, model in _models(catalog, kinds=("qubit_mixture",)):
         for theta in model.sample_thetas:
             if abs(model.weight.slope(theta, opts.fd_step)) > 1e-12:
                 continue
-            excess_h = helstrom_info_sld(model, theta) - helstrom_info_pure(model.psi1, theta)
-            excess_wy = wy_info_generic(model, theta) - wy_info_pure(model.psi1, theta)
+            pt = points.at(model, theta)
+            excess_h = helstrom_info_sld(pt) - helstrom_info_pure(model.psi1, theta)
+            excess_wy = wy_info_generic(pt) - wy_info_pure(model.psi1, theta)
             worst, detail = _worst(
                 worst, detail, max(excess_h, excess_wy), f"{name} theta={theta:g}"
             )
@@ -442,7 +472,7 @@ def _mixing_information_loss(catalog, opts):
 
 # --- measurement checks -----------------------------------------------------
 
-def _check_povm_completeness(catalog, opts):
+def _check_povm_completeness(catalog, opts, points):
     worst, detail = 0.0, ""
     rng = np.random.default_rng(opts.seed + 2)
     for trial in range(12):
@@ -454,7 +484,7 @@ def _check_povm_completeness(catalog, opts):
     return worst, detail
 
 
-def _score_sum(catalog, opts, analytic):
+def _score_sum(catalog, opts, points, analytic):
     from .classical import outcome_scores
 
     worst, detail = 0.0, ""
@@ -462,40 +492,41 @@ def _score_sum(catalog, opts, analytic):
     for name, model in _models(catalog, analytic=analytic):
         povm = random_povm(model.dim, 3, int(rng.integers(0, 2**31)))
         for theta in model.sample_thetas[:3]:
-            dev = abs(float(np.sum(outcome_scores(model, theta, povm))))
+            dev = abs(float(np.sum(outcome_scores(points.at(model, theta), povm))))
             worst, detail = _worst(worst, detail, dev, f"{name} theta={theta:g}")
     return worst, detail
 
 
-def _information_inequality(catalog, opts):
+def _information_inequality(catalog, opts, points):
     worst, detail = 0.0, ""
     rng = np.random.default_rng(opts.seed + 4)
     for name, model in _models(catalog):
         theta = model.sample_thetas[2]
-        i_h = helstrom_info_sld(model, theta)
+        pt = points.at(model, theta)
+        i_h = helstrom_info_sld(pt)
         for _ in range(4):
             povm = random_povm(model.dim, int(rng.integers(2, 6)), int(rng.integers(0, 2**31)))
-            i = classical_fisher(model, theta, povm)
+            i = classical_fisher(pt, povm)
             worst, detail = _worst(worst, detail, i - i_h, f"{name} theta={theta:g}")
     return worst, detail
 
 
-def _coarse_graining(catalog, opts):
+def _coarse_graining(catalog, opts, points):
     worst, detail = 0.0, ""
     rng = np.random.default_rng(opts.seed + 5)
     for name, model in _models(catalog, kinds=("pure", "qubit_mixture")):
-        theta = model.sample_thetas[1]
+        pt = points.at(model, model.sample_thetas[1])
         povm = random_povm(model.dim, 4, int(rng.integers(0, 2**31)))
-        base = classical_fisher(model, theta, povm)
+        base = classical_fisher(pt, povm)
         i, j = sorted(rng.choice(4, size=2, replace=False))
-        merged = classical_fisher(model, theta, povm.merged(int(i), int(j)))
+        merged = classical_fisher(pt, povm.merged(int(i), int(j)))
         worst, detail = _worst(worst, detail, merged - base, f"{name} merge ({i},{j})")
     return worst, detail
 
 
 # --- estimation checks ------------------------------------------------------
 
-def _estimator_exact_variance(catalog, opts):
+def _estimator_exact_variance(catalog, opts, points):
     from .models import rotation_mixture
 
     worst, detail = 0.0, ""
@@ -507,14 +538,15 @@ def _estimator_exact_variance(catalog, opts):
         if model is None:
             model = rotation_mixture(0.9)
         theta = 0.3
-        mean, var = exact_estimator_moments(model, theta, povm)
-        i = classical_fisher(model, theta, povm)
+        pt = points.at(model, theta)
+        mean, var = exact_estimator_moments(pt, povm)
+        i = classical_fisher(pt, povm)
         dev = max(abs(mean - theta), abs(var - 1.0 / i))
         worst, detail = _worst(worst, detail, dev, name)
     return worst, detail
 
 
-def _sim_bound_chain(catalog, opts):
+def _sim_bound_chain(catalog, opts, points):
     model = catalog.get("qubit-rotation")
     if model is None:
         raise ValueError("catalog lacks qubit-rotation")
@@ -527,7 +559,7 @@ def _sim_bound_chain(catalog, opts):
     return max(dev, 0.0), f"var={result.empirical_var:.5f} crb={result.crb:.5f}"
 
 
-def _sim_reproducibility(catalog, opts):
+def _sim_reproducibility(catalog, opts, points):
     model = catalog.get("qubit-rotation")
     if model is None:
         raise ValueError("catalog lacks qubit-rotation")
@@ -542,34 +574,34 @@ _CHECKS = [
     ("solve-involution", "analytic", 1e-9, _check_solve_involution),
     ("eigenvector-phase-invariance", "analytic", 1e-10, _check_phase_invariance),
     ("state-trace-one", "analytic", 1e-10, _check_trace_one),
-    ("drho-traceless-analytic", "analytic", 1e-8, lambda c, o: _drho_traceless(c, o, True)),
-    ("drho-traceless-fd", "fd", 1e-8, lambda c, o: _drho_traceless(c, o, False)),
+    ("drho-traceless-analytic", "analytic", 1e-8, lambda c, o, p: _drho_traceless(c, o, p, True)),
+    ("drho-traceless-fd", "fd", 1e-8, lambda c, o, p: _drho_traceless(c, o, p, False)),
     ("drho-route-agreement", "fd", 1e-7, _check_drho_route_agreement),
     ("dsqrt-route-agreement", "fd", 1e-6, _check_dsqrt_route_agreement),
     ("qubit-complement-identities", "fd", 1e-9, _check_qubit_complement),
     ("orthogonal-component-scores", "fd", 1e-9, _check_orthogonal_trace_identities),
     ("spectral-identities", "analytic", 1e-9, _check_spectral_identities),
     ("weight-boundary-regularity", "analytic", BOUNDARY_RATIO_CAP, _check_weight_boundary_regularity),
-    ("score-zero-analytic", "analytic", 1e-9, lambda c, o: _score_zero(c, o, True)),
-    ("score-zero-fd", "fd", 1e-9, lambda c, o: _score_zero(c, o, False)),
+    ("score-zero-analytic", "analytic", 1e-9, lambda c, o, p: _score_zero(c, o, p, True)),
+    ("score-zero-fd", "fd", 1e-9, lambda c, o, p: _score_zero(c, o, p, False)),
     ("sld-vs-spectral-sum", "analytic", 1e-10, _sld_vs_spectral_sum),
-    ("pure-doubling-analytic", "analytic", 1e-9, lambda c, o: _pure_doubling(c, o, True)),
-    ("pure-doubling-fd", "fd", 1e-6, lambda c, o: _pure_doubling(c, o, False)),
-    ("qubit-route-h-analytic", "analytic", 1e-8, lambda c, o: _qubit_routes_h(c, o, True)),
-    ("qubit-route-h-fd", "fd", 1e-7, lambda c, o: _qubit_routes_h(c, o, False)),
-    ("qubit-route-wy-analytic", "analytic", 1e-8, lambda c, o: _qubit_routes_wy(c, o, True)),
-    ("qubit-route-wy-fd", "fd", 1e-6, lambda c, o: _qubit_routes_wy(c, o, False)),
+    ("pure-doubling-analytic", "analytic", 1e-9, lambda c, o, p: _pure_doubling(c, o, p, True)),
+    ("pure-doubling-fd", "fd", 1e-6, lambda c, o, p: _pure_doubling(c, o, p, False)),
+    ("qubit-route-h-analytic", "analytic", 1e-8, lambda c, o, p: _qubit_routes_h(c, o, p, True)),
+    ("qubit-route-h-fd", "fd", 1e-7, lambda c, o, p: _qubit_routes_h(c, o, p, False)),
+    ("qubit-route-wy-analytic", "analytic", 1e-8, lambda c, o, p: _qubit_routes_wy(c, o, p, True)),
+    ("qubit-route-wy-fd", "fd", 1e-6, lambda c, o, p: _qubit_routes_wy(c, o, p, False)),
     ("spectral-route-h", "analytic", 1e-7, _spectral_routes_h),
     ("spectral-route-wy", "analytic", 1e-6, _spectral_routes_wy),
-    ("prop1-identity-analytic", "analytic", 1e-7, lambda c, o: _prop1(c, o, True)),
-    ("prop1-identity-fd", "fd", 1e-6, lambda c, o: _prop1(c, o, False)),
+    ("prop1-identity-analytic", "analytic", 1e-7, lambda c, o, p: _prop1(c, o, p, True)),
+    ("prop1-identity-fd", "fd", 1e-6, lambda c, o, p: _prop1(c, o, p, False)),
     ("prop2-identity", "analytic", 1e-7, _prop2_spectral),
     ("wy-h-ratio-ordering", "analytic", 1e-6, _ratio_ordering),
     ("monotone-gap-in-weight", "analytic", 1e-12, _monotone_gap),
     ("mixing-information-loss", "analytic", 1e-9, _mixing_information_loss),
     ("povm-completeness", "analytic", 1e-10, _check_povm_completeness),
-    ("score-sum-analytic", "analytic", 1e-8, lambda c, o: _score_sum(c, o, True)),
-    ("score-sum-fd", "fd", 1e-8, lambda c, o: _score_sum(c, o, False)),
+    ("score-sum-analytic", "analytic", 1e-8, lambda c, o, p: _score_sum(c, o, p, True)),
+    ("score-sum-fd", "fd", 1e-8, lambda c, o, p: _score_sum(c, o, p, False)),
     ("information-inequality", "analytic", 1e-9, _information_inequality),
     ("coarse-graining-monotone", "analytic", 1e-9, _coarse_graining),
     ("estimator-exact-variance", "analytic", 1e-9, _estimator_exact_variance),
@@ -589,6 +621,7 @@ def run_suite(
     """Run every invariant check; a raising check fails with its error recorded."""
     catalog = builtin_models() if catalog is None else catalog
     opts = options or VerifyOptions()
+    points = _PointTable()
     results = []
     for name, kind, default_tol, fn in _CHECKS:
         tol = default_tol
@@ -597,7 +630,7 @@ def run_suite(
         if kind == "fd" and opts.tol_fd is not None:
             tol = opts.tol_fd
         try:
-            residual, detail = fn(catalog, opts)
+            residual, detail = fn(catalog, opts, points)
         except Exception as exc:  # noqa: BLE001 - failures are results, not crashes
             results.append(
                 CheckResult(

@@ -94,6 +94,33 @@ def test_compute_theta_grid_negative_lo_as_separate_token(model_paths, capsys):
     assert rows[-1]["theta"] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize(
+    "option, command, expected_code",
+    [
+        ("--theta", "compute", EXIT_OK),
+        ("--theta0", "simulate", EXIT_OK),
+        ("--fd-step", "compute", EXIT_CONFIG),  # parsed, then rejected as non-positive
+        ("--tol-analytic", "compute", EXIT_NUMERIC),  # a negative tolerance fails the gate
+        ("--tol-fd", "compute", EXIT_OK),  # the analytic model gates on --tol-analytic
+    ],
+)
+def test_negative_scientific_value_as_separate_token(model_paths, capsys, option, command, expected_code):
+    argv = [command, "--model", model_paths["pure"], option, "-3e-1", "--format", "json"]
+    if command == "simulate":
+        argv += ["--povm", model_paths["basis"], "--n-samples", "1000"]
+    code, out, err = run_cli(argv, capsys)
+    assert "expected one argument" not in err
+    assert code == expected_code, err
+    if code == EXIT_CONFIG:
+        assert "--fd-step: must be positive" in err
+        return
+    payload = json.loads(out)
+    if option in ("--theta", "--theta0"):
+        assert payload["rows"][0][option.lstrip("-")] == -0.3
+    else:
+        assert payload["meta"][option.lstrip("-").replace("-", "_")] == -0.3
+
+
 def test_compute_malformed_json_exits_one(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"kind": nope}')
@@ -108,6 +135,46 @@ def test_compute_unknown_field_exits_one(tmp_path, capsys):
     code, _, err = run_cli(["compute", "--model", cfg], capsys)
     assert code == EXIT_CONFIG
     assert "model.kind" in err
+
+
+@pytest.mark.parametrize(
+    "cfg, field",
+    [
+        ({"kind": "spectral", "spectrum": [1.2, -0.2]}, "model.spectrum[0]"),
+        ({"kind": "spectral", "dim": "abc", "seed": 3}, "model.dim"),
+        ({"kind": "pure", "psi1": {"name": "rotation"}, "theta_domain": [0.3, 0.3]},
+         "empty domain"),
+    ],
+)
+def test_malformed_model_fields_exit_one_without_traceback(tmp_path, capsys, cfg, field):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, _, err = run_cli(["compute", "--model", path], capsys)
+    assert code == EXIT_CONFIG
+    assert err.startswith("error:") and field in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["--fd-step", "-1"], ["--fd-step=-1"]])
+def test_negative_fd_step_exits_one_without_traceback(model_paths, capsys, argv):
+    code, _, err = run_cli(["compute", "--model", model_paths["pure"], *argv], capsys)
+    assert code == EXIT_CONFIG
+    assert "error: argument --fd-step: must be positive" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--theta", "inf"], "--theta: must be finite"),
+        (["--theta-grid", "-inf:1:3"], "bounds must be finite"),
+    ],
+)
+def test_non_finite_theta_exits_one_without_traceback(model_paths, capsys, argv, message):
+    code, _, err = run_cli(["compute", "--model", model_paths["pure"], *argv], capsys)
+    assert code == EXIT_CONFIG
+    assert message in err
+    assert "Traceback" not in err
 
 
 # --- sweep-w -----------------------------------------------------------------

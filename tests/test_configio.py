@@ -1,12 +1,13 @@
 """Tests for the JSON config schemas."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from qcrb_kit.configio import load_json, model_from_config, povm_from_config
-from qcrb_kit.errors import ConfigError
+from qcrb_kit.errors import ConfigError, DomainError
 from qcrb_kit.models import PureStateModel, QubitMixtureModel, SpectralMixtureModel
 
 
@@ -111,3 +112,56 @@ def test_config_round_trips_through_files(tmp_path):
     p.write_text(json.dumps(cfg))
     model = model_from_config(load_json(str(p)))
     assert model.kind == "pure"
+
+
+@pytest.mark.parametrize(
+    "cfg, field",
+    [
+        ({"kind": "spectral", "dim": "abc", "seed": 3}, "model.dim"),
+        ({"kind": "spectral", "dim": 0, "seed": 3}, "model.dim"),
+        ({"kind": "spectral", "dim": 65, "seed": 3}, "model.dim"),
+        ({"kind": "spectral", "dim": 2.5, "seed": 3}, "model.dim"),
+        ({"kind": "spectral", "dim": 4, "seed": -1}, "model.seed"),
+        ({"kind": "spectral", "dim": 4, "seed": True}, "model.seed"),
+        ({"kind": "pure", "dim": "3", "seed": 5, "psi1": {"name": "random"}}, "model.dim"),
+        ({"kind": "spectral", "spectrum": [1.2, -0.2]}, "model.spectrum[0]"),
+        ({"kind": "spectral", "spectrum": [0.5, "half"]}, "model.spectrum[1]"),
+        ({"kind": "pure", "psi1": {"name": "rotation"}, "theta_domain": ["a", 1]},
+         "model.theta_domain[0]"),
+        ({"kind": "pure", "psi1": {"name": "rotation"}, "fd_step": "tiny"}, "model.fd_step"),
+    ],
+)
+def test_model_config_numeric_fields_are_checked(cfg, field):
+    with pytest.raises(ConfigError) as info:
+        model_from_config(cfg)
+    assert field in str(info.value)
+
+
+def test_model_config_rejects_an_empty_domain_and_a_zero_step():
+    rotation = {"kind": "pure", "psi1": {"name": "rotation"}}
+    with pytest.raises(DomainError, match="empty domain"):
+        model_from_config({**rotation, "theta_domain": [0.3, 0.3]})
+    with pytest.raises(ConfigError, match="finite-difference step"):
+        model_from_config({**rotation, "fd_step": 0})
+
+
+def test_model_config_keeps_infinite_domain_ends():
+    model = model_from_config(
+        {"kind": "pure", "psi1": {"name": "rotation"}, "theta_domain": [-math.inf, 1.0]}
+    )
+    assert model.domain == (-math.inf, 1.0)
+
+
+@pytest.mark.parametrize(
+    "cfg, field",
+    [
+        ({"kind": "basis", "dim": "2"}, "povm.dim"),
+        ({"kind": "basis", "dim": -1}, "povm.dim"),
+        ({"kind": "random", "dim": 2, "n_effects": 0, "seed": 1}, "povm.n_effects"),
+        ({"kind": "random", "dim": 2, "n_effects": 3, "seed": -4}, "povm.seed"),
+    ],
+)
+def test_povm_config_numeric_fields_are_checked(cfg, field):
+    with pytest.raises(ConfigError) as info:
+        povm_from_config(cfg)
+    assert field in str(info.value)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qcrb_kit.errors import DimensionError, DomainError, StationaryFamilyError
+from qcrb_kit.errors import ConfigError, DimensionError, DomainError, StationaryFamilyError
 from qcrb_kit.models import (
     ParametricStateModel,
     PureFamily,
@@ -278,3 +278,14 @@ def test_spectral_lambda_validation():
     )
     with pytest.raises(ValueError):
         not_unitary.frame_at(0.0)
+
+
+def test_model_construction_errors_are_toolkit_errors():
+    with pytest.raises(DomainError, match="empty domain"):
+        rotation_mixture(0.7, domain=(0.3, 0.3))
+    with pytest.raises(ConfigError, match="finite-difference step"):
+        PureStateModel(rotation_family(), fd_step=-1.0)
+    with pytest.raises(ConfigError, match="finite-difference step"):
+        PureStateModel(rotation_family()).drho(0.3, h=0.0)
+    with pytest.raises(ConfigError, match="frame kind"):
+        fixed_spectrum_model([0.5, 0.5], frame="spiral")

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from qcrb_kit import quantum
 from qcrb_kit.errors import BoundaryRegularityError, DomainError
 from qcrb_kit.models import (
+    ParametricStateModel,
     PureFamily,
     PureStateModel,
     SpectralMixtureModel,
@@ -388,7 +389,7 @@ def test_report_route_errors_do_not_abort():
 
 
 def test_report_records_a_domain_error_from_a_route(monkeypatch):
-    def fail(model, theta, h=None):
+    def fail(state, theta=None, h=None):
         raise DomainError("route outside its domain")
 
     monkeypatch.setattr(quantum, "helstrom_info_spectral", fail)
@@ -398,12 +399,51 @@ def test_report_records_a_domain_error_from_a_route(monkeypatch):
 
 
 def test_report_propagates_a_programming_error_from_a_route(monkeypatch):
-    def broken(model, theta, h=None):
+    def broken(state, theta=None, h=None):
         raise TypeError("unsupported operand")
 
     monkeypatch.setattr(quantum, "helstrom_info_spectral", broken)
     with pytest.raises(TypeError):
         relation_report(random_spectral_model(7, 3), 0.3)
+
+
+class NearlySingularModel(ParametricStateModel):
+    """rho = diag(1 - eps, eps) with eps below the square-root support tolerance.
+
+    The SLD solve keeps the (eps, eps) pair, but the square-root solve
+    treats eps as 0 and finds the derivative's weight there inconsistent.
+    """
+
+    EPS = 8e-13
+
+    def __init__(self):
+        super().__init__(2)
+
+    def rho_matrix(self, theta):
+        return np.diag([1.0 - self.EPS, self.EPS])
+
+    def _drho_analytic(self, theta, h):
+        return np.diag([-1e-3, 1e-3])
+
+
+def test_report_diagnostics_show_the_fd_fallback():
+    report = relation_report(NearlySingularModel(), 0.2)
+    assert report.diagnostics == {
+        "sqrt_route": "fd",
+        "fd_fallback": True,
+        "support_dropped": False,
+        "min_pair_sum": pytest.approx(2 * NearlySingularModel.EPS),
+    }
+
+
+def test_report_diagnostics_on_a_rank_deficient_spectrum():
+    report = relation_report(fixed_spectrum_model([0.6, 0.4, 0.0, 0.0], seed=3), 0.3)
+    assert report.diagnostics == {
+        "sqrt_route": "solve",
+        "fd_fallback": False,
+        "support_dropped": True,
+        "min_pair_sum": pytest.approx(0.4, abs=1e-12),
+    }
 
 
 def test_ratio_bounds_for_constant_weight():

@@ -1,0 +1,174 @@
+"""Tests for StatePoint: one evaluation of each ingredient per (model, theta)."""
+
+import json
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from qcrb_kit import cli, quantum
+from qcrb_kit.classical import basis_povm, bound_check, classical_fisher
+from qcrb_kit.errors import NotDensityMatrix
+from qcrb_kit.models import (
+    ParametricStateModel,
+    QubitMixtureModel,
+    StatePoint,
+    rotation_family,
+    sine_weight,
+)
+from qcrb_kit.quantum import helstrom_info_sld, relation_report, sld, wy_info_generic
+from qcrb_kit.simulate import SimConfig, exact_estimator_moments, run_sim
+
+
+class CountingMixture(QubitMixtureModel):
+    """Sine-weight rotation mixture that counts its state evaluations."""
+
+    def __init__(self):
+        super().__init__(rotation_family(), sine_weight(0.8), domain=(-1.45, 1.45))
+        self.counts = Counter()
+
+    def rho(self, theta):
+        self.counts["rho"] += 1
+        return super().rho(theta)
+
+    def drho(self, theta, h=None, force_fd=False):
+        self.counts["drho"] += 1
+        return super().drho(theta, h, force_fd)
+
+    def dsqrt_rho(self, theta, h=None, force_fd=False, **given):
+        self.counts["dsqrt_rho"] += 1
+        return super().dsqrt_rho(theta, h, force_fd, **given)
+
+
+class TraceOffModel(ParametricStateModel):
+    """trace 1.01: every rho evaluation fails."""
+
+    def __init__(self):
+        super().__init__(2)
+        self.calls = 0
+
+    def rho_matrix(self, theta):
+        self.calls += 1
+        return np.diag([0.91, 0.10])
+
+
+def counting(monkeypatch, module, name, counts):
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+# --- the point ----------------------------------------------------------------
+
+def test_point_is_lazy_and_evaluates_each_ingredient_once():
+    model = CountingMixture()
+    pt = model.at(0.4)
+    assert isinstance(pt, StatePoint)
+    assert (pt.model, pt.theta, pt.h) == (model, 0.4, None)
+    assert not model.counts
+    assert pt.rho is pt.rho
+    assert pt.drho is pt.drho
+    assert pt.dsqrt is pt.dsqrt
+    assert pt.cached(sld) is pt.cached(sld)
+    assert model.counts == {"rho": 1, "drho": 1, "dsqrt_rho": 1}
+
+
+def test_point_matches_the_model_routes():
+    model = CountingMixture()
+    pt = model.at(0.4)
+    np.testing.assert_array_equal(pt.rho.mat, model.rho(0.4).mat)
+    np.testing.assert_array_equal(pt.drho.mat, model.drho(0.4).mat)
+    np.testing.assert_array_equal(pt.dsqrt.matrix.mat, model.dsqrt_rho(0.4).matrix.mat)
+    assert helstrom_info_sld(pt) == helstrom_info_sld(model, 0.4)
+    assert wy_info_generic(pt) == wy_info_generic(model, 0.4)
+
+
+def test_point_is_immutable():
+    pt = CountingMixture().at(0.4)
+    with pytest.raises(AttributeError):
+        pt.theta = 0.5
+
+
+def test_point_carries_its_step():
+    model = CountingMixture()
+    pt = model.at(0.4, h=1e-4)
+    np.testing.assert_array_equal(pt.drho.mat, model.drho(0.4, 1e-4).mat)
+
+
+def test_failed_evaluation_is_not_cached():
+    model = TraceOffModel()
+    pt = model.at(0.1)
+    for _ in range(2):
+        with pytest.raises(NotDensityMatrix):
+            pt.rho
+    assert model.calls == 2
+
+
+def test_resolver_rejects_mixed_leading_arguments():
+    model = CountingMixture()
+    with pytest.raises(TypeError):
+        sld(model.at(0.4), 0.4)
+    with pytest.raises(TypeError):
+        sld(model)
+    with pytest.raises(TypeError):
+        classical_fisher(model.at(0.4), 0.4, basis_povm(2))
+
+
+# --- evaluation counts --------------------------------------------------------------
+
+def test_report_and_bound_check_share_one_evaluation(monkeypatch):
+    counts = Counter()
+    counting(monkeypatch, quantum, "sld", counts)
+    model = CountingMixture()
+    pt = model.at(0.4)
+    report = relation_report(pt)
+    check = bound_check(pt, basis_povm(2))
+    assert check.i_h == report.i_h_sld
+    assert check.approx_qcrb == 1.0 / report.i_wy_generic
+    assert model.counts == {"rho": 1, "drho": 1, "dsqrt_rho": 1}
+    assert counts["sld"] == 1
+
+
+def test_compute_row_with_povm_evaluates_the_state_once_per_theta(tmp_path, monkeypatch, capsys):
+    counts = Counter()
+    counting(monkeypatch, quantum, "sld", counts)
+    model = CountingMixture()
+    monkeypatch.setattr(cli, "model_from_config", lambda cfg, fd_step=None: model)
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps({"kind": "qubit_mixture"}))
+    povm = tmp_path / "povm.json"
+    povm.write_text(json.dumps({"kind": "random", "dim": 2, "n_effects": 4, "seed": 3}))
+    code = cli.main(["compute", "--model", str(cfg), "--povm", str(povm), "--theta-grid=-1:1:5"])
+    capsys.readouterr()
+    assert code == cli.EXIT_OK
+    assert model.counts == {"rho": 5, "drho": 5, "dsqrt_rho": 5}
+    assert counts["sld"] == 5
+
+
+def test_spectral_row_evaluates_the_spectral_ingredients_once(tmp_path, monkeypatch, capsys):
+    counts = Counter()
+    counting(monkeypatch, quantum, "_spectral_ingredients", counts)
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps({"kind": "spectral", "dim": 4, "seed": 9}))
+    code = cli.main(["compute", "--model", str(cfg), "--theta-grid=-0.5:0.5:3", "--format=json"])
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert code == cli.EXIT_OK
+    for row in rows:  # all three closed forms ran
+        assert None not in (row["i_h_closed"], row["i_wy_closed"], row["gamma"])
+    assert counts["_spectral_ingredients"] == 3
+
+
+def test_simulation_evaluates_the_state_once():
+    model = CountingMixture()
+    run_sim(SimConfig(model=model, povm=basis_povm(2), theta0=0.4, n_samples=1_000, seed=2))
+    assert model.counts == {"rho": 1, "drho": 1, "dsqrt_rho": 1}
+
+
+def test_estimator_moments_take_a_point():
+    model = CountingMixture()
+    povm = basis_povm(2)
+    assert exact_estimator_moments(model.at(0.4), povm) == exact_estimator_moments(model, 0.4, povm)

@@ -1,6 +1,10 @@
 """Tests for the invariant suite and its failure reporting."""
 
+import json
+from pathlib import Path
+
 import numpy as np
+import pytest
 
 from qcrb_kit.models import ParametricStateModel, builtin_models
 from qcrb_kit.verify import VerifyOptions, all_passed, check_names, run_suite
@@ -18,14 +22,35 @@ class CorruptTraceModel(ParametricStateModel):
         return np.diag([0.91, 0.10])
 
 
-def test_default_suite_passes():
-    results = run_suite()
+EXPECTED = Path(__file__).parent / "data" / "verify_expected.json"
+
+# the checks that evaluate rho on the corrupt model, and only those, fail on it
+READS_CORRUPT_RHO = {
+    "psd-sqrt-composition", "solve-involution", "state-trace-one",
+    "dsqrt-route-agreement", "score-zero-fd", "sld-vs-spectral-sum",
+    "pure-doubling-fd", "information-inequality", "coarse-graining-monotone",
+}
+
+
+@pytest.fixture(scope="module")
+def clean_results():
+    """One run of the default suite, shared by the tests that only read it."""
+    return run_suite()
+
+
+def test_default_suite_passes(clean_results):
+    results = clean_results
     failures = [r for r in results if not r.passed]
     assert not failures, [(r.name, r.residual, r.error) for r in failures]
 
 
-def test_every_check_reports_a_residual_or_error():
-    for r in run_suite():
+def test_default_suite_matches_the_recorded_names_and_verdicts(clean_results):
+    expected = [tuple(row) for row in json.loads(EXPECTED.read_text())]
+    assert [(r.name, r.passed) for r in clean_results] == expected
+
+
+def test_every_check_reports_a_residual_or_error(clean_results):
+    for r in clean_results:
         assert r.residual is not None or r.error is not None
         assert r.kind in ("analytic", "fd")
         assert r.tol > 0
@@ -39,6 +64,17 @@ def test_corrupted_model_faults_are_reported_not_raised():
     errored = [r for r in results if r.error is not None]
     assert errored
     assert any("NotDensityMatrix" in r.error for r in errored)
+
+
+def test_corrupted_model_fault_is_recorded_by_every_check_that_reads_it():
+    # the suite shares one point per (model, theta) across checks; a failed
+    # evaluation is not kept, so each reading check records the fault itself
+    catalog = dict(builtin_models())
+    catalog["corrupt"] = CorruptTraceModel()
+    results = run_suite(catalog=catalog)
+    faulted = {r.name for r in results if r.error is not None and "NotDensityMatrix" in r.error}
+    assert faulted == READS_CORRUPT_RHO
+    assert all(r.passed for r in results if r.name not in READS_CORRUPT_RHO)
 
 
 def test_tightened_fd_tolerance_fails_fd_checks():
