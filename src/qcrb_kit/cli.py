@@ -1,9 +1,10 @@
 """Command-line front end: compute, sweep-w, sweep-spectrum, verify, simulate.
 
 Exit codes: 0 all checks pass, 1 configuration error, 2 numerical check
-failure. Output is CSV (with a versioned `#qcrb-kit v1` header comment) or
-JSON; missing-route cells are explicit nulls. Set QCRB_LOG to a logging
-level name for diagnostics on stderr.
+failure (a failed residual gate, or one of the ``NUMERIC_ERRORS``). Output
+is CSV (with a versioned `#qcrb-kit v1` header comment) or JSON;
+missing-route cells are explicit nulls. Set QCRB_LOG to a logging level
+name for diagnostics on stderr.
 """
 
 from __future__ import annotations
@@ -19,9 +20,18 @@ import numpy as np
 
 from .classical import bound_check
 from .configio import load_json, model_from_config, povm_from_config
-from .errors import ConfigError, DomainError, QcrbError, ZeroInformationError
+from .errors import (
+    BoundaryRegularityError,
+    ConfigError,
+    DomainError,
+    EigenConvergenceError,
+    QcrbError,
+    RankDeficientInconsistent,
+    ZeroInformationError,
+)
 from .models import (
     DEFAULT_FD_STEP,
+    DEFAULT_SEED,
     complex_rotation_family,
     fixed_spectrum_model,
     QubitMixtureModel,
@@ -41,6 +51,12 @@ EXIT_NUMERIC = 2
 CSV_VERSION_TAG = "#qcrb-kit v1"
 DEFAULT_TOL_ANALYTIC = 1e-8
 DEFAULT_TOL_FD = 1e-6
+# errors that say the numbers failed, not the input: they exit 2, like a
+# failed residual gate; every other QcrbError exits 1
+NUMERIC_ERRORS = (
+    EigenConvergenceError, RankDeficientInconsistent, BoundaryRegularityError,
+    ZeroInformationError,
+)
 # options whose value is a number, a lo:hi:steps grid or a list of numbers,
 # any of which may start with a minus sign
 NUMERIC_OPTIONS = (
@@ -201,6 +217,16 @@ def _route_tol(args, model) -> float:
     return args.tol_analytic if model.has_analytic_derivative else args.tol_fd
 
 
+def _gate_residuals(row, keys, tol, where) -> int:
+    """Count, and log, the residuals of ``row`` above ``tol``; a null residual passes."""
+    failures = 0
+    for key in keys:
+        if row[key] is not None and row[key] > tol:
+            failures += 1
+            logger.warning("%s: %s=%.3e exceeds %g", where, key, row[key], tol)
+    return failures
+
+
 def _relation_residual(report):
     for key in ("pure_doubling", "prop1", "prop2", "pure_doubling_abs"):
         if key in report.residuals:
@@ -242,11 +268,10 @@ def cmd_compute(args) -> int:
         point = model.at(theta)  # shared by the report and the bound check
         report = relation_report(point)
         row = _report_row(report)
-        tol = _route_tol(args, model)
-        for key in ("res_route_i_h", "res_route_i_wy", "res_relation"):
-            if row[key] is not None and row[key] > tol:
-                failures += 1
-                logger.warning("theta=%g: %s=%.3e exceeds %g", theta, key, row[key], tol)
+        failures += _gate_residuals(
+            row, ("res_route_i_h", "res_route_i_wy", "res_relation"), _route_tol(args, model),
+            f"theta={theta:g}",
+        )
         if report.route_errors:
             logger.info("theta=%g route errors: %s", theta, report.route_errors)
         row.update({"cfi": None, "cfi_gap": None, "cfi_ok": None, "crb": None})
@@ -298,11 +323,10 @@ def cmd_sweep_w(args) -> int:
             "res_route_i_wy": report.residuals.get("route_i_wy"),
             "res_prop1": report.residuals.get("prop1"),
         })
-        tol = _route_tol(args, model)
-        for key in ("res_route_i_h", "res_route_i_wy", "res_prop1"):
-            if rows[-1][key] is not None and rows[-1][key] > tol:
-                failures += 1
-                logger.warning("w=%g: %s=%.3e exceeds %g", w, key, rows[-1][key], tol)
+        failures += _gate_residuals(
+            rows[-1], ("res_route_i_h", "res_route_i_wy", "res_prop1"), _route_tol(args, model),
+            f"w={w:g}",
+        )
     # the gap must not shrink as the weight moves away from 1/2
     ordered = sorted(rows, key=lambda r: abs(r["w"] - 0.5))
     for prev, cur in zip(ordered, ordered[1:]):
@@ -353,11 +377,10 @@ def cmd_sweep_spectrum(args) -> int:
             "res_route_i_wy": report.residuals.get("route_i_wy"),
             "res_prop2": report.residuals.get("prop2"),
         })
-        tol = _route_tol(args, model)
-        for key in ("res_route_i_h", "res_route_i_wy", "res_prop2"):
-            if rows[-1][key] is not None and rows[-1][key] > tol:
-                failures += 1
-                logger.warning("t=%g: %s=%.3e exceeds %g", t, key, rows[-1][key], tol)
+        failures += _gate_residuals(
+            rows[-1], ("res_route_i_h", "res_route_i_wy", "res_prop2"), _route_tol(args, model),
+            f"t={t:g}",
+        )
     gaps = [abs(r["gap"]) for r in rows]
     monotone = all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
     if abs(grid[-1] - 1.0) < 1e-12 and gaps[-1] > 1e-7:
@@ -459,10 +482,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default="stdout", help="output path or 'stdout'")
         p.add_argument("--fd-step", type=_positive_float, default=DEFAULT_FD_STEP, dest="fd_step")
-        p.add_argument("--tol-analytic", type=float, default=DEFAULT_TOL_ANALYTIC,
+        p.add_argument("--tol-analytic", type=_positive_float, default=DEFAULT_TOL_ANALYTIC,
                        dest="tol_analytic")
-        p.add_argument("--tol-fd", type=float, default=DEFAULT_TOL_FD, dest="tol_fd")
-        p.add_argument("--seed", type=_seed, default=20260810)
+        p.add_argument("--tol-fd", type=_positive_float, default=DEFAULT_TOL_FD, dest="tol_fd")
+        p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
 
     p = sub.add_parser("compute", help="information report at one or more theta")
     add_common(p)
@@ -523,8 +546,9 @@ def main(argv=None) -> int:
         logger.error("configuration error: %s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ZeroInformationError as exc:
-        print(f"error: ZeroInformation: {exc}", file=sys.stderr)
+    except NUMERIC_ERRORS as exc:
+        label = "ZeroInformation" if isinstance(exc, ZeroInformationError) else type(exc).__name__
+        print(f"error: {label}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except QcrbError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

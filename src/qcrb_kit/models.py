@@ -34,6 +34,7 @@ from .hermitian import (
 )
 
 DEFAULT_FD_STEP = 1e-5
+DEFAULT_SEED = 20260810
 TRACELESS_ATOL = 1e-8
 WEIGHT_EDGE = 1e-12
 STATIONARY_TOL = 1e-12

@@ -10,17 +10,22 @@ exercise corrupted models.
 One suite run evaluates each (model, theta) state once: the checks read a
 shared ``StatePoint`` from a run-wide table, and only the second route a
 check exists to compare (a forced finite difference, the Jacobi solver,
-the projector-sum SLD, the psd_sqrt difference) is computed afresh.
+the projector-sum SLD, the psd_sqrt difference) is computed afresh. A check
+that measures one residual per sampled (model, theta) point is a
+``_PointCheck`` row: a residual function plus the selection of models and
+thetas it runs over, with the worst-residual loop written once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
-from .classical import basis_povm, classical_fisher, random_povm
+from .classical import basis_povm, classical_fisher, outcome_scores, random_povm
 from .hermitian import (
     SUPPORT_TOL,
     HermitianMatrix,
@@ -32,10 +37,12 @@ from .hermitian import (
 )
 from .models import (
     DEFAULT_FD_STEP,
+    DEFAULT_SEED,
     ParametricStateModel,
     StatePoint,
     builtin_models,
     random_spectral_model,
+    rotation_mixture,
 )
 from .quantum import (
     NEAR_ZERO_INFO,
@@ -82,7 +89,7 @@ class VerifyOptions:
     tol_analytic: float | None = None
     tol_fd: float | None = None
     fd_step: float = DEFAULT_FD_STEP
-    seed: int = 20260810
+    seed: int = DEFAULT_SEED
 
 
 class _PointTable:
@@ -90,11 +97,13 @@ class _PointTable:
 
     Keyed on the model objects themselves, which the table keeps alive: an
     id() key could be reused by a later temporary model once the first one
-    is collected, and hand that model the wrong point.
+    is collected, and hand that model the wrong point. The run's extra
+    seeded spectral models live here too, so their points are shared as well.
     """
 
-    def __init__(self):
+    def __init__(self, extra_spectral=()):
         self._points: dict[tuple, StatePoint] = {}
+        self.extra_spectral = list(extra_spectral)
 
     def at(self, model: ParametricStateModel, theta: float, h: float | None = None) -> StatePoint:
         key = (model, theta, h)
@@ -120,6 +129,53 @@ def _worst(residual, detail, candidate, where):
     return residual, detail
 
 
+def _extra_spectral_models(opts):
+    return [
+        (f"spectral-extra-{n}", random_spectral_model(opts.seed + 10 * n, n))
+        for n in range(2, 7)
+    ]
+
+
+@dataclass(frozen=True)
+class _PointCheck:
+    """The worst of ``residual(model, theta, point, opts)`` over sampled points.
+
+    The fields select the points: catalog models of the given ``kinds`` and
+    derivative class (``analytic``), canonical mixtures only, the first
+    ``first_thetas`` sample thetas, and the run's extra spectral models. A
+    residual of None skips its point. The driver hands each residual
+    function its point unread, so an evaluation fault shows only in the
+    checks that read the state.
+    """
+
+    residual: Callable[..., float | None]
+    kinds: tuple[str, ...] | None = None
+    analytic: bool | None = None
+    canonical_only: bool = False
+    first_thetas: int | None = None
+    with_extra_spectral: bool = False
+
+    def __call__(self, catalog, opts, points):
+        pairs = list(_models(catalog, self.kinds, self.analytic))
+        if self.with_extra_spectral:
+            pairs += points.extra_spectral
+        worst, detail = 0.0, ""
+        for name, model in pairs:
+            if self.canonical_only and not model.canonical:
+                continue
+            for theta in model.sample_thetas[:self.first_thetas]:
+                dev = self.residual(model, theta, points.at(model, theta), opts)
+                if dev is not None:
+                    worst, detail = _worst(worst, detail, dev, f"{name} theta={theta:g}")
+        return worst, detail
+
+
+def _constant_weight_at(model, theta, opts) -> bool:
+    # the constant-weight facts (alpha in [1,2], beta = 0, mixing loses
+    # information) hold only where the weight does not move
+    return abs(model.weight.slope(theta, opts.fd_step)) <= 1e-12
+
+
 # --- kernel checks ----------------------------------------------------------
 
 def _check_eigh_reconstruction(catalog, opts, points):
@@ -140,32 +196,20 @@ def _check_eigh_reconstruction(catalog, opts, points):
     return worst, detail
 
 
-def _check_psd_sqrt_composition(catalog, opts, points):
-    worst, detail = 0.0, ""
-    for name, model in _models(catalog):
-        for theta in model.sample_thetas:
-            rho = points.at(model, theta).rho
-            root = psd_sqrt(rho)
-            dev = float(np.linalg.norm(root.mat @ root.mat - rho.mat))
-            worst, detail = _worst(worst, detail, dev, f"{name} theta={theta:g}")
-    return worst, detail
+def _psd_sqrt_composition(model, theta, pt, opts):
+    root = psd_sqrt(pt.rho)
+    return float(np.linalg.norm(root.mat @ root.mat - pt.rho.mat))
 
 
-def _check_solve_involution(catalog, opts, points):
-    worst, detail = 0.0, ""
-    for name, model in _models(catalog):
-        for theta in model.sample_thetas:
-            pt = points.at(model, theta)
-            rho, drho = pt.rho, pt.drho
-            l_mat = pt.cached(sld).matrix
-            resid = 0.5 * (rho.mat @ l_mat.mat + l_mat.mat @ rho.mat) - drho.mat
-            dec = rho.decomposition
-            r_tilde = dec.eigenvectors.conj().T @ resid @ dec.eigenvectors
-            lam = dec.eigenvalues
-            keep = (lam[:, None] + lam[None, :]) > SUPPORT_TOL
-            dev = float(np.linalg.norm(r_tilde[keep]))
-            worst, detail = _worst(worst, detail, dev, f"{name} theta={theta:g}")
-    return worst, detail
+def _solve_involution(model, theta, pt, opts):
+    rho, drho = pt.rho, pt.drho
+    l_mat = pt.cached(sld).matrix
+    resid = 0.5 * (rho.mat @ l_mat.mat + l_mat.mat @ rho.mat) - drho.mat
+    dec = rho.decomposition
+    r_tilde = dec.eigenvectors.conj().T @ resid @ dec.eigenvectors
+    lam = dec.eigenvalues
+    keep = (lam[:, None] + lam[None, :]) > SUPPORT_TOL
+    return float(np.linalg.norm(r_tilde[keep]))
 
 
 def _check_phase_invariance(catalog, opts, points):
@@ -190,109 +234,65 @@ def _check_phase_invariance(catalog, opts, points):
 
 # --- model checks -----------------------------------------------------------
 
-def _check_trace_one(catalog, opts, points):
-    worst, detail = 0.0, ""
-    for name, model in _models(catalog):
-        for theta in model.sample_thetas:
-            dev = abs(float(np.trace(points.at(model, theta).rho.mat).real) - 1.0)
-            worst, detail = _worst(worst, detail, dev, f"{name} theta={theta:g}")
-    return worst, detail
+def _trace_one(model, theta, pt, opts):
+    return abs(float(np.trace(pt.rho.mat).real) - 1.0)
 
 
-def _drho_traceless(catalog, opts, points, analytic):
-    worst, detail = 0.0, ""
-    for name, model in _models(catalog, analytic=analytic):
-        for theta in model.sample_thetas:
-            dev = abs(float(np.trace(points.at(model, theta).drho.mat).real))
-            worst, detail = _worst(worst, detail, dev, f"{name} theta={theta:g}")
-    return worst, detail
+def _drho_traceless(model, theta, pt, opts):
+    return abs(float(np.trace(pt.drho.mat).real))
 
 
-def _check_drho_route_agreement(catalog, opts, points):
-    worst, detail = 0.0, ""
-    for name, model in _models(catalog, analytic=True):
-        for theta in model.sample_thetas:
-            a = points.at(model, theta).drho.mat
-            b = model.drho(theta, force_fd=True).mat
-            worst, detail = _worst(
-                worst, detail, float(np.linalg.norm(a - b)), f"{name} theta={theta:g}"
-            )
-    return worst, detail
+def _drho_route_agreement(model, theta, pt, opts):
+    b = model.drho(theta, force_fd=True).mat
+    return float(np.linalg.norm(pt.drho.mat - b))
 
 
-def _check_dsqrt_route_agreement(catalog, opts, points):
-    worst, detail = 0.0, ""
-    for name, model in _models(catalog):
-        for theta in model.sample_thetas:
-            a = points.at(model, theta).dsqrt.matrix.mat
-            b = model.dsqrt_rho(theta, force_fd=True).matrix.mat
-            dev = float(np.linalg.norm(a - b)) / max(1.0, float(np.linalg.norm(a)))
-            worst, detail = _worst(worst, detail, dev, f"{name} theta={theta:g}")
-    return worst, detail
+def _dsqrt_route_agreement(model, theta, pt, opts):
+    a = pt.dsqrt.matrix.mat
+    b = model.dsqrt_rho(theta, force_fd=True).matrix.mat
+    return float(np.linalg.norm(a - b)) / max(1.0, float(np.linalg.norm(a)))
 
 
-def _check_qubit_complement(catalog, opts, points):
+def _qubit_complement(model, theta, pt, opts):
     # projector identity for every canonical mixture; the derivative identity
     # only where psi1 has an analytic derivative (differencing a psi2 that was
     # itself built by differences measures rounding jitter, not the identity)
-    worst, detail = 0.0, ""
-    h = opts.fd_step
-    for name, model in _models(catalog, kinds=("qubit_mixture",)):
-        if not model.canonical:
-            continue
-        for theta in model.sample_thetas:
-            p1 = model.psi1.projector(theta)
-            p2 = model.psi2(theta).projector()
-            dev = float(np.linalg.norm(p2 - (np.eye(2) - p1)))
-            if model.psi1.dpsi is not None:
-                def p2_of(t):
-                    return model.psi2(t).projector()
+    p1 = model.psi1.projector(theta)
+    p2 = model.psi2(theta).projector()
+    dev = float(np.linalg.norm(p2 - (np.eye(2) - p1)))
+    if model.psi1.dpsi is not None:
+        def p2_of(t):
+            return model.psi2(t).projector()
 
-                dp1 = model.psi1.projector_derivative(theta, h)
-                dp2 = (p2_of(theta + h) - p2_of(theta - h)) / (2.0 * h)
-                dev = max(dev, float(np.linalg.norm(dp1 + dp2)))
-            worst, detail = _worst(worst, detail, dev, f"{name} theta={theta:g}")
-    return worst, detail
+        h = opts.fd_step
+        dp1 = model.psi1.projector_derivative(theta, h)
+        dp2 = (p2_of(theta + h) - p2_of(theta - h)) / (2.0 * h)
+        dev = max(dev, float(np.linalg.norm(dp1 + dp2)))
+    return dev
 
 
-def _check_orthogonal_trace_identities(catalog, opts, points):
+def _orthogonal_trace_identities(model, theta, pt, opts):
     # tr{rho_k drho_h} = 0 for pure components of the mixtures
-    worst, detail = 0.0, ""
     h = opts.fd_step
-    for name, model in _models(catalog, kinds=("qubit_mixture",)):
-        if not model.canonical:
-            continue
-        for theta in model.sample_thetas:
-            p1 = model.psi1.projector(theta)
-            p2 = model.psi2(theta).projector()
-            dp1 = model.psi1.projector_derivative(theta, h)
-            dp2 = (model.psi2(theta + h).projector() - model.psi2(theta - h).projector()) / (2.0 * h)
-            for pk in (p1, p2):
-                for dp in (dp1, dp2):
-                    dev = abs(trace_product([pk, dp]))
-                    worst, detail = _worst(worst, detail, dev, f"{name} theta={theta:g}")
-    return worst, detail
+    p1 = model.psi1.projector(theta)
+    p2 = model.psi2(theta).projector()
+    dp1 = model.psi1.projector_derivative(theta, h)
+    dp2 = (model.psi2(theta + h).projector() - model.psi2(theta - h).projector()) / (2.0 * h)
+    return max(abs(trace_product([pk, dp])) for pk in (p1, p2) for dp in (dp1, dp2))
 
 
-def _check_spectral_identities(catalog, opts, points):
-    worst, detail = 0.0, ""
-    for name, model in _models(catalog, kinds=("spectral",)):
-        for theta in model.sample_thetas:
-            projs = model.projectors_at(theta)
-            dprojs = model.dprojectors_at(theta)
-            n = model.dim
-            dev = float(np.linalg.norm(sum(dprojs)))
-            for l in range(n):
-                dev = max(dev, abs(trace_product([projs[l], dprojs[l], projs[l], dprojs[l]])))
-                for m in range(n):
-                    if m == l:
-                        continue
-                    dev = max(
-                        dev,
-                        float(np.linalg.norm(projs[l] @ dprojs[m] + dprojs[l] @ projs[m])),
-                    )
-            worst, detail = _worst(worst, detail, dev, f"{name} theta={theta:g}")
-    return worst, detail
+def _spectral_identities(model, theta, pt, opts):
+    projs = model.projectors_at(theta)
+    dprojs = model.dprojectors_at(theta)
+    n = model.dim
+    dev = float(np.linalg.norm(sum(dprojs)))
+    for l in range(n):
+        dev = max(dev, abs(trace_product([projs[l], dprojs[l], projs[l], dprojs[l]])))
+        for m in range(n):
+            if m == l:
+                continue
+            dev = max(dev, float(np.linalg.norm(projs[l] @ dprojs[m] + dprojs[l] @ projs[m])))
+    return dev
 
 
 def _check_weight_boundary_regularity(catalog, opts, points):
@@ -305,145 +305,67 @@ def _check_weight_boundary_regularity(catalog, opts, points):
 
 # --- information checks -----------------------------------------------------
 
-def _score_zero(catalog, opts, points, analytic):
-    worst, detail = 0.0, ""
-    for name, model in _models(catalog, analytic=analytic):
-        for theta in model.sample_thetas:
-            dev = abs(points.at(model, theta).cached(sld).score_mean)
-            worst, detail = _worst(worst, detail, dev, f"{name} theta={theta:g}")
-    return worst, detail
+def _score_zero(model, theta, pt, opts):
+    return abs(pt.cached(sld).score_mean)
 
 
-def _pure_doubling(catalog, opts, points, analytic):
-    worst, detail = 0.0, ""
-    for name, model in _models(catalog, kinds=("pure",), analytic=analytic):
-        for theta in model.sample_thetas:
-            pt = points.at(model, theta)
-            i_h = helstrom_info_sld(pt)
-            if i_h <= NEAR_ZERO_INFO:
-                continue
-            dev = abs(wy_info_generic(pt) / i_h - 2.0)
-            worst, detail = _worst(worst, detail, dev, f"{name} theta={theta:g}")
-    return worst, detail
+def _pure_doubling(model, theta, pt, opts):
+    i_h = helstrom_info_sld(pt)
+    if i_h <= NEAR_ZERO_INFO:
+        return None
+    return abs(wy_info_generic(pt) / i_h - 2.0)
 
 
-def _sld_vs_spectral_sum(catalog, opts, points):
-    worst, detail = 0.0, ""
-    for name, model in _models(catalog):
-        for theta in model.sample_thetas:
-            pt = points.at(model, theta)
-            rho, drho = pt.rho, pt.drho
-            a = pt.cached(sld).matrix.mat
-            dec = rho.decomposition
-            b = sld_spectral_sum(dec.eigenvalues, dec.projectors(), drho).mat
-            worst, detail = _worst(
-                worst, detail, float(np.linalg.norm(a - b)), f"{name} theta={theta:g}"
-            )
-    return worst, detail
+def _sld_vs_spectral_sum(model, theta, pt, opts):
+    a = pt.cached(sld).matrix.mat
+    dec = pt.rho.decomposition
+    b = sld_spectral_sum(dec.eigenvalues, dec.projectors(), pt.drho).mat
+    return float(np.linalg.norm(a - b))
 
 
-def _qubit_routes_h(catalog, opts, points, analytic):
-    worst, detail = 0.0, ""
-    for name, model in _models(catalog, kinds=("qubit_mixture",), analytic=analytic):
-        if not model.canonical:
-            continue
-        for theta in model.sample_thetas:
-            a = helstrom_info_qubit_closed(model, theta)
-            b = helstrom_info_sld(points.at(model, theta))
-            dev = abs(a - b) / max(1.0, b)
-            worst, detail = _worst(worst, detail, dev, f"{name} theta={theta:g}")
-    return worst, detail
+def _qubit_route_h(model, theta, pt, opts):
+    a = helstrom_info_qubit_closed(model, theta)
+    b = helstrom_info_sld(pt)
+    return abs(a - b) / max(1.0, b)
 
 
-def _qubit_routes_wy(catalog, opts, points, analytic):
-    worst, detail = 0.0, ""
-    for name, model in _models(catalog, kinds=("qubit_mixture",), analytic=analytic):
-        for theta in model.sample_thetas:
-            a = wy_info_qubit_closed(model, theta)
-            b = wy_info_generic(points.at(model, theta))
-            dev = abs(a - b) / max(1.0, b)
-            worst, detail = _worst(worst, detail, dev, f"{name} theta={theta:g}")
-    return worst, detail
+def _qubit_route_wy(model, theta, pt, opts):
+    a = wy_info_qubit_closed(model, theta)
+    b = wy_info_generic(pt)
+    return abs(a - b) / max(1.0, b)
 
 
-def _extra_spectral_models(opts):
-    return [
-        (f"spectral-extra-{n}", random_spectral_model(opts.seed + 10 * n, n))
-        for n in range(2, 7)
-    ]
+def _spectral_route_h(model, theta, pt, opts):
+    a = helstrom_info_spectral(pt)
+    b = helstrom_info_sld(pt)
+    return abs(a - b) / max(1.0, b)
 
 
-def _spectral_routes_h(catalog, opts, points):
-    worst, detail = 0.0, ""
-    pairs = list(_models(catalog, kinds=("spectral",))) + _extra_spectral_models(opts)
-    for name, model in pairs:
-        for theta in model.sample_thetas[:3]:
-            pt = points.at(model, theta)
-            a = helstrom_info_spectral(pt)
-            b = helstrom_info_sld(pt)
-            dev = abs(a - b) / max(1.0, b)
-            worst, detail = _worst(worst, detail, dev, f"{name} theta={theta:g}")
-    return worst, detail
+def _spectral_route_wy(model, theta, pt, opts):
+    a = wy_info_spectral(pt)
+    b = wy_info_generic(pt)
+    return abs(a - b) / max(1.0, b)
 
 
-def _spectral_routes_wy(catalog, opts, points):
-    worst, detail = 0.0, ""
-    pairs = list(_models(catalog, kinds=("spectral",))) + _extra_spectral_models(opts)
-    for name, model in pairs:
-        for theta in model.sample_thetas[:3]:
-            pt = points.at(model, theta)
-            a = wy_info_spectral(pt)
-            b = wy_info_generic(pt)
-            dev = abs(a - b) / max(1.0, b)
-            worst, detail = _worst(worst, detail, dev, f"{name} theta={theta:g}")
-    return worst, detail
+def _prop1(model, theta, pt, opts):
+    return relation_report(pt).residuals["prop1"]
 
 
-def _prop1(catalog, opts, points, analytic):
-    worst, detail = 0.0, ""
-    for name, model in _models(catalog, kinds=("qubit_mixture",), analytic=analytic):
-        if not model.canonical:
-            continue
-        for theta in model.sample_thetas:
-            report = relation_report(points.at(model, theta))
-            worst, detail = _worst(
-                worst, detail, report.residuals["prop1"], f"{name} theta={theta:g}"
-            )
-    return worst, detail
+def _prop2(model, theta, pt, opts):
+    return relation_report(pt).residuals["prop2"]
 
 
-def _prop2_spectral(catalog, opts, points):
-    worst, detail = 0.0, ""
-    pairs = list(_models(catalog, kinds=("spectral",))) + _extra_spectral_models(opts)
-    for name, model in pairs:
-        for theta in model.sample_thetas[:3]:
-            report = relation_report(points.at(model, theta))
-            worst, detail = _worst(
-                worst, detail, report.residuals["prop2"], f"{name} theta={theta:g}"
-            )
-    return worst, detail
-
-
-def _ratio_ordering(catalog, opts, points):
-    # constant weights only: there alpha in [1,2] and beta = 0
-    worst, detail = 0.0, ""
-    for name, model in _models(catalog, kinds=("qubit_mixture",)):
-        for theta in model.sample_thetas:
-            if abs(model.weight.slope(theta, opts.fd_step)) > 1e-12:
-                continue
-            pt = points.at(model, theta)
-            i_h = helstrom_info_sld(pt)
-            if i_h <= NEAR_ZERO_INFO:
-                continue
-            ratio = wy_info_generic(pt) / i_h
-            dev = max(0.0, 1.0 - ratio, ratio - 2.0)
-            worst, detail = _worst(worst, detail, dev, f"{name} theta={theta:g}")
-    return worst, detail
+def _ratio_ordering(model, theta, pt, opts):
+    if not _constant_weight_at(model, theta, opts):
+        return None
+    i_h = helstrom_info_sld(pt)
+    if i_h <= NEAR_ZERO_INFO:
+        return None
+    ratio = wy_info_generic(pt) / i_h
+    return max(0.0, 1.0 - ratio, ratio - 2.0)
 
 
 def _monotone_gap(catalog, opts, points):
-    from .models import rotation_mixture
-
     theta = 0.3
     gaps = []
     for w in np.arange(0.5, 0.99, 0.02):
@@ -455,19 +377,12 @@ def _monotone_gap(catalog, opts, points):
     return worst, detail
 
 
-def _mixing_information_loss(catalog, opts, points):
-    worst, detail = 0.0, ""
-    for name, model in _models(catalog, kinds=("qubit_mixture",)):
-        for theta in model.sample_thetas:
-            if abs(model.weight.slope(theta, opts.fd_step)) > 1e-12:
-                continue
-            pt = points.at(model, theta)
-            excess_h = helstrom_info_sld(pt) - helstrom_info_pure(model.psi1, theta)
-            excess_wy = wy_info_generic(pt) - wy_info_pure(model.psi1, theta)
-            worst, detail = _worst(
-                worst, detail, max(excess_h, excess_wy), f"{name} theta={theta:g}"
-            )
-    return worst, detail
+def _mixing_information_loss(model, theta, pt, opts):
+    if not _constant_weight_at(model, theta, opts):
+        return None
+    excess_h = helstrom_info_sld(pt) - helstrom_info_pure(model.psi1, theta)
+    excess_wy = wy_info_generic(pt) - wy_info_pure(model.psi1, theta)
+    return max(excess_h, excess_wy)
 
 
 # --- measurement checks -----------------------------------------------------
@@ -485,8 +400,6 @@ def _check_povm_completeness(catalog, opts, points):
 
 
 def _score_sum(catalog, opts, points, analytic):
-    from .classical import outcome_scores
-
     worst, detail = 0.0, ""
     rng = np.random.default_rng(opts.seed + 3)
     for name, model in _models(catalog, analytic=analytic):
@@ -527,8 +440,6 @@ def _coarse_graining(catalog, opts, points):
 # --- estimation checks ------------------------------------------------------
 
 def _estimator_exact_variance(catalog, opts, points):
-    from .models import rotation_mixture
-
     worst, detail = 0.0, ""
     cases = [
         ("qubit-rotation", catalog.get("qubit-rotation"), basis_povm(2)),
@@ -568,40 +479,54 @@ def _sim_reproducibility(catalog, opts, points):
     return (0.0 if a == b else 1.0), "two runs with one seed"
 
 
+_MIXTURES = ("qubit_mixture",)
+_SPECTRAL_FIRST_3 = dict(kinds=("spectral",), first_thetas=3, with_extra_spectral=True)
+
 _CHECKS = [
     ("eigh-reconstruction", "analytic", 1e-10, _check_eigh_reconstruction),
-    ("psd-sqrt-composition", "analytic", 1e-9, _check_psd_sqrt_composition),
-    ("solve-involution", "analytic", 1e-9, _check_solve_involution),
+    ("psd-sqrt-composition", "analytic", 1e-9, _PointCheck(_psd_sqrt_composition)),
+    ("solve-involution", "analytic", 1e-9, _PointCheck(_solve_involution)),
     ("eigenvector-phase-invariance", "analytic", 1e-10, _check_phase_invariance),
-    ("state-trace-one", "analytic", 1e-10, _check_trace_one),
-    ("drho-traceless-analytic", "analytic", 1e-8, lambda c, o, p: _drho_traceless(c, o, p, True)),
-    ("drho-traceless-fd", "fd", 1e-8, lambda c, o, p: _drho_traceless(c, o, p, False)),
-    ("drho-route-agreement", "fd", 1e-7, _check_drho_route_agreement),
-    ("dsqrt-route-agreement", "fd", 1e-6, _check_dsqrt_route_agreement),
-    ("qubit-complement-identities", "fd", 1e-9, _check_qubit_complement),
-    ("orthogonal-component-scores", "fd", 1e-9, _check_orthogonal_trace_identities),
-    ("spectral-identities", "analytic", 1e-9, _check_spectral_identities),
+    ("state-trace-one", "analytic", 1e-10, _PointCheck(_trace_one)),
+    ("drho-traceless-analytic", "analytic", 1e-8, _PointCheck(_drho_traceless, analytic=True)),
+    ("drho-traceless-fd", "fd", 1e-8, _PointCheck(_drho_traceless, analytic=False)),
+    ("drho-route-agreement", "fd", 1e-7, _PointCheck(_drho_route_agreement, analytic=True)),
+    ("dsqrt-route-agreement", "fd", 1e-6, _PointCheck(_dsqrt_route_agreement)),
+    ("qubit-complement-identities", "fd", 1e-9,
+     _PointCheck(_qubit_complement, kinds=_MIXTURES, canonical_only=True)),
+    ("orthogonal-component-scores", "fd", 1e-9,
+     _PointCheck(_orthogonal_trace_identities, kinds=_MIXTURES, canonical_only=True)),
+    ("spectral-identities", "analytic", 1e-9,
+     _PointCheck(_spectral_identities, kinds=("spectral",))),
     ("weight-boundary-regularity", "analytic", BOUNDARY_RATIO_CAP, _check_weight_boundary_regularity),
-    ("score-zero-analytic", "analytic", 1e-9, lambda c, o, p: _score_zero(c, o, p, True)),
-    ("score-zero-fd", "fd", 1e-9, lambda c, o, p: _score_zero(c, o, p, False)),
-    ("sld-vs-spectral-sum", "analytic", 1e-10, _sld_vs_spectral_sum),
-    ("pure-doubling-analytic", "analytic", 1e-9, lambda c, o, p: _pure_doubling(c, o, p, True)),
-    ("pure-doubling-fd", "fd", 1e-6, lambda c, o, p: _pure_doubling(c, o, p, False)),
-    ("qubit-route-h-analytic", "analytic", 1e-8, lambda c, o, p: _qubit_routes_h(c, o, p, True)),
-    ("qubit-route-h-fd", "fd", 1e-7, lambda c, o, p: _qubit_routes_h(c, o, p, False)),
-    ("qubit-route-wy-analytic", "analytic", 1e-8, lambda c, o, p: _qubit_routes_wy(c, o, p, True)),
-    ("qubit-route-wy-fd", "fd", 1e-6, lambda c, o, p: _qubit_routes_wy(c, o, p, False)),
-    ("spectral-route-h", "analytic", 1e-7, _spectral_routes_h),
-    ("spectral-route-wy", "analytic", 1e-6, _spectral_routes_wy),
-    ("prop1-identity-analytic", "analytic", 1e-7, lambda c, o, p: _prop1(c, o, p, True)),
-    ("prop1-identity-fd", "fd", 1e-6, lambda c, o, p: _prop1(c, o, p, False)),
-    ("prop2-identity", "analytic", 1e-7, _prop2_spectral),
-    ("wy-h-ratio-ordering", "analytic", 1e-6, _ratio_ordering),
+    ("score-zero-analytic", "analytic", 1e-9, _PointCheck(_score_zero, analytic=True)),
+    ("score-zero-fd", "fd", 1e-9, _PointCheck(_score_zero, analytic=False)),
+    ("sld-vs-spectral-sum", "analytic", 1e-10, _PointCheck(_sld_vs_spectral_sum)),
+    ("pure-doubling-analytic", "analytic", 1e-9,
+     _PointCheck(_pure_doubling, kinds=("pure",), analytic=True)),
+    ("pure-doubling-fd", "fd", 1e-6, _PointCheck(_pure_doubling, kinds=("pure",), analytic=False)),
+    ("qubit-route-h-analytic", "analytic", 1e-8,
+     _PointCheck(_qubit_route_h, kinds=_MIXTURES, analytic=True, canonical_only=True)),
+    ("qubit-route-h-fd", "fd", 1e-7,
+     _PointCheck(_qubit_route_h, kinds=_MIXTURES, analytic=False, canonical_only=True)),
+    ("qubit-route-wy-analytic", "analytic", 1e-8,
+     _PointCheck(_qubit_route_wy, kinds=_MIXTURES, analytic=True)),
+    ("qubit-route-wy-fd", "fd", 1e-6,
+     _PointCheck(_qubit_route_wy, kinds=_MIXTURES, analytic=False)),
+    ("spectral-route-h", "analytic", 1e-7, _PointCheck(_spectral_route_h, **_SPECTRAL_FIRST_3)),
+    ("spectral-route-wy", "analytic", 1e-6, _PointCheck(_spectral_route_wy, **_SPECTRAL_FIRST_3)),
+    ("prop1-identity-analytic", "analytic", 1e-7,
+     _PointCheck(_prop1, kinds=_MIXTURES, analytic=True, canonical_only=True)),
+    ("prop1-identity-fd", "fd", 1e-6,
+     _PointCheck(_prop1, kinds=_MIXTURES, analytic=False, canonical_only=True)),
+    ("prop2-identity", "analytic", 1e-7, _PointCheck(_prop2, **_SPECTRAL_FIRST_3)),
+    ("wy-h-ratio-ordering", "analytic", 1e-6, _PointCheck(_ratio_ordering, kinds=_MIXTURES)),
     ("monotone-gap-in-weight", "analytic", 1e-12, _monotone_gap),
-    ("mixing-information-loss", "analytic", 1e-9, _mixing_information_loss),
+    ("mixing-information-loss", "analytic", 1e-9,
+     _PointCheck(_mixing_information_loss, kinds=_MIXTURES)),
     ("povm-completeness", "analytic", 1e-10, _check_povm_completeness),
-    ("score-sum-analytic", "analytic", 1e-8, lambda c, o, p: _score_sum(c, o, p, True)),
-    ("score-sum-fd", "fd", 1e-8, lambda c, o, p: _score_sum(c, o, p, False)),
+    ("score-sum-analytic", "analytic", 1e-8, partial(_score_sum, analytic=True)),
+    ("score-sum-fd", "fd", 1e-8, partial(_score_sum, analytic=False)),
     ("information-inequality", "analytic", 1e-9, _information_inequality),
     ("coarse-graining-monotone", "analytic", 1e-9, _coarse_graining),
     ("estimator-exact-variance", "analytic", 1e-9, _estimator_exact_variance),
@@ -621,7 +546,7 @@ def run_suite(
     """Run every invariant check; a raising check fails with its error recorded."""
     catalog = builtin_models() if catalog is None else catalog
     opts = options or VerifyOptions()
-    points = _PointTable()
+    points = _PointTable(_extra_spectral_models(opts))
     results = []
     for name, kind, default_tol, fn in _CHECKS:
         tol = default_tol

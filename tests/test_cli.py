@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from qcrb_kit import cli
 from qcrb_kit.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
@@ -15,6 +16,13 @@ from qcrb_kit.cli import (
     main,
     parse_cell,
     parse_csv,
+)
+from qcrb_kit.errors import (
+    BoundaryRegularityError,
+    EigenConvergenceError,
+    NotDensityMatrix,
+    RankDeficientInconsistent,
+    ZeroInformationError,
 )
 
 
@@ -100,8 +108,8 @@ def test_compute_theta_grid_negative_lo_as_separate_token(model_paths, capsys):
         ("--theta", "compute", EXIT_OK),
         ("--theta0", "simulate", EXIT_OK),
         ("--fd-step", "compute", EXIT_CONFIG),  # parsed, then rejected as non-positive
-        ("--tol-analytic", "compute", EXIT_NUMERIC),  # a negative tolerance fails the gate
-        ("--tol-fd", "compute", EXIT_OK),  # the analytic model gates on --tol-analytic
+        ("--tol-analytic", "compute", EXIT_CONFIG),  # parsed, then rejected as non-positive
+        ("--tol-fd", "compute", EXIT_CONFIG),
     ],
 )
 def test_negative_scientific_value_as_separate_token(model_paths, capsys, option, command, expected_code):
@@ -112,13 +120,46 @@ def test_negative_scientific_value_as_separate_token(model_paths, capsys, option
     assert "expected one argument" not in err
     assert code == expected_code, err
     if code == EXIT_CONFIG:
-        assert "--fd-step: must be positive" in err
+        assert f"{option}: must be positive" in err
         return
     payload = json.loads(out)
     if option in ("--theta", "--theta0"):
         assert payload["rows"][0][option.lstrip("-")] == -0.3
     else:
         assert payload["meta"][option.lstrip("-").replace("-", "_")] == -0.3
+
+
+@pytest.mark.parametrize("option", ["--tol-analytic", "--tol-fd"])
+@pytest.mark.parametrize("value, message", [
+    ("nan", "must be finite"), ("inf", "must be finite"), ("0", "must be positive"),
+])
+def test_tolerance_must_be_positive_and_finite(model_paths, capsys, option, value, message):
+    # a NaN tolerance would pass every residual, a negative one fail every one
+    code, out, err = run_cli(["compute", "--model", model_paths["pure"], option, value], capsys)
+    assert code == EXIT_CONFIG
+    assert f"{option}: {message}" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("error, code, label", [
+    (EigenConvergenceError, EXIT_NUMERIC, "EigenConvergenceError"),
+    (RankDeficientInconsistent, EXIT_NUMERIC, "RankDeficientInconsistent"),
+    (BoundaryRegularityError, EXIT_NUMERIC, "BoundaryRegularityError"),
+    (ZeroInformationError, EXIT_NUMERIC, "ZeroInformation"),
+    (NotDensityMatrix, EXIT_CONFIG, "NotDensityMatrix"),
+])
+def test_numerical_errors_exit_two_and_others_exit_one_without_traceback(
+    model_paths, capsys, monkeypatch, error, code, label
+):
+    def failing_report(*args, **kwargs):
+        raise error("injected")
+
+    monkeypatch.setattr(cli, "relation_report", failing_report)
+    got, out, err = run_cli(["compute", "--model", model_paths["pure"]], capsys)
+    assert got == code
+    assert f"error: {label}: injected" in err
+    assert "Traceback" not in err
+    assert out == ""
 
 
 def test_compute_malformed_json_exits_one(tmp_path, capsys):

@@ -1,11 +1,13 @@
 """Tests for the invariant suite and its failure reporting."""
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qcrb_kit import verify
 from qcrb_kit.models import ParametricStateModel, builtin_models
 from qcrb_kit.verify import VerifyOptions, all_passed, check_names, run_suite
 
@@ -75,6 +77,28 @@ def test_corrupted_model_fault_is_recorded_by_every_check_that_reads_it():
     faulted = {r.name for r in results if r.error is not None and "NotDensityMatrix" in r.error}
     assert faulted == READS_CORRUPT_RHO
     assert all(r.passed for r in results if r.name not in READS_CORRUPT_RHO)
+
+
+def test_one_run_creates_each_point_once_and_the_extra_models_once(monkeypatch):
+    # the three checks over the extra spectral models share one set of them,
+    # and so share their points: 5 models x 3 thetas, not three times that
+    counts = Counter()
+    original_at = ParametricStateModel.at
+    original_extra = verify.random_spectral_model
+
+    def at(self, theta, h=None):
+        counts["at"] += 1
+        return original_at(self, theta, h)
+
+    def random_spectral_model(seed, dim, **kwargs):
+        counts["random_spectral_model"] += 1
+        return original_extra(seed, dim, **kwargs)
+
+    monkeypatch.setattr(ParametricStateModel, "at", at)
+    monkeypatch.setattr(verify, "random_spectral_model", random_spectral_model)
+    results = run_suite()
+    assert all_passed(results)
+    assert counts == {"at": 115, "random_spectral_model": 5}
 
 
 def test_tightened_fd_tolerance_fails_fd_checks():
