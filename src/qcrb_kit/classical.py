@@ -86,15 +86,15 @@ class OutcomeDistribution:
         return self.probs.shape[0]
 
 
-def _point_and_povm(args: tuple, h: float | None) -> tuple[StatePoint, Povm]:
+def _point_and_povm(args: tuple) -> tuple[StatePoint, Povm]:
     """Split (point, povm) or (model, theta, povm) into the point and the POVM."""
     *state, povm = args
-    return _as_point(*state, h=h), povm
+    return _as_point(*state), povm
 
 
 def outcome_probs(*args) -> OutcomeDistribution:
     """Trace-rule distribution p_x = tr{rho(theta) m_x}."""
-    pt, povm = _point_and_povm(args, None)
+    pt, povm = _point_and_povm(args)
     rho = pt.rho
     if rho.dim != povm.dim:
         raise DimensionError(f"state dim {rho.dim} vs measurement dim {povm.dim}")
@@ -108,20 +108,20 @@ def outcome_probs(*args) -> OutcomeDistribution:
     return OutcomeDistribution(probs=probs, support=probs > SUPPORT_PROB)
 
 
-def outcome_scores(*args, h: float | None = None) -> np.ndarray:
+def outcome_scores(*args) -> np.ndarray:
     """Per-outcome derivatives tr{drho m_x}; they sum to 0."""
-    pt, povm = _point_and_povm(args, h)
+    pt, povm = _point_and_povm(args)
     drho = pt.drho
     return np.array([real_trace_product([drho, m]) for m in povm])
 
 
-def classical_fisher(*args, h: float | None = None) -> float:
+def classical_fisher(*args) -> float:
     """sum over the support of (tr{drho m_x})^2 / p_x.
 
     An outcome with vanishing probability but non-vanishing score makes the
     score function blow up and raises SupportRegularityError.
     """
-    pt, povm = _point_and_povm(args, h)
+    pt, povm = _point_and_povm(args)
     dist = outcome_probs(pt, povm)
     scores = outcome_scores(pt, povm)
     total = 0.0
@@ -149,13 +149,13 @@ class BoundCheck:
     approx_qcrb: float | None  # 1 / i_wy
 
 
-def bound_check(*args, h: float | None = None) -> BoundCheck:
+def bound_check(*args) -> BoundCheck:
     """Check i(theta, M) <= I_H(theta) and report the reciprocal bounds.
 
     Given the point of a ``relation_report``, the Helstrom and skew
     information come from that report's evaluation.
     """
-    pt, povm = _point_and_povm(args, h)
+    pt, povm = _point_and_povm(args)
     i = classical_fisher(pt, povm)
     i_h = pt.cached(helstrom_info_sld)
     i_wy = pt.cached(wy_info_generic)

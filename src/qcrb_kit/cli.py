@@ -32,6 +32,7 @@ from .errors import (
 from .models import (
     DEFAULT_FD_STEP,
     DEFAULT_SEED,
+    LAMBDA_SUM_ATOL,
     complex_rotation_family,
     fixed_spectrum_model,
     QubitMixtureModel,
@@ -52,10 +53,11 @@ CSV_VERSION_TAG = "#qcrb-kit v1"
 DEFAULT_TOL_ANALYTIC = 1e-8
 DEFAULT_TOL_FD = 1e-6
 # errors that say the numbers failed, not the input: they exit 2, like a
-# failed residual gate; every other QcrbError exits 1
+# failed residual gate; every other QcrbError exits 1. A ValueError reaching
+# main is numerical: each one from input is converted to ConfigError first
 NUMERIC_ERRORS = (
     EigenConvergenceError, RankDeficientInconsistent, BoundaryRegularityError,
-    ZeroInformationError,
+    ZeroInformationError, ValueError,
 )
 # options whose value is a number, a lo:hi:steps grid or a list of numbers,
 # any of which may start with a minus sign
@@ -348,7 +350,7 @@ def cmd_sweep_spectrum(args) -> int:
         raise ConfigError(f"--start-spectrum: {exc}") from exc
     if start.size < 2:
         raise DomainError("--start-spectrum needs at least two eigenvalue weights")
-    if np.any(start < 0.0) or abs(float(np.sum(start)) - 1.0) > 1e-10:
+    if np.any(start < 0.0) or abs(float(np.sum(start)) - 1.0) > LAMBDA_SUM_ATOL:
         raise DomainError(f"--start-spectrum must be a distribution, got {args.start_spectrum}")
     n = start.size
     uniform = np.full(n, 1.0 / n)

@@ -23,6 +23,7 @@ from .errors import (
     StationaryFamilyError,
 )
 from .hermitian import (
+    UNIT_NORM_ATOL,
     DensityMatrix,
     HermitianMatrix,
     SpectralDecomposition,
@@ -61,7 +62,7 @@ class PureFamily:
         if v.shape[0] != self.dim:
             raise DimensionError(f"state has dim {v.shape[0]}, family declares {self.dim}")
         norm = np.linalg.norm(v)
-        if abs(norm - 1.0) > 1e-12:
+        if abs(norm - 1.0) > UNIT_NORM_ATOL:
             raise ValueError(f"family state at theta={theta} has norm {norm!r}")
         return v
 
@@ -125,20 +126,19 @@ class SqrtDerivative:
 class StatePoint:
     """A model at one theta, whose ingredients are each evaluated at most once.
 
-    ``model``, ``theta`` and ``h`` (the finite-difference step, None for the
-    model's own) are fixed at construction. ``rho``, ``drho`` and ``dsqrt``
-    are evaluated on first access; ``cached(fn)`` does the same for any
+    ``model`` and ``theta`` are fixed at construction; any finite difference
+    uses the model's ``fd_step``. ``rho``, ``drho`` and ``dsqrt`` are
+    evaluated on first access; ``cached(fn)`` does the same for any
     ``fn(point)``, which is how the SLD and the spectral ingredients are
     shared between routes. A failed evaluation is not kept, so it raises
     again on every access.
     """
 
-    __slots__ = ("model", "theta", "h", "_values")
+    __slots__ = ("model", "theta", "_values")
 
-    def __init__(self, model: ParametricStateModel, theta: float, h: float | None = None):
+    def __init__(self, model: ParametricStateModel, theta: float):
         object.__setattr__(self, "model", model)
         object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "h", h)
         object.__setattr__(self, "_values", {})
 
     def __setattr__(self, name, value):
@@ -169,30 +169,30 @@ def _point_rho(pt: StatePoint) -> DensityMatrix:
 
 
 def _point_drho(pt: StatePoint) -> HermitianMatrix:
-    return pt.model.drho(pt.theta, pt.h)
+    return pt.model.drho(pt.theta)
 
 
 def _point_dsqrt(pt: StatePoint) -> SqrtDerivative:
-    return pt.model.dsqrt_rho(pt.theta, pt.h, rho=pt.rho, drho=pt.drho)
+    return pt.model.dsqrt_rho(pt.theta, rho=pt.rho, drho=pt.drho)
 
 
-def _as_point(state, theta: float | None = None, h: float | None = None) -> StatePoint:
-    """The point named by a consumer's leading arguments: (point) or (model, theta[, h])."""
+def _as_point(state, theta: float | None = None) -> StatePoint:
+    """The point named by a consumer's leading arguments: (point) or (model, theta)."""
     if isinstance(state, StatePoint):
-        if theta is not None or h is not None:
-            raise TypeError("a StatePoint already fixes theta and h")
+        if theta is not None:
+            raise TypeError("a StatePoint already fixes theta")
         return state
     if theta is None:
         raise TypeError(f"{type(state).__name__} needs a theta")
-    return state.at(theta, h)
+    return state.at(theta)
 
 
 class ParametricStateModel:
     """Base class: map theta to a density matrix, with derivative access.
 
     Subclasses implement ``rho_matrix`` and may provide an analytic
-    derivative; otherwise a central difference with step ``fd_step`` is
-    used. ``domain`` is a closed interval of admissible theta.
+    derivative; otherwise a central difference with ``fd_step``, the one step
+    all its derivatives use. ``domain`` is a closed interval of admissible theta.
     """
 
     kind = "custom"
@@ -223,6 +223,12 @@ class ParametricStateModel:
         if not (lo <= theta <= hi):
             raise DomainError(f"theta={theta} outside domain [{lo}, {hi}]")
 
+    def _difference(self, f: Callable[[float], np.ndarray], theta: float) -> np.ndarray:
+        """Central difference of f at theta with step ``fd_step``, inside the domain."""
+        self._require_in_domain(theta - self.fd_step)
+        self._require_in_domain(theta + self.fd_step)
+        return _central_difference(f, theta, self.fd_step)
+
     def rho_matrix(self, theta: float) -> np.ndarray:
         raise NotImplementedError
 
@@ -234,24 +240,19 @@ class ParametricStateModel:
     def has_analytic_derivative(self) -> bool:
         return False
 
-    def at(self, theta: float, h: float | None = None) -> "StatePoint":
+    def at(self, theta: float) -> "StatePoint":
         """The state at theta, evaluated lazily and at most once per ingredient."""
-        return StatePoint(self, theta, h)
+        return StatePoint(self, theta)
 
     def rho(self, theta: float) -> DensityMatrix:
         self._require_in_domain(theta)
         return DensityMatrix(self.rho_matrix(theta))
 
-    def drho(self, theta: float, h: float | None = None, force_fd: bool = False) -> HermitianMatrix:
+    def drho(self, theta: float, force_fd: bool = False) -> HermitianMatrix:
         self._require_in_domain(theta)
-        step = self.fd_step if h is None else float(h)
-        if step <= 0.0:
-            raise ConfigError(f"finite-difference step must be positive, got {step!r}")
-        d = None if force_fd else self._drho_analytic(theta, step)
+        d = None if force_fd else self._drho_analytic(theta, self.fd_step)
         if d is None:
-            self._require_in_domain(theta - step)
-            self._require_in_domain(theta + step)
-            d = _central_difference(self.rho_matrix, theta, step)
+            d = self._difference(self.rho_matrix, theta)
             # the quotient of Hermitian evaluations is Hermitian; dividing by
             # 2h amplifies matmul rounding asymmetry past the construction gate
             d = (d + d.conj().T) / 2.0
@@ -264,7 +265,6 @@ class ParametricStateModel:
     def dsqrt_rho(
         self,
         theta: float,
-        h: float | None = None,
         force_fd: bool = False,
         *,
         rho: DensityMatrix | None = None,
@@ -276,11 +276,11 @@ class ParametricStateModel:
         eigenbasis of rho; if the right-hand side turns out inconsistent on
         a rank-deficient state, falls back to the central difference of
         psd_sqrt and flags it. ``rho`` and ``drho`` pass in an already
-        evaluated rho(theta) and drho(theta, h).
+        evaluated rho(theta) and drho(theta).
         """
         rho = self.rho(theta) if rho is None else rho
         if not force_fd:
-            drho = self.drho(theta, h) if drho is None else drho
+            drho = self.drho(theta) if drho is None else drho
             dec = rho.decomposition
             doubled_roots = 2.0 * sqrt_eigenvalues(dec.eigenvalues)
             u = dec.eigenvectors
@@ -293,10 +293,7 @@ class ParametricStateModel:
                 fell_back = True
         else:
             fell_back = False
-        step = self.fd_step if h is None else float(h)
-        self._require_in_domain(theta - step)
-        self._require_in_domain(theta + step)
-        diff = (psd_sqrt(self.rho(theta + step)).mat - psd_sqrt(self.rho(theta - step)).mat) / (2.0 * step)
+        diff = self._difference(lambda t: psd_sqrt(self.rho(t)).mat, theta)
         return SqrtDerivative(matrix=HermitianMatrix(diff), route="fd", fd_fallback=fell_back)
 
 
@@ -418,13 +415,12 @@ class SpectralMixtureModel(ParametricStateModel):
             raise ValueError(f"eigenvalue weights outside [0, 1] at theta={theta}")
         return np.clip(vals, 0.0, 1.0)
 
-    def dlambdas_at(self, theta: float, h: float | None = None) -> np.ndarray:
+    def dlambdas_at(self, theta: float) -> np.ndarray:
         if self._dlambdas is not None:
             vals = np.asarray(self._dlambdas(theta), dtype=float).reshape(-1)
         else:
-            step = self.fd_step if h is None else float(h)
             raw = lambda t: np.asarray(self._lambdas(t), dtype=float).reshape(-1)
-            vals = _central_difference(raw, theta, step)
+            vals = self._difference(raw, theta)
         total = abs(float(np.sum(vals)))
         if total > DLAMBDA_SUM_ATOL:
             raise ValueError(f"weight derivatives sum to {total:.3e} > {DLAMBDA_SUM_ATOL}")
@@ -443,7 +439,7 @@ class SpectralMixtureModel(ParametricStateModel):
         u = self.frame_at(theta)
         return [np.outer(u[:, j], u[:, j].conj()) for j in range(self.dim)]
 
-    def dprojectors_at(self, theta: float, h: float | None = None) -> list[np.ndarray]:
+    def dprojectors_at(self, theta: float) -> list[np.ndarray]:
         if self._dframe is not None:
             u = self.frame_at(theta)
             du = np.asarray(self._dframe(theta), dtype=complex)
@@ -452,10 +448,7 @@ class SpectralMixtureModel(ParametricStateModel):
                 d = np.outer(du[:, j], u[:, j].conj()) + np.outer(u[:, j], du[:, j].conj())
                 out.append((d + d.conj().T) / 2.0)
             return out
-        step = self.fd_step if h is None else float(h)
-        plus = self.projectors_at(theta + step)
-        minus = self.projectors_at(theta - step)
-        return [(p - m) / (2.0 * step) for p, m in zip(plus, minus)]
+        return list(self._difference(lambda t: np.array(self.projectors_at(t)), theta))
 
     def rho_matrix(self, theta: float) -> np.ndarray:
         lam = self.lambdas_at(theta)
@@ -466,9 +459,9 @@ class SpectralMixtureModel(ParametricStateModel):
         if self._dlambdas is None or self._dframe is None:
             return None
         lam = self.lambdas_at(theta)
-        dlam = self.dlambdas_at(theta, h)
+        dlam = self.dlambdas_at(theta)
         projs = self.projectors_at(theta)
-        dprojs = self.dprojectors_at(theta, h)
+        dprojs = self.dprojectors_at(theta)
         total = np.zeros((self.dim, self.dim), dtype=complex)
         for l in range(self.dim):
             total += dlam[l] * projs[l] + lam[l] * dprojs[l]
@@ -540,7 +533,10 @@ def logistic_weight(rate: float = 1.0, center: float = 0.0) -> WeightFunction:
     k, t0 = float(rate), float(center)
 
     def w(t: float) -> float:
-        return 1.0 / (1.0 + math.exp(-k * (t - t0)))
+        try:
+            return 1.0 / (1.0 + math.exp(-k * (t - t0)))
+        except OverflowError:  # far below the center: 0.0, which value() rejects
+            return 0.0
 
     return WeightFunction(w=w, dw=lambda t: k * w(t) * (1.0 - w(t)))
 

@@ -13,7 +13,7 @@ Wigner-Yanase skew information, each computable along independent routes:
 
 Cross-route residuals are the core correctness surface and are collected
 by ``relation_report``. The definitional and spectral routes take either a
-``StatePoint`` (``model.at(theta)``) or ``(model, theta, h)``; routes that
+``StatePoint`` (``model.at(theta)``) or ``(model, theta)``; routes that
 read one point share its evaluated rho, drho, square-root derivative, SLD
 and spectral ingredients instead of evaluating the state again.
 """
@@ -32,6 +32,7 @@ from .hermitian import (
     solve_symmetric_product,
 )
 from .models import (
+    DEFAULT_FD_STEP,
     PureFamily,
     PureStateModel,
     QubitMixtureModel,
@@ -61,7 +62,7 @@ class SldResult:
     min_pair_sum: float  # smallest lam_i + lam_j kept in the solve
 
 
-def sld(state, theta: float | None = None, h: float | None = None) -> SldResult:
+def sld(state, theta: float | None = None) -> SldResult:
     """Hermitian L solving rho L + L rho = 2 drho, in the eigenbasis of rho.
 
     Entries over eigenvalue pairs with lam_i + lam_j below the support
@@ -69,7 +70,7 @@ def sld(state, theta: float | None = None, h: float | None = None) -> SldResult:
     RankDeficientInconsistent. Each call solves afresh; ``point.cached(sld)``
     keeps one solve per point.
     """
-    pt = _as_point(state, theta, h)
+    pt = _as_point(state, theta)
     rho, drho = pt.rho, pt.drho
     dec = rho.decomposition
     l_mat = solve_symmetric_product(rho, drho, decomposition=dec)
@@ -103,59 +104,56 @@ def sld_spectral_sum(eigenvalues, projectors, drho, tol: float = SUPPORT_TOL) ->
     return HermitianMatrix(total)
 
 
-def helstrom_info_sld(state, theta: float | None = None, h: float | None = None) -> float:
+def helstrom_info_sld(state, theta: float | None = None) -> float:
     """tr{rho L^2}: the definitional route."""
-    pt = _as_point(state, theta, h)
+    pt = _as_point(state, theta)
     l_mat = pt.cached(sld).matrix
     value = real_trace_product([pt.rho, l_mat, l_mat])
     return _check_nonnegative(value, "Helstrom information")
 
 
-def _pure_projector_derivative(family, theta: float, h: float | None):
+def _pure_projector_derivative(family, theta: float, h: float):
     if isinstance(family, PureStateModel):
-        family = family.family
+        return family.family.projector_derivative(theta, family.fd_step)
     if not isinstance(family, PureFamily):
         raise TypeError(f"expected a pure family, got {type(family).__name__}")
-    step = h if h is not None else 1e-5
-    return family.projector_derivative(theta, step)
+    return family.projector_derivative(theta, h)
 
 
-def helstrom_info_pure(family, theta: float, h: float | None = None) -> float:
-    """Pure-state shortcut 2 tr{(drho)^2}; accepts a PureFamily or PureStateModel."""
+def helstrom_info_pure(family, theta: float, h: float = DEFAULT_FD_STEP) -> float:
+    """Pure-state shortcut 2 tr{(drho)^2}; a PureFamily differences with h, a model with fd_step."""
     dp = _pure_projector_derivative(family, theta, h)
     return _check_nonnegative(2.0 * real_trace_product([dp, dp]), "pure Helstrom information")
 
 
-def wy_info_pure(family, theta: float, h: float | None = None) -> float:
+def wy_info_pure(family, theta: float, h: float = DEFAULT_FD_STEP) -> float:
     """Skew information of a pure state: 4 tr{(drho)^2}, twice the Helstrom value."""
     dp = _pure_projector_derivative(family, theta, h)
     return _check_nonnegative(4.0 * real_trace_product([dp, dp]), "pure skew information")
 
 
-def helstrom_info_qubit_closed(model: QubitMixtureModel, theta: float, h: float | None = None) -> float:
+def helstrom_info_qubit_closed(model: QubitMixtureModel, theta: float) -> float:
     """Weight-based closed form for the two-dimensional orthogonal mixture.
 
     (w')^2 / (w(1-w)) + (2w-1)^2 I_H1, where I_H1 is the Helstrom
     information of the first pure family. Finite for all w in (0,1),
     including w = 1/2.
     """
-    step = model.fd_step if h is None else h
     w = model.weight.value(theta)
-    dw = model.weight.slope(theta, step)
-    ih1 = helstrom_info_pure(model.psi1, theta, step)
+    dw = model.weight.slope(theta, model.fd_step)
+    ih1 = helstrom_info_pure(model.psi1, theta, model.fd_step)
     value = dw * dw / (w * (1.0 - w)) + (2.0 * w - 1.0) ** 2 * ih1
     return _check_nonnegative(value, "closed-form Helstrom information")
 
 
-def wy_info_qubit_closed(model: QubitMixtureModel, theta: float, h: float | None = None) -> float:
+def wy_info_qubit_closed(model: QubitMixtureModel, theta: float) -> float:
     """Weight-based closed form for the skew information of the mixture.
 
     (w')^2 / (w(1-w)) + (1 - 2 sqrt(w(1-w))) I_WY1.
     """
-    step = model.fd_step if h is None else h
     w = model.weight.value(theta)
-    dw = model.weight.slope(theta, step)
-    iwy1 = wy_info_pure(model.psi1, theta, step)
+    dw = model.weight.slope(theta, model.fd_step)
+    iwy1 = wy_info_pure(model.psi1, theta, model.fd_step)
     value = dw * dw / (w * (1.0 - w)) + (1.0 - 2.0 * np.sqrt(w * (1.0 - w))) * iwy1
     return _check_nonnegative(float(value), "closed-form skew information")
 
@@ -175,10 +173,10 @@ def alpha_beta(w: float, dw: float) -> tuple[float, float]:
     return float(alpha), float(beta)
 
 
-def gamma_qubit_closed(model: QubitMixtureModel, theta: float, h: float | None = None) -> float:
+def gamma_qubit_closed(model: QubitMixtureModel, theta: float) -> float:
     """Two-dimensional gap I_WY - I_H = (1 - 2 sqrt(w(1-w)))^2 I_H1."""
     w = model.weight.value(theta)
-    ih1 = helstrom_info_pure(model.psi1, theta, model.fd_step if h is None else h)
+    ih1 = helstrom_info_pure(model.psi1, theta, model.fd_step)
     return float((1.0 - 2.0 * np.sqrt(w * (1.0 - w))) ** 2 * ih1)
 
 
@@ -189,11 +187,11 @@ def _spectral_ingredients(pt: StatePoint):
     tr{P_l dP_k dP_z} = (D_k D_z)_{ll} and tr{dP_k dP_z} = tr{D_k D_z}.
     The three spectral closed forms share one set through ``pt.cached``.
     """
-    model, theta, h = pt.model, pt.theta, pt.h
+    model, theta = pt.model, pt.theta
     lam = model.lambdas_at(theta)
-    dlam = model.dlambdas_at(theta, h)
+    dlam = model.dlambdas_at(theta)
     u = model.frame_at(theta)
-    dprojs = np.asarray(model.dprojectors_at(theta, h))
+    dprojs = np.asarray(model.dprojectors_at(theta))
     return lam, dlam, u.conj().T @ dprojs @ u
 
 
@@ -232,7 +230,7 @@ def _eigenweight_fisher(lam: np.ndarray, dlam: np.ndarray) -> float:
     return total
 
 
-def helstrom_info_spectral(state, theta: float | None = None, h: float | None = None) -> float:
+def helstrom_info_spectral(state, theta: float | None = None) -> float:
     """Spectral closed form for the Helstrom information.
 
     sum_l (lam'_l)^2/lam_l
@@ -240,21 +238,21 @@ def helstrom_info_spectral(state, theta: float | None = None, h: float | None = 
       * tr{P_l dP_k dP_z}.
     Eigenvalue pairs below the support tolerance are excluded.
     """
-    lam, dlam, d = _as_point(state, theta, h).cached(_spectral_ingredients)
+    lam, dlam, d = _as_point(state, theta).cached(_spectral_ingredients)
     total = _eigenweight_fisher(lam, dlam) + 4.0 * _weighted_triple_sum(lam, d)
     if abs(total.imag) > SUM_IMAG_ATOL:
         raise ValueError(f"spectral Helstrom sum has imaginary residue {total.imag:.3e}")
     return _check_nonnegative(float(total.real), "spectral Helstrom information")
 
 
-def wy_info_spectral(state, theta: float | None = None, h: float | None = None) -> float:
+def wy_info_spectral(state, theta: float | None = None) -> float:
     """Spectral closed form for the skew information.
 
     sum_l lam_l I_WY,l + sum_l (lam'_l)^2/lam_l
     + 4 sum_l sum_{k!=l} sqrt(lam_l lam_k) tr{dP_l dP_k},
     with I_WY,l = 4 tr{(dP_l)^2} the pure-state skew information.
     """
-    lam, dlam, d = _as_point(state, theta, h).cached(_spectral_ingredients)
+    lam, dlam, d = _as_point(state, theta).cached(_spectral_ingredients)
     root = np.sqrt(np.outer(lam, lam))
     np.fill_diagonal(root, lam)  # the pure-state terms lam_l I_WY,l
     skew = complex(np.sum(root * _projector_derivative_gram(d)))
@@ -264,7 +262,7 @@ def wy_info_spectral(state, theta: float | None = None, h: float | None = None) 
     return _check_nonnegative(float(total.real), "spectral skew information")
 
 
-def gamma_spectral(state, theta: float | None = None, h: float | None = None) -> float:
+def gamma_spectral(state, theta: float | None = None) -> float:
     """Eigenvalue-based gap between skew and Helstrom information.
 
     gamma = -4 sum_l sum_{k!=l} [ (lam_l - sqrt(lam_l lam_k)) tr{dP_l dP_k}
@@ -272,7 +270,7 @@ def gamma_spectral(state, theta: float | None = None, h: float | None = None) ->
               tr{P_l dP_k dP_z} ],
     and I_WY = I_H + gamma. Vanishes when all eigenvalue weights coincide.
     """
-    lam, _, d = _as_point(state, theta, h).cached(_spectral_ingredients)
+    lam, _, d = _as_point(state, theta).cached(_spectral_ingredients)
     weight = lam[:, None] - np.sqrt(np.outer(lam, lam))
     np.fill_diagonal(weight, 0.0)
     skew = complex(np.sum(weight * _projector_derivative_gram(d)))
@@ -282,9 +280,9 @@ def gamma_spectral(state, theta: float | None = None, h: float | None = None) ->
     return float(total.real)
 
 
-def wy_info_generic(state, theta: float | None = None, h: float | None = None) -> float:
+def wy_info_generic(state, theta: float | None = None) -> float:
     """4 tr{[(sqrt rho)']^2}: the definitional skew-information route."""
-    d = _as_point(state, theta, h).dsqrt
+    d = _as_point(state, theta).dsqrt
     value = 4.0 * real_trace_product([d.matrix, d.matrix])
     return _check_nonnegative(value, "skew information")
 
@@ -331,7 +329,7 @@ def _try_route(result: QuantumInfoResult, name: str, fn):
         return None
 
 
-def relation_report(state, theta: float | None = None, h: float | None = None) -> QuantumInfoResult:
+def relation_report(state, theta: float | None = None) -> QuantumInfoResult:
     """Evaluate every applicable route at theta and record their residuals.
 
     Always computes the definitional routes (SLD-based Helstrom, generic
@@ -339,8 +337,8 @@ def relation_report(state, theta: float | None = None, h: float | None = None) -
     in per model kind. A failing optional route is recorded in
     ``route_errors`` instead of aborting.
     """
-    pt = _as_point(state, theta, h)
-    model, theta, h = pt.model, pt.theta, pt.h
+    pt = _as_point(state, theta)
+    model, theta = pt.model, pt.theta
     s = pt.cached(sld)
     out = QuantumInfoResult(
         theta=theta,
@@ -357,22 +355,22 @@ def relation_report(state, theta: float | None = None, h: float | None = None) -
     )
     res = out.residuals
     if isinstance(model, PureStateModel):
-        out.i_h_closed = _try_route(out, "i_h_closed", lambda: helstrom_info_pure(model, theta, h))
+        out.i_h_closed = _try_route(out, "i_h_closed", lambda: helstrom_info_pure(model, theta))
         res["pure_doubling_abs"] = abs(out.i_wy_generic - 2.0 * out.i_h_sld)
         if out.i_h_sld > NEAR_ZERO_INFO:
             res["pure_doubling"] = res["pure_doubling_abs"] / out.i_h_sld
     elif isinstance(model, QubitMixtureModel):
         w = model.weight.value(theta)
-        dw = model.weight.slope(theta, model.fd_step if h is None else h)
+        dw = model.weight.slope(theta, model.fd_step)
         out.alpha, out.beta = alpha_beta(w, dw)
         if model.canonical:
             out.i_h_closed = _try_route(
-                out, "i_h_closed", lambda: helstrom_info_qubit_closed(model, theta, h)
+                out, "i_h_closed", lambda: helstrom_info_qubit_closed(model, theta)
             )
         else:
             out.route_errors["i_h_closed"] = "not applicable: non-canonical psi2"
-        out.i_wy_closed = _try_route(out, "i_wy_closed", lambda: wy_info_qubit_closed(model, theta, h))
-        out.gamma = _try_route(out, "gamma", lambda: gamma_qubit_closed(model, theta, h))
+        out.i_wy_closed = _try_route(out, "i_wy_closed", lambda: wy_info_qubit_closed(model, theta))
+        out.gamma = _try_route(out, "gamma", lambda: gamma_qubit_closed(model, theta))
         scale = max(1.0, out.i_h_sld)
         res["prop1"] = float(abs(out.i_wy_generic - (out.alpha * out.i_h_sld + out.beta)) / scale)
         if out.i_h_closed is not None and out.i_wy_closed is not None:

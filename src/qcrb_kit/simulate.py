@@ -74,14 +74,14 @@ def sample_outcomes(*args, seed: int) -> np.ndarray:
     return rng.choice(len(probs), size=n, p=probs)
 
 
-def one_step_estimator(*args, h: float | None = None) -> np.ndarray:
+def one_step_estimator(*args) -> np.ndarray:
     """Per-outcome estimate t(x) = theta0 + score(x)/(p(x) i(theta0)).
 
     Locally unbiased by construction (the scores sum to zero), with exact
     single-sample variance 1/i. Outcomes off the support never occur and
     get the neutral value theta0. Takes (point, povm) or (model, theta0, povm).
     """
-    pt, povm = _point_and_povm(args, h)
+    pt, povm = _point_and_povm(args)
     theta0 = pt.theta
     info = classical_fisher(pt, povm)
     if info <= NEAR_ZERO_INFO:
@@ -96,9 +96,9 @@ def one_step_estimator(*args, h: float | None = None) -> np.ndarray:
     return t
 
 
-def exact_estimator_moments(*args, h: float | None = None) -> tuple[float, float]:
+def exact_estimator_moments(*args) -> tuple[float, float]:
     """(mean, variance) of the one-step estimator by direct summation."""
-    pt, povm = _point_and_povm(args, h)
+    pt, povm = _point_and_povm(args)
     theta0 = pt.theta
     dist = outcome_probs(pt, povm)
     t = one_step_estimator(pt, povm)

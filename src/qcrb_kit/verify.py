@@ -40,6 +40,7 @@ from .models import (
     DEFAULT_SEED,
     ParametricStateModel,
     StatePoint,
+    _central_difference,
     builtin_models,
     random_spectral_model,
     rotation_mixture,
@@ -93,7 +94,7 @@ class VerifyOptions:
 
 
 class _PointTable:
-    """One StatePoint per (model, theta, h) for a whole suite run.
+    """One StatePoint per (model, theta) for a whole suite run.
 
     Keyed on the model objects themselves, which the table keeps alive: an
     id() key could be reused by a later temporary model once the first one
@@ -105,11 +106,11 @@ class _PointTable:
         self._points: dict[tuple, StatePoint] = {}
         self.extra_spectral = list(extra_spectral)
 
-    def at(self, model: ParametricStateModel, theta: float, h: float | None = None) -> StatePoint:
-        key = (model, theta, h)
+    def at(self, model: ParametricStateModel, theta: float) -> StatePoint:
+        key = (model, theta)
         point = self._points.get(key)
         if point is None:
-            point = self._points[key] = model.at(theta, h)
+            point = self._points[key] = model.at(theta)
         return point
 
 
@@ -261,12 +262,9 @@ def _qubit_complement(model, theta, pt, opts):
     p2 = model.psi2(theta).projector()
     dev = float(np.linalg.norm(p2 - (np.eye(2) - p1)))
     if model.psi1.dpsi is not None:
-        def p2_of(t):
-            return model.psi2(t).projector()
-
         h = opts.fd_step
         dp1 = model.psi1.projector_derivative(theta, h)
-        dp2 = (p2_of(theta + h) - p2_of(theta - h)) / (2.0 * h)
+        dp2 = _central_difference(lambda t: model.psi2(t).projector(), theta, h)
         dev = max(dev, float(np.linalg.norm(dp1 + dp2)))
     return dev
 
@@ -277,7 +275,7 @@ def _orthogonal_trace_identities(model, theta, pt, opts):
     p1 = model.psi1.projector(theta)
     p2 = model.psi2(theta).projector()
     dp1 = model.psi1.projector_derivative(theta, h)
-    dp2 = (model.psi2(theta + h).projector() - model.psi2(theta - h).projector()) / (2.0 * h)
+    dp2 = _central_difference(lambda t: model.psi2(t).projector(), theta, h)
     return max(abs(trace_product([pk, dp])) for pk in (p1, p2) for dp in (dp1, dp2))
 
 

@@ -218,6 +218,36 @@ def test_non_finite_theta_exits_one_without_traceback(model_paths, capsys, argv,
     assert "Traceback" not in err
 
 
+def test_overflowing_logistic_weight_is_a_domain_error(tmp_path, capsys):
+    # exp(-1000 * -0.8) overflows; the weight is 0.0, outside (0, 1)
+    cfg = tmp_path / "steep.json"
+    cfg.write_text(json.dumps({
+        "kind": "qubit_mixture",
+        "psi1": {"name": "rotation"},
+        "weight": {"form": "logistic", "params": [1000, 0]},
+    }))
+    code, out, err = run_cli(["compute", "--model", cfg, "--theta", "-0.8"], capsys)
+    assert code == EXIT_CONFIG
+    assert "error: DomainError: weight 0.0 " in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "theta, message",
+    [("1e8", "frame deviates from unitarity"), ("1e20", "matrix entries must be finite")],
+)
+def test_value_error_from_a_numerical_layer_exits_two(tmp_path, capsys, theta, message):
+    cfg = tmp_path / "spectral.json"
+    cfg.write_text(json.dumps({"kind": "spectral", "dim": 3, "seed": 4}))
+    with np.errstate(all="ignore"):  # expm of a huge generator overflows on the way
+        code, out, err = run_cli(["compute", "--model", cfg, "--theta", theta], capsys)
+    assert code == EXIT_NUMERIC
+    assert f"error: ValueError: {message}" in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
 # --- sweep-w -----------------------------------------------------------------
 
 def test_sweep_w_gap_column_matches_closed_form(capsys):

@@ -285,7 +285,20 @@ def test_model_construction_errors_are_toolkit_errors():
         rotation_mixture(0.7, domain=(0.3, 0.3))
     with pytest.raises(ConfigError, match="finite-difference step"):
         PureStateModel(rotation_family(), fd_step=-1.0)
-    with pytest.raises(ConfigError, match="finite-difference step"):
-        PureStateModel(rotation_family()).drho(0.3, h=0.0)
     with pytest.raises(ConfigError, match="frame kind"):
         fixed_spectrum_model([0.5, 0.5], frame="spiral")
+
+
+def test_spectral_differences_stay_inside_the_domain():
+    # no dlambdas or dframe: both derivatives are central differences
+    model = SpectralMixtureModel(
+        2,
+        lambdas=lambda t: np.array([0.5 + 0.2 * t, 0.5 - 0.2 * t]),
+        frame=lambda t: np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]]),
+        domain=(0.0, 1.0),
+    )
+    assert model.dlambdas_at(0.5) == pytest.approx([0.2, -0.2], abs=1e-9)
+    with pytest.raises(DomainError, match="outside domain"):
+        model.dlambdas_at(0.0)
+    with pytest.raises(DomainError, match="outside domain"):
+        model.dprojectors_at(1.0)

@@ -113,6 +113,13 @@ def test_helstrom_rotation_family_is_four():
     assert helstrom_info_pure(model, 0.3) == pytest.approx(4.0, abs=1e-12)
 
 
+def test_pure_closed_form_differences_with_the_models_step():
+    # both Helstrom routes difference the same family with the model's step,
+    # so they agree to rounding even at a coarse step
+    model = PureStateModel(PureFamily(dim=2, psi=rotation_family().psi), fd_step=1e-3)
+    assert relation_report(model.at(0.3)).residuals["route_i_h"] < 1e-12
+
+
 def test_helstrom_constant_model_is_zero():
     assert helstrom_info_sld(FROZEN, 0.3) == pytest.approx(0.0, abs=1e-12)
 

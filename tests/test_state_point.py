@@ -11,6 +11,8 @@ from qcrb_kit.classical import basis_povm, bound_check, classical_fisher
 from qcrb_kit.errors import NotDensityMatrix
 from qcrb_kit.models import (
     ParametricStateModel,
+    PureFamily,
+    PureStateModel,
     QubitMixtureModel,
     StatePoint,
     rotation_family,
@@ -31,13 +33,13 @@ class CountingMixture(QubitMixtureModel):
         self.counts["rho"] += 1
         return super().rho(theta)
 
-    def drho(self, theta, h=None, force_fd=False):
+    def drho(self, theta, force_fd=False):
         self.counts["drho"] += 1
-        return super().drho(theta, h, force_fd)
+        return super().drho(theta, force_fd)
 
-    def dsqrt_rho(self, theta, h=None, force_fd=False, **given):
+    def dsqrt_rho(self, theta, force_fd=False, **given):
         self.counts["dsqrt_rho"] += 1
-        return super().dsqrt_rho(theta, h, force_fd, **given)
+        return super().dsqrt_rho(theta, force_fd, **given)
 
 
 class TraceOffModel(ParametricStateModel):
@@ -68,7 +70,7 @@ def test_point_is_lazy_and_evaluates_each_ingredient_once():
     model = CountingMixture()
     pt = model.at(0.4)
     assert isinstance(pt, StatePoint)
-    assert (pt.model, pt.theta, pt.h) == (model, 0.4, None)
+    assert (pt.model, pt.theta) == (model, 0.4)
     assert not model.counts
     assert pt.rho is pt.rho
     assert pt.drho is pt.drho
@@ -94,9 +96,12 @@ def test_point_is_immutable():
 
 
 def test_point_carries_its_step():
-    model = CountingMixture()
-    pt = model.at(0.4, h=1e-4)
-    np.testing.assert_array_equal(pt.drho.mat, model.drho(0.4, 1e-4).mat)
+    family = PureFamily(dim=2, psi=rotation_family().psi)  # no dpsi: drho by differences
+    coarse = PureStateModel(family, fd_step=1e-3)
+    d = (coarse.rho_matrix(0.4 + 1e-3) - coarse.rho_matrix(0.4 - 1e-3)) / (2.0 * 1e-3)
+    np.testing.assert_array_equal(coarse.at(0.4).drho.mat, (d + d.conj().T) / 2.0)
+    fine = PureStateModel(family).at(0.4).drho.mat
+    assert not np.array_equal(coarse.at(0.4).drho.mat, fine)
 
 
 def test_failed_evaluation_is_not_cached():

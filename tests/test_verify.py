@@ -86,9 +86,9 @@ def test_one_run_creates_each_point_once_and_the_extra_models_once(monkeypatch):
     original_at = ParametricStateModel.at
     original_extra = verify.random_spectral_model
 
-    def at(self, theta, h=None):
+    def at(self, theta):
         counts["at"] += 1
-        return original_at(self, theta, h)
+        return original_at(self, theta)
 
     def random_spectral_model(seed, dim, **kwargs):
         counts["random_spectral_model"] += 1
