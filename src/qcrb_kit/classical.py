@@ -23,6 +23,7 @@ SCORE_BLOWUP_ATOL = 1e-8
 COMPLETENESS_ATOL = 1e-10
 EFFECT_EIG_FLOOR = -1e-10
 BOUND_SLACK = 1e-9
+NORMALIZER_EIG_FLOOR = 1e-10  # random_povm redraws a normalizer this close to singular
 
 
 class Povm:
@@ -103,7 +104,8 @@ def outcome_probs(*args) -> OutcomeDistribution:
         raise InvalidPovm(f"negative outcome probability {float(np.min(probs)):.3e}")
     probs = np.clip(probs, 0.0, None)
     total = float(np.sum(probs))
-    if abs(total - 1.0) > 1e-10:
+    # effects that sum to the identity give probabilities that sum to 1
+    if abs(total - 1.0) > COMPLETENESS_ATOL:
         raise InvalidPovm(f"outcome probabilities sum to {total!r}")
     return OutcomeDistribution(probs=probs, support=probs > SUPPORT_PROB)
 
@@ -183,7 +185,7 @@ def random_povm(dim: int, n_effects: int, seed: int) -> Povm:
             draws.append(b @ b.conj().T)
         total = sum(draws)
         dec = eigh(HermitianMatrix(total))
-        if float(dec.eigenvalues[0]) > 1e-10:
+        if float(dec.eigenvalues[0]) > NORMALIZER_EIG_FLOOR:
             inv_root = (dec.eigenvectors / np.sqrt(dec.eigenvalues)) @ dec.eigenvectors.conj().T
             return Povm([inv_root @ a @ inv_root for a in draws])
     raise InvalidPovm("normalizer stayed singular after 10 draws")

@@ -52,6 +52,12 @@ EXIT_NUMERIC = 2
 CSV_VERSION_TAG = "#qcrb-kit v1"
 DEFAULT_TOL_ANALYTIC = 1e-8
 DEFAULT_TOL_FD = 1e-6
+# sweep gates: slack on the gap ordering, the match of a grid point to 1/2
+# or to the uniform end, and how small the gap must be at those points
+GAP_ORDER_SLACK = 1e-12
+GRID_POINT_ATOL = 1e-12
+HALF_WEIGHT_GAP_ATOL = 1e-10
+UNIFORM_GAP_ATOL = 1e-7
 # errors that say the numbers failed, not the input: they exit 2, like a
 # failed residual gate; every other QcrbError exits 1. A ValueError reaching
 # main is numerical: each one from input is converted to ConfigError first
@@ -179,11 +185,12 @@ def _write_output(text: str, out: str) -> None:
             fh.write(text)
 
 
-def _emit(args, columns, rows, meta) -> None:
+def _emit(args, columns, rows, meta, fd_step: float) -> None:
+    """Write the rows; ``fd_step`` is the step the run's models used."""
     meta = dict(meta)
     meta.setdefault("tol_analytic", args.tol_analytic)
     meta.setdefault("tol_fd", args.tol_fd)
-    meta.setdefault("fd_step", args.fd_step)
+    meta.setdefault("fd_step", fd_step)
     fn = emit_csv if args.format == "csv" else emit_json
     _write_output(fn(columns, rows, meta), args.out)
 
@@ -284,7 +291,8 @@ def cmd_compute(args) -> int:
                 failures += 1
                 logger.warning("theta=%g: classical information exceeds the bound", theta)
         rows.append(row)
-    _emit(args, COMPUTE_COLUMNS, rows, {"model": args.model, "povm": args.povm or None})
+    meta = {"model": args.model, "povm": args.povm or None}
+    _emit(args, COMPUTE_COLUMNS, rows, meta, model.fd_step)
     return EXIT_OK if failures == 0 else EXIT_NUMERIC
 
 
@@ -332,14 +340,14 @@ def cmd_sweep_w(args) -> int:
     # the gap must not shrink as the weight moves away from 1/2
     ordered = sorted(rows, key=lambda r: abs(r["w"] - 0.5))
     for prev, cur in zip(ordered, ordered[1:]):
-        if cur["gap"] < prev["gap"] - 1e-12:
+        if cur["gap"] < prev["gap"] - GAP_ORDER_SLACK:
             failures += 1
             logger.warning("gap decreases from w=%g to w=%g", prev["w"], cur["w"])
     for row in rows:
-        if abs(row["w"] - 0.5) < 1e-12 and abs(row["gap"]) > 1e-10:
+        if abs(row["w"] - 0.5) < GRID_POINT_ATOL and abs(row["gap"]) > HALF_WEIGHT_GAP_ATOL:
             failures += 1
             logger.warning("gap at w=1/2 is %.3e, expected 0", row["gap"])
-    _emit(args, SWEEP_W_COLUMNS, rows, {"psi1": args.psi1})
+    _emit(args, SWEEP_W_COLUMNS, rows, {"psi1": args.psi1}, args.fd_step)
     return EXIT_OK if failures == 0 else EXIT_NUMERIC
 
 
@@ -384,12 +392,12 @@ def cmd_sweep_spectrum(args) -> int:
             f"t={t:g}",
         )
     gaps = [abs(r["gap"]) for r in rows]
-    monotone = all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
-    if abs(grid[-1] - 1.0) < 1e-12 and gaps[-1] > 1e-7:
+    monotone = all(b <= a + GAP_ORDER_SLACK for a, b in zip(gaps, gaps[1:]))
+    if abs(grid[-1] - 1.0) < GRID_POINT_ATOL and gaps[-1] > UNIFORM_GAP_ATOL:
         failures += 1
         logger.warning("gap at the uniform spectrum is %.3e, expected <= 1e-7", gaps[-1])
     meta = {"frame": args.frame, "seed": args.seed, "gap_monotone_nonincreasing": monotone}
-    _emit(args, SWEEP_SPECTRUM_COLUMNS, rows, meta)
+    _emit(args, SWEEP_SPECTRUM_COLUMNS, rows, meta, args.fd_step)
     return EXIT_OK if failures == 0 else EXIT_NUMERIC
 
 
@@ -403,7 +411,7 @@ def cmd_verify(args, catalog=None) -> int:
     results = run_suite(catalog=catalog, options=options)
     rows = [r.to_row() for r in results]
     passed = all_passed(results)
-    _emit(args, VERIFY_COLUMNS, rows, {"passed": passed})
+    _emit(args, VERIFY_COLUMNS, rows, {"passed": passed}, args.fd_step)
     return EXIT_OK if passed else EXIT_NUMERIC
 
 
@@ -426,7 +434,7 @@ def cmd_simulate(args) -> int:
     row.update(result.to_json_dict())
     row["approx_minus_qcrb"] = result.approx_qcrb - result.qcrb
     row["bound_chain_ok"] = ok
-    _emit(args, SIMULATE_COLUMNS, [row], {"model": args.model, "povm": args.povm})
+    _emit(args, SIMULATE_COLUMNS, [row], {"model": args.model, "povm": args.povm}, model.fd_step)
     return EXIT_OK if ok else EXIT_NUMERIC
 
 
@@ -480,17 +488,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, fd_step=DEFAULT_FD_STEP):
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default="stdout", help="output path or 'stdout'")
-        p.add_argument("--fd-step", type=_positive_float, default=DEFAULT_FD_STEP, dest="fd_step")
+        p.add_argument("--fd-step", type=_positive_float, default=fd_step, dest="fd_step")
         p.add_argument("--tol-analytic", type=_positive_float, default=DEFAULT_TOL_ANALYTIC,
                        dest="tol_analytic")
         p.add_argument("--tol-fd", type=_positive_float, default=DEFAULT_TOL_FD, dest="tol_fd")
         p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
 
+    # a command that reads a model config defaults to the config's own fd_step
     p = sub.add_parser("compute", help="information report at one or more theta")
-    add_common(p)
+    add_common(p, fd_step=None)
     p.add_argument("--model", required=True, help="model config JSON path")
     p.add_argument("--povm", default=None, help="optional POVM config JSON path")
     p.add_argument("--theta", type=_finite_float, default=0.3)
@@ -517,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("simulate", help="Monte Carlo check of the bound chain")
-    add_common(p)
+    add_common(p, fd_step=None)
     p.add_argument("--model", required=True)
     p.add_argument("--povm", required=True)
     p.add_argument("--theta0", type=_finite_float, default=0.3)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import (
     ConfigError,
@@ -28,6 +27,7 @@ from .hermitian import (
     HermitianMatrix,
     SpectralDecomposition,
     UnitVector,
+    eigh,
     psd_sqrt,
     real_trace_product,
     solve_symmetric_product,
@@ -278,8 +278,8 @@ class ParametricStateModel:
         psd_sqrt and flags it. ``rho`` and ``drho`` pass in an already
         evaluated rho(theta) and drho(theta).
         """
-        rho = self.rho(theta) if rho is None else rho
         if not force_fd:
+            rho = self.rho(theta) if rho is None else rho
             drho = self.drho(theta) if drho is None else drho
             dec = rho.decomposition
             doubled_roots = 2.0 * sqrt_eigenvalues(dec.eigenvalues)
@@ -552,17 +552,34 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def _unitary_path(k: np.ndarray, x0: np.ndarray):
+    """(path, dpath): t -> exp(tK) x0 and t -> K exp(tK) x0, for K skew-Hermitian.
+
+    One eigendecomposition -iK = V diag(mu) V* gives exp(tK) = V diag(e^{i t mu}) V*,
+    so each evaluation is one scaled matmul, exact up to rounding and unitary
+    at any t. ``x0`` is 2-D: a frame, or a single column.
+    """
+    dec = eigh(-1j * k)
+    mu, v = dec.eigenvalues, dec.eigenvectors
+    w = v.conj().T @ x0
+
+    def path(t: float) -> np.ndarray:
+        return v @ (np.exp(1j * t * mu)[:, None] * w)
+
+    def dpath(t: float) -> np.ndarray:
+        return v @ ((1j * mu * np.exp(1j * t * mu))[:, None] * w)
+
+    return path, dpath
+
+
 def random_pure_family(seed: int, dim: int) -> PureFamily:
     """Smooth seeded pure family psi(theta) = exp(theta K) psi0, K skew-Hermitian."""
     rng = np.random.default_rng(seed)
     k = random_skew_hermitian(rng, dim)
     v0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     v0 = v0 / np.linalg.norm(v0)
-
-    def psi(t: float) -> np.ndarray:
-        return expm(t * k) @ v0
-
-    return PureFamily(dim=dim, psi=psi, dpsi=lambda t: k @ psi(t))
+    psi, dpsi = _unitary_path(k, v0[:, None])
+    return PureFamily(dim=dim, psi=psi, dpsi=dpsi)
 
 
 def rotation_mixture(weight: WeightFunction | float, **kwargs) -> QubitMixtureModel:
@@ -595,18 +612,9 @@ def random_spectral_model(seed: int, dim: int, **kwargs) -> SpectralMixtureModel
     rng = np.random.default_rng(seed)
     lambdas, dlambdas = _softmax_weights(rng, dim)
     k = random_skew_hermitian(rng, dim)
-    u0 = random_unitary(rng, dim)
-
-    def frame(t: float) -> np.ndarray:
-        return expm(t * k) @ u0
-
+    frame, dframe = _unitary_path(k, random_unitary(rng, dim))
     return SpectralMixtureModel(
-        dim,
-        lambdas=lambdas,
-        frame=frame,
-        dlambdas=dlambdas,
-        dframe=lambda t: k @ frame(t),
-        **kwargs,
+        dim, lambdas=lambdas, frame=frame, dlambdas=dlambdas, dframe=dframe, **kwargs
     )
 
 
@@ -635,16 +643,13 @@ def fixed_spectrum_model(
         u0 = random_unitary(rng, dim)
     else:
         raise ConfigError(f"unknown frame kind {frame!r}")
-
-    def frame_fn(t: float) -> np.ndarray:
-        return expm(t * k) @ u0
-
+    frame_fn, dframe = _unitary_path(k, u0)
     return SpectralMixtureModel(
         dim,
         lambdas=lambda t: lam.copy(),
         frame=frame_fn,
         dlambdas=lambda t: np.zeros(dim),
-        dframe=lambda t: k @ frame_fn(t),
+        dframe=dframe,
         **kwargs,
     )
 

@@ -8,6 +8,7 @@ import pytest
 
 from qcrb_kit import cli
 from qcrb_kit.cli import (
+    DEFAULT_TOL_ANALYTIC,
     EXIT_CONFIG,
     EXIT_NUMERIC,
     EXIT_OK,
@@ -146,6 +147,7 @@ def test_tolerance_must_be_positive_and_finite(model_paths, capsys, option, valu
     (RankDeficientInconsistent, EXIT_NUMERIC, "RankDeficientInconsistent"),
     (BoundaryRegularityError, EXIT_NUMERIC, "BoundaryRegularityError"),
     (ZeroInformationError, EXIT_NUMERIC, "ZeroInformation"),
+    (ValueError, EXIT_NUMERIC, "ValueError"),
     (NotDensityMatrix, EXIT_CONFIG, "NotDensityMatrix"),
 ])
 def test_numerical_errors_exit_two_and_others_exit_one_without_traceback(
@@ -196,6 +198,30 @@ def test_malformed_model_fields_exit_one_without_traceback(tmp_path, capsys, cfg
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["compute", "simulate"])
+@pytest.mark.parametrize("fields, argv, step", [
+    ({"fd_step": 0.001}, [], "0.001"),
+    ({"fd_step": 0.001}, ["--fd-step", "2e-4"], "0.0002"),
+    ({}, [], "1e-05"),
+])
+def test_model_runs_with_the_config_step_unless_the_option_is_given(
+    model_paths, tmp_path, capsys, command, fields, argv, step
+):
+    cfg = tmp_path / "pure.json"
+    cfg.write_text(json.dumps({"kind": "pure", "psi1": {"name": "rotation"}, **fields}))
+    extra = ["--povm", model_paths["basis"], "--n-samples", "100"] if command == "simulate" else []
+    code, out, _ = run_cli([command, "--model", cfg, *extra, *argv], capsys)
+    assert code == EXIT_OK
+    assert f"\n#fd_step {step}\n" in out
+
+
+@pytest.mark.parametrize("command", ["sweep-w", "verify"])
+def test_commands_without_a_model_config_report_the_default_step(capsys, command):
+    code, out, _ = run_cli([command], capsys)
+    assert code == EXIT_OK
+    assert "\n#fd_step 1e-05\n" in out
+
+
 @pytest.mark.parametrize("argv", [["--fd-step", "-1"], ["--fd-step=-1"]])
 def test_negative_fd_step_exits_one_without_traceback(model_paths, capsys, argv):
     code, _, err = run_cli(["compute", "--model", model_paths["pure"], *argv], capsys)
@@ -233,19 +259,17 @@ def test_overflowing_logistic_weight_is_a_domain_error(tmp_path, capsys):
     assert out == ""
 
 
-@pytest.mark.parametrize(
-    "theta, message",
-    [("1e8", "frame deviates from unitarity"), ("1e20", "matrix entries must be finite")],
-)
-def test_value_error_from_a_numerical_layer_exits_two(tmp_path, capsys, theta, message):
+@pytest.mark.parametrize("theta", ["1e8", "1e20"])
+def test_huge_theta_on_a_seeded_spectral_frame_exits_zero(tmp_path, capsys, theta):
+    # the exp(theta K) frame comes from one eigendecomposition of K, so it
+    # stays unitary and the routes agree at any finite theta
     cfg = tmp_path / "spectral.json"
     cfg.write_text(json.dumps({"kind": "spectral", "dim": 3, "seed": 4}))
-    with np.errstate(all="ignore"):  # expm of a huge generator overflows on the way
-        code, out, err = run_cli(["compute", "--model", cfg, "--theta", theta], capsys)
-    assert code == EXIT_NUMERIC
-    assert f"error: ValueError: {message}" in err
-    assert "Traceback" not in err
-    assert out == ""
+    code, out, err = run_cli(["compute", "--model", cfg, "--theta", theta], capsys)
+    assert code == EXIT_OK
+    assert err == ""
+    (row,) = rows_of(out)
+    assert row["i_h_sld"] == pytest.approx(row["i_h_closed"], rel=DEFAULT_TOL_ANALYTIC)
 
 
 # --- sweep-w -----------------------------------------------------------------

@@ -1,25 +1,33 @@
 """Tests for the parametric state families."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from qcrb_kit.errors import ConfigError, DimensionError, DomainError, StationaryFamilyError
 from qcrb_kit.models import (
+    ORTHO_ATOL,
     ParametricStateModel,
     PureFamily,
     PureStateModel,
     QubitMixtureModel,
     SpectralMixtureModel,
     WeightFunction,
+    _unitary_path,
     builtin_models,
     canonical_psi2,
     constant_weight,
     fixed_spectrum_model,
     qubit_mixture_as_spectral,
     random_pure_family,
+    random_skew_hermitian,
     random_spectral_model,
+    random_unitary,
     rotation_family,
     rotation_mixture,
     sine_weight,
@@ -302,3 +310,32 @@ def test_spectral_differences_stay_inside_the_domain():
         model.dlambdas_at(0.0)
     with pytest.raises(DomainError, match="outside domain"):
         model.dprojectors_at(1.0)
+
+
+# --- exact frame exponentials ---------------------------------------------------------
+
+def _relative(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("columns", ["frame", "vector"])
+@pytest.mark.parametrize("dim", [1, 2, 4, 16, 64])
+def test_unitary_path_matches_the_matrix_exponential(dim, columns):
+    rng = np.random.default_rng(1000 + dim)
+    k = random_skew_hermitian(rng, dim)
+    x0 = random_unitary(rng, dim)
+    if columns == "vector":
+        x0 = x0[:, :1]
+    path, dpath = _unitary_path(k, x0)
+    for t in (-1.3, 0.0, 0.25, 2.0):
+        reference = expm(t * k) @ x0
+        assert _relative(path(t), reference) <= 1e-12
+        assert _relative(dpath(t), k @ reference) <= 1e-12
+    u = path(1e8)
+    assert np.linalg.norm(u.conj().T @ u - np.eye(u.shape[1])) <= ORTHO_ATOL
+
+
+def test_cli_import_leaves_scipy_out():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, qcrb_kit.cli; assert 'scipy' not in sys.modules, 'scipy imported'"
+    subprocess.run([sys.executable, "-c", code], check=True, cwd=src)

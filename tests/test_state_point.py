@@ -104,6 +104,12 @@ def test_point_carries_its_step():
     assert not np.array_equal(coarse.at(0.4).drho.mat, fine)
 
 
+def test_forced_difference_evaluates_rho_only_on_its_stencil():
+    model = CountingMixture()
+    assert model.dsqrt_rho(0.3, force_fd=True).route == "fd"
+    assert model.counts == {"dsqrt_rho": 1, "rho": 2}
+
+
 def test_failed_evaluation_is_not_cached():
     model = TraceOffModel()
     pt = model.at(0.1)
