@@ -176,6 +176,12 @@ def _point_dsqrt(pt: StatePoint) -> SqrtDerivative:
     return pt.model.dsqrt_rho(pt.theta, rho=pt.rho, drho=pt.drho)
 
 
+def _checked_step(fd_step: float) -> float:
+    if not fd_step > 0.0:
+        raise ConfigError(f"finite-difference step must be positive, got {fd_step!r}")
+    return float(fd_step)
+
+
 def _as_point(state, theta: float | None = None) -> StatePoint:
     """The point named by a consumer's leading arguments: (point) or (model, theta)."""
     if isinstance(state, StatePoint):
@@ -207,16 +213,24 @@ class ParametricStateModel:
         lo, hi = float(domain[0]), float(domain[1])
         if not lo < hi:
             raise DomainError(f"empty domain [{lo}, {hi}]")
-        if not fd_step > 0.0:
-            raise ConfigError(f"finite-difference step must be positive, got {fd_step!r}")
         self.dim = int(dim)
         self.domain = (lo, hi)
-        self.fd_step = float(fd_step)
+        self.fd_step = _checked_step(fd_step)
         if sample_thetas is None:
             a = max(lo, -1.2)
             b = min(hi, 1.2)
             sample_thetas = tuple(np.linspace(a + 0.1 * (b - a), b - 0.1 * (b - a), 5))
         self.sample_thetas = tuple(float(t) for t in sample_thetas)
+
+    def with_fd_step(self, fd_step: float) -> "ParametricStateModel":
+        """This model differencing with ``fd_step``: self if unchanged, else a shallow copy."""
+        step = _checked_step(fd_step)
+        if step == self.fd_step:
+            return self
+        out = object.__new__(type(self))
+        out.__dict__.update(self.__dict__)
+        out.fd_step = step
+        return out
 
     def _require_in_domain(self, theta: float) -> None:
         lo, hi = self.domain
@@ -384,6 +398,12 @@ class SpectralMixtureModel(ParametricStateModel):
     weights lambda_l(theta) are nonnegative and sum to 1. Analytic
     derivatives of the weights and frame are used when supplied, central
     differences otherwise.
+
+    The frame's motion is carried by its generator A = U^dagger dU
+    (``generator_at``), skew-Hermitian with column a_k = U^dagger du_k. In
+    the frame basis each projector derivative is
+    U^dagger dP_k U = a_k e_k^T + e_k a_k^dagger, which never reads the
+    diagonal of A (the phase gauge of the columns), so it is set to zero.
     """
 
     kind = "spectral"
@@ -439,16 +459,39 @@ class SpectralMixtureModel(ParametricStateModel):
         u = self.frame_at(theta)
         return [np.outer(u[:, j], u[:, j].conj()) for j in range(self.dim)]
 
-    def dprojectors_at(self, theta: float) -> list[np.ndarray]:
+    def generator_at(self, theta: float, u: np.ndarray | None = None) -> np.ndarray:
+        """A = U^dagger dU with its diagonal zeroed; ``u`` passes in frame_at(theta).
+
+        Without an analytic frame derivative, column k off the diagonal is read
+        from the differenced projectors as U^dagger dP_k u_k, which no column
+        phase convention affects. Either way A is made exactly skew-Hermitian.
+        """
+        u = self.frame_at(theta) if u is None else u
         if self._dframe is not None:
-            u = self.frame_at(theta)
+            a = u.conj().T @ np.asarray(self._dframe(theta), dtype=complex)
+        else:
+            dprojs = self._difference(lambda t: np.array(self.projectors_at(t)), theta)
+            a = u.conj().T @ np.einsum("kij,jk->ik", dprojs, u)
+        a = (a - a.conj().T) / 2.0
+        np.fill_diagonal(a, 0.0)
+        return a
+
+    def dprojectors_at(self, theta: float) -> list[np.ndarray]:
+        """dP_k = du_k u_k^dagger + u_k du_k^dagger.
+
+        Without an analytic frame derivative du = U A, so the differenced
+        projectors are replaced by their projection onto the form above.
+        """
+        u = self.frame_at(theta)
+        if self._dframe is not None:
             du = np.asarray(self._dframe(theta), dtype=complex)
-            out = []
-            for j in range(self.dim):
-                d = np.outer(du[:, j], u[:, j].conj()) + np.outer(u[:, j], du[:, j].conj())
-                out.append((d + d.conj().T) / 2.0)
-            return out
-        return list(self._difference(lambda t: np.array(self.projectors_at(t)), theta))
+        else:
+            du = u @ self.generator_at(theta, u)
+        out = []
+        for j in range(self.dim):
+            d = np.outer(du[:, j], u[:, j].conj()) + np.outer(u[:, j], du[:, j].conj())
+            out.append((d + d.conj().T) / 2.0)
+        return out
 
     def rho_matrix(self, theta: float) -> np.ndarray:
         lam = self.lambdas_at(theta)
@@ -456,16 +499,15 @@ class SpectralMixtureModel(ParametricStateModel):
         return (u * lam) @ u.conj().T
 
     def _drho_analytic(self, theta: float, h: float) -> np.ndarray | None:
+        """drho = U (diag dlam + A Lambda - Lambda A) U^dagger."""
         if self._dlambdas is None or self._dframe is None:
             return None
         lam = self.lambdas_at(theta)
-        dlam = self.dlambdas_at(theta)
-        projs = self.projectors_at(theta)
-        dprojs = self.dprojectors_at(theta)
-        total = np.zeros((self.dim, self.dim), dtype=complex)
-        for l in range(self.dim):
-            total += dlam[l] * projs[l] + lam[l] * dprojs[l]
-        return total
+        u = self.frame_at(theta)
+        a = self.generator_at(theta, u)
+        inner = a * (lam[None, :] - lam[:, None])
+        inner[np.diag_indices(self.dim)] = self.dlambdas_at(theta)
+        return (u @ inner) @ u.conj().T
 
     @property
     def has_analytic_derivative(self) -> bool:

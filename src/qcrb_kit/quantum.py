@@ -8,8 +8,8 @@ Wigner-Yanase skew information, each computable along independent routes:
 * closed forms for two-dimensional orthogonal mixtures in terms of the
   mixing weight and the pure-state information;
 * closed forms for spectral mixtures in terms of the eigenvalue weights
-  and projector derivatives, contracted in the model's frame basis
-  (O(n^4) work).
+  and projector derivatives, read from the frame generator A = U^dagger dU
+  (O(n^2) work after the O(n^3) generator).
 
 Cross-route residuals are the core correctness surface and are collected
 by ``relation_report``. The definitional and spectral routes take either a
@@ -44,6 +44,7 @@ from .models import (
 INFO_FLOOR = -1e-9
 NEAR_ZERO_INFO = 1e-8
 SUM_IMAG_ATOL = 1e-9
+VANISHING_SLOPE_ATOL = 1e-8
 
 
 def _check_nonnegative(value: float, label: str) -> float:
@@ -181,39 +182,40 @@ def gamma_qubit_closed(model: QubitMixtureModel, theta: float) -> float:
 
 
 def _spectral_ingredients(pt: StatePoint):
-    """Eigenvalue weights, their derivatives and the frame-basis projector derivatives.
+    """Eigenvalue weights, their derivatives and the frame generator A = U^dagger dU.
 
-    D[k] = U^dagger dP_k U with U the model's frame, so that
-    tr{P_l dP_k dP_z} = (D_k D_z)_{ll} and tr{dP_k dP_z} = tr{D_k D_z}.
-    The three spectral closed forms share one set through ``pt.cached``.
+    With D_k = U^dagger dP_k U = a_k e_k^T + e_k a_k^dagger (a_k column k
+    of A), tr{P_l dP_k dP_z} = (D_k D_z)_{ll} and tr{dP_k dP_z} = tr{D_k D_z}
+    reduce to sums over entries of A, so no projector is built. The three
+    spectral closed forms share one set through ``pt.cached``.
     """
     model, theta = pt.model, pt.theta
-    lam = model.lambdas_at(theta)
-    dlam = model.dlambdas_at(theta)
-    u = model.frame_at(theta)
-    dprojs = np.asarray(model.dprojectors_at(theta))
-    return lam, dlam, u.conj().T @ dprojs @ u
+    return model.lambdas_at(theta), model.dlambdas_at(theta), model.generator_at(theta)
 
 
-def _projector_derivative_gram(d: np.ndarray) -> np.ndarray:
-    """G[k, z] = tr{D_k D_z}."""
-    return np.tensordot(d, d, axes=([1, 2], [2, 1]))
+def _projector_derivative_gram(a: np.ndarray) -> np.ndarray:
+    """G[k, z] = tr{D_k D_z} = 2 delta_kz sum_i |A_ik|^2 - 2 |A_kz|^2."""
+    sq = np.abs(a) ** 2
+    gram = -2.0 * sq
+    gram[np.diag_indices_from(gram)] += 2.0 * np.sum(sq, axis=0)
+    return gram
 
 
-def _weighted_triple_sum(lam: np.ndarray, d: np.ndarray) -> complex:
+def _weighted_triple_sum(lam: np.ndarray, a: np.ndarray) -> complex:
     """sum_{l!=k} c_lk sum_z lam_z tr{P_l dP_k dP_z}.
 
     c_lk = lam_l (lam_k - lam_l) / (lam_l + lam_k)^2, and 0 for pairs with
     lam_l + lam_k at or below the support tolerance. With
-    E = sum_z lam_z D_z the inner sum is (D_k E)_{ll}.
+    E = sum_z lam_z D_z, so that E_kl = A_kl (lam_l - lam_k), the inner sum
+    is (D_k E)_{ll} = A_lk E_kl for l != k.
     """
     pair = lam[:, None] + lam[None, :]
     keep = pair > SUPPORT_TOL
     np.fill_diagonal(keep, False)
     coeff = np.zeros_like(pair)
     coeff[keep] = (lam[:, None] * (lam[None, :] - lam[:, None]))[keep] / pair[keep] ** 2
-    e = np.tensordot(lam, d, axes=1)
-    return complex(np.einsum("lk,kla,al->", coeff, d, e))
+    e = a * (lam[None, :] - lam[:, None])
+    return complex(np.sum(coeff * a * e.T))
 
 
 def _eigenweight_fisher(lam: np.ndarray, dlam: np.ndarray) -> float:
@@ -221,7 +223,7 @@ def _eigenweight_fisher(lam: np.ndarray, dlam: np.ndarray) -> float:
     total = 0.0
     for l in range(lam.shape[0]):
         if lam[l] <= SUPPORT_TOL:
-            if abs(dlam[l]) > 1e-8:
+            if abs(dlam[l]) > VANISHING_SLOPE_ATOL:
                 raise BoundaryRegularityError(
                     f"eigenvalue {l} vanishes while its derivative is {dlam[l]:.3e}"
                 )
@@ -238,8 +240,8 @@ def helstrom_info_spectral(state, theta: float | None = None) -> float:
       * tr{P_l dP_k dP_z}.
     Eigenvalue pairs below the support tolerance are excluded.
     """
-    lam, dlam, d = _as_point(state, theta).cached(_spectral_ingredients)
-    total = _eigenweight_fisher(lam, dlam) + 4.0 * _weighted_triple_sum(lam, d)
+    lam, dlam, a = _as_point(state, theta).cached(_spectral_ingredients)
+    total = _eigenweight_fisher(lam, dlam) + 4.0 * _weighted_triple_sum(lam, a)
     if abs(total.imag) > SUM_IMAG_ATOL:
         raise ValueError(f"spectral Helstrom sum has imaginary residue {total.imag:.3e}")
     return _check_nonnegative(float(total.real), "spectral Helstrom information")
@@ -252,10 +254,10 @@ def wy_info_spectral(state, theta: float | None = None) -> float:
     + 4 sum_l sum_{k!=l} sqrt(lam_l lam_k) tr{dP_l dP_k},
     with I_WY,l = 4 tr{(dP_l)^2} the pure-state skew information.
     """
-    lam, dlam, d = _as_point(state, theta).cached(_spectral_ingredients)
+    lam, dlam, a = _as_point(state, theta).cached(_spectral_ingredients)
     root = np.sqrt(np.outer(lam, lam))
     np.fill_diagonal(root, lam)  # the pure-state terms lam_l I_WY,l
-    skew = complex(np.sum(root * _projector_derivative_gram(d)))
+    skew = complex(np.sum(root * _projector_derivative_gram(a)))
     total = _eigenweight_fisher(lam, dlam) + 4.0 * skew
     if abs(total.imag) > SUM_IMAG_ATOL:
         raise ValueError(f"spectral skew sum has imaginary residue {total.imag:.3e}")
@@ -270,11 +272,11 @@ def gamma_spectral(state, theta: float | None = None) -> float:
               tr{P_l dP_k dP_z} ],
     and I_WY = I_H + gamma. Vanishes when all eigenvalue weights coincide.
     """
-    lam, _, d = _as_point(state, theta).cached(_spectral_ingredients)
+    lam, _, a = _as_point(state, theta).cached(_spectral_ingredients)
     weight = lam[:, None] - np.sqrt(np.outer(lam, lam))
     np.fill_diagonal(weight, 0.0)
-    skew = complex(np.sum(weight * _projector_derivative_gram(d)))
-    total = -4.0 * (skew + _weighted_triple_sum(lam, d))
+    skew = complex(np.sum(weight * _projector_derivative_gram(a)))
+    total = -4.0 * (skew + _weighted_triple_sum(lam, a))
     if abs(total.imag) > SUM_IMAG_ATOL:
         raise ValueError(f"gamma sum has imaginary residue {total.imag:.3e}")
     return float(total.real)

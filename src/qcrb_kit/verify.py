@@ -132,7 +132,7 @@ def _worst(residual, detail, candidate, where):
 
 def _extra_spectral_models(opts):
     return [
-        (f"spectral-extra-{n}", random_spectral_model(opts.seed + 10 * n, n))
+        (f"spectral-extra-{n}", random_spectral_model(opts.seed + 10 * n, n, fd_step=opts.fd_step))
         for n in range(2, 7)
     ]
 
@@ -174,7 +174,7 @@ class _PointCheck:
 def _constant_weight_at(model, theta, opts) -> bool:
     # the constant-weight facts (alpha in [1,2], beta = 0, mixing loses
     # information) hold only where the weight does not move
-    return abs(model.weight.slope(theta, opts.fd_step)) <= 1e-12
+    return abs(model.weight.slope(theta, model.fd_step)) <= 1e-12
 
 
 # --- kernel checks ----------------------------------------------------------
@@ -262,7 +262,7 @@ def _qubit_complement(model, theta, pt, opts):
     p2 = model.psi2(theta).projector()
     dev = float(np.linalg.norm(p2 - (np.eye(2) - p1)))
     if model.psi1.dpsi is not None:
-        h = opts.fd_step
+        h = model.fd_step
         dp1 = model.psi1.projector_derivative(theta, h)
         dp2 = _central_difference(lambda t: model.psi2(t).projector(), theta, h)
         dev = max(dev, float(np.linalg.norm(dp1 + dp2)))
@@ -271,7 +271,7 @@ def _qubit_complement(model, theta, pt, opts):
 
 def _orthogonal_trace_identities(model, theta, pt, opts):
     # tr{rho_k drho_h} = 0 for pure components of the mixtures
-    h = opts.fd_step
+    h = model.fd_step
     p1 = model.psi1.projector(theta)
     p2 = model.psi2(theta).projector()
     dp1 = model.psi1.projector_derivative(theta, h)
@@ -296,7 +296,7 @@ def _spectral_identities(model, theta, pt, opts):
 def _check_weight_boundary_regularity(catalog, opts, points):
     worst, detail = 0.0, ""
     for name, model in _models(catalog, kinds=("qubit_mixture",)):
-        ratio = model.weight.boundary_regularity_ratio(model.sample_thetas, opts.fd_step)
+        ratio = model.weight.boundary_regularity_ratio(model.sample_thetas, model.fd_step)
         worst, detail = _worst(worst, detail, ratio, name)
     return worst, detail
 
@@ -544,6 +544,7 @@ def run_suite(
     """Run every invariant check; a raising check fails with its error recorded."""
     catalog = builtin_models() if catalog is None else catalog
     opts = options or VerifyOptions()
+    catalog = {name: model.with_fd_step(opts.fd_step) for name, model in catalog.items()}
     points = _PointTable(_extra_spectral_models(opts))
     results = []
     for name, kind, default_tol, fn in _CHECKS:

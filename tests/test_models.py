@@ -312,6 +312,45 @@ def test_spectral_differences_stay_inside_the_domain():
         model.dprojectors_at(1.0)
 
 
+@pytest.mark.parametrize(
+    "model",
+    [random_spectral_model(40 + n, n) for n in (1, 2, 4, 16, 64)]
+    + [
+        fixed_spectrum_model([0.5, 0.3, 0.2, 0.0, 0.0], seed=3),
+        qubit_mixture_as_spectral(rotation_mixture(sine_weight(0.7))),
+    ],
+    ids=["random-1", "random-2", "random-4", "random-16", "random-64", "rank-deficient-5",
+         "qubit-fd-frame"],
+)
+def test_generator_is_skew_hermitian_with_zero_diagonal(model):
+    for theta in (-0.7, 0.1, 0.5):
+        a = model.generator_at(theta)
+        assert a.shape == (model.dim, model.dim)
+        assert np.array_equal(a, -a.conj().T)
+        assert np.all(np.diag(a) == 0.0)
+
+
+def test_differenced_generator_recovers_the_rotation_generator():
+    # the embedded rotation mixture has frame R(theta) = exp(theta K), so A = K
+    model = qubit_mixture_as_spectral(rotation_mixture(sine_weight(0.7)))
+    k = np.array([[0.0, -1.0], [1.0, 0.0]])
+    for theta in (-0.7, 0.1, 0.5):
+        np.testing.assert_allclose(model.generator_at(theta), k, atol=1e-9)
+
+
+def test_with_fd_step_copies_only_when_the_step_changes():
+    model = PureStateModel(PureFamily(dim=2, psi=rotation_family().psi))
+    assert model.with_fd_step(model.fd_step) is model
+    coarse = model.with_fd_step(1e-3)
+    assert coarse is not model and type(coarse) is type(model)
+    assert (model.fd_step, coarse.fd_step) == (1e-5, 1e-3)
+    built = PureStateModel(model.family, fd_step=1e-3)
+    np.testing.assert_array_equal(coarse.drho(0.3).mat, built.drho(0.3).mat)
+    assert not np.array_equal(coarse.drho(0.3).mat, model.drho(0.3).mat)
+    with pytest.raises(ConfigError, match="step must be positive"):
+        model.with_fd_step(0.0)
+
+
 # --- exact frame exponentials ---------------------------------------------------------
 
 def _relative(a, b):

@@ -1,6 +1,7 @@
 """Tests for the information quantities and their cross-route relations."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -343,6 +344,66 @@ def test_spectral_closed_forms_match_projector_loops(model):
         assert helstrom_info_spectral(model, theta) == pytest.approx(i_h, rel=1e-12, abs=1e-12)
         assert wy_info_spectral(model, theta) == pytest.approx(i_wy, rel=1e-12, abs=1e-12)
         assert gamma_spectral(model, theta) == pytest.approx(gamma, rel=1e-12, abs=1e-12)
+
+
+def _frame_basis_dprojectors(model, theta):
+    """D[k] = U^dagger dP_k U from the model's projector list."""
+    u = model.frame_at(theta)
+    return u.conj().T @ np.asarray(model.dprojectors_at(theta)) @ u
+
+
+@pytest.mark.parametrize(
+    "model",
+    [random_spectral_model(60 + n, n) for n in (1, 2, 4, 16, 64)]
+    + [qubit_mixture_as_spectral(rotation_mixture(sine_weight(0.7)))],
+    ids=["random-1", "random-2", "random-4", "random-16", "random-64", "qubit-fd-frame"],
+)
+def test_generator_contractions_match_the_projector_tensor(model):
+    for theta in (-0.7, 0.1, 0.5):
+        lam = model.lambdas_at(theta)
+        a = model.generator_at(theta)
+        d = _frame_basis_dprojectors(model, theta)
+        gram = np.tensordot(d, d, axes=([1, 2], [2, 1]))
+        pair = lam[:, None] + lam[None, :]
+        coeff = lam[:, None] * (lam[None, :] - lam[:, None]) / pair**2
+        e = np.tensordot(lam, d, axes=1)
+        triple = np.einsum("lk,kla,al->", coeff, d, e)
+        gram_err = np.linalg.norm(quantum._projector_derivative_gram(a) - gram)
+        assert gram_err <= 1e-12 * max(1.0, np.linalg.norm(gram))
+        triple_err = abs(quantum._weighted_triple_sum(lam, a) - triple)
+        assert triple_err <= 1e-12 * max(1.0, abs(triple))
+
+
+def _count_projector_lists(monkeypatch) -> Counter:
+    calls = Counter()
+    for name in ("projectors_at", "dprojectors_at"):
+        original = getattr(SpectralMixtureModel, name)
+
+        def counted(self, theta, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, theta)
+
+        monkeypatch.setattr(SpectralMixtureModel, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 16, 64])
+def test_generator_drho_matches_the_difference_without_projector_lists(n, monkeypatch):
+    calls = _count_projector_lists(monkeypatch)
+    model = random_spectral_model(80 + n, n)
+    for theta in (-0.7, 0.5):
+        analytic = model.drho(theta).mat
+        fd = model.drho(theta, force_fd=True).mat
+        assert np.linalg.norm(analytic - fd) <= 1e-7 * max(1.0, np.linalg.norm(fd))
+    assert not calls
+
+
+def test_spectral_report_builds_no_projector_list(monkeypatch):
+    calls = _count_projector_lists(monkeypatch)
+    report = relation_report(random_spectral_model(5, 16), 0.3)
+    assert report.i_h_closed is not None and report.i_wy_closed is not None
+    assert report.gamma is not None and not report.route_errors
+    assert not calls
 
 
 # --- relation report ---------------------------------------------------------------

@@ -110,6 +110,16 @@ def test_tightened_fd_tolerance_fails_fd_checks():
     assert any(r.kind == "analytic" and r.passed for r in results)
 
 
+def test_fd_step_reaches_the_catalog_models(clean_results):
+    # central-difference truncation grows as h^2: 100x the step, ~1e4x the gap
+    default = {r.name: r for r in clean_results}
+    coarse = {r.name: r for r in run_suite(options=VerifyOptions(fd_step=1e-3))}
+    for name in ("drho-route-agreement", "dsqrt-route-agreement"):
+        assert coarse[name].residual >= 1e3 * default[name].residual
+        assert not coarse[name].passed
+        assert coarse[name].detail.split()[0] in builtin_models()
+
+
 def test_check_names_are_stable_and_unique():
     names = check_names()
     assert len(names) == len(set(names))
