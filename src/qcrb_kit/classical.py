@@ -4,7 +4,8 @@ Outcome distributions come from the trace rule p(x) = tr{rho m_x}; the
 classical Fisher information of the outcome distribution is summed over
 the support and compared against the Helstrom bound. Outcome spaces are
 finite: the measure-theoretic integral over outcomes is realized as a sum.
-The state functions take ``(point, povm)`` or ``(model, theta, povm)``.
+The state functions take ``(point, povm)``, the point a ``StatePoint``
+(``model.at(theta)``), and read its rho and drho.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionError, InvalidPovm, SupportRegularityError
 from .hermitian import HermitianMatrix, eigh, real_trace_product
-from .models import StatePoint, _as_point
+from .models import StatePoint
 from .quantum import NEAR_ZERO_INFO, helstrom_info_sld, wy_info_generic
 
 SUPPORT_PROB = 1e-12
@@ -87,15 +88,8 @@ class OutcomeDistribution:
         return self.probs.shape[0]
 
 
-def _point_and_povm(args: tuple) -> tuple[StatePoint, Povm]:
-    """Split (point, povm) or (model, theta, povm) into the point and the POVM."""
-    *state, povm = args
-    return _as_point(*state), povm
-
-
-def outcome_probs(*args) -> OutcomeDistribution:
+def outcome_probs(pt: StatePoint, povm: Povm) -> OutcomeDistribution:
     """Trace-rule distribution p_x = tr{rho(theta) m_x}."""
-    pt, povm = _point_and_povm(args)
     rho = pt.rho
     if rho.dim != povm.dim:
         raise DimensionError(f"state dim {rho.dim} vs measurement dim {povm.dim}")
@@ -110,20 +104,18 @@ def outcome_probs(*args) -> OutcomeDistribution:
     return OutcomeDistribution(probs=probs, support=probs > SUPPORT_PROB)
 
 
-def outcome_scores(*args) -> np.ndarray:
+def outcome_scores(pt: StatePoint, povm: Povm) -> np.ndarray:
     """Per-outcome derivatives tr{drho m_x}; they sum to 0."""
-    pt, povm = _point_and_povm(args)
     drho = pt.drho
     return np.array([real_trace_product([drho, m]) for m in povm])
 
 
-def classical_fisher(*args) -> float:
+def classical_fisher(pt: StatePoint, povm: Povm) -> float:
     """sum over the support of (tr{drho m_x})^2 / p_x.
 
     An outcome with vanishing probability but non-vanishing score makes the
     score function blow up and raises SupportRegularityError.
     """
-    pt, povm = _point_and_povm(args)
     dist = outcome_probs(pt, povm)
     scores = outcome_scores(pt, povm)
     total = 0.0
@@ -151,13 +143,12 @@ class BoundCheck:
     approx_qcrb: float | None  # 1 / i_wy
 
 
-def bound_check(*args) -> BoundCheck:
+def bound_check(pt: StatePoint, povm: Povm) -> BoundCheck:
     """Check i(theta, M) <= I_H(theta) and report the reciprocal bounds.
 
     Given the point of a ``relation_report``, the Helstrom and skew
     information come from that report's evaluation.
     """
-    pt, povm = _point_and_povm(args)
     i = classical_fisher(pt, povm)
     i_h = pt.cached(helstrom_info_sld)
     i_wy = pt.cached(wy_info_generic)

@@ -10,6 +10,7 @@ name for diagnostics on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -314,7 +315,7 @@ def cmd_sweep_w(args) -> int:
     failures = 0
     for w in grid:
         model = QubitMixtureModel(family, constant_weight(float(w)), fd_step=args.fd_step)
-        report = relation_report(model, theta)
+        report = relation_report(model.at(theta))
         if report.i_h_closed is None or report.i_wy_closed is None:
             raise QcrbError(f"closed routes unavailable at w={w}: {report.route_errors}")
         gap = report.i_wy_closed - report.i_h_closed
@@ -373,7 +374,7 @@ def cmd_sweep_spectrum(args) -> int:
         model = fixed_spectrum_model(
             spectrum, seed=args.seed, frame=args.frame, fd_step=args.fd_step
         )
-        report = relation_report(model, theta)
+        report = relation_report(model.at(theta))
         if report.i_h_closed is None or report.i_wy_closed is None:
             raise QcrbError(f"closed routes unavailable at t={t}: {report.route_errors}")
         rows.append({
@@ -481,7 +482,9 @@ def _seed(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="qcrb",
         description="Fisher / Helstrom / skew information reports and bound checks",

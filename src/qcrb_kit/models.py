@@ -129,7 +129,7 @@ class StatePoint:
     ``model`` and ``theta`` are fixed at construction; any finite difference
     uses the model's ``fd_step``. ``rho``, ``drho`` and ``dsqrt`` are
     evaluated on first access; ``cached(fn)`` does the same for any
-    ``fn(point)``, which is how the SLD and the spectral ingredients are
+    ``fn(point)``, which is how the SLD and the closed-form ingredients are
     shared between routes. A failed evaluation is not kept, so it raises
     again on every access.
     """
@@ -180,17 +180,6 @@ def _checked_step(fd_step: float) -> float:
     if not fd_step > 0.0:
         raise ConfigError(f"finite-difference step must be positive, got {fd_step!r}")
     return float(fd_step)
-
-
-def _as_point(state, theta: float | None = None) -> StatePoint:
-    """The point named by a consumer's leading arguments: (point) or (model, theta)."""
-    if isinstance(state, StatePoint):
-        if theta is not None:
-            raise TypeError("a StatePoint already fixes theta")
-        return state
-    if theta is None:
-        raise TypeError(f"{type(state).__name__} needs a theta")
-    return state.at(theta)
 
 
 class ParametricStateModel:
@@ -246,8 +235,8 @@ class ParametricStateModel:
     def rho_matrix(self, theta: float) -> np.ndarray:
         raise NotImplementedError
 
-    def _drho_analytic(self, theta: float, h: float) -> np.ndarray | None:
-        """Structured derivative; h is the step for any differenced ingredient."""
+    def _drho_analytic(self, theta: float) -> np.ndarray | None:
+        """Structured derivative; any differenced ingredient uses ``fd_step``."""
         return None
 
     @property
@@ -264,7 +253,7 @@ class ParametricStateModel:
 
     def drho(self, theta: float, force_fd: bool = False) -> HermitianMatrix:
         self._require_in_domain(theta)
-        d = None if force_fd else self._drho_analytic(theta, self.fd_step)
+        d = None if force_fd else self._drho_analytic(theta)
         if d is None:
             d = self._difference(self.rho_matrix, theta)
             # the quotient of Hermitian evaluations is Hermitian; dividing by
@@ -323,7 +312,7 @@ class PureStateModel(ParametricStateModel):
     def rho_matrix(self, theta: float) -> np.ndarray:
         return self.family.projector(theta)
 
-    def _drho_analytic(self, theta: float, h: float) -> np.ndarray | None:
+    def _drho_analytic(self, theta: float) -> np.ndarray | None:
         if self.family.dpsi is None:
             return None
         return self.family.projector_derivative(theta)
@@ -366,11 +355,17 @@ class QubitMixtureModel(ParametricStateModel):
         p1 = self.psi1.projector(theta)
         return w * p1 + (1.0 - w) * (np.eye(2) - p1)
 
-    def _drho_analytic(self, theta: float, h: float) -> np.ndarray | None:
-        if self.psi1.dpsi is None or self.weight.dw is None:
-            # structured route with finite-difference ingredients
-            self._require_in_domain(theta - h)
-            self._require_in_domain(theta + h)
+    def _require_stencil_in_domain(self, theta: float) -> None:
+        """Raise DomainError unless theta lies in the domain, and so does
+        theta +- fd_step where the weight or psi1 is differenced."""
+        self._require_in_domain(theta)
+        if not self.has_analytic_derivative:
+            self._require_in_domain(theta - self.fd_step)
+            self._require_in_domain(theta + self.fd_step)
+
+    def _drho_analytic(self, theta: float) -> np.ndarray | None:
+        self._require_stencil_in_domain(theta)
+        h = self.fd_step
         dw = self.weight.slope(theta, h)
         dp1 = self.psi1.projector_derivative(theta, h)
         w = self.weight.value(theta)
@@ -498,7 +493,7 @@ class SpectralMixtureModel(ParametricStateModel):
         u = self.frame_at(theta)
         return (u * lam) @ u.conj().T
 
-    def _drho_analytic(self, theta: float, h: float) -> np.ndarray | None:
+    def _drho_analytic(self, theta: float) -> np.ndarray | None:
         """drho = U (diag dlam + A Lambda - Lambda A) U^dagger."""
         if self._dlambdas is None or self._dframe is None:
             return None
@@ -700,15 +695,18 @@ def qubit_mixture_as_spectral(model: QubitMixtureModel) -> SpectralMixtureModel:
     """Embed a qubit mixture as a two-eigenvalue spectral mixture.
 
     Frame columns are psi1 and the distinguished orthogonal psi2; the frame
-    derivative is left to finite differences.
+    derivative is left to finite differences. The weight slope is analytic
+    when the weight has one; otherwise the spectral model differences its
+    eigenvalue weights with its own ``fd_step``, so ``with_fd_step`` reaches it.
     """
+    weight = model.weight
 
     def lambdas(t: float) -> np.ndarray:
-        w = model.weight.value(t)
+        w = weight.value(t)
         return np.array([w, 1.0 - w])
 
     def dlambdas(t: float) -> np.ndarray:
-        dw = model.weight.slope(t, model.fd_step)
+        dw = float(weight.dw(t))
         return np.array([dw, -dw])
 
     def frame(t: float) -> np.ndarray:
@@ -718,7 +716,7 @@ def qubit_mixture_as_spectral(model: QubitMixtureModel) -> SpectralMixtureModel:
         2,
         lambdas=lambdas,
         frame=frame,
-        dlambdas=dlambdas,
+        dlambdas=None if weight.dw is None else dlambdas,
         dframe=None,
         domain=model.domain,
         fd_step=model.fd_step,

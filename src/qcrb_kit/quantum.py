@@ -12,10 +12,10 @@ Wigner-Yanase skew information, each computable along independent routes:
   (O(n^2) work after the O(n^3) generator).
 
 Cross-route residuals are the core correctness surface and are collected
-by ``relation_report``. The definitional and spectral routes take either a
-``StatePoint`` (``model.at(theta)``) or ``(model, theta)``; routes that
-read one point share its evaluated rho, drho, square-root derivative, SLD
-and spectral ingredients instead of evaluating the state again.
+by ``relation_report``. Every route takes a ``StatePoint``
+(``model.at(theta)``); routes that read one point share its evaluated rho,
+drho, square-root derivative, SLD and closed-form ingredients instead of
+evaluating the state again.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .models import (
     QubitMixtureModel,
     SpectralMixtureModel,
     StatePoint,
-    _as_point,
 )
 
 INFO_FLOOR = -1e-9
@@ -63,7 +62,7 @@ class SldResult:
     min_pair_sum: float  # smallest lam_i + lam_j kept in the solve
 
 
-def sld(state, theta: float | None = None) -> SldResult:
+def sld(pt: StatePoint) -> SldResult:
     """Hermitian L solving rho L + L rho = 2 drho, in the eigenbasis of rho.
 
     Entries over eigenvalue pairs with lam_i + lam_j below the support
@@ -71,7 +70,6 @@ def sld(state, theta: float | None = None) -> SldResult:
     RankDeficientInconsistent. Each call solves afresh; ``point.cached(sld)``
     keeps one solve per point.
     """
-    pt = _as_point(state, theta)
     rho, drho = pt.rho, pt.drho
     dec = rho.decomposition
     l_mat = solve_symmetric_product(rho, drho, decomposition=dec)
@@ -105,57 +103,59 @@ def sld_spectral_sum(eigenvalues, projectors, drho, tol: float = SUPPORT_TOL) ->
     return HermitianMatrix(total)
 
 
-def helstrom_info_sld(state, theta: float | None = None) -> float:
+def helstrom_info_sld(pt: StatePoint) -> float:
     """tr{rho L^2}: the definitional route."""
-    pt = _as_point(state, theta)
     l_mat = pt.cached(sld).matrix
     value = real_trace_product([pt.rho, l_mat, l_mat])
     return _check_nonnegative(value, "Helstrom information")
 
 
-def _pure_projector_derivative(family, theta: float, h: float):
-    if isinstance(family, PureStateModel):
-        return family.family.projector_derivative(theta, family.fd_step)
-    if not isinstance(family, PureFamily):
-        raise TypeError(f"expected a pure family, got {type(family).__name__}")
-    return family.projector_derivative(theta, h)
-
-
-def helstrom_info_pure(family, theta: float, h: float = DEFAULT_FD_STEP) -> float:
-    """Pure-state shortcut 2 tr{(drho)^2}; a PureFamily differences with h, a model with fd_step."""
-    dp = _pure_projector_derivative(family, theta, h)
+def helstrom_info_pure(family: PureFamily, theta: float, h: float = DEFAULT_FD_STEP) -> float:
+    """Pure-state shortcut 2 tr{(drho)^2}; a family without dpsi differences with h."""
+    dp = family.projector_derivative(theta, h)
     return _check_nonnegative(2.0 * real_trace_product([dp, dp]), "pure Helstrom information")
 
 
-def wy_info_pure(family, theta: float, h: float = DEFAULT_FD_STEP) -> float:
+def wy_info_pure(family: PureFamily, theta: float, h: float = DEFAULT_FD_STEP) -> float:
     """Skew information of a pure state: 4 tr{(drho)^2}, twice the Helstrom value."""
-    dp = _pure_projector_derivative(family, theta, h)
+    dp = family.projector_derivative(theta, h)
     return _check_nonnegative(4.0 * real_trace_product([dp, dp]), "pure skew information")
 
 
-def helstrom_info_qubit_closed(model: QubitMixtureModel, theta: float) -> float:
+def _qubit_ingredients(pt: StatePoint) -> tuple[float, float, float]:
+    """The weight w, its slope w' and I_H1 of psi1, at the model's step.
+
+    The three qubit closed forms and alpha/beta share one set through
+    ``pt.cached``; I_WY1 is 2 I_H1. The set reads the weight and psi1 only,
+    never rho or the SLD, so the closed forms stay independent of the
+    definitional routes.
+    """
+    model, theta = pt.model, pt.theta
+    model._require_stencil_in_domain(theta)
+    w = model.weight.value(theta)
+    dw = model.weight.slope(theta, model.fd_step)
+    return w, dw, helstrom_info_pure(model.psi1, theta, model.fd_step)
+
+
+def helstrom_info_qubit_closed(pt: StatePoint) -> float:
     """Weight-based closed form for the two-dimensional orthogonal mixture.
 
     (w')^2 / (w(1-w)) + (2w-1)^2 I_H1, where I_H1 is the Helstrom
     information of the first pure family. Finite for all w in (0,1),
     including w = 1/2.
     """
-    w = model.weight.value(theta)
-    dw = model.weight.slope(theta, model.fd_step)
-    ih1 = helstrom_info_pure(model.psi1, theta, model.fd_step)
+    w, dw, ih1 = pt.cached(_qubit_ingredients)
     value = dw * dw / (w * (1.0 - w)) + (2.0 * w - 1.0) ** 2 * ih1
     return _check_nonnegative(value, "closed-form Helstrom information")
 
 
-def wy_info_qubit_closed(model: QubitMixtureModel, theta: float) -> float:
+def wy_info_qubit_closed(pt: StatePoint) -> float:
     """Weight-based closed form for the skew information of the mixture.
 
     (w')^2 / (w(1-w)) + (1 - 2 sqrt(w(1-w))) I_WY1.
     """
-    w = model.weight.value(theta)
-    dw = model.weight.slope(theta, model.fd_step)
-    iwy1 = wy_info_pure(model.psi1, theta, model.fd_step)
-    value = dw * dw / (w * (1.0 - w)) + (1.0 - 2.0 * np.sqrt(w * (1.0 - w))) * iwy1
+    w, dw, ih1 = pt.cached(_qubit_ingredients)
+    value = dw * dw / (w * (1.0 - w)) + (1.0 - 2.0 * np.sqrt(w * (1.0 - w))) * (2.0 * ih1)
     return _check_nonnegative(float(value), "closed-form skew information")
 
 
@@ -174,10 +174,9 @@ def alpha_beta(w: float, dw: float) -> tuple[float, float]:
     return float(alpha), float(beta)
 
 
-def gamma_qubit_closed(model: QubitMixtureModel, theta: float) -> float:
+def gamma_qubit_closed(pt: StatePoint) -> float:
     """Two-dimensional gap I_WY - I_H = (1 - 2 sqrt(w(1-w)))^2 I_H1."""
-    w = model.weight.value(theta)
-    ih1 = helstrom_info_pure(model.psi1, theta, model.fd_step)
+    w, _, ih1 = pt.cached(_qubit_ingredients)
     return float((1.0 - 2.0 * np.sqrt(w * (1.0 - w))) ** 2 * ih1)
 
 
@@ -232,7 +231,7 @@ def _eigenweight_fisher(lam: np.ndarray, dlam: np.ndarray) -> float:
     return total
 
 
-def helstrom_info_spectral(state, theta: float | None = None) -> float:
+def helstrom_info_spectral(pt: StatePoint) -> float:
     """Spectral closed form for the Helstrom information.
 
     sum_l (lam'_l)^2/lam_l
@@ -240,21 +239,21 @@ def helstrom_info_spectral(state, theta: float | None = None) -> float:
       * tr{P_l dP_k dP_z}.
     Eigenvalue pairs below the support tolerance are excluded.
     """
-    lam, dlam, a = _as_point(state, theta).cached(_spectral_ingredients)
+    lam, dlam, a = pt.cached(_spectral_ingredients)
     total = _eigenweight_fisher(lam, dlam) + 4.0 * _weighted_triple_sum(lam, a)
     if abs(total.imag) > SUM_IMAG_ATOL:
         raise ValueError(f"spectral Helstrom sum has imaginary residue {total.imag:.3e}")
     return _check_nonnegative(float(total.real), "spectral Helstrom information")
 
 
-def wy_info_spectral(state, theta: float | None = None) -> float:
+def wy_info_spectral(pt: StatePoint) -> float:
     """Spectral closed form for the skew information.
 
     sum_l lam_l I_WY,l + sum_l (lam'_l)^2/lam_l
     + 4 sum_l sum_{k!=l} sqrt(lam_l lam_k) tr{dP_l dP_k},
     with I_WY,l = 4 tr{(dP_l)^2} the pure-state skew information.
     """
-    lam, dlam, a = _as_point(state, theta).cached(_spectral_ingredients)
+    lam, dlam, a = pt.cached(_spectral_ingredients)
     root = np.sqrt(np.outer(lam, lam))
     np.fill_diagonal(root, lam)  # the pure-state terms lam_l I_WY,l
     skew = complex(np.sum(root * _projector_derivative_gram(a)))
@@ -264,7 +263,7 @@ def wy_info_spectral(state, theta: float | None = None) -> float:
     return _check_nonnegative(float(total.real), "spectral skew information")
 
 
-def gamma_spectral(state, theta: float | None = None) -> float:
+def gamma_spectral(pt: StatePoint) -> float:
     """Eigenvalue-based gap between skew and Helstrom information.
 
     gamma = -4 sum_l sum_{k!=l} [ (lam_l - sqrt(lam_l lam_k)) tr{dP_l dP_k}
@@ -272,7 +271,7 @@ def gamma_spectral(state, theta: float | None = None) -> float:
               tr{P_l dP_k dP_z} ],
     and I_WY = I_H + gamma. Vanishes when all eigenvalue weights coincide.
     """
-    lam, _, a = _as_point(state, theta).cached(_spectral_ingredients)
+    lam, _, a = pt.cached(_spectral_ingredients)
     weight = lam[:, None] - np.sqrt(np.outer(lam, lam))
     np.fill_diagonal(weight, 0.0)
     skew = complex(np.sum(weight * _projector_derivative_gram(a)))
@@ -282,9 +281,9 @@ def gamma_spectral(state, theta: float | None = None) -> float:
     return float(total.real)
 
 
-def wy_info_generic(state, theta: float | None = None) -> float:
+def wy_info_generic(pt: StatePoint) -> float:
     """4 tr{[(sqrt rho)']^2}: the definitional skew-information route."""
-    d = _as_point(state, theta).dsqrt
+    d = pt.dsqrt
     value = 4.0 * real_trace_product([d.matrix, d.matrix])
     return _check_nonnegative(value, "skew information")
 
@@ -331,7 +330,7 @@ def _try_route(result: QuantumInfoResult, name: str, fn):
         return None
 
 
-def relation_report(state, theta: float | None = None) -> QuantumInfoResult:
+def relation_report(pt: StatePoint) -> QuantumInfoResult:
     """Evaluate every applicable route at theta and record their residuals.
 
     Always computes the definitional routes (SLD-based Helstrom, generic
@@ -339,7 +338,6 @@ def relation_report(state, theta: float | None = None) -> QuantumInfoResult:
     in per model kind. A failing optional route is recorded in
     ``route_errors`` instead of aborting.
     """
-    pt = _as_point(state, theta)
     model, theta = pt.model, pt.theta
     s = pt.cached(sld)
     out = QuantumInfoResult(
@@ -357,22 +355,21 @@ def relation_report(state, theta: float | None = None) -> QuantumInfoResult:
     )
     res = out.residuals
     if isinstance(model, PureStateModel):
-        out.i_h_closed = _try_route(out, "i_h_closed", lambda: helstrom_info_pure(model, theta))
+        out.i_h_closed = _try_route(
+            out, "i_h_closed", lambda: helstrom_info_pure(model.family, theta, model.fd_step)
+        )
         res["pure_doubling_abs"] = abs(out.i_wy_generic - 2.0 * out.i_h_sld)
         if out.i_h_sld > NEAR_ZERO_INFO:
             res["pure_doubling"] = res["pure_doubling_abs"] / out.i_h_sld
     elif isinstance(model, QubitMixtureModel):
-        w = model.weight.value(theta)
-        dw = model.weight.slope(theta, model.fd_step)
+        w, dw, _ = pt.cached(_qubit_ingredients)
         out.alpha, out.beta = alpha_beta(w, dw)
         if model.canonical:
-            out.i_h_closed = _try_route(
-                out, "i_h_closed", lambda: helstrom_info_qubit_closed(model, theta)
-            )
+            out.i_h_closed = _try_route(out, "i_h_closed", lambda: helstrom_info_qubit_closed(pt))
         else:
             out.route_errors["i_h_closed"] = "not applicable: non-canonical psi2"
-        out.i_wy_closed = _try_route(out, "i_wy_closed", lambda: wy_info_qubit_closed(model, theta))
-        out.gamma = _try_route(out, "gamma", lambda: gamma_qubit_closed(model, theta))
+        out.i_wy_closed = _try_route(out, "i_wy_closed", lambda: wy_info_qubit_closed(pt))
+        out.gamma = _try_route(out, "gamma", lambda: gamma_qubit_closed(pt))
         scale = max(1.0, out.i_h_sld)
         res["prop1"] = float(abs(out.i_wy_generic - (out.alpha * out.i_h_sld + out.beta)) / scale)
         if out.i_h_closed is not None and out.i_wy_closed is not None:

@@ -4,7 +4,8 @@ A locally unbiased one-step estimator makes the classical bound an exact
 single-sample identity: t(x) = theta0 + score(x) / (p(x) i), so the
 per-sample variance equals 1/i by direct summation. Sampling then only has
 to confirm the empirical variance statistically. Sampling uses numpy's
-PCG64 generator; identical (config, seed) gives identical results.
+PCG64 generator; identical (config, seed) gives identical results. The
+state functions take ``(point, povm)``, the point a ``StatePoint`` at theta0.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ZeroInformationError
-from .classical import Povm, _point_and_povm, classical_fisher, outcome_probs, outcome_scores
-from .models import ParametricStateModel
+from .classical import Povm, classical_fisher, outcome_probs, outcome_scores
+from .models import ParametricStateModel, StatePoint
 from .quantum import NEAR_ZERO_INFO, helstrom_info_sld, wy_info_generic
 
 MIN_SAMPLES = 100
@@ -61,27 +62,21 @@ class SimResult:
         }
 
 
-def sample_outcomes(*args, seed: int) -> np.ndarray:
-    """Draw n outcome indices from the trace-rule distribution at theta0.
-
-    Called as ``sample_outcomes(point, povm, n, seed=s)`` or
-    ``sample_outcomes(model, theta0, povm, n, seed=s)``.
-    """
-    *state, n = args
-    dist = outcome_probs(*state)
+def sample_outcomes(pt: StatePoint, povm: Povm, n: int, *, seed: int) -> np.ndarray:
+    """Draw n outcome indices from the trace-rule distribution at theta0."""
+    dist = outcome_probs(pt, povm)
     probs = dist.probs / float(np.sum(dist.probs))
     rng = np.random.default_rng(seed)
     return rng.choice(len(probs), size=n, p=probs)
 
 
-def one_step_estimator(*args) -> np.ndarray:
+def one_step_estimator(pt: StatePoint, povm: Povm) -> np.ndarray:
     """Per-outcome estimate t(x) = theta0 + score(x)/(p(x) i(theta0)).
 
     Locally unbiased by construction (the scores sum to zero), with exact
     single-sample variance 1/i. Outcomes off the support never occur and
-    get the neutral value theta0. Takes (point, povm) or (model, theta0, povm).
+    get the neutral value theta0.
     """
-    pt, povm = _point_and_povm(args)
     theta0 = pt.theta
     info = classical_fisher(pt, povm)
     if info <= NEAR_ZERO_INFO:
@@ -96,9 +91,8 @@ def one_step_estimator(*args) -> np.ndarray:
     return t
 
 
-def exact_estimator_moments(*args) -> tuple[float, float]:
+def exact_estimator_moments(pt: StatePoint, povm: Povm) -> tuple[float, float]:
     """(mean, variance) of the one-step estimator by direct summation."""
-    pt, povm = _point_and_povm(args)
     theta0 = pt.theta
     dist = outcome_probs(pt, povm)
     t = one_step_estimator(pt, povm)

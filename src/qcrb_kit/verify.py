@@ -47,7 +47,7 @@ from .models import (
 )
 from .quantum import (
     NEAR_ZERO_INFO,
-    helstrom_info_pure,
+    _qubit_ingredients,
     helstrom_info_qubit_closed,
     helstrom_info_sld,
     helstrom_info_spectral,
@@ -55,7 +55,6 @@ from .quantum import (
     sld,
     sld_spectral_sum,
     wy_info_generic,
-    wy_info_pure,
     wy_info_qubit_closed,
     wy_info_spectral,
 )
@@ -254,28 +253,33 @@ def _dsqrt_route_agreement(model, theta, pt, opts):
     return float(np.linalg.norm(a - b)) / max(1.0, float(np.linalg.norm(a)))
 
 
+def _mixture_components(pt):
+    """p1, p2 = |psi1><psi1|, |psi2><psi2| and their derivatives dp1, dp2.
+
+    dp2 differences the canonical psi2, independently of psi1's derivative.
+    """
+    model, theta, h = pt.model, pt.theta, pt.model.fd_step
+    p1 = model.psi1.projector(theta)
+    p2 = model.psi2(theta).projector()
+    dp1 = model.psi1.projector_derivative(theta, h)
+    dp2 = _central_difference(lambda t: model.psi2(t).projector(), theta, h)
+    return p1, p2, dp1, dp2
+
+
 def _qubit_complement(model, theta, pt, opts):
     # projector identity for every canonical mixture; the derivative identity
     # only where psi1 has an analytic derivative (differencing a psi2 that was
     # itself built by differences measures rounding jitter, not the identity)
-    p1 = model.psi1.projector(theta)
-    p2 = model.psi2(theta).projector()
+    p1, p2, dp1, dp2 = pt.cached(_mixture_components)
     dev = float(np.linalg.norm(p2 - (np.eye(2) - p1)))
     if model.psi1.dpsi is not None:
-        h = model.fd_step
-        dp1 = model.psi1.projector_derivative(theta, h)
-        dp2 = _central_difference(lambda t: model.psi2(t).projector(), theta, h)
         dev = max(dev, float(np.linalg.norm(dp1 + dp2)))
     return dev
 
 
 def _orthogonal_trace_identities(model, theta, pt, opts):
     # tr{rho_k drho_h} = 0 for pure components of the mixtures
-    h = model.fd_step
-    p1 = model.psi1.projector(theta)
-    p2 = model.psi2(theta).projector()
-    dp1 = model.psi1.projector_derivative(theta, h)
-    dp2 = _central_difference(lambda t: model.psi2(t).projector(), theta, h)
+    p1, p2, dp1, dp2 = pt.cached(_mixture_components)
     return max(abs(trace_product([pk, dp])) for pk in (p1, p2) for dp in (dp1, dp2))
 
 
@@ -322,13 +326,13 @@ def _sld_vs_spectral_sum(model, theta, pt, opts):
 
 
 def _qubit_route_h(model, theta, pt, opts):
-    a = helstrom_info_qubit_closed(model, theta)
+    a = helstrom_info_qubit_closed(pt)
     b = helstrom_info_sld(pt)
     return abs(a - b) / max(1.0, b)
 
 
 def _qubit_route_wy(model, theta, pt, opts):
-    a = wy_info_qubit_closed(model, theta)
+    a = wy_info_qubit_closed(pt)
     b = wy_info_generic(pt)
     return abs(a - b) / max(1.0, b)
 
@@ -378,8 +382,10 @@ def _monotone_gap(catalog, opts, points):
 def _mixing_information_loss(model, theta, pt, opts):
     if not _constant_weight_at(model, theta, opts):
         return None
-    excess_h = helstrom_info_sld(pt) - helstrom_info_pure(model.psi1, theta)
-    excess_wy = wy_info_generic(pt) - wy_info_pure(model.psi1, theta)
+    # I_H1 of psi1 at the model's step, as the closed forms read it; I_WY1 = 2 I_H1
+    i_h1 = pt.cached(_qubit_ingredients)[2]
+    excess_h = helstrom_info_sld(pt) - i_h1
+    excess_wy = wy_info_generic(pt) - 2.0 * i_h1
     return max(excess_h, excess_wy)
 
 

@@ -50,20 +50,20 @@ def test_criterion_01_pure_state_doubling():
         dim = 2 + seed % 4
         model = PureStateModel(random_pure_family(seed, dim))
         for theta in thetas:
-            i_h = helstrom_info_sld(model, float(theta))
+            i_h = helstrom_info_sld(model.at(float(theta)))
             if i_h <= 1e-8:
                 continue
-            rel = abs(wy_info_generic(model, float(theta)) - 2.0 * i_h) / i_h
+            rel = abs(wy_info_generic(model.at(float(theta))) - 2.0 * i_h) / i_h
             worst_analytic = max(worst_analytic, rel)
     worst_fd = 0.0
     for seed in range(10):
         family = random_pure_family(seed, 2 + seed % 4)
         fd_model = PureStateModel(PureFamily(dim=family.dim, psi=family.psi))
         for theta in thetas:
-            i_h = helstrom_info_sld(fd_model, float(theta))
+            i_h = helstrom_info_sld(fd_model.at(float(theta)))
             if i_h <= 1e-8:
                 continue
-            rel = abs(wy_info_generic(fd_model, float(theta)) - 2.0 * i_h) / i_h
+            rel = abs(wy_info_generic(fd_model.at(float(theta))) - 2.0 * i_h) / i_h
             worst_fd = max(worst_fd, rel)
     elapsed = time.perf_counter() - start
     ok = worst_analytic <= 1e-9 and worst_fd <= 1e-6 and elapsed < 5.0
@@ -79,15 +79,15 @@ def test_criterion_02_qubit_mixture_exact_values():
     theta = 0.3
     alpha, beta = alpha_beta(0.9, 0.0)
     closed = {
-        "I_H": (helstrom_info_qubit_closed(model, theta), 2.56),
-        "I_WY": (wy_info_qubit_closed(model, theta), 3.2),
+        "I_H": (helstrom_info_qubit_closed(model.at(theta)), 2.56),
+        "I_WY": (wy_info_qubit_closed(model.at(theta)), 3.2),
         "alpha": (alpha, 1.25),
         "beta": (beta, 0.0),
-        "gamma": (gamma_qubit_closed(model, theta), 0.64),
+        "gamma": (gamma_qubit_closed(model.at(theta)), 0.64),
     }
     worst_closed = max(abs(got - want) for got, want in closed.values())
-    i_h_def = helstrom_info_sld(model, theta)
-    i_wy_def = wy_info_generic(model, theta)
+    i_h_def = helstrom_info_sld(model.at(theta))
+    i_wy_def = wy_info_generic(model.at(theta))
     definitional = {
         "I_H": (i_h_def, 2.56),
         "I_WY": (i_wy_def, 3.2),
@@ -108,11 +108,11 @@ def test_criterion_03_two_dim_route_equivalence():
     worst = 0.0
     for w, theta in zip(ws, thetas):
         model = rotation_mixture(float(w))
-        i_wy_closed = wy_info_qubit_closed(model, float(theta))
-        i_wy_def = wy_info_generic(model, float(theta))
+        i_wy_closed = wy_info_qubit_closed(model.at(float(theta)))
+        i_wy_def = wy_info_generic(model.at(float(theta)))
         worst = max(worst, abs(i_wy_closed - i_wy_def) / abs(i_wy_def))
-        i_h_closed = helstrom_info_qubit_closed(model, float(theta))
-        i_h_def = helstrom_info_sld(model, float(theta))
+        i_h_closed = helstrom_info_qubit_closed(model.at(float(theta)))
+        i_h_def = helstrom_info_sld(model.at(float(theta)))
         worst = max(worst, abs(i_h_closed - i_h_def) / abs(i_h_def))
     ok = worst <= 1e-6
     verdict(3, ok, f"two-dim route equivalence on 20 (w, theta) pairs: {worst:.2e} <= 1e-6")
@@ -127,11 +127,11 @@ def test_criterion_04_spectral_route_equivalence():
     worst_h, worst_wy = 0.0, 0.0
     for model in _thirty_spectral_models():
         theta = 0.3
-        i_h_closed = helstrom_info_spectral(model, theta)
-        i_h_def = helstrom_info_sld(model, theta)
+        i_h_closed = helstrom_info_spectral(model.at(theta))
+        i_h_def = helstrom_info_sld(model.at(theta))
         worst_h = max(worst_h, abs(i_h_closed - i_h_def) / abs(i_h_def))
-        i_wy_closed = wy_info_spectral(model, theta)
-        i_wy_def = wy_info_generic(model, theta)
+        i_wy_closed = wy_info_spectral(model.at(theta))
+        i_wy_def = wy_info_generic(model.at(theta))
         worst_wy = max(worst_wy, abs(i_wy_closed - i_wy_def) / abs(i_wy_def))
     elapsed = time.perf_counter() - start
     ok = worst_h <= 1e-7 and worst_wy <= 1e-6 and elapsed < 10.0
@@ -146,9 +146,9 @@ def test_criterion_05_gamma_identity():
     worst = 0.0
     for model in _thirty_spectral_models():
         theta = 0.3
-        i_h = helstrom_info_sld(model, theta)
-        i_wy = wy_info_generic(model, theta)
-        gamma = gamma_spectral(model, theta)
+        i_h = helstrom_info_sld(model.at(theta))
+        i_wy = wy_info_generic(model.at(theta))
+        gamma = gamma_spectral(model.at(theta))
         worst = max(worst, abs(i_wy - i_h - gamma) / max(1.0, i_h))
     ok = worst <= 1e-7
     verdict(5, ok, f"skew = Helstrom + gamma on 30 spectral models: {worst:.2e} <= 1e-7")
@@ -205,10 +205,10 @@ def test_criterion_08_information_inequality():
     worst_excess = -math.inf
     count = 0
     for m_idx, model in enumerate(models):
-        i_h = helstrom_info_sld(model, theta)
+        i_h = helstrom_info_sld(model.at(theta))
         for k in range(20):
             povm = random_povm(model.dim, 2 + k % 5, seed=1000 * m_idx + k)
-            excess = classical_fisher(model, theta, povm) - i_h
+            excess = classical_fisher(model.at(theta), povm) - i_h
             worst_excess = max(worst_excess, excess)
             violations += excess > 1e-9
             count += 1
@@ -227,8 +227,8 @@ def test_criterion_09_attaining_measurement():
     thetas = [0.3, -0.7, 0.55, 0.85, 1.1, 1.35, 1.8, 2.1, 2.45, 2.7, -1.2]
     worst = 0.0
     for theta in thetas:
-        i = classical_fisher(model, theta, povm)
-        i_h = helstrom_info_sld(model, theta)
+        i = classical_fisher(model.at(theta), povm)
+        i_h = helstrom_info_sld(model.at(theta))
         worst = max(worst, abs(i - 4.0), abs(i_h - 4.0))
     ok = worst <= 1e-9
     verdict(9, ok, f"basis measurement attains I_H = 4 at 11 angles: {worst:.2e} <= 1e-9")
@@ -238,9 +238,9 @@ def test_criterion_10_monte_carlo_cr_check():
     start = time.perf_counter()
     model = PureStateModel(rotation_family())
     povm = basis_povm(2)
-    mean, var = exact_estimator_moments(model, 0.3, povm)
+    mean, var = exact_estimator_moments(model.at(0.3), povm)
     identity_dev = max(
-        abs(mean - 0.3), abs(var - 1.0 / classical_fisher(model, 0.3, povm))
+        abs(mean - 0.3), abs(var - 1.0 / classical_fisher(model.at(0.3), povm))
     )
     cfg = SimConfig(model=model, povm=povm, theta0=0.3, n_samples=100_000, seed=2026)
     result = run_sim(cfg)
@@ -260,7 +260,7 @@ def test_criterion_11_appendix_identity_suite():
     h = 1e-5
     for name, model in builtin_models().items():
         for theta in model.sample_thetas:
-            worst = max(worst, abs(sld(model, theta).score_mean))
+            worst = max(worst, abs(sld(model.at(theta)).score_mean))
             if model.kind == "qubit_mixture" and model.canonical:
                 p1 = model.psi1.projector(theta)
                 p2 = model.psi2(theta).projector()

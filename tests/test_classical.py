@@ -65,25 +65,25 @@ def test_random_povm_invariants(dim, n_effects, seed):
 
 def test_rotation_basis_probabilities():
     for theta in (0.0, 0.3, 1.1):
-        dist = outcome_probs(ROTATION, theta, basis_povm(2))
+        dist = outcome_probs(ROTATION.at(theta), basis_povm(2))
         np.testing.assert_allclose(
             dist.probs, [np.cos(theta) ** 2, np.sin(theta) ** 2], atol=1e-12
         )
 
 
 def test_trivial_povm_distribution():
-    dist = outcome_probs(ROTATION, 0.3, Povm([np.eye(2)]))
+    dist = outcome_probs(ROTATION.at(0.3), Povm([np.eye(2)]))
     np.testing.assert_allclose(dist.probs, [1.0], atol=1e-15)
 
 
 def test_maximally_mixed_state_is_uniform():
-    dist = outcome_probs(rotation_mixture(0.5), 0.7, basis_povm(2))
+    dist = outcome_probs(rotation_mixture(0.5).at(0.7), basis_povm(2))
     np.testing.assert_allclose(dist.probs, [0.5, 0.5], atol=1e-12)
 
 
 def test_dimension_mismatch_rejected():
     with pytest.raises(DimensionError):
-        outcome_probs(ROTATION, 0.3, basis_povm(3))
+        outcome_probs(ROTATION.at(0.3), basis_povm(3))
 
 
 # --- classical Fisher information -------------------------------------------------
@@ -91,27 +91,27 @@ def test_dimension_mismatch_rejected():
 def test_basis_measurement_attains_helstrom_bound():
     # sin^2(2 theta) / (sin^2 cos^2) = 4 identically
     for theta in (0.3, 0.7, 1.2, -0.4):
-        assert classical_fisher(ROTATION, theta, basis_povm(2)) == pytest.approx(4.0, abs=1e-9)
+        assert classical_fisher(ROTATION.at(theta), basis_povm(2)) == pytest.approx(4.0, abs=1e-9)
 
 
 def test_trivial_povm_carries_no_information():
-    assert classical_fisher(ROTATION, 0.3, Povm([np.eye(2)])) == pytest.approx(0.0, abs=1e-15)
+    assert classical_fisher(ROTATION.at(0.3), Povm([np.eye(2)])) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_random_povm_respects_information_inequality():
     rng = np.random.default_rng(1)
     models = [ROTATION, rotation_mixture(0.8), random_spectral_model(31, 3)]
     for model in models:
-        i_h = helstrom_info_sld(model, 0.4)
+        i_h = helstrom_info_sld(model.at(0.4))
         for _ in range(5):
             povm = random_povm(model.dim, int(rng.integers(2, 6)), int(rng.integers(0, 2**31)))
-            assert classical_fisher(model, 0.4, povm) <= i_h + 1e-9
+            assert classical_fisher(model.at(0.4), povm) <= i_h + 1e-9
 
 
 def test_rotation_at_origin_has_no_information_in_the_basis():
     # p = (1, 0) and scores = (0, 0): vanishing probability with vanishing
     # score is allowed and contributes nothing
-    assert classical_fisher(ROTATION, 0.0, basis_povm(2)) == pytest.approx(0.0, abs=1e-9)
+    assert classical_fisher(ROTATION.at(0.0), basis_povm(2)) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_support_blowup_guard():
@@ -126,18 +126,18 @@ def test_support_blowup_guard():
         def rho_matrix(self, theta):
             return np.diag([1.0, 0.0])
 
-        def _drho_analytic(self, theta, h):
+        def _drho_analytic(self, theta):
             return np.diag([0.5, -0.5])
 
     with pytest.raises(SupportRegularityError):
-        classical_fisher(InconsistentModel(), 0.0, basis_povm(2))
+        classical_fisher(InconsistentModel().at(0.0), basis_povm(2))
 
 
 def test_score_sum_vanishes():
     rng = np.random.default_rng(5)
     for model in (ROTATION, rotation_mixture(0.7)):
         povm = random_povm(2, 4, int(rng.integers(0, 2**31)))
-        assert abs(outcome_scores(model, 0.5, povm).sum()) <= 1e-8
+        assert abs(outcome_scores(model.at(0.5), povm).sum()) <= 1e-8
 
 
 def test_coarse_graining_never_increases_information():
@@ -145,15 +145,15 @@ def test_coarse_graining_never_increases_information():
     model = rotation_mixture(0.75)
     for _ in range(5):
         povm = random_povm(2, 4, int(rng.integers(0, 2**31)))
-        base = classical_fisher(model, 0.4, povm)
-        merged = classical_fisher(model, 0.4, povm.merged(0, 2))
+        base = classical_fisher(model.at(0.4), povm)
+        merged = classical_fisher(model.at(0.4), povm.merged(0, 2))
         assert merged <= base + 1e-9
 
 
 # --- bound_check ------------------------------------------------------------------
 
 def test_bound_check_attaining_measurement():
-    check = bound_check(ROTATION, 0.3, basis_povm(2))
+    check = bound_check(ROTATION.at(0.3), basis_povm(2))
     assert check.ok
     assert check.gap == pytest.approx(0.0, abs=1e-9)
     assert check.crb == pytest.approx(0.25, abs=1e-9)
@@ -162,7 +162,7 @@ def test_bound_check_attaining_measurement():
 
 
 def test_bound_check_trivial_measurement_gap_is_full():
-    check = bound_check(ROTATION, 0.3, Povm([np.eye(2)]))
+    check = bound_check(ROTATION.at(0.3), Povm([np.eye(2)]))
     assert check.ok
     assert check.gap == pytest.approx(4.0, abs=1e-9)
     assert check.crb is None

@@ -215,6 +215,18 @@ def test_model_runs_with_the_config_step_unless_the_option_is_given(
     assert f"\n#fd_step {step}\n" in out
 
 
+def test_one_parser_serves_every_call_without_carrying_options_over(model_paths, tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    cfg = tmp_path / "pure.json"
+    cfg.write_text(json.dumps({"kind": "pure", "psi1": {"name": "rotation"}, "fd_step": 1e-4}))
+    code, out, _ = run_cli(["compute", "--model", model_paths["pure"], "--fd-step", "1e-3"], capsys)
+    assert code == EXIT_OK
+    assert "\n#fd_step 0.001\n" in out
+    code, out, _ = run_cli(["compute", "--model", cfg], capsys)
+    assert code == EXIT_OK
+    assert "\n#fd_step 0.0001\n" in out
+
+
 @pytest.mark.parametrize("command", ["sweep-w", "verify"])
 def test_commands_without_a_model_config_report_the_default_step(capsys, command):
     code, out, _ = run_cli([command], capsys)

@@ -156,7 +156,7 @@ def test_dsqrt_falls_back_when_rhs_leaves_the_support():
         def rho_matrix(self, theta):
             return np.diag([1.0, 0.0])
 
-        def _drho_analytic(self, theta, h):
+        def _drho_analytic(self, theta):
             return np.diag([0.5, -0.5])
 
     d = InconsistentModel().dsqrt_rho(0.2)
@@ -260,6 +260,16 @@ def test_qubit_mixture_as_spectral_reproduces_rho():
     spec = qubit_mixture_as_spectral(mix)
     for theta in (0.1, 0.6):
         np.testing.assert_allclose(spec.rho(theta).mat, mix.rho(theta).mat, atol=1e-10)
+
+
+def test_embedding_differences_a_weight_without_slope_with_its_own_step():
+    # with_fd_step on the embedding must reach the weight slope, not only the frame
+    mix = rotation_mixture(WeightFunction(w=sine_weight(0.8).w), domain=(-1.45, 1.45))
+    copied = qubit_mixture_as_spectral(mix).with_fd_step(1e-2)
+    rebuilt = qubit_mixture_as_spectral(mix.with_fd_step(1e-2))
+    for theta in (-0.6, 0.3):
+        np.testing.assert_array_equal(copied.dlambdas_at(theta), rebuilt.dlambdas_at(theta))
+        np.testing.assert_array_equal(copied.drho(theta).mat, rebuilt.drho(theta).mat)
 
 
 def test_builtin_catalog_satisfies_model_invariants():

@@ -59,7 +59,7 @@ spectral_cases = pytest.mark.parametrize(
 def test_sld_pure_state_is_twice_the_derivative():
     model = PureStateModel(rotation_family())
     for theta in (0.2, 0.9):
-        result = sld(model, theta)
+        result = sld(model.at(theta))
         np.testing.assert_allclose(result.matrix.mat, 2.0 * model.drho(theta).mat, atol=1e-10)
         assert result.support_dropped
         assert abs(result.score_mean) <= 1e-9
@@ -67,14 +67,14 @@ def test_sld_pure_state_is_twice_the_derivative():
 
 def test_sld_constant_maximally_mixed_state_vanishes():
     model = rotation_mixture(0.5)
-    np.testing.assert_allclose(sld(model, 0.4).matrix.mat, np.zeros((2, 2)), atol=1e-10)
+    np.testing.assert_allclose(sld(model.at(0.4)).matrix.mat, np.zeros((2, 2)), atol=1e-10)
 
 
 def test_sld_solve_matches_projector_sum():
     model = rotation_mixture(0.8)
     for theta in (0.1, 0.7):
         rho = model.rho(theta)
-        a = sld(model, theta).matrix.mat
+        a = sld(model.at(theta)).matrix.mat
         dec = rho.decomposition
         b = sld_spectral_sum(dec.eigenvalues, dec.projectors(), model.drho(theta)).mat
         assert np.linalg.norm(a - b) <= 1e-10
@@ -85,7 +85,7 @@ def test_zero_mean_score_across_catalog():
 
     for name, model in builtin_models().items():
         for theta in model.sample_thetas:
-            assert abs(sld(model, theta).score_mean) <= 1e-9, name
+            assert abs(sld(model.at(theta)).score_mean) <= 1e-9, name
 
 
 def test_sld_rejects_inconsistent_rank_deficiency():
@@ -99,19 +99,19 @@ def test_sld_rejects_inconsistent_rank_deficiency():
         def rho_matrix(self, theta):
             return np.diag([1.0, 0.0])
 
-        def _drho_analytic(self, theta, h):
+        def _drho_analytic(self, theta):
             return np.diag([0.5, -0.5])
 
     with pytest.raises(RankDeficientInconsistent):
-        sld(InconsistentModel(), 0.1)
+        sld(InconsistentModel().at(0.1))
 
 
 # --- Helstrom routes --------------------------------------------------------------
 
 def test_helstrom_rotation_family_is_four():
     model = PureStateModel(rotation_family())
-    assert helstrom_info_sld(model, 0.3) == pytest.approx(4.0, abs=1e-10)
-    assert helstrom_info_pure(model, 0.3) == pytest.approx(4.0, abs=1e-12)
+    assert helstrom_info_sld(model.at(0.3)) == pytest.approx(4.0, abs=1e-10)
+    assert helstrom_info_pure(model.family, 0.3, model.fd_step) == pytest.approx(4.0, abs=1e-12)
 
 
 def test_pure_closed_form_differences_with_the_models_step():
@@ -121,40 +121,51 @@ def test_pure_closed_form_differences_with_the_models_step():
     assert relation_report(model.at(0.3)).residuals["route_i_h"] < 1e-12
 
 
+def test_qubit_closed_forms_keep_their_stencil_inside_the_domain():
+    # a weight without slope is differenced at theta +- h, outside the domain at its edge
+    weight = WeightFunction(w=lambda t: 0.5 * (1.0 + 0.7 * math.sin(t)))
+    model = rotation_mixture(weight, domain=(-1.0, 1.0))
+    for route in (helstrom_info_qubit_closed, wy_info_qubit_closed, gamma_qubit_closed):
+        with pytest.raises(DomainError):
+            route(model.at(1.0))
+    inside = model.at(1.0 - 1e-4)
+    assert helstrom_info_qubit_closed(inside) == pytest.approx(helstrom_info_sld(inside), rel=1e-7)
+
+
 def test_helstrom_constant_model_is_zero():
-    assert helstrom_info_sld(FROZEN, 0.3) == pytest.approx(0.0, abs=1e-12)
+    assert helstrom_info_sld(FROZEN.at(0.3)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_helstrom_mixture_closed_form_value():
     model = rotation_mixture(0.9)
-    assert helstrom_info_qubit_closed(model, 0.3) == pytest.approx(2.56, abs=1e-12)
-    assert helstrom_info_sld(model, 0.3) == pytest.approx(2.56, abs=1e-10)
+    assert helstrom_info_qubit_closed(model.at(0.3)) == pytest.approx(2.56, abs=1e-12)
+    assert helstrom_info_sld(model.at(0.3)) == pytest.approx(2.56, abs=1e-10)
 
 
 def test_helstrom_pure_routes_agree_for_complex_family():
     model = PureStateModel(complex_rotation_family())
     for theta in (0.25, 1.0):
-        a = helstrom_info_pure(model, theta)
-        b = helstrom_info_sld(model, theta)
+        a = helstrom_info_pure(model.family, theta, model.fd_step)
+        b = helstrom_info_sld(model.at(theta))
         assert abs(a - b) / b <= 1e-8
 
 
 def test_helstrom_sine_weight_at_origin():
     # (w')^2/(w(1-w)) = 1 and (2w-1)^2 = 0 at theta = 0
     model = rotation_mixture(sine_weight(), domain=(-1.45, 1.45))
-    assert helstrom_info_qubit_closed(model, 0.0) == pytest.approx(1.0, abs=1e-12)
+    assert helstrom_info_qubit_closed(model.at(0.0)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_helstrom_constant_weight_kills_first_term():
     model = rotation_mixture(0.77)
     expected = (2 * 0.77 - 1) ** 2 * 4.0
-    assert helstrom_info_qubit_closed(model, 0.6) == pytest.approx(expected, abs=1e-12)
+    assert helstrom_info_qubit_closed(model.at(0.6)) == pytest.approx(expected, abs=1e-12)
 
 
 def test_helstrom_spectral_reduces_to_weight_form_in_two_dims():
     mix = rotation_mixture(0.9)
     spec = qubit_mixture_as_spectral(mix)
-    assert helstrom_info_spectral(spec, 0.3) == pytest.approx(2.56, abs=1e-8)
+    assert helstrom_info_spectral(spec.at(0.3)) == pytest.approx(2.56, abs=1e-8)
 
 
 def test_helstrom_spectral_constant_model_is_zero():
@@ -165,21 +176,21 @@ def test_helstrom_spectral_constant_model_is_zero():
         dlambdas=lambda t: np.zeros(3),
         dframe=lambda t: np.zeros((3, 3), dtype=complex),
     )
-    assert helstrom_info_spectral(model, 0.2) == pytest.approx(0.0, abs=1e-12)
+    assert helstrom_info_spectral(model.at(0.2)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_helstrom_spectral_matches_sld_route():
     model = random_spectral_model(99, 4)
-    a = helstrom_info_spectral(model, 0.3)
-    b = helstrom_info_sld(model, 0.3)
+    a = helstrom_info_spectral(model.at(0.3))
+    b = helstrom_info_sld(model.at(0.3))
     assert abs(a - b) / b <= 1e-7
 
 
 @spectral_cases
 def test_helstrom_spectral_matches_sld_route_across_dims(make_model):
     model = make_model()
-    a = helstrom_info_spectral(model, 0.3)
-    b = helstrom_info_sld(model, 0.3)
+    a = helstrom_info_spectral(model.at(0.3))
+    b = helstrom_info_sld(model.at(0.3))
     assert abs(a - b) / b <= 1e-7
 
 
@@ -192,55 +203,55 @@ def test_spectral_boundary_regularity_guard():
         dframe=lambda t: np.zeros((2, 2), dtype=complex),
     )
     with pytest.raises(BoundaryRegularityError):
-        helstrom_info_spectral(model, 0.0)
+        helstrom_info_spectral(model.at(0.0))
 
 
 # --- skew information routes -------------------------------------------------------
 
 def test_wy_rotation_family_is_eight():
     model = PureStateModel(rotation_family())
-    assert wy_info_generic(model, 0.3) == pytest.approx(8.0, abs=1e-9)
+    assert wy_info_generic(model.at(0.3)) == pytest.approx(8.0, abs=1e-9)
 
 
 def test_wy_constant_model_is_zero():
-    assert wy_info_generic(FROZEN, 0.3) == pytest.approx(0.0, abs=1e-12)
+    assert wy_info_generic(FROZEN.at(0.3)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_wy_mixture_closed_form_values():
     model = rotation_mixture(0.9)
-    assert wy_info_qubit_closed(model, 0.3) == pytest.approx(3.2, abs=1e-12)
-    assert wy_info_generic(model, 0.3) == pytest.approx(3.2, abs=1e-9)
+    assert wy_info_qubit_closed(model.at(0.3)) == pytest.approx(3.2, abs=1e-12)
+    assert wy_info_generic(model.at(0.3)) == pytest.approx(3.2, abs=1e-9)
     low = rotation_mixture(0.45)
     expected = 8.0 * (1.0 - 2.0 * math.sqrt(0.45 * 0.55))
     assert expected == pytest.approx(0.0401005, abs=5e-7)
-    assert wy_info_qubit_closed(low, 0.3) == pytest.approx(expected, abs=1e-12)
+    assert wy_info_qubit_closed(low.at(0.3)) == pytest.approx(expected, abs=1e-12)
 
 
 def test_wy_tends_to_pure_value_at_weight_boundary():
     # as w -> 1 the mixture reproduces the pure state: I_WY -> I_WY1 = 8
     model = rotation_mixture(1.0 - 1e-6)
-    assert wy_info_qubit_closed(model, 0.3) == pytest.approx(8.0, abs=0.02)
-    assert wy_info_qubit_closed(model, 0.3) < 8.0
+    assert wy_info_qubit_closed(model.at(0.3)) == pytest.approx(8.0, abs=0.02)
+    assert wy_info_qubit_closed(model.at(0.3)) < 8.0
 
 
 def test_wy_spectral_reduces_to_weight_form_in_two_dims():
     mix = rotation_mixture(0.9)
     spec = qubit_mixture_as_spectral(mix)
-    assert wy_info_spectral(spec, 0.3) == pytest.approx(3.2, abs=1e-7)
+    assert wy_info_spectral(spec.at(0.3)) == pytest.approx(3.2, abs=1e-7)
 
 
 def test_wy_spectral_matches_generic_route():
     model = random_spectral_model(55, 4)
-    a = wy_info_spectral(model, 0.3)
-    b = wy_info_generic(model, 0.3)
+    a = wy_info_spectral(model.at(0.3))
+    b = wy_info_generic(model.at(0.3))
     assert abs(a - b) / b <= 1e-6
 
 
 @spectral_cases
 def test_wy_spectral_matches_generic_route_across_dims(make_model):
     model = make_model()
-    a = wy_info_spectral(model, 0.3)
-    b = wy_info_generic(model, 0.3)
+    a = wy_info_spectral(model.at(0.3))
+    b = wy_info_generic(model.at(0.3))
     assert abs(a - b) / b <= 1e-6
 
 
@@ -267,14 +278,14 @@ def test_alpha_beta_ranges_and_symmetry(w, dw):
 
 def test_gamma_two_dim_closed_form():
     model = rotation_mixture(0.9)
-    assert gamma_qubit_closed(model, 0.3) == pytest.approx(0.64, abs=1e-12)
-    gap = wy_info_generic(model, 0.3) - helstrom_info_sld(model, 0.3)
+    assert gamma_qubit_closed(model.at(0.3)) == pytest.approx(0.64, abs=1e-12)
+    gap = wy_info_generic(model.at(0.3)) - helstrom_info_sld(model.at(0.3))
     assert gap == pytest.approx(0.64, abs=1e-9)
 
 
 def test_gamma_vanishes_for_uniform_spectrum():
     model = fixed_spectrum_model([1 / 3, 1 / 3, 1 / 3], seed=9)
-    assert abs(gamma_spectral(model, 0.4)) <= 1e-12
+    assert abs(gamma_spectral(model.at(0.4))) <= 1e-12
 
 
 def test_gamma_constant_model_is_zero():
@@ -285,24 +296,24 @@ def test_gamma_constant_model_is_zero():
         dlambdas=lambda t: np.zeros(2),
         dframe=lambda t: np.zeros((2, 2), dtype=complex),
     )
-    assert gamma_spectral(model, 0.1) == pytest.approx(0.0, abs=1e-15)
+    assert gamma_spectral(model.at(0.1)) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_gamma_closes_the_spectral_identity():
     for seed, n in ((4, 2), (8, 3), (15, 5)):
         model = random_spectral_model(seed, n)
-        i_h = helstrom_info_spectral(model, 0.3)
-        i_wy = wy_info_spectral(model, 0.3)
-        gamma = gamma_spectral(model, 0.3)
+        i_h = helstrom_info_spectral(model.at(0.3))
+        i_wy = wy_info_spectral(model.at(0.3))
+        gamma = gamma_spectral(model.at(0.3))
         assert abs(i_wy - i_h - gamma) <= 1e-7 * max(1.0, i_h)
 
 
 @spectral_cases
 def test_gamma_spectral_matches_generic_gap(make_model):
     model = make_model()
-    i_h = helstrom_info_sld(model, 0.3)
-    gap = wy_info_generic(model, 0.3) - i_h
-    assert abs(gamma_spectral(model, 0.3) - gap) <= 1e-7 * max(1.0, i_h)
+    i_h = helstrom_info_sld(model.at(0.3))
+    gap = wy_info_generic(model.at(0.3)) - i_h
+    assert abs(gamma_spectral(model.at(0.3)) - gap) <= 1e-7 * max(1.0, i_h)
 
 
 def _spectral_sums_by_loops(model, theta):
@@ -341,9 +352,9 @@ def _spectral_sums_by_loops(model, theta):
 def test_spectral_closed_forms_match_projector_loops(model):
     for theta in (-0.7, 0.1, 0.5):
         i_h, i_wy, gamma = _spectral_sums_by_loops(model, theta)
-        assert helstrom_info_spectral(model, theta) == pytest.approx(i_h, rel=1e-12, abs=1e-12)
-        assert wy_info_spectral(model, theta) == pytest.approx(i_wy, rel=1e-12, abs=1e-12)
-        assert gamma_spectral(model, theta) == pytest.approx(gamma, rel=1e-12, abs=1e-12)
+        assert helstrom_info_spectral(model.at(theta)) == pytest.approx(i_h, rel=1e-12, abs=1e-12)
+        assert wy_info_spectral(model.at(theta)) == pytest.approx(i_wy, rel=1e-12, abs=1e-12)
+        assert gamma_spectral(model.at(theta)) == pytest.approx(gamma, rel=1e-12, abs=1e-12)
 
 
 def _frame_basis_dprojectors(model, theta):
@@ -400,7 +411,7 @@ def test_generator_drho_matches_the_difference_without_projector_lists(n, monkey
 
 def test_spectral_report_builds_no_projector_list(monkeypatch):
     calls = _count_projector_lists(monkeypatch)
-    report = relation_report(random_spectral_model(5, 16), 0.3)
+    report = relation_report(random_spectral_model(5, 16).at(0.3))
     assert report.i_h_closed is not None and report.i_wy_closed is not None
     assert report.gamma is not None and not report.route_errors
     assert not calls
@@ -409,7 +420,7 @@ def test_spectral_report_builds_no_projector_list(monkeypatch):
 # --- relation report ---------------------------------------------------------------
 
 def test_report_pure_doubling_residual_is_zero():
-    report = relation_report(PureStateModel(rotation_family()), 0.3)
+    report = relation_report(PureStateModel(rotation_family()).at(0.3))
     assert report.i_h_sld == pytest.approx(4.0, abs=1e-9)
     assert report.i_wy_generic == pytest.approx(8.0, abs=1e-9)
     assert report.residuals["pure_doubling_abs"] <= 1e-8
@@ -418,14 +429,14 @@ def test_report_pure_doubling_residual_is_zero():
 
 
 def test_report_low_weight_gap():
-    report = relation_report(rotation_mixture(0.45), 0.3)
+    report = relation_report(rotation_mixture(0.45).at(0.3))
     assert report.i_h_sld == pytest.approx(0.04, abs=1e-9)
     gap = report.i_wy_generic - report.i_h_sld
     assert gap == pytest.approx(1.00503e-4, abs=1e-8)
 
 
 def test_report_sine_weight_degenerate_point():
-    report = relation_report(rotation_mixture(sine_weight(), domain=(-1.45, 1.45)), 0.0)
+    report = relation_report(rotation_mixture(sine_weight(), domain=(-1.45, 1.45)).at(0.0))
     assert report.i_h_sld == pytest.approx(1.0, abs=1e-10)
     assert report.i_wy_generic == pytest.approx(1.0, abs=1e-9)
     assert report.alpha == pytest.approx(1.0, abs=1e-12)
@@ -441,7 +452,7 @@ def test_report_marks_noncanonical_mixture():
         constant_weight(0.8),
         psi2=lambda t: np.array([-math.sin(t), math.cos(t)]),
     )
-    report = relation_report(model, 0.3)
+    report = relation_report(model.at(0.3))
     assert report.i_h_closed is None
     assert "not applicable" in report.route_errors["i_h_closed"]
     # prop1 residual still recorded (and small: rho is psi2-phase independent)
@@ -452,7 +463,7 @@ def test_report_route_errors_do_not_abort():
     # weight with a kink: slope blows past the closed-form agreement but the
     # report still returns, recording definitional values
     model = rotation_mixture(WeightFunction(w=lambda t: 0.5 + 0.4 * abs(math.sin(t))))
-    report = relation_report(model, 0.0)
+    report = relation_report(model.at(0.0))
     assert report.i_h_sld >= 0.0
 
 
@@ -461,7 +472,7 @@ def test_report_records_a_domain_error_from_a_route(monkeypatch):
         raise DomainError("route outside its domain")
 
     monkeypatch.setattr(quantum, "helstrom_info_spectral", fail)
-    report = relation_report(random_spectral_model(7, 3), 0.3)
+    report = relation_report(random_spectral_model(7, 3).at(0.3))
     assert report.i_h_closed is None
     assert report.route_errors["i_h_closed"] == "DomainError: route outside its domain"
 
@@ -472,7 +483,7 @@ def test_report_propagates_a_programming_error_from_a_route(monkeypatch):
 
     monkeypatch.setattr(quantum, "helstrom_info_spectral", broken)
     with pytest.raises(TypeError):
-        relation_report(random_spectral_model(7, 3), 0.3)
+        relation_report(random_spectral_model(7, 3).at(0.3))
 
 
 class NearlySingularModel(ParametricStateModel):
@@ -490,12 +501,12 @@ class NearlySingularModel(ParametricStateModel):
     def rho_matrix(self, theta):
         return np.diag([1.0 - self.EPS, self.EPS])
 
-    def _drho_analytic(self, theta, h):
+    def _drho_analytic(self, theta):
         return np.diag([-1e-3, 1e-3])
 
 
 def test_report_diagnostics_show_the_fd_fallback():
-    report = relation_report(NearlySingularModel(), 0.2)
+    report = relation_report(NearlySingularModel().at(0.2))
     assert report.diagnostics == {
         "sqrt_route": "fd",
         "fd_fallback": True,
@@ -505,7 +516,7 @@ def test_report_diagnostics_show_the_fd_fallback():
 
 
 def test_report_diagnostics_on_a_rank_deficient_spectrum():
-    report = relation_report(fixed_spectrum_model([0.6, 0.4, 0.0, 0.0], seed=3), 0.3)
+    report = relation_report(fixed_spectrum_model([0.6, 0.4, 0.0, 0.0], seed=3).at(0.3))
     assert report.diagnostics == {
         "sqrt_route": "solve",
         "fd_fallback": False,
@@ -516,22 +527,22 @@ def test_report_diagnostics_on_a_rank_deficient_spectrum():
 
 def test_ratio_bounds_for_constant_weight():
     for w in (0.55, 0.7, 0.85, 0.98):
-        report = relation_report(rotation_mixture(w), 0.3)
+        report = relation_report(rotation_mixture(w).at(0.3))
         assert 1.0 - 1e-9 <= report.ratio <= 2.0 + 1e-6
 
 
 def test_information_loss_under_mixing():
     for w in (0.6, 0.8, 0.95):
         model = rotation_mixture(w)
-        assert helstrom_info_sld(model, 0.3) <= 4.0 + 1e-9
-        assert wy_info_generic(model, 0.3) <= 8.0 + 1e-9
+        assert helstrom_info_sld(model.at(0.3)) <= 4.0 + 1e-9
+        assert wy_info_generic(model.at(0.3)) <= 8.0 + 1e-9
 
 
 def test_monotone_gap_in_weight_distance():
     gaps = []
     for w in np.arange(0.5, 0.99, 0.02):
         model = rotation_mixture(float(w))
-        gaps.append(wy_info_generic(model, 0.3) - helstrom_info_sld(model, 0.3))
+        gaps.append(wy_info_generic(model.at(0.3)) - helstrom_info_sld(model.at(0.3)))
     assert all(b >= a - 1e-9 for a, b in zip(gaps, gaps[1:]))
 
 
@@ -541,6 +552,6 @@ def test_pure_doubling_property(seed):
     dim = 2 + seed % 4
     model = PureStateModel(random_pure_family(seed, dim))
     theta = -0.8 + (seed % 17) * 0.1
-    i_h = helstrom_info_sld(model, theta)
+    i_h = helstrom_info_sld(model.at(theta))
     if i_h > 1e-8:
-        assert abs(wy_info_generic(model, theta) / i_h - 2.0) <= 1e-6
+        assert abs(wy_info_generic(model.at(theta)) / i_h - 2.0) <= 1e-6

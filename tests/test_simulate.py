@@ -22,29 +22,29 @@ ROTATION = PureStateModel(rotation_family())
 # --- sampling ------------------------------------------------------------------
 
 def test_deterministic_distribution_gives_constant_sequence():
-    seq = sample_outcomes(ROTATION, 0.0, basis_povm(2), 500, seed=1)
+    seq = sample_outcomes(ROTATION.at(0.0), basis_povm(2), 500, seed=1)
     assert np.all(seq == 0)
 
 
 def test_empirical_frequencies_converge():
     model = rotation_mixture(0.5)  # uniform (1/2, 1/2) for any theta
-    seq = sample_outcomes(model, 0.4, basis_povm(2), 100_000, seed=7)
+    seq = sample_outcomes(model.at(0.4), basis_povm(2), 100_000, seed=7)
     freq = np.bincount(seq, minlength=2) / seq.size
     assert abs(freq[0] - 0.5) <= 0.01
     assert abs(freq[1] - 0.5) <= 0.01
 
 
 def test_sampling_is_seed_deterministic():
-    a = sample_outcomes(ROTATION, 0.3, basis_povm(2), 2_000, seed=42)
-    b = sample_outcomes(ROTATION, 0.3, basis_povm(2), 2_000, seed=42)
+    a = sample_outcomes(ROTATION.at(0.3), basis_povm(2), 2_000, seed=42)
+    b = sample_outcomes(ROTATION.at(0.3), basis_povm(2), 2_000, seed=42)
     np.testing.assert_array_equal(a, b)
 
 
 def test_chi_square_sanity():
     theta = 0.6
-    dist = outcome_probs(ROTATION, theta, basis_povm(2))
+    dist = outcome_probs(ROTATION.at(theta), basis_povm(2))
     n = 20_000
-    seq = sample_outcomes(ROTATION, theta, basis_povm(2), n, seed=3)
+    seq = sample_outcomes(ROTATION.at(theta), basis_povm(2), n, seed=3)
     observed = np.bincount(seq, minlength=2)
     expected = dist.probs * n
     chi2 = float(np.sum((observed - expected) ** 2 / expected))
@@ -54,22 +54,22 @@ def test_chi_square_sanity():
 # --- one-step estimator ----------------------------------------------------------
 
 def test_estimator_attaining_measurement_variance_quarter():
-    _, var = exact_estimator_moments(ROTATION, 0.3, basis_povm(2))
+    _, var = exact_estimator_moments(ROTATION.at(0.3), basis_povm(2))
     assert var == pytest.approx(0.25, abs=1e-12)
 
 
 def test_estimator_locally_unbiased():
     for model, povm in ((ROTATION, basis_povm(2)), (rotation_mixture(0.8), basis_povm(2))):
-        mean, var = exact_estimator_moments(model, 0.3, povm)
+        mean, var = exact_estimator_moments(model.at(0.3), povm)
         assert mean == pytest.approx(0.3, abs=1e-9)
         from qcrb_kit.classical import classical_fisher
 
-        assert var == pytest.approx(1.0 / classical_fisher(model, 0.3, povm), abs=1e-9)
+        assert var == pytest.approx(1.0 / classical_fisher(model.at(0.3), povm), abs=1e-9)
 
 
 def test_estimator_rejects_zero_information():
     with pytest.raises(ZeroInformationError):
-        one_step_estimator(ROTATION, 0.3, Povm([np.eye(2)]))
+        one_step_estimator(ROTATION.at(0.3), Povm([np.eye(2)]))
 
 
 def test_two_outcome_closed_form():
@@ -77,7 +77,7 @@ def test_two_outcome_closed_form():
     # (s, -s p/(1-p)), the information is i = p s^2/(1-p) and the estimator
     # takes the two values t1 = theta0 + (1-p)/(p s), t2 = theta0 - 1/s
     theta0 = 0.3
-    t = one_step_estimator(ROTATION, theta0, basis_povm(2))
+    t = one_step_estimator(ROTATION.at(theta0), basis_povm(2))
     p = np.cos(theta0) ** 2
     s = -np.sin(2 * theta0) / p
     np.testing.assert_allclose(t, [theta0 + (1 - p) / (p * s), theta0 - 1.0 / s], atol=1e-12)

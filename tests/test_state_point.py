@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qcrb_kit import cli, quantum
-from qcrb_kit.classical import basis_povm, bound_check, classical_fisher
+from qcrb_kit.classical import basis_povm, bound_check
 from qcrb_kit.errors import NotDensityMatrix
 from qcrb_kit.models import (
     ParametricStateModel,
@@ -15,6 +15,7 @@ from qcrb_kit.models import (
     PureStateModel,
     QubitMixtureModel,
     StatePoint,
+    WeightFunction,
     rotation_family,
     sine_weight,
 )
@@ -85,8 +86,8 @@ def test_point_matches_the_model_routes():
     np.testing.assert_array_equal(pt.rho.mat, model.rho(0.4).mat)
     np.testing.assert_array_equal(pt.drho.mat, model.drho(0.4).mat)
     np.testing.assert_array_equal(pt.dsqrt.matrix.mat, model.dsqrt_rho(0.4).matrix.mat)
-    assert helstrom_info_sld(pt) == helstrom_info_sld(model, 0.4)
-    assert wy_info_generic(pt) == wy_info_generic(model, 0.4)
+    assert helstrom_info_sld(pt) == helstrom_info_sld(model.at(0.4))
+    assert wy_info_generic(pt) == wy_info_generic(model.at(0.4))
 
 
 def test_point_is_immutable():
@@ -117,16 +118,6 @@ def test_failed_evaluation_is_not_cached():
         with pytest.raises(NotDensityMatrix):
             pt.rho
     assert model.calls == 2
-
-
-def test_resolver_rejects_mixed_leading_arguments():
-    model = CountingMixture()
-    with pytest.raises(TypeError):
-        sld(model.at(0.4), 0.4)
-    with pytest.raises(TypeError):
-        sld(model)
-    with pytest.raises(TypeError):
-        classical_fisher(model.at(0.4), 0.4, basis_povm(2))
 
 
 # --- evaluation counts --------------------------------------------------------------
@@ -173,6 +164,28 @@ def test_spectral_row_evaluates_the_spectral_ingredients_once(tmp_path, monkeypa
     assert counts["_spectral_ingredients"] == 3
 
 
+def test_qubit_row_evaluates_the_qubit_ingredients_once(tmp_path, monkeypatch, capsys):
+    counts = Counter()
+    counting(monkeypatch, quantum, "_qubit_ingredients", counts)
+    counting(monkeypatch, PureFamily, "projector_derivative", counts)
+    counting(monkeypatch, WeightFunction, "value", counts)
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps({
+        "kind": "qubit_mixture", "psi1": {"name": "rotation"},
+        "weight": {"form": "sine", "params": [0.8]},
+    }))
+    code = cli.main(["compute", "--model", str(cfg), "--theta-grid=-0.5:0.5:3", "--format=json"])
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert code == cli.EXIT_OK
+    for row in rows:  # all three closed forms and alpha/beta ran
+        assert None not in (row["i_h_closed"], row["i_wy_closed"], row["gamma"], row["alpha"])
+    # per row: one ingredient set; psi1 differentiated by drho and the set;
+    # the weight read by rho, drho and the set
+    assert counts["_qubit_ingredients"] == 3
+    assert counts["projector_derivative"] <= 2 * 3
+    assert counts["value"] <= 3 * 3
+
+
 def test_simulation_evaluates_the_state_once():
     model = CountingMixture()
     run_sim(SimConfig(model=model, povm=basis_povm(2), theta0=0.4, n_samples=1_000, seed=2))
@@ -182,4 +195,4 @@ def test_simulation_evaluates_the_state_once():
 def test_estimator_moments_take_a_point():
     model = CountingMixture()
     povm = basis_povm(2)
-    assert exact_estimator_moments(model.at(0.4), povm) == exact_estimator_moments(model, 0.4, povm)
+    assert exact_estimator_moments(model.at(0.4), povm) == exact_estimator_moments(model.at(0.4), povm)

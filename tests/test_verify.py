@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qcrb_kit import verify
+from qcrb_kit import models, verify
 from qcrb_kit.models import ParametricStateModel, builtin_models
 from qcrb_kit.verify import VerifyOptions, all_passed, check_names, run_suite
 
@@ -118,6 +118,22 @@ def test_fd_step_reaches_the_catalog_models(clean_results):
         assert coarse[name].residual >= 1e3 * default[name].residual
         assert not coarse[name].passed
         assert coarse[name].detail.split()[0] in builtin_models()
+
+
+def test_fd_step_reaches_every_difference_in_the_suite(monkeypatch):
+    # verify --fd-step h: every central difference of the run steps by h,
+    # the suite's own family-level differences included
+    steps = set()
+    original = models._central_difference
+
+    def recording(f, theta, h):
+        steps.add(h)
+        return original(f, theta, h)
+
+    monkeypatch.setattr(models, "_central_difference", recording)
+    monkeypatch.setattr(verify, "_central_difference", recording)
+    run_suite(options=VerifyOptions(fd_step=1e-3))
+    assert steps == {1e-3}
 
 
 def test_check_names_are_stable_and_unique():
