@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, InvalidPovm, SupportRegularityError
-from .hermitian import HermitianMatrix, eigh, real_trace_product
+from .hermitian import HermitianMatrix, eigh, min_eigenvalues, real_traces_against
 from .models import StatePoint
 from .quantum import NEAR_ZERO_INFO, helstrom_info_sld, wy_info_generic
 
@@ -28,9 +28,13 @@ NORMALIZER_EIG_FLOOR = 1e-10  # random_povm redraws a normalizer this close to s
 
 
 class Povm:
-    """Finite list of PSD effects summing to the identity."""
+    """Finite list of PSD effects summing to the identity.
 
-    __slots__ = ("effects",)
+    ``effects`` holds them as ``HermitianMatrix`` objects and ``stack`` as
+    one read-only (k, n, n) array, which the trace rule reads in one product.
+    """
+
+    __slots__ = ("effects", "stack")
 
     def __init__(self, effects):
         mats = [e if isinstance(e, HermitianMatrix) else HermitianMatrix(e) for e in effects]
@@ -39,15 +43,18 @@ class Povm:
         dim = mats[0].dim
         if any(m.dim != dim for m in mats):
             raise DimensionError("effects have mixed dimensions")
-        for i, m in enumerate(mats):
-            lam_min = float(eigh(m).eigenvalues[0])
-            if lam_min < EFFECT_EIG_FLOOR:
-                raise InvalidPovm(f"effect {i} has eigenvalue {lam_min:.3e} < {EFFECT_EIG_FLOOR}")
-        total = sum(m.mat for m in mats)
-        dev = float(np.linalg.norm(total - np.eye(dim)))
+        lam_min = min_eigenvalues(mats)
+        bad = np.flatnonzero(lam_min < EFFECT_EIG_FLOOR)
+        if bad.size:
+            i = int(bad[0])
+            raise InvalidPovm(f"effect {i} has eigenvalue {lam_min[i]:.3e} < {EFFECT_EIG_FLOOR}")
+        stack = np.stack([m.mat for m in mats])
+        dev = float(np.linalg.norm(stack.sum(axis=0) - np.eye(dim)))
         if dev > COMPLETENESS_ATOL:
             raise InvalidPovm(f"effects sum deviates from identity by {dev:.3e}")
+        stack.setflags(write=False)
         self.effects = tuple(mats)
+        self.stack = stack
 
     @property
     def dim(self) -> int:
@@ -93,7 +100,7 @@ def outcome_probs(pt: StatePoint, povm: Povm) -> OutcomeDistribution:
     rho = pt.rho
     if rho.dim != povm.dim:
         raise DimensionError(f"state dim {rho.dim} vs measurement dim {povm.dim}")
-    probs = np.array([real_trace_product([rho, m]) for m in povm])
+    probs = real_traces_against(rho, povm.stack)
     if float(np.min(probs)) < -SUPPORT_PROB:
         raise InvalidPovm(f"negative outcome probability {float(np.min(probs)):.3e}")
     probs = np.clip(probs, 0.0, None)
@@ -106,8 +113,7 @@ def outcome_probs(pt: StatePoint, povm: Povm) -> OutcomeDistribution:
 
 def outcome_scores(pt: StatePoint, povm: Povm) -> np.ndarray:
     """Per-outcome derivatives tr{drho m_x}; they sum to 0."""
-    drho = pt.drho
-    return np.array([real_trace_product([drho, m]) for m in povm])
+    return real_traces_against(pt.drho, povm.stack)
 
 
 def classical_fisher(pt: StatePoint, povm: Povm) -> float:

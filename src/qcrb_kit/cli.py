@@ -283,7 +283,7 @@ def cmd_compute(args) -> int:
             f"theta={theta:g}",
         )
         if report.route_errors:
-            logger.info("theta=%g route errors: %s", theta, report.route_errors)
+            logger.warning("theta=%g route errors: %s", theta, report.route_errors)
         row.update({"cfi": None, "cfi_gap": None, "cfi_ok": None, "crb": None})
         if povm is not None:
             check = bound_check(point, povm)

@@ -239,6 +239,8 @@ def povm_from_config(cfg: dict) -> Povm:
             mats.append(np.array(mat, dtype=complex))
         try:
             return Povm(mats)
-        except QcrbError as exc:
+        # a ValueError here is an entry HermitianMatrix refuses: not finite,
+        # or so large that (A + A*)/2 overflows
+        except (QcrbError, ValueError) as exc:
             raise ConfigError(f"povm: {exc}") from exc
     raise ConfigError(f"povm.kind: unknown kind {kind!r}")

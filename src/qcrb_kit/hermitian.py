@@ -5,13 +5,19 @@ reference), PSD matrix square root, eigenbasis solves of the
 symmetrized-product equation, and trace algebra. All operations are pure
 functions of immutable inputs; matrices are small and dense (target scale
 n <= 16, hard ceiling 64).
+
+Invariants are validated once, at construction, and the kernels trust the
+type: a ``HermitianMatrix`` (or ``DensityMatrix``) is square, within the
+dimension ceiling, finite and exactly Hermitian, so ``eigh`` hands it to
+LAPACK as it is. A raw array has none of these guarantees and is
+symmetrized and scanned on every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -31,6 +37,7 @@ SQRT_EIG_FLOOR = -1e-8
 SUPPORT_TOL = 1e-12
 DROPPED_RHS_ATOL = 1e-6
 UNIT_NORM_ATOL = 1e-12
+TRACE_IMAG_ATOL = 1e-10  # largest imaginary residue a trace that must be real may carry
 JACOBI_MAX_SWEEPS = 100
 JACOBI_OFF_FACTOR = 1e-14
 DIM_CEILING = 64
@@ -48,9 +55,10 @@ def as_array(m) -> np.ndarray:
 class HermitianMatrix:
     """Dense complex Hermitian matrix, symmetrized exactly on construction.
 
-    Rejects input whose deviation from its conjugate transpose exceeds
-    ``HERMITICITY_ATOL`` entrywise; the stored matrix is (A + A*)/2 with
-    an exactly real diagonal, and is read-only.
+    Rejects input that is not square, exceeds ``DIM_CEILING``, is not finite
+    (or overflows when symmetrized), or deviates from its conjugate
+    transpose by more than ``HERMITICITY_ATOL`` entrywise; the stored matrix
+    is (A + A*)/2 with an exactly real diagonal, and is read-only.
     """
 
     __slots__ = ("mat",)
@@ -59,18 +67,22 @@ class HermitianMatrix:
         a = np.asarray(entries, dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionError(f"expected a square matrix, got shape {a.shape}")
-        if a.shape[0] > DIM_CEILING:
-            raise DimensionError(f"dimension {a.shape[0]} exceeds ceiling {DIM_CEILING}")
-        if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+        n = a.shape[0]
+        if n > DIM_CEILING:
+            raise DimensionError(f"dimension {n} exceeds ceiling {DIM_CEILING}")
+        a_h = a.conj().T
+        # a non-finite entry of a makes its entry of h non-finite, and so
+        # does a sum that overflows: one scan of h rejects both, quietly
+        with np.errstate(invalid="ignore", over="ignore"):
+            h = (a + a_h) / 2.0
+        if not np.isfinite(h).all():
             raise ValueError("matrix entries must be finite")
-        dev = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
+        dev = np.abs(a - a_h).max() if a.size else 0.0
         if dev > HERMITICITY_ATOL:
             raise NotHermitianError(
                 f"max deviation from conjugate transpose {dev:.3e} > {HERMITICITY_ATOL}"
             )
-        h = (a + a.conj().T) / 2.0
-        idx = np.arange(h.shape[0])
-        h[idx, idx] = h[idx, idx].real
+        h.imag.flat[:: n + 1] = 0.0
         h.setflags(write=False)
         self.mat = h
 
@@ -176,17 +188,20 @@ class DensityMatrix:
 def _fix_phases(vecs: np.ndarray) -> np.ndarray:
     """Rotate each column so its largest-magnitude entry is real positive.
 
-    np.argmax breaks exact-magnitude ties at the lowest index.
+    np.argmax breaks exact-magnitude ties at the lowest index; a zero
+    column is left as it is. Each column's factor is formed on scalars:
+    np.abs of the pivot array can differ from the scalar abs in the last bit.
     """
-    out = vecs.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        k = int(np.argmax(np.abs(col)))
-        pivot = col[k]
+    n = vecs.shape[1]
+    pivots = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(n)]
+    factors = np.ones(n, dtype=complex)
+    live = np.zeros(n, dtype=bool)
+    for j, pivot in enumerate(pivots):
         mag = abs(pivot)
         if mag > 0.0:
-            out[:, j] = col * (pivot.conjugate() / mag)
-    return out
+            factors[j] = pivot.conjugate() / mag
+            live[j] = True
+    return np.multiply(vecs, factors, out=vecs.copy(), where=live)
 
 
 def _off_diag_norm(a: np.ndarray) -> float:
@@ -214,10 +229,17 @@ def eigh(m) -> SpectralDecomposition:
     deterministically (largest-magnitude component real positive). A LAPACK
     convergence failure, or a non-finite entry (on which LAPACK would return
     NaN silently), raises EigenConvergenceError.
+
+    A ``HermitianMatrix`` or ``DensityMatrix`` goes to LAPACK as it is: its
+    (A + A*)/2 is itself, bit for bit, and it was checked finite when built.
+    Any other input is symmetrized and scanned.
     """
-    a = _symmetrized_square(m)
-    if not np.all(np.isfinite(a)):
-        raise EigenConvergenceError(f"matrix of dim {a.shape[0]} has non-finite entries")
+    if isinstance(m, (HermitianMatrix, DensityMatrix)):
+        a = as_array(m)
+    else:
+        a = _symmetrized_square(m)
+        if not np.isfinite(a).all():
+            raise EigenConvergenceError(f"matrix of dim {a.shape[0]} has non-finite entries")
     try:
         vals, vecs = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
@@ -373,9 +395,40 @@ def trace_product(ms: Iterable) -> complex:
     return complex(np.trace(reduce(np.matmul, arrays)))
 
 
-def real_trace_product(ms: Iterable, imag_tol: float = 1e-10) -> float:
+def real_trace_product(ms: Iterable, imag_tol: float = TRACE_IMAG_ATOL) -> float:
     """Trace of a product that must be real; the imaginary residue is checked."""
     value = trace_product(ms)
     if abs(value.imag) > imag_tol:
         raise ValueError(f"trace has imaginary residue {value.imag:.3e} > {imag_tol}")
     return value.real
+
+
+def real_traces_against(a, stack: np.ndarray) -> np.ndarray:
+    """tr(a @ s) for every matrix s of a (k, n, n) stack, by one batched product.
+
+    Each trace must be real: the first whose imaginary residue exceeds
+    ``TRACE_IMAG_ATOL`` raises ValueError, as ``real_trace_product`` does.
+    """
+    a = as_array(a)
+    if a.shape != stack.shape[1:]:
+        raise DimensionError(f"shape mismatch: {a.shape} @ {stack.shape[1:]}")
+    values = np.trace(a @ stack, axis1=1, axis2=2)
+    bad = np.flatnonzero(np.abs(values.imag) > TRACE_IMAG_ATOL)
+    if bad.size:
+        raise ValueError(
+            f"trace has imaginary residue {values.imag[bad[0]]:.3e} > {TRACE_IMAG_ATOL}"
+        )
+    return values.real
+
+
+def min_eigenvalues(mats: Sequence[HermitianMatrix]) -> np.ndarray:
+    """Smallest eigenvalue of each of the given matrices, by one batched LAPACK call.
+
+    The matrices are ``HermitianMatrix`` objects of one dimension, exactly
+    Hermitian and finite by construction, so nothing is checked again here.
+    """
+    stack = np.stack([m.mat for m in mats])
+    try:
+        return np.linalg.eigvalsh(stack)[:, 0]
+    except np.linalg.LinAlgError as exc:
+        raise EigenConvergenceError(f"LAPACK eigvalsh failed: dims={stack.shape}: {exc}") from exc

@@ -512,8 +512,11 @@ class SpectralMixtureModel(ParametricStateModel):
 def canonical_psi2(psi1: PureFamily, theta: float, h: float = DEFAULT_FD_STEP) -> UnitVector:
     """Distinguished unit vector orthogonal to psi1(theta).
 
-    Normalized image of the state under the projector derivative; defined
-    only where the family is not stationary.
+    Normalized image of the state under the projector derivative, with its
+    psi1 component projected out; defined only where the family is not
+    stationary. The image is orthogonal to psi1 exactly only for an exact
+    derivative: a differenced one leaves an O(h^2) overlap wherever the
+    family's phase speed varies.
     """
     dp = psi1.projector_derivative(theta, h)
     info = 2.0 * real_trace_product([dp, dp])
@@ -521,9 +524,11 @@ def canonical_psi2(psi1: PureFamily, theta: float, h: float = DEFAULT_FD_STEP) -
         raise StationaryFamilyError(
             f"family is stationary at theta={theta} (information {info:.3e})"
         )
-    v = dp @ psi1.state(theta)
+    psi = psi1.state(theta)
+    v = dp @ psi
+    v = v - np.vdot(psi, v) * psi
     psi2 = v / np.linalg.norm(v)
-    overlap = abs(np.vdot(psi1.state(theta), psi2))
+    overlap = abs(np.vdot(psi, psi2))
     if overlap > ORTHO_ATOL:
         raise ValueError(f"constructed psi2 overlaps psi1 by {overlap:.3e}")
     return UnitVector(psi2)

@@ -1,10 +1,13 @@
 """Tests for measurement statistics and the information inequality."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcrb_kit import classical, hermitian
 from qcrb_kit.classical import (
     Povm,
     basis_povm,
@@ -21,6 +24,7 @@ from qcrb_kit.models import (
     rotation_family,
     rotation_mixture,
 )
+from qcrb_kit.hermitian import real_trace_product
 from qcrb_kit.quantum import helstrom_info_sld
 
 ROTATION = PureStateModel(rotation_family())
@@ -36,6 +40,44 @@ def test_povm_requires_completeness():
 def test_povm_requires_psd_effects():
     with pytest.raises(InvalidPovm):
         Povm([np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])])
+
+
+def test_povm_names_its_first_non_psd_effect():
+    effects = [np.diag([1.2, 0.5]), np.diag([-0.1, 0.25]), np.diag([-0.1, 0.25])]
+    with pytest.raises(InvalidPovm, match=r"^effect 1 has eigenvalue -1\.000e-01 < -1e-10$"):
+        Povm(effects)
+
+
+def test_povm_holds_its_effects_as_one_read_only_stack():
+    povm = random_povm(3, 4, seed=2)
+    assert povm.stack.shape == (4, 3, 3)
+    assert not povm.stack.flags.writeable
+    for effect, layer in zip(povm, povm.stack):
+        assert effect.mat.tobytes() == layer.tobytes()
+
+
+@pytest.fixture()
+def eigh_calls(monkeypatch):
+    """Counts ``hermitian.eigh`` calls, under every name the library imports it by."""
+    calls = []
+    original = hermitian.eigh
+
+    def counting(m):
+        calls.append(m)
+        return original(m)
+
+    for module in (hermitian, classical):
+        monkeypatch.setattr(module, "eigh", counting)
+    return calls
+
+
+def test_building_a_povm_runs_no_eigendecomposition_per_effect(eigh_calls):
+    effects = [e.mat for e in random_povm(3, 5, seed=9)]
+    eigh_calls.clear()
+    Povm(effects)
+    assert len(eigh_calls) == 0
+    random_povm(3, 5, seed=9)
+    assert len(eigh_calls) == 1  # the normalizer of the draws, not one per effect
 
 
 def test_povm_rejects_mixed_dimensions():
@@ -69,6 +111,26 @@ def test_rotation_basis_probabilities():
         np.testing.assert_allclose(
             dist.probs, [np.cos(theta) ** 2, np.sin(theta) ** 2], atol=1e-12
         )
+
+
+@pytest.mark.parametrize("model, povm", [
+    (rotation_mixture(0.8), random_povm(2, 5, seed=3)),
+    (random_spectral_model(4, 4), random_povm(4, 6, seed=8)),
+    (random_spectral_model(5, 16), basis_povm(16)),
+])
+def test_outcome_rules_match_the_per_effect_traces_bitwise(model, povm):
+    pt = model.at(0.35)
+    probs = np.clip(np.array([real_trace_product([pt.rho, m]) for m in povm]), 0.0, None)
+    scores = np.array([real_trace_product([pt.drho, m]) for m in povm])
+    assert outcome_probs(pt, povm).probs.tobytes() == probs.tobytes()
+    assert outcome_scores(pt, povm).tobytes() == scores.tobytes()
+
+
+def test_outcome_scores_gate_an_imaginary_residue():
+    povm = Povm([[[0.5, -0.5j], [0.5j, 0.5]], [[0.5, 0.5j], [-0.5j, 0.5]]])
+    skewed = SimpleNamespace(drho=np.array([[0.0, 1.0], [0.0, 0.0]]))  # not Hermitian
+    with pytest.raises(ValueError, match=r"^trace has imaginary residue 5\.000e-01 > 1e-10$"):
+        outcome_scores(skewed, povm)
 
 
 def test_trivial_povm_distribution():

@@ -1,12 +1,13 @@
 """End-to-end tests of the command-line interface and its exit-code contract."""
 
 import json
+import logging
 import math
 
 import numpy as np
 import pytest
 
-from qcrb_kit import cli
+from qcrb_kit import cli, quantum
 from qcrb_kit.cli import (
     DEFAULT_TOL_ANALYTIC,
     EXIT_CONFIG,
@@ -20,6 +21,7 @@ from qcrb_kit.cli import (
 )
 from qcrb_kit.errors import (
     BoundaryRegularityError,
+    DomainError,
     EigenConvergenceError,
     NotDensityMatrix,
     RankDeficientInconsistent,
@@ -469,3 +471,37 @@ def test_bad_grid_exits_one(model_paths, capsys):
     )
     assert code == EXIT_CONFIG
     assert "strictly increasing" in err
+
+
+def test_compute_logs_a_route_error_as_a_warning(tmp_path, capsys, caplog, monkeypatch):
+    def fail(pt):
+        raise DomainError("route outside its domain")
+
+    monkeypatch.setattr(quantum, "helstrom_info_spectral", fail)
+    model = tmp_path / "spectral.json"
+    model.write_text(json.dumps({"kind": "spectral", "dim": 3, "seed": 7}))
+    with caplog.at_level(logging.WARNING, logger="qcrb_kit"):
+        code, out, _ = run_cli(["compute", "--model", model, "--theta", "0.3"], capsys)
+    assert code == EXIT_OK
+    (record,) = [r for r in caplog.records if "route errors" in r.getMessage()]
+    assert record.levelno == logging.WARNING
+    assert "theta=0.3" in record.getMessage()
+    assert "i_h_closed': 'DomainError: route outside its domain'" in record.getMessage()
+    (row,) = rows_of(out)
+    assert row["i_h_closed"] is None and row["i_wy_closed"] is not None
+
+
+@pytest.mark.parametrize("command", ["compute", "simulate"])
+@pytest.mark.parametrize("entry", [math.nan, [0.0, math.inf], 1e308])
+def test_a_non_finite_or_overflowing_povm_entry_exits_one(model_paths, tmp_path, capsys, command, entry):
+    # json writes NaN/Infinity, which the reader parses back; 1e308 is finite
+    # but its (A + A*)/2 overflows, so neither is a valid effect entry
+    povm = tmp_path / "odd_povm.json"
+    povm.write_text(json.dumps({
+        "kind": "explicit",
+        "effects": [[[entry, 0.0], [0.0, 0.5]], [[0.0, 0.0], [0.0, 0.5]]],
+    }))
+    argv = [command, "--model", model_paths["pure"], "--povm", povm]
+    code, _, err = run_cli(argv, capsys)
+    assert code == EXIT_CONFIG
+    assert err.strip() == "error: povm: matrix entries must be finite"

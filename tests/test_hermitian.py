@@ -1,10 +1,13 @@
 """Tests for the Hermitian linear algebra kernel."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qcrb_kit import hermitian
 from qcrb_kit.errors import (
     DimensionError,
     EigenConvergenceError,
@@ -17,10 +20,12 @@ from qcrb_kit.hermitian import (
     DensityMatrix,
     HermitianMatrix,
     UnitVector,
+    _fix_phases,
     eigh,
     jacobi_eigh,
     psd_sqrt,
     real_trace_product,
+    real_traces_against,
     solve_symmetric_product,
     trace_product,
 )
@@ -49,6 +54,45 @@ def test_hermitian_matrix_rejects_non_square_and_nan():
         HermitianMatrix(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         HermitianMatrix([[np.nan, 0.0], [0.0, 0.0]])
+
+
+@pytest.mark.parametrize("bad", [
+    complex(np.nan, 0.0), complex(np.inf, 0.0), complex(-np.inf, 0.0),
+    complex(0.0, np.nan), complex(0.0, np.inf), complex(0.0, -np.inf),
+])
+@pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+def test_hermitian_matrix_rejects_non_finite_real_and_imaginary_parts(bad, where):
+    a = np.eye(2, dtype=complex)
+    a[where] = bad  # off the diagonal it is not Hermitian either: finiteness is checked first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # rejected quietly, with no RuntimeWarning
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            HermitianMatrix(a)
+
+
+@pytest.mark.parametrize("entries, error, message", [
+    ([[0.0, 1.0], [0.5, 0.0]], NotHermitianError,
+     "max deviation from conjugate transpose 5.000e-01 > 1e-12"),
+    (np.zeros((2, 3)), DimensionError, "expected a square matrix, got shape (2, 3)"),
+    (np.zeros(3), DimensionError, "expected a square matrix, got shape (3,)"),
+    (np.eye(65), DimensionError, "dimension 65 exceeds ceiling 64"),
+    # finite entries whose (A + A*)/2 overflows: the stored matrix would not be finite
+    ([[1e308, 0.0], [0.0, 1e308]], ValueError, "matrix entries must be finite"),
+])
+def test_hermitian_matrix_rejections(entries, error, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error) as info:
+            HermitianMatrix(entries)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_hermitian_matrix_of_a_fortran_ordered_array_clears_its_diagonal_imag():
+    a = np.asfortranarray([[1.0 + 1e-13j, 2.0 + 1j], [2.0 - 1j, 3.0 - 1e-13j]])
+    m = HermitianMatrix(a)
+    assert np.diag(m.mat).imag.tobytes() == np.zeros(2).tobytes()
+    assert np.array_equal(m.mat, m.mat.conj().T)
 
 
 def test_density_matrix_rejects_bad_trace_and_negative_eigenvalue():
@@ -125,6 +169,60 @@ def test_eigh_phase_fixing_is_deterministic():
         k = int(np.argmax(np.abs(col)))
         assert col[k].real > 0
         assert abs(col[k].imag) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 16, 64])
+def test_eigh_trusts_a_hermitian_matrix_and_matches_the_scanned_path_bitwise(n, monkeypatch):
+    m = HermitianMatrix(random_hermitian(np.random.default_rng(300 + n), n))
+    raw = np.array(m.mat)
+    rho = DensityMatrix(np.eye(n) / n)
+    scanned, scanned_rho = eigh(raw), eigh(np.array(rho.mat))
+
+    def no_scan(_):
+        raise AssertionError("a HermitianMatrix or DensityMatrix is not symmetrized again")
+
+    monkeypatch.setattr(hermitian, "_symmetrized_square", no_scan)
+    for trusted, reference in ((eigh(m), scanned), (eigh(rho), scanned_rho)):
+        assert trusted.eigenvalues.tobytes() == reference.eigenvalues.tobytes()
+        assert trusted.eigenvectors.tobytes() == reference.eigenvectors.tobytes()
+
+
+def fix_phases_by_column(vecs):
+    """The per-column loop that ``_fix_phases`` replaced, kept as its reference."""
+    out = vecs.copy()
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        k = int(np.argmax(np.abs(col)))
+        pivot = col[k]
+        mag = abs(pivot)
+        if mag > 0.0:
+            out[:, j] = col * (pivot.conjugate() / mag)
+    return out
+
+
+def phase_fixing_cases():
+    rng = np.random.default_rng(5)
+    # n = 1 enters as LAPACK's [[1]]. For an arbitrary unit 1x1 input the two
+    # can differ in the last bit: the loop's one contiguous column goes through
+    # numpy's vector multiply kernel, which may fuse the products (FMA).
+    for n in (1, 2, 3, 5, 8, 16, 64):
+        yield np.linalg.eigh(random_hermitian(rng, n))[1]
+    zero = np.linalg.eigh(random_hermitian(rng, 3))[1]
+    zero[:, 1] = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+    yield zero  # a zero column, with signed zeros, is left as it is
+    s = 1.0 / np.sqrt(2.0)
+    yield np.array([[s, -1j * s, 0.6], [-s, s, -0.8j], [0.0, 0.0, 0.0]], dtype=complex)  # ties
+
+
+def test_fix_phases_matches_the_column_loop_bitwise():
+    for vecs in phase_fixing_cases():
+        assert _fix_phases(vecs).tobytes() == fix_phases_by_column(vecs).tobytes()
+
+
+def test_fix_phases_breaks_exact_ties_at_the_lowest_index():
+    s = 1.0 / np.sqrt(2.0)
+    out = _fix_phases(np.array([[-1j * s], [s]]))
+    assert out[0, 0] == complex(s, 0.0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -263,6 +361,24 @@ def test_real_trace_product_rejects_large_imaginary_part():
     m = np.array([[0.0, 1.0], [0.0, 0.0]])  # not Hermitian: trace of product complex
     with pytest.raises(ValueError):
         real_trace_product([m, np.array([[0.0, 0.0], [1j, 0.0]])])
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (2, 3), (4, 6), (16, 2), (64, 3)])
+def test_real_traces_against_a_stack_match_the_per_matrix_traces_bitwise(n, k):
+    rng = np.random.default_rng(40 + n)
+    a = HermitianMatrix(random_hermitian(rng, n))
+    stack = np.stack([HermitianMatrix(random_hermitian(rng, n)).mat for _ in range(k)])
+    reference = np.array([real_trace_product([a, s]) for s in stack])
+    assert real_traces_against(a, stack).tobytes() == reference.tobytes()
+
+
+def test_real_traces_against_a_stack_gate_the_first_imaginary_residue():
+    a = np.array([[0.0, 1.0], [0.0, 0.0]])  # not Hermitian: its traces are complex
+    stack = np.stack([np.eye(2), np.array([[0.0, 0.0], [0.5j, 0.0]]), np.array([[0.0, 0.0], [2j, 0.0]])])
+    with pytest.raises(ValueError, match=r"^trace has imaginary residue 5\.000e-01 > 1e-10$"):
+        real_traces_against(a, stack)
+    with pytest.raises(DimensionError):
+        real_traces_against(np.eye(3), stack)
 
 
 def test_eigenvector_phase_invariance_downstream():

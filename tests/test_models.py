@@ -179,6 +179,20 @@ def test_canonical_psi2_orthogonal_everywhere():
         assert abs(overlap) <= 1e-10
 
 
+@pytest.mark.parametrize("phase, h", [
+    (lambda t: t * t + t, 1e-5),
+    (lambda t: 0.1 * t * t + t, 1e-3),
+], ids=["t2+t-default-step", "0.1t2+t-step-1e-3"])
+def test_canonical_psi2_of_a_differenced_family_with_varying_speed(phase, h):
+    # a central-difference dp leaves an O(h^2) overlap with psi1 where the
+    # phase speed varies; it is projected out before normalizing
+    fam = PureFamily(dim=2, psi=lambda t: np.array([math.cos(phase(t)), math.sin(phase(t))]))
+    psi2 = canonical_psi2(fam, 0.3, h)
+    assert abs(np.vdot(fam.state(0.3), psi2.vec)) <= ORTHO_ATOL
+    angle = phase(0.3)
+    np.testing.assert_allclose(psi2.vec, [-math.sin(angle), math.cos(angle)], atol=1e-9)
+
+
 def test_canonical_psi2_stationary_family_rejected():
     frozen = PureFamily(dim=2, psi=lambda t: np.array([1.0, 0.0]))
     with pytest.raises(StationaryFamilyError):
