@@ -70,7 +70,6 @@ from .quantum import (
     sld,
     sld_spectral_sum,
     wy_info_generic,
-    wy_info_pure,
     wy_info_qubit_closed,
     wy_info_spectral,
 )
@@ -115,7 +114,7 @@ __all__ = [
     "QuantumInfoResult", "SldResult", "alpha_beta", "gamma_qubit_closed",
     "gamma_spectral", "helstrom_info_pure", "helstrom_info_qubit_closed",
     "helstrom_info_sld", "helstrom_info_spectral", "relation_report", "sld",
-    "sld_spectral_sum", "wy_info_generic", "wy_info_pure",
+    "sld_spectral_sum", "wy_info_generic",
     "wy_info_qubit_closed", "wy_info_spectral",
     "BoundCheck", "OutcomeDistribution", "Povm", "basis_povm", "bound_check",
     "classical_fisher", "outcome_probs", "random_povm",

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, InvalidPovm, SupportRegularityError
-from .hermitian import HermitianMatrix, eigh, min_eigenvalues, real_traces_against
+from .hermitian import HermitianMatrix, _min_eigenvalues, eigh, real_traces_against
 from .models import StatePoint
 from .quantum import NEAR_ZERO_INFO, helstrom_info_sld, wy_info_generic
 
@@ -43,7 +43,7 @@ class Povm:
         dim = mats[0].dim
         if any(m.dim != dim for m in mats):
             raise DimensionError("effects have mixed dimensions")
-        lam_min = min_eigenvalues(mats)
+        lam_min = _min_eigenvalues(mats)
         bad = np.flatnonzero(lam_min < EFFECT_EIG_FLOOR)
         if bad.size:
             i = int(bad[0])

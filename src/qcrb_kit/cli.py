@@ -189,8 +189,8 @@ def _write_output(text: str, out: str) -> None:
 def _emit(args, columns, rows, meta, fd_step: float) -> None:
     """Write the rows; ``fd_step`` is the step the run's models used."""
     meta = dict(meta)
-    meta.setdefault("tol_analytic", args.tol_analytic)
-    meta.setdefault("tol_fd", args.tol_fd)
+    meta.setdefault("tol_analytic", args.tol_analytic or DEFAULT_TOL_ANALYTIC)
+    meta.setdefault("tol_fd", args.tol_fd or DEFAULT_TOL_FD)
     meta.setdefault("fd_step", fd_step)
     fn = emit_csv if args.format == "csv" else emit_json
     _write_output(fn(columns, rows, meta), args.out)
@@ -224,14 +224,16 @@ def _thetas(args) -> np.ndarray:
 
 
 def _route_tol(args, model) -> float:
-    return args.tol_analytic if model.has_analytic_derivative else args.tol_fd
+    if model.has_analytic_derivative:
+        return args.tol_analytic or DEFAULT_TOL_ANALYTIC
+    return args.tol_fd or DEFAULT_TOL_FD
 
 
-def _gate_residuals(row, keys, tol, where) -> int:
-    """Count, and log, the residuals of ``row`` above ``tol``; a null residual passes."""
+def _gate_residuals(row, tol, where) -> int:
+    """Count, and log, the ``res_*`` cells of ``row`` above ``tol``; a null residual passes."""
     failures = 0
-    for key in keys:
-        if row[key] is not None and row[key] > tol:
+    for key in row:
+        if key.startswith("res_") and row[key] is not None and row[key] > tol:
             failures += 1
             logger.warning("%s: %s=%.3e exceeds %g", where, key, row[key], tol)
     return failures
@@ -278,10 +280,7 @@ def cmd_compute(args) -> int:
         point = model.at(theta)  # shared by the report and the bound check
         report = relation_report(point)
         row = _report_row(report)
-        failures += _gate_residuals(
-            row, ("res_route_i_h", "res_route_i_wy", "res_relation"), _route_tol(args, model),
-            f"theta={theta:g}",
-        )
+        failures += _gate_residuals(row, _route_tol(args, model), f"theta={theta:g}")
         if report.route_errors:
             logger.warning("theta=%g route errors: %s", theta, report.route_errors)
         row.update({"cfi": None, "cfi_gap": None, "cfi_ok": None, "crb": None})
@@ -295,6 +294,19 @@ def cmd_compute(args) -> int:
     meta = {"model": args.model, "povm": args.povm or None}
     _emit(args, COMPUTE_COLUMNS, rows, meta, model.fd_step)
     return EXIT_OK if failures == 0 else EXIT_NUMERIC
+
+
+def _closed_cells(report, where: str) -> dict:
+    """A sweep's cells from the closed routes: I_H, I_WY, their gap and route residuals."""
+    if report.i_h_closed is None or report.i_wy_closed is None:
+        raise QcrbError(f"closed routes unavailable at {where}: {report.route_errors}")
+    return {
+        "i_h": report.i_h_closed,
+        "i_wy": report.i_wy_closed,
+        "gap": report.i_wy_closed - report.i_h_closed,
+        "res_route_i_h": report.residuals.get("route_i_h"),
+        "res_route_i_wy": report.residuals.get("route_i_wy"),
+    }
 
 
 def _sweep_family(args):
@@ -316,28 +328,16 @@ def cmd_sweep_w(args) -> int:
     for w in grid:
         model = QubitMixtureModel(family, constant_weight(float(w)), fd_step=args.fd_step)
         report = relation_report(model.at(theta))
-        if report.i_h_closed is None or report.i_wy_closed is None:
-            raise QcrbError(f"closed routes unavailable at w={w}: {report.route_errors}")
-        gap = report.i_wy_closed - report.i_h_closed
-        ratio = report.i_wy_closed / report.i_h_closed if report.i_h_closed > NEAR_ZERO_INFO else None
-        rows.append({
-            "w": float(w),
-            "theta": theta,
-            "i_h": report.i_h_closed,
-            "i_wy": report.i_wy_closed,
-            "ratio": ratio,
-            "gap": gap,
+        row = {"w": float(w), "theta": theta, **_closed_cells(report, f"w={w}")}
+        row.update({
+            "ratio": row["i_wy"] / row["i_h"] if row["i_h"] > NEAR_ZERO_INFO else None,
             "alpha": report.alpha,
             "beta": report.beta,
             "gamma": report.gamma,
-            "res_route_i_h": report.residuals.get("route_i_h"),
-            "res_route_i_wy": report.residuals.get("route_i_wy"),
             "res_prop1": report.residuals.get("prop1"),
         })
-        failures += _gate_residuals(
-            rows[-1], ("res_route_i_h", "res_route_i_wy", "res_prop1"), _route_tol(args, model),
-            f"w={w:g}",
-        )
+        rows.append(row)
+        failures += _gate_residuals(row, _route_tol(args, model), f"w={w:g}")
     # the gap must not shrink as the weight moves away from 1/2
     ordered = sorted(rows, key=lambda r: abs(r["w"] - 0.5))
     for prev, cur in zip(ordered, ordered[1:]):
@@ -375,23 +375,10 @@ def cmd_sweep_spectrum(args) -> int:
             spectrum, seed=args.seed, frame=args.frame, fd_step=args.fd_step
         )
         report = relation_report(model.at(theta))
-        if report.i_h_closed is None or report.i_wy_closed is None:
-            raise QcrbError(f"closed routes unavailable at t={t}: {report.route_errors}")
-        rows.append({
-            "t": float(t),
-            "theta": theta,
-            "i_h": report.i_h_closed,
-            "i_wy": report.i_wy_closed,
-            "gap": report.i_wy_closed - report.i_h_closed,
-            "gamma": report.gamma,
-            "res_route_i_h": report.residuals.get("route_i_h"),
-            "res_route_i_wy": report.residuals.get("route_i_wy"),
-            "res_prop2": report.residuals.get("prop2"),
-        })
-        failures += _gate_residuals(
-            rows[-1], ("res_route_i_h", "res_route_i_wy", "res_prop2"), _route_tol(args, model),
-            f"t={t:g}",
-        )
+        row = {"t": float(t), "theta": theta, **_closed_cells(report, f"t={t}")}
+        row.update({"gamma": report.gamma, "res_prop2": report.residuals.get("prop2")})
+        rows.append(row)
+        failures += _gate_residuals(row, _route_tol(args, model), f"t={t:g}")
     gaps = [abs(r["gap"]) for r in rows]
     monotone = all(b <= a + GAP_ORDER_SLACK for a, b in zip(gaps, gaps[1:]))
     if abs(grid[-1] - 1.0) < GRID_POINT_ATOL and gaps[-1] > UNIFORM_GAP_ATOL:
@@ -404,10 +391,7 @@ def cmd_sweep_spectrum(args) -> int:
 
 def cmd_verify(args, catalog=None) -> int:
     options = VerifyOptions(
-        tol_analytic=args.tol_analytic if args.tol_analytic_set else None,
-        tol_fd=args.tol_fd if args.tol_fd_set else None,
-        fd_step=args.fd_step,
-        seed=args.seed,
+        tol_analytic=args.tol_analytic, tol_fd=args.tol_fd, fd_step=args.fd_step, seed=args.seed
     )
     results = run_suite(catalog=catalog, options=options)
     rows = [r.to_row() for r in results]
@@ -495,9 +479,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default="stdout", help="output path or 'stdout'")
         p.add_argument("--fd-step", type=_positive_float, default=fd_step, dest="fd_step")
-        p.add_argument("--tol-analytic", type=_positive_float, default=DEFAULT_TOL_ANALYTIC,
-                       dest="tol_analytic")
-        p.add_argument("--tol-fd", type=_positive_float, default=DEFAULT_TOL_FD, dest="tol_fd")
+        # an unset tolerance is None: compute and the sweeps then gate at the
+        # class default, verify at each check's own; a set one is positive
+        p.add_argument("--tol-analytic", type=_positive_float, default=None, dest="tol_analytic")
+        p.add_argument("--tol-fd", type=_positive_float, default=None, dest="tol_fd")
         p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
 
     # a command that reads a model config defaults to the config's own fd_step
@@ -551,9 +536,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv_list)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_CONFIG
-    # explicit-override detection for verify's tolerance classes
-    args.tol_analytic_set = any(a == "--tol-analytic" or a.startswith("--tol-analytic=") for a in argv_list)
-    args.tol_fd_set = any(a == "--tol-fd" or a.startswith("--tol-fd=") for a in argv_list)
     try:
         return args.fn(args)
     except ConfigError as exc:

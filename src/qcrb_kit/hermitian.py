@@ -343,14 +343,13 @@ def psd_sqrt(d) -> HermitianMatrix:
 def solve_symmetric_product(
     a,
     rhs,
-    tol: float = SUPPORT_TOL,
     *,
     decomposition: SpectralDecomposition | None = None,
 ) -> HermitianMatrix:
     """Solve (1/2)(a X + X a) = rhs for Hermitian X, a PSD.
 
     In a's eigenbasis X_ij = 2 r_ij / (lam_i + lam_j); pairs with
-    lam_i + lam_j <= tol are zeroed (support convention). A zeroed pair
+    lam_i + lam_j <= SUPPORT_TOL are zeroed (support convention). A zeroed pair
     whose transformed right-hand side exceeds DROPPED_RHS_ATOL means rhs
     is not supported on the range of a and raises RankDeficientInconsistent.
 
@@ -365,14 +364,14 @@ def solve_symmetric_product(
     u = dec.eigenvectors
     r_tilde = u.conj().T @ r_mat @ u
     denom = lam[:, None] + lam[None, :]
-    keep = denom > tol
+    keep = denom > SUPPORT_TOL
     dropped = ~keep
     if np.any(dropped):
         worst = float(np.max(np.abs(r_tilde[dropped])))
         if worst > DROPPED_RHS_ATOL:
             raise RankDeficientInconsistent(
                 f"right-hand side has weight {worst:.3e} outside the support "
-                f"(tol={tol})"
+                f"(tol={SUPPORT_TOL})"
             )
     x_tilde = np.zeros_like(r_tilde)
     x_tilde[keep] = 2.0 * r_tilde[keep] / denom[keep]
@@ -395,11 +394,11 @@ def trace_product(ms: Iterable) -> complex:
     return complex(np.trace(reduce(np.matmul, arrays)))
 
 
-def real_trace_product(ms: Iterable, imag_tol: float = TRACE_IMAG_ATOL) -> float:
-    """Trace of a product that must be real; the imaginary residue is checked."""
+def real_trace_product(ms: Iterable) -> float:
+    """Trace of a product that must be real; a residue above ``TRACE_IMAG_ATOL`` raises."""
     value = trace_product(ms)
-    if abs(value.imag) > imag_tol:
-        raise ValueError(f"trace has imaginary residue {value.imag:.3e} > {imag_tol}")
+    if abs(value.imag) > TRACE_IMAG_ATOL:
+        raise ValueError(f"trace has imaginary residue {value.imag:.3e} > {TRACE_IMAG_ATOL}")
     return value.real
 
 
@@ -421,7 +420,7 @@ def real_traces_against(a, stack: np.ndarray) -> np.ndarray:
     return values.real
 
 
-def min_eigenvalues(mats: Sequence[HermitianMatrix]) -> np.ndarray:
+def _min_eigenvalues(mats: Sequence[HermitianMatrix]) -> np.ndarray:
     """Smallest eigenvalue of each of the given matrices, by one batched LAPACK call.
 
     The matrices are ``HermitianMatrix`` objects of one dimension, exactly

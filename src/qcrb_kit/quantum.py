@@ -11,8 +11,10 @@ Wigner-Yanase skew information, each computable along independent routes:
   and projector derivatives, read from the frame generator A = U^dagger dU
   (O(n^2) work after the O(n^3) generator).
 
-Cross-route residuals are the core correctness surface and are collected
-by ``relation_report``. Every route takes a ``StatePoint``
+``closed_routes(kind)`` is the one table of a kind's closed forms and the
+definitional route each must match; ``relation_report`` and the verify
+route checks both read it. Cross-route residuals are the core correctness
+surface. Every route takes a ``StatePoint``
 (``model.at(theta)``); routes that read one point share its evaluated rho,
 drho, square-root derivative, SLD and closed-form ingredients instead of
 evaluating the state again.
@@ -31,14 +33,7 @@ from .hermitian import (
     real_trace_product,
     solve_symmetric_product,
 )
-from .models import (
-    DEFAULT_FD_STEP,
-    PureFamily,
-    PureStateModel,
-    QubitMixtureModel,
-    SpectralMixtureModel,
-    StatePoint,
-)
+from .models import DEFAULT_FD_STEP, PureFamily, StatePoint
 
 INFO_FLOOR = -1e-9
 NEAR_ZERO_INFO = 1e-8
@@ -85,7 +80,7 @@ def sld(pt: StatePoint) -> SldResult:
     )
 
 
-def sld_spectral_sum(eigenvalues, projectors, drho, tol: float = SUPPORT_TOL) -> HermitianMatrix:
+def sld_spectral_sum(eigenvalues, projectors, drho) -> HermitianMatrix:
     """SLD as the double projector sum sum_{l,k} 2/(lam_l+lam_k) P_l drho P_k.
 
     Independent of the eigenbasis solve; pairs below the support tolerance
@@ -97,7 +92,7 @@ def sld_spectral_sum(eigenvalues, projectors, drho, tol: float = SUPPORT_TOL) ->
     for l, p_l in enumerate(projectors):
         for k, p_k in enumerate(projectors):
             denom = lam[l] + lam[k]
-            if denom <= tol:
+            if denom <= SUPPORT_TOL:
                 continue
             total += (2.0 / denom) * (p_l @ d @ p_k)
     return HermitianMatrix(total)
@@ -116,10 +111,10 @@ def helstrom_info_pure(family: PureFamily, theta: float, h: float = DEFAULT_FD_S
     return _check_nonnegative(2.0 * real_trace_product([dp, dp]), "pure Helstrom information")
 
 
-def wy_info_pure(family: PureFamily, theta: float, h: float = DEFAULT_FD_STEP) -> float:
-    """Skew information of a pure state: 4 tr{(drho)^2}, twice the Helstrom value."""
-    dp = family.projector_derivative(theta, h)
-    return _check_nonnegative(4.0 * real_trace_product([dp, dp]), "pure skew information")
+def _pure_helstrom_closed(pt: StatePoint) -> float:
+    """``helstrom_info_pure`` of a pure model's family, at the model's step."""
+    model = pt.model
+    return helstrom_info_pure(model.family, pt.theta, model.fd_step)
 
 
 def _qubit_ingredients(pt: StatePoint) -> tuple[float, float, float]:
@@ -322,21 +317,67 @@ class QuantumInfoResult:
         return self.i_wy_generic - self.i_h_sld
 
 
-def _try_route(result: QuantumInfoResult, name: str, fn):
-    try:
-        return fn()
-    except (QcrbError, ValueError) as exc:  # a failed route must not abort the report
-        result.route_errors[name] = f"{type(exc).__name__}: {exc}"
-        return None
+@dataclass(frozen=True)
+class ClosedRoute:
+    """A closed form and the definitional route it must agree with (None for gamma).
+
+    Both are attribute names in this module, looked up on each access of
+    ``closed_fn`` / ``definitional_fn``, so a patched or traced function is
+    the one that runs. ``canonical_only``: the form needs a canonical psi2.
+    """
+
+    closed: str
+    definitional: str | None = None
+    canonical_only: bool = False
+
+    @property
+    def closed_fn(self):
+        return globals()[self.closed]
+
+    @property
+    def definitional_fn(self):
+        return globals()[self.definitional]
+
+
+_CLOSED_ROUTES = {
+    "pure": {"i_h_closed": ClosedRoute("_pure_helstrom_closed", "helstrom_info_sld")},
+    "qubit_mixture": {
+        "i_h_closed": ClosedRoute("helstrom_info_qubit_closed", "helstrom_info_sld",
+                                  canonical_only=True),
+        "i_wy_closed": ClosedRoute("wy_info_qubit_closed", "wy_info_generic"),
+        "gamma": ClosedRoute("gamma_qubit_closed"),
+    },
+    "spectral": {
+        "i_h_closed": ClosedRoute("helstrom_info_spectral", "helstrom_info_sld"),
+        "i_wy_closed": ClosedRoute("wy_info_spectral", "wy_info_generic"),
+        "gamma": ClosedRoute("gamma_spectral"),
+    },
+}
+
+
+def closed_routes(kind: str) -> dict[str, ClosedRoute]:
+    """The closed forms of a model kind, keyed by their ``QuantumInfoResult`` field.
+
+    The one place that pairs a kind with its closed forms and each closed
+    form with its definitional route; a kind without closed forms has none.
+    A model that declares a kind provides what that kind's forms read.
+    """
+    return dict(_CLOSED_ROUTES.get(kind, {}))
+
+
+def route_gap(closed: float, definitional: float) -> float:
+    """|closed - definitional| / max(1, definitional): a closed form's route residual."""
+    return float(abs(closed - definitional) / max(1.0, definitional))
 
 
 def relation_report(pt: StatePoint) -> QuantumInfoResult:
     """Evaluate every applicable route at theta and record their residuals.
 
     Always computes the definitional routes (SLD-based Helstrom, generic
-    skew); closed forms, alpha/beta/gamma and relation residuals are filled
-    in per model kind. A failing optional route is recorded in
-    ``route_errors`` instead of aborting.
+    skew), then each closed form of ``closed_routes(model.kind)`` and its
+    ``route_*`` residual against its definitional route; alpha/beta and the
+    relation residuals are filled in per model kind. A failing closed route
+    is recorded in ``route_errors`` instead of aborting.
     """
     model, theta = pt.model, pt.theta
     s = pt.cached(sld)
@@ -353,50 +394,40 @@ def relation_report(pt: StatePoint) -> QuantumInfoResult:
             "min_pair_sum": s.min_pair_sum,
         },
     )
+    if model.kind == "qubit_mixture":
+        w, dw, _ = pt.cached(_qubit_ingredients)
+        out.alpha, out.beta = alpha_beta(w, dw)
+    routes = closed_routes(model.kind)
+    for name, route in routes.items():
+        if route.canonical_only and not model.canonical:
+            out.route_errors[name] = "not applicable: non-canonical psi2"
+            continue
+        try:
+            setattr(out, name, float(route.closed_fn(pt)))
+        except (QcrbError, ValueError) as exc:  # a failed route must not abort the report
+            out.route_errors[name] = f"{type(exc).__name__}: {exc}"
     res = out.residuals
-    if isinstance(model, PureStateModel):
-        out.i_h_closed = _try_route(
-            out, "i_h_closed", lambda: helstrom_info_pure(model.family, theta, model.fd_step)
-        )
+    scale = max(1.0, out.i_h_sld)
+    if model.kind == "pure":
         res["pure_doubling_abs"] = abs(out.i_wy_generic - 2.0 * out.i_h_sld)
         if out.i_h_sld > NEAR_ZERO_INFO:
             res["pure_doubling"] = res["pure_doubling_abs"] / out.i_h_sld
-    elif isinstance(model, QubitMixtureModel):
-        w, dw, _ = pt.cached(_qubit_ingredients)
-        out.alpha, out.beta = alpha_beta(w, dw)
-        if model.canonical:
-            out.i_h_closed = _try_route(out, "i_h_closed", lambda: helstrom_info_qubit_closed(pt))
-        else:
-            out.route_errors["i_h_closed"] = "not applicable: non-canonical psi2"
-        out.i_wy_closed = _try_route(out, "i_wy_closed", lambda: wy_info_qubit_closed(pt))
-        out.gamma = _try_route(out, "gamma", lambda: gamma_qubit_closed(pt))
-        scale = max(1.0, out.i_h_sld)
+    if model.kind == "qubit_mixture":
         res["prop1"] = float(abs(out.i_wy_generic - (out.alpha * out.i_h_sld + out.beta)) / scale)
         if out.i_h_closed is not None and out.i_wy_closed is not None:
             res["prop1_closed"] = float(
                 abs(out.i_wy_closed - (out.alpha * out.i_h_closed + out.beta)) / scale
             )
-        if out.gamma is not None:
-            res["prop2"] = float(abs(out.i_wy_generic - out.i_h_sld - out.gamma) / scale)
-    elif isinstance(model, SpectralMixtureModel):
-        out.i_h_closed = _try_route(out, "i_h_closed", lambda: helstrom_info_spectral(pt))
-        out.i_wy_closed = _try_route(out, "i_wy_closed", lambda: wy_info_spectral(pt))
-        out.gamma = _try_route(out, "gamma", lambda: gamma_spectral(pt))
-        scale = max(1.0, out.i_h_sld)
-        if out.gamma is not None:
-            res["prop2"] = float(abs(out.i_wy_generic - out.i_h_sld - out.gamma) / scale)
-            if out.i_h_closed is not None and out.i_wy_closed is not None:
-                res["prop2_closed"] = float(
-                    abs(out.i_wy_closed - out.i_h_closed - out.gamma) / scale
-                )
-    if out.i_h_closed is not None:
-        out.i_h_closed = float(out.i_h_closed)
-        res["route_i_h"] = float(abs(out.i_h_closed - out.i_h_sld) / max(1.0, out.i_h_sld))
-    if out.i_wy_closed is not None:
-        out.i_wy_closed = float(out.i_wy_closed)
-        res["route_i_wy"] = float(
-            abs(out.i_wy_closed - out.i_wy_generic) / max(1.0, out.i_wy_generic)
-        )
+    if out.gamma is not None:
+        res["prop2"] = float(abs(out.i_wy_generic - out.i_h_sld - out.gamma) / scale)
+        if model.kind == "spectral" and out.i_h_closed is not None and out.i_wy_closed is not None:
+            res["prop2_closed"] = float(abs(out.i_wy_closed - out.i_h_closed - out.gamma) / scale)
+    for name, route in routes.items():
+        value = getattr(out, name)
+        if value is not None and route.definitional is not None:
+            res["route_" + name.removesuffix("_closed")] = route_gap(
+                value, pt.cached(route.definitional_fn)
+            )
     if out.i_h_sld > NEAR_ZERO_INFO:
         out.sharp_bound = 1.0 / out.i_h_sld
     if out.i_wy_generic > NEAR_ZERO_INFO:

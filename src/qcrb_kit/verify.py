@@ -13,7 +13,9 @@ check exists to compare (a forced finite difference, the Jacobi solver,
 the projector-sum SLD, the psd_sqrt difference) is computed afresh. A check
 that measures one residual per sampled (model, theta) point is a
 ``_PointCheck`` row: a residual function plus the selection of models and
-thetas it runs over, with the worst-residual loop written once.
+thetas it runs over, with the worst-residual loop written once. The route
+checks pair each entry of ``quantum.closed_routes`` with its definitional
+route, so the table that ``relation_report`` reads is the one checked here.
 """
 
 from __future__ import annotations
@@ -48,15 +50,13 @@ from .models import (
 from .quantum import (
     NEAR_ZERO_INFO,
     _qubit_ingredients,
-    helstrom_info_qubit_closed,
+    closed_routes,
     helstrom_info_sld,
-    helstrom_info_spectral,
     relation_report,
+    route_gap,
     sld,
     sld_spectral_sum,
     wy_info_generic,
-    wy_info_qubit_closed,
-    wy_info_spectral,
 )
 from .simulate import SimConfig, exact_estimator_moments, run_sim
 
@@ -325,28 +325,11 @@ def _sld_vs_spectral_sum(model, theta, pt, opts):
     return float(np.linalg.norm(a - b))
 
 
-def _qubit_route_h(model, theta, pt, opts):
-    a = helstrom_info_qubit_closed(pt)
-    b = helstrom_info_sld(pt)
-    return abs(a - b) / max(1.0, b)
-
-
-def _qubit_route_wy(model, theta, pt, opts):
-    a = wy_info_qubit_closed(pt)
-    b = wy_info_generic(pt)
-    return abs(a - b) / max(1.0, b)
-
-
-def _spectral_route_h(model, theta, pt, opts):
-    a = helstrom_info_spectral(pt)
-    b = helstrom_info_sld(pt)
-    return abs(a - b) / max(1.0, b)
-
-
-def _spectral_route_wy(model, theta, pt, opts):
-    a = wy_info_spectral(pt)
-    b = wy_info_generic(pt)
-    return abs(a - b) / max(1.0, b)
+def _route_agreement(field, model, theta, pt, opts):
+    # the closed form of closed_routes that fills ``field`` against its
+    # definitional route, both computed afresh
+    route = closed_routes(model.kind)[field]
+    return route_gap(route.closed_fn(pt), route.definitional_fn(pt))
 
 
 def _prop1(model, theta, pt, opts):
@@ -485,6 +468,8 @@ def _sim_reproducibility(catalog, opts, points):
 
 _MIXTURES = ("qubit_mixture",)
 _SPECTRAL_FIRST_3 = dict(kinds=("spectral",), first_thetas=3, with_extra_spectral=True)
+_ROUTE_H = partial(_route_agreement, "i_h_closed")
+_ROUTE_WY = partial(_route_agreement, "i_wy_closed")
 
 _CHECKS = [
     ("eigh-reconstruction", "analytic", 1e-10, _check_eigh_reconstruction),
@@ -510,15 +495,15 @@ _CHECKS = [
      _PointCheck(_pure_doubling, kinds=("pure",), analytic=True)),
     ("pure-doubling-fd", "fd", 1e-6, _PointCheck(_pure_doubling, kinds=("pure",), analytic=False)),
     ("qubit-route-h-analytic", "analytic", 1e-8,
-     _PointCheck(_qubit_route_h, kinds=_MIXTURES, analytic=True, canonical_only=True)),
+     _PointCheck(_ROUTE_H, kinds=_MIXTURES, analytic=True, canonical_only=True)),
     ("qubit-route-h-fd", "fd", 1e-7,
-     _PointCheck(_qubit_route_h, kinds=_MIXTURES, analytic=False, canonical_only=True)),
+     _PointCheck(_ROUTE_H, kinds=_MIXTURES, analytic=False, canonical_only=True)),
     ("qubit-route-wy-analytic", "analytic", 1e-8,
-     _PointCheck(_qubit_route_wy, kinds=_MIXTURES, analytic=True)),
+     _PointCheck(_ROUTE_WY, kinds=_MIXTURES, analytic=True)),
     ("qubit-route-wy-fd", "fd", 1e-6,
-     _PointCheck(_qubit_route_wy, kinds=_MIXTURES, analytic=False)),
-    ("spectral-route-h", "analytic", 1e-7, _PointCheck(_spectral_route_h, **_SPECTRAL_FIRST_3)),
-    ("spectral-route-wy", "analytic", 1e-6, _PointCheck(_spectral_route_wy, **_SPECTRAL_FIRST_3)),
+     _PointCheck(_ROUTE_WY, kinds=_MIXTURES, analytic=False)),
+    ("spectral-route-h", "analytic", 1e-7, _PointCheck(_ROUTE_H, **_SPECTRAL_FIRST_3)),
+    ("spectral-route-wy", "analytic", 1e-6, _PointCheck(_ROUTE_WY, **_SPECTRAL_FIRST_3)),
     ("prop1-identity-analytic", "analytic", 1e-7,
      _PointCheck(_prop1, kinds=_MIXTURES, analytic=True, canonical_only=True)),
     ("prop1-identity-fd", "fd", 1e-6,

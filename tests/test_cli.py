@@ -387,6 +387,24 @@ def test_verify_tightened_fd_tolerance_exits_two(capsys):
     assert all(r["kind"] == "fd" for r in rows if r["passed"] is False)
 
 
+@pytest.mark.parametrize(
+    "full, abbreviated", [("--tol-analytic", "--tol-anal"), ("--tol-fd", "--tol-f")]
+)
+def test_verify_gates_at_an_abbreviated_tolerance_flag(capsys, full, abbreviated):
+    # argparse accepts a unique prefix of an option; the rows gate at the
+    # value it parsed, whichever spelling carried it
+    code, out, err = run_cli(["verify", full, "1e-30"], capsys)
+    assert code == EXIT_NUMERIC
+    assert f"#{full[2:].replace('-', '_')} 1e-30\n" in out
+    assert run_cli(["verify", abbreviated, "1e-30"], capsys) == (code, out, err)
+
+
+def test_unset_tolerances_report_the_class_defaults(capsys):
+    code, out, _ = run_cli(["verify"], capsys)
+    assert code == EXIT_OK
+    assert "\n#tol_analytic 1e-08\n#tol_fd 1e-06\n" in out
+
+
 # --- simulate ----------------------------------------------------------------------
 
 def test_simulate_attaining_measurement(model_paths, capsys):

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qcrb_kit import models, verify
+from qcrb_kit import models, quantum, verify
+from qcrb_kit.errors import DomainError
 from qcrb_kit.models import ParametricStateModel, builtin_models
 from qcrb_kit.verify import VerifyOptions, all_passed, check_names, run_suite
 
@@ -141,3 +142,33 @@ def test_check_names_are_stable_and_unique():
     assert len(names) == len(set(names))
     assert "information-inequality" in names
     assert "prop2-identity" in names
+
+
+# one catalog model of each kind, and the checks that compare a closed route
+# of that kind with its definitional route
+ONE_MODEL = {"pure": "qubit-rotation", "qubit_mixture": "mixture-w0.9",
+             "spectral": "spectral-random-7-3"}
+ROUTE_CHECKS = {
+    ("qubit_mixture", "i_h_closed"): {"qubit-route-h-analytic"},
+    ("qubit_mixture", "i_wy_closed"): {"qubit-route-wy-analytic"},
+    ("spectral", "i_h_closed"): {"spectral-route-h"},
+    ("spectral", "i_wy_closed"): {"spectral-route-wy"},
+}
+
+
+@pytest.mark.parametrize(
+    "kind, field", [(kind, field) for kind in ONE_MODEL for field in quantum.closed_routes(kind)]
+)
+def test_one_route_table_feeds_the_report_and_the_route_checks(monkeypatch, kind, field):
+    def patched(pt):
+        raise DomainError("patched")
+
+    monkeypatch.setattr(quantum, quantum.closed_routes(kind)[field].closed, patched)
+    name = ONE_MODEL[kind]
+    model = builtin_models()[name]
+    report = quantum.relation_report(model.at(model.sample_thetas[0]))
+    assert getattr(report, field) is None
+    assert report.route_errors[field] == "DomainError: patched"
+    results = run_suite(catalog={name: model})
+    patched_checks = {r.name for r in results if r.error == "DomainError: patched"}
+    assert patched_checks == ROUTE_CHECKS.get((kind, field), set())
