@@ -24,7 +24,7 @@ class NotDensityMatrix(QcrbError):
 
 
 class EigenConvergenceError(QcrbError):
-    """Eigensolver failed: no LAPACK convergence, non-finite input, or Jacobi sweep cap."""
+    """Eigensolver failed: no LAPACK convergence, or non-finite input."""
 
 
 class RankDeficientInconsistent(QcrbError):

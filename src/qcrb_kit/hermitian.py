@@ -1,8 +1,7 @@
 """Dense complex-Hermitian linear algebra kernel.
 
-LAPACK eigendecomposition (with a cyclic Jacobi solver kept as its
-reference), PSD matrix square root, eigenbasis solves of the
-symmetrized-product equation, and trace algebra. All operations are pure
+LAPACK eigendecomposition, PSD matrix square root, eigenbasis solves of
+the symmetrized-product equation, and trace algebra. All operations are pure
 functions of immutable inputs; matrices are small and dense (target scale
 n <= 16, hard ceiling 64).
 
@@ -38,8 +37,6 @@ SUPPORT_TOL = 1e-12
 DROPPED_RHS_ATOL = 1e-6
 UNIT_NORM_ATOL = 1e-12
 TRACE_IMAG_ATOL = 1e-10  # largest imaginary residue a trace that must be real may carry
-JACOBI_MAX_SWEEPS = 100
-JACOBI_OFF_FACTOR = 1e-14
 DIM_CEILING = 64
 
 
@@ -204,22 +201,11 @@ def _fix_phases(vecs: np.ndarray) -> np.ndarray:
     return np.multiply(vecs, factors, out=vecs.copy(), where=live)
 
 
-def _off_diag_norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a - np.diag(np.diag(a))))
-
-
 def _symmetrized_square(m) -> np.ndarray:
     a = as_array(m)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
     return (a + a.conj().T) / 2.0
-
-
-def _frozen_decomposition(vals: np.ndarray, vecs: np.ndarray) -> SpectralDecomposition:
-    vecs = _fix_phases(vecs)
-    vals.setflags(write=False)
-    vecs.setflags(write=False)
-    return SpectralDecomposition(eigenvalues=vals, eigenvectors=vecs)
 
 
 def eigh(m) -> SpectralDecomposition:
@@ -244,65 +230,10 @@ def eigh(m) -> SpectralDecomposition:
         vals, vecs = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(f"LAPACK eigh failed: dim={a.shape[0]}: {exc}") from exc
-    return _frozen_decomposition(vals, vecs)
-
-
-def jacobi_eigh(m) -> SpectralDecomposition:
-    """Reference eigendecomposition by cyclic Jacobi sweeps.
-
-    An independent cross-check of ``eigh`` for the verify suite and the
-    tests; nothing at run time uses it.
-
-    Each rotation zeroes one off-diagonal pair: the pivot's phase is
-    absorbed first, then a real Jacobi rotation is applied. Stops when the
-    off-diagonal Frobenius norm falls below 1e-14 * ||m||_F, capped at 100
-    sweeps. Eigenvalues come back ascending; eigenvector phases are fixed
-    deterministically (largest-magnitude component real positive).
-    """
-    a = _symmetrized_square(m)
-    n = a.shape[0]
-    u = np.eye(n, dtype=complex)
-    fnorm = float(np.linalg.norm(a))
-    thresh = JACOBI_OFF_FACTOR * fnorm
-    converged = n <= 1 or fnorm == 0.0 or _off_diag_norm(a) <= thresh
-    sweeps = 0
-    while not converged and sweeps < JACOBI_MAX_SWEEPS:
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                absq = abs(apq)
-                if absq == 0.0:
-                    continue
-                phase = apq / absq
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * absq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                jj = np.array(
-                    [[c, s], [-s * phase.conjugate(), c * phase.conjugate()]],
-                    dtype=complex,
-                )
-                a[[p, q], :] = jj.conj().T @ a[[p, q], :]
-                a[:, [p, q]] = a[:, [p, q]] @ jj
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-                u[:, [p, q]] = u[:, [p, q]] @ jj
-        sweeps += 1
-        converged = _off_diag_norm(a) <= thresh
-    if not converged:
-        raise EigenConvergenceError(
-            f"no convergence after {JACOBI_MAX_SWEEPS} sweeps: "
-            f"dim={n}, ||m||_F={fnorm:.3e}, off-diagonal={_off_diag_norm(a):.3e}, "
-            f"threshold={thresh:.3e}"
-        )
-    vals = np.diag(a).real.copy()
-    order = np.argsort(vals, kind="stable")
-    return _frozen_decomposition(vals[order], u[:, order])
+    vecs = _fix_phases(vecs)
+    vals.setflags(write=False)
+    vecs.setflags(write=False)
+    return SpectralDecomposition(eigenvalues=vals, eigenvectors=vecs)
 
 
 def _decomposition_of(a) -> SpectralDecomposition:

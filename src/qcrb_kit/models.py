@@ -696,13 +696,32 @@ def fixed_spectrum_model(
     )
 
 
+class _QubitEmbedding(SpectralMixtureModel):
+    """The spectral model that ``qubit_mixture_as_spectral`` returns.
+
+    Its frame's psi2 differences psi1 with the mixture's step, which a
+    shallow copy would keep; so a new step embeds the mixture at that step.
+    """
+
+    def __init__(self, mixture: QubitMixtureModel, **kwargs):
+        super().__init__(2, **kwargs)
+        self.mixture = mixture
+
+    def with_fd_step(self, fd_step: float) -> SpectralMixtureModel:
+        if _checked_step(fd_step) == self.fd_step:
+            return self
+        return qubit_mixture_as_spectral(self.mixture.with_fd_step(fd_step))
+
+
 def qubit_mixture_as_spectral(model: QubitMixtureModel) -> SpectralMixtureModel:
     """Embed a qubit mixture as a two-eigenvalue spectral mixture.
 
     Frame columns are psi1 and the distinguished orthogonal psi2; the frame
     derivative is left to finite differences. The weight slope is analytic
     when the weight has one; otherwise the spectral model differences its
-    eigenvalue weights with its own ``fd_step``, so ``with_fd_step`` reaches it.
+    eigenvalue weights with its own ``fd_step``. ``with_fd_step`` on the
+    result embeds the mixture at the new step, so it reaches both psi2 and
+    the weight slope.
     """
     weight = model.weight
 
@@ -717,8 +736,8 @@ def qubit_mixture_as_spectral(model: QubitMixtureModel) -> SpectralMixtureModel:
     def frame(t: float) -> np.ndarray:
         return np.column_stack([model.psi1.state(t), model.psi2(t).vec])
 
-    return SpectralMixtureModel(
-        2,
+    return _QubitEmbedding(
+        model,
         lambdas=lambdas,
         frame=frame,
         dlambdas=None if weight.dw is None else dlambdas,

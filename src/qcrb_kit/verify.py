@@ -9,13 +9,15 @@ exercise corrupted models.
 
 One suite run evaluates each (model, theta) state once: the checks read a
 shared ``StatePoint`` from a run-wide table, and only the second route a
-check exists to compare (a forced finite difference, the Jacobi solver,
-the projector-sum SLD, the psd_sqrt difference) is computed afresh. A check
-that measures one residual per sampled (model, theta) point is a
-``_PointCheck`` row: a residual function plus the selection of models and
-thetas it runs over, with the worst-residual loop written once. The route
-checks pair each entry of ``quantum.closed_routes`` with its definitional
-route, so the table that ``relation_report`` reads is the one checked here.
+check exists to compare (a forced finite difference, the projector-sum
+SLD, the psd_sqrt difference) is computed afresh. ``eigh-reconstruction``
+holds LAPACK's eigenvalues against the power sums tr(M^k) of its matrices,
+so no second eigensolver runs. A check that measures one residual per
+sampled (model, theta) point is a ``_PointCheck`` row: a residual function
+plus the selection of models and thetas it runs over, with the
+worst-residual loop written once. The route checks pair each entry of
+``quantum.closed_routes`` with its definitional route, so the table that
+``relation_report`` reads is the one checked here.
 """
 
 from __future__ import annotations
@@ -28,11 +30,11 @@ from typing import Callable
 import numpy as np
 
 from .classical import basis_povm, classical_fisher, outcome_scores, random_povm
+from .errors import QcrbError
 from .hermitian import (
     SUPPORT_TOL,
     HermitianMatrix,
     eigh,
-    jacobi_eigh,
     psd_sqrt,
     real_trace_product,
     trace_product,
@@ -178,9 +180,20 @@ def _constant_weight_at(model, theta, opts) -> bool:
 
 # --- kernel checks ----------------------------------------------------------
 
+def _power_sum_gap(mat, lam, scale):
+    # max over k = 1..n of |tr(M^k) - sum lam^k| / scale^k, from matmuls and
+    # traces alone; for n eigenvalues these n power sums fix the spectrum
+    gap, power = 0.0, np.eye(len(lam))
+    for k in range(1, len(lam) + 1):
+        power = power @ mat
+        gap = max(gap, abs(np.trace(power) - np.sum(lam**k)) / scale**k)
+    return gap
+
+
 def _check_eigh_reconstruction(catalog, opts, points):
     # reconstruction and orthonormality of the LAPACK solver, and its
-    # eigenvalues against the reference Jacobi solver
+    # eigenvalues against the power sums of the matrix; power sums do not
+    # see order, so ascending order is a term of its own
     rng = np.random.default_rng(opts.seed)
     worst, detail = 0.0, ""
     for trial in range(20):
@@ -188,11 +201,13 @@ def _check_eigh_reconstruction(catalog, opts, points):
         g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         m = HermitianMatrix((g + g.conj().T) / 2.0)
         dec = eigh(m)
+        lam = dec.eigenvalues
         scale = max(1.0, np.linalg.norm(m.mat))
         rec = np.linalg.norm(dec.reconstruct() - m.mat) / scale
         orth = np.linalg.norm(dec.eigenvectors.conj().T @ dec.eigenvectors - np.eye(n))
-        ref = np.max(np.abs(dec.eigenvalues - jacobi_eigh(m).eigenvalues)) / scale
-        worst, detail = _worst(worst, detail, max(rec, orth, ref), f"trial {trial} (n={n})")
+        ref = _power_sum_gap(m.mat, lam, scale)
+        order = max(0.0, -float(np.min(np.diff(lam))))
+        worst, detail = _worst(worst, detail, max(rec, orth, ref, order), f"trial {trial} (n={n})")
     return worst, detail
 
 
@@ -337,7 +352,11 @@ def _prop1(model, theta, pt, opts):
 
 
 def _prop2(model, theta, pt, opts):
-    return relation_report(pt).residuals["prop2"]
+    report = relation_report(pt)
+    if "prop2" not in report.residuals:
+        # gamma failed; its recorded error is the reason, not the missing key
+        raise QcrbError(f"gamma route failed: {report.route_errors['gamma']}")
+    return report.residuals["prop2"]
 
 
 def _ratio_ordering(model, theta, pt, opts):

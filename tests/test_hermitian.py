@@ -19,10 +19,10 @@ from qcrb_kit.errors import (
 from qcrb_kit.hermitian import (
     DensityMatrix,
     HermitianMatrix,
+    SpectralDecomposition,
     UnitVector,
     _fix_phases,
     eigh,
-    jacobi_eigh,
     psd_sqrt,
     real_trace_product,
     real_traces_against,
@@ -34,6 +34,69 @@ from qcrb_kit.hermitian import (
 def random_hermitian(rng, n):
     g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return (g + g.conj().T) / 2
+
+
+JACOBI_MAX_SWEEPS = 100
+JACOBI_OFF_FACTOR = 1e-14
+
+
+def _off_diag_norm(a):
+    return float(np.linalg.norm(a - np.diag(np.diag(a))))
+
+
+def jacobi_eigh(m):
+    """Reference eigendecomposition by cyclic Jacobi sweeps, the oracle for ``eigh``.
+
+    Each rotation zeroes one off-diagonal pair: the pivot's phase is
+    absorbed first, then a real Jacobi rotation is applied. Stops when the
+    off-diagonal Frobenius norm falls below 1e-14 * ||m||_F, capped at 100
+    sweeps. Eigenvalues come back ascending; eigenvector phases are fixed
+    deterministically (largest-magnitude component real positive).
+    """
+    a = (m + m.conj().T) / 2.0
+    n = a.shape[0]
+    u = np.eye(n, dtype=complex)
+    fnorm = float(np.linalg.norm(a))
+    thresh = JACOBI_OFF_FACTOR * fnorm
+    converged = n <= 1 or fnorm == 0.0 or _off_diag_norm(a) <= thresh
+    sweeps = 0
+    while not converged and sweeps < JACOBI_MAX_SWEEPS:
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                absq = abs(apq)
+                if absq == 0.0:
+                    continue
+                phase = apq / absq
+                tau = (a[q, q].real - a[p, p].real) / (2.0 * absq)
+                if tau >= 0.0:
+                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
+                else:
+                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                s = t * c
+                jj = np.array(
+                    [[c, s], [-s * phase.conjugate(), c * phase.conjugate()]],
+                    dtype=complex,
+                )
+                a[[p, q], :] = jj.conj().T @ a[[p, q], :]
+                a[:, [p, q]] = a[:, [p, q]] @ jj
+                a[p, q] = 0.0
+                a[q, p] = 0.0
+                a[p, p] = a[p, p].real
+                a[q, q] = a[q, q].real
+                u[:, [p, q]] = u[:, [p, q]] @ jj
+        sweeps += 1
+        converged = _off_diag_norm(a) <= thresh
+    if not converged:
+        raise EigenConvergenceError(
+            f"no convergence after {JACOBI_MAX_SWEEPS} sweeps: "
+            f"dim={n}, ||m||_F={fnorm:.3e}, off-diagonal={_off_diag_norm(a):.3e}, "
+            f"threshold={thresh:.3e}"
+        )
+    vals = np.diag(a).real.copy()
+    order = np.argsort(vals, kind="stable")
+    return SpectralDecomposition(vals[order], _fix_phases(u[:, order]))
 
 
 # --- construction ------------------------------------------------------------

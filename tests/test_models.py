@@ -286,6 +286,18 @@ def test_embedding_differences_a_weight_without_slope_with_its_own_step():
         np.testing.assert_array_equal(copied.drho(theta).mat, rebuilt.drho(theta).mat)
 
 
+def test_embedding_frame_differences_psi2_with_its_own_step():
+    # psi2 differences psi1, so with_fd_step on the embedding must reach it too
+    phase = lambda t: 0.1 * t * t + t
+    family = PureFamily(
+        dim=2, psi=lambda t: np.array([math.cos(phase(t)), math.sin(phase(t))], dtype=complex)
+    )
+    mix = QubitMixtureModel(family, sine_weight(0.7))
+    copied = qubit_mixture_as_spectral(mix).with_fd_step(1e-3)
+    rebuilt = qubit_mixture_as_spectral(mix.with_fd_step(1e-3))
+    assert copied.frame_at(0.3).tobytes() == rebuilt.frame_at(0.3).tobytes()
+
+
 def test_builtin_catalog_satisfies_model_invariants():
     for name, model in builtin_models().items():
         assert isinstance(model, ParametricStateModel)

@@ -7,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qcrb_kit import models, quantum, verify
+from qcrb_kit import hermitian, models, quantum, verify
 from qcrb_kit.errors import DomainError
+from qcrb_kit.hermitian import SpectralDecomposition
 from qcrb_kit.models import ParametricStateModel, builtin_models
 from qcrb_kit.verify import VerifyOptions, all_passed, check_names, run_suite
 
@@ -153,6 +154,7 @@ ROUTE_CHECKS = {
     ("qubit_mixture", "i_wy_closed"): {"qubit-route-wy-analytic"},
     ("spectral", "i_h_closed"): {"spectral-route-h"},
     ("spectral", "i_wy_closed"): {"spectral-route-wy"},
+    ("spectral", "gamma"): {"prop2-identity"},
 }
 
 
@@ -170,5 +172,45 @@ def test_one_route_table_feeds_the_report_and_the_route_checks(monkeypatch, kind
     assert getattr(report, field) is None
     assert report.route_errors[field] == "DomainError: patched"
     results = run_suite(catalog={name: model})
-    patched_checks = {r.name for r in results if r.error == "DomainError: patched"}
+    patched_checks = {r.name for r in results if "DomainError: patched" in (r.error or "")}
     assert patched_checks == ROUTE_CHECKS.get((kind, field), set())
+
+
+def _shift_one(lam, u, size):
+    lam[0] += size
+    return lam, u
+
+
+def _shift_adjacent_pair(lam, u, size):
+    # the closest pair, where the power sums see the shift least
+    j = int(np.argmin(np.diff(lam)))
+    lam[j] += size
+    lam[j + 1] -= size
+    return lam, u
+
+
+def _descending(lam, u, size):
+    # only the order term sees this: power sums and the reconstruction ignore order
+    return lam[::-1], u[:, ::-1]
+
+
+def _mixed_vectors(lam, u, size):
+    # a 1e-9 rotation of the extreme eigenvectors keeps the eigenvalues and
+    # orthonormality, so only the reconstruction term sees it
+    u = u.copy()
+    u[:, [0, -1]] = u[:, [0, -1]] @ np.array([[1.0, -1e-9], [1e-9, 1.0]])
+    return lam, u
+
+
+@pytest.mark.parametrize("corrupt", [_shift_one, _shift_adjacent_pair, _descending, _mixed_vectors])
+def test_eigh_reconstruction_fails_on_a_corrupted_decomposition(monkeypatch, corrupt):
+    def corrupted(m):
+        dec = hermitian.eigh(m)
+        size = 1e-9 * np.linalg.norm(m.mat)
+        lam, u = corrupt(dec.eigenvalues.copy(), dec.eigenvectors, size)
+        return SpectralDecomposition(lam, u)
+
+    monkeypatch.setattr(verify, "eigh", corrupted)
+    tol = next(t for name, _, t, _ in verify._CHECKS if name == "eigh-reconstruction")
+    residual, _ = verify._check_eigh_reconstruction({}, VerifyOptions(), None)
+    assert residual > tol
