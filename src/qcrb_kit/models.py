@@ -286,11 +286,9 @@ class ParametricStateModel:
             drho = self.drho(theta) if drho is None else drho
             dec = rho.decomposition
             doubled_roots = 2.0 * sqrt_eigenvalues(dec.eigenvalues)
-            u = dec.eigenvectors
-            scaled = SpectralDecomposition(eigenvalues=doubled_roots, eigenvectors=u)
-            a = HermitianMatrix((u * doubled_roots) @ u.conj().T)
+            scaled = SpectralDecomposition(eigenvalues=doubled_roots, eigenvectors=dec.eigenvectors)
             try:
-                x = solve_symmetric_product(a, drho, decomposition=scaled)
+                x = solve_symmetric_product(scaled, drho)
                 return SqrtDerivative(matrix=x, route="solve")
             except RankDeficientInconsistent:
                 fell_back = True
@@ -325,30 +323,21 @@ class PureStateModel(ParametricStateModel):
 class QubitMixtureModel(ParametricStateModel):
     """Two-dimensional mixture of orthogonal pure states.
 
-    rho = w |psi1><psi1| + (1-w) |psi2><psi2| with <psi1|psi2> = 0; in two
-    dimensions the second projector is I - |psi1><psi1| regardless of the
-    phase convention for psi2. The distinguished psi2 (image of psi1 under
-    the projector derivative, normalized) is exposed via ``psi2``; passing
-    a custom psi2 callable marks the model non-canonical, which disables
-    the weight-based closed form for the Helstrom information.
+    rho = w |psi1><psi1| + (1-w) |psi2><psi2| with <psi1|psi2> = 0. In two
+    dimensions psi2 is fixed by psi1 up to a phase, so the second projector
+    is I - |psi1><psi1| and nothing the model computes reads psi2's phase.
+    ``psi2`` gives the canonical choice: the image of psi1 under the
+    projector derivative, normalized.
     """
 
     kind = "qubit_mixture"
 
-    def __init__(
-        self,
-        psi1: PureFamily,
-        weight: WeightFunction,
-        psi2: Callable[[float], np.ndarray] | None = None,
-        **kwargs,
-    ):
+    def __init__(self, psi1: PureFamily, weight: WeightFunction, **kwargs):
         if psi1.dim != 2:
             raise DimensionError("orthogonal two-state mixtures require dim 2")
         super().__init__(2, **kwargs)
         self.psi1 = psi1
         self.weight = weight
-        self._psi2_override = psi2
-        self.canonical = psi2 is None
 
     def rho_matrix(self, theta: float) -> np.ndarray:
         w = self.weight.value(theta)
@@ -377,12 +366,6 @@ class QubitMixtureModel(ParametricStateModel):
         return self.psi1.dpsi is not None and self.weight.dw is not None
 
     def psi2(self, theta: float) -> UnitVector:
-        if self._psi2_override is not None:
-            v = UnitVector(self._psi2_override(theta))
-            overlap = abs(np.vdot(self.psi1.state(theta), v.vec))
-            if overlap > ORTHO_ATOL:
-                raise ValueError(f"psi2 overlaps psi1 by {overlap:.3e} at theta={theta}")
-            return v
         return canonical_psi2(self.psi1, theta, self.fd_step)
 
 

@@ -67,7 +67,7 @@ def sld(pt: StatePoint) -> SldResult:
     """
     rho, drho = pt.rho, pt.drho
     dec = rho.decomposition
-    l_mat = solve_symmetric_product(rho, drho, decomposition=dec)
+    l_mat = solve_symmetric_product(dec, drho)
     lam = dec.eigenvalues
     pair = lam[:, None] + lam[None, :]
     dropped = bool(2.0 * lam[0] <= SUPPORT_TOL)
@@ -323,12 +323,12 @@ class ClosedRoute:
 
     Both are attribute names in this module, looked up on each access of
     ``closed_fn`` / ``definitional_fn``, so a patched or traced function is
-    the one that runs. ``canonical_only``: the form needs a canonical psi2.
+    the one that runs. A form that does not apply at a point raises there,
+    and ``relation_report`` records the error.
     """
 
     closed: str
     definitional: str | None = None
-    canonical_only: bool = False
 
     @property
     def closed_fn(self):
@@ -342,8 +342,7 @@ class ClosedRoute:
 _CLOSED_ROUTES = {
     "pure": {"i_h_closed": ClosedRoute("_pure_helstrom_closed", "helstrom_info_sld")},
     "qubit_mixture": {
-        "i_h_closed": ClosedRoute("helstrom_info_qubit_closed", "helstrom_info_sld",
-                                  canonical_only=True),
+        "i_h_closed": ClosedRoute("helstrom_info_qubit_closed", "helstrom_info_sld"),
         "i_wy_closed": ClosedRoute("wy_info_qubit_closed", "wy_info_generic"),
         "gamma": ClosedRoute("gamma_qubit_closed"),
     },
@@ -399,9 +398,6 @@ def relation_report(pt: StatePoint) -> QuantumInfoResult:
         out.alpha, out.beta = alpha_beta(w, dw)
     routes = closed_routes(model.kind)
     for name, route in routes.items():
-        if route.canonical_only and not model.canonical:
-            out.route_errors[name] = "not applicable: non-canonical psi2"
-            continue
         try:
             setattr(out, name, float(route.closed_fn(pt)))
         except (QcrbError, ValueError) as exc:  # a failed route must not abort the report

@@ -31,13 +31,10 @@ class SimConfig:
     theta0: float
     n_samples: int
     seed: int
-    estimator: str = "one-step locally unbiased"
 
     def __post_init__(self):
         if self.n_samples < MIN_SAMPLES:
             raise ValueError(f"n_samples {self.n_samples} < minimum {MIN_SAMPLES}")
-        if self.estimator != "one-step locally unbiased":
-            raise ValueError(f"unknown estimator {self.estimator!r}")
 
 
 @dataclass(frozen=True)

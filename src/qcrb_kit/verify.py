@@ -140,20 +140,18 @@ def _extra_spectral_models(opts):
 
 @dataclass(frozen=True)
 class _PointCheck:
-    """The worst of ``residual(model, theta, point, opts)`` over sampled points.
+    """The worst of ``residual(point)`` over sampled points.
 
     The fields select the points: catalog models of the given ``kinds`` and
-    derivative class (``analytic``), canonical mixtures only, the first
-    ``first_thetas`` sample thetas, and the run's extra spectral models. A
-    residual of None skips its point. The driver hands each residual
-    function its point unread, so an evaluation fault shows only in the
-    checks that read the state.
+    derivative class (``analytic``), the first ``first_thetas`` sample
+    thetas, and the run's extra spectral models. A residual of None skips
+    its point. The driver hands each residual function its point unread, so
+    an evaluation fault shows only in the checks that read the state.
     """
 
-    residual: Callable[..., float | None]
+    residual: Callable[[StatePoint], float | None]
     kinds: tuple[str, ...] | None = None
     analytic: bool | None = None
-    canonical_only: bool = False
     first_thetas: int | None = None
     with_extra_spectral: bool = False
 
@@ -163,19 +161,17 @@ class _PointCheck:
             pairs += points.extra_spectral
         worst, detail = 0.0, ""
         for name, model in pairs:
-            if self.canonical_only and not model.canonical:
-                continue
             for theta in model.sample_thetas[:self.first_thetas]:
-                dev = self.residual(model, theta, points.at(model, theta), opts)
+                dev = self.residual(points.at(model, theta))
                 if dev is not None:
                     worst, detail = _worst(worst, detail, dev, f"{name} theta={theta:g}")
         return worst, detail
 
 
-def _constant_weight_at(model, theta, opts) -> bool:
+def _constant_weight_at(pt) -> bool:
     # the constant-weight facts (alpha in [1,2], beta = 0, mixing loses
     # information) hold only where the weight does not move
-    return abs(model.weight.slope(theta, model.fd_step)) <= 1e-12
+    return abs(pt.model.weight.slope(pt.theta, pt.model.fd_step)) <= 1e-12
 
 
 # --- kernel checks ----------------------------------------------------------
@@ -211,12 +207,12 @@ def _check_eigh_reconstruction(catalog, opts, points):
     return worst, detail
 
 
-def _psd_sqrt_composition(model, theta, pt, opts):
+def _psd_sqrt_composition(pt):
     root = psd_sqrt(pt.rho)
     return float(np.linalg.norm(root.mat @ root.mat - pt.rho.mat))
 
 
-def _solve_involution(model, theta, pt, opts):
+def _solve_involution(pt):
     rho, drho = pt.rho, pt.drho
     l_mat = pt.cached(sld).matrix
     resid = 0.5 * (rho.mat @ l_mat.mat + l_mat.mat @ rho.mat) - drho.mat
@@ -249,22 +245,22 @@ def _check_phase_invariance(catalog, opts, points):
 
 # --- model checks -----------------------------------------------------------
 
-def _trace_one(model, theta, pt, opts):
+def _trace_one(pt):
     return abs(float(np.trace(pt.rho.mat).real) - 1.0)
 
 
-def _drho_traceless(model, theta, pt, opts):
+def _drho_traceless(pt):
     return abs(float(np.trace(pt.drho.mat).real))
 
 
-def _drho_route_agreement(model, theta, pt, opts):
-    b = model.drho(theta, force_fd=True).mat
+def _drho_route_agreement(pt):
+    b = pt.model.drho(pt.theta, force_fd=True).mat
     return float(np.linalg.norm(pt.drho.mat - b))
 
 
-def _dsqrt_route_agreement(model, theta, pt, opts):
+def _dsqrt_route_agreement(pt):
     a = pt.dsqrt.matrix.mat
-    b = model.dsqrt_rho(theta, force_fd=True).matrix.mat
+    b = pt.model.dsqrt_rho(pt.theta, force_fd=True).matrix.mat
     return float(np.linalg.norm(a - b)) / max(1.0, float(np.linalg.norm(a)))
 
 
@@ -281,24 +277,25 @@ def _mixture_components(pt):
     return p1, p2, dp1, dp2
 
 
-def _qubit_complement(model, theta, pt, opts):
-    # projector identity for every canonical mixture; the derivative identity
-    # only where psi1 has an analytic derivative (differencing a psi2 that was
+def _qubit_complement(pt):
+    # projector identity for every mixture; the derivative identity only
+    # where psi1 has an analytic derivative (differencing a psi2 that was
     # itself built by differences measures rounding jitter, not the identity)
     p1, p2, dp1, dp2 = pt.cached(_mixture_components)
     dev = float(np.linalg.norm(p2 - (np.eye(2) - p1)))
-    if model.psi1.dpsi is not None:
+    if pt.model.psi1.dpsi is not None:
         dev = max(dev, float(np.linalg.norm(dp1 + dp2)))
     return dev
 
 
-def _orthogonal_trace_identities(model, theta, pt, opts):
+def _orthogonal_trace_identities(pt):
     # tr{rho_k drho_h} = 0 for pure components of the mixtures
     p1, p2, dp1, dp2 = pt.cached(_mixture_components)
     return max(abs(trace_product([pk, dp])) for pk in (p1, p2) for dp in (dp1, dp2))
 
 
-def _spectral_identities(model, theta, pt, opts):
+def _spectral_identities(pt):
+    model, theta = pt.model, pt.theta
     projs = model.projectors_at(theta)
     dprojs = model.dprojectors_at(theta)
     n = model.dim
@@ -322,36 +319,36 @@ def _check_weight_boundary_regularity(catalog, opts, points):
 
 # --- information checks -----------------------------------------------------
 
-def _score_zero(model, theta, pt, opts):
+def _score_zero(pt):
     return abs(pt.cached(sld).score_mean)
 
 
-def _pure_doubling(model, theta, pt, opts):
+def _pure_doubling(pt):
     i_h = helstrom_info_sld(pt)
     if i_h <= NEAR_ZERO_INFO:
         return None
     return abs(wy_info_generic(pt) / i_h - 2.0)
 
 
-def _sld_vs_spectral_sum(model, theta, pt, opts):
+def _sld_vs_spectral_sum(pt):
     a = pt.cached(sld).matrix.mat
     dec = pt.rho.decomposition
     b = sld_spectral_sum(dec.eigenvalues, dec.projectors(), pt.drho).mat
     return float(np.linalg.norm(a - b))
 
 
-def _route_agreement(field, model, theta, pt, opts):
+def _route_agreement(field, pt):
     # the closed form of closed_routes that fills ``field`` against its
     # definitional route, both computed afresh
-    route = closed_routes(model.kind)[field]
+    route = closed_routes(pt.model.kind)[field]
     return route_gap(route.closed_fn(pt), route.definitional_fn(pt))
 
 
-def _prop1(model, theta, pt, opts):
+def _prop1(pt):
     return relation_report(pt).residuals["prop1"]
 
 
-def _prop2(model, theta, pt, opts):
+def _prop2(pt):
     report = relation_report(pt)
     if "prop2" not in report.residuals:
         # gamma failed; its recorded error is the reason, not the missing key
@@ -359,8 +356,8 @@ def _prop2(model, theta, pt, opts):
     return report.residuals["prop2"]
 
 
-def _ratio_ordering(model, theta, pt, opts):
-    if not _constant_weight_at(model, theta, opts):
+def _ratio_ordering(pt):
+    if not _constant_weight_at(pt):
         return None
     i_h = helstrom_info_sld(pt)
     if i_h <= NEAR_ZERO_INFO:
@@ -381,8 +378,8 @@ def _monotone_gap(catalog, opts, points):
     return worst, detail
 
 
-def _mixing_information_loss(model, theta, pt, opts):
-    if not _constant_weight_at(model, theta, opts):
+def _mixing_information_loss(pt):
+    if not _constant_weight_at(pt):
         return None
     # I_H1 of psi1 at the model's step, as the closed forms read it; I_WY1 = 2 I_H1
     i_h1 = pt.cached(_qubit_ingredients)[2]
@@ -500,10 +497,9 @@ _CHECKS = [
     ("drho-traceless-fd", "fd", 1e-8, _PointCheck(_drho_traceless, analytic=False)),
     ("drho-route-agreement", "fd", 1e-7, _PointCheck(_drho_route_agreement, analytic=True)),
     ("dsqrt-route-agreement", "fd", 1e-6, _PointCheck(_dsqrt_route_agreement)),
-    ("qubit-complement-identities", "fd", 1e-9,
-     _PointCheck(_qubit_complement, kinds=_MIXTURES, canonical_only=True)),
+    ("qubit-complement-identities", "fd", 1e-9, _PointCheck(_qubit_complement, kinds=_MIXTURES)),
     ("orthogonal-component-scores", "fd", 1e-9,
-     _PointCheck(_orthogonal_trace_identities, kinds=_MIXTURES, canonical_only=True)),
+     _PointCheck(_orthogonal_trace_identities, kinds=_MIXTURES)),
     ("spectral-identities", "analytic", 1e-9,
      _PointCheck(_spectral_identities, kinds=("spectral",))),
     ("weight-boundary-regularity", "analytic", BOUNDARY_RATIO_CAP, _check_weight_boundary_regularity),
@@ -514,19 +510,16 @@ _CHECKS = [
      _PointCheck(_pure_doubling, kinds=("pure",), analytic=True)),
     ("pure-doubling-fd", "fd", 1e-6, _PointCheck(_pure_doubling, kinds=("pure",), analytic=False)),
     ("qubit-route-h-analytic", "analytic", 1e-8,
-     _PointCheck(_ROUTE_H, kinds=_MIXTURES, analytic=True, canonical_only=True)),
-    ("qubit-route-h-fd", "fd", 1e-7,
-     _PointCheck(_ROUTE_H, kinds=_MIXTURES, analytic=False, canonical_only=True)),
+     _PointCheck(_ROUTE_H, kinds=_MIXTURES, analytic=True)),
+    ("qubit-route-h-fd", "fd", 1e-7, _PointCheck(_ROUTE_H, kinds=_MIXTURES, analytic=False)),
     ("qubit-route-wy-analytic", "analytic", 1e-8,
      _PointCheck(_ROUTE_WY, kinds=_MIXTURES, analytic=True)),
-    ("qubit-route-wy-fd", "fd", 1e-6,
-     _PointCheck(_ROUTE_WY, kinds=_MIXTURES, analytic=False)),
+    ("qubit-route-wy-fd", "fd", 1e-6, _PointCheck(_ROUTE_WY, kinds=_MIXTURES, analytic=False)),
     ("spectral-route-h", "analytic", 1e-7, _PointCheck(_ROUTE_H, **_SPECTRAL_FIRST_3)),
     ("spectral-route-wy", "analytic", 1e-6, _PointCheck(_ROUTE_WY, **_SPECTRAL_FIRST_3)),
     ("prop1-identity-analytic", "analytic", 1e-7,
-     _PointCheck(_prop1, kinds=_MIXTURES, analytic=True, canonical_only=True)),
-    ("prop1-identity-fd", "fd", 1e-6,
-     _PointCheck(_prop1, kinds=_MIXTURES, analytic=False, canonical_only=True)),
+     _PointCheck(_prop1, kinds=_MIXTURES, analytic=True)),
+    ("prop1-identity-fd", "fd", 1e-6, _PointCheck(_prop1, kinds=_MIXTURES, analytic=False)),
     ("prop2-identity", "analytic", 1e-7, _PointCheck(_prop2, **_SPECTRAL_FIRST_3)),
     ("wy-h-ratio-ordering", "analytic", 1e-6, _PointCheck(_ratio_ordering, kinds=_MIXTURES)),
     ("monotone-gap-in-weight", "analytic", 1e-12, _monotone_gap),

@@ -261,7 +261,7 @@ def test_criterion_11_appendix_identity_suite():
     for name, model in builtin_models().items():
         for theta in model.sample_thetas:
             worst = max(worst, abs(sld(model.at(theta)).score_mean))
-            if model.kind == "qubit_mixture" and model.canonical:
+            if model.kind == "qubit_mixture":
                 p1 = model.psi1.projector(theta)
                 p2 = model.psi2(theta).projector()
                 dp1 = model.psi1.projector_derivative(theta, h)

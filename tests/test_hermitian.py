@@ -343,14 +343,14 @@ def test_psd_sqrt_composition_property(seed, n):
 
 def test_solve_identity_weight():
     rhs = np.array([[1.0, 2.0], [2.0, -1.0]])
-    x = solve_symmetric_product(np.eye(2), rhs)
+    x = solve_symmetric_product(eigh(np.eye(2)), rhs)
     np.testing.assert_allclose(x.mat, rhs, atol=1e-12)
 
 
 def test_solve_rank_one_support():
     # (1/2)(a X + X a) = diag(c, 0) with a = diag(1, 0) forces X = diag(c, 0)
     c = 0.37
-    x = solve_symmetric_product(np.diag([1.0, 0.0]), np.diag([c, 0.0]))
+    x = solve_symmetric_product(eigh(np.diag([1.0, 0.0])), np.diag([c, 0.0]))
     np.testing.assert_allclose(x.mat, np.diag([c, 0.0]), atol=1e-12)
     resid = 0.5 * (np.diag([1.0, 0.0]) @ x.mat + x.mat @ np.diag([1.0, 0.0]))
     np.testing.assert_allclose(resid, np.diag([c, 0.0]), atol=1e-12)
@@ -358,7 +358,7 @@ def test_solve_rank_one_support():
 
 def test_solve_rejects_off_support_rhs():
     with pytest.raises(RankDeficientInconsistent):
-        solve_symmetric_product(np.diag([1.0, 0.0]), np.array([[0.0, 0.0], [0.0, 0.5]]))
+        solve_symmetric_product(eigh(np.diag([1.0, 0.0])), np.array([[0.0, 0.0], [0.0, 0.5]]))
 
 
 def test_solve_matches_projector_sum_oracle():
@@ -369,7 +369,7 @@ def test_solve_matches_projector_sum_oracle():
     rho = rho / np.trace(rho).real
     rhs = random_hermitian(rng, 2)
     rhs = rhs - np.trace(rhs) / 2 * np.eye(2)
-    x = solve_symmetric_product(rho, rhs)
+    x = solve_symmetric_product(eigh(rho), rhs)
     dec = eigh(rho)
     lam, projs = dec.eigenvalues, dec.projectors()
     oracle = sum(
@@ -390,7 +390,7 @@ def test_solve_involution_property(seed, n):
     g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     a = g @ g.conj().T
     rhs = random_hermitian(rng, n)
-    x = solve_symmetric_product(a, rhs)
+    x = solve_symmetric_product(eigh(a), rhs)
     assert np.linalg.norm(0.5 * (a @ x.mat + x.mat @ a) - rhs) <= 1e-9 * max(1.0, np.linalg.norm(rhs))
 
 

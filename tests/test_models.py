@@ -204,16 +204,6 @@ def test_mixture_requires_dim_two():
         QubitMixtureModel(random_pure_family(5, 3), constant_weight(0.7))
 
 
-def test_non_canonical_psi2_flag_and_orthogonality_gate():
-    fam = rotation_family()
-    good = QubitMixtureModel(fam, constant_weight(0.7), psi2=lambda t: np.array([-math.sin(t), math.cos(t)]))
-    assert not good.canonical
-    good.psi2(0.4)  # orthogonal: accepted
-    bad = QubitMixtureModel(fam, constant_weight(0.7), psi2=lambda t: np.array([math.cos(t), math.sin(t)]))
-    with pytest.raises(ValueError):
-        bad.psi2(0.4)
-
-
 # --- qubit mixture structure -------------------------------------------------------
 
 def test_complement_projector_identities():

@@ -26,6 +26,10 @@ def harness(monkeypatch):
     return oracle, tracing, workloads
 
 
+# workloads whose solves all run at one dimension, and that dimension
+SOLVE_DIM = {"spectral-compute": 16, "qubit-measure": 2}
+
+
 @pytest.mark.parametrize("workload", ["verify", "spectral-compute", "qubit-measure"])
 def test_first_op_of_each_workload_runs_traced_and_checks(harness, tmp_path, workload):
     oracle, tracing, workloads = harness
@@ -41,3 +45,9 @@ def test_first_op_of_each_workload_runs_traced_and_checks(harness, tmp_path, wor
     assert quantum.relation_report is original
     assert tracer.stats["cli.emit_csv"]["calls"] + tracer.stats["cli.emit_json"]["calls"] == 1
     oracle.Checker().check(op, Path(op.out).read_text(encoding="utf-8"))
+    if workload in SOLVE_DIM:
+        # the kernel work counter reads the dimension of the solve's first
+        # argument, so it must count n^3 per call whatever that argument is
+        solves = tracer.stats["hermitian.solve_symmetric_product"]
+        assert solves["calls"] > 0
+        assert solves["counted"] == solves["calls"] * SOLVE_DIM[workload] ** 3

@@ -385,6 +385,27 @@ def test_generator_contractions_match_the_projector_tensor(model):
         assert triple_err <= 1e-12 * max(1.0, abs(triple))
 
 
+def test_no_closed_form_reads_the_phase_of_a_frame_column():
+    # in C^2 psi2 is fixed by psi1 up to a phase, so a theta-dependent phase
+    # on the second frame column must leave every spectral closed form as it
+    # is; that is why a qubit mixture takes no psi2 of its own
+    mixture = rotation_mixture(sine_weight(0.8), domain=(-1.4, 1.4))
+    plain = qubit_mixture_as_spectral(mixture)
+    twisted = SpectralMixtureModel(
+        2,
+        lambdas=plain.lambdas_at,
+        dlambdas=plain.dlambdas_at,
+        frame=lambda t: plain.frame_at(t) * np.array([1.0, np.exp(1j * (0.7 * t**2 + 1.3 * t))]),
+        domain=plain.domain,
+    )
+    for theta in (-0.9, 0.0, 0.3, 1.1):
+        pt, ref, qubit = twisted.at(theta), plain.at(theta), mixture.at(theta)
+        for route in (helstrom_info_spectral, wy_info_spectral, gamma_spectral):
+            assert abs(route(pt) - route(ref)) <= 1e-9
+        assert abs(helstrom_info_spectral(pt) - helstrom_info_qubit_closed(qubit)) <= 1e-8
+        assert abs(wy_info_spectral(pt) - wy_info_qubit_closed(qubit)) <= 1e-8
+
+
 def _count_projector_lists(monkeypatch) -> Counter:
     calls = Counter()
     for name in ("projectors_at", "dprojectors_at"):
@@ -442,21 +463,6 @@ def test_report_sine_weight_degenerate_point():
     assert report.alpha == pytest.approx(1.0, abs=1e-12)
     assert report.beta == pytest.approx(0.0, abs=1e-12)
     assert report.residuals["prop1"] <= 1e-9
-
-
-def test_report_marks_noncanonical_mixture():
-    from qcrb_kit.models import QubitMixtureModel, constant_weight
-
-    model = QubitMixtureModel(
-        rotation_family(),
-        constant_weight(0.8),
-        psi2=lambda t: np.array([-math.sin(t), math.cos(t)]),
-    )
-    report = relation_report(model.at(0.3))
-    assert report.i_h_closed is None
-    assert "not applicable" in report.route_errors["i_h_closed"]
-    # prop1 residual still recorded (and small: rho is psi2-phase independent)
-    assert report.residuals["prop1"] <= 1e-7
 
 
 def test_report_route_errors_do_not_abort():

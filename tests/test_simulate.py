@@ -112,8 +112,3 @@ def test_run_sim_seed_determinism():
 def test_sim_config_validation():
     with pytest.raises(ValueError):
         SimConfig(model=ROTATION, povm=basis_povm(2), theta0=0.3, n_samples=10, seed=1)
-    with pytest.raises(ValueError):
-        SimConfig(
-            model=ROTATION, povm=basis_povm(2), theta0=0.3, n_samples=200, seed=1,
-            estimator="maximum likelihood",
-        )
