@@ -73,13 +73,14 @@ NUMERIC_OPTIONS = (
     "--n-samples", "--theta-grid", "--w-grid", "--t-grid", "--start-spectrum",
 )
 
-COMPUTE_COLUMNS = [
+# the compute cells read from the point's relation_report, by column name
+REPORT_COLUMNS = [
     "theta", "kind", "i_h_sld", "i_h_closed", "i_wy_generic", "i_wy_closed",
     "ratio", "gap", "alpha", "beta", "gamma", "score_mean",
     "sharp_bound", "approx_bound",
     "res_route_i_h", "res_route_i_wy", "res_relation",
-    "cfi", "cfi_gap", "cfi_ok", "crb",
 ]
+COMPUTE_COLUMNS = REPORT_COLUMNS + ["cfi", "cfi_gap", "cfi_ok", "crb"]
 SWEEP_W_COLUMNS = [
     "w", "theta", "i_h", "i_wy", "ratio", "gap", "alpha", "beta", "gamma",
     "res_route_i_h", "res_route_i_wy", "res_prop1",
@@ -246,26 +247,18 @@ def _relation_residual(report):
     return None
 
 
-def _report_row(report) -> dict:
-    return {
-        "theta": report.theta,
-        "kind": report.kind,
-        "i_h_sld": report.i_h_sld,
-        "i_h_closed": report.i_h_closed,
-        "i_wy_generic": report.i_wy_generic,
-        "i_wy_closed": report.i_wy_closed,
-        "ratio": report.ratio,
-        "gap": report.gap,
-        "alpha": report.alpha,
-        "beta": report.beta,
-        "gamma": report.gamma,
-        "score_mean": report.score_mean,
-        "sharp_bound": report.sharp_bound,
-        "approx_bound": report.approx_bound,
-        "res_route_i_h": report.residuals.get("route_i_h"),
-        "res_route_i_wy": report.residuals.get("route_i_wy"),
-        "res_relation": _relation_residual(report),
-    }
+def _report_cell(report, column: str):
+    """A cell read from ``report`` by column name.
+
+    ``res_relation`` is the kind's relation residual, any other ``res_*``
+    column the residual named by the rest of the column name (null when the
+    report has none), and every other column the report's attribute.
+    """
+    if column == "res_relation":
+        return _relation_residual(report)
+    if column.startswith("res_"):
+        return report.residuals.get(column[4:])
+    return getattr(report, column)
 
 
 # --- commands ----------------------------------------------------------------
@@ -279,11 +272,10 @@ def cmd_compute(args) -> int:
         theta = float(theta)
         point = model.at(theta)  # shared by the report and the bound check
         report = relation_report(point)
-        row = _report_row(report)
+        row = {column: _report_cell(report, column) for column in REPORT_COLUMNS}
         failures += _gate_residuals(row, _route_tol(args, model), f"theta={theta:g}")
         if report.route_errors:
             logger.warning("theta=%g route errors: %s", theta, report.route_errors)
-        row.update({"cfi": None, "cfi_gap": None, "cfi_ok": None, "crb": None})
         if povm is not None:
             check = bound_check(point, povm)
             row.update({"cfi": check.i, "cfi_gap": check.gap, "cfi_ok": check.ok, "crb": check.crb})
@@ -296,17 +288,34 @@ def cmd_compute(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_NUMERIC
 
 
-def _closed_cells(report, where: str) -> dict:
-    """A sweep's cells from the closed routes: I_H, I_WY, their gap and route residuals."""
-    if report.i_h_closed is None or report.i_wy_closed is None:
-        raise QcrbError(f"closed routes unavailable at {where}: {report.route_errors}")
-    return {
-        "i_h": report.i_h_closed,
-        "i_wy": report.i_wy_closed,
-        "gap": report.i_wy_closed - report.i_h_closed,
-        "res_route_i_h": report.residuals.get("route_i_h"),
-        "res_route_i_wy": report.residuals.get("route_i_wy"),
-    }
+def _sweep_rows(args, axis: str, grid, model_at, columns) -> tuple[list[dict], int]:
+    """One row per grid value x of a sweep at ``--theta``, and the failed gates.
+
+    ``model_at(x)`` builds the model at x. The cells ``i_h``, ``i_wy``, their
+    ``gap`` and ``ratio`` come from the closed routes, the ``axis`` cell is x,
+    and every other column is read from the point's relation_report by name.
+    """
+    theta = float(args.theta)
+    rows = []
+    failures = 0
+    for x in grid:
+        x = float(x)
+        model = model_at(x)
+        report = relation_report(model.at(theta))
+        i_h, i_wy = report.i_h_closed, report.i_wy_closed
+        if i_h is None or i_wy is None:
+            raise QcrbError(f"closed routes unavailable at {axis}={x}: {report.route_errors}")
+        cells = {
+            axis: x,
+            "i_h": i_h,
+            "i_wy": i_wy,
+            "gap": i_wy - i_h,
+            "ratio": i_wy / i_h if i_h > NEAR_ZERO_INFO else None,
+        }
+        row = {c: cells[c] if c in cells else _report_cell(report, c) for c in columns}
+        rows.append(row)
+        failures += _gate_residuals(row, _route_tol(args, model), f"{axis}={x:g}")
+    return rows, failures
 
 
 def _sweep_family(args):
@@ -322,22 +331,11 @@ def cmd_sweep_w(args) -> int:
     if grid[0] <= 0.0 or grid[-1] >= 1.0:
         raise DomainError(f"--w-grid touches the boundary of (0, 1): {args.w_grid}")
     family = _sweep_family(args)
-    theta = float(args.theta)
-    rows = []
-    failures = 0
-    for w in grid:
-        model = QubitMixtureModel(family, constant_weight(float(w)), fd_step=args.fd_step)
-        report = relation_report(model.at(theta))
-        row = {"w": float(w), "theta": theta, **_closed_cells(report, f"w={w}")}
-        row.update({
-            "ratio": row["i_wy"] / row["i_h"] if row["i_h"] > NEAR_ZERO_INFO else None,
-            "alpha": report.alpha,
-            "beta": report.beta,
-            "gamma": report.gamma,
-            "res_prop1": report.residuals.get("prop1"),
-        })
-        rows.append(row)
-        failures += _gate_residuals(row, _route_tol(args, model), f"w={w:g}")
+    rows, failures = _sweep_rows(
+        args, "w", grid,
+        lambda w: QubitMixtureModel(family, constant_weight(w), fd_step=args.fd_step),
+        SWEEP_W_COLUMNS,
+    )
     # the gap must not shrink as the weight moves away from 1/2
     ordered = sorted(rows, key=lambda r: abs(r["w"] - 0.5))
     for prev, cur in zip(ordered, ordered[1:]):
@@ -366,19 +364,13 @@ def cmd_sweep_spectrum(args) -> int:
     grid = parse_grid(args.t_grid, "--t-grid")
     if grid[0] < 0.0 or grid[-1] > 1.0:
         raise DomainError("--t-grid must lie inside [0, 1]")
-    theta = float(args.theta)
-    rows = []
-    failures = 0
-    for t in grid:
-        spectrum = (1.0 - float(t)) * start + float(t) * uniform
-        model = fixed_spectrum_model(
-            spectrum, seed=args.seed, frame=args.frame, fd_step=args.fd_step
-        )
-        report = relation_report(model.at(theta))
-        row = {"t": float(t), "theta": theta, **_closed_cells(report, f"t={t}")}
-        row.update({"gamma": report.gamma, "res_prop2": report.residuals.get("prop2")})
-        rows.append(row)
-        failures += _gate_residuals(row, _route_tol(args, model), f"t={t:g}")
+    rows, failures = _sweep_rows(
+        args, "t", grid,
+        lambda t: fixed_spectrum_model(
+            (1.0 - t) * start + t * uniform, seed=args.seed, frame=args.frame, fd_step=args.fd_step
+        ),
+        SWEEP_SPECTRUM_COLUMNS,
+    )
     gaps = [abs(r["gap"]) for r in rows]
     monotone = all(b <= a + GAP_ORDER_SLACK for a, b in zip(gaps, gaps[1:]))
     if abs(grid[-1] - 1.0) < GRID_POINT_ATOL and gaps[-1] > UNIFORM_GAP_ATOL:

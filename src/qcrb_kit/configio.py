@@ -59,23 +59,35 @@ def load_json(path: str) -> dict:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # not UTF-8, or an integer literal too long to convert
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _field(cfg: dict, key: str, where: str, required: bool = True, default=None):
+def _field(cfg: dict, key: str, where: str):
     if key not in cfg:
-        if required:
-            raise ConfigError(f"{where}: missing field '{key}'")
-        return default
+        raise ConfigError(f"{where}: missing field '{key}'")
     return cfg[key]
 
 
-def _real(value, where: str, finite: bool = True) -> float:
-    """A JSON number as a float; bools, strings and NaN are rejected."""
+def _number(value, where: str) -> float:
+    """A JSON number as a float, NaN and infinities included.
+
+    Bools, strings and integers beyond the float range are rejected.
+    """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}: expected a number, got {value!r}")
-    if math.isnan(value) or (finite and math.isinf(value)):
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{where}: integer beyond the float range") from None
+
+
+def _real(value, where: str, finite: bool = True) -> float:
+    """A JSON number as a float; NaN is rejected too, and so are infinities if ``finite``."""
+    x = _number(value, where)
+    if math.isnan(x) or (finite and math.isinf(x)):
         raise ConfigError(f"{where}: expected a finite number, got {value!r}")
-    return float(value)
+    return x
 
 
 def _integer(value, where: str, lo: int = 0, hi: int | None = None) -> int:
@@ -114,10 +126,7 @@ def _params(spec: dict, where: str) -> list[float]:
     raw = spec.get("params", [])
     if not isinstance(raw, (list, tuple)):
         raise ConfigError(f"{where}.params: expected a list")
-    try:
-        return [float(v) for v in raw]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}.params: non-numeric entry ({exc})") from exc
+    return [_real(v, f"{where}.params[{i}]") for i, v in enumerate(raw)]
 
 
 def _pure_family(spec, seed, dim, where: str):
@@ -137,23 +146,31 @@ def _pure_family(spec, seed, dim, where: str):
     raise ConfigError(f"{where}.name: unknown family {name!r}")
 
 
+# weight form -> its constructor and parameter names; "constant" needs its
+# one parameter, the other forms have defaults for theirs
+_WEIGHT_FORMS = {
+    "constant": (constant_weight, ("w",)),
+    "sine": (sine_weight, ("amplitude",)),
+    "logistic": (logistic_weight, ("rate", "center")),
+}
+
+
 def _weight(spec, where: str) -> WeightFunction:
     if not isinstance(spec, dict):
         raise ConfigError(f"{where}: expected an object with a 'form'")
     form = _field(spec, "form", where)
     params = _params(spec, where)
+    if not isinstance(form, str) or form not in _WEIGHT_FORMS:
+        raise ConfigError(f"{where}.form: unknown form {form!r}")
+    make, names = _WEIGHT_FORMS[form]
+    if len(params) > len(names) or (form == "constant" and not params):
+        raise ConfigError(
+            f"{where}.params: {form!r} takes [{', '.join(names)}], got {len(params)} entries"
+        )
     try:
-        if form == "constant":
-            if len(params) != 1:
-                raise ConfigError(f"{where}.params: 'constant' takes exactly [w]")
-            return constant_weight(params[0])
-        if form == "sine":
-            return sine_weight(*params[:1])
-        if form == "logistic":
-            return logistic_weight(*params[:2])
+        return make(*params)
     except QcrbError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
-    raise ConfigError(f"{where}.form: unknown form {form!r}")
 
 
 def model_from_config(cfg: dict, fd_step: float | None = None) -> ParametricStateModel:
@@ -199,14 +216,12 @@ def model_from_config(cfg: dict, fd_step: float | None = None) -> ParametricStat
 
 
 def _complex_entry(value, where: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        try:
-            return complex(float(value[0]), float(value[1]))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{where}: non-numeric [re, im] pair") from exc
-    raise ConfigError(f"{where}: expected a number or [re, im]")
+    # a non-finite entry passes here; the effect's HermitianMatrix rejects it
+    if isinstance(value, (list, tuple)):
+        if len(value) != 2:
+            raise ConfigError(f"{where}: expected a number or [re, im]")
+        return complex(_number(value[0], f"{where}[0]"), _number(value[1], f"{where}[1]"))
+    return complex(_number(value, where))
 
 
 def povm_from_config(cfg: dict) -> Povm:

@@ -87,10 +87,6 @@ class HermitianMatrix:
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    @classmethod
-    def identity(cls, n: int) -> "HermitianMatrix":
-        return cls(np.eye(n))
-
     def __repr__(self) -> str:
         return f"HermitianMatrix(dim={self.dim})"
 

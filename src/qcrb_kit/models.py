@@ -97,7 +97,7 @@ class WeightFunction:
     def slope(self, theta: float, h: float = DEFAULT_FD_STEP) -> float:
         if self.dw is not None:
             return float(self.dw(theta))
-        return (float(self.w(theta + h)) - float(self.w(theta - h))) / (2.0 * h)
+        return _central_difference(lambda t: float(self.w(t)), theta, h)
 
     def boundary_regularity_ratio(self, thetas, h: float = DEFAULT_FD_STEP) -> float:
         """max |w'| / min(sqrt(w), sqrt(1-w)) over a sampled grid.

@@ -12,9 +12,11 @@ Wigner-Yanase skew information, each computable along independent routes:
   (O(n^2) work after the O(n^3) generator).
 
 ``closed_routes(kind)`` is the one table of a kind's closed forms and the
-definitional route each must match; ``relation_report`` and the verify
-route checks both read it. Cross-route residuals are the core correctness
-surface. Every route takes a ``StatePoint``
+definitional route each must match. ``relation_report`` reads it and is the
+one producer of the cross-route and relation residuals, the core
+correctness surface: the verify route and relation checks and every CLI
+row read the point's report instead of recomputing them. Every route takes
+a ``StatePoint``
 (``model.at(theta)``); routes that read one point share its evaluated rho,
 drho, square-root derivative, SLD and closed-form ingredients instead of
 evaluating the state again.
@@ -364,19 +366,15 @@ def closed_routes(kind: str) -> dict[str, ClosedRoute]:
     return dict(_CLOSED_ROUTES.get(kind, {}))
 
 
-def route_gap(closed: float, definitional: float) -> float:
-    """|closed - definitional| / max(1, definitional): a closed form's route residual."""
-    return float(abs(closed - definitional) / max(1.0, definitional))
-
-
 def relation_report(pt: StatePoint) -> QuantumInfoResult:
     """Evaluate every applicable route at theta and record their residuals.
 
     Always computes the definitional routes (SLD-based Helstrom, generic
     skew), then each closed form of ``closed_routes(model.kind)`` and its
-    ``route_*`` residual against its definitional route; alpha/beta and the
-    relation residuals are filled in per model kind. A failing closed route
-    is recorded in ``route_errors`` instead of aborting.
+    ``route_*`` residual |closed - definitional| / max(1, definitional);
+    alpha/beta and the relation residuals are filled in per model kind. A
+    failing closed route is recorded in ``route_errors`` instead of
+    aborting, and leaves no residual that reads it.
     """
     model, theta = pt.model, pt.theta
     s = pt.cached(sld)
@@ -421,8 +419,9 @@ def relation_report(pt: StatePoint) -> QuantumInfoResult:
     for name, route in routes.items():
         value = getattr(out, name)
         if value is not None and route.definitional is not None:
-            res["route_" + name.removesuffix("_closed")] = route_gap(
-                value, pt.cached(route.definitional_fn)
+            definitional = pt.cached(route.definitional_fn)
+            res["route_" + name.removesuffix("_closed")] = float(
+                abs(value - definitional) / max(1.0, definitional)
             )
     if out.i_h_sld > NEAR_ZERO_INFO:
         out.sharp_bound = 1.0 / out.i_h_sld

@@ -20,6 +20,8 @@ from .models import ParametricStateModel, StatePoint
 from .quantum import NEAR_ZERO_INFO, helstrom_info_sld, wy_info_generic
 
 MIN_SAMPLES = 100
+# slack on qcrb <= crb in the bound chain
+BOUND_ORDER_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -127,6 +129,6 @@ def run_sim(cfg: SimConfig) -> SimResult:
 def bound_chain_ok(result: SimResult) -> bool:
     """qcrb <= crb and empirical variance within 3 standard errors of crb."""
     return (
-        result.crb >= result.qcrb - 1e-12
+        result.crb >= result.qcrb - BOUND_ORDER_SLACK
         and result.empirical_var >= result.crb - 3.0 * result.standard_error_of_var
     )

@@ -15,9 +15,9 @@ holds LAPACK's eigenvalues against the power sums tr(M^k) of its matrices,
 so no second eigensolver runs. A check that measures one residual per
 sampled (model, theta) point is a ``_PointCheck`` row: a residual function
 plus the selection of models and thetas it runs over, with the
-worst-residual loop written once. The route checks pair each entry of
-``quantum.closed_routes`` with its definitional route, so the table that
-``relation_report`` reads is the one checked here.
+worst-residual loop written once. The route and relation checks read the
+residuals of the point's one ``relation_report``, the numbers the CLI
+emits, rather than recomputing them.
 """
 
 from __future__ import annotations
@@ -52,10 +52,8 @@ from .models import (
 from .quantum import (
     NEAR_ZERO_INFO,
     _qubit_ingredients,
-    closed_routes,
     helstrom_info_sld,
     relation_report,
-    route_gap,
     sld,
     sld_spectral_sum,
     wy_info_generic,
@@ -63,6 +61,8 @@ from .quantum import (
 from .simulate import SimConfig, exact_estimator_moments, run_sim
 
 BOUNDARY_RATIO_CAP = 50.0
+# a weight slope at or below this counts as a constant weight
+CONSTANT_WEIGHT_SLOPE_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -171,7 +171,7 @@ class _PointCheck:
 def _constant_weight_at(pt) -> bool:
     # the constant-weight facts (alpha in [1,2], beta = 0, mixing loses
     # information) hold only where the weight does not move
-    return abs(pt.model.weight.slope(pt.theta, pt.model.fd_step)) <= 1e-12
+    return abs(pt.model.weight.slope(pt.theta, pt.model.fd_step)) <= CONSTANT_WEIGHT_SLOPE_ATOL
 
 
 # --- kernel checks ----------------------------------------------------------
@@ -337,32 +337,21 @@ def _sld_vs_spectral_sum(pt):
     return float(np.linalg.norm(a - b))
 
 
-def _route_agreement(field, pt):
-    # the closed form of closed_routes that fills ``field`` against its
-    # definitional route, both computed afresh
-    route = closed_routes(pt.model.kind)[field]
-    return route_gap(route.closed_fn(pt), route.definitional_fn(pt))
-
-
-def _prop1(pt):
-    return relation_report(pt).residuals["prop1"]
-
-
-def _prop2(pt):
-    report = relation_report(pt)
-    if "prop2" not in report.residuals:
-        # gamma failed; its recorded error is the reason, not the missing key
-        raise QcrbError(f"gamma route failed: {report.route_errors['gamma']}")
-    return report.residuals["prop2"]
+def _report_residual(key, pt):
+    # the residual ``key`` of the point's report, as the CLI emits it
+    report = pt.cached(relation_report)
+    if key not in report.residuals:
+        # a failed route left no residual; its recorded error is the reason
+        raise QcrbError(f"no {key} residual, route errors: {report.route_errors}")
+    return report.residuals[key]
 
 
 def _ratio_ordering(pt):
     if not _constant_weight_at(pt):
         return None
-    i_h = helstrom_info_sld(pt)
-    if i_h <= NEAR_ZERO_INFO:
+    ratio = pt.cached(relation_report).ratio
+    if ratio is None:
         return None
-    ratio = wy_info_generic(pt) / i_h
     return max(0.0, 1.0 - ratio, ratio - 2.0)
 
 
@@ -484,8 +473,9 @@ def _sim_reproducibility(catalog, opts, points):
 
 _MIXTURES = ("qubit_mixture",)
 _SPECTRAL_FIRST_3 = dict(kinds=("spectral",), first_thetas=3, with_extra_spectral=True)
-_ROUTE_H = partial(_route_agreement, "i_h_closed")
-_ROUTE_WY = partial(_route_agreement, "i_wy_closed")
+_ROUTE_H = partial(_report_residual, "route_i_h")
+_ROUTE_WY = partial(_report_residual, "route_i_wy")
+_PROP1 = partial(_report_residual, "prop1")
 
 _CHECKS = [
     ("eigh-reconstruction", "analytic", 1e-10, _check_eigh_reconstruction),
@@ -518,9 +508,10 @@ _CHECKS = [
     ("spectral-route-h", "analytic", 1e-7, _PointCheck(_ROUTE_H, **_SPECTRAL_FIRST_3)),
     ("spectral-route-wy", "analytic", 1e-6, _PointCheck(_ROUTE_WY, **_SPECTRAL_FIRST_3)),
     ("prop1-identity-analytic", "analytic", 1e-7,
-     _PointCheck(_prop1, kinds=_MIXTURES, analytic=True)),
-    ("prop1-identity-fd", "fd", 1e-6, _PointCheck(_prop1, kinds=_MIXTURES, analytic=False)),
-    ("prop2-identity", "analytic", 1e-7, _PointCheck(_prop2, **_SPECTRAL_FIRST_3)),
+     _PointCheck(_PROP1, kinds=_MIXTURES, analytic=True)),
+    ("prop1-identity-fd", "fd", 1e-6, _PointCheck(_PROP1, kinds=_MIXTURES, analytic=False)),
+    ("prop2-identity", "analytic", 1e-7,
+     _PointCheck(partial(_report_residual, "prop2"), **_SPECTRAL_FIRST_3)),
     ("wy-h-ratio-ordering", "analytic", 1e-6, _PointCheck(_ratio_ordering, kinds=_MIXTURES)),
     ("monotone-gap-in-weight", "analytic", 1e-12, _monotone_gap),
     ("mixing-information-loss", "analytic", 1e-9,

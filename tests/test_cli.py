@@ -19,6 +19,7 @@ from qcrb_kit.cli import (
     parse_cell,
     parse_csv,
 )
+from qcrb_kit.configio import model_from_config
 from qcrb_kit.errors import (
     BoundaryRegularityError,
     DomainError,
@@ -27,6 +28,16 @@ from qcrb_kit.errors import (
     RankDeficientInconsistent,
     ZeroInformationError,
 )
+from qcrb_kit.models import (
+    DEFAULT_SEED,
+    QubitMixtureModel,
+    constant_weight,
+    fixed_spectrum_model,
+    rotation_family,
+)
+
+
+ROTATION_MIXTURE = {"kind": "qubit_mixture", "psi1": {"name": "rotation"}}
 
 
 @pytest.fixture()
@@ -174,6 +185,23 @@ def test_compute_malformed_json_exits_one(tmp_path, capsys):
     assert "line" in err
 
 
+@pytest.mark.parametrize("content, message", [
+    pytest.param(b'{"kind": "pure", "psi1": {"name": "rot\xe9"}}', "can't decode byte 0xe9",
+                 id="not-utf8"),
+    pytest.param(b'{"kind": "spectral", "dim": 4, "seed": 1' + b"0" * 5000 + b"}",
+                 "Exceeds the limit", id="long-integer"),
+])
+def test_an_unreadable_config_file_exits_one(tmp_path, capsys, content, message):
+    # a file that is not UTF-8, or whose integer is too long to convert, is
+    # a configuration error, not a numerical one
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    code, out, err = run_cli(["compute", "--model", bad], capsys)
+    assert code == EXIT_CONFIG
+    assert err.startswith(f"error: {bad}: ") and message in err
+    assert out == ""
+
+
 def test_compute_unknown_field_exits_one(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"kind": "nonsense"}))
@@ -189,6 +217,16 @@ def test_compute_unknown_field_exits_one(tmp_path, capsys):
         ({"kind": "spectral", "dim": "abc", "seed": 3}, "model.dim"),
         ({"kind": "pure", "psi1": {"name": "rotation"}, "theta_domain": [0.3, 0.3]},
          "empty domain"),
+        # a weight parameter is a JSON number, and a form takes no surplus ones
+        (ROTATION_MIXTURE | {"weight": {"form": "sine", "params": ["0.8"]}},
+         "model.weight.params[0]"),
+        (ROTATION_MIXTURE | {"weight": {"form": "sine", "params": [True]}},
+         "model.weight.params[0]"),
+        (ROTATION_MIXTURE | {"weight": {"form": "sine", "params": [0.8, 0.1]}},
+         "model.weight.params: 'sine' takes [amplitude]"),
+        (ROTATION_MIXTURE | {"weight": {"form": "logistic", "params": [1.5, 0, 7, 9]}},
+         "model.weight.params: 'logistic' takes [rate, center]"),
+        ({"kind": "spectral", "dim": 4, "seed": 10**400}, "model.seed: integer beyond"),
     ],
 )
 def test_malformed_model_fields_exit_one_without_traceback(tmp_path, capsys, cfg, field):
@@ -198,6 +236,27 @@ def test_malformed_model_fields_exit_one_without_traceback(tmp_path, capsys, cfg
     assert code == EXIT_CONFIG
     assert err.startswith("error:") and field in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("entry, where", [
+    (True, "povm.effects[0][0][0]: expected a number, got True"),
+    (False, "povm.effects[0][0][0]: expected a number, got False"),
+    ([0.5, True], "povm.effects[0][0][0][1]: expected a number, got True"),
+    (["0.5", 0.0], "povm.effects[0][0][0][0]: expected a number, got '0.5'"),
+    pytest.param(10**400, "povm.effects[0][0][0]: integer beyond the float range", id="huge"),
+])
+def test_a_non_numeric_povm_entry_exits_one_without_traceback(
+    model_paths, tmp_path, capsys, entry, where
+):
+    povm = tmp_path / "odd_povm.json"
+    povm.write_text(json.dumps({
+        "kind": "explicit",
+        "effects": [[[entry, 0.0], [0.0, 0.5]], [[0.0, 0.0], [0.0, 0.5]]],
+    }))
+    code, out, err = run_cli(["compute", "--model", model_paths["pure"], "--povm", povm], capsys)
+    assert code == EXIT_CONFIG
+    assert err.strip() == f"error: {where}"
+    assert out == ""
 
 
 @pytest.mark.parametrize("command", ["compute", "simulate"])
@@ -284,6 +343,75 @@ def test_huge_theta_on_a_seeded_spectral_frame_exits_zero(tmp_path, capsys, thet
     assert err == ""
     (row,) = rows_of(out)
     assert row["i_h_sld"] == pytest.approx(row["i_h_closed"], rel=DEFAULT_TOL_ANALYTIC)
+
+
+# --- the cells of a row --------------------------------------------------------
+
+RELATION_KEY = {"pure": "pure_doubling", "qubit_mixture": "prop1", "spectral": "prop2"}
+
+
+def _expected_cells(report) -> dict:
+    """Every report-backed cell of compute and the sweeps, written out by hand."""
+    return {
+        "theta": report.theta, "kind": report.kind,
+        "i_h_sld": report.i_h_sld, "i_h_closed": report.i_h_closed,
+        "i_wy_generic": report.i_wy_generic, "i_wy_closed": report.i_wy_closed,
+        "ratio": report.ratio, "gap": report.gap,
+        "alpha": report.alpha, "beta": report.beta, "gamma": report.gamma,
+        "score_mean": report.score_mean,
+        "sharp_bound": report.sharp_bound, "approx_bound": report.approx_bound,
+        "res_route_i_h": report.residuals["route_i_h"],
+        "res_route_i_wy": report.residuals.get("route_i_wy"),
+        "res_relation": report.residuals[RELATION_KEY[report.kind]],
+        "res_prop1": report.residuals.get("prop1"),
+        "res_prop2": report.residuals.get("prop2"),
+        "cfi": None, "cfi_gap": None, "cfi_ok": None, "crb": None,
+    }
+
+
+def _closed_route_cells(report) -> dict:
+    """A sweep's I_H, I_WY, gap and ratio, from the closed routes."""
+    i_h, i_wy = report.i_h_closed, report.i_wy_closed
+    ratio = i_wy / i_h if i_h > quantum.NEAR_ZERO_INFO else None
+    return {"i_h": i_h, "i_wy": i_wy, "gap": i_wy - i_h, "ratio": ratio}
+
+
+COMPUTE_CONFIGS = {
+    "pure": {"kind": "pure", "psi1": {"name": "random"}, "dim": 4, "seed": 5},
+    "qubit-mixture": ROTATION_MIXTURE | {"weight": {"form": "sine", "params": [0.8]}},
+    "spectral": {"kind": "spectral", "dim": 4, "seed": 7},
+}
+# each default sweep: its axis, and the point at a grid value x
+DEFAULT_SWEEPS = {
+    "sweep-w": ("w", lambda w: QubitMixtureModel(rotation_family(), constant_weight(w)).at(0.3)),
+    "sweep-spectrum": ("t", lambda t: fixed_spectrum_model(
+        (1.0 - t) * np.array([0.7, 0.2, 0.1]) + t * np.full(3, 1.0 / 3.0), seed=DEFAULT_SEED
+    ).at(0.3)),
+}
+
+
+@pytest.mark.parametrize("case", [*COMPUTE_CONFIGS, *DEFAULT_SWEEPS])
+def test_every_cell_is_the_report_value_of_its_name(tmp_path, capsys, case):
+    # each cell equals, exactly, the relation_report value of the same name at
+    # its grid point; a sweep's i_h, i_wy, gap and ratio are the closed routes'
+    if case in DEFAULT_SWEEPS:
+        argv = [case]
+        axis, point_at = DEFAULT_SWEEPS[case]
+    else:
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(COMPUTE_CONFIGS[case]))
+        argv = ["compute", "--model", path, "--theta-grid=-1:1:5"]
+        axis, point_at = "theta", model_from_config(COMPUTE_CONFIGS[case]).at
+    code, out, _ = run_cli([*argv, "--format", "json"], capsys)
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["rows"]
+    for row in payload["rows"]:
+        report = quantum.relation_report(point_at(row[axis]))
+        expected = {axis: row[axis], **_expected_cells(report)}
+        if case in DEFAULT_SWEEPS:
+            expected.update(_closed_route_cells(report))
+        assert row == {c: expected[c] for c in payload["columns"]}
 
 
 # --- sweep-w -----------------------------------------------------------------

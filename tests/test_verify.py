@@ -124,18 +124,45 @@ def test_fd_step_reaches_the_catalog_models(clean_results):
 
 def test_fd_step_reaches_every_difference_in_the_suite(monkeypatch):
     # verify --fd-step h: every central difference of the run steps by h,
-    # the suite's own family-level differences included
-    steps = set()
+    # the suite's own family-level differences and the differenced weight of
+    # mixture-w0.7-fd (the one scalar difference) included
+    steps, shapes = set(), set()
     original = models._central_difference
 
     def recording(f, theta, h):
         steps.add(h)
-        return original(f, theta, h)
+        value = original(f, theta, h)
+        shapes.add(np.shape(value))
+        return value
 
     monkeypatch.setattr(models, "_central_difference", recording)
     monkeypatch.setattr(verify, "_central_difference", recording)
     run_suite(options=VerifyOptions(fd_step=1e-3))
     assert steps == {1e-3}
+    assert () in shapes
+
+
+def test_one_suite_run_evaluates_each_closed_form_once_per_point(monkeypatch):
+    # the route and relation checks read the point's one relation_report, so
+    # a closed form runs once per sampled point: 25 mixture points, and 27
+    # spectral ones (4 catalog and 5 extra models at 3 thetas)
+    counts = Counter()
+
+    def counting(name):
+        original = getattr(quantum, name)
+
+        def wrapper(pt):
+            counts[name] += 1
+            return original(pt)
+
+        return wrapper
+
+    qubit = ["helstrom_info_qubit_closed", "wy_info_qubit_closed", "gamma_qubit_closed"]
+    spectral = ["helstrom_info_spectral", "wy_info_spectral", "gamma_spectral"]
+    for name in qubit + spectral:
+        monkeypatch.setattr(quantum, name, counting(name))
+    assert all_passed(run_suite())
+    assert counts == {**dict.fromkeys(qubit, 25), **dict.fromkeys(spectral, 27)}
 
 
 def test_check_names_are_stable_and_unique():
