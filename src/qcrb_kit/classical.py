@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, InvalidPovm, SupportRegularityError
-from .hermitian import HermitianMatrix, _min_eigenvalues, eigh, real_traces_against
+from .errors import DimensionError, EigenConvergenceError, InvalidPovm, SupportRegularityError
+from .hermitian import HermitianMatrix, as_array, eigh, hermitian_part, real_traces_against
 from .models import StatePoint
 from .quantum import NEAR_ZERO_INFO, helstrom_info_sld, wy_info_generic
 
@@ -30,38 +30,38 @@ NORMALIZER_EIG_FLOOR = 1e-10  # random_povm redraws a normalizer this close to s
 class Povm:
     """Finite list of PSD effects summing to the identity.
 
-    ``effects`` holds them as ``HermitianMatrix`` objects and ``stack`` as
-    one read-only (k, n, n) array, which the trace rule reads in one product.
+    The effects are one read-only (k, n, n) array, ``stack``, validated as a
+    whole when built; the trace rule reads it in one product. ``effects``
+    wraps its layers as ``HermitianMatrix`` objects on access.
     """
 
-    __slots__ = ("effects", "stack")
+    __slots__ = ("stack",)
 
     def __init__(self, effects):
-        mats = [e if isinstance(e, HermitianMatrix) else HermitianMatrix(e) for e in effects]
-        if not mats:
-            raise InvalidPovm("a measurement needs at least one effect")
-        dim = mats[0].dim
-        if any(m.dim != dim for m in mats):
-            raise DimensionError("effects have mixed dimensions")
-        lam_min = _min_eigenvalues(mats)
+        stack = hermitian_part(_effect_stack(effects))
+        try:
+            lam_min = np.linalg.eigvalsh(stack)[:, 0]
+        except np.linalg.LinAlgError as exc:
+            raise EigenConvergenceError(f"LAPACK eigvalsh failed: dims={stack.shape}: {exc}") from exc
         bad = np.flatnonzero(lam_min < EFFECT_EIG_FLOOR)
         if bad.size:
             i = int(bad[0])
             raise InvalidPovm(f"effect {i} has eigenvalue {lam_min[i]:.3e} < {EFFECT_EIG_FLOOR}")
-        stack = np.stack([m.mat for m in mats])
-        dev = float(np.linalg.norm(stack.sum(axis=0) - np.eye(dim)))
+        dev = float(np.linalg.norm(stack.sum(axis=0) - np.eye(stack.shape[1])))
         if dev > COMPLETENESS_ATOL:
             raise InvalidPovm(f"effects sum deviates from identity by {dev:.3e}")
-        stack.setflags(write=False)
-        self.effects = tuple(mats)
         self.stack = stack
 
     @property
+    def effects(self) -> tuple[HermitianMatrix, ...]:
+        return tuple(HermitianMatrix.of_checked(layer) for layer in self.stack)
+
+    @property
     def dim(self) -> int:
-        return self.effects[0].dim
+        return self.stack.shape[1]
 
     def __len__(self) -> int:
-        return len(self.effects)
+        return self.stack.shape[0]
 
     def __iter__(self):
         return iter(self.effects)
@@ -73,15 +73,36 @@ class Povm:
         """Coarse-grain by summing effects i and j into one outcome."""
         if i == j:
             raise ValueError("cannot merge an effect with itself")
-        keep = [m.mat for k, m in enumerate(self.effects) if k not in (i, j)]
-        keep.append(self.effects[i].mat + self.effects[j].mat)
-        return Povm(keep)
+        rest = [k for k in range(len(self)) if k not in (i, j)]
+        return Povm(np.concatenate([self.stack[rest], (self.stack[i] + self.stack[j])[None]]))
+
+
+def _effect_stack(effects) -> np.ndarray:
+    """The effects as one complex (k, n, n) array of square matrices, k >= 1.
+
+    Effects that do not form one are built one at a time, in the order
+    given, as ``HermitianMatrix`` objects, so that the first faulty one
+    names the error; if none is faulty, their dimensions are mixed.
+    """
+    if not isinstance(effects, np.ndarray):
+        effects = [as_array(e) if isinstance(e, HermitianMatrix) else e for e in effects]
+    try:
+        stack = np.asarray(effects, dtype=complex)
+    except (TypeError, ValueError):  # effects of unequal shapes, or an entry that is no number
+        stack = None
+    if stack is not None and stack.ndim == 3 and stack.shape[1] == stack.shape[2] and len(stack):
+        return stack
+    for e in effects:
+        HermitianMatrix(e)
+    if not len(effects):
+        raise InvalidPovm("a measurement needs at least one effect")
+    raise DimensionError("effects have mixed dimensions")
 
 
 def basis_povm(dim: int) -> Povm:
     """Projective measurement onto the computational basis."""
     eye = np.eye(dim)
-    return Povm([np.outer(eye[:, j], eye[:, j]) for j in range(dim)])
+    return Povm(eye[:, :, None] * eye[:, None, :])
 
 
 @dataclass(frozen=True)
@@ -124,16 +145,19 @@ def classical_fisher(pt: StatePoint, povm: Povm) -> float:
     """
     dist = outcome_probs(pt, povm)
     scores = outcome_scores(pt, povm)
-    total = 0.0
-    for p, s, on_support in zip(dist.probs, scores, dist.support):
-        if not on_support:
-            if abs(s) > SCORE_BLOWUP_ATOL:
-                raise SupportRegularityError(
-                    f"outcome with probability {p:.3e} has score {s:.3e}"
-                )
-            continue
-        total += s * s / p
-    return total
+    probs, support = dist.probs, dist.support
+    if not support.all():
+        blowup = np.flatnonzero(~support & (np.abs(scores) > SCORE_BLOWUP_ATOL))
+        if blowup.size:
+            i = blowup[0]
+            raise SupportRegularityError(
+                f"outcome with probability {probs[i]:.3e} has score {scores[i]:.3e}"
+            )
+        scores, probs = scores[support], probs[support]
+    # a running sum in outcome order, as a loop adds the terms: np.sum pairs
+    # eight or more of them differently. The support is never empty, since
+    # the probabilities sum to 1.
+    return np.add.accumulate(scores * scores / probs)[-1]
 
 
 @dataclass(frozen=True)
@@ -176,13 +200,15 @@ def random_povm(dim: int, n_effects: int, seed: int) -> Povm:
         raise InvalidPovm("n_effects must be >= 1")
     rng = np.random.default_rng(seed)
     for _ in range(10):
-        draws = []
-        for _ in range(n_effects):
-            b = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            draws.append(b @ b.conj().T)
+        # per effect, the real and then the imaginary part of B_x
+        g = rng.normal(size=(n_effects, 2, dim, dim))
+        b = g[:, 0] + 1j * g[:, 1]
+        draws = b @ b.conj().swapaxes(-1, -2)
+        # summed one draw after the other: draws.sum(axis=0) may pair them
+        # differently and change the last bit
         total = sum(draws)
         dec = eigh(HermitianMatrix(total))
         if float(dec.eigenvalues[0]) > NORMALIZER_EIG_FLOOR:
             inv_root = (dec.eigenvectors / np.sqrt(dec.eigenvalues)) @ dec.eigenvectors.conj().T
-            return Povm([inv_root @ a @ inv_root for a in draws])
+            return Povm(inv_root @ draws @ inv_root)
     raise InvalidPovm("normalizer stayed singular after 10 draws")

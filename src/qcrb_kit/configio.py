@@ -19,7 +19,8 @@ POVM config::
       "effects": [[[re, im] | re, ...], ...] }
 
 Parse failures raise ConfigError with the offending field path, before
-any model or measurement is built.
+any model or measurement is built; a ``dim`` that contradicts the built
+model's dimension is the one exception, checked after it is built.
 """
 
 from __future__ import annotations
@@ -133,17 +134,22 @@ def _pure_family(spec, seed, dim, where: str):
     if not isinstance(spec, dict):
         raise ConfigError(f"{where}: expected an object with a 'name'")
     name = _field(spec, "name", where)
+    if name not in ("rotation", "complex-rotation", "random"):
+        raise ConfigError(f"{where}.name: unknown family {name!r}")
+    params = spec.get("params", [])
+    if not isinstance(params, (list, tuple)):
+        raise ConfigError(f"{where}.params: expected a list")
+    if params:
+        raise ConfigError(f"{where}.params: family {name!r} takes none, got {len(params)} entries")
     if name == "rotation":
         return rotation_family()
     if name == "complex-rotation":
         return complex_rotation_family()
-    if name == "random":
-        if seed is None:
-            raise ConfigError(f"{where}: family 'random' needs a top-level 'seed'")
-        if dim is None:
-            raise ConfigError(f"{where}: family 'random' needs a top-level 'dim'")
-        return random_pure_family(_integer(seed, "model.seed"), _dim(dim, "model.dim"))
-    raise ConfigError(f"{where}.name: unknown family {name!r}")
+    if seed is None:
+        raise ConfigError(f"{where}: family 'random' needs a top-level 'seed'")
+    if dim is None:
+        raise ConfigError(f"{where}: family 'random' needs a top-level 'dim'")
+    return random_pure_family(seed, dim)
 
 
 # weight form -> its constructor and parameter names; "constant" needs its
@@ -177,8 +183,13 @@ def model_from_config(cfg: dict, fd_step: float | None = None) -> ParametricStat
     if not isinstance(cfg, dict):
         raise ConfigError("model: expected a JSON object")
     kind = _field(cfg, "kind", "model")
+    # read wherever they are given, so that a malformed one is never dropped
     seed = cfg.get("seed")
+    if seed is not None:
+        seed = _integer(seed, "model.seed")
     dim = cfg.get("dim")
+    if dim is not None:
+        dim = _dim(dim, "model.dim")
     domain = cfg.get("theta_domain")
     if domain is None:
         lo, hi = -math.inf, math.inf
@@ -190,6 +201,13 @@ def model_from_config(cfg: dict, fd_step: float | None = None) -> ParametricStat
     if fd_step is None:
         fd_step = _real(cfg.get("fd_step", DEFAULT_FD_STEP), "model.fd_step")
     common = {"domain": (lo, hi), "fd_step": float(fd_step)}
+    model = _model(kind, cfg, seed, dim, common)
+    if dim is not None and model.dim != dim:
+        raise ConfigError(f"model.dim: {dim} contradicts the model's dimension {model.dim}")
+    return model
+
+
+def _model(kind, cfg: dict, seed, dim, common: dict) -> ParametricStateModel:
     if kind == "pure":
         family = _pure_family(_field(cfg, "psi1", "model"), seed, dim, "model.psi1")
         return PureStateModel(family, **common)
@@ -200,8 +218,6 @@ def model_from_config(cfg: dict, fd_step: float | None = None) -> ParametricStat
     if kind == "spectral":
         if "spectrum" in cfg:
             spectrum = _spectrum(cfg["spectrum"])
-            if seed is not None:
-                seed = _integer(seed, "model.seed")
             frame = cfg.get("frame", "random")
             try:
                 return fixed_spectrum_model(spectrum, seed=seed, frame=frame, **common)
@@ -211,7 +227,7 @@ def model_from_config(cfg: dict, fd_step: float | None = None) -> ParametricStat
             raise ConfigError("model.dim: required for spectral models")
         if seed is None:
             raise ConfigError("model.seed: required for random spectral models")
-        return random_spectral_model(_integer(seed, "model.seed"), _dim(dim, "model.dim"), **common)
+        return random_spectral_model(seed, dim, **common)
     raise ConfigError(f"model.kind: unknown kind {kind!r}")
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -49,13 +49,45 @@ def as_array(m) -> np.ndarray:
     return np.asarray(m, dtype=complex)
 
 
+def hermitian_part(a: np.ndarray) -> np.ndarray:
+    """(A + A*)/2 of a square matrix, or of each matrix of a (k, n, n) stack, validated.
+
+    Each matrix must be within ``DIM_CEILING``, finite (also once
+    symmetrized) and within ``HERMITICITY_ATOL`` of its conjugate transpose
+    entrywise; the first matrix of a stack that is not names the error, and
+    of the two checks finiteness comes first. The result is read-only and
+    its diagonal is exactly real: the imaginary part of a + conj(a) is
+    y + (-y), which is +0.
+    """
+    n = a.shape[-1]
+    if n > DIM_CEILING:
+        raise DimensionError(f"dimension {n} exceeds ceiling {DIM_CEILING}")
+    a_h = a.conj().swapaxes(-1, -2)
+    # a non-finite entry of a makes its entry of h non-finite, and so does a
+    # sum that overflows: one scan of h rejects both. The deviation may
+    # overflow too, and an infinite one is rejected. Both stay quiet.
+    with np.errstate(invalid="ignore", over="ignore"):
+        h = (a + a_h) / 2.0
+        dev = np.abs(a - a_h)
+    if not (np.isfinite(h).all() and dev.max(initial=0.0) <= HERMITICITY_ATOL):
+        finite = np.isfinite(h).all(axis=(-2, -1)).reshape(-1)
+        worst = dev.max(axis=(-2, -1), initial=0.0).reshape(-1)
+        i = np.flatnonzero(~finite | (worst > HERMITICITY_ATOL))[0]
+        if not finite[i]:
+            raise ValueError("matrix entries must be finite")
+        raise NotHermitianError(
+            f"max deviation from conjugate transpose {worst[i]:.3e} > {HERMITICITY_ATOL}"
+        )
+    h.setflags(write=False)
+    return h
+
+
 class HermitianMatrix:
     """Dense complex Hermitian matrix, symmetrized exactly on construction.
 
-    Rejects input that is not square, exceeds ``DIM_CEILING``, is not finite
-    (or overflows when symmetrized), or deviates from its conjugate
-    transpose by more than ``HERMITICITY_ATOL`` entrywise; the stored matrix
-    is (A + A*)/2 with an exactly real diagonal, and is read-only.
+    Rejects input that is not square, or that ``hermitian_part`` rejects;
+    the stored matrix is (A + A*)/2 with an exactly real diagonal, and is
+    read-only.
     """
 
     __slots__ = ("mat",)
@@ -64,24 +96,14 @@ class HermitianMatrix:
         a = np.asarray(entries, dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionError(f"expected a square matrix, got shape {a.shape}")
-        n = a.shape[0]
-        if n > DIM_CEILING:
-            raise DimensionError(f"dimension {n} exceeds ceiling {DIM_CEILING}")
-        a_h = a.conj().T
-        # a non-finite entry of a makes its entry of h non-finite, and so
-        # does a sum that overflows: one scan of h rejects both, quietly
-        with np.errstate(invalid="ignore", over="ignore"):
-            h = (a + a_h) / 2.0
-        if not np.isfinite(h).all():
-            raise ValueError("matrix entries must be finite")
-        dev = np.abs(a - a_h).max() if a.size else 0.0
-        if dev > HERMITICITY_ATOL:
-            raise NotHermitianError(
-                f"max deviation from conjugate transpose {dev:.3e} > {HERMITICITY_ATOL}"
-            )
-        h.imag.flat[:: n + 1] = 0.0
-        h.setflags(write=False)
-        self.mat = h
+        self.mat = hermitian_part(a)
+
+    @classmethod
+    def of_checked(cls, h: np.ndarray) -> "HermitianMatrix":
+        """Wrap a read-only matrix that ``hermitian_part`` returned, or one layer of it."""
+        m = cls.__new__(cls)
+        m.mat = h
+        return m
 
     @property
     def dim(self) -> int:
@@ -182,18 +204,15 @@ def _fix_phases(vecs: np.ndarray) -> np.ndarray:
     """Rotate each column so its largest-magnitude entry is real positive.
 
     np.argmax breaks exact-magnitude ties at the lowest index; a zero
-    column is left as it is. Each column's factor is formed on scalars:
-    np.abs of the pivot array can differ from the scalar abs in the last bit.
+    column is left as it is. The pivot magnitudes are taken one scalar at a
+    time: np.abs of the pivot array can differ from the scalar abs in the
+    last bit.
     """
     n = vecs.shape[1]
     pivots = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(n)]
-    factors = np.ones(n, dtype=complex)
-    live = np.zeros(n, dtype=bool)
-    for j, pivot in enumerate(pivots):
-        mag = abs(pivot)
-        if mag > 0.0:
-            factors[j] = pivot.conjugate() / mag
-            live[j] = True
+    mags = np.array([abs(p) for p in pivots])
+    live = mags > 0.0
+    factors = np.divide(pivots.conj(), mags, out=np.ones(n, dtype=complex), where=live)
     return np.multiply(vecs, factors, out=vecs.copy(), where=live)
 
 
@@ -278,16 +297,18 @@ def solve_symmetric_product(dec: SpectralDecomposition, rhs) -> HermitianMatrix:
     r_tilde = u.conj().T @ r_mat @ u
     denom = lam[:, None] + lam[None, :]
     keep = denom > SUPPORT_TOL
-    dropped = ~keep
-    if np.any(dropped):
+    if keep.all():
+        x_tilde = 2.0 * r_tilde / denom
+    else:
+        dropped = ~keep
         worst = float(np.max(np.abs(r_tilde[dropped])))
         if worst > DROPPED_RHS_ATOL:
             raise RankDeficientInconsistent(
                 f"right-hand side has weight {worst:.3e} outside the support "
                 f"(tol={SUPPORT_TOL})"
             )
-    x_tilde = np.zeros_like(r_tilde)
-    x_tilde[keep] = 2.0 * r_tilde[keep] / denom[keep]
+        x_tilde = np.zeros_like(r_tilde)
+        x_tilde[keep] = 2.0 * r_tilde[keep] / denom[keep]
     x = u @ x_tilde @ u.conj().T
     # X is Hermitian by construction, but an ill-conditioned a amplifies the
     # rounding asymmetry of the back transform past the construction gate:
@@ -333,16 +354,3 @@ def real_traces_against(a, stack: np.ndarray) -> np.ndarray:
             f"trace has imaginary residue {values.imag[bad[0]]:.3e} > {TRACE_IMAG_ATOL}"
         )
     return values.real
-
-
-def _min_eigenvalues(mats: Sequence[HermitianMatrix]) -> np.ndarray:
-    """Smallest eigenvalue of each of the given matrices, by one batched LAPACK call.
-
-    The matrices are ``HermitianMatrix`` objects of one dimension, exactly
-    Hermitian and finite by construction, so nothing is checked again here.
-    """
-    stack = np.stack([m.mat for m in mats])
-    try:
-        return np.linalg.eigvalsh(stack)[:, 0]
-    except np.linalg.LinAlgError as exc:
-        raise EigenConvergenceError(f"LAPACK eigvalsh failed: dims={stack.shape}: {exc}") from exc

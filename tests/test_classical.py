@@ -24,7 +24,7 @@ from qcrb_kit.models import (
     rotation_family,
     rotation_mixture,
 )
-from qcrb_kit.hermitian import real_trace_product
+from qcrb_kit.hermitian import HermitianMatrix, eigh, real_trace_product
 from qcrb_kit.quantum import helstrom_info_sld
 
 ROTATION = PureStateModel(rotation_family())
@@ -54,6 +54,83 @@ def test_povm_holds_its_effects_as_one_read_only_stack():
     assert not povm.stack.flags.writeable
     for effect, layer in zip(povm, povm.stack):
         assert effect.mat.tobytes() == layer.tobytes()
+
+
+def povm_by_effect(effects):
+    """The per-effect validation that ``Povm`` replaced, kept as its reference.
+
+    Returns the stack it built, or the error it raised.
+    """
+    try:
+        mats = [HermitianMatrix(e) for e in effects]
+        if not mats:
+            raise InvalidPovm("a measurement needs at least one effect")
+        if len({m.dim for m in mats}) > 1:
+            raise DimensionError("effects have mixed dimensions")
+        stack = np.stack([m.mat for m in mats])
+        lam_min = np.linalg.eigvalsh(stack)[:, 0]
+        bad = np.flatnonzero(lam_min < classical.EFFECT_EIG_FLOOR)
+        if bad.size:
+            i = int(bad[0])
+            raise InvalidPovm(
+                f"effect {i} has eigenvalue {lam_min[i]:.3e} < {classical.EFFECT_EIG_FLOOR}"
+            )
+        dev = float(np.linalg.norm(stack.sum(axis=0) - np.eye(mats[0].dim)))
+        if dev > classical.COMPLETENESS_ATOL:
+            raise InvalidPovm(f"effects sum deviates from identity by {dev:.3e}")
+        return stack
+    except Exception as exc:  # noqa: BLE001 - the error is the result
+        return exc
+
+
+EFFECT_CASES = {
+    "half": np.eye(2) / 2,
+    "nan": [[np.nan, 0.0], [0.0, 0.5]],
+    "infinite imaginary part": [[0.5, 0.0], [0.0, complex(0.0, np.inf)]],
+    "skew": [[0.5, 0.1], [0.0, 0.5]],
+    "overflowing deviation": [[0.5, 1e308], [-1e308, 0.5]],
+    "overflowing sum": [[1e308, 0.0], [0.0, 1e308]],
+    "not square": np.zeros((2, 3)),
+    "vector": np.zeros(2),
+    "three-dimensional": np.eye(3) / 3,
+    "beyond the ceiling": np.eye(65),
+    "negative": np.diag([-0.1, 0.25]),
+}
+
+
+def test_povm_raises_as_its_first_faulty_effect_in_the_per_effect_order():
+    rng = np.random.default_rng(31)
+    names = list(EFFECT_CASES)
+    for _ in range(400):
+        picked = rng.choice(names, size=int(rng.integers(0, 5)))
+        effects = [EFFECT_CASES[name] for name in picked]
+        expected = povm_by_effect(effects)
+        try:
+            got = Povm(effects).stack
+        except Exception as exc:  # noqa: BLE001
+            got = exc
+        if isinstance(expected, np.ndarray):
+            assert got.tobytes() == expected.tobytes(), list(picked)
+        else:
+            assert (type(got), str(got)) == (type(expected), str(expected)), list(picked)
+
+
+def test_povm_of_valid_effects_holds_the_per_effect_stack_bitwise():
+    rng = np.random.default_rng(37)
+    for dim in (1, 2, 3, 6):
+        for k in (1, 2, 5):
+            povm = random_povm(dim, k, int(rng.integers(0, 2**31)))
+            # within the Hermiticity tolerance, so symmetrizing changes them
+            effects = [e.mat + 1e-13j * (e.mat - e.mat.T) for e in povm]
+            assert Povm(effects).stack.tobytes() == povm_by_effect(effects).tobytes()
+            assert Povm(np.array(effects)).stack.tobytes() == povm_by_effect(effects).tobytes()
+
+
+def test_povm_accepts_hermitian_matrix_effects():
+    half = HermitianMatrix(np.eye(2) / 2)
+    povm = Povm([half, half])
+    assert len(povm) == 2 and povm.dim == 2
+    assert povm.stack.tobytes() == np.stack([half.mat, half.mat]).tobytes()
 
 
 @pytest.fixture()
@@ -101,6 +178,35 @@ def test_random_povm_invariants(dim, n_effects, seed):
     total = sum(m.mat for m in povm)
     assert np.linalg.norm(total - np.eye(dim)) <= 1e-10
     assert len(povm) == n_effects
+
+
+def random_povm_by_effect(dim, n_effects, seed):
+    """The per-effect draw loop that ``random_povm`` replaced, kept as its reference.
+
+    Returns the effect stack that loop built: one Gaussian block per call,
+    one product per effect, each effect symmetrized on its own.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(10):
+        draws = []
+        for _ in range(n_effects):
+            b = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            draws.append(b @ b.conj().T)
+        dec = eigh(HermitianMatrix(sum(draws)))
+        if float(dec.eigenvalues[0]) > classical.NORMALIZER_EIG_FLOOR:
+            inv_root = (dec.eigenvectors / np.sqrt(dec.eigenvalues)) @ dec.eigenvectors.conj().T
+            return np.stack([HermitianMatrix(inv_root @ a @ inv_root).mat for a in draws])
+    raise AssertionError("normalizer stayed singular")
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_random_povm_matches_the_per_effect_loop_bitwise(dim):
+    # at dim 1 with 4 or 5 effects, summing the draws pairwise instead of in
+    # order changes the last bit of about one stack in fifty
+    for n_effects in range(1, 6):
+        for seed in range(120):
+            expected = random_povm_by_effect(dim, n_effects, seed)
+            assert random_povm(dim, n_effects, seed).stack.tobytes() == expected.tobytes()
 
 
 # --- outcome distributions ------------------------------------------------------
@@ -210,6 +316,48 @@ def test_coarse_graining_never_increases_information():
         base = classical_fisher(model.at(0.4), povm)
         merged = classical_fisher(model.at(0.4), povm.merged(0, 2))
         assert merged <= base + 1e-9
+
+
+def classical_fisher_by_outcome(pt, povm):
+    """The per-outcome loop that ``classical_fisher`` replaced, kept as its reference."""
+    dist = outcome_probs(pt, povm)
+    scores = outcome_scores(pt, povm)
+    total = 0.0
+    for p, s, on_support in zip(dist.probs, scores, dist.support):
+        if not on_support:
+            if abs(s) > classical.SCORE_BLOWUP_ATOL:
+                raise SupportRegularityError(f"outcome with probability {p:.3e} has score {s:.3e}")
+            continue
+        total += s * s / p
+    return total
+
+
+def fisher_cases():
+    yield ROTATION, 0.0, basis_povm(2)  # a zero-probability outcome with zero score
+    yield ROTATION, 1e-7, basis_povm(2)  # p = 1e-14 with score 2e-7: the score blows up
+    yield random_spectral_model(5, 16), 0.3, basis_povm(16)
+    yield rotation_mixture(0.8), 0.4, random_povm(2, 5, seed=3)
+    rng = np.random.default_rng(41)
+    for _ in range(30):
+        model = random_spectral_model(int(rng.integers(0, 1000)), 4)
+        povm = random_povm(4, int(rng.integers(1, 13)), int(rng.integers(0, 2**31)))
+        yield model, float(rng.uniform(-1.0, 1.0)), povm
+
+
+def test_classical_fisher_matches_the_per_outcome_loop_bitwise():
+    # from eight terms on, np.sum would pair the terms differently from the loop
+    for model, theta, povm in fisher_cases():
+        pt = model.at(theta)
+        try:
+            expected = classical_fisher_by_outcome(pt, povm)
+        except SupportRegularityError as exc:
+            with pytest.raises(SupportRegularityError) as info:
+                classical_fisher(pt, povm)
+            assert str(info.value) == str(exc)
+            continue
+        got = classical_fisher(pt, povm)
+        assert type(got) is type(expected)
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
 
 # --- bound_check ------------------------------------------------------------------

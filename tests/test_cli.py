@@ -227,6 +227,18 @@ def test_compute_unknown_field_exits_one(tmp_path, capsys):
         (ROTATION_MIXTURE | {"weight": {"form": "logistic", "params": [1.5, 0, 7, 9]}},
          "model.weight.params: 'logistic' takes [rate, center]"),
         ({"kind": "spectral", "dim": 4, "seed": 10**400}, "model.seed: integer beyond"),
+        # no pure family takes a parameter, and dim and seed are read wherever
+        # they are given: a malformed or contradicting one is not dropped
+        ({"kind": "pure", "psi1": {"name": "rotation", "params": ["junk", True, 1, 2]}},
+         "model.psi1.params: family 'rotation' takes none, got 4 entries"),
+        (ROTATION_MIXTURE | {"weight": {"form": "constant", "params": [0.8]}, "dim": 7},
+         "model.dim: 7 contradicts the model's dimension 2"),
+        ({"kind": "spectral", "spectrum": [0.6, 0.4], "dim": "abc"},
+         "model.dim: expected a number, got 'abc'"),
+        ({"kind": "spectral", "spectrum": [0.6, 0.4], "dim": 3},
+         "model.dim: 3 contradicts the model's dimension 2"),
+        ({"kind": "pure", "psi1": {"name": "rotation"}, "seed": "abc", "dim": [1]},
+         "model.seed: expected a number, got 'abc'"),
     ],
 )
 def test_malformed_model_fields_exit_one_without_traceback(tmp_path, capsys, cfg, field):
@@ -651,3 +663,20 @@ def test_a_non_finite_or_overflowing_povm_entry_exits_one(model_paths, tmp_path,
     code, _, err = run_cli(argv, capsys)
     assert code == EXIT_CONFIG
     assert err.strip() == "error: povm: matrix entries must be finite"
+
+
+@pytest.mark.parametrize("command", ["compute", "simulate"])
+def test_an_overflowing_deviation_from_the_adjoint_exits_one_with_the_error_line_only(
+    model_paths, tmp_path, capsys, command
+):
+    # 1e308 - (-1e308) overflows: the deviation is infinite, not a warning
+    povm = tmp_path / "odd_povm.json"
+    povm.write_text(json.dumps({
+        "kind": "explicit",
+        "effects": [[[0.5, 1e308], [-1e308, 0.5]], [[0.5, 0.0], [0.0, 0.5]]],
+    }))
+    argv = [command, "--model", model_paths["pure"], "--povm", povm]
+    code, out, err = run_cli(argv, capsys)
+    assert code == EXIT_CONFIG
+    assert err == "error: povm: max deviation from conjugate transpose inf > 1e-12\n"
+    assert out == ""

@@ -137,6 +137,15 @@ def test_model_config_numeric_fields_are_checked(cfg, field):
     assert field in str(info.value)
 
 
+def test_model_config_accepts_a_dim_that_agrees_and_empty_family_params():
+    mixture = {"kind": "qubit_mixture", "psi1": {"name": "rotation", "params": []},
+               "weight": {"form": "constant", "params": [0.8]}}
+    assert model_from_config({**mixture, "dim": 2}).dim == 2
+    fixed = {"kind": "spectral", "spectrum": [0.5, 0.3, 0.2, 0.0], "dim": 4, "seed": 1}
+    assert model_from_config(fixed).dim == 4
+    assert model_from_config({"kind": "pure", "psi1": {"name": "rotation"}, "seed": 9}).dim == 2
+
+
 def test_model_config_rejects_an_empty_domain_and_a_zero_step():
     rotation = {"kind": "pure", "psi1": {"name": "rotation"}}
     with pytest.raises(DomainError, match="empty domain"):

@@ -23,6 +23,7 @@ from qcrb_kit.hermitian import (
     UnitVector,
     _fix_phases,
     eigh,
+    hermitian_part,
     psd_sqrt,
     real_trace_product,
     real_traces_against,
@@ -149,6 +150,42 @@ def test_hermitian_matrix_rejections(entries, error, message):
             HermitianMatrix(entries)
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("entries", [
+    [[0.0, 1e308], [-1e308, 0.0]],
+    [[0.5, 1e308j], [1e308j, 0.5]],
+])
+@pytest.mark.parametrize("stacked", [False, True], ids=["matrix", "stack"])
+def test_an_overflowing_deviation_is_rejected_without_a_warning(entries, stacked):
+    # the symmetrized entries are finite, but A - A* overflows to infinity
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotHermitianError) as info:
+            if stacked:
+                hermitian_part(np.array([np.eye(2), entries], dtype=complex))
+            else:
+                HermitianMatrix(entries)
+    assert str(info.value) == "max deviation from conjugate transpose inf > 1e-12"
+
+
+def test_the_first_faulty_matrix_of_a_stack_names_the_error():
+    eye, skew = np.eye(2), [[0.0, 1.0], [0.5, 0.0]]
+    nan = [[np.nan, 0.0], [0.0, 0.0]]
+    with pytest.raises(NotHermitianError, match=r"deviation from conjugate transpose 5\.000e-01"):
+        hermitian_part(np.array([eye, skew, nan], dtype=complex))
+    with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+        hermitian_part(np.array([eye, nan, skew], dtype=complex))
+    with pytest.raises(DimensionError, match="^dimension 65 exceeds ceiling 64$"):
+        hermitian_part(np.zeros((2, 65, 65), dtype=complex))
+
+
+def test_a_stack_is_symmetrized_as_its_matrices_are_one_by_one():
+    rng = np.random.default_rng(17)
+    stack = np.array([random_hermitian(rng, 5) + 1e-13j * rng.normal() for _ in range(4)])
+    h = hermitian_part(stack)
+    assert not h.flags.writeable
+    assert h.tobytes() == np.stack([HermitianMatrix(m).mat for m in stack]).tobytes()
 
 
 def test_hermitian_matrix_of_a_fortran_ordered_array_clears_its_diagonal_imag():
@@ -282,6 +319,13 @@ def test_fix_phases_matches_the_column_loop_bitwise():
         assert _fix_phases(vecs).tobytes() == fix_phases_by_column(vecs).tobytes()
 
 
+def test_fix_phases_matches_the_column_loop_bitwise_on_random_eigenbases():
+    rng = np.random.default_rng(11)
+    for _ in range(2000):
+        vecs = np.linalg.eigh(random_hermitian(rng, int(rng.integers(1, 17))))[1]
+        assert _fix_phases(vecs).tobytes() == fix_phases_by_column(vecs).tobytes()
+
+
 def test_fix_phases_breaks_exact_ties_at_the_lowest_index():
     s = 1.0 / np.sqrt(2.0)
     out = _fix_phases(np.array([[-1j * s], [s]]))
@@ -359,6 +403,32 @@ def test_solve_rank_one_support():
 def test_solve_rejects_off_support_rhs():
     with pytest.raises(RankDeficientInconsistent):
         solve_symmetric_product(eigh(np.diag([1.0, 0.0])), np.array([[0.0, 0.0], [0.0, 0.5]]))
+
+
+def solve_by_mask(dec, rhs):
+    """The masked scatter that a full-rank ``solve_symmetric_product`` skips, kept as its reference."""
+    lam, u = dec.eigenvalues, dec.eigenvectors
+    r_tilde = u.conj().T @ rhs @ u
+    denom = lam[:, None] + lam[None, :]
+    keep = denom > hermitian.SUPPORT_TOL
+    x_tilde = np.zeros_like(r_tilde)
+    x_tilde[keep] = 2.0 * r_tilde[keep] / denom[keep]
+    x = u @ x_tilde @ u.conj().T
+    return HermitianMatrix((x + x.conj().T) / 2.0).mat
+
+
+def test_solve_matches_the_masked_scatter_bitwise():
+    rng = np.random.default_rng(23)
+    for case in range(600):
+        n = int(rng.integers(1, 9))
+        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        if case % 3 == 0:
+            g[:, : (n + 1) // 2] = 0.0  # rank-deficient: some pairs are dropped
+        a = g @ g.conj().T
+        h = random_hermitian(rng, n)
+        rhs = a @ h + h @ a  # supported on the range of a
+        dec = eigh(a)
+        assert solve_symmetric_product(dec, rhs).mat.tobytes() == solve_by_mask(dec, rhs).tobytes()
 
 
 def test_solve_matches_projector_sum_oracle():
