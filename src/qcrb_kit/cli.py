@@ -467,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, fd_step=DEFAULT_FD_STEP):
+    def add_common(p, fd_step=DEFAULT_FD_STEP, seeded=False):
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default="stdout", help="output path or 'stdout'")
         p.add_argument("--fd-step", type=_positive_float, default=fd_step, dest="fd_step")
@@ -475,7 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
         # class default, verify at each check's own; a set one is positive
         p.add_argument("--tol-analytic", type=_positive_float, default=None, dest="tol_analytic")
         p.add_argument("--tol-fd", type=_positive_float, default=None, dest="tol_fd")
-        p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
+        if seeded:  # only the commands that draw random numbers take a seed
+            p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
 
     # a command that reads a model config defaults to the config's own fd_step
     p = sub.add_parser("compute", help="information report at one or more theta")
@@ -494,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_sweep_w)
 
     p = sub.add_parser("sweep-spectrum", help="interpolate a spectrum toward uniform")
-    add_common(p)
+    add_common(p, seeded=True)
     p.add_argument("--start-spectrum", default="0.7,0.2,0.1", dest="start_spectrum")
     p.add_argument("--t-grid", default="0:1:11", dest="t_grid", help="lo:hi:steps in [0,1]")
     p.add_argument("--theta", type=_finite_float, default=0.3)
@@ -502,11 +503,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_sweep_spectrum)
 
     p = sub.add_parser("verify", help="run the invariant suite over the builtin catalog")
-    add_common(p)
+    add_common(p, seeded=True)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("simulate", help="Monte Carlo check of the bound chain")
-    add_common(p, fd_step=None)
+    add_common(p, fd_step=None, seeded=True)
     p.add_argument("--model", required=True)
     p.add_argument("--povm", required=True)
     p.add_argument("--theta0", type=_finite_float, default=0.3)

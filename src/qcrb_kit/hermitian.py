@@ -52,7 +52,7 @@ def as_array(m) -> np.ndarray:
 def hermitian_part(a: np.ndarray) -> np.ndarray:
     """(A + A*)/2 of a square matrix, or of each matrix of a (k, n, n) stack, validated.
 
-    Each matrix must be within ``DIM_CEILING``, finite (also once
+    Each matrix must be of dimension 1 to ``DIM_CEILING``, finite (also once
     symmetrized) and within ``HERMITICITY_ATOL`` of its conjugate transpose
     entrywise; the first matrix of a stack that is not names the error, and
     of the two checks finiteness comes first. The result is read-only and
@@ -60,6 +60,8 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
     y + (-y), which is +0.
     """
     n = a.shape[-1]
+    if n == 0:
+        raise DimensionError("dimension 0: a matrix needs at least one row")
     if n > DIM_CEILING:
         raise DimensionError(f"dimension {n} exceeds ceiling {DIM_CEILING}")
     a_h = a.conj().swapaxes(-1, -2)

@@ -1,7 +1,12 @@
 """Machine-checkable invariant suite over the builtin model catalog.
 
-Every check returns a measured residual and a pass/fail against its
-tolerance. Checks are classed ``analytic`` or ``fd`` depending on whether a
+Every check yields its cases, a measured residual and where it was
+measured, and ``run_suite`` alone reduces them: a check's residual is the
+largest of its cases, its detail the first case that reaches it, and a
+check with no positive residual reports 0 with no detail. The two
+simulation checks return their one case instead, whose detail stands even
+at 0. The residual passes or fails against the check's tolerance. Checks
+are classed ``analytic`` or ``fd`` depending on whether a
 finite-difference ingredient is involved; the two classes can be tightened
 independently (tightening the fd class below its truncation error fails
 those checks by design). A catalog can be injected, which is how the tests
@@ -14,10 +19,9 @@ SLD, the psd_sqrt difference) is computed afresh. ``eigh-reconstruction``
 holds LAPACK's eigenvalues against the power sums tr(M^k) of its matrices,
 so no second eigensolver runs. A check that measures one residual per
 sampled (model, theta) point is a ``_PointCheck`` row: a residual function
-plus the selection of models and thetas it runs over, with the
-worst-residual loop written once. The route and relation checks read the
-residuals of the point's one ``relation_report``, the numbers the CLI
-emits, rather than recomputing them.
+plus the selection of models and thetas it runs over. The route and
+relation checks read the residuals of the point's one ``relation_report``,
+the numbers the CLI emits, rather than recomputing them.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ from .quantum import (
     sld_spectral_sum,
     wy_info_generic,
 )
-from .simulate import SimConfig, exact_estimator_moments, run_sim
+from .simulate import SimConfig, bound_chain_excess, exact_estimator_moments, run_sim
 
 BOUNDARY_RATIO_CAP = 50.0
 # a weight slope at or below this counts as a constant weight
@@ -125,12 +129,6 @@ def _models(catalog, kinds=None, analytic=None):
         yield name, m
 
 
-def _worst(residual, detail, candidate, where):
-    if candidate > residual:
-        return candidate, where
-    return residual, detail
-
-
 def _extra_spectral_models(opts):
     return [
         (f"spectral-extra-{n}", random_spectral_model(opts.seed + 10 * n, n, fd_step=opts.fd_step))
@@ -140,7 +138,7 @@ def _extra_spectral_models(opts):
 
 @dataclass(frozen=True)
 class _PointCheck:
-    """The worst of ``residual(point)`` over sampled points.
+    """One case of ``residual(point)`` per sampled point.
 
     The fields select the points: catalog models of the given ``kinds`` and
     derivative class (``analytic``), the first ``first_thetas`` sample
@@ -159,13 +157,11 @@ class _PointCheck:
         pairs = list(_models(catalog, self.kinds, self.analytic))
         if self.with_extra_spectral:
             pairs += points.extra_spectral
-        worst, detail = 0.0, ""
         for name, model in pairs:
             for theta in model.sample_thetas[:self.first_thetas]:
                 dev = self.residual(points.at(model, theta))
                 if dev is not None:
-                    worst, detail = _worst(worst, detail, dev, f"{name} theta={theta:g}")
-        return worst, detail
+                    yield dev, f"{name} theta={theta:g}"
 
 
 def _constant_weight_at(pt) -> bool:
@@ -191,7 +187,6 @@ def _check_eigh_reconstruction(catalog, opts, points):
     # eigenvalues against the power sums of the matrix; power sums do not
     # see order, so ascending order is a term of its own
     rng = np.random.default_rng(opts.seed)
-    worst, detail = 0.0, ""
     for trial in range(20):
         n = int(rng.integers(2, 9))
         g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
@@ -203,8 +198,7 @@ def _check_eigh_reconstruction(catalog, opts, points):
         orth = np.linalg.norm(dec.eigenvectors.conj().T @ dec.eigenvectors - np.eye(n))
         ref = _power_sum_gap(m.mat, lam, scale)
         order = max(0.0, -float(np.min(np.diff(lam))))
-        worst, detail = _worst(worst, detail, max(rec, orth, ref, order), f"trial {trial} (n={n})")
-    return worst, detail
+        yield max(rec, orth, ref, order), f"trial {trial} (n={n})"
 
 
 def _psd_sqrt_composition(pt):
@@ -225,7 +219,6 @@ def _solve_involution(pt):
 
 def _check_phase_invariance(catalog, opts, points):
     rng = np.random.default_rng(opts.seed + 1)
-    worst, detail = 0.0, ""
     for name, model in _models(catalog, kinds=("qubit_mixture", "spectral")):
         theta = model.sample_thetas[1]
         pt = points.at(model, theta)
@@ -239,8 +232,7 @@ def _check_phase_invariance(catalog, opts, points):
         l_scr = sld_spectral_sum(dec.eigenvalues, projs, drho)
         base = real_trace_product([rho, l_base, l_base])
         scr = real_trace_product([rho, l_scr, l_scr])
-        worst, detail = _worst(worst, detail, abs(base - scr), f"{name} theta={theta:g}")
-    return worst, detail
+        yield abs(base - scr), f"{name} theta={theta:g}"
 
 
 # --- model checks -----------------------------------------------------------
@@ -310,11 +302,8 @@ def _spectral_identities(pt):
 
 
 def _check_weight_boundary_regularity(catalog, opts, points):
-    worst, detail = 0.0, ""
     for name, model in _models(catalog, kinds=("qubit_mixture",)):
-        ratio = model.weight.boundary_regularity_ratio(model.sample_thetas, model.fd_step)
-        worst, detail = _worst(worst, detail, ratio, name)
-    return worst, detail
+        yield model.weight.boundary_regularity_ratio(model.sample_thetas, model.fd_step), name
 
 
 # --- information checks -----------------------------------------------------
@@ -361,10 +350,8 @@ def _monotone_gap(catalog, opts, points):
     for w in np.arange(0.5, 0.99, 0.02):
         pt = rotation_mixture(float(w)).at(theta)
         gaps.append(wy_info_generic(pt) - helstrom_info_sld(pt))
-    worst, detail = 0.0, ""
     for i in range(1, len(gaps)):
-        worst, detail = _worst(worst, detail, gaps[i - 1] - gaps[i], f"step {i}")
-    return worst, detail
+        yield gaps[i - 1] - gaps[i], f"step {i}"
 
 
 def _mixing_information_loss(pt):
@@ -380,30 +367,25 @@ def _mixing_information_loss(pt):
 # --- measurement checks -----------------------------------------------------
 
 def _check_povm_completeness(catalog, opts, points):
-    worst, detail = 0.0, ""
     rng = np.random.default_rng(opts.seed + 2)
     for trial in range(12):
         dim = int(rng.integers(2, 5))
         n_eff = int(rng.integers(1, 6))
         povm = random_povm(dim, n_eff, int(rng.integers(0, 2**31)))
         dev = float(np.linalg.norm(sum(m.mat for m in povm) - np.eye(dim)))
-        worst, detail = _worst(worst, detail, dev, f"trial {trial} dim={dim} k={n_eff}")
-    return worst, detail
+        yield dev, f"trial {trial} dim={dim} k={n_eff}"
 
 
 def _score_sum(catalog, opts, points, analytic):
-    worst, detail = 0.0, ""
     rng = np.random.default_rng(opts.seed + 3)
     for name, model in _models(catalog, analytic=analytic):
         povm = random_povm(model.dim, 3, int(rng.integers(0, 2**31)))
         for theta in model.sample_thetas[:3]:
             dev = abs(float(np.sum(outcome_scores(points.at(model, theta), povm))))
-            worst, detail = _worst(worst, detail, dev, f"{name} theta={theta:g}")
-    return worst, detail
+            yield dev, f"{name} theta={theta:g}"
 
 
 def _information_inequality(catalog, opts, points):
-    worst, detail = 0.0, ""
     rng = np.random.default_rng(opts.seed + 4)
     for name, model in _models(catalog):
         theta = model.sample_thetas[2]
@@ -411,13 +393,10 @@ def _information_inequality(catalog, opts, points):
         i_h = helstrom_info_sld(pt)
         for _ in range(4):
             povm = random_povm(model.dim, int(rng.integers(2, 6)), int(rng.integers(0, 2**31)))
-            i = classical_fisher(pt, povm)
-            worst, detail = _worst(worst, detail, i - i_h, f"{name} theta={theta:g}")
-    return worst, detail
+            yield classical_fisher(pt, povm) - i_h, f"{name} theta={theta:g}"
 
 
 def _coarse_graining(catalog, opts, points):
-    worst, detail = 0.0, ""
     rng = np.random.default_rng(opts.seed + 5)
     for name, model in _models(catalog, kinds=("pure", "qubit_mixture")):
         pt = points.at(model, model.sample_thetas[1])
@@ -425,47 +404,37 @@ def _coarse_graining(catalog, opts, points):
         base = classical_fisher(pt, povm)
         i, j = sorted(rng.choice(4, size=2, replace=False))
         merged = classical_fisher(pt, povm.merged(int(i), int(j)))
-        worst, detail = _worst(worst, detail, merged - base, f"{name} merge ({i},{j})")
-    return worst, detail
+        yield merged - base, f"{name} merge ({i},{j})"
 
 
 # --- estimation checks ------------------------------------------------------
 
+def _catalog_model(catalog, name):
+    model = catalog.get(name)
+    if model is None:
+        raise ValueError(f"catalog lacks {name}")
+    return model
+
+
 def _estimator_exact_variance(catalog, opts, points):
-    worst, detail = 0.0, ""
-    cases = [
-        ("qubit-rotation", catalog.get("qubit-rotation"), basis_povm(2)),
-        ("mixture-w0.9", catalog.get("mixture-w0.9"), random_povm(2, 3, opts.seed + 6)),
-    ]
-    for name, model, povm in cases:
-        if model is None:
-            model = rotation_mixture(0.9)
-        theta = 0.3
-        pt = points.at(model, theta)
+    theta = 0.3
+    for name, povm in [("qubit-rotation", basis_povm(2)),
+                       ("mixture-w0.9", random_povm(2, 3, opts.seed + 6))]:
+        pt = points.at(_catalog_model(catalog, name), theta)
         mean, var = exact_estimator_moments(pt, povm)
         i = classical_fisher(pt, povm)
-        dev = max(abs(mean - theta), abs(var - 1.0 / i))
-        worst, detail = _worst(worst, detail, dev, name)
-    return worst, detail
+        yield max(abs(mean - theta), abs(var - 1.0 / i)), name
 
 
 def _sim_bound_chain(catalog, opts, points):
-    model = catalog.get("qubit-rotation")
-    if model is None:
-        raise ValueError("catalog lacks qubit-rotation")
+    model = _catalog_model(catalog, "qubit-rotation")
     cfg = SimConfig(model=model, povm=basis_povm(2), theta0=0.3, n_samples=20_000, seed=opts.seed)
     result = run_sim(cfg)
-    dev = max(
-        result.qcrb - result.crb,
-        result.crb - result.empirical_var - 3.0 * result.standard_error_of_var,
-    )
-    return max(dev, 0.0), f"var={result.empirical_var:.5f} crb={result.crb:.5f}"
+    return bound_chain_excess(result), f"var={result.empirical_var:.5f} crb={result.crb:.5f}"
 
 
 def _sim_reproducibility(catalog, opts, points):
-    model = catalog.get("qubit-rotation")
-    if model is None:
-        raise ValueError("catalog lacks qubit-rotation")
+    model = _catalog_model(catalog, "qubit-rotation")
     cfg = SimConfig(model=model, povm=basis_povm(2), theta0=0.3, n_samples=1_000, seed=opts.seed)
     a, b = run_sim(cfg), run_sim(cfg)
     return (0.0 if a == b else 1.0), "two runs with one seed"
@@ -527,6 +496,16 @@ _CHECKS = [
 ]
 
 
+def _worst(cases) -> tuple[float, str]:
+    """The largest residual of ``(residual, where)`` cases and the first case that has it;
+    ``(0.0, "")`` when no residual is positive."""
+    worst, detail = 0.0, ""
+    for residual, where in cases:
+        if residual > worst:
+            worst, detail = residual, where
+    return worst, detail
+
+
 def check_names() -> list[str]:
     return [name for name, _, _, _ in _CHECKS]
 
@@ -548,29 +527,16 @@ def run_suite(
         if kind == "fd" and opts.tol_fd is not None:
             tol = opts.tol_fd
         try:
-            residual, detail = fn(catalog, opts, points)
+            cases = fn(catalog, opts, points)
+            # a sim check returns its one case, whose detail stands even at 0
+            residual, detail = cases if isinstance(cases, tuple) else _worst(cases)
+            residual, error = float(residual), None
         except Exception as exc:  # noqa: BLE001 - failures are results, not crashes
-            results.append(
-                CheckResult(
-                    name=name,
-                    kind=kind,
-                    residual=None,
-                    tol=tol,
-                    passed=False,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            )
-            continue
-        results.append(
-            CheckResult(
-                name=name,
-                kind=kind,
-                residual=float(residual),
-                tol=tol,
-                passed=bool(residual <= tol),
-                detail=detail,
-            )
-        )
+            residual, detail, error = None, "", f"{type(exc).__name__}: {exc}"
+        results.append(CheckResult(
+            name=name, kind=kind, residual=residual, tol=tol,
+            passed=error is None and residual <= tol, detail=detail, error=error,
+        ))
     return results
 
 

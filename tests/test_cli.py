@@ -315,6 +315,15 @@ def test_negative_fd_step_exits_one_without_traceback(model_paths, capsys, argv)
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["compute", "sweep-w"])
+def test_seed_exits_one_on_a_command_that_draws_nothing(model_paths, capsys, command):
+    model = ["--model", model_paths["pure"]] if command == "compute" else []
+    code, _, err = run_cli([command, *model, "--seed", "5"], capsys)
+    assert code == EXIT_CONFIG
+    assert "unrecognized arguments: --seed=5" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcrb_kit import hermitian
+from qcrb_kit.classical import Povm
 from qcrb_kit.errors import (
     DimensionError,
     EigenConvergenceError,
@@ -178,6 +179,18 @@ def test_the_first_faulty_matrix_of_a_stack_names_the_error():
         hermitian_part(np.array([eye, nan, skew], dtype=complex))
     with pytest.raises(DimensionError, match="^dimension 65 exceeds ceiling 64$"):
         hermitian_part(np.zeros((2, 65, 65), dtype=complex))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: HermitianMatrix(np.zeros((0, 0))),
+    lambda: hermitian_part(np.zeros((3, 0, 0), dtype=complex)),
+    lambda: Povm([np.zeros((0, 0))]),
+    lambda: Povm(np.zeros((3, 0, 0))),
+], ids=["matrix", "stack", "povm-list", "povm-stack"])
+def test_dimension_zero_is_rejected(build):
+    # the one validator both constructors use rejects it, before any eigensolver sees it
+    with pytest.raises(DimensionError, match="^dimension 0: a matrix needs at least one row$"):
+        build()
 
 
 def test_a_stack_is_symmetrized_as_its_matrices_are_one_by_one():

@@ -8,7 +8,10 @@ from qcrb_kit.classical import Povm, basis_povm, outcome_probs
 from qcrb_kit.errors import ZeroInformationError
 from qcrb_kit.models import PureStateModel, rotation_family, rotation_mixture
 from qcrb_kit.simulate import (
+    BOUND_ORDER_SLACK,
     SimConfig,
+    SimResult,
+    bound_chain_excess,
     bound_chain_ok,
     exact_estimator_moments,
     one_step_estimator,
@@ -94,6 +97,29 @@ def test_run_sim_attaining_measurement():
     assert result.qcrb == pytest.approx(0.25, abs=1e-9)
     assert abs(result.empirical_var - 0.25) <= 3.0 * result.standard_error_of_var
     assert bound_chain_ok(result)
+
+
+def _sim_result(empirical_var, crb, qcrb, standard_error_of_var):
+    return SimResult(empirical_var=empirical_var, crb=crb, qcrb=qcrb, approx_qcrb=qcrb,
+                     n_samples=1000, standard_error_of_var=standard_error_of_var)
+
+
+@pytest.mark.parametrize("var, crb, qcrb, se, excess", [
+    (0.25, 0.25, 0.25, 0.01, 0.0),  # the chain holds
+    (0.20, 0.25, 0.25, 0.01, 0.25 - 0.20 - 3.0 * 0.01),  # variance below crb - 3 SE
+    (0.30, 0.20, 0.25, 0.01, 0.25 - 0.20),  # qcrb above crb
+])
+def test_bound_chain_excess_is_the_largest_breach_and_gates_the_verdict(var, crb, qcrb, se, excess):
+    result = _sim_result(var, crb, qcrb, se)
+    assert bound_chain_excess(result) == excess
+    assert bound_chain_ok(result) is (excess <= BOUND_ORDER_SLACK)
+
+
+def test_bound_chain_ok_allows_the_slack_on_either_breach():
+    se = 0.01
+    assert bound_chain_ok(_sim_result(0.25 - 3.0 * se - 5e-13, 0.25, 0.25, se))
+    assert bound_chain_ok(_sim_result(0.25, 0.25, 0.25 + 5e-13, se))
+    assert not bound_chain_ok(_sim_result(0.25 - 3.0 * se - 1e-9, 0.25, 0.25, se))
 
 
 def test_run_sim_reports_approximate_bound_gap():

@@ -1,5 +1,6 @@
 """Tests for the invariant suite and its failure reporting."""
 
+import inspect
 import json
 from collections import Counter
 from pathlib import Path
@@ -11,7 +12,7 @@ from qcrb_kit import hermitian, models, quantum, verify
 from qcrb_kit.errors import DomainError
 from qcrb_kit.hermitian import SpectralDecomposition
 from qcrb_kit.models import ParametricStateModel, builtin_models
-from qcrb_kit.verify import VerifyOptions, all_passed, check_names, run_suite
+from qcrb_kit.verify import CheckResult, VerifyOptions, all_passed, check_names, run_suite
 
 
 class CorruptTraceModel(ParametricStateModel):
@@ -239,5 +240,64 @@ def test_eigh_reconstruction_fails_on_a_corrupted_decomposition(monkeypatch, cor
 
     monkeypatch.setattr(verify, "eigh", corrupted)
     tol = next(t for name, _, t, _ in verify._CHECKS if name == "eigh-reconstruction")
-    residual, _ = verify._check_eigh_reconstruction({}, VerifyOptions(), None)
+    residual, _ = verify._worst(verify._check_eigh_reconstruction({}, VerifyOptions(), None))
     assert residual > tol
+
+
+# --- the one reduction ------------------------------------------------------
+
+SIM_CHECKS = ("sim-bound-chain", "sim-reproducibility")
+
+
+def test_the_first_of_tied_worst_cases_names_the_detail():
+    cases = [(0.5, "a"), (1.0, "b"), (1.0, "c"), (0.25, "d")]
+    assert verify._worst(iter(cases)) == (1.0, "b")
+
+
+@pytest.mark.parametrize("cases", [[], [(0.0, "a"), (-1.0, "b")], [(-0.0, "a")]])
+def test_no_positive_residual_reduces_to_zero_with_no_detail(cases):
+    assert verify._worst(iter(cases)) == (0.0, "")
+
+
+def test_a_point_check_skips_a_none_residual():
+    model = builtin_models()["qubit-rotation"]
+    thetas = model.sample_thetas
+    check = verify._PointCheck(lambda pt: None if pt.theta == thetas[1] else pt.theta)
+    cases = list(check({"qubit-rotation": model}, VerifyOptions(), verify._PointTable()))
+    assert cases == [(t, f"qubit-rotation theta={t:g}") for t in thetas if t != thetas[1]]
+
+
+def test_a_case_that_raises_fails_its_row_and_records_the_error(monkeypatch):
+    def raising(catalog, opts, points):
+        yield 1.0, "first"
+        raise ValueError("boom")
+
+    def passing(catalog, opts, points):
+        yield 1e-12, "only"
+
+    monkeypatch.setattr(verify, "_CHECKS", [
+        ("raising", "analytic", 1e-9, raising), ("passing", "fd", 1e-9, passing),
+    ])
+    assert run_suite(catalog={}) == [
+        CheckResult("raising", "analytic", None, 1e-9, False, error="ValueError: boom"),
+        CheckResult("passing", "fd", 1e-12, 1e-9, True, detail="only"),
+    ]
+
+
+def test_every_check_but_the_sim_rows_yields_its_cases():
+    for name, _, _, fn in verify._CHECKS:
+        if name not in SIM_CHECKS:
+            assert isinstance(fn, verify._PointCheck) or inspect.isgeneratorfunction(fn), name
+
+
+@pytest.mark.parametrize("present, missing", [
+    ("mixture-w0.9", "qubit-rotation"), ("qubit-rotation", "mixture-w0.9"),
+])
+def test_the_fixed_model_checks_fail_on_a_catalog_that_lacks_their_model(present, missing):
+    results = {r.name: r for r in run_suite(catalog={present: builtin_models()[present]})}
+    lacking = {"estimator-exact-variance"}
+    if missing == "qubit-rotation":
+        lacking.update(SIM_CHECKS)
+    for name in lacking:
+        assert results[name].error == f"ValueError: catalog lacks {missing}"
+        assert not results[name].passed
