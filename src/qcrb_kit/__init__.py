@@ -41,6 +41,7 @@ from .models import (
     PureStateModel,
     QubitMixtureModel,
     SpectralMixtureModel,
+    StateGrid,
     StatePoint,
     WeightFunction,
     builtin_models,
@@ -105,7 +106,7 @@ __all__ = [
     "DensityMatrix", "HermitianMatrix", "SpectralDecomposition", "UnitVector",
     "eigh", "psd_sqrt", "solve_symmetric_product", "trace_product",
     "ParametricStateModel", "PureFamily", "PureStateModel",
-    "QubitMixtureModel", "SpectralMixtureModel", "StatePoint", "WeightFunction",
+    "QubitMixtureModel", "SpectralMixtureModel", "StateGrid", "StatePoint", "WeightFunction",
     "builtin_models", "canonical_psi2", "complex_rotation_family",
     "constant_weight", "fixed_spectrum_model", "logistic_weight",
     "qubit_mixture_as_spectral", "random_pure_family",

@@ -5,7 +5,10 @@ classical Fisher information of the outcome distribution is summed over
 the support and compared against the Helstrom bound. Outcome spaces are
 finite: the measure-theoretic integral over outcomes is realized as a sum.
 The state functions take ``(point, povm)``, the point a ``StatePoint``
-(``model.at(theta)``), and read its rho and drho.
+(``model.at(theta)``), and read its rho and drho. ``classical_fisher``,
+and so ``bound_check``, reads the trace rule of the point's whole grid:
+the probabilities and scores of every theta, each one batched product of
+the stacked rho or drho with the effects.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import numpy as np
 
 from .errors import DimensionError, EigenConvergenceError, InvalidPovm, SupportRegularityError
 from .hermitian import HermitianMatrix, as_array, eigh, hermitian_part, real_traces_against
-from .models import StatePoint
+from .models import StateGrid, StatePoint
 from .quantum import NEAR_ZERO_INFO, helstrom_info_sld, wy_info_generic
 
 SUPPORT_PROB = 1e-12
@@ -116,12 +119,8 @@ class OutcomeDistribution:
         return self.probs.shape[0]
 
 
-def outcome_probs(pt: StatePoint, povm: Povm) -> OutcomeDistribution:
-    """Trace-rule distribution p_x = tr{rho(theta) m_x}."""
-    rho = pt.rho
-    if rho.dim != povm.dim:
-        raise DimensionError(f"state dim {rho.dim} vs measurement dim {povm.dim}")
-    probs = real_traces_against(rho, povm.stack)
+def _distribution(probs: np.ndarray) -> OutcomeDistribution:
+    """The trace-rule probabilities of one state, checked and clipped at 0."""
     if float(np.min(probs)) < -SUPPORT_PROB:
         raise InvalidPovm(f"negative outcome probability {float(np.min(probs)):.3e}")
     probs = np.clip(probs, 0.0, None)
@@ -132,19 +131,44 @@ def outcome_probs(pt: StatePoint, povm: Povm) -> OutcomeDistribution:
     return OutcomeDistribution(probs=probs, support=probs > SUPPORT_PROB)
 
 
+def _check_dims(rho_dim: int, povm: Povm) -> None:
+    if rho_dim != povm.dim:
+        raise DimensionError(f"state dim {rho_dim} vs measurement dim {povm.dim}")
+
+
+def outcome_probs(pt: StatePoint, povm: Povm) -> OutcomeDistribution:
+    """Trace-rule distribution p_x = tr{rho(theta) m_x}."""
+    rho = pt.rho
+    _check_dims(rho.dim, povm)
+    return _distribution(real_traces_against(rho, povm.stack))
+
+
 def outcome_scores(pt: StatePoint, povm: Povm) -> np.ndarray:
     """Per-outcome derivatives tr{drho m_x}; they sum to 0."""
     return real_traces_against(pt.drho, povm.stack)
 
 
+def _probs_stage(grid: StateGrid, povm: Povm) -> tuple:
+    rho, _ = grid.rho_stack()
+    _check_dims(rho.shape[-1], povm)
+    return (real_traces_against(rho, povm.stack),)
+
+
+def _scores_stage(grid: StateGrid, povm: Povm) -> tuple:
+    return (real_traces_against(grid.drho_stack(), povm.stack),)
+
+
 def classical_fisher(pt: StatePoint, povm: Povm) -> float:
     """sum over the support of (tr{drho m_x})^2 / p_x.
 
-    An outcome with vanishing probability but non-vanishing score makes the
-    score function blow up and raises SupportRegularityError.
+    The probabilities and scores are the point's layers of its grid's
+    stacked trace rule, with the same bits as ``outcome_probs`` and
+    ``outcome_scores``. An outcome with vanishing probability but
+    non-vanishing score makes the score function blow up and raises
+    SupportRegularityError.
     """
-    dist = outcome_probs(pt, povm)
-    scores = outcome_scores(pt, povm)
+    dist = _distribution(pt.layer(_probs_stage, povm)[0])
+    scores = pt.layer(_scores_stage, povm)[0]
     probs, support = dist.probs, dist.support
     if not support.all():
         blowup = np.flatnonzero(~support & (np.abs(scores) > SCORE_BLOWUP_ATOL))

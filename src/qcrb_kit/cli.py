@@ -268,9 +268,9 @@ def cmd_compute(args) -> int:
     povm = povm_from_config(load_json(args.povm)) if args.povm else None
     rows = []
     failures = 0
-    for theta in _thetas(args):
-        theta = float(theta)
-        point = model.at(theta)  # shared by the report and the bound check
+    # one grid: each state is evaluated once, shared by the report and the bound check
+    for point in model.grid(float(theta) for theta in _thetas(args)):
+        theta = point.theta
         report = relation_report(point)
         row = {column: _report_cell(report, column) for column in REPORT_COLUMNS}
         failures += _gate_residuals(row, _route_tol(args, model), f"theta={theta:g}")

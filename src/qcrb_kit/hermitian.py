@@ -10,6 +10,12 @@ type: a ``HermitianMatrix`` (or ``DensityMatrix``) is square, within the
 dimension ceiling, finite and exactly Hermitian, so ``eigh`` hands it to
 LAPACK as it is. A raw array has none of these guarantees and is
 symmetrized and scanned on every call.
+
+The kernels take a (T, n, n) stack as readily as one matrix: ``eigh``,
+``solve_symmetric_product`` and the trace helpers work layer by layer in
+one numpy call each, with the same bits as T separate calls, and a
+stacked ``HermitianMatrix`` or ``SpectralDecomposition`` keeps ``dim == n``.
+Where a stack fails a check, its first failing layer names the error.
 """
 
 from __future__ import annotations
@@ -49,6 +55,12 @@ def as_array(m) -> np.ndarray:
     return np.asarray(m, dtype=complex)
 
 
+def first_failing(bad: np.ndarray):
+    """The index of the first True entry of ``bad`` in C order, or None."""
+    i = int(bad.argmax())
+    return i if bad.flat[i] else None
+
+
 def hermitian_part(a: np.ndarray) -> np.ndarray:
     """(A + A*)/2 of a square matrix, or of each matrix of a (k, n, n) stack, validated.
 
@@ -74,7 +86,7 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
     if not (np.isfinite(h).all() and dev.max(initial=0.0) <= HERMITICITY_ATOL):
         finite = np.isfinite(h).all(axis=(-2, -1)).reshape(-1)
         worst = dev.max(axis=(-2, -1), initial=0.0).reshape(-1)
-        i = np.flatnonzero(~finite | (worst > HERMITICITY_ATOL))[0]
+        i = first_failing(~finite | (worst > HERMITICITY_ATOL))
         if not finite[i]:
             raise ValueError("matrix entries must be finite")
         raise NotHermitianError(
@@ -82,6 +94,15 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
         )
     h.setflags(write=False)
     return h
+
+
+def square_stack(mats) -> np.ndarray:
+    """The matrices as one complex (T, n, n) array; the first that is not square names the error."""
+    arrays = [np.asarray(m, dtype=complex) for m in mats]
+    for a in arrays:
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise DimensionError(f"expected a square matrix, got shape {a.shape}")
+    return np.array(arrays)
 
 
 class HermitianMatrix:
@@ -109,7 +130,7 @@ class HermitianMatrix:
 
     @property
     def dim(self) -> int:
-        return self.mat.shape[0]
+        return self.mat.shape[-1]
 
     def __repr__(self) -> str:
         return f"HermitianMatrix(dim={self.dim})"
@@ -141,14 +162,15 @@ class UnitVector:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenvalues (ascending) and orthonormal eigenvector columns."""
+    """Eigenvalues (ascending) and orthonormal eigenvector columns, of one matrix or of each
+    matrix of a stack (``eigenvalues`` (T, n), ``eigenvectors`` (T, n, n))."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.eigenvalues.shape[0]
+        return self.eigenvalues.shape[-1]
 
     def projectors(self) -> list[np.ndarray]:
         u = self.eigenvectors
@@ -159,28 +181,52 @@ class SpectralDecomposition:
         return (u * self.eigenvalues) @ u.conj().T
 
 
+def density_stack(a: np.ndarray) -> tuple[np.ndarray, SpectralDecomposition]:
+    """Validate a (T, n, n) stack of density matrices; return it symmetrized and its eigh.
+
+    Each layer passes ``hermitian_part``, has unit trace within
+    ``DENSITY_TRACE_ATOL`` and no eigenvalue below ``DENSITY_EIG_FLOOR``;
+    each check runs on the whole stack, and the first failing layer names
+    the error.
+    """
+    h = hermitian_part(a)
+    tr = np.trace(h, axis1=-2, axis2=-1).real
+    i = first_failing(np.abs(tr - 1.0) > DENSITY_TRACE_ATOL)
+    if i is not None:
+        raise NotDensityMatrix(f"trace {tr[i]!r} is not 1 within {DENSITY_TRACE_ATOL}")
+    dec = eigh(HermitianMatrix.of_checked(h))
+    lam_min = dec.eigenvalues[:, 0]
+    i = first_failing(lam_min < DENSITY_EIG_FLOOR)
+    if i is not None:
+        raise NotPositiveSemidefinite(
+            f"eigenvalue {float(lam_min[i]):.3e} below floor {DENSITY_EIG_FLOOR}"
+        )
+    return h, dec
+
+
 class DensityMatrix:
     """Hermitian, PSD, unit-trace matrix; caches its spectral decomposition.
 
     Eigenvalues in [-1e-10, 0] are tolerated (finite-difference noise) and
-    treated as 0 by consumers; anything lower is rejected.
+    treated as 0 by consumers; anything lower is rejected. Built by
+    ``density_stack`` on a stack of one, or, by ``of_checked``, as a layer
+    of a stack that ``density_stack`` validated.
     """
 
     __slots__ = ("matrix", "_decomp")
 
     def __init__(self, entries):
-        m = entries if isinstance(entries, HermitianMatrix) else HermitianMatrix(entries)
-        tr = np.trace(m.mat).real
-        if abs(tr - 1.0) > DENSITY_TRACE_ATOL:
-            raise NotDensityMatrix(f"trace {tr!r} is not 1 within {DENSITY_TRACE_ATOL}")
-        decomp = eigh(m)
-        lam_min = float(decomp.eigenvalues[0])
-        if lam_min < DENSITY_EIG_FLOOR:
-            raise NotPositiveSemidefinite(
-                f"eigenvalue {lam_min:.3e} below floor {DENSITY_EIG_FLOOR}"
-            )
-        self.matrix = m
-        self._decomp = decomp
+        h, dec = density_stack(square_stack([as_array(entries)]))
+        self.matrix = HermitianMatrix.of_checked(h[0])
+        self._decomp = SpectralDecomposition(dec.eigenvalues[0], dec.eigenvectors[0])
+
+    @classmethod
+    def of_checked(cls, h: np.ndarray, decomp: SpectralDecomposition) -> "DensityMatrix":
+        """Wrap one layer of a ``density_stack`` result and its eigendecomposition."""
+        d = cls.__new__(cls)
+        d.matrix = HermitianMatrix.of_checked(h)
+        d._decomp = decomp
+        return d
 
     @property
     def mat(self) -> np.ndarray:
@@ -203,19 +249,22 @@ class DensityMatrix:
 
 
 def _fix_phases(vecs: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude entry is real positive.
+    """Rotate each column (of each matrix of a stack) so its largest-magnitude entry is real positive.
 
     np.argmax breaks exact-magnitude ties at the lowest index; a zero
     column is left as it is. The pivot magnitudes are taken one scalar at a
     time: np.abs of the pivot array can differ from the scalar abs in the
     last bit.
     """
-    n = vecs.shape[1]
-    pivots = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(n)]
-    mags = np.array([abs(p) for p in pivots])
+    n = vecs.shape[-1]
+    stack = vecs.reshape(-1, n, n)
+    rows = np.argmax(np.abs(stack), axis=1)
+    pivots = stack[np.arange(stack.shape[0])[:, None], rows, np.arange(n)]
+    mags = np.array([abs(p) for p in pivots.flat]).reshape(pivots.shape)
     live = mags > 0.0
-    factors = np.divide(pivots.conj(), mags, out=np.ones(n, dtype=complex), where=live)
-    return np.multiply(vecs, factors, out=vecs.copy(), where=live)
+    factors = np.divide(pivots.conj(), mags, out=np.ones(pivots.shape, dtype=complex), where=live)
+    fixed = np.multiply(stack, factors[:, None, :], out=stack.copy(), where=live[:, None, :])
+    return fixed.reshape(vecs.shape)
 
 
 def _symmetrized_square(m) -> np.ndarray:
@@ -226,7 +275,7 @@ def _symmetrized_square(m) -> np.ndarray:
 
 
 def eigh(m) -> SpectralDecomposition:
-    """Eigendecomposition of a Hermitian matrix by LAPACK (``np.linalg.eigh``).
+    """Eigendecomposition of a Hermitian matrix, or of each of a stack, by LAPACK (``np.linalg.eigh``).
 
     Eigenvalues come back ascending; eigenvector phases are fixed
     deterministically (largest-magnitude component real positive). A LAPACK
@@ -234,19 +283,20 @@ def eigh(m) -> SpectralDecomposition:
     NaN silently), raises EigenConvergenceError.
 
     A ``HermitianMatrix`` or ``DensityMatrix`` goes to LAPACK as it is: its
-    (A + A*)/2 is itself, bit for bit, and it was checked finite when built.
-    Any other input is symmetrized and scanned.
+    (A + A*)/2 is itself, bit for bit, and it was checked finite when built;
+    a stacked one gives stacked eigenvalues and eigenvectors. Any other
+    input must be one square matrix, and is symmetrized and scanned.
     """
     if isinstance(m, (HermitianMatrix, DensityMatrix)):
         a = as_array(m)
     else:
         a = _symmetrized_square(m)
         if not np.isfinite(a).all():
-            raise EigenConvergenceError(f"matrix of dim {a.shape[0]} has non-finite entries")
+            raise EigenConvergenceError(f"matrix of dim {a.shape[-1]} has non-finite entries")
     try:
         vals, vecs = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
-        raise EigenConvergenceError(f"LAPACK eigh failed: dim={a.shape[0]}: {exc}") from exc
+        raise EigenConvergenceError(f"LAPACK eigh failed: dim={a.shape[-1]}: {exc}") from exc
     vecs = _fix_phases(vecs)
     vals.setflags(write=False)
     vecs.setflags(write=False)
@@ -290,69 +340,79 @@ def solve_symmetric_product(dec: SpectralDecomposition, rhs) -> HermitianMatrix:
     whose transformed right-hand side exceeds DROPPED_RHS_ATOL means rhs
     is not supported on the range of a and raises RankDeficientInconsistent.
     a itself is never read: its eigenvalues and eigenvectors are the operand.
+    A stacked dec and rhs solve every layer at once, each layer by the rule
+    above; the first inconsistent layer names the error.
     """
     r_mat = as_array(rhs)
-    if r_mat.shape != (dec.dim, dec.dim):
-        raise DimensionError(f"shape mismatch: {(dec.dim, dec.dim)} vs {r_mat.shape}")
-    lam = dec.eigenvalues
     u = dec.eigenvectors
-    r_tilde = u.conj().T @ r_mat @ u
-    denom = lam[:, None] + lam[None, :]
+    if r_mat.shape != u.shape:
+        raise DimensionError(f"shape mismatch: {u.shape} vs {r_mat.shape}")
+    lam = dec.eigenvalues
+    u_h = u.conj().swapaxes(-1, -2)
+    r_tilde = u_h @ r_mat @ u
+    denom = lam[..., :, None] + lam[..., None, :]
     keep = denom > SUPPORT_TOL
     if keep.all():
         x_tilde = 2.0 * r_tilde / denom
     else:
-        dropped = ~keep
-        worst = float(np.max(np.abs(r_tilde[dropped])))
-        if worst > DROPPED_RHS_ATOL:
+        worst = np.max(np.abs(r_tilde), axis=(-2, -1), where=~keep, initial=0.0)
+        i = first_failing(worst > DROPPED_RHS_ATOL)
+        if i is not None:
             raise RankDeficientInconsistent(
-                f"right-hand side has weight {worst:.3e} outside the support "
-                f"(tol={SUPPORT_TOL})"
+                f"right-hand side has weight {float(worst.reshape(-1)[i]):.3e} outside the "
+                f"support (tol={SUPPORT_TOL})"
             )
-        x_tilde = np.zeros_like(r_tilde)
-        x_tilde[keep] = 2.0 * r_tilde[keep] / denom[keep]
-    x = u @ x_tilde @ u.conj().T
+        x_tilde = np.divide(2.0 * r_tilde, denom, out=np.zeros_like(r_tilde), where=keep)
+    x = u @ x_tilde @ u_h
     # X is Hermitian by construction, but an ill-conditioned a amplifies the
     # rounding asymmetry of the back transform past the construction gate:
     # 3.8e-12 and 2.0e-12 at the two @example points of
     # test_solve_involution_property, against HERMITICITY_ATOL = 1e-12
-    return HermitianMatrix((x + x.conj().T) / 2.0)
+    return HermitianMatrix.of_checked(hermitian_part((x + x.conj().swapaxes(-1, -2)) / 2.0))
 
 
-def trace_product(ms: Iterable) -> complex:
-    """Trace of the ordered product of the given matrices."""
+def trace_product(ms: Iterable):
+    """Trace of the ordered product of the given matrices: a complex, or one per layer of a stack."""
     arrays = [as_array(m) for m in ms]
     if not arrays:
         raise DimensionError("trace_product needs at least one matrix")
     for left, right in zip(arrays, arrays[1:]):
-        if left.shape[1] != right.shape[0]:
+        if left.shape[-1] != right.shape[-2]:
             raise DimensionError(f"shape mismatch: {left.shape} @ {right.shape}")
-    if arrays[0].shape[0] != arrays[-1].shape[1]:
+    if arrays[0].shape[-2] != arrays[-1].shape[-1]:
         raise DimensionError("product is not square; trace undefined")
-    return complex(np.trace(reduce(np.matmul, arrays)))
+    value = np.trace(reduce(np.matmul, arrays), axis1=-2, axis2=-1)
+    return complex(value) if value.ndim == 0 else value
 
 
-def real_trace_product(ms: Iterable) -> float:
-    """Trace of a product that must be real; a residue above ``TRACE_IMAG_ATOL`` raises."""
-    value = trace_product(ms)
-    if abs(value.imag) > TRACE_IMAG_ATOL:
-        raise ValueError(f"trace has imaginary residue {value.imag:.3e} > {TRACE_IMAG_ATOL}")
-    return value.real
+def _real_traces(values):
+    """The real part of a trace, or of an array of traces, that must be real; the first
+    imaginary residue above ``TRACE_IMAG_ATOL`` raises."""
+    if isinstance(values, complex):
+        residue = values.imag if abs(values.imag) > TRACE_IMAG_ATOL else None
+    else:
+        i = first_failing(np.abs(values.imag) > TRACE_IMAG_ATOL)
+        residue = None if i is None else float(values.imag.flat[i])
+    if residue is not None:
+        raise ValueError(f"trace has imaginary residue {residue:.3e} > {TRACE_IMAG_ATOL}")
+    return values.real
+
+
+def real_trace_product(ms: Iterable):
+    """Trace of a product that must be real (per layer of a stack); a residue above
+    ``TRACE_IMAG_ATOL`` raises."""
+    return _real_traces(trace_product(ms))
 
 
 def real_traces_against(a, stack: np.ndarray) -> np.ndarray:
     """tr(a @ s) for every matrix s of a (k, n, n) stack, by one batched product.
 
-    Each trace must be real: the first whose imaginary residue exceeds
-    ``TRACE_IMAG_ATOL`` raises ValueError, as ``real_trace_product`` does.
+    ``a`` is one matrix, giving k traces, or a (T, n, n) stack, giving
+    (T, k). Each trace must be real: the first whose imaginary residue
+    exceeds ``TRACE_IMAG_ATOL`` raises ValueError, as ``real_trace_product``
+    does.
     """
     a = as_array(a)
-    if a.shape != stack.shape[1:]:
-        raise DimensionError(f"shape mismatch: {a.shape} @ {stack.shape[1:]}")
-    values = np.trace(a @ stack, axis1=1, axis2=2)
-    bad = np.flatnonzero(np.abs(values.imag) > TRACE_IMAG_ATOL)
-    if bad.size:
-        raise ValueError(
-            f"trace has imaginary residue {values.imag[bad[0]]:.3e} > {TRACE_IMAG_ATOL}"
-        )
-    return values.real
+    if a.shape[-2:] != stack.shape[1:]:
+        raise DimensionError(f"shape mismatch: {a.shape[-2:]} @ {stack.shape[1:]}")
+    return _real_traces(np.trace(a[..., None, :, :] @ stack, axis1=-2, axis2=-1))

@@ -2,15 +2,22 @@
 
 Pure families, two-dimensional mixtures of orthogonal pure states, and
 general spectral mixtures built from a smooth orthonormal frame. Models are
-immutable after construction; evaluation is pure, so distinct theta values
-can be evaluated concurrently.
+immutable after construction; evaluation is pure.
+
+A theta grid is the unit of evaluation. ``model.grid(thetas)`` yields one
+``StatePoint`` per theta, each a view into one layer of a ``StateGrid``;
+``model.at(theta)`` is a grid of one. The model's ``rho_matrix`` and
+``_drho_analytic`` run once per theta, and their outputs are stacked: the
+validation, the eigendecomposition and the square-root solve (and, in
+``quantum``, the SLD solve) each run once per grid on the (T, n, n) stack.
+Long grids are cut into blocks of ``GRID_BLOCK_ENTRIES`` matrix entries.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -27,11 +34,15 @@ from .hermitian import (
     HermitianMatrix,
     SpectralDecomposition,
     UnitVector,
+    density_stack,
     eigh,
+    first_failing,
+    hermitian_part,
     psd_sqrt,
     real_trace_product,
     solve_symmetric_product,
     sqrt_eigenvalues,
+    square_stack,
 )
 
 DEFAULT_FD_STEP = 1e-5
@@ -43,6 +54,9 @@ ORTHO_ATOL = 1e-10
 LAMBDA_SUM_ATOL = 1e-10
 LAMBDA_RANGE_ATOL = 1e-12
 DLAMBDA_SUM_ATOL = 1e-8
+# matrix entries in one stacked array of a grid block: a block of a grid
+# over a dimension-n model holds max(1, GRID_BLOCK_ENTRIES // n^2) thetas
+GRID_BLOCK_ENTRIES = 1 << 15
 
 
 def _central_difference(f: Callable[[float], np.ndarray], theta: float, h: float) -> np.ndarray:
@@ -123,22 +137,86 @@ class SqrtDerivative:
     fd_fallback: bool = False  # True when the solve route failed and fd took over
 
 
+class StateGrid:
+    """One model at a block of thetas, whose stages each run once for the whole block.
+
+    A stage is a function ``fn(grid, *args)`` that returns a tuple of
+    arrays with one layer per theta: rho with its eigendecomposition, drho,
+    the square-root derivative, and the stages of other modules (the SLD,
+    the trace rule of a measurement). Each runs on first use and is kept. A
+    stage that raises is not kept; a grid of more than one theta then
+    splits into grids of one, which keep the stages already run and
+    evaluate the rest alone, so each point gets its own value or raises
+    its own error. The grid holds no reference to its points, so a grid is
+    freed as soon as its last point is.
+    """
+
+    __slots__ = ("model", "thetas", "_stages", "_parts")
+
+    def __init__(self, model: ParametricStateModel, thetas: Iterable[float]):
+        self.model = model
+        self.thetas = tuple(thetas)
+        self._stages: dict[tuple, tuple] = {}
+        self._parts: list[StateGrid] | None = None
+
+    def points(self) -> tuple[StatePoint, ...]:
+        """One new point per theta, each a view into its layer."""
+        return tuple(StatePoint(self, k) for k in range(len(self.thetas)))
+
+    def stage(self, fn, *args) -> tuple:
+        """fn(self, *args), run on the first call and kept."""
+        key = (fn, *args)
+        stages = self._stages
+        if key not in stages:
+            stages[key] = fn(self, *args)
+        return stages[key]
+
+    def layer(self, k: int, fn, *args) -> tuple:
+        """Layer k of every array of the stage fn(self, *args)."""
+        if self._parts is None:
+            try:
+                return tuple([a[k] for a in self.stage(fn, *args)])
+            except Exception:  # noqa: BLE001 - each theta then raises its own error alone
+                if len(self.thetas) == 1:
+                    raise
+                self._split()
+        return self._parts[k].layer(0, fn, *args)
+
+    def _split(self) -> None:
+        self._parts = [StateGrid(self.model, (theta,)) for theta in self.thetas]
+        for key, arrays in self._stages.items():
+            for k, part in enumerate(self._parts):
+                part._stages[key] = tuple(a[k:k + 1] for a in arrays)
+
+    def rho_stack(self) -> tuple[np.ndarray, SpectralDecomposition]:
+        """The (T, n, n) stack of rho and its stacked eigendecomposition."""
+        h, lam, vecs = self.stage(_rho_stage)
+        return h, SpectralDecomposition(eigenvalues=lam, eigenvectors=vecs)
+
+    def drho_stack(self) -> np.ndarray:
+        """The (T, n, n) stack of drho."""
+        return self.stage(_drho_stage)[0]
+
+
 class StatePoint:
-    """A model at one theta, whose ingredients are each evaluated at most once.
+    """A model at one theta: a view into layer ``index`` of a ``StateGrid``.
 
     ``model`` and ``theta`` are fixed at construction; any finite difference
     uses the model's ``fd_step``. ``rho``, ``drho`` and ``dsqrt`` are
-    evaluated on first access; ``cached(fn)`` does the same for any
-    ``fn(point)``, which is how the SLD and the closed-form ingredients are
-    shared between routes. A failed evaluation is not kept, so it raises
-    again on every access.
+    evaluated on first access, for the whole grid at once; ``layer(fn)``
+    reads the point's layer of any other stage of its grid, and
+    ``cached(fn)`` keeps any ``fn(point)``, which is how the SLD and the
+    closed-form ingredients are shared between routes. A failed evaluation
+    is not kept, so it raises again on every access.
     """
 
-    __slots__ = ("model", "theta", "_values")
+    __slots__ = ("grid", "index", "model", "theta", "_values")
 
-    def __init__(self, model: ParametricStateModel, theta: float):
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "theta", theta)
+    def __init__(self, grid: StateGrid, index: int):
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "model", grid.model)
+        object.__setattr__(self, "theta", grid.thetas[index])
         object.__setattr__(self, "_values", {})
 
     def __setattr__(self, name, value):
@@ -150,6 +228,10 @@ class StatePoint:
         if fn not in values:
             values[fn] = fn(self)
         return values[fn]
+
+    def layer(self, fn, *args) -> tuple:
+        """This point's layer of the grid stage fn(grid, *args)."""
+        return self.grid.layer(self.index, fn, *args)
 
     @property
     def rho(self) -> DensityMatrix:
@@ -164,16 +246,64 @@ class StatePoint:
         return self.cached(_point_dsqrt)
 
 
+def _rho_stage(grid: StateGrid) -> tuple:
+    model = grid.model
+    mats = []
+    for theta in grid.thetas:
+        model._require_in_domain(theta)
+        mats.append(model.rho_matrix(theta))
+    h, dec = density_stack(square_stack(mats))
+    return h, dec.eigenvalues, dec.eigenvectors
+
+
+def _drho_stage(grid: StateGrid) -> tuple:
+    return (_drho_layers(grid.model, grid.thetas),)
+
+
+def _drho_layers(model: ParametricStateModel, thetas, force_fd: bool = False) -> np.ndarray:
+    """The validated (T, n, n) stack of drho at ``thetas``, analytic unless ``force_fd``."""
+    ds = []
+    for theta in thetas:
+        model._require_in_domain(theta)
+        d = None if force_fd else model._drho_analytic(theta)
+        if d is None:
+            d = model._difference(model.rho_matrix, theta)
+            # the quotient of Hermitian evaluations is Hermitian; dividing by
+            # 2h amplifies matmul rounding asymmetry past the construction gate
+            d = (d + d.conj().T) / 2.0
+        ds.append(d)
+    h = hermitian_part(square_stack(ds))
+    tr = np.abs(np.trace(h, axis1=-2, axis2=-1).real)
+    i = first_failing(tr > TRACELESS_ATOL)
+    if i is not None:
+        raise ValueError(f"state derivative has trace {tr[i]:.3e} > {TRACELESS_ATOL}")
+    return h
+
+
+def _dsqrt_stage(grid: StateGrid) -> tuple:
+    """Solve 2 sqrt(rho) X + X 2 sqrt(rho) = 2 drho in the eigenbasis of rho, per layer."""
+    _, dec = grid.rho_stack()
+    doubled = SpectralDecomposition(
+        eigenvalues=2.0 * sqrt_eigenvalues(dec.eigenvalues), eigenvectors=dec.eigenvectors
+    )
+    return (solve_symmetric_product(doubled, grid.drho_stack()).mat,)
+
+
 def _point_rho(pt: StatePoint) -> DensityMatrix:
-    return pt.model.rho(pt.theta)
+    h, lam, vecs = pt.layer(_rho_stage)
+    return DensityMatrix.of_checked(h, SpectralDecomposition(eigenvalues=lam, eigenvectors=vecs))
 
 
 def _point_drho(pt: StatePoint) -> HermitianMatrix:
-    return pt.model.drho(pt.theta)
+    return HermitianMatrix.of_checked(pt.layer(_drho_stage)[0])
 
 
 def _point_dsqrt(pt: StatePoint) -> SqrtDerivative:
-    return pt.model.dsqrt_rho(pt.theta, rho=pt.rho, drho=pt.drho)
+    try:
+        x = pt.layer(_dsqrt_stage)[0]
+    except RankDeficientInconsistent:
+        return pt.model._dsqrt_difference(pt.theta, fell_back=True)
+    return SqrtDerivative(matrix=HermitianMatrix.of_checked(x), route="solve")
 
 
 def _checked_step(fd_step: float) -> float:
@@ -243,57 +373,44 @@ class ParametricStateModel:
     def has_analytic_derivative(self) -> bool:
         return False
 
-    def at(self, theta: float) -> "StatePoint":
-        """The state at theta, evaluated lazily and at most once per ingredient."""
-        return StatePoint(self, theta)
+    def grid(self, thetas: Iterable[float]) -> Iterator[StatePoint]:
+        """The states at ``thetas``, in order, evaluated lazily and together.
+
+        Consecutive thetas share a ``StateGrid`` of at most
+        max(1, GRID_BLOCK_ENTRIES // dim^2) of them, so each stage runs once
+        per block and a long grid over a large model never stacks more than
+        one block; a block is built when the first of its points is reached.
+        """
+        thetas = list(thetas)
+        size = max(1, GRID_BLOCK_ENTRIES // (self.dim * self.dim))
+        for start in range(0, len(thetas), size):
+            yield from StateGrid(self, thetas[start:start + size]).points()
+
+    def at(self, theta: float) -> StatePoint:
+        """The state at theta: a grid of one."""
+        return StateGrid(self, (theta,)).points()[0]
 
     def rho(self, theta: float) -> DensityMatrix:
-        self._require_in_domain(theta)
-        return DensityMatrix(self.rho_matrix(theta))
+        return self.at(theta).rho
 
     def drho(self, theta: float, force_fd: bool = False) -> HermitianMatrix:
-        self._require_in_domain(theta)
-        d = None if force_fd else self._drho_analytic(theta)
-        if d is None:
-            d = self._difference(self.rho_matrix, theta)
-            # the quotient of Hermitian evaluations is Hermitian; dividing by
-            # 2h amplifies matmul rounding asymmetry past the construction gate
-            d = (d + d.conj().T) / 2.0
-        out = HermitianMatrix(d)
-        tr = abs(np.trace(out.mat).real)
-        if tr > TRACELESS_ATOL:
-            raise ValueError(f"state derivative has trace {tr:.3e} > {TRACELESS_ATOL}")
-        return out
+        if not force_fd:
+            return self.at(theta).drho
+        return HermitianMatrix.of_checked(_drho_layers(self, (theta,), force_fd=True)[0])
 
-    def dsqrt_rho(
-        self,
-        theta: float,
-        force_fd: bool = False,
-        *,
-        rho: DensityMatrix | None = None,
-        drho: HermitianMatrix | None = None,
-    ) -> SqrtDerivative:
+    def dsqrt_rho(self, theta: float, force_fd: bool = False) -> SqrtDerivative:
         """Derivative of sqrt(rho(theta)).
 
-        Default route solves 2 sqrt(rho) X + X 2 sqrt(rho) = 2 drho in the
-        eigenbasis of rho; if the right-hand side turns out inconsistent on
-        a rank-deficient state, falls back to the central difference of
-        psd_sqrt and flags it. ``rho`` and ``drho`` pass in an already
-        evaluated rho(theta) and drho(theta).
+        Default route: the point's layer of its grid's eigenbasis solve of
+        2 sqrt(rho) X + X 2 sqrt(rho) = 2 drho; if the right-hand side turns
+        out inconsistent on a rank-deficient state, it falls back to the
+        central difference of psd_sqrt and flags it.
         """
         if not force_fd:
-            rho = self.rho(theta) if rho is None else rho
-            drho = self.drho(theta) if drho is None else drho
-            dec = rho.decomposition
-            doubled_roots = 2.0 * sqrt_eigenvalues(dec.eigenvalues)
-            scaled = SpectralDecomposition(eigenvalues=doubled_roots, eigenvectors=dec.eigenvectors)
-            try:
-                x = solve_symmetric_product(scaled, drho)
-                return SqrtDerivative(matrix=x, route="solve")
-            except RankDeficientInconsistent:
-                fell_back = True
-        else:
-            fell_back = False
+            return self.at(theta).dsqrt
+        return self._dsqrt_difference(theta, fell_back=False)
+
+    def _dsqrt_difference(self, theta: float, fell_back: bool) -> SqrtDerivative:
         diff = self._difference(lambda t: psd_sqrt(self.rho(t)).mat, theta)
         return SqrtDerivative(matrix=HermitianMatrix(diff), route="fd", fd_fallback=fell_back)
 

@@ -16,10 +16,12 @@ definitional route each must match. ``relation_report`` reads it and is the
 one producer of the cross-route and relation residuals, the core
 correctness surface: the verify route and relation checks and every CLI
 row read the point's report instead of recomputing them. Every route takes
-a ``StatePoint``
-(``model.at(theta)``); routes that read one point share its evaluated rho,
-drho, square-root derivative, SLD and closed-form ingredients instead of
-evaluating the state again.
+a ``StatePoint`` (``model.at(theta)``, or a point of ``model.grid(thetas)``);
+routes that read one point share its evaluated rho, drho, square-root
+derivative, SLD and closed-form ingredients instead of evaluating the state
+again. The SLD solve runs once per grid, on the stacked rho and drho;
+the closed forms and the report's assembly stay per point, so the routes
+share only (rho, drho).
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .hermitian import (
     real_trace_product,
     solve_symmetric_product,
 )
-from .models import DEFAULT_FD_STEP, PureFamily, StatePoint
+from .models import DEFAULT_FD_STEP, PureFamily, StateGrid, StatePoint
 
 INFO_FLOOR = -1e-9
 NEAR_ZERO_INFO = 1e-8
@@ -59,26 +61,34 @@ class SldResult:
     min_pair_sum: float  # smallest lam_i + lam_j kept in the solve
 
 
+def _sld_stage(grid: StateGrid) -> tuple:
+    rho, dec = grid.rho_stack()
+    l_mat = solve_symmetric_product(dec, grid.drho_stack()).mat
+    lam = dec.eigenvalues
+    pair = lam[:, :, None] + lam[:, None, :]
+    return (
+        l_mat,
+        2.0 * lam[:, 0] <= SUPPORT_TOL,
+        real_trace_product([rho, l_mat]),
+        np.min(pair, axis=(1, 2), where=pair > SUPPORT_TOL, initial=np.inf),
+    )
+
+
 def sld(pt: StatePoint) -> SldResult:
     """Hermitian L solving rho L + L rho = 2 drho, in the eigenbasis of rho.
 
     Entries over eigenvalue pairs with lam_i + lam_j below the support
     tolerance are zeroed; an inconsistent right-hand side there raises
-    RankDeficientInconsistent. Each call solves afresh; ``point.cached(sld)``
-    keeps one solve per point.
+    RankDeficientInconsistent. The solve runs once per grid, on its stacked
+    rho and drho, and this is the point's layer of it; ``point.cached(sld)``
+    keeps one result per point.
     """
-    rho, drho = pt.rho, pt.drho
-    dec = rho.decomposition
-    l_mat = solve_symmetric_product(dec, drho)
-    lam = dec.eigenvalues
-    pair = lam[:, None] + lam[None, :]
-    dropped = bool(2.0 * lam[0] <= SUPPORT_TOL)
-    score = real_trace_product([rho, l_mat])
+    l_mat, dropped, score, min_pair_sum = pt.layer(_sld_stage)
     return SldResult(
-        matrix=l_mat,
-        support_dropped=dropped,
-        score_mean=score,
-        min_pair_sum=float(np.min(pair[pair > SUPPORT_TOL])),
+        matrix=HermitianMatrix.of_checked(l_mat),
+        support_dropped=bool(dropped),
+        score_mean=float(score),
+        min_pair_sum=float(min_pair_sum),
     )
 
 

@@ -13,7 +13,9 @@ those checks by design). A catalog can be injected, which is how the tests
 exercise corrupted models.
 
 One suite run evaluates each (model, theta) state once: the checks read a
-shared ``StatePoint`` from a run-wide table, and only the second route a
+shared ``StatePoint`` from a run-wide table, whose points of one model are
+views into one grid over the thetas the suite reads of it, so each model's
+rho, drho, eigendecomposition and solves run once, stacked. Only the second route a
 check exists to compare (a forced finite difference, the projector-sum
 SLD, the psd_sqrt difference) is computed afresh. ``eigh-reconstruction``
 holds LAPACK's eigenvalues against the power sums tr(M^k) of its matrices,
@@ -65,6 +67,11 @@ from .quantum import (
 from .simulate import SimConfig, bound_chain_excess, exact_estimator_moments, run_sim
 
 BOUNDARY_RATIO_CAP = 50.0
+# estimator-exact-variance reads these catalog models at this theta
+_ESTIMATOR_MODELS = ("qubit-rotation", "mixture-w0.9")
+_ESTIMATOR_THETA = 0.3
+# the route checks over spectral models read their first sample thetas
+_SPECTRAL_THETAS = 3
 # a weight slope at or below this counts as a constant weight
 CONSTANT_WEIGHT_SLOPE_ATOL = 1e-12
 
@@ -101,22 +108,28 @@ class VerifyOptions:
 class _PointTable:
     """One StatePoint per (model, theta) for a whole suite run.
 
+    ``reads`` maps each model to the thetas the suite reads of it; the
+    first read of a model builds one grid over all of them, so each of its
+    stages runs once per model. A theta outside them gets a grid of one.
     Keyed on the model objects themselves, which the table keeps alive: an
     id() key could be reused by a later temporary model once the first one
     is collected, and hand that model the wrong point. The run's extra
     seeded spectral models live here too, so their points are shared as well.
     """
 
-    def __init__(self, extra_spectral=()):
+    def __init__(self, reads: dict | None = None, extra_spectral=()):
+        self._reads = dict(reads or {})
         self._points: dict[tuple, StatePoint] = {}
         self.extra_spectral = list(extra_spectral)
 
     def at(self, model: ParametricStateModel, theta: float) -> StatePoint:
         key = (model, theta)
-        point = self._points.get(key)
-        if point is None:
-            point = self._points[key] = model.at(theta)
-        return point
+        if key not in self._points:
+            thetas = self._reads.pop(model, ())
+            self._points.update(((model, pt.theta), pt) for pt in model.grid(thetas))
+            if key not in self._points:
+                self._points[key] = model.at(theta)
+        return self._points[key]
 
 
 def _models(catalog, kinds=None, analytic=None):
@@ -134,6 +147,19 @@ def _extra_spectral_models(opts):
         (f"spectral-extra-{n}", random_spectral_model(opts.seed + 10 * n, n, fd_step=opts.fd_step))
         for n in range(2, 7)
     ]
+
+
+def _suite_reads(catalog, extra_spectral) -> dict:
+    """The thetas the suite reads of each model: every sample theta of a catalog model,
+    the estimator theta of the estimator models, and the first sample thetas of the
+    extra spectral models."""
+    reads = {model: model.sample_thetas for model in catalog.values()}
+    for name in _ESTIMATOR_MODELS:
+        if name in catalog:
+            reads[catalog[name]] += (_ESTIMATOR_THETA,)
+    for _, model in extra_spectral:
+        reads[model] = model.sample_thetas[:_SPECTRAL_THETAS]
+    return {model: tuple(dict.fromkeys(thetas)) for model, thetas in reads.items()}
 
 
 @dataclass(frozen=True)
@@ -417,9 +443,9 @@ def _catalog_model(catalog, name):
 
 
 def _estimator_exact_variance(catalog, opts, points):
-    theta = 0.3
-    for name, povm in [("qubit-rotation", basis_povm(2)),
-                       ("mixture-w0.9", random_povm(2, 3, opts.seed + 6))]:
+    theta = _ESTIMATOR_THETA
+    povms = (basis_povm(2), random_povm(2, 3, opts.seed + 6))
+    for name, povm in zip(_ESTIMATOR_MODELS, povms):
         pt = points.at(_catalog_model(catalog, name), theta)
         mean, var = exact_estimator_moments(pt, povm)
         i = classical_fisher(pt, povm)
@@ -441,7 +467,7 @@ def _sim_reproducibility(catalog, opts, points):
 
 
 _MIXTURES = ("qubit_mixture",)
-_SPECTRAL_FIRST_3 = dict(kinds=("spectral",), first_thetas=3, with_extra_spectral=True)
+_SPECTRAL_FIRST_3 = dict(kinds=("spectral",), first_thetas=_SPECTRAL_THETAS, with_extra_spectral=True)
 _ROUTE_H = partial(_report_residual, "route_i_h")
 _ROUTE_WY = partial(_report_residual, "route_i_wy")
 _PROP1 = partial(_report_residual, "prop1")
@@ -518,7 +544,8 @@ def run_suite(
     catalog = builtin_models() if catalog is None else catalog
     opts = options or VerifyOptions()
     catalog = {name: model.with_fd_step(opts.fd_step) for name, model in catalog.items()}
-    points = _PointTable(_extra_spectral_models(opts))
+    extra_spectral = _extra_spectral_models(opts)
+    points = _PointTable(_suite_reads(catalog, extra_spectral), extra_spectral)
     results = []
     for name, kind, default_tol, fn in _CHECKS:
         tol = default_tol

@@ -1,4 +1,5 @@
-"""Tests for StatePoint: one evaluation of each ingredient per (model, theta)."""
+"""Tests for StatePoint: one evaluation of each ingredient per (model, theta), one
+stacked evaluation of each stage per grid."""
 
 import json
 from collections import Counter
@@ -6,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from qcrb_kit import cli, quantum
+from qcrb_kit import classical, cli, hermitian, models, quantum
 from qcrb_kit.classical import basis_povm, bound_check
 from qcrb_kit.errors import NotDensityMatrix
 from qcrb_kit.models import (
@@ -24,11 +25,20 @@ from qcrb_kit.simulate import SimConfig, exact_estimator_moments, run_sim
 
 
 class CountingMixture(QubitMixtureModel):
-    """Sine-weight rotation mixture that counts its state evaluations."""
+    """Sine-weight rotation mixture that counts its per-theta evaluations and the
+    calls of its public state methods."""
 
     def __init__(self):
         super().__init__(rotation_family(), sine_weight(0.8), domain=(-1.45, 1.45))
         self.counts = Counter()
+
+    def rho_matrix(self, theta):
+        self.counts["rho_matrix"] += 1
+        return super().rho_matrix(theta)
+
+    def _drho_analytic(self, theta):
+        self.counts["_drho_analytic"] += 1
+        return super()._drho_analytic(theta)
 
     def rho(self, theta):
         self.counts["rho"] += 1
@@ -38,9 +48,9 @@ class CountingMixture(QubitMixtureModel):
         self.counts["drho"] += 1
         return super().drho(theta, force_fd)
 
-    def dsqrt_rho(self, theta, force_fd=False, **given):
+    def dsqrt_rho(self, theta, force_fd=False):
         self.counts["dsqrt_rho"] += 1
-        return super().dsqrt_rho(theta, force_fd, **given)
+        return super().dsqrt_rho(theta, force_fd)
 
 
 class TraceOffModel(ParametricStateModel):
@@ -65,19 +75,51 @@ def counting(monkeypatch, module, name, counts):
     monkeypatch.setattr(module, name, wrapper)
 
 
+# the stacked stages of a point's grid, and the two kernels they call
+STAGES = {
+    models: ("_rho_stage", "_drho_stage", "_dsqrt_stage"),
+    quantum: ("_sld_stage",),
+}
+ONE_STACKED_EVALUATION = {
+    "_rho_stage": 1, "_drho_stage": 1, "_dsqrt_stage": 1, "_sld_stage": 1,
+    "eigh": 1, "solve_symmetric_product": 2,
+}
+
+
+def counting_stages(monkeypatch) -> Counter:
+    counts = Counter()
+    for module, names in STAGES.items():
+        for name in names:
+            counting(monkeypatch, module, name, counts)
+    counting(monkeypatch, hermitian, "eigh", counts)
+    original = hermitian.solve_symmetric_product
+
+    def solve(*args):
+        counts["solve_symmetric_product"] += 1
+        return original(*args)
+
+    monkeypatch.setattr(models, "solve_symmetric_product", solve)
+    monkeypatch.setattr(quantum, "solve_symmetric_product", solve)
+    return counts
+
+
 # --- the point ----------------------------------------------------------------
 
-def test_point_is_lazy_and_evaluates_each_ingredient_once():
+def test_point_is_lazy_and_evaluates_each_ingredient_once(monkeypatch):
+    stages = counting_stages(monkeypatch)
     model = CountingMixture()
     pt = model.at(0.4)
     assert isinstance(pt, StatePoint)
     assert (pt.model, pt.theta) == (model, 0.4)
-    assert not model.counts
+    assert not model.counts and not stages
     assert pt.rho is pt.rho
     assert pt.drho is pt.drho
     assert pt.dsqrt is pt.dsqrt
     assert pt.cached(sld) is pt.cached(sld)
-    assert model.counts == {"rho": 1, "drho": 1, "dsqrt_rho": 1}
+    # one evaluation per theta, one stacked evaluation per grid, and no
+    # public per-theta state method on the way
+    assert model.counts == {"rho_matrix": 1, "_drho_analytic": 1}
+    assert stages == ONE_STACKED_EVALUATION
 
 
 def test_point_matches_the_model_routes():
@@ -108,7 +150,7 @@ def test_point_carries_its_step():
 def test_forced_difference_evaluates_rho_only_on_its_stencil():
     model = CountingMixture()
     assert model.dsqrt_rho(0.3, force_fd=True).route == "fd"
-    assert model.counts == {"dsqrt_rho": 1, "rho": 2}
+    assert model.counts == {"dsqrt_rho": 1, "rho": 2, "rho_matrix": 2}
 
 
 def test_failed_evaluation_is_not_cached():
@@ -123,21 +165,25 @@ def test_failed_evaluation_is_not_cached():
 # --- evaluation counts --------------------------------------------------------------
 
 def test_report_and_bound_check_share_one_evaluation(monkeypatch):
-    counts = Counter()
+    counts = counting_stages(monkeypatch)
     counting(monkeypatch, quantum, "sld", counts)
+    counting(monkeypatch, classical, "_probs_stage", counts)
+    counting(monkeypatch, classical, "_scores_stage", counts)
     model = CountingMixture()
     pt = model.at(0.4)
     report = relation_report(pt)
     check = bound_check(pt, basis_povm(2))
     assert check.i_h == report.i_h_sld
     assert check.approx_qcrb == 1.0 / report.i_wy_generic
-    assert model.counts == {"rho": 1, "drho": 1, "dsqrt_rho": 1}
-    assert counts["sld"] == 1
+    assert model.counts == {"rho_matrix": 1, "_drho_analytic": 1}
+    assert counts == {**ONE_STACKED_EVALUATION, "sld": 1, "_probs_stage": 1, "_scores_stage": 1}
 
 
 def test_compute_row_with_povm_evaluates_the_state_once_per_theta(tmp_path, monkeypatch, capsys):
-    counts = Counter()
+    counts = counting_stages(monkeypatch)
     counting(monkeypatch, quantum, "sld", counts)
+    counting(monkeypatch, classical, "_probs_stage", counts)
+    counting(monkeypatch, classical, "_scores_stage", counts)
     model = CountingMixture()
     monkeypatch.setattr(cli, "model_from_config", lambda cfg, fd_step=None: model)
     cfg = tmp_path / "model.json"
@@ -147,8 +193,9 @@ def test_compute_row_with_povm_evaluates_the_state_once_per_theta(tmp_path, monk
     code = cli.main(["compute", "--model", str(cfg), "--povm", str(povm), "--theta-grid=-1:1:5"])
     capsys.readouterr()
     assert code == cli.EXIT_OK
-    assert model.counts == {"rho": 5, "drho": 5, "dsqrt_rho": 5}
-    assert counts["sld"] == 5
+    # once per theta, and each stage once for the grid of five
+    assert model.counts == {"rho_matrix": 5, "_drho_analytic": 5}
+    assert counts == {**ONE_STACKED_EVALUATION, "sld": 5, "_probs_stage": 1, "_scores_stage": 1}
 
 
 def test_spectral_row_evaluates_the_spectral_ingredients_once(tmp_path, monkeypatch, capsys):
@@ -186,10 +233,12 @@ def test_qubit_row_evaluates_the_qubit_ingredients_once(tmp_path, monkeypatch, c
     assert counts["value"] <= 3 * 3
 
 
-def test_simulation_evaluates_the_state_once():
+def test_simulation_evaluates_the_state_once(monkeypatch):
+    stages = counting_stages(monkeypatch)
     model = CountingMixture()
     run_sim(SimConfig(model=model, povm=basis_povm(2), theta0=0.4, n_samples=1_000, seed=2))
-    assert model.counts == {"rho": 1, "drho": 1, "dsqrt_rho": 1}
+    assert model.counts == {"rho_matrix": 1, "_drho_analytic": 1}
+    assert stages == ONE_STACKED_EVALUATION
 
 
 def test_estimator_moments_take_a_point():

@@ -84,24 +84,45 @@ def test_corrupted_model_fault_is_recorded_by_every_check_that_reads_it():
 
 def test_one_run_creates_each_point_once_and_the_extra_models_once(monkeypatch):
     # the three checks over the extra spectral models share one set of them,
-    # and so share their points: 5 models x 3 thetas, not three times that
+    # and so share their points: 5 models x 3 thetas, not three times that.
+    # 115 points in 47 grids: one per catalog model over its 5 sample thetas
+    # (and theta 0.3 for the two estimator models), one per extra model over
+    # 3 thetas, and 28 grids of one (25 monotone-gap mixtures, 3 simulations)
     counts = Counter()
-    original_at = ParametricStateModel.at
+    original_point = models.StatePoint.__init__
+    original_grid = models.StateGrid.__init__
+    original_rho_stage = models._rho_stage
     original_extra = verify.random_spectral_model
 
-    def at(self, theta):
-        counts["at"] += 1
-        return original_at(self, theta)
+    def point(self, grid, index):
+        counts["point"] += 1
+        original_point(self, grid, index)
+
+    def grid(self, model, thetas):
+        counts["grid"] += 1
+        original_grid(self, model, thetas)
+
+    def rho_stage(grid):
+        counts["rho_stage"] += 1
+        return original_rho_stage(grid)
 
     def random_spectral_model(seed, dim, **kwargs):
         counts["random_spectral_model"] += 1
         return original_extra(seed, dim, **kwargs)
 
-    monkeypatch.setattr(ParametricStateModel, "at", at)
+    monkeypatch.setattr(models.StatePoint, "__init__", point)
+    monkeypatch.setattr(models.StateGrid, "__init__", grid)
+    monkeypatch.setattr(models, "_rho_stage", rho_stage)
     monkeypatch.setattr(verify, "random_spectral_model", random_spectral_model)
     results = run_suite()
     assert all_passed(results)
-    assert counts == {"at": 115, "random_spectral_model": 5}
+    # the forced differences of drho-route-agreement and dsqrt-route-agreement
+    # build their own states: 2 rho stencil grids per point of dsqrt-route-agreement
+    stencils = 2 * sum(len(m.sample_thetas) for m in builtin_models().values())
+    assert counts == {
+        "point": 115 + stencils, "grid": 47 + stencils, "rho_stage": 47 + stencils,
+        "random_spectral_model": 5,
+    }
 
 
 def test_tightened_fd_tolerance_fails_fd_checks():
