@@ -327,9 +327,17 @@ def psd_sqrt(d) -> HermitianMatrix:
         raise NotPositiveSemidefinite(
             f"eigenvalue {lam_min:.3e} below floor {SQRT_EIG_FLOOR}"
         )
-    roots = sqrt_eigenvalues(dec.eigenvalues)
+    return HermitianMatrix.of_checked(sqrt_stack(dec))
+
+
+def sqrt_stack(dec: SpectralDecomposition) -> np.ndarray:
+    """The PSD square root (u * sqrt_eigenvalues) @ u* of a decomposition, or of each
+    layer of a stacked one, validated by ``hermitian_part``. No eigenvalue floor
+    is checked: ``psd_sqrt`` does that, and a ``density_stack`` decomposition
+    already meets a stricter one."""
     u = dec.eigenvectors
-    return HermitianMatrix((u * roots) @ u.conj().T)
+    roots = sqrt_eigenvalues(dec.eigenvalues)
+    return hermitian_part((u * roots[..., None, :]) @ u.conj().swapaxes(-1, -2))
 
 
 def solve_symmetric_product(dec: SpectralDecomposition, rhs) -> HermitianMatrix:

@@ -11,6 +11,13 @@ A theta grid is the unit of evaluation. ``model.grid(thetas)`` yields one
 validation, the eigendecomposition and the square-root solve (and, in
 ``quantum``, the SLD solve) each run once per grid on the (T, n, n) stack.
 Long grids are cut into blocks of ``GRID_BLOCK_ENTRIES`` matrix entries.
+
+The finite differences that stand in for a derivative are grid stages as
+well: ``_drho_fd_stage`` differences ``rho_matrix``, and ``_dsqrt_fd_stage``
+evaluates the 2T states rho(theta +- fd_step) of a grid as one stencil grid,
+with one eigendecomposition, and differences their square roots. Every
+forced difference (``drho``/``dsqrt_rho`` with ``force_fd``) and the
+square-root solve's rank-deficient fallback read these stages.
 """
 
 from __future__ import annotations
@@ -38,10 +45,10 @@ from .hermitian import (
     eigh,
     first_failing,
     hermitian_part,
-    psd_sqrt,
     real_trace_product,
     solve_symmetric_product,
     sqrt_eigenvalues,
+    sqrt_stack,
     square_stack,
 )
 
@@ -260,6 +267,11 @@ def _drho_stage(grid: StateGrid) -> tuple:
     return (_drho_layers(grid.model, grid.thetas),)
 
 
+def _drho_fd_stage(grid: StateGrid) -> tuple:
+    """drho by central differences of rho_matrix at every theta, analytic or not."""
+    return (_drho_layers(grid.model, grid.thetas, force_fd=True),)
+
+
 def _drho_layers(model: ParametricStateModel, thetas, force_fd: bool = False) -> np.ndarray:
     """The validated (T, n, n) stack of drho at ``thetas``, analytic unless ``force_fd``."""
     ds = []
@@ -289,6 +301,28 @@ def _dsqrt_stage(grid: StateGrid) -> tuple:
     return (solve_symmetric_product(doubled, grid.drho_stack()).mat,)
 
 
+def _dsqrt_fd_stage(grid: StateGrid) -> tuple:
+    """Central difference of sqrt(rho) at every theta, from one stencil grid.
+
+    The stencil holds rho(theta + h) and rho(theta - h) of each theta, so one
+    ``density_stack`` and one eigh serve all of them; its square roots follow
+    ``psd_sqrt``. A stencil holds two states per theta, so it is cut at half
+    a grid block, and no stacked array outgrows ``GRID_BLOCK_ENTRIES``.
+    """
+    model, h = grid.model, grid.model.fd_step
+    for theta in grid.thetas:
+        model._require_stencil(theta)
+    size = max(1, model._block_size() // 2)
+    diffs = []
+    for start in range(0, len(grid.thetas), size):
+        stencil = [t for theta in grid.thetas[start:start + size] for t in (theta + h, theta - h)]
+        roots = sqrt_stack(StateGrid(model, stencil).rho_stack()[1])
+        # the rule over the stencil's two halves, read by their offset from 0
+        sides = {h: roots[0::2], -h: roots[1::2]}
+        diffs.append(_central_difference(sides.__getitem__, 0.0, h))
+    return (hermitian_part(np.concatenate(diffs)),)
+
+
 def _point_rho(pt: StatePoint) -> DensityMatrix:
     h, lam, vecs = pt.layer(_rho_stage)
     return DensityMatrix.of_checked(h, SpectralDecomposition(eigenvalues=lam, eigenvectors=vecs))
@@ -302,7 +336,8 @@ def _point_dsqrt(pt: StatePoint) -> SqrtDerivative:
     try:
         x = pt.layer(_dsqrt_stage)[0]
     except RankDeficientInconsistent:
-        return pt.model._dsqrt_difference(pt.theta, fell_back=True)
+        x = pt.layer(_dsqrt_fd_stage)[0]
+        return SqrtDerivative(matrix=HermitianMatrix.of_checked(x), route="fd", fd_fallback=True)
     return SqrtDerivative(matrix=HermitianMatrix.of_checked(x), route="solve")
 
 
@@ -356,10 +391,14 @@ class ParametricStateModel:
         if not (lo <= theta <= hi):
             raise DomainError(f"theta={theta} outside domain [{lo}, {hi}]")
 
-    def _difference(self, f: Callable[[float], np.ndarray], theta: float) -> np.ndarray:
-        """Central difference of f at theta with step ``fd_step``, inside the domain."""
+    def _require_stencil(self, theta: float) -> None:
+        """Raise DomainError unless theta - fd_step and theta + fd_step lie in the domain."""
         self._require_in_domain(theta - self.fd_step)
         self._require_in_domain(theta + self.fd_step)
+
+    def _difference(self, f: Callable[[float], np.ndarray], theta: float) -> np.ndarray:
+        """Central difference of f at theta with step ``fd_step``, inside the domain."""
+        self._require_stencil(theta)
         return _central_difference(f, theta, self.fd_step)
 
     def rho_matrix(self, theta: float) -> np.ndarray:
@@ -382,9 +421,13 @@ class ParametricStateModel:
         one block; a block is built when the first of its points is reached.
         """
         thetas = list(thetas)
-        size = max(1, GRID_BLOCK_ENTRIES // (self.dim * self.dim))
+        size = self._block_size()
         for start in range(0, len(thetas), size):
             yield from StateGrid(self, thetas[start:start + size]).points()
+
+    def _block_size(self) -> int:
+        """The most states one stacked array of ``GRID_BLOCK_ENTRIES`` entries holds."""
+        return max(1, GRID_BLOCK_ENTRIES // (self.dim * self.dim))
 
     def at(self, theta: float) -> StatePoint:
         """The state at theta: a grid of one."""
@@ -394,9 +437,14 @@ class ParametricStateModel:
         return self.at(theta).rho
 
     def drho(self, theta: float, force_fd: bool = False) -> HermitianMatrix:
+        """Derivative of rho(theta): the analytic one where the model has it.
+
+        ``force_fd`` reads the central difference of ``rho_matrix`` instead,
+        from the ``_drho_fd_stage`` of a grid of one.
+        """
         if not force_fd:
             return self.at(theta).drho
-        return HermitianMatrix.of_checked(_drho_layers(self, (theta,), force_fd=True)[0])
+        return HermitianMatrix.of_checked(self.at(theta).layer(_drho_fd_stage)[0])
 
     def dsqrt_rho(self, theta: float, force_fd: bool = False) -> SqrtDerivative:
         """Derivative of sqrt(rho(theta)).
@@ -404,15 +452,15 @@ class ParametricStateModel:
         Default route: the point's layer of its grid's eigenbasis solve of
         2 sqrt(rho) X + X 2 sqrt(rho) = 2 drho; if the right-hand side turns
         out inconsistent on a rank-deficient state, it falls back to the
-        central difference of psd_sqrt and flags it.
+        central difference of the square root and flags it. ``force_fd``
+        reads that difference directly. Both differences are the
+        ``_dsqrt_fd_stage`` of the point's grid, which evaluates rho on the
+        stencil theta +- fd_step only, never at theta.
         """
         if not force_fd:
             return self.at(theta).dsqrt
-        return self._dsqrt_difference(theta, fell_back=False)
-
-    def _dsqrt_difference(self, theta: float, fell_back: bool) -> SqrtDerivative:
-        diff = self._difference(lambda t: psd_sqrt(self.rho(t)).mat, theta)
-        return SqrtDerivative(matrix=HermitianMatrix(diff), route="fd", fd_fallback=fell_back)
+        x = self.at(theta).layer(_dsqrt_fd_stage)[0]
+        return SqrtDerivative(matrix=HermitianMatrix.of_checked(x), route="fd")
 
 
 class PureStateModel(ParametricStateModel):
@@ -466,8 +514,7 @@ class QubitMixtureModel(ParametricStateModel):
         theta +- fd_step where the weight or psi1 is differenced."""
         self._require_in_domain(theta)
         if not self.has_analytic_derivative:
-            self._require_in_domain(theta - self.fd_step)
-            self._require_in_domain(theta + self.fd_step)
+            self._require_stencil(theta)
 
     def _drho_analytic(self, theta: float) -> np.ndarray | None:
         self._require_stencil_in_domain(theta)

@@ -15,9 +15,12 @@ exercise corrupted models.
 One suite run evaluates each (model, theta) state once: the checks read a
 shared ``StatePoint`` from a run-wide table, whose points of one model are
 views into one grid over the thetas the suite reads of it, so each model's
-rho, drho, eigendecomposition and solves run once, stacked. Only the second route a
-check exists to compare (a forced finite difference, the projector-sum
-SLD, the psd_sqrt difference) is computed afresh. ``eigh-reconstruction``
+rho, drho, eigendecomposition and solves run once, stacked. The forced
+finite differences that ``drho-route-agreement`` and
+``dsqrt-route-agreement`` compare against are stages of that grid too: the
+states at theta +- fd_step of all its thetas form one stencil grid per
+model grid, with one eigendecomposition. Only the projector-sum SLD of
+``sld-vs-spectral-sum`` is computed afresh per point. ``eigh-reconstruction``
 holds LAPACK's eigenvalues against the power sums tr(M^k) of its matrices,
 so no second eigensolver runs. A check that measures one residual per
 sampled (model, theta) point is a ``_PointCheck`` row: a residual function
@@ -51,6 +54,8 @@ from .models import (
     ParametricStateModel,
     StatePoint,
     _central_difference,
+    _drho_fd_stage,
+    _dsqrt_fd_stage,
     builtin_models,
     random_spectral_model,
     rotation_mixture,
@@ -272,13 +277,13 @@ def _drho_traceless(pt):
 
 
 def _drho_route_agreement(pt):
-    b = pt.model.drho(pt.theta, force_fd=True).mat
+    b = pt.layer(_drho_fd_stage)[0]
     return float(np.linalg.norm(pt.drho.mat - b))
 
 
 def _dsqrt_route_agreement(pt):
     a = pt.dsqrt.matrix.mat
-    b = pt.model.dsqrt_rho(pt.theta, force_fd=True).matrix.mat
+    b = pt.layer(_dsqrt_fd_stage)[0]
     return float(np.linalg.norm(a - b)) / max(1.0, float(np.linalg.norm(a)))
 
 

@@ -1,7 +1,9 @@
-"""Tests for theta grids: stacked kernels equal per-matrix calls bit for bit, a grid
-gives the rows of its points evaluated alone, a failing stage splits the grid into
-grids of one, and a long grid over a large model is evaluated block by block."""
+"""Tests for theta grids: stacked kernels and the stencil stages equal per-matrix and
+per-theta calls bit for bit, a grid gives the rows of its points evaluated alone, a
+failing stage splits the grid into grids of one, and a long grid over a large model is
+evaluated block by block."""
 
+import hashlib
 import json
 import tracemalloc
 
@@ -10,6 +12,7 @@ import pytest
 
 from qcrb_kit import cli
 from qcrb_kit.errors import (
+    DomainError,
     NotDensityMatrix,
     NotHermitianError,
     NotPositiveSemidefinite,
@@ -21,6 +24,7 @@ from qcrb_kit.hermitian import (
     SpectralDecomposition,
     density_stack,
     eigh,
+    psd_sqrt,
     real_trace_product,
     real_traces_against,
     solve_symmetric_product,
@@ -31,6 +35,8 @@ from qcrb_kit.models import (
     GRID_BLOCK_ENTRIES,
     ParametricStateModel,
     StateGrid,
+    _drho_fd_stage,
+    _dsqrt_fd_stage,
     random_spectral_model,
 )
 from qcrb_kit.quantum import relation_report
@@ -42,6 +48,10 @@ LAYERS = (1, 2, 21)
 def _hermitian_stack(rng, t, n):
     g = rng.normal(size=(t, n, n)) + 1j * rng.normal(size=(t, n, n))
     return (g + g.conj().swapaxes(-1, -2)) / 2.0
+
+
+def _digest(a) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
 
 
 def _same(a, b) -> bool:
@@ -120,6 +130,63 @@ def test_the_first_failing_layer_names_the_error():
     rhs[2, 1, 1], rhs[3, 1, 1] = 0.5, 0.25
     with pytest.raises(RankDeficientInconsistent, match=r"^right-hand side has weight 5\.000e-01 outside"):
         solve_symmetric_product(SpectralDecomposition(lam, vecs), rhs)
+
+
+# --- stencil stages -------------------------------------------------------------------
+
+def _dsqrt_formula(model, theta):
+    # the square-root difference of one theta: two states, two psd_sqrt calls
+    h = model.fd_step
+    d = (psd_sqrt(model.rho(theta + h)).mat - psd_sqrt(model.rho(theta - h)).mat) / (2.0 * h)
+    return HermitianMatrix(d).mat
+
+
+def _drho_formula(model, theta):
+    d = model._difference(model.rho_matrix, theta)
+    return HermitianMatrix((d + d.conj().T) / 2.0).mat
+
+
+@pytest.mark.parametrize("t", LAYERS)
+@pytest.mark.parametrize("n", DIMS)
+def test_stencil_stages_equal_the_per_theta_differences_bitwise(n, t):
+    # at n = 64 a block holds 8 thetas, and its stencil is cut in two
+    model = random_spectral_model(n + t, n)
+    thetas = np.linspace(-1.0, 1.0, t).tolist()
+    for pt in model.grid(thetas):
+        assert _same(pt.layer(_dsqrt_fd_stage)[0], _dsqrt_formula(model, pt.theta))
+        assert _same(pt.layer(_drho_fd_stage)[0], _drho_formula(model, pt.theta))
+
+
+@pytest.mark.parametrize("stage", [_dsqrt_fd_stage, _drho_fd_stage])
+def test_a_stencil_that_leaves_the_domain_fails_alone(stage):
+    model = random_spectral_model(3, 4, domain=(-1.0, 1.0))
+    h = model.fd_step
+    # the stencils of the first and the last theta leave the domain at -1 - h and 1 + h
+    thetas = [-1.0 + 0.5 * h, -0.3, 1.0, 0.4]
+    points = list(model.grid(thetas))
+    for pt in points:
+        alone = model.at(pt.theta)
+        if pt.theta in (thetas[0], thetas[2]):
+            with pytest.raises(DomainError) as expected:
+                model._difference(model.rho_matrix, pt.theta)
+            for point in (pt, alone):
+                with pytest.raises(DomainError) as raised:
+                    point.layer(stage)
+                assert str(raised.value) == str(expected.value)
+        else:
+            assert _same(pt.layer(stage)[0], alone.layer(stage)[0])
+
+
+def test_the_fallback_is_the_square_root_difference():
+    # at 0.4 h the stencil straddles the support drop, so the difference is not 0
+    model = SupportDropModel()
+    thetas = [-0.3, 0.4 * model.fd_step, 0.3]
+    for pt in model.grid(thetas):
+        fell_back = pt.theta > 0
+        assert relation_report(pt).diagnostics["fd_fallback"] is fell_back
+        if fell_back:
+            assert _same(pt.dsqrt.matrix.mat, _dsqrt_formula(model, pt.theta))
+    assert np.abs(model.at(thetas[1]).dsqrt.matrix.mat).max() > 1.0
 
 
 # --- a grid gives the rows of its points alone --------------------------------------
@@ -286,3 +353,25 @@ def test_a_long_grid_over_dimension_64_is_evaluated_block_by_block():
     for theta, row in zip(thetas, rows):
         pt = model.at(theta)
         assert row == (_report_row(relation_report(pt)), classical_fisher(pt, povm))
+
+
+def test_the_forced_differences_over_dimension_64_keep_the_block_budget():
+    model = random_spectral_model(4, 64)
+    thetas = np.linspace(-1.0, 1.0, 201).tolist()
+    tracemalloc.start()
+    try:
+        # digests, so that the results of the 201 points are not held at once
+        rows = [
+            (_digest(pt.layer(_dsqrt_fd_stage)[0]), _digest(pt.layer(_drho_fd_stage)[0]))
+            for pt in model.grid(thetas)
+        ]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    one_stack = GRID_BLOCK_ENTRIES * np.dtype(complex).itemsize
+    # the stencil of a block's 8 thetas holds 16 states, so it is cut into
+    # two grids of 8: each stacked array stays within one stack
+    assert peak <= 20 * one_stack
+    for theta, row in zip(thetas, rows):
+        dsqrt = model.dsqrt_rho(theta, force_fd=True).matrix.mat
+        assert row == (_digest(dsqrt), _digest(model.drho(theta, force_fd=True).mat))

@@ -147,10 +147,13 @@ def test_point_carries_its_step():
     assert not np.array_equal(coarse.at(0.4).drho.mat, fine)
 
 
-def test_forced_difference_evaluates_rho_only_on_its_stencil():
+def test_forced_difference_evaluates_rho_only_on_its_stencil(monkeypatch):
+    stages = counting_stages(monkeypatch)
     model = CountingMixture()
     assert model.dsqrt_rho(0.3, force_fd=True).route == "fd"
-    assert model.counts == {"dsqrt_rho": 1, "rho": 2, "rho_matrix": 2}
+    # theta +- h on one stencil grid: one stacked evaluation, no model.rho call
+    assert model.counts == {"dsqrt_rho": 1, "rho_matrix": 2}
+    assert stages == {"_rho_stage": 1, "eigh": 1}
 
 
 def test_failed_evaluation_is_not_cached():

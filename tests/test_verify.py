@@ -116,11 +116,11 @@ def test_one_run_creates_each_point_once_and_the_extra_models_once(monkeypatch):
     monkeypatch.setattr(verify, "random_spectral_model", random_spectral_model)
     results = run_suite()
     assert all_passed(results)
-    # the forced differences of drho-route-agreement and dsqrt-route-agreement
-    # build their own states: 2 rho stencil grids per point of dsqrt-route-agreement
-    stencils = 2 * sum(len(m.sample_thetas) for m in builtin_models().values())
+    # the forced square-root difference of dsqrt-route-agreement evaluates
+    # one stencil grid per catalog model grid, which makes no points
+    stencils = len(builtin_models())
     assert counts == {
-        "point": 115 + stencils, "grid": 47 + stencils, "rho_stage": 47 + stencils,
+        "point": 115, "grid": 47 + stencils, "rho_stage": 47 + stencils,
         "random_spectral_model": 5,
     }
 
@@ -162,6 +162,8 @@ def test_fd_step_reaches_every_difference_in_the_suite(monkeypatch):
     run_suite(options=VerifyOptions(fd_step=1e-3))
     assert steps == {1e-3}
     assert () in shapes
+    # the forced square-root differences: one stacked (T, n, n) rule per grid
+    assert any(len(shape) == 3 for shape in shapes)
 
 
 def test_one_suite_run_evaluates_each_closed_form_once_per_point(monkeypatch):
