@@ -5,10 +5,14 @@ classical Fisher information of the outcome distribution is summed over
 the support and compared against the Helstrom bound. Outcome spaces are
 finite: the measure-theoretic integral over outcomes is realized as a sum.
 The state functions take ``(point, povm)``, the point a ``StatePoint``
-(``model.at(theta)``), and read its rho and drho. ``classical_fisher``,
-and so ``bound_check``, reads the trace rule of the point's whole grid:
-the probabilities and scores of every theta, each one batched product of
-the stacked rho or drho with the effects.
+(``model.at(theta)``), and read its rho and drho. The trace rule runs once
+per grid: ``_probs_stage`` takes the probabilities of every theta as one
+batched product of the stacked rho with the effects, and applies the
+negativity and normalization checks, the clip at 0 and the support mask to
+the whole (T, k) array; ``_scores_stage`` does the same product with the
+stacked drho. ``outcome_probs`` and ``classical_fisher`` (and so
+``bound_check``) read the point's layers; per point are left the
+score-blowup check and the sum over the support.
 """
 
 from __future__ import annotations
@@ -18,7 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, EigenConvergenceError, InvalidPovm, SupportRegularityError
-from .hermitian import HermitianMatrix, as_array, eigh, hermitian_part, real_traces_against
+from .hermitian import (
+    HermitianMatrix,
+    as_array,
+    eigh,
+    first_failing,
+    hermitian_part,
+    real_traces_against,
+)
 from .models import StateGrid, StatePoint
 from .quantum import NEAR_ZERO_INFO, helstrom_info_sld, wy_info_generic
 
@@ -119,39 +130,44 @@ class OutcomeDistribution:
         return self.probs.shape[0]
 
 
-def _distribution(probs: np.ndarray) -> OutcomeDistribution:
-    """The trace-rule probabilities of one state, checked and clipped at 0."""
-    if float(np.min(probs)) < -SUPPORT_PROB:
-        raise InvalidPovm(f"negative outcome probability {float(np.min(probs)):.3e}")
-    probs = np.clip(probs, 0.0, None)
-    total = float(np.sum(probs))
-    # effects that sum to the identity give probabilities that sum to 1
-    if abs(total - 1.0) > COMPLETENESS_ATOL:
-        raise InvalidPovm(f"outcome probabilities sum to {total!r}")
-    return OutcomeDistribution(probs=probs, support=probs > SUPPORT_PROB)
-
-
 def _check_dims(rho_dim: int, povm: Povm) -> None:
     if rho_dim != povm.dim:
         raise DimensionError(f"state dim {rho_dim} vs measurement dim {povm.dim}")
 
 
+def _probs_stage(grid: StateGrid, povm: Povm) -> tuple:
+    """The (T, k) trace-rule probabilities of a grid, checked and clipped at 0, and their support.
+
+    The first theta whose smallest probability is below -SUPPORT_PROB, or
+    whose probabilities do not sum to 1, names the error, so a grid of one
+    raises the error of that theta alone.
+    """
+    rho, _ = grid.rho_stack()
+    _check_dims(rho.shape[-1], povm)
+    probs = real_traces_against(rho, povm.stack)
+    low = np.min(probs, axis=-1)
+    i = first_failing(low < -SUPPORT_PROB)
+    if i is not None:
+        raise InvalidPovm(f"negative outcome probability {low[i]:.3e}")
+    probs = np.clip(probs, 0.0, None)
+    total = np.sum(probs, axis=-1)
+    # effects that sum to the identity give probabilities that sum to 1
+    i = first_failing(np.abs(total - 1.0) > COMPLETENESS_ATOL)
+    if i is not None:
+        raise InvalidPovm(f"outcome probabilities sum to {float(total[i])!r}")
+    probs.flags.writeable = False  # every outcome_probs of the grid's points shares it
+    return probs, probs > SUPPORT_PROB
+
+
 def outcome_probs(pt: StatePoint, povm: Povm) -> OutcomeDistribution:
-    """Trace-rule distribution p_x = tr{rho(theta) m_x}."""
-    rho = pt.rho
-    _check_dims(rho.dim, povm)
-    return _distribution(real_traces_against(rho, povm.stack))
+    """Trace-rule distribution p_x = tr{rho(theta) m_x}: the point's layer of ``_probs_stage``."""
+    probs, support = pt.layer(_probs_stage, povm)
+    return OutcomeDistribution(probs=probs, support=support)
 
 
 def outcome_scores(pt: StatePoint, povm: Povm) -> np.ndarray:
     """Per-outcome derivatives tr{drho m_x}; they sum to 0."""
     return real_traces_against(pt.drho, povm.stack)
-
-
-def _probs_stage(grid: StateGrid, povm: Povm) -> tuple:
-    rho, _ = grid.rho_stack()
-    _check_dims(rho.shape[-1], povm)
-    return (real_traces_against(rho, povm.stack),)
 
 
 def _scores_stage(grid: StateGrid, povm: Povm) -> tuple:
@@ -161,15 +177,14 @@ def _scores_stage(grid: StateGrid, povm: Povm) -> tuple:
 def classical_fisher(pt: StatePoint, povm: Povm) -> float:
     """sum over the support of (tr{drho m_x})^2 / p_x.
 
-    The probabilities and scores are the point's layers of its grid's
-    stacked trace rule, with the same bits as ``outcome_probs`` and
-    ``outcome_scores``. An outcome with vanishing probability but
-    non-vanishing score makes the score function blow up and raises
+    The probabilities (those of ``outcome_probs``) and the scores are the
+    point's layers of its grid's stacked trace rule; the scores have the
+    same bits as ``outcome_scores``. An outcome with vanishing probability
+    but non-vanishing score makes the score function blow up and raises
     SupportRegularityError.
     """
-    dist = _distribution(pt.layer(_probs_stage, povm)[0])
+    probs, support = pt.layer(_probs_stage, povm)
     scores = pt.layer(_scores_stage, povm)[0]
-    probs, support = dist.probs, dist.support
     if not support.all():
         blowup = np.flatnonzero(~support & (np.abs(scores) > SCORE_BLOWUP_ATOL))
         if blowup.size:

@@ -169,14 +169,38 @@ def parse_csv(text: str):
     return columns, rows, comments
 
 
+# one encoder per nesting depth d, whose item separator breaks the line and
+# indents to that depth; with no indent of its own it is the C encoder
+_JSON_ENCODERS = {d: json.JSONEncoder(separators=(",\n" + "  " * d, ": ")) for d in (2, 3)}
+
+
+def _flat_json(value, depth: int) -> str:
+    """A flat dict or list at nesting ``depth``, laid out as ``json.dumps(indent=2)`` does."""
+    text = _JSON_ENCODERS[depth].encode(value)
+    if len(text) == 2:  # {} and [] stay on one line
+        return text
+    pad = "  " * depth
+    return f"{text[0]}\n{pad}{text[1:-1]}\n{pad[2:]}{text[-1]}"
+
+
 def emit_json(columns, rows, meta: dict) -> str:
-    payload = {
-        "format": "qcrb-kit v1",
-        "meta": {k: _pyify(v) for k, v in meta.items()},
-        "columns": list(columns),
-        "rows": [{c: _pyify(row.get(c)) for c in columns} for row in rows],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    """The v1 envelope: the bytes of ``json.dumps(payload, indent=2) + "\\n"``.
+
+    The envelope is flat: every meta value and every row cell is a scalar
+    (a number, bool, string or None). So its meta, its columns and each row
+    are written by the C encoder, which ``indent`` would rule out, with the
+    same float repr, NaN/Infinity and ASCII escaping.
+    """
+    meta = {k: _pyify(v) for k, v in meta.items()}
+    row_texts = [_flat_json({c: _pyify(row.get(c)) for c in columns}, 3) for row in rows]
+    rows_text = "[\n    " + ",\n    ".join(row_texts) + "\n  ]" if row_texts else "[]"
+    return (
+        '{\n  "format": "qcrb-kit v1",\n'
+        f'  "meta": {_flat_json(meta, 2)},\n'
+        f'  "columns": {_flat_json(list(columns), 2)},\n'
+        f'  "rows": {rows_text}\n'
+        "}\n"
+    )
 
 
 def _write_output(text: str, out: str) -> None:
@@ -219,7 +243,7 @@ def parse_grid(spec: str, name: str) -> np.ndarray:
 
 
 def _thetas(args) -> np.ndarray:
-    if getattr(args, "theta_grid", None):
+    if getattr(args, "theta_grid", None) is not None:  # an empty grid is an error, not unset
         return parse_grid(args.theta_grid, "--theta-grid")
     return np.array([args.theta])
 

@@ -16,8 +16,11 @@ The finite differences that stand in for a derivative are grid stages as
 well: ``_drho_fd_stage`` differences ``rho_matrix``, and ``_dsqrt_fd_stage``
 evaluates the 2T states rho(theta +- fd_step) of a grid as one stencil grid,
 with one eigendecomposition, and differences their square roots. Every
-forced difference (``drho``/``dsqrt_rho`` with ``force_fd``) and the
-square-root solve's rank-deficient fallback read these stages.
+forced difference (``drho``/``dsqrt_rho`` with ``force_fd``) reads these
+stages, and so does the square-root solve's rank-deficient fallback:
+``_dsqrt_route_stage`` holds the solve's result, or on an inconsistent point
+the difference, and every reader of a point's square-root derivative reads
+that one layer.
 """
 
 from __future__ import annotations
@@ -148,14 +151,17 @@ class StateGrid:
     """One model at a block of thetas, whose stages each run once for the whole block.
 
     A stage is a function ``fn(grid, *args)`` that returns a tuple of
-    arrays with one layer per theta: rho with its eigendecomposition, drho,
-    the square-root derivative, and the stages of other modules (the SLD,
-    the trace rule of a measurement). Each runs on first use and is kept. A
-    stage that raises is not kept; a grid of more than one theta then
-    splits into grids of one, which keep the stages already run and
-    evaluate the rest alone, so each point gets its own value or raises
-    its own error. The grid holds no reference to its points, so a grid is
-    freed as soon as its last point is.
+    arrays with one layer per theta. Here they are rho with its
+    eigendecomposition, drho, the square-root derivative with its route,
+    and the forced differences. In ``quantum`` they are the SLD and the
+    scalars its routes read per theta: tr{rho L^2}, 4 tr{[(sqrt rho)']^2},
+    and a qubit mixture's weight, slope and I_H1. In ``classical`` they are
+    a measurement's checked trace-rule distributions and its scores. Each
+    runs on first use and is kept. A stage that raises is not kept; a grid
+    of more than one theta then splits into grids of one, which keep the
+    stages already run and evaluate the rest alone, so each point gets its
+    own value or raises its own error. The grid holds no reference to its
+    points, so a grid is freed as soon as its last point is.
     """
 
     __slots__ = ("model", "thetas", "_stages", "_parts")
@@ -323,6 +329,23 @@ def _dsqrt_fd_stage(grid: StateGrid) -> tuple:
     return (hermitian_part(np.concatenate(diffs)),)
 
 
+def _dsqrt_route_stage(grid: StateGrid) -> tuple:
+    """The square-root derivative of every theta, and whether it fell back to differences.
+
+    It is the eigenbasis solve's, unless the solve's right-hand side is
+    inconsistent on a rank-deficient state. A grid of more than one theta
+    then raises, so that it splits and only the inconsistent points fall
+    back; a grid of one reads the ``_dsqrt_fd_stage`` difference instead.
+    """
+    try:
+        x = grid.stage(_dsqrt_stage)[0]
+    except RankDeficientInconsistent:
+        if len(grid.thetas) > 1:
+            raise
+        return grid.stage(_dsqrt_fd_stage)[0], np.ones(1, dtype=bool)
+    return x, np.zeros(len(grid.thetas), dtype=bool)
+
+
 def _point_rho(pt: StatePoint) -> DensityMatrix:
     h, lam, vecs = pt.layer(_rho_stage)
     return DensityMatrix.of_checked(h, SpectralDecomposition(eigenvalues=lam, eigenvectors=vecs))
@@ -333,12 +356,12 @@ def _point_drho(pt: StatePoint) -> HermitianMatrix:
 
 
 def _point_dsqrt(pt: StatePoint) -> SqrtDerivative:
-    try:
-        x = pt.layer(_dsqrt_stage)[0]
-    except RankDeficientInconsistent:
-        x = pt.layer(_dsqrt_fd_stage)[0]
-        return SqrtDerivative(matrix=HermitianMatrix.of_checked(x), route="fd", fd_fallback=True)
-    return SqrtDerivative(matrix=HermitianMatrix.of_checked(x), route="solve")
+    x, fell_back = pt.layer(_dsqrt_route_stage)
+    return SqrtDerivative(
+        matrix=HermitianMatrix.of_checked(x),
+        route="fd" if fell_back else "solve",
+        fd_fallback=bool(fell_back),
+    )
 
 
 def _checked_step(fd_step: float) -> float:

@@ -19,9 +19,12 @@ row read the point's report instead of recomputing them. Every route takes
 a ``StatePoint`` (``model.at(theta)``, or a point of ``model.grid(thetas)``);
 routes that read one point share its evaluated rho, drho, square-root
 derivative, SLD and closed-form ingredients instead of evaluating the state
-again. The SLD solve runs once per grid, on the stacked rho and drho;
-the closed forms and the report's assembly stay per point, so the routes
-share only (rho, drho).
+again. What a route reads per theta is a grid stage, run once per grid on
+the stacked arrays: the SLD solve, tr{rho L^2}, 4 tr{[(sqrt rho)']^2}, and
+a qubit mixture's (w, w', I_H1). Each stage reads only what its route
+reads, so the routes share only (rho, drho, frame). Per point are left the
+layer reads, the closed-form arithmetic, alpha/beta, the relations and the
+report's assembly.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .hermitian import (
     real_trace_product,
     solve_symmetric_product,
 )
-from .models import DEFAULT_FD_STEP, PureFamily, StateGrid, StatePoint
+from .models import DEFAULT_FD_STEP, PureFamily, StateGrid, StatePoint, _dsqrt_route_stage
 
 INFO_FLOOR = -1e-9
 NEAR_ZERO_INFO = 1e-8
@@ -110,17 +113,26 @@ def sld_spectral_sum(eigenvalues, projectors, drho) -> HermitianMatrix:
     return HermitianMatrix(total)
 
 
+def _helstrom_stage(grid: StateGrid) -> tuple:
+    rho, _ = grid.rho_stack()
+    l_mat = grid.stage(_sld_stage)[0]
+    return (real_trace_product([rho, l_mat, l_mat]),)
+
+
 def helstrom_info_sld(pt: StatePoint) -> float:
-    """tr{rho L^2}: the definitional route."""
-    l_mat = pt.cached(sld).matrix
-    value = real_trace_product([pt.rho, l_mat, l_mat])
-    return _check_nonnegative(value, "Helstrom information")
+    """tr{rho L^2}: the definitional route, one stacked trace per grid."""
+    return _check_nonnegative(float(pt.layer(_helstrom_stage)[0]), "Helstrom information")
+
+
+def _pure_helstrom_traces(dp):
+    """2 tr{(dP)^2} of a projector derivative, or of each layer of a stack of them."""
+    return 2.0 * real_trace_product([dp, dp])
 
 
 def helstrom_info_pure(family: PureFamily, theta: float, h: float = DEFAULT_FD_STEP) -> float:
     """Pure-state shortcut 2 tr{(drho)^2}; a family without dpsi differences with h."""
     dp = family.projector_derivative(theta, h)
-    return _check_nonnegative(2.0 * real_trace_product([dp, dp]), "pure Helstrom information")
+    return _check_nonnegative(_pure_helstrom_traces(dp), "pure Helstrom information")
 
 
 def _pure_helstrom_closed(pt: StatePoint) -> float:
@@ -129,19 +141,29 @@ def _pure_helstrom_closed(pt: StatePoint) -> float:
     return helstrom_info_pure(model.family, pt.theta, model.fd_step)
 
 
+def _qubit_stage(grid: StateGrid) -> tuple:
+    """w, w' and I_H1 of every theta: the weight and psi1 per theta, I_H1 one stacked trace."""
+    model, h = grid.model, grid.model.fd_step
+    ws, dws, dps = [], [], []
+    for theta in grid.thetas:
+        model._require_stencil_in_domain(theta)
+        ws.append(model.weight.value(theta))
+        dws.append(model.weight.slope(theta, h))
+        dps.append(model.psi1.projector_derivative(theta, h))
+    return np.array(ws), np.array(dws), _pure_helstrom_traces(np.array(dps))
+
+
 def _qubit_ingredients(pt: StatePoint) -> tuple[float, float, float]:
     """The weight w, its slope w' and I_H1 of psi1, at the model's step.
 
     The three qubit closed forms and alpha/beta share one set through
-    ``pt.cached``; I_WY1 is 2 I_H1. The set reads the weight and psi1 only,
-    never rho or the SLD, so the closed forms stay independent of the
+    ``pt.cached``; I_WY1 is 2 I_H1. The set is the point's layer of its
+    grid's ``_qubit_stage``, which reads the weight and psi1 only, never
+    rho, drho or the SLD, so the closed forms stay independent of the
     definitional routes.
     """
-    model, theta = pt.model, pt.theta
-    model._require_stencil_in_domain(theta)
-    w = model.weight.value(theta)
-    dw = model.weight.slope(theta, model.fd_step)
-    return w, dw, helstrom_info_pure(model.psi1, theta, model.fd_step)
+    w, dw, ih1 = (float(v) for v in pt.layer(_qubit_stage))
+    return w, dw, _check_nonnegative(ih1, "pure Helstrom information")
 
 
 def helstrom_info_qubit_closed(pt: StatePoint) -> float:
@@ -288,11 +310,18 @@ def gamma_spectral(pt: StatePoint) -> float:
     return float(total.real)
 
 
+def _wy_stage(grid: StateGrid) -> tuple:
+    x = grid.stage(_dsqrt_route_stage)[0]
+    return (4.0 * real_trace_product([x, x]),)
+
+
 def wy_info_generic(pt: StatePoint) -> float:
-    """4 tr{[(sqrt rho)']^2}: the definitional skew-information route."""
-    d = pt.dsqrt
-    value = 4.0 * real_trace_product([d.matrix, d.matrix])
-    return _check_nonnegative(value, "skew information")
+    """4 tr{[(sqrt rho)']^2}: the definitional skew-information route.
+
+    One stacked trace per grid, on the square-root derivatives that
+    ``pt.dsqrt`` reads, the finite-difference fallback included.
+    """
+    return _check_nonnegative(float(pt.layer(_wy_stage)[0]), "skew information")
 
 
 @dataclass

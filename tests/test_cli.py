@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qcrb_kit import cli, quantum
 from qcrb_kit.cli import (
@@ -616,6 +618,45 @@ def test_json_round_trip_is_byte_identical(model_paths, capsys):
     assert again == out
 
 
+# a cell or meta value: what the commands emit, and the edge cases of the encoder
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([
+        math.nan, math.inf, -math.inf, -0.0, 5e-324, -2.2250738585072014e-308, 1e308,
+        np.float64(0.1), np.float64(-math.inf), np.float64(math.nan), np.bool_(True),
+        np.bool_(False), np.int64(-7), np.int64(2**62),
+    ]),
+    # verify's detail: quotes, backslashes, newlines, control and non-ASCII characters
+    st.text(),
+    st.sampled_from(['a "quoted" \\ path', "two\nlines\ttab", "\x00\x1f\x7f", "θ ≤ π/2 ✓ 𝜌"]),
+)
+NAMES = st.text(max_size=12)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@example(columns=[], cells=[], meta={})  # {} and [] stay on one line
+@example(columns=["theta"], cells=[], meta={"passed": True})
+@example(columns=["theta"], cells=[{"theta": 0.5}], meta={})
+@given(
+    columns=st.lists(NAMES, max_size=6, unique=True),
+    cells=st.lists(st.dictionaries(NAMES, SCALARS, max_size=7), max_size=4),
+    meta=st.dictionaries(NAMES, SCALARS, max_size=5),
+)
+def test_emit_json_writes_the_bytes_of_the_indented_dump(columns, cells, meta):
+    # a row may miss a column (a null cell) or carry a key that is no column
+    rows = [{**dict(zip(columns, row.values())), **row} for row in cells]
+    payload = {
+        "format": "qcrb-kit v1",
+        "meta": {k: cli._pyify(v) for k, v in meta.items()},
+        "columns": list(columns),
+        "rows": [{c: cli._pyify(row.get(c)) for c in columns} for row in rows],
+    }
+    assert emit_json(columns, rows, meta) == json.dumps(payload, indent=2) + "\n"
+
+
 def test_output_file_writing(model_paths, tmp_path, capsys):
     target = tmp_path / "report.csv"
     code, out, _ = run_cli(
@@ -638,6 +679,15 @@ def test_bad_grid_exits_one(model_paths, capsys):
     )
     assert code == EXIT_CONFIG
     assert "strictly increasing" in err
+
+
+@pytest.mark.parametrize("argv", [["--theta-grid="], ["--theta-grid", ""]])
+def test_an_empty_theta_grid_exits_one(model_paths, capsys, argv):
+    # an empty grid is a malformed grid, not an unset one that falls back to --theta
+    code, out, err = run_cli(["compute", "--model", model_paths["pure"], *argv], capsys)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert "error: --theta-grid: expected lo:hi:steps, got ''" in err
 
 
 def test_compute_logs_a_route_error_as_a_warning(tmp_path, capsys, caplog, monkeypatch):

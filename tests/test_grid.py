@@ -1,10 +1,11 @@
-"""Tests for theta grids: stacked kernels and the stencil stages equal per-matrix and
-per-theta calls bit for bit, a grid gives the rows of its points evaluated alone, a
-failing stage splits the grid into grids of one, and a long grid over a large model is
-evaluated block by block."""
+"""Tests for theta grids: stacked kernels, the stencil stages and the route-scalar
+stages equal per-matrix and per-theta calls bit for bit, a grid gives the rows of its
+points evaluated alone, a failing stage splits the grid into grids of one, and a long
+grid over a large model is evaluated block by block."""
 
 import hashlib
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from qcrb_kit import cli
 from qcrb_kit.errors import (
     DomainError,
+    InvalidPovm,
     NotDensityMatrix,
     NotHermitianError,
     NotPositiveSemidefinite,
@@ -30,16 +32,36 @@ from qcrb_kit.hermitian import (
     solve_symmetric_product,
     trace_product,
 )
-from qcrb_kit.classical import classical_fisher, random_povm
+from qcrb_kit.classical import (
+    COMPLETENESS_ATOL,
+    SCORE_BLOWUP_ATOL,
+    SUPPORT_PROB,
+    Povm,
+    classical_fisher,
+    outcome_probs,
+    random_povm,
+)
 from qcrb_kit.models import (
     GRID_BLOCK_ENTRIES,
     ParametricStateModel,
+    PureStateModel,
+    QubitMixtureModel,
     StateGrid,
+    WeightFunction,
     _drho_fd_stage,
     _dsqrt_fd_stage,
+    builtin_models,
     random_spectral_model,
+    rotation_family,
 )
-from qcrb_kit.quantum import relation_report
+from qcrb_kit.quantum import (
+    _qubit_ingredients,
+    helstrom_info_qubit_closed,
+    helstrom_info_sld,
+    relation_report,
+    sld,
+    wy_info_generic,
+)
 
 DIMS = (1, 2, 3, 4, 8, 16, 64)
 LAYERS = (1, 2, 21)
@@ -187,6 +209,131 @@ def test_the_fallback_is_the_square_root_difference():
         if fell_back:
             assert _same(pt.dsqrt.matrix.mat, _dsqrt_formula(model, pt.theta))
     assert np.abs(model.at(thetas[1]).dsqrt.matrix.mat).max() > 1.0
+
+
+# --- route-scalar stages ---------------------------------------------------------------
+# The per-point formulas that the stages replaced, kept here as their oracles.
+
+def _helstrom_formula(pt):
+    l_mat = sld(pt).matrix
+    return real_trace_product([pt.rho, l_mat, l_mat])
+
+
+def _wy_formula(pt):
+    d = pt.dsqrt
+    return 4.0 * real_trace_product([d.matrix, d.matrix])
+
+
+def _qubit_formula(pt):
+    model, theta, h = pt.model, pt.theta, pt.model.fd_step
+    model._require_stencil_in_domain(theta)
+    w = model.weight.value(theta)
+    dw = model.weight.slope(theta, h)
+    dp = model.psi1.projector_derivative(theta, h)
+    return w, dw, 2.0 * real_trace_product([dp, dp])
+
+
+def _fisher_formula(pt, povm):
+    probs = real_traces_against(pt.rho, povm.stack)
+    if float(np.min(probs)) < -SUPPORT_PROB:
+        raise InvalidPovm(f"negative outcome probability {float(np.min(probs)):.3e}")
+    probs = np.clip(probs, 0.0, None)
+    total = float(np.sum(probs))
+    if abs(total - 1.0) > COMPLETENESS_ATOL:
+        raise InvalidPovm(f"outcome probabilities sum to {total!r}")
+    support = probs > SUPPORT_PROB
+    scores = real_traces_against(pt.drho, povm.stack)
+    if not support.all():
+        blowup = np.flatnonzero(~support & (np.abs(scores) > SCORE_BLOWUP_ATOL))
+        if blowup.size:
+            raise AssertionError("no catalog point blows up")
+        scores, probs = scores[support], probs[support]
+    total = 0.0
+    for s, p in zip(scores, probs):
+        total += s * s / p
+    return probs, total
+
+
+def _assert_stages_equal_the_formulas(model, thetas, povm):
+    for pt in model.grid(thetas):
+        alone = model.at(pt.theta)
+        assert _same(helstrom_info_sld(pt), _helstrom_formula(alone))
+        assert _same(wy_info_generic(pt), _wy_formula(alone))
+        if model.kind == "qubit_mixture":
+            assert _same(pt.cached(_qubit_ingredients), _qubit_formula(alone))
+        probs, fisher = _fisher_formula(alone, povm)
+        assert _same(outcome_probs(pt, povm).probs, probs)
+        assert _same(classical_fisher(pt, povm), fisher)
+
+
+@pytest.mark.parametrize("name", sorted(builtin_models()))
+def test_route_stages_equal_the_per_point_formulas_bitwise(name):
+    model = builtin_models()[name]
+    _assert_stages_equal_the_formulas(model, model.sample_thetas, random_povm(model.dim, 5, 17))
+
+
+def test_route_stages_equal_the_per_point_formulas_at_dimension_64():
+    # 21 thetas over dimension 64: three blocks, of 8, 8 and 5 thetas
+    model = random_spectral_model(6, 64)
+    thetas = np.linspace(-1.0, 1.0, 21).tolist()
+    _assert_stages_equal_the_formulas(model, thetas, random_povm(64, 9, 23))
+
+
+def _error_text(fn, *args):
+    try:
+        fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the text is what is compared
+        return f"{type(exc).__name__}: {exc}"
+    return None
+
+
+def test_a_negative_probability_fails_alone_with_its_own_text():
+    # effect 0 has eigenvalue -5e-11, inside the measurement's floor; at
+    # theta near pi/2 the rotated state sees it as a probability below
+    # -SUPPORT_PROB, and each such theta names its own
+    eps = 5e-11
+    povm = Povm([np.diag([0.5, -eps]), np.diag([0.5, 1.0 + eps])])
+    model = PureStateModel(rotation_family())
+    thetas = [0.3, math.pi / 2, 1.0, math.pi / 2 + 2e-6, -0.4]
+    texts = []
+    for pt in model.grid(thetas):
+        text = _error_text(classical_fisher, pt, povm)
+        assert text == _error_text(classical_fisher, model.at(pt.theta), povm)
+        assert text == _error_text(outcome_probs, pt, povm)
+        if text is None:
+            assert _same(classical_fisher(pt, povm), classical_fisher(model.at(pt.theta), povm))
+        texts.append(text)
+    assert texts == [
+        None, "InvalidPovm: negative outcome probability -5.000e-11", None,
+        "InvalidPovm: negative outcome probability -4.800e-11", None,
+    ]
+
+
+class ClippedRhoMixture(QubitMixtureModel):
+    """A rotation mixture whose weight theta leaves (0, 1) past 1, while rho clips it:
+    the state is valid everywhere, and only the weight's readers fail there."""
+
+    def __init__(self):
+        super().__init__(rotation_family(), WeightFunction(w=lambda t: t, dw=lambda t: 1.0))
+
+    def rho_matrix(self, theta):
+        w = min(max(theta, 0.1), 0.9)
+        p1 = self.psi1.projector(theta)
+        return w * p1 + (1.0 - w) * (np.eye(2) - p1)
+
+
+def test_a_weight_outside_the_unit_interval_fails_only_its_point():
+    model = ClippedRhoMixture()
+    thetas = [0.2, 0.5, 1.5, 0.8]
+    for pt in model.grid(thetas):
+        alone = model.at(pt.theta)
+        if pt.theta == 1.5:
+            expected = "DomainError: weight 1.5 at theta=1.5 outside (0, 1)"
+            for fn in (_qubit_ingredients, helstrom_info_qubit_closed, relation_report):
+                assert _error_text(fn, pt) == _error_text(fn, alone) == expected
+        else:
+            assert not relation_report(pt).route_errors
+            assert _report_row(relation_report(pt)) == _report_row(relation_report(alone))
 
 
 # --- a grid gives the rows of its points alone --------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from qcrb_kit import quantum
 from qcrb_kit.errors import BoundaryRegularityError, DomainError
+from qcrb_kit.hermitian import real_trace_product
 from qcrb_kit.models import (
     ParametricStateModel,
     PureFamily,
@@ -519,6 +520,15 @@ def test_report_diagnostics_show_the_fd_fallback():
         "support_dropped": False,
         "min_pair_sum": pytest.approx(2 * NearlySingularModel.EPS),
     }
+
+
+def test_skew_information_reads_the_fd_fallback_in_a_grid_and_alone():
+    model = NearlySingularModel()
+    for pt in list(model.grid([-0.4, 0.2, 0.7])) + [model.at(0.2)]:
+        assert relation_report(pt).diagnostics["fd_fallback"] is True
+        fd = model.dsqrt_rho(pt.theta, force_fd=True).matrix
+        assert pt.dsqrt.matrix.mat.tobytes() == fd.mat.tobytes()
+        assert wy_info_generic(pt) == 4.0 * real_trace_product([fd, fd])
 
 
 def test_report_diagnostics_on_a_rank_deficient_spectrum():
