@@ -6,16 +6,25 @@ immutable after construction; evaluation is pure.
 
 A theta grid is the unit of evaluation. ``model.grid(thetas)`` yields one
 ``StatePoint`` per theta, each a view into one layer of a ``StateGrid``;
-``model.at(theta)`` is a grid of one. The model's ``rho_matrix`` and
-``_drho_analytic`` run once per theta, and their outputs are stacked: the
-validation, the eigendecomposition and the square-root solve (and, in
-``quantum``, the SLD solve) each run once per grid on the (T, n, n) stack.
-Long grids are cut into blocks of ``GRID_BLOCK_ENTRIES`` matrix entries.
+``model.at(theta)`` is a grid of one. A built-in model reads its inputs
+(the callables it wraps: psi and dpsi, the weight w and dw, the eigenvalue
+weights and the frame with their derivatives) once per theta of a grid, in
+two stages: ``_inputs_stage`` holds the value inputs, all that rho reads,
+and ``_dinputs_stage`` the derivative inputs. rho, drho and the closed-form
+ingredients of ``quantum`` are stacked numpy formulas over those (T, ...)
+arrays; a custom model's ``rho_matrix`` and ``_drho_analytic`` run once per
+theta instead, and are stacked. The validation, the eigendecomposition and
+the square-root solve (and, in ``quantum``, the SLD solve) each run once
+per grid on the (T, n, n) stack. Long grids are cut into blocks of
+``GRID_BLOCK_ENTRIES`` matrix entries.
 
 The finite differences that stand in for a derivative are grid stages as
-well: ``_drho_fd_stage`` differences ``rho_matrix``, and ``_dsqrt_fd_stage``
-evaluates the 2T states rho(theta +- fd_step) of a grid as one stencil grid,
-with one eigendecomposition, and differences their square roots. Every
+well. A built-in input without an analytic derivative is read on the
+stencil theta +- fd_step by ``_stencil_stage``, once per grid whichever
+stages difference it. ``_drho_fd_stage`` differences ``rho_matrix``, and
+``_dsqrt_fd_stage`` evaluates the 2T states rho(theta +- fd_step) of a grid
+as one stencil grid, with one eigendecomposition, and differences their
+square roots. Every
 forced difference (``drho``/``dsqrt_rho`` with ``force_fd``) reads these
 stages, and so does the square-root solve's rank-deficient fallback:
 ``_dsqrt_route_stage`` holds the solve's result, or on an inconsistent point
@@ -73,6 +82,27 @@ def _central_difference(f: Callable[[float], np.ndarray], theta: float, h: float
     return (f(theta + h) - f(theta - h)) / (2.0 * h)
 
 
+def _stencil_difference(sides: np.ndarray, h: float) -> np.ndarray:
+    """The central difference of every theta, from a (T, 2, ...) array of its values at theta +- h."""
+    halves = {h: sides[:, 0], -h: sides[:, 1]}
+    return _central_difference(halves.__getitem__, 0.0, h)
+
+
+def _symmetrized(d: np.ndarray) -> np.ndarray:
+    """(D + D*)/2 of a matrix, or of each matrix of a stack."""
+    return (d + d.conj().swapaxes(-1, -2)) / 2.0
+
+
+def _projectors(v: np.ndarray) -> np.ndarray:
+    """|v><v| of a vector, or of each vector of a stack of them."""
+    return v[..., :, None] * v.conj()[..., None, :]
+
+
+def _projector_derivatives(v: np.ndarray, dv: np.ndarray) -> np.ndarray:
+    """d/dtheta |v><v| = |dv><v| + |v><dv|, symmetrized; of one vector or of each of a stack."""
+    return _symmetrized(dv[..., :, None] * v.conj()[..., None, :] + v[..., :, None] * dv.conj()[..., None, :])
+
+
 @dataclass(frozen=True)
 class PureFamily:
     """theta -> unit vector, with optional analytic derivative of the vector."""
@@ -90,19 +120,18 @@ class PureFamily:
             raise ValueError(f"family state at theta={theta} has norm {norm!r}")
         return v
 
+    def velocity(self, theta: float) -> np.ndarray:
+        """dpsi(theta) as a complex vector; the family must have dpsi."""
+        return np.asarray(self.dpsi(theta), dtype=complex).reshape(-1)
+
     def projector(self, theta: float) -> np.ndarray:
-        v = self.state(theta)
-        return np.outer(v, v.conj())
+        return _projectors(self.state(theta))
 
     def projector_derivative(self, theta: float, h: float = DEFAULT_FD_STEP) -> np.ndarray:
         """d/dtheta of |psi><psi|; analytic when dpsi is available."""
         if self.dpsi is not None:
-            v = self.state(theta)
-            dv = np.asarray(self.dpsi(theta), dtype=complex).reshape(-1)
-            d = np.outer(dv, v.conj()) + np.outer(v, dv.conj())
-        else:
-            d = _central_difference(self.projector, theta, h)
-        return (d + d.conj().T) / 2.0
+            return _projector_derivatives(self.state(theta), self.velocity(theta))
+        return _symmetrized(_central_difference(self.projector, theta, h))
 
 
 @dataclass(frozen=True)
@@ -118,10 +147,14 @@ class WeightFunction:
             raise DomainError(f"weight {v!r} at theta={theta} outside (0, 1)")
         return v
 
+    def raw(self, theta: float) -> float:
+        """w(theta) unchecked: what a difference of the weight reads."""
+        return float(self.w(theta))
+
     def slope(self, theta: float, h: float = DEFAULT_FD_STEP) -> float:
         if self.dw is not None:
             return float(self.dw(theta))
-        return _central_difference(lambda t: float(self.w(t)), theta, h)
+        return _central_difference(self.raw, theta, h)
 
     def boundary_regularity_ratio(self, thetas, h: float = DEFAULT_FD_STEP) -> float:
         """max |w'| / min(sqrt(w), sqrt(1-w)) over a sampled grid.
@@ -151,11 +184,13 @@ class StateGrid:
     """One model at a block of thetas, whose stages each run once for the whole block.
 
     A stage is a function ``fn(grid, *args)`` that returns a tuple of
-    arrays with one layer per theta. Here they are rho with its
-    eigendecomposition, drho, the square-root derivative with its route,
-    and the forced differences. In ``quantum`` they are the SLD and the
-    scalars its routes read per theta: tr{rho L^2}, 4 tr{[(sqrt rho)']^2},
-    and a qubit mixture's weight, slope and I_H1. In ``classical`` they are
+    arrays with one layer per theta. Here they are a built-in model's value
+    and derivative inputs and the stencil reads of its differenced inputs,
+    rho with its eigendecomposition, drho, the square-root derivative with
+    its route, and the forced differences. In ``quantum`` they are the SLD
+    and the scalars its routes read per theta: tr{rho L^2},
+    4 tr{[(sqrt rho)']^2}, a pure model's 2 tr{(dP)^2}, and a qubit
+    mixture's weight, slope and I_H1. In ``classical`` they are
     a measurement's checked trace-rule distributions and its scores. Each
     runs on first use and is kept. A stage that raises is not kept; a grid
     of more than one theta then splits into grids of one, which keep the
@@ -259,38 +294,61 @@ class StatePoint:
         return self.cached(_point_dsqrt)
 
 
-def _rho_stage(grid: StateGrid) -> tuple:
+def _domain_checked(grid: StateGrid) -> ParametricStateModel:
+    """The grid's model, once every theta of the grid lies in its domain."""
     model = grid.model
-    mats = []
     for theta in grid.thetas:
         model._require_in_domain(theta)
-        mats.append(model.rho_matrix(theta))
-    h, dec = density_stack(square_stack(mats))
+    return model
+
+
+def _inputs_stage(grid: StateGrid) -> tuple:
+    """The value inputs of a built-in model at every theta: all that rho reads."""
+    return _domain_checked(grid)._inputs(grid.thetas)
+
+
+def _dinputs_stage(grid: StateGrid) -> tuple:
+    """The derivative inputs of a built-in model at every theta, analytic or differenced."""
+    return _domain_checked(grid)._derivative_inputs(grid)
+
+
+def _stencil_stage(grid: StateGrid, read: Callable[[float], object]) -> tuple:
+    """read(theta + fd_step) and read(theta - fd_step) of every theta, as one (T, 2, ...) array.
+
+    This is how a built-in model differences an input that has no analytic
+    derivative: each stencil side is read once per grid, whichever stages
+    difference it.
+    """
+    model, h = _domain_checked(grid), grid.model.fd_step
+    for theta in grid.thetas:
+        model._require_stencil(theta)
+    return (np.array([[read(theta + h), read(theta - h)] for theta in grid.thetas]),)
+
+
+def _rho_stage(grid: StateGrid) -> tuple:
+    h, dec = density_stack(_domain_checked(grid)._rho_stack(grid))
     return h, dec.eigenvalues, dec.eigenvectors
 
 
 def _drho_stage(grid: StateGrid) -> tuple:
-    return (_drho_layers(grid.model, grid.thetas),)
+    return (_checked_drho(_domain_checked(grid)._drho_stack(grid)),)
 
 
 def _drho_fd_stage(grid: StateGrid) -> tuple:
     """drho by central differences of rho_matrix at every theta, analytic or not."""
-    return (_drho_layers(grid.model, grid.thetas, force_fd=True),)
+    model = _domain_checked(grid)
+    return (_checked_drho(square_stack([_rho_difference(model, theta) for theta in grid.thetas])),)
 
 
-def _drho_layers(model: ParametricStateModel, thetas, force_fd: bool = False) -> np.ndarray:
-    """The validated (T, n, n) stack of drho at ``thetas``, analytic unless ``force_fd``."""
-    ds = []
-    for theta in thetas:
-        model._require_in_domain(theta)
-        d = None if force_fd else model._drho_analytic(theta)
-        if d is None:
-            d = model._difference(model.rho_matrix, theta)
-            # the quotient of Hermitian evaluations is Hermitian; dividing by
-            # 2h amplifies matmul rounding asymmetry past the construction gate
-            d = (d + d.conj().T) / 2.0
-        ds.append(d)
-    h = hermitian_part(square_stack(ds))
+def _rho_difference(model: ParametricStateModel, theta: float) -> np.ndarray:
+    # the quotient of Hermitian evaluations is Hermitian; dividing by 2h
+    # amplifies matmul rounding asymmetry past the construction gate
+    return _symmetrized(model._difference(model.rho_matrix, theta))
+
+
+def _checked_drho(stack: np.ndarray) -> np.ndarray:
+    """The validated (T, n, n) stack of drho: Hermitian, and traceless within ``TRACELESS_ATOL``."""
+    h = hermitian_part(stack)
     tr = np.abs(np.trace(h, axis1=-2, axis2=-1).real)
     i = first_failing(tr > TRACELESS_ATOL)
     if i is not None:
@@ -323,9 +381,7 @@ def _dsqrt_fd_stage(grid: StateGrid) -> tuple:
     for start in range(0, len(grid.thetas), size):
         stencil = [t for theta in grid.thetas[start:start + size] for t in (theta + h, theta - h)]
         roots = sqrt_stack(StateGrid(model, stencil).rho_stack()[1])
-        # the rule over the stencil's two halves, read by their offset from 0
-        sides = {h: roots[0::2], -h: roots[1::2]}
-        diffs.append(_central_difference(sides.__getitem__, 0.0, h))
+        diffs.append(_stencil_difference(roots.reshape(-1, 2, *roots.shape[1:]), h))
     return (hermitian_part(np.concatenate(diffs)),)
 
 
@@ -373,9 +429,14 @@ def _checked_step(fd_step: float) -> float:
 class ParametricStateModel:
     """Base class: map theta to a density matrix, with derivative access.
 
-    Subclasses implement ``rho_matrix`` and may provide an analytic
-    derivative; otherwise a central difference with ``fd_step``, the one step
-    all its derivatives use. ``domain`` is a closed interval of admissible theta.
+    A custom model implements ``rho_matrix`` and may provide an analytic
+    derivative in ``_drho_analytic``; otherwise a central difference with
+    ``fd_step``, the one step all its derivatives use. A grid calls them once
+    per theta (``_rho_stack`` and ``_drho_stack``) and stacks the results.
+    The built-in kinds (pure, qubit mixture, spectral) instead build rho and
+    drho as stacked formulas over their inputs, which a grid reads once per
+    theta (see ``_StackedModel``). ``domain`` is a closed interval of
+    admissible theta.
     """
 
     kind = "custom"
@@ -430,6 +491,18 @@ class ParametricStateModel:
     def _drho_analytic(self, theta: float) -> np.ndarray | None:
         """Structured derivative; any differenced ingredient uses ``fd_step``."""
         return None
+
+    def _rho_stack(self, grid: StateGrid) -> np.ndarray:
+        """rho at every theta of ``grid``, as one (T, n, n) array: ``rho_matrix`` per theta."""
+        return square_stack([self.rho_matrix(theta) for theta in grid.thetas])
+
+    def _drho_stack(self, grid: StateGrid) -> np.ndarray:
+        """drho at every theta of ``grid``: ``_drho_analytic``, or the difference of ``rho_matrix``."""
+        ds = []
+        for theta in grid.thetas:
+            d = self._drho_analytic(theta)
+            ds.append(_rho_difference(self, theta) if d is None else d)
+        return square_stack(ds)
 
     @property
     def has_analytic_derivative(self) -> bool:
@@ -486,8 +559,43 @@ class ParametricStateModel:
         return SqrtDerivative(matrix=HermitianMatrix.of_checked(x), route="fd")
 
 
-class PureStateModel(ParametricStateModel):
-    """rho(theta) = |psi(theta)><psi(theta)| for a pure family."""
+class _StackedModel(ParametricStateModel):
+    """A built-in kind: rho and drho are stacked formulas over the model's inputs.
+
+    A kind implements ``_inputs(thetas)``, which reads the value inputs at
+    each theta (the callables the model wraps, with their checks);
+    ``_rho_formula(*inputs)``, which maps them to the (T, n, n) stack of rho;
+    ``_derivative_inputs(grid)``, which reads the derivative inputs,
+    analytic or from a ``_stencil_stage``; and ``_drho_stack``, which
+    combines both. A grid runs the two readers as the stages
+    ``_inputs_stage`` and ``_dinputs_stage``, so each callable runs once per
+    theta (a differenced one once per stencil side), and the closed-form
+    ingredients in ``quantum`` read the same stages. ``rho_matrix(theta)``
+    is the formula at one theta.
+    """
+
+    def rho_matrix(self, theta: float) -> np.ndarray:
+        return self._rho_formula(*self._inputs((theta,)))[0]
+
+    def _rho_stack(self, grid: StateGrid) -> np.ndarray:
+        return self._rho_formula(*grid.stage(_inputs_stage))
+
+
+def _family_dprojectors(grid: StateGrid, family: PureFamily, index: int) -> np.ndarray:
+    """dP of ``family`` at every theta: from dpsi and its states, value input ``index``,
+    or else by central differences of its states on the stencil."""
+    if family.dpsi is not None:
+        states = grid.stage(_inputs_stage)[index]
+        return _projector_derivatives(states, np.array([family.velocity(t) for t in grid.thetas]))
+    sides = grid.stage(_stencil_stage, family.state)[0]
+    return _symmetrized(_stencil_difference(_projectors(sides), grid.model.fd_step))
+
+
+class PureStateModel(_StackedModel):
+    """rho(theta) = |psi(theta)><psi(theta)| for a pure family.
+
+    Inputs: the state psi, and dpsi or the states at theta +- fd_step.
+    """
 
     kind = "pure"
 
@@ -495,20 +603,25 @@ class PureStateModel(ParametricStateModel):
         super().__init__(family.dim, **kwargs)
         self.family = family
 
-    def rho_matrix(self, theta: float) -> np.ndarray:
-        return self.family.projector(theta)
+    def _inputs(self, thetas) -> tuple:
+        return (np.array([self.family.state(t) for t in thetas]),)
 
-    def _drho_analytic(self, theta: float) -> np.ndarray | None:
-        if self.family.dpsi is None:
-            return None
-        return self.family.projector_derivative(theta)
+    def _rho_formula(self, v: np.ndarray) -> np.ndarray:
+        return _projectors(v)
+
+    def _derivative_inputs(self, grid: StateGrid) -> tuple:
+        """(dP,): the projector derivative, which is drho and what the closed form reads."""
+        return (_family_dprojectors(grid, self.family, 0),)
+
+    def _drho_stack(self, grid: StateGrid) -> np.ndarray:
+        return grid.stage(_dinputs_stage)[0]
 
     @property
     def has_analytic_derivative(self) -> bool:
         return self.family.dpsi is not None
 
 
-class QubitMixtureModel(ParametricStateModel):
+class QubitMixtureModel(_StackedModel):
     """Two-dimensional mixture of orthogonal pure states.
 
     rho = w |psi1><psi1| + (1-w) |psi2><psi2| with <psi1|psi2> = 0. In two
@@ -516,6 +629,9 @@ class QubitMixtureModel(ParametricStateModel):
     is I - |psi1><psi1| and nothing the model computes reads psi2's phase.
     ``psi2`` gives the canonical choice: the image of psi1 under the
     projector derivative, normalized.
+
+    Inputs: the weight w and the state psi1; w' (from dw or the raw weight
+    at theta +- fd_step) and dP1 (as for a pure family).
     """
 
     kind = "qubit_mixture"
@@ -527,26 +643,33 @@ class QubitMixtureModel(ParametricStateModel):
         self.psi1 = psi1
         self.weight = weight
 
-    def rho_matrix(self, theta: float) -> np.ndarray:
-        w = self.weight.value(theta)
-        p1 = self.psi1.projector(theta)
+    def _inputs(self, thetas) -> tuple:
+        """(w, psi1) at each theta: the checked weight, then the checked state."""
+        ws, vs = [], []
+        for theta in thetas:
+            ws.append(self.weight.value(theta))
+            vs.append(self.psi1.state(theta))
+        return np.array(ws), np.array(vs)
+
+    def _rho_formula(self, w: np.ndarray, v: np.ndarray) -> np.ndarray:
+        p1 = _projectors(v)
+        w = w[:, None, None]
         return w * p1 + (1.0 - w) * (np.eye(2) - p1)
 
-    def _require_stencil_in_domain(self, theta: float) -> None:
-        """Raise DomainError unless theta lies in the domain, and so does
-        theta +- fd_step where the weight or psi1 is differenced."""
-        self._require_in_domain(theta)
-        if not self.has_analytic_derivative:
-            self._require_stencil(theta)
+    def _derivative_inputs(self, grid: StateGrid) -> tuple:
+        """(w', dP1): the weight's slope and psi1's projector derivative, at ``fd_step``."""
+        weight = self.weight
+        if weight.dw is not None:
+            dw = np.array([float(weight.dw(t)) for t in grid.thetas])
+        else:
+            dw = _stencil_difference(grid.stage(_stencil_stage, weight.raw)[0], self.fd_step)
+        dp1 = _family_dprojectors(grid, self.psi1, 1)
+        return dw, dp1
 
-    def _drho_analytic(self, theta: float) -> np.ndarray | None:
-        self._require_stencil_in_domain(theta)
-        h = self.fd_step
-        dw = self.weight.slope(theta, h)
-        dp1 = self.psi1.projector_derivative(theta, h)
-        w = self.weight.value(theta)
-        p1 = self.psi1.projector(theta)
-        return dw * (2.0 * p1 - np.eye(2)) + (2.0 * w - 1.0) * dp1
+    def _drho_stack(self, grid: StateGrid) -> np.ndarray:
+        w, v = grid.stage(_inputs_stage)
+        dw, dp1 = grid.stage(_dinputs_stage)
+        return dw[:, None, None] * (2.0 * _projectors(v) - np.eye(2)) + (2.0 * w - 1.0)[:, None, None] * dp1
 
     @property
     def has_analytic_derivative(self) -> bool:
@@ -556,7 +679,47 @@ class QubitMixtureModel(ParametricStateModel):
         return canonical_psi2(self.psi1, theta, self.fd_step)
 
 
-class SpectralMixtureModel(ParametricStateModel):
+def _checked_dlambdas(vals: np.ndarray) -> np.ndarray:
+    total = abs(float(np.sum(vals)))
+    if total > DLAMBDA_SUM_ATOL:
+        raise ValueError(f"weight derivatives sum to {total:.3e} > {DLAMBDA_SUM_ATOL}")
+    return vals
+
+
+def _frame_projectors(u: np.ndarray) -> np.ndarray:
+    """P_k = u_k u_k^dagger of each column of a frame, or of each frame of a stack: (..., n, n, n)."""
+    return _projectors(u.swapaxes(-1, -2))
+
+
+def _skew_generator(a: np.ndarray) -> np.ndarray:
+    """(A - A*)/2 with its diagonal zeroed, for each matrix of a (T, n, n) stack."""
+    a = (a - a.conj().swapaxes(-1, -2)) / 2.0
+    diag = np.arange(a.shape[-1])
+    a[:, diag, diag] = 0.0
+    return a
+
+
+def _generator_from_frames(u: np.ndarray, du: np.ndarray) -> np.ndarray:
+    """A = U^dagger dU, made skew-Hermitian with zero diagonal, of (T, n, n) stacks."""
+    return _skew_generator(u.conj().swapaxes(-1, -2) @ du)
+
+
+def _generator_from_stencil(u: np.ndarray, sides: np.ndarray, h: float) -> np.ndarray:
+    """A from the central differences dP_k of the projectors on the frames at theta +- h.
+
+    Column k off the diagonal is U^dagger dP_k u_k, which no column phase
+    convention affects. ``sides`` is the (T, 2, n, n) stack of those frames.
+    The projectors of one theta hold n^3 entries, so they are built one
+    theta at a time, and no stacked array outgrows a grid block.
+    """
+    images = np.array([
+        np.einsum("kij,jk->ik", _stencil_difference(_frame_projectors(pair[None]), h)[0], v)
+        for pair, v in zip(sides, u)
+    ])
+    return _skew_generator(u.conj().swapaxes(-1, -2) @ images)
+
+
+class SpectralMixtureModel(_StackedModel):
     """rho(theta) = sum_l lambda_l(theta) |u_l(theta)><u_l(theta)|.
 
     The orthonormal frame u_l comes from a smooth unitary path; eigenvalue
@@ -569,6 +732,10 @@ class SpectralMixtureModel(ParametricStateModel):
     the frame basis each projector derivative is
     U^dagger dP_k U = a_k e_k^T + e_k a_k^dagger, which never reads the
     diagonal of A (the phase gauge of the columns), so it is set to zero.
+
+    Inputs: the weights lambda and the frame U; lambda' and A (from dlambdas
+    and dframe, or from the raw weights and the frames at theta +- fd_step).
+    Without both analytic derivatives drho is the central difference of rho.
     """
 
     kind = "spectral"
@@ -588,8 +755,10 @@ class SpectralMixtureModel(ParametricStateModel):
         self._frame = frame
         self._dframe = dframe
 
-    def lambdas_at(self, theta: float) -> np.ndarray:
-        vals = np.asarray(self._lambdas(theta), dtype=float).reshape(-1)
+    def _raw_lambdas(self, theta: float) -> np.ndarray:
+        return np.asarray(self._lambdas(theta), dtype=float).reshape(-1)
+
+    def _checked_lambdas(self, vals: np.ndarray, theta: float) -> np.ndarray:
         if vals.shape[0] != self.dim:
             raise DimensionError(f"{vals.shape[0]} weights for dim {self.dim}")
         total = float(np.sum(vals))
@@ -600,16 +769,15 @@ class SpectralMixtureModel(ParametricStateModel):
             raise ValueError(f"eigenvalue weights outside [0, 1] at theta={theta}")
         return np.clip(vals, 0.0, 1.0)
 
+    def lambdas_at(self, theta: float) -> np.ndarray:
+        return self._checked_lambdas(self._raw_lambdas(theta), theta)
+
     def dlambdas_at(self, theta: float) -> np.ndarray:
         if self._dlambdas is not None:
             vals = np.asarray(self._dlambdas(theta), dtype=float).reshape(-1)
         else:
-            raw = lambda t: np.asarray(self._lambdas(t), dtype=float).reshape(-1)
-            vals = self._difference(raw, theta)
-        total = abs(float(np.sum(vals)))
-        if total > DLAMBDA_SUM_ATOL:
-            raise ValueError(f"weight derivatives sum to {total:.3e} > {DLAMBDA_SUM_ATOL}")
-        return vals
+            vals = self._difference(self._raw_lambdas, theta)
+        return _checked_dlambdas(vals)
 
     def frame_at(self, theta: float) -> np.ndarray:
         u = np.asarray(self._frame(theta), dtype=complex)
@@ -621,8 +789,7 @@ class SpectralMixtureModel(ParametricStateModel):
         return u
 
     def projectors_at(self, theta: float) -> list[np.ndarray]:
-        u = self.frame_at(theta)
-        return [np.outer(u[:, j], u[:, j].conj()) for j in range(self.dim)]
+        return list(_frame_projectors(self.frame_at(theta)))
 
     def generator_at(self, theta: float, u: np.ndarray | None = None) -> np.ndarray:
         """A = U^dagger dU with its diagonal zeroed; ``u`` passes in frame_at(theta).
@@ -631,15 +798,14 @@ class SpectralMixtureModel(ParametricStateModel):
         from the differenced projectors as U^dagger dP_k u_k, which no column
         phase convention affects. Either way A is made exactly skew-Hermitian.
         """
-        u = self.frame_at(theta) if u is None else u
+        u = (self.frame_at(theta) if u is None else u)[None]
         if self._dframe is not None:
-            a = u.conj().T @ np.asarray(self._dframe(theta), dtype=complex)
-        else:
-            dprojs = self._difference(lambda t: np.array(self.projectors_at(t)), theta)
-            a = u.conj().T @ np.einsum("kij,jk->ik", dprojs, u)
-        a = (a - a.conj().T) / 2.0
-        np.fill_diagonal(a, 0.0)
-        return a
+            du = np.asarray(self._dframe(theta), dtype=complex)
+            return _generator_from_frames(u, du[None])[0]
+        self._require_stencil(theta)
+        h = self.fd_step
+        sides = np.array([[self.frame_at(theta + h), self.frame_at(theta - h)]])
+        return _generator_from_stencil(u, sides, h)[0]
 
     def dprojectors_at(self, theta: float) -> list[np.ndarray]:
         """dP_k = du_k u_k^dagger + u_k du_k^dagger.
@@ -658,21 +824,55 @@ class SpectralMixtureModel(ParametricStateModel):
             out.append((d + d.conj().T) / 2.0)
         return out
 
-    def rho_matrix(self, theta: float) -> np.ndarray:
-        lam = self.lambdas_at(theta)
-        u = self.frame_at(theta)
-        return (u * lam) @ u.conj().T
+    def _inputs(self, thetas) -> tuple:
+        """(lambda, U) at each theta: the checked weights and the checked frame."""
+        lams, frames = [], []
+        for theta in thetas:
+            lams.append(self.lambdas_at(theta))
+            frames.append(self.frame_at(theta))
+        return np.array(lams), np.array(frames)
 
-    def _drho_analytic(self, theta: float) -> np.ndarray | None:
-        """drho = U (diag dlam + A Lambda - Lambda A) U^dagger."""
-        if self._dlambdas is None or self._dframe is None:
-            return None
-        lam = self.lambdas_at(theta)
-        u = self.frame_at(theta)
-        a = self.generator_at(theta, u)
-        inner = a * (lam[None, :] - lam[:, None])
-        inner[np.diag_indices(self.dim)] = self.dlambdas_at(theta)
-        return (u @ inner) @ u.conj().T
+    def _rho_formula(self, lam: np.ndarray, u: np.ndarray) -> np.ndarray:
+        return (u * lam[..., None, :]) @ u.conj().swapaxes(-1, -2)
+
+    def _derivative_inputs(self, grid: StateGrid) -> tuple:
+        """(lambda', A): the weight derivatives and the frame generator at every theta."""
+        h = self.fd_step
+        u = grid.stage(_inputs_stage)[1]
+        if self._dframe is not None:
+            du = np.array([np.asarray(self._dframe(t), dtype=complex) for t in grid.thetas])
+            a = _generator_from_frames(u, du)
+        else:
+            a = _generator_from_stencil(u, grid.stage(_stencil_stage, self.frame_at)[0], h)
+        if self._dlambdas is not None:
+            dlam = np.array([self.dlambdas_at(t) for t in grid.thetas])
+        else:
+            dlam = _stencil_difference(grid.stage(_stencil_stage, self._raw_lambdas)[0], h)
+            for vals in dlam:
+                _checked_dlambdas(vals)
+        return dlam, a
+
+    def _drho_stack(self, grid: StateGrid) -> np.ndarray:
+        """U (diag dlam + A Lambda - Lambda A) U^dagger, or the difference of rho."""
+        if not self.has_analytic_derivative:
+            return self._rho_differences(grid)
+        lam, u = grid.stage(_inputs_stage)
+        dlam, a = grid.stage(_dinputs_stage)
+        inner = a * (lam[:, None, :] - lam[:, :, None])
+        diag = np.arange(self.dim)
+        inner[:, diag, diag] = dlam
+        return (u @ inner) @ u.conj().swapaxes(-1, -2)
+
+    def _rho_differences(self, grid: StateGrid) -> np.ndarray:
+        """The central difference of rho at every theta, from the stencil's raw weights and frames."""
+        h = self.fd_step
+        raw = grid.stage(_stencil_stage, self._raw_lambdas)[0]
+        frames = grid.stage(_stencil_stage, self.frame_at)[0]
+        lam = np.array([
+            [self._checked_lambdas(vals, theta + side) for vals, side in zip(pair, (h, -h))]
+            for pair, theta in zip(raw, grid.thetas)
+        ])
+        return _symmetrized(_stencil_difference(self._rho_formula(lam, frames), h))
 
     @property
     def has_analytic_derivative(self) -> bool:

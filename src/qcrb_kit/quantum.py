@@ -20,11 +20,13 @@ a ``StatePoint`` (``model.at(theta)``, or a point of ``model.grid(thetas)``);
 routes that read one point share its evaluated rho, drho, square-root
 derivative, SLD and closed-form ingredients instead of evaluating the state
 again. What a route reads per theta is a grid stage, run once per grid on
-the stacked arrays: the SLD solve, tr{rho L^2}, 4 tr{[(sqrt rho)']^2}, and
-a qubit mixture's (w, w', I_H1). Each stage reads only what its route
-reads, so the routes share only (rho, drho, frame). Per point are left the
-layer reads, the closed-form arithmetic, alpha/beta, the relations and the
-report's assembly.
+the stacked arrays: the SLD solve, tr{rho L^2}, 4 tr{[(sqrt rho)']^2}, a
+pure model's 2 tr{(dP)^2} and a qubit mixture's (w, w', I_H1). The closed
+forms read the model's input stages (``models._inputs_stage`` and
+``_dinputs_stage``), never rho, drho or the SLD, so the routes share only
+the model's inputs (rho, drho, frame). Per point are left the layer reads,
+the closed-form arithmetic, alpha/beta, the relations and the report's
+assembly.
 """
 
 from __future__ import annotations
@@ -40,7 +42,15 @@ from .hermitian import (
     real_trace_product,
     solve_symmetric_product,
 )
-from .models import DEFAULT_FD_STEP, PureFamily, StateGrid, StatePoint, _dsqrt_route_stage
+from .models import (
+    DEFAULT_FD_STEP,
+    PureFamily,
+    StateGrid,
+    StatePoint,
+    _dinputs_stage,
+    _dsqrt_route_stage,
+    _inputs_stage,
+)
 
 INFO_FLOOR = -1e-9
 NEAR_ZERO_INFO = 1e-8
@@ -135,22 +145,24 @@ def helstrom_info_pure(family: PureFamily, theta: float, h: float = DEFAULT_FD_S
     return _check_nonnegative(_pure_helstrom_traces(dp), "pure Helstrom information")
 
 
+def _pure_stage(grid: StateGrid) -> tuple:
+    return (_pure_helstrom_traces(grid.stage(_dinputs_stage)[0]),)
+
+
 def _pure_helstrom_closed(pt: StatePoint) -> float:
-    """``helstrom_info_pure`` of a pure model's family, at the model's step."""
-    model = pt.model
-    return helstrom_info_pure(model.family, pt.theta, model.fd_step)
+    """``helstrom_info_pure`` of a pure model's family, at the model's step.
+
+    One stacked trace per grid, on the projector derivatives of the model's
+    derivative inputs: the family's dpsi, or its states at theta +- fd_step.
+    """
+    return _check_nonnegative(float(pt.layer(_pure_stage)[0]), "pure Helstrom information")
 
 
 def _qubit_stage(grid: StateGrid) -> tuple:
-    """w, w' and I_H1 of every theta: the weight and psi1 per theta, I_H1 one stacked trace."""
-    model, h = grid.model, grid.model.fd_step
-    ws, dws, dps = [], [], []
-    for theta in grid.thetas:
-        model._require_stencil_in_domain(theta)
-        ws.append(model.weight.value(theta))
-        dws.append(model.weight.slope(theta, h))
-        dps.append(model.psi1.projector_derivative(theta, h))
-    return np.array(ws), np.array(dws), _pure_helstrom_traces(np.array(dps))
+    """w, w' and I_H1 of every theta, from the model's input stages; I_H1 is one stacked trace."""
+    w = grid.stage(_inputs_stage)[0]
+    dw, dp1 = grid.stage(_dinputs_stage)
+    return w, dw, _pure_helstrom_traces(dp1)
 
 
 def _qubit_ingredients(pt: StatePoint) -> tuple[float, float, float]:
@@ -158,9 +170,9 @@ def _qubit_ingredients(pt: StatePoint) -> tuple[float, float, float]:
 
     The three qubit closed forms and alpha/beta share one set through
     ``pt.cached``; I_WY1 is 2 I_H1. The set is the point's layer of its
-    grid's ``_qubit_stage``, which reads the weight and psi1 only, never
-    rho, drho or the SLD, so the closed forms stay independent of the
-    definitional routes.
+    grid's ``_qubit_stage``, which reads the model's inputs (the weight, its
+    slope and psi1's projector derivative) and never rho, drho or the SLD,
+    so the closed forms stay independent of the definitional routes.
     """
     w, dw, ih1 = (float(v) for v in pt.layer(_qubit_stage))
     return w, dw, _check_nonnegative(ih1, "pure Helstrom information")
@@ -215,10 +227,13 @@ def _spectral_ingredients(pt: StatePoint):
     With D_k = U^dagger dP_k U = a_k e_k^T + e_k a_k^dagger (a_k column k
     of A), tr{P_l dP_k dP_z} = (D_k D_z)_{ll} and tr{dP_k dP_z} = tr{D_k D_z}
     reduce to sums over entries of A, so no projector is built. The three
-    spectral closed forms share one set through ``pt.cached``.
+    spectral closed forms share one set through ``pt.cached``. It is the
+    point's layer of the model's input stages, where lambda and A are
+    stacked over the grid, each frame and weight read once per theta.
     """
-    model, theta = pt.model, pt.theta
-    return model.lambdas_at(theta), model.dlambdas_at(theta), model.generator_at(theta)
+    lam = pt.layer(_inputs_stage)[0]
+    dlam, a = pt.layer(_dinputs_stage)
+    return lam, dlam, a
 
 
 def _projector_derivative_gram(a: np.ndarray) -> np.ndarray:

@@ -198,7 +198,7 @@ class _PointCheck:
 def _constant_weight_at(pt) -> bool:
     # the constant-weight facts (alpha in [1,2], beta = 0, mixing loses
     # information) hold only where the weight does not move
-    return abs(pt.model.weight.slope(pt.theta, pt.model.fd_step)) <= CONSTANT_WEIGHT_SLOPE_ATOL
+    return abs(pt.cached(_qubit_ingredients)[1]) <= CONSTANT_WEIGHT_SLOPE_ATOL
 
 
 # --- kernel checks ----------------------------------------------------------

@@ -1,7 +1,7 @@
-"""Tests for theta grids: stacked kernels, the stencil stages and the route-scalar
-stages equal per-matrix and per-theta calls bit for bit, a grid gives the rows of its
-points evaluated alone, a failing stage splits the grid into grids of one, and a long
-grid over a large model is evaluated block by block."""
+"""Tests for theta grids: stacked kernels, the model's input stages, the stencil stages
+and the route-scalar stages equal per-matrix and per-theta calls bit for bit, a grid
+gives the rows of its points evaluated alone, a failing stage or input splits the grid
+into grids of one, and a long grid over a large model is evaluated block by block."""
 
 import hashlib
 import json
@@ -44,23 +44,37 @@ from qcrb_kit.classical import (
 from qcrb_kit.models import (
     GRID_BLOCK_ENTRIES,
     ParametricStateModel,
+    PureFamily,
     PureStateModel,
     QubitMixtureModel,
+    SpectralMixtureModel,
     StateGrid,
     WeightFunction,
+    _dinputs_stage,
     _drho_fd_stage,
     _dsqrt_fd_stage,
+    _inputs_stage,
     builtin_models,
+    complex_rotation_family,
+    fixed_spectrum_model,
+    qubit_mixture_as_spectral,
     random_spectral_model,
     rotation_family,
+    rotation_mixture,
+    sine_weight,
 )
 from qcrb_kit.quantum import (
+    _pure_helstrom_closed,
     _qubit_ingredients,
+    _spectral_ingredients,
+    gamma_spectral,
     helstrom_info_qubit_closed,
+    helstrom_info_spectral,
     helstrom_info_sld,
     relation_report,
     sld,
     wy_info_generic,
+    wy_info_spectral,
 )
 
 DIMS = (1, 2, 3, 4, 8, 16, 64)
@@ -226,10 +240,9 @@ def _wy_formula(pt):
 
 def _qubit_formula(pt):
     model, theta, h = pt.model, pt.theta, pt.model.fd_step
-    model._require_stencil_in_domain(theta)
     w = model.weight.value(theta)
-    dw = model.weight.slope(theta, h)
-    dp = model.psi1.projector_derivative(theta, h)
+    dw = _slope_formula(model.weight, theta, h)
+    dp = _dprojector_formula(model.psi1, theta, h)
     return w, dw, 2.0 * real_trace_product([dp, dp])
 
 
@@ -255,12 +268,11 @@ def _fisher_formula(pt, povm):
 
 
 def _assert_stages_equal_the_formulas(model, thetas, povm):
+    _assert_inputs_equal_the_formulas(model, thetas)
     for pt in model.grid(thetas):
         alone = model.at(pt.theta)
         assert _same(helstrom_info_sld(pt), _helstrom_formula(alone))
         assert _same(wy_info_generic(pt), _wy_formula(alone))
-        if model.kind == "qubit_mixture":
-            assert _same(pt.cached(_qubit_ingredients), _qubit_formula(alone))
         probs, fisher = _fisher_formula(alone, povm)
         assert _same(outcome_probs(pt, povm).probs, probs)
         assert _same(classical_fisher(pt, povm), fisher)
@@ -311,7 +323,10 @@ def test_a_negative_probability_fails_alone_with_its_own_text():
 
 class ClippedRhoMixture(QubitMixtureModel):
     """A rotation mixture whose weight theta leaves (0, 1) past 1, while rho clips it:
-    the state is valid everywhere, and only the weight's readers fail there."""
+    the state is valid everywhere, and only the weight's readers fail there. Its rho is
+    the base model's per-theta ``rho_matrix`` loop, which reads no weight input."""
+
+    _rho_stack = ParametricStateModel._rho_stack
 
     def __init__(self):
         super().__init__(rotation_family(), WeightFunction(w=lambda t: t, dw=lambda t: 1.0))
@@ -331,9 +346,231 @@ def test_a_weight_outside_the_unit_interval_fails_only_its_point():
             expected = "DomainError: weight 1.5 at theta=1.5 outside (0, 1)"
             for fn in (_qubit_ingredients, helstrom_info_qubit_closed, relation_report):
                 assert _error_text(fn, pt) == _error_text(fn, alone) == expected
+            assert _same(pt.rho.mat, alone.rho.mat)  # the clipped state stays readable
         else:
             assert not relation_report(pt).route_errors
             assert _report_row(relation_report(pt)) == _report_row(relation_report(alone))
+
+
+# --- the model's input stages -----------------------------------------------------------
+# The per-theta formulas of rho, drho and the closed-form ingredients that the input
+# stages replaced, kept here as their oracles. They call the model's callables directly.
+
+def _state_formula(family, theta):
+    return np.asarray(family.psi(theta), dtype=complex).reshape(-1)
+
+
+def _projector_formula(family, theta):
+    v = _state_formula(family, theta)
+    return np.outer(v, v.conj())
+
+
+def _dprojector_formula(family, theta, h):
+    if family.dpsi is not None:
+        v = _state_formula(family, theta)
+        dv = np.asarray(family.dpsi(theta), dtype=complex).reshape(-1)
+        d = np.outer(dv, v.conj()) + np.outer(v, dv.conj())
+    else:
+        d = (_projector_formula(family, theta + h) - _projector_formula(family, theta - h)) / (2.0 * h)
+    return (d + d.conj().T) / 2.0
+
+
+def _slope_formula(weight, theta, h):
+    if weight.dw is not None:
+        return float(weight.dw(theta))
+    return (float(weight.w(theta + h)) - float(weight.w(theta - h))) / (2.0 * h)
+
+
+def _lambdas_formula(model, theta):
+    return np.clip(np.asarray(model._lambdas(theta), dtype=float).reshape(-1), 0.0, 1.0)
+
+
+def _dlambdas_formula(model, theta):
+    if model._dlambdas is not None:
+        return np.asarray(model._dlambdas(theta), dtype=float).reshape(-1)
+    h = model.fd_step
+    raw = [np.asarray(model._lambdas(t), dtype=float).reshape(-1) for t in (theta + h, theta - h)]
+    return (raw[0] - raw[1]) / (2.0 * h)
+
+
+def _generator_formula(model, theta):
+    u = np.asarray(model._frame(theta), dtype=complex)
+    if model._dframe is not None:
+        a = u.conj().T @ np.asarray(model._dframe(theta), dtype=complex)
+    else:
+        h = model.fd_step
+
+        def projectors(t):
+            frame = np.asarray(model._frame(t), dtype=complex)
+            return np.array([np.outer(frame[:, j], frame[:, j].conj()) for j in range(model.dim)])
+
+        dprojs = (projectors(theta + h) - projectors(theta - h)) / (2.0 * h)
+        a = u.conj().T @ np.einsum("kij,jk->ik", dprojs, u)
+    a = (a - a.conj().T) / 2.0
+    np.fill_diagonal(a, 0.0)
+    return a
+
+
+def _rho_formula(model, theta):
+    if model.kind == "pure":
+        return _projector_formula(model.family, theta)
+    if model.kind == "qubit_mixture":
+        w = float(model.weight.w(theta))
+        p1 = _projector_formula(model.psi1, theta)
+        return w * p1 + (1.0 - w) * (np.eye(2) - p1)
+    u = np.asarray(model._frame(theta), dtype=complex)
+    return (u * _lambdas_formula(model, theta)) @ u.conj().T
+
+
+def _drho_analytic_formula(model, theta):
+    h = model.fd_step
+    if model.kind == "qubit_mixture":
+        dw = _slope_formula(model.weight, theta, h)
+        dp1 = _dprojector_formula(model.psi1, theta, h)
+        w = float(model.weight.w(theta))
+        p1 = _projector_formula(model.psi1, theta)
+        return dw * (2.0 * p1 - np.eye(2)) + (2.0 * w - 1.0) * dp1
+    if not model.has_analytic_derivative:
+        return None
+    if model.kind == "pure":
+        return _dprojector_formula(model.family, theta, h)
+    lam = _lambdas_formula(model, theta)
+    u = np.asarray(model._frame(theta), dtype=complex)
+    inner = _generator_formula(model, theta) * (lam[None, :] - lam[:, None])
+    inner[np.diag_indices(model.dim)] = _dlambdas_formula(model, theta)
+    return (u @ inner) @ u.conj().T
+
+
+def _drho_formula_of_kind(model, theta):
+    d = _drho_analytic_formula(model, theta)
+    if d is None:
+        h = model.fd_step
+        d = (_rho_formula(model, theta + h) - _rho_formula(model, theta - h)) / (2.0 * h)
+        d = (d + d.conj().T) / 2.0
+    return HermitianMatrix(d).mat
+
+
+def _assert_inputs_equal_the_formulas(model, thetas):
+    # the catalog models and a dimension-64 grid run this through
+    # _assert_stages_equal_the_formulas above
+    for pt in model.grid(thetas):
+        theta = pt.theta
+        assert _same(model.rho_matrix(theta), _rho_formula(model, theta))
+        assert _same(pt.rho.mat, HermitianMatrix(_rho_formula(model, theta)).mat)
+        assert _same(pt.drho.mat, _drho_formula_of_kind(model, theta))
+        if model.kind == "pure":
+            dp = _dprojector_formula(model.family, theta, model.fd_step)
+            assert _same(_pure_helstrom_closed(pt), 2.0 * real_trace_product([dp, dp]))
+        elif model.kind == "qubit_mixture":
+            assert _same(pt.cached(_qubit_ingredients), _qubit_formula(pt))
+        else:
+            lam, dlam, a = pt.cached(_spectral_ingredients)
+            assert _same(lam, _lambdas_formula(model, theta))
+            assert _same(dlam, _dlambdas_formula(model, theta))
+            assert _same(a, _generator_formula(model, theta))
+            assert _same(model.generator_at(theta), a)
+
+
+def test_input_stages_equal_the_per_theta_formulas_on_a_rank_deficient_spectrum():
+    _assert_inputs_equal_the_formulas(fixed_spectrum_model([0.6, 0.4, 0.0, 0.0], seed=3), [-0.7, 0.2, 1.1])
+
+
+EMBEDDED_MIXTURES = {
+    "mixture-w0.45": lambda: builtin_models()["mixture-w0.45"],
+    "sine-weight-mixture": lambda: builtin_models()["sine-weight-mixture"],
+    "mixture-w0.7-fd": lambda: builtin_models()["mixture-w0.7-fd"],
+    # complex frame columns, so that a transposed projector difference shows
+    "complex-sine-mixture": lambda: QubitMixtureModel(complex_rotation_family(), sine_weight(0.8)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMBEDDED_MIXTURES))
+def test_input_stages_equal_the_per_theta_formulas_without_a_frame_derivative(name):
+    # the embedding differences its frame (dframe=None), and its weights too
+    # where the mixture's weight has no slope
+    model = qubit_mixture_as_spectral(EMBEDDED_MIXTURES[name]())
+    assert model._dframe is None and (model._dlambdas is None) is (name == "mixture-w0.7-fd")
+    _assert_inputs_equal_the_formulas(model, model.sample_thetas)
+
+
+def _rotation_psi(t):
+    return np.array([math.cos(t), math.sin(t)], dtype=complex)
+
+
+def _failing_at(bad, fn, fail):
+    """fn, except that at theta == bad it returns fail(fn(theta))."""
+    return lambda t: fail(fn(t)) if t == bad else fn(t)
+
+
+def _raising(exc):
+    def fail(_):
+        raise exc
+    return fail
+
+
+def _spectral_with(**changed):
+    base = random_spectral_model(7, 3)
+    inputs = {"lambdas": base._lambdas, "frame": base._frame,
+              "dlambdas": base._dlambdas, "dframe": base._dframe, **changed}
+    return SpectralMixtureModel(3, **inputs)
+
+
+BAD = 0.4
+# model, which input fails at BAD (a value input or a derivative input), and its text
+FAILING_INPUTS = {
+    "weight-outside": (
+        lambda: QubitMixtureModel(rotation_family(), WeightFunction(
+            w=_failing_at(BAD, sine_weight(0.8).w, lambda w: 1.1), dw=sine_weight(0.8).dw)),
+        "value", "DomainError: weight 1.1 at theta=0.4 outside (0, 1)",
+    ),
+    "psi-off-norm": (
+        lambda: PureStateModel(PureFamily(2, psi=_failing_at(BAD, _rotation_psi, lambda v: 1.1 * v),
+                                          dpsi=rotation_family().dpsi)),
+        "value", "ValueError: family state at theta=0.4 has norm np.float64(1.1)",
+    ),
+    "dpsi-raises": (
+        lambda: QubitMixtureModel(PureFamily(2, psi=_rotation_psi, dpsi=_failing_at(
+            BAD, rotation_family().dpsi, _raising(ValueError("no dpsi here")))), sine_weight(0.8)),
+        "derivative", "ValueError: no dpsi here",
+    ),
+    "lambdas-off-sum": (
+        lambda: _spectral_with(lambdas=_failing_at(BAD, random_spectral_model(7, 3)._lambdas, lambda v: 1.01 * v)),
+        "value", "ValueError: eigenvalue weights sum to 1.01 at theta=0.4",
+    ),
+    "frame-not-unitary": (
+        lambda: _spectral_with(frame=_failing_at(BAD, random_spectral_model(7, 3)._frame, lambda u: 1.01 * u)),
+        "value", "ValueError: frame deviates from unitarity by 3.481e-02 at theta=0.4",
+    ),
+    "dframe-raises": (
+        lambda: _spectral_with(dframe=_failing_at(BAD, random_spectral_model(7, 3)._dframe,
+                                                  _raising(ValueError("no dframe here")))),
+        "derivative", "ValueError: no dframe here",
+    ),
+}
+INGREDIENTS = {"pure": _pure_helstrom_closed, "qubit_mixture": _qubit_ingredients,
+               "spectral": _spectral_ingredients}
+
+
+@pytest.mark.parametrize("case", sorted(FAILING_INPUTS))
+def test_a_failing_input_fails_only_its_point_with_its_own_text(case):
+    make, which, expected = FAILING_INPUTS[case]
+    model = make()
+    thetas = [-0.5, 0.1, BAD, 0.7]
+    readers = {"rho": lambda pt: pt.rho, "drho": lambda pt: pt.drho,
+               "ingredients": INGREDIENTS[model.kind], "report": relation_report}
+    for pt in model.grid(thetas):
+        alone = model.at(pt.theta)
+        texts = {name: _error_text(fn, pt) for name, fn in readers.items()}
+        assert texts == {name: _error_text(fn, alone) for name, fn in readers.items()}
+        if pt.theta != BAD:
+            assert set(texts.values()) == {None}
+            assert _report_row(relation_report(pt)) == _report_row(relation_report(alone))
+            continue
+        # a failing value input fails every reader; a failing derivative input
+        # leaves rho readable
+        assert texts == {**dict.fromkeys(readers, expected), **({"rho": None} if which == "derivative" else {})}
+        if which == "derivative":
+            assert _same(pt.rho.mat, alone.rho.mat)
 
 
 # --- a grid gives the rows of its points alone --------------------------------------
@@ -474,6 +711,13 @@ def test_a_point_outside_the_domain_fails_alone():
 
 # --- blocks ---------------------------------------------------------------------------
 
+def _dimension_64_row(pt, povm):
+    # digests of the input layers, so that the layers of the 201 points are not held at once
+    inputs = tuple(_digest(a) for a in (*pt.layer(_inputs_stage), *pt.layer(_dinputs_stage)))
+    closed = tuple(fn(pt) for fn in (helstrom_info_spectral, wy_info_spectral, gamma_spectral))
+    return _report_row(relation_report(pt)), classical_fisher(pt, povm), inputs, closed
+
+
 def test_a_long_grid_over_dimension_64_is_evaluated_block_by_block():
     model = random_spectral_model(4, 64)
     thetas = np.linspace(-1.0, 1.0, 201).tolist()
@@ -486,20 +730,20 @@ def test_a_long_grid_over_dimension_64_is_evaluated_block_by_block():
         for pt in model.grid(thetas):
             if pt.index == 0:
                 sizes.append(len(pt.grid.thetas))
-            rows.append((_report_row(relation_report(pt)), classical_fisher(pt, povm)))
+            rows.append(_dimension_64_row(pt, povm))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     one_stack = GRID_BLOCK_ENTRIES * np.dtype(complex).itemsize
     assert sizes == [block] * (len(thetas) // block) + [len(thetas) % block]
-    # a block holds a handful of (block, 64, 64) complex stacks: rho, its
-    # eigenvectors, drho, the two solutions, and the temporaries of the
-    # validation, eigh and the solves (about 14 stacks in all). The whole
-    # grid stacked at once would hold 201 / 8 times as much
+    # a block holds a handful of (block, 64, 64) complex stacks: the frames
+    # and the generator of the input stages, rho, its eigenvectors, drho,
+    # the two solutions, and the temporaries of the formulas, the
+    # validation, eigh and the solves. The whole grid stacked at once would
+    # hold 201 / 8 times as much
     assert peak <= 20 * one_stack
     for theta, row in zip(thetas, rows):
-        pt = model.at(theta)
-        assert row == (_report_row(relation_report(pt)), classical_fisher(pt, povm))
+        assert row == _dimension_64_row(model.at(theta), povm)
 
 
 def test_the_forced_differences_over_dimension_64_keep_the_block_budget():

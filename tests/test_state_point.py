@@ -15,8 +15,10 @@ from qcrb_kit.models import (
     PureFamily,
     PureStateModel,
     QubitMixtureModel,
+    SpectralMixtureModel,
     StatePoint,
     WeightFunction,
+    random_spectral_model,
     rotation_family,
     sine_weight,
 )
@@ -24,21 +26,26 @@ from qcrb_kit.quantum import helstrom_info_sld, relation_report, sld, wy_info_ge
 from qcrb_kit.simulate import SimConfig, exact_estimator_moments, run_sim
 
 
+def _counted(counts, name, fn):
+    def wrapper(theta):
+        counts[name] += 1
+        return fn(theta)
+    return wrapper
+
+
 class CountingMixture(QubitMixtureModel):
-    """Sine-weight rotation mixture that counts its per-theta evaluations and the
-    calls of its public state methods."""
+    """Sine-weight rotation mixture that counts the calls of the callables it wraps
+    (psi, dpsi, w, dw) and of its public state methods."""
 
     def __init__(self):
-        super().__init__(rotation_family(), sine_weight(0.8), domain=(-1.45, 1.45))
         self.counts = Counter()
-
-    def rho_matrix(self, theta):
-        self.counts["rho_matrix"] += 1
-        return super().rho_matrix(theta)
-
-    def _drho_analytic(self, theta):
-        self.counts["_drho_analytic"] += 1
-        return super()._drho_analytic(theta)
+        family, weight = rotation_family(), sine_weight(0.8)
+        super().__init__(
+            PureFamily(2, psi=_counted(self.counts, "psi", family.psi),
+                       dpsi=_counted(self.counts, "dpsi", family.dpsi)),
+            WeightFunction(w=_counted(self.counts, "w", weight.w), dw=_counted(self.counts, "dw", weight.dw)),
+            domain=(-1.45, 1.45),
+        )
 
     def rho(self, theta):
         self.counts["rho"] += 1
@@ -53,6 +60,11 @@ class CountingMixture(QubitMixtureModel):
         return super().dsqrt_rho(theta, force_fd)
 
 
+def each_input(times: int) -> dict:
+    """The counts of CountingMixture's callables when each runs ``times`` times."""
+    return dict.fromkeys(("psi", "dpsi", "w", "dw"), times)
+
+
 class TraceOffModel(ParametricStateModel):
     """trace 1.01: every rho evaluation fails."""
 
@@ -65,24 +77,29 @@ class TraceOffModel(ParametricStateModel):
         return np.diag([0.91, 0.10])
 
 
-def counting(monkeypatch, module, name, counts):
+def counting(monkeypatch, module, name, counts, everywhere=False):
+    """Count the calls of module.name; ``everywhere`` also swaps the references that
+    the other package modules imported, as a stage needs: a grid keys a stage by its
+    function, so every caller of the stage must see the one wrapper."""
     original = getattr(module, name)
 
     def wrapper(*args, **kwargs):
         counts[name] += 1
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(module, name, wrapper)
+    for other in (module, classical, models, quantum) if everywhere else (module,):
+        if getattr(other, name, None) is original:
+            monkeypatch.setattr(other, name, wrapper)
 
 
 # the stacked stages of a point's grid, and the two kernels they call
 STAGES = {
-    models: ("_rho_stage", "_drho_stage", "_dsqrt_stage"),
+    models: ("_inputs_stage", "_dinputs_stage", "_rho_stage", "_drho_stage", "_dsqrt_stage"),
     quantum: ("_sld_stage",),
 }
 ONE_STACKED_EVALUATION = {
-    "_rho_stage": 1, "_drho_stage": 1, "_dsqrt_stage": 1, "_sld_stage": 1,
-    "eigh": 1, "solve_symmetric_product": 2,
+    "_inputs_stage": 1, "_dinputs_stage": 1, "_rho_stage": 1, "_drho_stage": 1,
+    "_dsqrt_stage": 1, "_sld_stage": 1, "eigh": 1, "solve_symmetric_product": 2,
 }
 
 
@@ -90,7 +107,7 @@ def counting_stages(monkeypatch) -> Counter:
     counts = Counter()
     for module, names in STAGES.items():
         for name in names:
-            counting(monkeypatch, module, name, counts)
+            counting(monkeypatch, module, name, counts, everywhere=True)
     counting(monkeypatch, hermitian, "eigh", counts)
     original = hermitian.solve_symmetric_product
 
@@ -116,9 +133,9 @@ def test_point_is_lazy_and_evaluates_each_ingredient_once(monkeypatch):
     assert pt.drho is pt.drho
     assert pt.dsqrt is pt.dsqrt
     assert pt.cached(sld) is pt.cached(sld)
-    # one evaluation per theta, one stacked evaluation per grid, and no
+    # each callable once per theta, one stacked evaluation per grid, and no
     # public per-theta state method on the way
-    assert model.counts == {"rho_matrix": 1, "_drho_analytic": 1}
+    assert model.counts == each_input(1)
     assert stages == ONE_STACKED_EVALUATION
 
 
@@ -151,9 +168,10 @@ def test_forced_difference_evaluates_rho_only_on_its_stencil(monkeypatch):
     stages = counting_stages(monkeypatch)
     model = CountingMixture()
     assert model.dsqrt_rho(0.3, force_fd=True).route == "fd"
-    # theta +- h on one stencil grid: one stacked evaluation, no model.rho call
-    assert model.counts == {"dsqrt_rho": 1, "rho_matrix": 2}
-    assert stages == {"_rho_stage": 1, "eigh": 1}
+    # theta +- h on one stencil grid: one stacked evaluation of the value
+    # inputs and rho, no model.rho call and no derivative input
+    assert model.counts == {"dsqrt_rho": 1, "psi": 2, "w": 2}
+    assert stages == {"_inputs_stage": 1, "_rho_stage": 1, "eigh": 1}
 
 
 def test_failed_evaluation_is_not_cached():
@@ -178,7 +196,7 @@ def test_report_and_bound_check_share_one_evaluation(monkeypatch):
     check = bound_check(pt, basis_povm(2))
     assert check.i_h == report.i_h_sld
     assert check.approx_qcrb == 1.0 / report.i_wy_generic
-    assert model.counts == {"rho_matrix": 1, "_drho_analytic": 1}
+    assert model.counts == each_input(1)
     assert counts == {**ONE_STACKED_EVALUATION, "sld": 1, "_probs_stage": 1, "_scores_stage": 1}
 
 
@@ -196,29 +214,42 @@ def test_compute_row_with_povm_evaluates_the_state_once_per_theta(tmp_path, monk
     code = cli.main(["compute", "--model", str(cfg), "--povm", str(povm), "--theta-grid=-1:1:5"])
     capsys.readouterr()
     assert code == cli.EXIT_OK
-    # once per theta, and each stage once for the grid of five
-    assert model.counts == {"rho_matrix": 5, "_drho_analytic": 5}
+    # each callable once per theta, and each stage once for the grid of five
+    assert model.counts == each_input(5)
     assert counts == {**ONE_STACKED_EVALUATION, "sld": 5, "_probs_stage": 1, "_scores_stage": 1}
 
 
 def test_spectral_row_evaluates_the_spectral_ingredients_once(tmp_path, monkeypatch, capsys):
     counts = Counter()
     counting(monkeypatch, quantum, "_spectral_ingredients", counts)
+    for name in ("lambdas_at", "dlambdas_at", "frame_at", "generator_at", "dprojectors_at"):
+        counting(monkeypatch, SpectralMixtureModel, name, counts)
+    model = random_spectral_model(9, 4)
+    for attr in ("_lambdas", "_dlambdas", "_frame", "_dframe"):
+        setattr(model, attr, _counted(counts, attr, getattr(model, attr)))
+    monkeypatch.setattr(cli, "model_from_config", lambda cfg, fd_step=None: model)
     cfg = tmp_path / "model.json"
-    cfg.write_text(json.dumps({"kind": "spectral", "dim": 4, "seed": 9}))
+    cfg.write_text(json.dumps({"kind": "spectral"}))
     code = cli.main(["compute", "--model", str(cfg), "--theta-grid=-0.5:0.5:3", "--format=json"])
     rows = json.loads(capsys.readouterr().out)["rows"]
     assert code == cli.EXIT_OK
     for row in rows:  # all three closed forms ran
         assert None not in (row["i_h_closed"], row["i_wy_closed"], row["gamma"])
-    assert counts["_spectral_ingredients"] == 3
+    # per row: one ingredient set, and each callable and its checks once; rho,
+    # drho and the ingredients read the generator of one stacked formula
+    assert counts == {
+        "_spectral_ingredients": 3, "lambdas_at": 3, "dlambdas_at": 3, "frame_at": 3,
+        "_lambdas": 3, "_dlambdas": 3, "_frame": 3, "_dframe": 3,
+    }
 
 
 def test_qubit_row_evaluates_the_qubit_ingredients_once(tmp_path, monkeypatch, capsys):
     counts = Counter()
     counting(monkeypatch, quantum, "_qubit_ingredients", counts)
-    counting(monkeypatch, PureFamily, "projector_derivative", counts)
-    counting(monkeypatch, WeightFunction, "value", counts)
+    for name in ("state", "velocity", "projector", "projector_derivative"):
+        counting(monkeypatch, PureFamily, name, counts)
+    for name in ("value", "slope"):
+        counting(monkeypatch, WeightFunction, name, counts)
     cfg = tmp_path / "model.json"
     cfg.write_text(json.dumps({
         "kind": "qubit_mixture", "psi1": {"name": "rotation"},
@@ -229,18 +260,17 @@ def test_qubit_row_evaluates_the_qubit_ingredients_once(tmp_path, monkeypatch, c
     assert code == cli.EXIT_OK
     for row in rows:  # all three closed forms and alpha/beta ran
         assert None not in (row["i_h_closed"], row["i_wy_closed"], row["gamma"], row["alpha"])
-    # per row: one ingredient set; psi1 differentiated by drho and the set;
-    # the weight read by rho, drho and the set
-    assert counts["_qubit_ingredients"] == 3
-    assert counts["projector_derivative"] <= 2 * 3
-    assert counts["value"] <= 3 * 3
+    # per row: one ingredient set; psi1, its dpsi and the weight read once by
+    # the input stages, which rho, drho and the set share; no per-theta
+    # projector or slope formula
+    assert counts == {"_qubit_ingredients": 3, "state": 3, "velocity": 3, "value": 3}
 
 
 def test_simulation_evaluates_the_state_once(monkeypatch):
     stages = counting_stages(monkeypatch)
     model = CountingMixture()
     run_sim(SimConfig(model=model, povm=basis_povm(2), theta0=0.4, n_samples=1_000, seed=2))
-    assert model.counts == {"rho_matrix": 1, "_drho_analytic": 1}
+    assert model.counts == each_input(1)
     assert stages == ONE_STACKED_EVALUATION
 
 
