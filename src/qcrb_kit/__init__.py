@@ -81,8 +81,10 @@ from .classical import (
     basis_povm,
     bound_check,
     classical_fisher,
+    classical_fishers,
     outcome_probs,
     random_povm,
+    random_povms,
 )
 from .simulate import (
     SimConfig,
@@ -118,7 +120,7 @@ __all__ = [
     "sld_spectral_sum", "wy_info_generic",
     "wy_info_qubit_closed", "wy_info_spectral",
     "BoundCheck", "OutcomeDistribution", "Povm", "basis_povm", "bound_check",
-    "classical_fisher", "outcome_probs", "random_povm",
+    "classical_fisher", "classical_fishers", "outcome_probs", "random_povm", "random_povms",
     "SimConfig", "SimResult", "bound_chain_ok", "exact_estimator_moments",
     "one_step_estimator", "run_sim", "sample_outcomes",
     "CheckResult", "VerifyOptions", "all_passed", "run_suite",

@@ -21,10 +21,12 @@ per grid on the (T, n, n) stack. Long grids are cut into blocks of
 The finite differences that stand in for a derivative are grid stages as
 well. A built-in input without an analytic derivative is read on the
 stencil theta +- fd_step by ``_stencil_stage``, once per grid whichever
-stages difference it. ``_drho_fd_stage`` differences ``rho_matrix``, and
-``_dsqrt_fd_stage`` evaluates the 2T states rho(theta +- fd_step) of a grid
-as one stencil grid, with one eigendecomposition, and differences their
-square roots. Every
+stages difference it. The 2T states rho(theta +- fd_step) of a grid form
+its stencil grids (``StateGrid.stencils``), kept with the grid:
+``_dsqrt_fd_stage`` differences their square roots, with one
+eigendecomposition per stencil grid, and ``_drho_fd_stage`` differences
+their stacked rho, so a built-in model reads the stencil's value inputs
+once for both (a custom model calls ``rho_matrix`` there). Every
 forced difference (``drho``/``dsqrt_rho`` with ``force_fd``) reads these
 stages, and so does the square-root solve's rank-deficient fallback:
 ``_dsqrt_route_stage`` holds the solve's result, or on an inconsistent point
@@ -191,7 +193,8 @@ class StateGrid:
     and the scalars its routes read per theta: tr{rho L^2},
     4 tr{[(sqrt rho)']^2}, a pure model's 2 tr{(dP)^2}, and a qubit
     mixture's weight, slope and I_H1. In ``classical`` they are
-    a measurement's checked trace-rule distributions and its scores. Each
+    a measurement set's checked trace-rule distributions, its
+    scores and its classical Fisher information. Each
     runs on first use and is kept. A stage that raises is not kept; a grid
     of more than one theta then splits into grids of one, which keep the
     stages already run and evaluate the rest alone, so each point gets its
@@ -199,13 +202,14 @@ class StateGrid:
     points, so a grid is freed as soon as its last point is.
     """
 
-    __slots__ = ("model", "thetas", "_stages", "_parts")
+    __slots__ = ("model", "thetas", "_stages", "_parts", "_stencils")
 
     def __init__(self, model: ParametricStateModel, thetas: Iterable[float]):
         self.model = model
         self.thetas = tuple(thetas)
         self._stages: dict[tuple, tuple] = {}
         self._parts: list[StateGrid] | None = None
+        self._stencils: tuple[StateGrid, ...] | None = None
 
     def points(self) -> tuple[StatePoint, ...]:
         """One new point per theta, each a view into its layer."""
@@ -229,6 +233,26 @@ class StateGrid:
                     raise
                 self._split()
         return self._parts[k].layer(0, fn, *args)
+
+    def stencils(self) -> tuple[StateGrid, ...]:
+        """The grids of the stencil theta +- fd_step of every theta, built on first use and kept.
+
+        Each holds theta + h and theta - h of consecutive thetas, in that
+        order; a stencil holds two states per theta, so it is cut at half a
+        grid block, and no stacked array outgrows ``GRID_BLOCK_ENTRIES``.
+        Both forced differences read these grids, so the stencil's value
+        inputs are read once.
+        """
+        if self._stencils is None:
+            model, h = self.model, self.model.fd_step
+            for theta in self.thetas:
+                model._require_stencil(theta)
+            size = max(1, model._block_size() // 2)
+            self._stencils = tuple(
+                StateGrid(model, [t for theta in self.thetas[start:start + size] for t in (theta + h, theta - h)])
+                for start in range(0, len(self.thetas), size)
+            )
+        return self._stencils
 
     def _split(self) -> None:
         self._parts = [StateGrid(self.model, (theta,)) for theta in self.thetas]
@@ -335,9 +359,19 @@ def _drho_stage(grid: StateGrid) -> tuple:
 
 
 def _drho_fd_stage(grid: StateGrid) -> tuple:
-    """drho by central differences of rho_matrix at every theta, analytic or not."""
+    """drho by central differences of rho at every theta, analytic or not.
+
+    The states on the stencil are the model's stacked rho of the grid's
+    stencil grids, whose value inputs ``_dsqrt_fd_stage`` reads as well.
+    """
     model = _domain_checked(grid)
-    return (_checked_drho(square_stack([_rho_difference(model, theta) for theta in grid.thetas])),)
+    diffs = []
+    for stencil in grid.stencils():
+        sides = model._rho_stack(stencil)
+        # the quotient of Hermitian evaluations is Hermitian; dividing by 2h
+        # amplifies matmul rounding asymmetry past the construction gate
+        diffs.append(_symmetrized(_stencil_difference(sides.reshape(-1, 2, *sides.shape[1:]), model.fd_step)))
+    return (_checked_drho(np.concatenate(diffs)),)
 
 
 def _rho_difference(model: ParametricStateModel, theta: float) -> np.ndarray:
@@ -366,22 +400,16 @@ def _dsqrt_stage(grid: StateGrid) -> tuple:
 
 
 def _dsqrt_fd_stage(grid: StateGrid) -> tuple:
-    """Central difference of sqrt(rho) at every theta, from one stencil grid.
+    """Central difference of sqrt(rho) at every theta, from the grid's stencil grids.
 
-    The stencil holds rho(theta + h) and rho(theta - h) of each theta, so one
-    ``density_stack`` and one eigh serve all of them; its square roots follow
-    ``psd_sqrt``. A stencil holds two states per theta, so it is cut at half
-    a grid block, and no stacked array outgrows ``GRID_BLOCK_ENTRIES``.
+    A stencil grid holds rho(theta + h) and rho(theta - h) of its thetas, so
+    one ``density_stack`` and one eigh serve all of them; its square roots
+    follow ``psd_sqrt``.
     """
-    model, h = grid.model, grid.model.fd_step
-    for theta in grid.thetas:
-        model._require_stencil(theta)
-    size = max(1, model._block_size() // 2)
     diffs = []
-    for start in range(0, len(grid.thetas), size):
-        stencil = [t for theta in grid.thetas[start:start + size] for t in (theta + h, theta - h)]
-        roots = sqrt_stack(StateGrid(model, stencil).rho_stack()[1])
-        diffs.append(_stencil_difference(roots.reshape(-1, 2, *roots.shape[1:]), h))
+    for stencil in grid.stencils():
+        roots = sqrt_stack(stencil.rho_stack()[1])
+        diffs.append(_stencil_difference(roots.reshape(-1, 2, *roots.shape[1:]), grid.model.fd_step))
     return (hermitian_part(np.concatenate(diffs)),)
 
 
@@ -535,8 +563,8 @@ class ParametricStateModel:
     def drho(self, theta: float, force_fd: bool = False) -> HermitianMatrix:
         """Derivative of rho(theta): the analytic one where the model has it.
 
-        ``force_fd`` reads the central difference of ``rho_matrix`` instead,
-        from the ``_drho_fd_stage`` of a grid of one.
+        ``force_fd`` reads the central difference of rho on the stencil
+        theta +- fd_step instead, from the ``_drho_fd_stage`` of a grid of one.
         """
         if not force_fd:
             return self.at(theta).drho

@@ -427,8 +427,9 @@ def relation_report(pt: StatePoint) -> QuantumInfoResult:
     skew), then each closed form of ``closed_routes(model.kind)`` and its
     ``route_*`` residual |closed - definitional| / max(1, definitional);
     alpha/beta and the relation residuals are filled in per model kind. A
-    failing closed route is recorded in ``route_errors`` instead of
-    aborting, and leaves no residual that reads it.
+    failing closed route, or a qubit mixture's failing alpha/beta (under
+    ``route_errors["alpha_beta"]``), is recorded in ``route_errors`` instead
+    of aborting, and leaves no residual that reads it.
     """
     model, theta = pt.model, pt.theta
     s = pt.cached(sld)
@@ -446,8 +447,10 @@ def relation_report(pt: StatePoint) -> QuantumInfoResult:
         },
     )
     if model.kind == "qubit_mixture":
-        w, dw, _ = pt.cached(_qubit_ingredients)
-        out.alpha, out.beta = alpha_beta(w, dw)
+        try:
+            out.alpha, out.beta = alpha_beta(*pt.cached(_qubit_ingredients)[:2])
+        except (QcrbError, ValueError) as exc:  # as a failed closed route: recorded, not raised
+            out.route_errors["alpha_beta"] = f"{type(exc).__name__}: {exc}"
     routes = closed_routes(model.kind)
     for name, route in routes.items():
         try:
@@ -460,7 +463,7 @@ def relation_report(pt: StatePoint) -> QuantumInfoResult:
         res["pure_doubling_abs"] = abs(out.i_wy_generic - 2.0 * out.i_h_sld)
         if out.i_h_sld > NEAR_ZERO_INFO:
             res["pure_doubling"] = res["pure_doubling_abs"] / out.i_h_sld
-    if model.kind == "qubit_mixture":
+    if out.alpha is not None:
         res["prop1"] = float(abs(out.i_wy_generic - (out.alpha * out.i_h_sld + out.beta)) / scale)
         if out.i_h_closed is not None and out.i_wy_closed is not None:
             res["prop1_closed"] = float(

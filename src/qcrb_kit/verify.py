@@ -19,7 +19,13 @@ rho, drho, eigendecomposition and solves run once, stacked. The forced
 finite differences that ``drho-route-agreement`` and
 ``dsqrt-route-agreement`` compare against are stages of that grid too: the
 states at theta +- fd_step of all its thetas form one stencil grid per
-model grid, with one eigendecomposition. Only the projector-sum SLD of
+model grid, with one eigendecomposition, and both differences read its
+one evaluation of the model's inputs. The measurement checks work on
+measurement sets the same way: each first draws its specs from its rng,
+in the order a per-measurement loop would, and draws its random POVMs as
+one set (``random_povms``); each point then reads the classical Fisher
+information of its set with one ``classical_fishers`` call, one trace
+rule per (point's grid, set). Only the projector-sum SLD of
 ``sld-vs-spectral-sum`` is computed afresh per point. ``eigh-reconstruction``
 holds LAPACK's eigenvalues against the power sums tr(M^k) of its matrices,
 so no second eigensolver runs. A check that measures one residual per
@@ -38,7 +44,14 @@ from typing import Callable
 
 import numpy as np
 
-from .classical import basis_povm, classical_fisher, outcome_scores, random_povm
+from .classical import (
+    basis_povm,
+    classical_fisher,
+    classical_fishers,
+    outcome_scores,
+    random_povm,
+    random_povms,
+)
 from .errors import QcrbError
 from .hermitian import (
     SUPPORT_TOL,
@@ -399,42 +412,55 @@ def _mixing_information_loss(pt):
 
 def _check_povm_completeness(catalog, opts, points):
     rng = np.random.default_rng(opts.seed + 2)
-    for trial in range(12):
+    specs = []
+    for _ in range(12):
         dim = int(rng.integers(2, 5))
         n_eff = int(rng.integers(1, 6))
-        povm = random_povm(dim, n_eff, int(rng.integers(0, 2**31)))
+        specs.append((dim, n_eff, int(rng.integers(0, 2**31))))
+    for trial, ((dim, n_eff, _), povm) in enumerate(zip(specs, random_povms(specs))):
         dev = float(np.linalg.norm(sum(m.mat for m in povm) - np.eye(dim)))
         yield dev, f"trial {trial} dim={dim} k={n_eff}"
 
 
 def _score_sum(catalog, opts, points, analytic):
     rng = np.random.default_rng(opts.seed + 3)
-    for name, model in _models(catalog, analytic=analytic):
-        povm = random_povm(model.dim, 3, int(rng.integers(0, 2**31)))
+    pairs = list(_models(catalog, analytic=analytic))
+    povms = random_povms([(model.dim, 3, int(rng.integers(0, 2**31))) for _, model in pairs])
+    for (name, model), povm in zip(pairs, povms):
         for theta in model.sample_thetas[:3]:
             dev = abs(float(np.sum(outcome_scores(points.at(model, theta), povm))))
             yield dev, f"{name} theta={theta:g}"
 
 
+_INEQUALITY_POVMS = 4  # random measurements per model in information-inequality
+
+
 def _information_inequality(catalog, opts, points):
     rng = np.random.default_rng(opts.seed + 4)
-    for name, model in _models(catalog):
+    pairs = list(_models(catalog))
+    povms = random_povms([
+        (model.dim, int(rng.integers(2, 6)), int(rng.integers(0, 2**31)))
+        for _, model in pairs for _ in range(_INEQUALITY_POVMS)
+    ])
+    for m, (name, model) in enumerate(pairs):
         theta = model.sample_thetas[2]
         pt = points.at(model, theta)
         i_h = helstrom_info_sld(pt)
-        for _ in range(4):
-            povm = random_povm(model.dim, int(rng.integers(2, 6)), int(rng.integers(0, 2**31)))
-            yield classical_fisher(pt, povm) - i_h, f"{name} theta={theta:g}"
+        own = povms[m * _INEQUALITY_POVMS:(m + 1) * _INEQUALITY_POVMS]
+        for i in classical_fishers(pt, own):
+            yield i - i_h, f"{name} theta={theta:g}"
 
 
 def _coarse_graining(catalog, opts, points):
     rng = np.random.default_rng(opts.seed + 5)
-    for name, model in _models(catalog, kinds=("pure", "qubit_mixture")):
+    pairs = list(_models(catalog, kinds=("pure", "qubit_mixture")))
+    specs, merges = [], []
+    for _, model in pairs:
+        specs.append((model.dim, 4, int(rng.integers(0, 2**31))))
+        merges.append(sorted(rng.choice(4, size=2, replace=False)))
+    for (name, model), povm, (i, j) in zip(pairs, random_povms(specs), merges):
         pt = points.at(model, model.sample_thetas[1])
-        povm = random_povm(model.dim, 4, int(rng.integers(0, 2**31)))
-        base = classical_fisher(pt, povm)
-        i, j = sorted(rng.choice(4, size=2, replace=False))
-        merged = classical_fisher(pt, povm.merged(int(i), int(j)))
+        base, merged = classical_fishers(pt, (povm, povm.merged(int(i), int(j))))
         yield merged - base, f"{name} merge ({i},{j})"
 
 

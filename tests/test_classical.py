@@ -1,5 +1,8 @@
 """Tests for measurement statistics and the information inequality."""
 
+import math
+from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,15 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcrb_kit import classical, hermitian
+from qcrb_kit import classical, cli, configio, hermitian, models, verify
 from qcrb_kit.classical import (
     Povm,
     basis_povm,
     bound_check,
     classical_fisher,
+    classical_fishers,
     outcome_probs,
     outcome_scores,
     random_povm,
+    random_povms,
 )
 from qcrb_kit.errors import DimensionError, InvalidPovm, SupportRegularityError
 from qcrb_kit.models import (
@@ -335,6 +340,7 @@ def classical_fisher_by_outcome(pt, povm):
 def fisher_cases():
     yield ROTATION, 0.0, basis_povm(2)  # a zero-probability outcome with zero score
     yield ROTATION, 1e-7, basis_povm(2)  # p = 1e-14 with score 2e-7: the score blows up
+    yield ROTATION, 1e-9, basis_povm(2)  # p = 1e-18 with score 2e-9: off the support, no blowup
     yield random_spectral_model(5, 16), 0.3, basis_povm(16)
     yield rotation_mixture(0.8), 0.4, random_povm(2, 5, seed=3)
     rng = np.random.default_rng(41)
@@ -358,6 +364,244 @@ def test_classical_fisher_matches_the_per_outcome_loop_bitwise():
         got = classical_fisher(pt, povm)
         assert type(got) is type(expected)
         assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+
+# --- measurement sets -------------------------------------------------------------
+
+# mixed dimensions and effect counts, dimension 1 and a repeated (dim, k) included
+MIXED_SPECS = [
+    (2, 3, 11), (3, 1, 12), (2, 5, 13), (4, 2, 14), (1, 4, 15), (3, 3, 16), (2, 3, 17), (6, 7, 18),
+]
+
+
+def _text(fn, *args):
+    try:
+        fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the text is what is compared
+        return f"{type(exc).__name__}: {exc}"
+    return None
+
+
+def _first_normalizer_low(dim, n_effects, seed):
+    """The smallest eigenvalue of a spec's first normalizer draw, written out."""
+    g = np.random.default_rng(seed).normal(size=(n_effects, 2, dim, dim))
+    b = g[:, 0] + 1j * g[:, 1]
+    return float(np.linalg.eigvalsh(sum(b @ b.conj().swapaxes(-1, -2)))[0])
+
+
+def _same_stacks(povms, expected):
+    return [p.stack.tobytes() for p in povms] == [p.stack.tobytes() for p in expected] and all(
+        p.stack.shape == q.stack.shape for p, q in zip(povms, expected)
+    )
+
+
+def test_random_povms_equal_the_per_spec_draws_layer_for_layer():
+    alone = [random_povm(*spec) for spec in MIXED_SPECS]
+    assert _same_stacks(random_povms(MIXED_SPECS), alone)
+    assert _same_stacks(random_povms(MIXED_SPECS[::-1]), alone[::-1])
+    assert random_povms([]) == []
+
+
+def test_a_set_redraws_only_the_spec_whose_normalizer_is_singular(monkeypatch):
+    before = random_povms(MIXED_SPECS)
+    lows = [_first_normalizer_low(*spec) for spec in MIXED_SPECS]
+    k = int(np.argmin(lows))
+    floor = lows[k] * (1.0 + 1e-9)
+    assert sorted(lows)[1] > floor
+    monkeypatch.setattr(classical, "NORMALIZER_EIG_FLOOR", floor)
+    alone = [random_povm(*spec) for spec in MIXED_SPECS]
+    together = random_povms(MIXED_SPECS)
+    assert _same_stacks(together, alone)
+    for i, (new, old) in enumerate(zip(together, before)):
+        # spec k drew again from its own stream; no other spec did
+        assert (new.stack.tobytes() == old.stack.tobytes()) is (i != k)
+
+
+def test_a_set_raises_the_error_of_its_first_spec_that_fails_alone(monkeypatch):
+    assert _text(random_povms, [(2, 1, 3), (2, 0, 5)]) == "InvalidPovm: n_effects must be >= 1"
+    assert _text(random_povms, [(2, 1, 3), (0, 2, 5)]) == _text(random_povm, 0, 2, 5)
+    # a single effect is the identity, eigenvalue 1; four random effects have smaller ones
+    monkeypatch.setattr(classical, "EFFECT_EIG_FLOOR", 0.5)
+    specs = [(2, 1, 3), (3, 4, 6), (2, 4, 5)]
+    texts = [_text(random_povm, *spec) for spec in specs]
+    assert texts[0] is None
+    assert texts[1].startswith("InvalidPovm: effect ") and texts[2].startswith("InvalidPovm: effect ")
+    assert texts[1] != texts[2]
+    # the dimension-2 specs are validated as one stack, before the dimension-3 one
+    assert _text(random_povms, specs) == texts[1]
+
+
+def test_a_set_names_a_faulty_effect_by_its_index_in_its_own_measurement():
+    good = random_povm(2, 3, 21)
+    bad = np.array([np.diag([1.2, 0.5]), np.diag([-0.1, 0.25]), np.diag([-0.1, 0.25])], dtype=complex)
+    expected = _text(Povm, bad)
+    assert expected == "InvalidPovm: effect 1 has eigenvalue -1.000e-01 < -1e-10"
+    whole = np.concatenate([good.stack, bad])
+    assert _text(classical._checked_effects, whole, (3, 3)) == expected
+    incomplete = np.concatenate([good.stack, np.diag([1.0, 0.0])[None].astype(complex)])
+    assert _text(classical._checked_effects, incomplete, (3, 1)) == _text(Povm, incomplete[3:])
+
+
+def test_a_measurement_of_a_set_keeps_a_read_only_stack():
+    for povm, spec in zip(random_povms(MIXED_SPECS), MIXED_SPECS):
+        assert povm.stack.shape == (spec[1], spec[0], spec[0])
+        assert not povm.stack.flags.writeable
+        with pytest.raises(ValueError):
+            povm.stack[0, 0, 0] = 0.0
+        # read by itself, it is the measurement its spec draws alone
+        assert Povm(povm.stack).stack.tobytes() == povm.stack.tobytes()
+    pt = ROTATION.at(0.3)
+    povm = random_povms(MIXED_SPECS)[0]
+    assert classical_fisher(pt, povm) == classical_fisher(pt, random_povm(*MIXED_SPECS[0]))
+
+
+def measurement_set_cases():
+    # at theta 0 the basis measurement has an outcome of probability 0 (with score 0)
+    # and at 1e-9 one of probability 1e-18 with score 2e-9, off the support
+    yield ROTATION, [0.0, 1e-9, 0.4, -0.7], [basis_povm(2), *random_povms([(2, 3, 5), (2, 4, 6)])]
+    yield rotation_mixture(0.8), [-0.2, 0.5], random_povms([(2, 2, 7), (2, 5, 8), (2, 1, 9)])
+    # 9 to 16 outcomes: np.sum pairs eight or more terms
+    yield random_spectral_model(5, 16), [0.3, -0.1], [
+        basis_povm(16), *random_povms([(16, 9, 3), (16, 12, 4)])
+    ]
+    rng = np.random.default_rng(43)
+    for _ in range(10):
+        model = random_spectral_model(int(rng.integers(0, 1000)), 4)
+        specs = [(4, int(rng.integers(1, 13)), int(rng.integers(0, 2**31))) for _ in range(4)]
+        yield model, rng.uniform(-1.0, 1.0, size=3).tolist(), random_povms(specs)
+
+
+def _bits(values):
+    return [np.float64(v).tobytes() for v in values]
+
+
+def test_classical_fishers_equal_the_per_measurement_calls_bitwise():
+    for model, thetas, povms in measurement_set_cases():
+        for pt in model.grid(thetas):
+            alone = model.at(pt.theta)
+            got = classical_fishers(pt, povms)
+            assert all(type(v) is np.float64 for v in got)
+            assert _bits(got) == _bits([classical_fisher_by_outcome(alone, p) for p in povms])
+            assert _bits(got) == _bits([classical_fisher(alone, p) for p in povms])
+            assert _bits(got) == _bits([classical_fisher(pt, p) for p in povms])
+            probs, support = pt.layer(classical._probs_stage, tuple(povms))
+            for s, povm in zip(classical._slices(tuple(povms)), povms):
+                dist = outcome_probs(alone, povm)
+                assert probs[s].tobytes() == dist.probs.tobytes()
+                assert support[s].tobytes() == dist.support.tobytes()
+    assert classical_fishers(ROTATION.at(0.3), []) == []
+
+
+def test_a_faulty_second_measurement_raises_what_it_raises_alone():
+    eps = 5e-11
+    negative = Povm([np.diag([0.5, -eps]), np.diag([0.5, 1.0 + eps])])
+    good = random_povm(2, 3, 21)
+    cases = [
+        (math.pi / 2, negative, "InvalidPovm: negative outcome probability -5.000e-11"),
+        (1e-7, basis_povm(2), "SupportRegularityError: outcome with probability 1.000e-14 has score 2.000e-07"),
+        (0.3, basis_povm(3), "DimensionError: state dim 2 vs measurement dim 3"),
+    ]
+    for theta, faulty, expected in cases:
+        assert _text(classical_fisher, ROTATION.at(theta), faulty) == expected
+        assert _text(classical_fishers, ROTATION.at(theta), (good, faulty)) == expected
+        assert _text(classical_fishers, ROTATION.at(theta), (faulty, good)) == expected
+    # two faulty measurements at one theta: the first raises, whatever the set checks first
+    negative_at_0 = Povm([np.diag([-eps, 0.5]), np.diag([1.0 + eps, 0.5])])
+    assert _text(classical_fisher, ROTATION.at(1e-7), negative_at_0).startswith(
+        "InvalidPovm: negative outcome probability"
+    )
+    pair = (basis_povm(2), negative_at_0)
+    assert _text(classical_fishers, ROTATION.at(1e-7), pair) == cases[1][2]
+    assert _text(classical_fishers, ROTATION.at(1e-7), pair[::-1]) == _text(
+        classical_fisher, ROTATION.at(1e-7), negative_at_0
+    )
+    # on a grid, the failing theta fails alone and the others read the set
+    for faulty, failing, text in ((negative, math.pi / 2, cases[0][2]), (basis_povm(2), 1e-7, cases[1][2])):
+        for pt in ROTATION.grid([0.3, failing, 1.0]):
+            if pt.theta == failing:
+                assert _text(classical_fishers, pt, (good, faulty)) == text
+            else:
+                got = classical_fishers(pt, (good, faulty))
+                assert _bits(got) == _bits([classical_fisher(ROTATION.at(pt.theta), p) for p in (good, faulty)])
+
+
+# --- evaluation counts ---------------------------------------------------------------
+
+def _counting(monkeypatch, module, name, counts, key=None):
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        counts[key or name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return wrapper
+
+
+def test_one_suite_run_draws_and_reads_its_measurements_as_sets(monkeypatch):
+    counts = Counter()
+    current = [None]
+
+    def tagged(name, fn):
+        def run(*args):
+            current[0] = name
+            cases = fn(*args)
+            return cases if isinstance(cases, tuple) else list(cases)
+
+        return run
+
+    original_stage = classical._probs_stage
+
+    def probs_stage(grid, povms):
+        counts["_probs_stage", current[0]] += 1
+        return original_stage(grid, povms)
+
+    monkeypatch.setattr(classical, "_probs_stage", probs_stage)
+    # every eigh, under every name the library imports it by; the normalizers are classical's
+    counting = _counting(monkeypatch, hermitian, "eigh", counts, key=("eigh", None))
+    for module in (models, verify):
+        monkeypatch.setattr(module, "eigh", counting)
+
+    def normalizer_eigh(m):
+        counts["normalizer", current[0]] += 1
+        return counting(m)
+
+    monkeypatch.setattr(classical, "eigh", normalizer_eigh)
+    checks = [(name, kind, tol, tagged(name, fn)) for name, kind, tol, fn in verify._CHECKS]
+    monkeypatch.setattr(verify, "_CHECKS", checks)
+    assert verify.all_passed(verify.run_suite())
+    probs = {check: n for (name, check), n in counts.items() if name == "_probs_stage"}
+    normalizers = {check: n for (name, check), n in counts.items() if name == "normalizer"}
+    # one trace rule per (grid, set): information-inequality reads one set per catalog
+    # model (14), coarse-graining one per pure or mixture model (10), and
+    # estimator-exact-variance one measurement on each of two models; each
+    # simulation run builds its own point
+    assert probs == {
+        "information-inequality": 14, "coarse-graining-monotone": 10, "estimator-exact-variance": 2,
+        "sim-bound-chain": 1, "sim-reproducibility": 2,
+    }
+    assert sum(n for check, n in probs.items() if not check.startswith("sim-")) <= 26
+    # one stacked normalizer eigh per dimension of each check's set
+    assert normalizers == {
+        "povm-completeness": 3, "score-sum-analytic": 4, "score-sum-fd": 1,
+        "information-inequality": 4, "coarse-graining-monotone": 3, "estimator-exact-variance": 1,
+    }
+    assert sum(normalizers.values()) <= 16
+    assert counts["eigh", None] <= 108
+
+
+def test_a_qubit_measure_op_draws_one_measurement_and_runs_one_trace_rule(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+
+    counts = Counter()
+    _counting(monkeypatch, classical, "_probs_stage", counts)
+    _counting(monkeypatch, configio, "random_povm", counts)
+    for op in workloads.make_pool("qubit-measure", 11, str(tmp_path)):
+        counts.clear()
+        assert cli.main(list(op.argv)) == 0
+        # the set of one: one random_povm per op, one trace rule for its one grid
+        assert counts == {"random_povm": 1, "_probs_stage": 1}
 
 
 # --- bound_check ------------------------------------------------------------------

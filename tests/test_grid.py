@@ -323,10 +323,12 @@ def test_a_negative_probability_fails_alone_with_its_own_text():
 
 class ClippedRhoMixture(QubitMixtureModel):
     """A rotation mixture whose weight theta leaves (0, 1) past 1, while rho clips it:
-    the state is valid everywhere, and only the weight's readers fail there. Its rho is
-    the base model's per-theta ``rho_matrix`` loop, which reads no weight input."""
+    the state and its derivative are valid everywhere, and only the weight's readers
+    fail there. Its rho and drho are the base model's per-theta loops (``rho_matrix``,
+    and its central difference), which read no weight input."""
 
     _rho_stack = ParametricStateModel._rho_stack
+    _drho_stack = ParametricStateModel._drho_stack
 
     def __init__(self):
         super().__init__(rotation_family(), WeightFunction(w=lambda t: t, dw=lambda t: 1.0))
@@ -344,9 +346,18 @@ def test_a_weight_outside_the_unit_interval_fails_only_its_point():
         alone = model.at(pt.theta)
         if pt.theta == 1.5:
             expected = "DomainError: weight 1.5 at theta=1.5 outside (0, 1)"
-            for fn in (_qubit_ingredients, helstrom_info_qubit_closed, relation_report):
+            for fn in (_qubit_ingredients, helstrom_info_qubit_closed):
                 assert _error_text(fn, pt) == _error_text(fn, alone) == expected
             assert _same(pt.rho.mat, alone.rho.mat)  # the clipped state stays readable
+            # the report records the weight's error for alpha/beta and each closed
+            # form, and is emitted with nulls there and no prop1 residual
+            report = relation_report(pt)
+            assert report.route_errors == dict.fromkeys(
+                ("alpha_beta", "i_h_closed", "i_wy_closed", "gamma"), expected
+            )
+            assert report.alpha is report.beta is report.i_h_closed is None
+            assert "prop1" not in report.residuals
+            assert _report_row(report) == _report_row(relation_report(alone))
         else:
             assert not relation_report(pt).route_errors
             assert _report_row(relation_report(pt)) == _report_row(relation_report(alone))
@@ -761,7 +772,8 @@ def test_the_forced_differences_over_dimension_64_keep_the_block_budget():
         tracemalloc.stop()
     one_stack = GRID_BLOCK_ENTRIES * np.dtype(complex).itemsize
     # the stencil of a block's 8 thetas holds 16 states, so it is cut into
-    # two grids of 8: each stacked array stays within one stack
+    # two grids of 8: each stacked array stays within one stack. The block
+    # keeps both stencil grids, whose inputs both differences read
     assert peak <= 20 * one_stack
     for theta, row in zip(thetas, rows):
         dsqrt = model.dsqrt_rho(theta, force_fd=True).matrix.mat
