@@ -19,14 +19,17 @@ per grid on the (T, n, n) stack. Long grids are cut into blocks of
 ``GRID_BLOCK_ENTRIES`` matrix entries.
 
 The finite differences that stand in for a derivative are grid stages as
-well. A built-in input without an analytic derivative is read on the
-stencil theta +- fd_step by ``_stencil_stage``, once per grid whichever
-stages difference it. The 2T states rho(theta +- fd_step) of a grid form
-its stencil grids (``StateGrid.stencils``), kept with the grid:
+well, and they all read one stencil. The 2T states rho(theta +- fd_step) of
+a grid form its stencil grids (``StateGrid.stencils``), kept with the grid
+and holding only their ``_inputs_stage``. A built-in input without an
+analytic derivative is differenced from those value inputs
+(``_stencil_inputs``), which pass the same checks as at theta.
+``_drho_fd_stage``, the one difference of rho, differences their stacked
+rho: it is the forced difference, and the drho of a spectral model without
+both derivatives and of a custom model wherever ``_drho_analytic`` is None.
 ``_dsqrt_fd_stage`` differences their square roots, with one
-eigendecomposition per stencil grid, and ``_drho_fd_stage`` differences
-their stacked rho, so a built-in model reads the stencil's value inputs
-once for both (a custom model calls ``rho_matrix`` there). Every
+eigendecomposition per stencil grid. So a built-in model reads each stencil
+side once per grid (a custom model calls ``rho_matrix`` there). Every
 forced difference (``drho``/``dsqrt_rho`` with ``force_fd``) reads these
 stages, and so does the square-root solve's rank-deficient fallback:
 ``_dsqrt_route_stage`` holds the solve's result, or on an inconsistent point
@@ -150,7 +153,7 @@ class WeightFunction:
         return v
 
     def raw(self, theta: float) -> float:
-        """w(theta) unchecked: what a difference of the weight reads."""
+        """w(theta) unchecked: what ``slope``'s difference reads."""
         return float(self.w(theta))
 
     def slope(self, theta: float, h: float = DEFAULT_FD_STEP) -> float:
@@ -187,19 +190,18 @@ class StateGrid:
 
     A stage is a function ``fn(grid, *args)`` that returns a tuple of
     arrays with one layer per theta. Here they are a built-in model's value
-    and derivative inputs and the stencil reads of its differenced inputs,
-    rho with its eigendecomposition, drho, the square-root derivative with
-    its route, and the forced differences. In ``quantum`` they are the SLD
-    and the scalars its routes read per theta: tr{rho L^2},
-    4 tr{[(sqrt rho)']^2}, a pure model's 2 tr{(dP)^2}, and a qubit
-    mixture's weight, slope and I_H1. In ``classical`` they are
-    a measurement set's checked trace-rule distributions, its
-    scores and its classical Fisher information. Each
-    runs on first use and is kept. A stage that raises is not kept; a grid
-    of more than one theta then splits into grids of one, which keep the
-    stages already run and evaluate the rest alone, so each point gets its
-    own value or raises its own error. The grid holds no reference to its
-    points, so a grid is freed as soon as its last point is.
+    and derivative inputs, rho with its eigendecomposition, drho, the
+    square-root derivative with its route, and the forced differences. In
+    ``quantum`` they are the SLD and the scalars its routes read per theta:
+    tr{rho L^2}, 4 tr{[(sqrt rho)']^2}, a pure model's 2 tr{(dP)^2}, and a
+    qubit mixture's weight, slope and I_H1. In ``classical`` they are a
+    measurement set's checked trace-rule distributions, its scores and its
+    classical Fisher information. Each runs on first use and is kept. A
+    stage that raises is not kept; a grid of more than one theta then
+    splits into grids of one, which keep the stages already run and
+    evaluate the rest alone, so each point gets its own value or raises its
+    own error. The grid holds no reference to its points, so a grid is
+    freed as soon as its last point is.
     """
 
     __slots__ = ("model", "thetas", "_stages", "_parts", "_stencils")
@@ -240,8 +242,10 @@ class StateGrid:
         Each holds theta + h and theta - h of consecutive thetas, in that
         order; a stencil holds two states per theta, so it is cut at half a
         grid block, and no stacked array outgrows ``GRID_BLOCK_ENTRIES``.
-        Both forced differences read these grids, so the stencil's value
-        inputs are read once.
+        They are the grid's only reader of theta +- fd_step: the differenced
+        derivative inputs, the difference of rho and the difference of its
+        square root all read their ``_inputs_stage``, the one stage they
+        run, so the stencil's value inputs are read once.
         """
         if self._stencils is None:
             model, h = self.model, self.model.fd_step
@@ -336,17 +340,19 @@ def _dinputs_stage(grid: StateGrid) -> tuple:
     return _domain_checked(grid)._derivative_inputs(grid)
 
 
-def _stencil_stage(grid: StateGrid, read: Callable[[float], object]) -> tuple:
-    """read(theta + fd_step) and read(theta - fd_step) of every theta, as one (T, 2, ...) array.
+def _sides(a: np.ndarray) -> np.ndarray:
+    """A stencil grid's (2T, ...) array as (T, 2, ...): each theta's values at theta + h and theta - h."""
+    return a.reshape(-1, 2, *a.shape[1:])
 
-    This is how a built-in model differences an input that has no analytic
-    derivative: each stencil side is read once per grid, whichever stages
-    difference it.
+
+def _stencil_inputs(grid: StateGrid, index: int) -> np.ndarray:
+    """Value input ``index`` of a built-in model at theta +- fd_step of every theta, as a (T, 2, ...) array.
+
+    It is read from the ``_inputs_stage`` of the grid's stencil grids, with
+    its checks, so every differenced derivative input and both forced
+    differences share one evaluation of the stencil.
     """
-    model, h = _domain_checked(grid), grid.model.fd_step
-    for theta in grid.thetas:
-        model._require_stencil(theta)
-    return (np.array([[read(theta + h), read(theta - h)] for theta in grid.thetas]),)
+    return np.concatenate([_sides(stencil.stage(_inputs_stage)[index]) for stencil in grid.stencils()])
 
 
 def _rho_stage(grid: StateGrid) -> tuple:
@@ -361,23 +367,16 @@ def _drho_stage(grid: StateGrid) -> tuple:
 def _drho_fd_stage(grid: StateGrid) -> tuple:
     """drho by central differences of rho at every theta, analytic or not.
 
-    The states on the stencil are the model's stacked rho of the grid's
-    stencil grids, whose value inputs ``_dsqrt_fd_stage`` reads as well.
+    The only difference of rho: the forced one, and the drho of a model
+    without an analytic derivative at a theta. The states on the stencil
+    are the model's stacked rho of the grid's stencil grids, whose value
+    inputs ``_dsqrt_fd_stage`` reads as well.
     """
     model = _domain_checked(grid)
-    diffs = []
-    for stencil in grid.stencils():
-        sides = model._rho_stack(stencil)
-        # the quotient of Hermitian evaluations is Hermitian; dividing by 2h
-        # amplifies matmul rounding asymmetry past the construction gate
-        diffs.append(_symmetrized(_stencil_difference(sides.reshape(-1, 2, *sides.shape[1:]), model.fd_step)))
-    return (_checked_drho(np.concatenate(diffs)),)
-
-
-def _rho_difference(model: ParametricStateModel, theta: float) -> np.ndarray:
+    diffs = [_stencil_difference(_sides(model._rho_stack(s)), model.fd_step) for s in grid.stencils()]
     # the quotient of Hermitian evaluations is Hermitian; dividing by 2h
     # amplifies matmul rounding asymmetry past the construction gate
-    return _symmetrized(model._difference(model.rho_matrix, theta))
+    return (_checked_drho(_symmetrized(np.concatenate(diffs))),)
 
 
 def _checked_drho(stack: np.ndarray) -> np.ndarray:
@@ -404,12 +403,13 @@ def _dsqrt_fd_stage(grid: StateGrid) -> tuple:
 
     A stencil grid holds rho(theta + h) and rho(theta - h) of its thetas, so
     one ``density_stack`` and one eigh serve all of them; its square roots
-    follow ``psd_sqrt``.
+    follow ``psd_sqrt``. The stencil grid keeps only its value inputs, not
+    this rho or its eigendecomposition.
     """
-    diffs = []
+    model, diffs = grid.model, []
     for stencil in grid.stencils():
-        roots = sqrt_stack(stencil.rho_stack()[1])
-        diffs.append(_stencil_difference(roots.reshape(-1, 2, *roots.shape[1:]), grid.model.fd_step))
+        _, dec = density_stack(model._rho_stack(stencil))
+        diffs.append(_stencil_difference(_sides(sqrt_stack(dec)), model.fd_step))
     return (hermitian_part(np.concatenate(diffs)),)
 
 
@@ -525,11 +525,11 @@ class ParametricStateModel:
         return square_stack([self.rho_matrix(theta) for theta in grid.thetas])
 
     def _drho_stack(self, grid: StateGrid) -> np.ndarray:
-        """drho at every theta of ``grid``: ``_drho_analytic``, or the difference of ``rho_matrix``."""
-        ds = []
-        for theta in grid.thetas:
-            d = self._drho_analytic(theta)
-            ds.append(_rho_difference(self, theta) if d is None else d)
+        """drho at every theta of ``grid``: ``_drho_analytic``, or where it is None the ``_drho_fd_stage``."""
+        ds = [self._drho_analytic(theta) for theta in grid.thetas]
+        if any(d is None for d in ds):
+            fd = grid.stage(_drho_fd_stage)[0]
+            ds = [fd[k] if d is None else d for k, d in enumerate(ds)]
         return square_stack(ds)
 
     @property
@@ -594,12 +594,12 @@ class _StackedModel(ParametricStateModel):
     each theta (the callables the model wraps, with their checks);
     ``_rho_formula(*inputs)``, which maps them to the (T, n, n) stack of rho;
     ``_derivative_inputs(grid)``, which reads the derivative inputs,
-    analytic or from a ``_stencil_stage``; and ``_drho_stack``, which
-    combines both. A grid runs the two readers as the stages
-    ``_inputs_stage`` and ``_dinputs_stage``, so each callable runs once per
-    theta (a differenced one once per stencil side), and the closed-form
-    ingredients in ``quantum`` read the same stages. ``rho_matrix(theta)``
-    is the formula at one theta.
+    analytic or differenced from the stencil grids' value inputs
+    (``_stencil_inputs``); and ``_drho_stack``, which combines both. A grid
+    runs the two readers as the stages ``_inputs_stage`` and
+    ``_dinputs_stage``, so each callable runs once per theta and once per
+    stencil side, and the closed-form ingredients in ``quantum`` read the
+    same stages. ``rho_matrix(theta)`` is the formula at one theta.
     """
 
     def rho_matrix(self, theta: float) -> np.ndarray:
@@ -615,8 +615,7 @@ def _family_dprojectors(grid: StateGrid, family: PureFamily, index: int) -> np.n
     if family.dpsi is not None:
         states = grid.stage(_inputs_stage)[index]
         return _projector_derivatives(states, np.array([family.velocity(t) for t in grid.thetas]))
-    sides = grid.stage(_stencil_stage, family.state)[0]
-    return _symmetrized(_stencil_difference(_projectors(sides), grid.model.fd_step))
+    return _symmetrized(_stencil_difference(_projectors(_stencil_inputs(grid, index)), grid.model.fd_step))
 
 
 class PureStateModel(_StackedModel):
@@ -658,8 +657,8 @@ class QubitMixtureModel(_StackedModel):
     ``psi2`` gives the canonical choice: the image of psi1 under the
     projector derivative, normalized.
 
-    Inputs: the weight w and the state psi1; w' (from dw or the raw weight
-    at theta +- fd_step) and dP1 (as for a pure family).
+    Inputs: the weight w and the state psi1; w' (from dw or the checked
+    weight at theta +- fd_step) and dP1 (as for a pure family).
     """
 
     kind = "qubit_mixture"
@@ -690,7 +689,7 @@ class QubitMixtureModel(_StackedModel):
         if weight.dw is not None:
             dw = np.array([float(weight.dw(t)) for t in grid.thetas])
         else:
-            dw = _stencil_difference(grid.stage(_stencil_stage, weight.raw)[0], self.fd_step)
+            dw = _stencil_difference(_stencil_inputs(grid, 0), self.fd_step)
         dp1 = _family_dprojectors(grid, self.psi1, 1)
         return dw, dp1
 
@@ -762,8 +761,9 @@ class SpectralMixtureModel(_StackedModel):
     diagonal of A (the phase gauge of the columns), so it is set to zero.
 
     Inputs: the weights lambda and the frame U; lambda' and A (from dlambdas
-    and dframe, or from the raw weights and the frames at theta +- fd_step).
-    Without both analytic derivatives drho is the central difference of rho.
+    and dframe, or from the checked weights and the frames at
+    theta +- fd_step). Without both analytic derivatives drho is the central
+    difference of rho, ``_drho_fd_stage``.
     """
 
     kind = "spectral"
@@ -871,36 +871,25 @@ class SpectralMixtureModel(_StackedModel):
             du = np.array([np.asarray(self._dframe(t), dtype=complex) for t in grid.thetas])
             a = _generator_from_frames(u, du)
         else:
-            a = _generator_from_stencil(u, grid.stage(_stencil_stage, self.frame_at)[0], h)
+            a = _generator_from_stencil(u, _stencil_inputs(grid, 1), h)
         if self._dlambdas is not None:
             dlam = np.array([self.dlambdas_at(t) for t in grid.thetas])
         else:
-            dlam = _stencil_difference(grid.stage(_stencil_stage, self._raw_lambdas)[0], h)
+            dlam = _stencil_difference(_stencil_inputs(grid, 0), h)
             for vals in dlam:
                 _checked_dlambdas(vals)
         return dlam, a
 
     def _drho_stack(self, grid: StateGrid) -> np.ndarray:
-        """U (diag dlam + A Lambda - Lambda A) U^dagger, or the difference of rho."""
+        """U (diag dlam + A Lambda - Lambda A) U^dagger, or the ``_drho_fd_stage``."""
         if not self.has_analytic_derivative:
-            return self._rho_differences(grid)
+            return grid.stage(_drho_fd_stage)[0]
         lam, u = grid.stage(_inputs_stage)
         dlam, a = grid.stage(_dinputs_stage)
         inner = a * (lam[:, None, :] - lam[:, :, None])
         diag = np.arange(self.dim)
         inner[:, diag, diag] = dlam
         return (u @ inner) @ u.conj().swapaxes(-1, -2)
-
-    def _rho_differences(self, grid: StateGrid) -> np.ndarray:
-        """The central difference of rho at every theta, from the stencil's raw weights and frames."""
-        h = self.fd_step
-        raw = grid.stage(_stencil_stage, self._raw_lambdas)[0]
-        frames = grid.stage(_stencil_stage, self.frame_at)[0]
-        lam = np.array([
-            [self._checked_lambdas(vals, theta + side) for vals, side in zip(pair, (h, -h))]
-            for pair, theta in zip(raw, grid.thetas)
-        ])
-        return _symmetrized(_stencil_difference(self._rho_formula(lam, frames), h))
 
     @property
     def has_analytic_derivative(self) -> bool:
@@ -1119,7 +1108,11 @@ def qubit_mixture_as_spectral(model: QubitMixtureModel) -> SpectralMixtureModel:
     when the weight has one; otherwise the spectral model differences its
     eigenvalue weights with its own ``fd_step``. ``with_fd_step`` on the
     result embeds the mixture at the new step, so it reaches both psi2 and
-    the weight slope.
+    the weight slope. Its drho is the difference of rho, since the frame
+    has no derivative.
+
+    Nothing in the package calls it, and no verify check or CLI config
+    builds it: only the unit tests guard it.
     """
     weight = model.weight
 

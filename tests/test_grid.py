@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qcrb_kit import cli
+from qcrb_kit import cli, models, quantum
 from qcrb_kit.errors import (
     DomainError,
     InvalidPovm,
@@ -42,6 +42,7 @@ from qcrb_kit.classical import (
     random_povm,
 )
 from qcrb_kit.models import (
+    DEFAULT_FD_STEP,
     GRID_BLOCK_ENTRIES,
     ParametricStateModel,
     PureFamily,
@@ -67,6 +68,7 @@ from qcrb_kit.quantum import (
     _pure_helstrom_closed,
     _qubit_ingredients,
     _spectral_ingredients,
+    closed_routes,
     gamma_spectral,
     helstrom_info_qubit_closed,
     helstrom_info_spectral,
@@ -584,6 +586,130 @@ def test_a_failing_input_fails_only_its_point_with_its_own_text(case):
             assert _same(pt.rho.mat, alone.rho.mat)
 
 
+# a model with a differenced value input that fails its check only at one
+# stencil side, the theta whose stencil holds that side, and its ingredients
+STENCIL_SIDE_FAILURES = {
+    # w(theta) = theta without a slope: the weight is valid at 1 - h/2, but
+    # its stencil side 1 + h/2 leaves (0, 1)
+    "weight": (lambda: QubitMixtureModel(rotation_family(), WeightFunction(w=lambda t: t)),
+               1.0 - 0.5 * DEFAULT_FD_STEP, _qubit_ingredients),
+    # eigenvalue weights without derivatives that sum to 1.01 at BAD + h only
+    "lambdas": (lambda: _spectral_with(
+        lambdas=_failing_at(BAD + DEFAULT_FD_STEP, random_spectral_model(7, 3)._lambdas, lambda v: 1.01 * v),
+        dlambdas=None), BAD, _spectral_ingredients),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STENCIL_SIDE_FAILURES))
+def test_a_stencil_side_that_fails_its_input_check_fails_only_its_point(case):
+    # a differenced input reads the stencil grids' checked value inputs, so
+    # its derivative fails with the text of the side's own state, as the
+    # forced difference does; the state at the point stays readable
+    make, bad, ingredients = STENCIL_SIDE_FAILURES[case]
+    model = make()
+    assert model.fd_step == DEFAULT_FD_STEP
+    expected = _error_text(lambda t: model.at(t).rho, bad + DEFAULT_FD_STEP)
+    assert expected is not None
+    readers = {"drho": lambda pt: pt.drho, "ingredients": ingredients,
+               "drho_fd": lambda pt: pt.layer(_drho_fd_stage), "report": relation_report}
+    thetas = sorted({0.2, 0.5, 0.8, bad})
+    for pt in model.grid(thetas):
+        alone = model.at(pt.theta)
+        texts = {name: _error_text(fn, pt) for name, fn in readers.items()}
+        assert texts == {name: _error_text(fn, alone) for name, fn in readers.items()}
+        if pt.theta == bad:
+            assert texts == dict.fromkeys(readers, expected)
+            assert _same(pt.rho.mat, alone.rho.mat)
+        else:
+            assert set(texts.values()) == {None}
+            assert _same(pt.drho.mat, alone.drho.mat)
+            assert _report_row(relation_report(pt)) == _report_row(relation_report(alone))
+
+
+class HalfAnalyticRotation(ParametricStateModel):
+    """The rotation mixture of weight 0.7 as a custom model with a real ``rho_matrix``,
+    whose analytic drho 0.4 d|psi><psi| exists only at theta <= 0."""
+
+    def __init__(self):
+        super().__init__(2)
+
+    def rho_matrix(self, theta):
+        c, s = math.cos(theta), math.sin(theta)
+        p = np.array([[c * c, c * s], [c * s, s * s]])
+        return 0.7 * p + 0.3 * (np.eye(2) - p)
+
+    def _drho_analytic(self, theta):
+        if theta > 0:
+            return None
+        c2, s2 = math.cos(2.0 * theta), math.sin(2.0 * theta)
+        return 0.4 * np.array([[-s2, c2], [c2, s2]])
+
+
+WITHOUT_ANALYTIC_DRHO = {
+    "spectral": lambda: _spectral_with(dlambdas=None, dframe=None),
+    "spectral-without-dframe": lambda: _spectral_with(dframe=None),
+    "embedded-mixture": lambda: qubit_mixture_as_spectral(rotation_mixture(0.8)),
+    "custom": HalfAnalyticRotation,
+}
+
+
+@pytest.mark.parametrize("name", sorted(WITHOUT_ANALYTIC_DRHO))
+def test_a_drho_without_an_analytic_form_is_the_forced_difference(name):
+    # the one difference of rho: a spectral model without both derivatives,
+    # and each theta where a custom model's _drho_analytic is None, read drho
+    # from the grid's _drho_fd_stage
+    model = WITHOUT_ANALYTIC_DRHO[name]()
+    for pt in model.grid([-0.6, -0.1, 0.3, 0.9]):
+        analytic = model._drho_analytic(pt.theta) if model.kind == "custom" else None
+        if analytic is None:
+            assert _same(pt.drho.mat, pt.layer(_drho_fd_stage)[0])
+            assert _same(pt.drho.mat, model.drho(pt.theta, force_fd=True).mat)
+        else:
+            assert _same(pt.drho.mat, HermitianMatrix(analytic).mat)
+
+
+# every stage that reads rho, drho, the square-root derivative or the SLD
+ROUTE_STAGES = {
+    models: ("_rho_stage", "_drho_stage", "_dsqrt_stage", "_dsqrt_fd_stage",
+             "_drho_fd_stage", "_dsqrt_route_stage"),
+    quantum: ("_sld_stage", "_helstrom_stage", "_wy_stage"),
+}
+FULLY_DIFFERENCED = {
+    "pure": lambda: PureStateModel(PureFamily(2, psi=rotation_family().psi)),
+    "qubit_mixture": lambda: QubitMixtureModel(PureFamily(2, psi=rotation_family().psi),
+                                               WeightFunction(w=sine_weight(0.8).w)),
+    "spectral": lambda: _spectral_with(dlambdas=None, dframe=None),
+    "embedded-mixture": lambda: qubit_mixture_as_spectral(
+        QubitMixtureModel(rotation_family(), WeightFunction(w=sine_weight(0.8).w))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FULLY_DIFFERENCED))
+def test_the_closed_forms_of_a_differenced_model_read_no_route_stage(name, monkeypatch):
+    # a differenced input reads the stencil grids' value inputs, as the
+    # forced differences do, but no closed form reads rho, drho, a square
+    # root, a forced difference or the SLD
+    def poisoned(stage):
+        def raising(grid, *args):
+            raise AssertionError(f"a closed form ran {stage}")
+        return raising
+
+    for module, names in ROUTE_STAGES.items():
+        for stage in names:
+            original = getattr(module, stage)
+            for other in (models, quantum):
+                if getattr(other, stage, None) is original:
+                    monkeypatch.setattr(other, stage, poisoned(stage))
+    model = FULLY_DIFFERENCED[name]()
+    routes = closed_routes(model.kind)
+    assert routes
+    for pt in model.grid([-0.5, 0.4]):
+        for route in routes.values():
+            assert math.isfinite(route.closed_fn(pt))
+        with pytest.raises(AssertionError, match="a closed form ran"):
+            helstrom_info_sld(pt)
+
+
 # --- a grid gives the rows of its points alone --------------------------------------
 
 GRID = "-1:1:7"
@@ -773,8 +899,9 @@ def test_the_forced_differences_over_dimension_64_keep_the_block_budget():
     one_stack = GRID_BLOCK_ENTRIES * np.dtype(complex).itemsize
     # the stencil of a block's 8 thetas holds 16 states, so it is cut into
     # two grids of 8: each stacked array stays within one stack. The block
-    # keeps both stencil grids, whose inputs both differences read
-    assert peak <= 20 * one_stack
+    # keeps both stencil grids with only their value inputs, which both
+    # differences read; the stencil's rho and its eigenvectors are not kept
+    assert peak <= 12 * one_stack
     for theta, row in zip(thetas, rows):
         dsqrt = model.dsqrt_rho(theta, force_fd=True).matrix.mat
         assert row == (_digest(dsqrt), _digest(model.drho(theta, force_fd=True).mat))

@@ -18,8 +18,10 @@ from qcrb_kit.models import (
     SpectralMixtureModel,
     StatePoint,
     WeightFunction,
+    qubit_mixture_as_spectral,
     random_spectral_model,
     rotation_family,
+    rotation_mixture,
     sine_weight,
 )
 from qcrb_kit.quantum import helstrom_info_sld, relation_report, sld, wy_info_generic
@@ -169,9 +171,49 @@ def test_forced_difference_evaluates_rho_only_on_its_stencil(monkeypatch):
     model = CountingMixture()
     assert model.dsqrt_rho(0.3, force_fd=True).route == "fd"
     # theta +- h on one stencil grid: one stacked evaluation of the value
-    # inputs and rho, no model.rho call and no derivative input
+    # inputs and one eigh of rho, which the stencil grid does not keep as a
+    # rho stage; no model.rho call and no derivative input
     assert model.counts == {"dsqrt_rho": 1, "psi": 2, "w": 2}
-    assert stages == {"_inputs_stage": 1, "_rho_stage": 1, "eigh": 1}
+    assert stages == {"_inputs_stage": 1, "eigh": 1}
+
+
+def _differenced(kind: str, counts: Counter) -> ParametricStateModel:
+    """A qubit mixture or a spectral model whose every derivative is differenced,
+    counting the calls of each value callable it wraps."""
+    if kind == "qubit_mixture":
+        family, weight = rotation_family(), sine_weight(0.8)
+        return QubitMixtureModel(PureFamily(2, psi=_counted(counts, "psi", family.psi)),
+                                 WeightFunction(w=_counted(counts, "w", weight.w)))
+    base = random_spectral_model(7, 3)
+    return SpectralMixtureModel(3, lambdas=_counted(counts, "lambdas", base._lambdas),
+                                frame=_counted(counts, "frame", base._frame))
+
+
+@pytest.mark.parametrize("kind", ["qubit_mixture", "spectral"])
+def test_a_differenced_model_reads_each_stencil_side_once(kind):
+    counts = Counter()
+    model = _differenced(kind, counts)
+    for pt in model.grid([-0.4, 0.1, 0.6]):
+        relation_report(pt)
+        pt.layer(models._drho_fd_stage)
+        pt.layer(models._dsqrt_fd_stage)
+    # 3 thetas and their 6 stencil sides, each read once: the differenced
+    # derivative inputs, drho and both forced differences all read the
+    # stencil grids' value inputs
+    assert set(counts.values()) == {9} and len(counts) == 2
+
+
+def test_an_embedded_mixture_differences_rho_once():
+    # the frame has no derivative, so drho is the forced difference of rho
+    counts = Counter()
+    model = qubit_mixture_as_spectral(rotation_mixture(0.8))
+    model._lambdas = _counted(counts, "lambdas", model._lambdas)
+    model._frame = _counted(counts, "frame", model._frame)
+    for pt in model.grid([-0.4, 0.1, 0.6]):
+        pt.drho
+        pt.layer(models._drho_fd_stage)
+        pt.layer(models._dsqrt_fd_stage)
+    assert counts == {"lambdas": 6, "frame": 6}
 
 
 def test_failed_evaluation_is_not_cached():

@@ -116,11 +116,12 @@ def test_one_run_creates_each_point_once_and_the_extra_models_once(monkeypatch):
     monkeypatch.setattr(verify, "random_spectral_model", random_spectral_model)
     results = run_suite()
     assert all_passed(results)
-    # the forced square-root difference of dsqrt-route-agreement evaluates
-    # one stencil grid per catalog model grid, which makes no points
+    # the forced differences of drho- and dsqrt-route-agreement evaluate one
+    # stencil grid per catalog model grid, which makes no points and runs
+    # only the value inputs, no rho stage
     stencils = len(builtin_models())
     assert counts == {
-        "point": 115, "grid": 47 + stencils, "rho_stage": 47 + stencils,
+        "point": 115, "grid": 47 + stencils, "rho_stage": 47,
         "random_spectral_model": 5,
     }
 
