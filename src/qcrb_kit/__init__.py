@@ -63,7 +63,6 @@ from .quantum import (
     alpha_beta,
     gamma_qubit_closed,
     gamma_spectral,
-    helstrom_info_pure,
     helstrom_info_qubit_closed,
     helstrom_info_sld,
     helstrom_info_spectral,
@@ -115,7 +114,7 @@ __all__ = [
     "random_spectral_model", "rotation_family", "rotation_mixture",
     "sine_weight",
     "QuantumInfoResult", "SldResult", "alpha_beta", "gamma_qubit_closed",
-    "gamma_spectral", "helstrom_info_pure", "helstrom_info_qubit_closed",
+    "gamma_spectral", "helstrom_info_qubit_closed",
     "helstrom_info_sld", "helstrom_info_spectral", "relation_report", "sld",
     "sld_spectral_sum", "wy_info_generic",
     "wy_info_qubit_closed", "wy_info_spectral",

@@ -173,12 +173,14 @@ class SpectralDecomposition:
         return self.eigenvalues.shape[-1]
 
     def projectors(self) -> list[np.ndarray]:
+        """P_j = u_j u_j^dagger of each eigenvector column j, (n, n) or (T, n, n) each."""
         u = self.eigenvectors
-        return [np.outer(u[:, j], u[:, j].conj()) for j in range(self.dim)]
+        return [u[..., :, j, None] * u[..., None, :, j].conj() for j in range(self.dim)]
 
     def reconstruct(self) -> np.ndarray:
+        """U diag(lambda) U^dagger, of the matrix or of each layer."""
         u = self.eigenvectors
-        return (u * self.eigenvalues) @ u.conj().T
+        return (u * self.eigenvalues[..., None, :]) @ u.conj().swapaxes(-1, -2)
 
 
 def density_stack(a: np.ndarray) -> tuple[np.ndarray, SpectralDecomposition]:

@@ -29,12 +29,17 @@ rho: it is the forced difference, and the drho of a spectral model without
 both derivatives and of a custom model wherever ``_drho_analytic`` is None.
 ``_dsqrt_fd_stage`` differences their square roots, with one
 eigendecomposition per stencil grid. So a built-in model reads each stencil
-side once per grid (a custom model calls ``rho_matrix`` there). Every
-forced difference (``drho``/``dsqrt_rho`` with ``force_fd``) reads these
-stages, and so does the square-root solve's rank-deficient fallback:
-``_dsqrt_route_stage`` holds the solve's result, or on an inconsistent point
-the difference, and every reader of a point's square-root derivative reads
-that one layer.
+side once per grid (a custom model calls ``rho_matrix`` there). A forced
+difference is a point's layer of one of these stages, and so is the
+square-root solve's rank-deficient fallback: ``_dsqrt_route_stage`` holds
+the solve's result, or on an inconsistent point the difference, and every
+reader of a point's square-root derivative reads that one layer.
+
+The point is the only per-theta route to a model's derivatives:
+``drho``, ``dsqrt_rho``, ``dlambdas_at`` and ``generator_at`` read the
+layers of ``model.at(theta)``, so they equal what the grid's closed forms
+read, bit for bit. Only a pure family's ``projector_derivative`` and
+``canonical_psi2``, which belong to no model, take a step of their own.
 """
 
 from __future__ import annotations
@@ -151,29 +156,6 @@ class WeightFunction:
         if not (WEIGHT_EDGE < v < 1.0 - WEIGHT_EDGE):
             raise DomainError(f"weight {v!r} at theta={theta} outside (0, 1)")
         return v
-
-    def raw(self, theta: float) -> float:
-        """w(theta) unchecked: what ``slope``'s difference reads."""
-        return float(self.w(theta))
-
-    def slope(self, theta: float, h: float = DEFAULT_FD_STEP) -> float:
-        if self.dw is not None:
-            return float(self.dw(theta))
-        return _central_difference(self.raw, theta, h)
-
-    def boundary_regularity_ratio(self, thetas, h: float = DEFAULT_FD_STEP) -> float:
-        """max |w'| / min(sqrt(w), sqrt(1-w)) over a sampled grid.
-
-        Proxy for the requirement that w' vanishes faster than sqrt(w) and
-        sqrt(1-w) where the weight approaches 0 or 1; the condition is
-        asymptotic, so only boundedness on the grid is checked.
-        """
-        worst = 0.0
-        for theta in thetas:
-            v = self.value(theta)
-            ratio = abs(self.slope(theta, h)) / min(math.sqrt(v), math.sqrt(1.0 - v))
-            worst = max(worst, ratio)
-        return worst
 
 
 @dataclass(frozen=True)
@@ -508,11 +490,6 @@ class ParametricStateModel:
         self._require_in_domain(theta - self.fd_step)
         self._require_in_domain(theta + self.fd_step)
 
-    def _difference(self, f: Callable[[float], np.ndarray], theta: float) -> np.ndarray:
-        """Central difference of f at theta with step ``fd_step``, inside the domain."""
-        self._require_stencil(theta)
-        return _central_difference(f, theta, self.fd_step)
-
     def rho_matrix(self, theta: float) -> np.ndarray:
         raise NotImplementedError
 
@@ -560,31 +537,25 @@ class ParametricStateModel:
     def rho(self, theta: float) -> DensityMatrix:
         return self.at(theta).rho
 
-    def drho(self, theta: float, force_fd: bool = False) -> HermitianMatrix:
-        """Derivative of rho(theta): the analytic one where the model has it.
+    def drho(self, theta: float) -> HermitianMatrix:
+        """Derivative of rho(theta): the point's drho, analytic where the model has it.
 
-        ``force_fd`` reads the central difference of rho on the stencil
-        theta +- fd_step instead, from the ``_drho_fd_stage`` of a grid of one.
+        The forced central difference of rho on the stencil theta +- fd_step
+        is the point's ``_drho_fd_stage`` layer, ``self.at(theta).layer(_drho_fd_stage)``.
         """
-        if not force_fd:
-            return self.at(theta).drho
-        return HermitianMatrix.of_checked(self.at(theta).layer(_drho_fd_stage)[0])
+        return self.at(theta).drho
 
-    def dsqrt_rho(self, theta: float, force_fd: bool = False) -> SqrtDerivative:
-        """Derivative of sqrt(rho(theta)).
+    def dsqrt_rho(self, theta: float) -> SqrtDerivative:
+        """Derivative of sqrt(rho(theta)): the point's square-root derivative.
 
-        Default route: the point's layer of its grid's eigenbasis solve of
+        It is the point's layer of its grid's eigenbasis solve of
         2 sqrt(rho) X + X 2 sqrt(rho) = 2 drho; if the right-hand side turns
         out inconsistent on a rank-deficient state, it falls back to the
-        central difference of the square root and flags it. ``force_fd``
-        reads that difference directly. Both differences are the
-        ``_dsqrt_fd_stage`` of the point's grid, which evaluates rho on the
+        central difference of the square root and flags it. That difference
+        is the point's ``_dsqrt_fd_stage`` layer, which evaluates rho on the
         stencil theta +- fd_step only, never at theta.
         """
-        if not force_fd:
-            return self.at(theta).dsqrt
-        x = self.at(theta).layer(_dsqrt_fd_stage)[0]
-        return SqrtDerivative(matrix=HermitianMatrix.of_checked(x), route="fd")
+        return self.at(theta).dsqrt
 
 
 class _StackedModel(ParametricStateModel):
@@ -783,9 +754,6 @@ class SpectralMixtureModel(_StackedModel):
         self._frame = frame
         self._dframe = dframe
 
-    def _raw_lambdas(self, theta: float) -> np.ndarray:
-        return np.asarray(self._lambdas(theta), dtype=float).reshape(-1)
-
     def _checked_lambdas(self, vals: np.ndarray, theta: float) -> np.ndarray:
         if vals.shape[0] != self.dim:
             raise DimensionError(f"{vals.shape[0]} weights for dim {self.dim}")
@@ -798,14 +766,11 @@ class SpectralMixtureModel(_StackedModel):
         return np.clip(vals, 0.0, 1.0)
 
     def lambdas_at(self, theta: float) -> np.ndarray:
-        return self._checked_lambdas(self._raw_lambdas(theta), theta)
+        return self._checked_lambdas(np.asarray(self._lambdas(theta), dtype=float).reshape(-1), theta)
 
     def dlambdas_at(self, theta: float) -> np.ndarray:
-        if self._dlambdas is not None:
-            vals = np.asarray(self._dlambdas(theta), dtype=float).reshape(-1)
-        else:
-            vals = self._difference(self._raw_lambdas, theta)
-        return _checked_dlambdas(vals)
+        """lambda' at theta: the point's layer of the derivative inputs, analytic or differenced."""
+        return self.at(theta).layer(_dinputs_stage)[0]
 
     def frame_at(self, theta: float) -> np.ndarray:
         u = np.asarray(self._frame(theta), dtype=complex)
@@ -819,21 +784,14 @@ class SpectralMixtureModel(_StackedModel):
     def projectors_at(self, theta: float) -> list[np.ndarray]:
         return list(_frame_projectors(self.frame_at(theta)))
 
-    def generator_at(self, theta: float, u: np.ndarray | None = None) -> np.ndarray:
-        """A = U^dagger dU with its diagonal zeroed; ``u`` passes in frame_at(theta).
+    def generator_at(self, theta: float) -> np.ndarray:
+        """A = U^dagger dU with its diagonal zeroed: the point's layer of the derivative inputs.
 
         Without an analytic frame derivative, column k off the diagonal is read
         from the differenced projectors as U^dagger dP_k u_k, which no column
         phase convention affects. Either way A is made exactly skew-Hermitian.
         """
-        u = (self.frame_at(theta) if u is None else u)[None]
-        if self._dframe is not None:
-            du = np.asarray(self._dframe(theta), dtype=complex)
-            return _generator_from_frames(u, du[None])[0]
-        self._require_stencil(theta)
-        h = self.fd_step
-        sides = np.array([[self.frame_at(theta + h), self.frame_at(theta - h)]])
-        return _generator_from_stencil(u, sides, h)[0]
+        return self.at(theta).layer(_dinputs_stage)[1]
 
     def dprojectors_at(self, theta: float) -> list[np.ndarray]:
         """dP_k = du_k u_k^dagger + u_k du_k^dagger.
@@ -845,7 +803,7 @@ class SpectralMixtureModel(_StackedModel):
         if self._dframe is not None:
             du = np.asarray(self._dframe(theta), dtype=complex)
         else:
-            du = u @ self.generator_at(theta, u)
+            du = u @ self.generator_at(theta)
         out = []
         for j in range(self.dim):
             d = np.outer(du[:, j], u[:, j].conj()) + np.outer(u[:, j], du[:, j].conj())
@@ -873,11 +831,11 @@ class SpectralMixtureModel(_StackedModel):
         else:
             a = _generator_from_stencil(u, _stencil_inputs(grid, 1), h)
         if self._dlambdas is not None:
-            dlam = np.array([self.dlambdas_at(t) for t in grid.thetas])
+            dlam = np.array([np.asarray(self._dlambdas(t), dtype=float).reshape(-1) for t in grid.thetas])
         else:
             dlam = _stencil_difference(_stencil_inputs(grid, 0), h)
-            for vals in dlam:
-                _checked_dlambdas(vals)
+        for vals in dlam:
+            _checked_dlambdas(vals)
         return dlam, a
 
     def _drho_stack(self, grid: StateGrid) -> np.ndarray:

@@ -43,8 +43,6 @@ from .hermitian import (
     solve_symmetric_product,
 )
 from .models import (
-    DEFAULT_FD_STEP,
-    PureFamily,
     StateGrid,
     StatePoint,
     _dinputs_stage,
@@ -139,21 +137,16 @@ def _pure_helstrom_traces(dp):
     return 2.0 * real_trace_product([dp, dp])
 
 
-def helstrom_info_pure(family: PureFamily, theta: float, h: float = DEFAULT_FD_STEP) -> float:
-    """Pure-state shortcut 2 tr{(drho)^2}; a family without dpsi differences with h."""
-    dp = family.projector_derivative(theta, h)
-    return _check_nonnegative(_pure_helstrom_traces(dp), "pure Helstrom information")
-
-
 def _pure_stage(grid: StateGrid) -> tuple:
     return (_pure_helstrom_traces(grid.stage(_dinputs_stage)[0]),)
 
 
 def _pure_helstrom_closed(pt: StatePoint) -> float:
-    """``helstrom_info_pure`` of a pure model's family, at the model's step.
+    """The pure-state shortcut 2 tr{(dP)^2} of a pure model, at the model's step.
 
     One stacked trace per grid, on the projector derivatives of the model's
     derivative inputs: the family's dpsi, or its states at theta +- fd_step.
+    It is the report's ``i_h_closed`` of a pure point.
     """
     return _check_nonnegative(float(pt.layer(_pure_stage)[0]), "pure Helstrom information")
 

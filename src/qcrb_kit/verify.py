@@ -67,8 +67,11 @@ from .models import (
     ParametricStateModel,
     StatePoint,
     _central_difference,
+    _dinputs_stage,
     _drho_fd_stage,
     _dsqrt_fd_stage,
+    _inputs_stage,
+    _projectors,
     builtin_models,
     random_spectral_model,
     rotation_mixture,
@@ -303,12 +306,13 @@ def _dsqrt_route_agreement(pt):
 def _mixture_components(pt):
     """p1, p2 = |psi1><psi1|, |psi2><psi2| and their derivatives dp1, dp2.
 
+    p1 and dp1 are the point's model inputs, as the closed forms read them;
     dp2 differences the canonical psi2, independently of psi1's derivative.
     """
     model, theta, h = pt.model, pt.theta, pt.model.fd_step
-    p1 = model.psi1.projector(theta)
+    p1 = _projectors(pt.layer(_inputs_stage)[1])
     p2 = model.psi2(theta).projector()
-    dp1 = model.psi1.projector_derivative(theta, h)
+    dp1 = pt.layer(_dinputs_stage)[1]
     dp2 = _central_difference(lambda t: model.psi2(t).projector(), theta, h)
     return p1, p2, dp1, dp2
 
@@ -346,8 +350,16 @@ def _spectral_identities(pt):
 
 
 def _check_weight_boundary_regularity(catalog, opts, points):
+    # max |w'| / min(sqrt(w), sqrt(1-w)) over each mixture's sample thetas,
+    # with the (w, w') the closed forms read: a proxy for w' vanishing faster
+    # than sqrt(w) and sqrt(1-w) near 0 and 1, an asymptotic condition of
+    # which only boundedness on the samples is checked
     for name, model in _models(catalog, kinds=("qubit_mixture",)):
-        yield model.weight.boundary_regularity_ratio(model.sample_thetas, model.fd_step), name
+        worst = 0.0
+        for theta in model.sample_thetas:
+            w, dw, _ = points.at(model, theta).cached(_qubit_ingredients)
+            worst = max(worst, abs(dw) / min(math.sqrt(w), math.sqrt(1.0 - w)))
+        yield worst, name
 
 
 # --- information checks -----------------------------------------------------

@@ -180,7 +180,8 @@ def _dsqrt_formula(model, theta):
 
 
 def _drho_formula(model, theta):
-    d = model._difference(model.rho_matrix, theta)
+    h = model.fd_step
+    d = (model.rho_matrix(theta + h) - model.rho_matrix(theta - h)) / (2.0 * h)
     return HermitianMatrix((d + d.conj().T) / 2.0).mat
 
 
@@ -206,7 +207,7 @@ def test_a_stencil_that_leaves_the_domain_fails_alone(stage):
         alone = model.at(pt.theta)
         if pt.theta in (thetas[0], thetas[2]):
             with pytest.raises(DomainError) as expected:
-                model._difference(model.rho_matrix, pt.theta)
+                model._require_stencil(pt.theta)
             for point in (pt, alone):
                 with pytest.raises(DomainError) as raised:
                     point.layer(stage)
@@ -481,6 +482,8 @@ def _assert_inputs_equal_the_formulas(model, thetas):
             assert _same(lam, _lambdas_formula(model, theta))
             assert _same(dlam, _dlambdas_formula(model, theta))
             assert _same(a, _generator_formula(model, theta))
+            # the per-theta accessors are the layers of a point of one
+            assert _same(model.dlambdas_at(theta), dlam)
             assert _same(model.generator_at(theta), a)
 
 
@@ -626,6 +629,23 @@ def test_a_stencil_side_that_fails_its_input_check_fails_only_its_point(case):
             assert _report_row(relation_report(pt)) == _report_row(relation_report(alone))
 
 
+def test_differenced_weights_just_below_zero_read_the_clipped_stencil():
+    # weights x, 1 - x with x(theta) = -5e-13 + 1e-8 (theta - 0.3) and no
+    # derivative: both stencil sides of 0.3 clip x to 0, so lambda' is 0, and
+    # dlambdas_at(0.3) is that layer rather than a difference of raw weights
+    base = random_spectral_model(5, 2)
+
+    def lambdas(t):
+        x = -5e-13 + 1e-8 * (t - 0.3)
+        return np.array([x, 1.0 - x])
+
+    model = SpectralMixtureModel(2, lambdas=lambdas, frame=base._frame, dframe=base._dframe)
+    dlam = next(model.grid([0.3, 0.6])).cached(_spectral_ingredients)[1]
+    assert _same(dlam, np.zeros(2))
+    assert _same(model.dlambdas_at(0.3), dlam)
+    assert _same(model.dlambdas_at(0.3), model.at(0.3).layer(_dinputs_stage)[0])
+
+
 class HalfAnalyticRotation(ParametricStateModel):
     """The rotation mixture of weight 0.7 as a custom model with a real ``rho_matrix``,
     whose analytic drho 0.4 d|psi><psi| exists only at theta <= 0."""
@@ -663,7 +683,7 @@ def test_a_drho_without_an_analytic_form_is_the_forced_difference(name):
         analytic = model._drho_analytic(pt.theta) if model.kind == "custom" else None
         if analytic is None:
             assert _same(pt.drho.mat, pt.layer(_drho_fd_stage)[0])
-            assert _same(pt.drho.mat, model.drho(pt.theta, force_fd=True).mat)
+            assert _same(pt.drho.mat, model.at(pt.theta).layer(_drho_fd_stage)[0])
         else:
             assert _same(pt.drho.mat, HermitianMatrix(analytic).mat)
 
@@ -903,5 +923,5 @@ def test_the_forced_differences_over_dimension_64_keep_the_block_budget():
     # differences read; the stencil's rho and its eigenvectors are not kept
     assert peak <= 12 * one_stack
     for theta, row in zip(thetas, rows):
-        dsqrt = model.dsqrt_rho(theta, force_fd=True).matrix.mat
-        assert row == (_digest(dsqrt), _digest(model.drho(theta, force_fd=True).mat))
+        alone = model.at(theta)
+        assert row == (_digest(alone.layer(_dsqrt_fd_stage)[0]), _digest(alone.layer(_drho_fd_stage)[0]))

@@ -2,6 +2,7 @@
 
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -38,67 +39,21 @@ def random_hermitian(rng, n):
     return (g + g.conj().T) / 2
 
 
-JACOBI_MAX_SWEEPS = 100
-JACOBI_OFF_FACTOR = 1e-14
+ORACLE_DPS = 50
 
 
-def _off_diag_norm(a):
-    return float(np.linalg.norm(a - np.diag(np.diag(a))))
+def mp_eigh(m):
+    """Reference eigendecomposition by mpmath's ``eighe`` at 50 digits, the oracle for ``eigh``.
 
-
-def jacobi_eigh(m):
-    """Reference eigendecomposition by cyclic Jacobi sweeps, the oracle for ``eigh``.
-
-    Each rotation zeroes one off-diagonal pair: the pivot's phase is
-    absorbed first, then a real Jacobi rotation is applied. Stops when the
-    off-diagonal Frobenius norm falls below 1e-14 * ||m||_F, capped at 100
-    sweeps. Eigenvalues come back ascending; eigenvector phases are fixed
-    deterministically (largest-magnitude component real positive).
+    Eigenvalues come back ascending, with their eigenvector columns; the
+    oracle compares projectors, so no phase convention is needed.
     """
-    a = (m + m.conj().T) / 2.0
-    n = a.shape[0]
-    u = np.eye(n, dtype=complex)
-    fnorm = float(np.linalg.norm(a))
-    thresh = JACOBI_OFF_FACTOR * fnorm
-    converged = n <= 1 or fnorm == 0.0 or _off_diag_norm(a) <= thresh
-    sweeps = 0
-    while not converged and sweeps < JACOBI_MAX_SWEEPS:
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                absq = abs(apq)
-                if absq == 0.0:
-                    continue
-                phase = apq / absq
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * absq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                jj = np.array(
-                    [[c, s], [-s * phase.conjugate(), c * phase.conjugate()]],
-                    dtype=complex,
-                )
-                a[[p, q], :] = jj.conj().T @ a[[p, q], :]
-                a[:, [p, q]] = a[:, [p, q]] @ jj
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-                u[:, [p, q]] = u[:, [p, q]] @ jj
-        sweeps += 1
-        converged = _off_diag_norm(a) <= thresh
-    if not converged:
-        raise EigenConvergenceError(
-            f"no convergence after {JACOBI_MAX_SWEEPS} sweeps: "
-            f"dim={n}, ||m||_F={fnorm:.3e}, off-diagonal={_off_diag_norm(a):.3e}, "
-            f"threshold={thresh:.3e}"
-        )
-    vals = np.diag(a).real.copy()
-    order = np.argsort(vals, kind="stable")
-    return SpectralDecomposition(vals[order], _fix_phases(u[:, order]))
+    with mpmath.workdps(ORACLE_DPS):
+        vals, vecs = mpmath.eighe(mpmath.matrix(((m + m.conj().T) / 2.0).tolist()))
+        lam = np.array([float(v) for v in vals])
+        u = np.array(vecs.tolist(), dtype=complex)
+    order = np.argsort(lam, kind="stable")
+    return SpectralDecomposition(lam[order], u[:, order])
 
 
 # --- construction ------------------------------------------------------------
@@ -251,10 +206,10 @@ def test_eigh_matches_lapack_eigenvalues():
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16])
 def test_eigh_matches_jacobi_reference(n):
     m = random_hermitian(np.random.default_rng(100 + n), n)
-    lapack, jacobi = eigh(m), jacobi_eigh(m)
+    lapack, reference = eigh(m), mp_eigh(m)
     scale = max(1.0, np.linalg.norm(m))
-    np.testing.assert_allclose(lapack.eigenvalues, jacobi.eigenvalues, atol=1e-12 * scale)
-    for a, b in zip(lapack.projectors(), jacobi.projectors()):
+    np.testing.assert_allclose(lapack.eigenvalues, reference.eigenvalues, atol=1e-12 * scale)
+    for a, b in zip(lapack.projectors(), reference.projectors()):
         assert np.linalg.norm(a - b) <= 1e-9
 
 
@@ -353,6 +308,25 @@ def test_eigh_reconstruction_property(seed, n):
     scale = max(1.0, np.linalg.norm(m))
     assert np.linalg.norm(dec.reconstruct() - m) <= 1e-10 * scale
     assert np.linalg.norm(dec.eigenvectors.conj().T @ dec.eigenvectors - np.eye(n)) <= 1e-10
+
+
+def test_projectors_and_reconstruction_of_a_stack_are_those_of_its_layers():
+    rng = np.random.default_rng(7)
+    stack = np.array([random_hermitian(rng, 3) for _ in range(2)])
+    dec = eigh(HermitianMatrix.of_checked(hermitian_part(stack)))
+    layers = [SpectralDecomposition(dec.eigenvalues[k], dec.eigenvectors[k]) for k in range(2)]
+    projs = dec.projectors()
+    assert len(projs) == 3 and all(p.shape == (2, 3, 3) for p in projs)
+    for k, layer in enumerate(layers):
+        assert [p[k].tobytes() for p in projs] == [p.tobytes() for p in layer.projectors()]
+        assert dec.reconstruct()[k].tobytes() == layer.reconstruct().tobytes()
+        # one matrix: the outer products and the product of its factors as before
+        u, lam = layer.eigenvectors, layer.eigenvalues
+        assert [p.tobytes() for p in layer.projectors()] == [
+            np.outer(u[:, j], u[:, j].conj()).tobytes() for j in range(3)
+        ]
+        assert layer.reconstruct().tobytes() == ((u * lam) @ u.conj().T).tobytes()
+        np.testing.assert_allclose(layer.reconstruct(), stack[k], atol=1e-12)
 
 
 # --- psd_sqrt ----------------------------------------------------------------

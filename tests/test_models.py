@@ -18,6 +18,8 @@ from qcrb_kit.models import (
     QubitMixtureModel,
     SpectralMixtureModel,
     WeightFunction,
+    _drho_fd_stage,
+    _dsqrt_fd_stage,
     _unitary_path,
     builtin_models,
     canonical_psi2,
@@ -32,6 +34,7 @@ from qcrb_kit.models import (
     rotation_mixture,
     sine_weight,
 )
+from qcrb_kit.quantum import _qubit_ingredients
 
 
 def rotation_drho(theta):
@@ -94,7 +97,7 @@ def test_drho_routes_agree_on_smooth_models():
         model = PureStateModel(random_pure_family(seed, 2))
         for theta in (-0.4, 0.2, 0.9):
             a = model.drho(theta).mat
-            b = model.drho(theta, force_fd=True).mat
+            b = model.at(theta).layer(_drho_fd_stage)[0]
             assert np.linalg.norm(a - b) <= 1e-7
 
 
@@ -119,7 +122,7 @@ def test_mixture_sqrt_derivative_closed_form():
     model = rotation_mixture(sine_weight(), domain=(-1.45, 1.45))
     theta = 0.4
     w = model.weight.value(theta)
-    dw = model.weight.slope(theta)
+    dw = model.weight.dw(theta)
     v1 = model.psi1.state(theta)
     p1 = np.outer(v1, v1.conj())
     p2 = np.eye(2) - p1
@@ -142,7 +145,7 @@ def test_dsqrt_routes_agree():
     for model in (rotation_mixture(0.8), random_spectral_model(13, 4)):
         for theta in (-0.3, 0.5):
             a = model.dsqrt_rho(theta).matrix.mat
-            b = model.dsqrt_rho(theta, force_fd=True).matrix.mat
+            b = model.at(theta).layer(_dsqrt_fd_stage)[0]
             assert np.linalg.norm(a - b) <= 1e-6 * max(1.0, np.linalg.norm(a))
 
 
@@ -219,8 +222,13 @@ def test_complement_projector_identities():
 
 
 def test_weight_boundary_regularity_ratio_bounded():
-    grid = np.linspace(-1.4, 1.4, 21)
-    assert sine_weight().boundary_regularity_ratio(grid) <= 2.0
+    # max |w'| / min(sqrt(w), sqrt(1-w)) over the (w, w') the closed forms read
+    model = rotation_mixture(sine_weight(), domain=(-1.45, 1.45))
+    worst = 0.0
+    for pt in model.grid(np.linspace(-1.4, 1.4, 21)):
+        w, dw, _ = pt.cached(_qubit_ingredients)
+        worst = max(worst, abs(dw) / min(math.sqrt(w), math.sqrt(1.0 - w)))
+    assert worst <= 2.0
 
 
 # --- spectral models ---------------------------------------------------------------

@@ -17,6 +17,8 @@ from qcrb_kit.models import (
     PureStateModel,
     SpectralMixtureModel,
     WeightFunction,
+    _drho_fd_stage,
+    _dsqrt_fd_stage,
     complex_rotation_family,
     fixed_spectrum_model,
     qubit_mixture_as_spectral,
@@ -30,7 +32,6 @@ from qcrb_kit.quantum import (
     alpha_beta,
     gamma_qubit_closed,
     gamma_spectral,
-    helstrom_info_pure,
     helstrom_info_qubit_closed,
     helstrom_info_sld,
     helstrom_info_spectral,
@@ -112,7 +113,7 @@ def test_sld_rejects_inconsistent_rank_deficiency():
 def test_helstrom_rotation_family_is_four():
     model = PureStateModel(rotation_family())
     assert helstrom_info_sld(model.at(0.3)) == pytest.approx(4.0, abs=1e-10)
-    assert helstrom_info_pure(model.family, 0.3, model.fd_step) == pytest.approx(4.0, abs=1e-12)
+    assert relation_report(model.at(0.3)).i_h_closed == pytest.approx(4.0, abs=1e-12)
 
 
 def test_pure_closed_form_differences_with_the_models_step():
@@ -146,7 +147,7 @@ def test_helstrom_mixture_closed_form_value():
 def test_helstrom_pure_routes_agree_for_complex_family():
     model = PureStateModel(complex_rotation_family())
     for theta in (0.25, 1.0):
-        a = helstrom_info_pure(model.family, theta, model.fd_step)
+        a = relation_report(model.at(theta)).i_h_closed
         b = helstrom_info_sld(model.at(theta))
         assert abs(a - b) / b <= 1e-8
 
@@ -426,7 +427,7 @@ def test_generator_drho_matches_the_difference_without_projector_lists(n, monkey
     model = random_spectral_model(80 + n, n)
     for theta in (-0.7, 0.5):
         analytic = model.drho(theta).mat
-        fd = model.drho(theta, force_fd=True).mat
+        fd = model.at(theta).layer(_drho_fd_stage)[0]
         assert np.linalg.norm(analytic - fd) <= 1e-7 * max(1.0, np.linalg.norm(fd))
     assert not calls
 
@@ -526,8 +527,8 @@ def test_skew_information_reads_the_fd_fallback_in_a_grid_and_alone():
     model = NearlySingularModel()
     for pt in list(model.grid([-0.4, 0.2, 0.7])) + [model.at(0.2)]:
         assert relation_report(pt).diagnostics["fd_fallback"] is True
-        fd = model.dsqrt_rho(pt.theta, force_fd=True).matrix
-        assert pt.dsqrt.matrix.mat.tobytes() == fd.mat.tobytes()
+        fd = model.at(pt.theta).layer(_dsqrt_fd_stage)[0]
+        assert pt.dsqrt.matrix.mat.tobytes() == fd.tobytes()
         assert wy_info_generic(pt) == 4.0 * real_trace_product([fd, fd])
 
 

@@ -53,13 +53,13 @@ class CountingMixture(QubitMixtureModel):
         self.counts["rho"] += 1
         return super().rho(theta)
 
-    def drho(self, theta, force_fd=False):
+    def drho(self, theta):
         self.counts["drho"] += 1
-        return super().drho(theta, force_fd)
+        return super().drho(theta)
 
-    def dsqrt_rho(self, theta, force_fd=False):
+    def dsqrt_rho(self, theta):
         self.counts["dsqrt_rho"] += 1
-        return super().dsqrt_rho(theta, force_fd)
+        return super().dsqrt_rho(theta)
 
 
 def each_input(times: int) -> dict:
@@ -169,11 +169,12 @@ def test_point_carries_its_step():
 def test_forced_difference_evaluates_rho_only_on_its_stencil(monkeypatch):
     stages = counting_stages(monkeypatch)
     model = CountingMixture()
-    assert model.dsqrt_rho(0.3, force_fd=True).route == "fd"
+    (x,) = model.at(0.3).layer(models._dsqrt_fd_stage)
+    assert x.shape == (2, 2)
     # theta +- h on one stencil grid: one stacked evaluation of the value
     # inputs and one eigh of rho, which the stencil grid does not keep as a
     # rho stage; no model.rho call and no derivative input
-    assert model.counts == {"dsqrt_rho": 1, "psi": 2, "w": 2}
+    assert model.counts == {"psi": 2, "w": 2}
     assert stages == {"_inputs_stage": 1, "eigh": 1}
 
 
@@ -280,7 +281,7 @@ def test_spectral_row_evaluates_the_spectral_ingredients_once(tmp_path, monkeypa
     # per row: one ingredient set, and each callable and its checks once; rho,
     # drho and the ingredients read the generator of one stacked formula
     assert counts == {
-        "_spectral_ingredients": 3, "lambdas_at": 3, "dlambdas_at": 3, "frame_at": 3,
+        "_spectral_ingredients": 3, "lambdas_at": 3, "frame_at": 3,
         "_lambdas": 3, "_dlambdas": 3, "_frame": 3, "_dframe": 3,
     }
 
@@ -290,8 +291,7 @@ def test_qubit_row_evaluates_the_qubit_ingredients_once(tmp_path, monkeypatch, c
     counting(monkeypatch, quantum, "_qubit_ingredients", counts)
     for name in ("state", "velocity", "projector", "projector_derivative"):
         counting(monkeypatch, PureFamily, name, counts)
-    for name in ("value", "slope"):
-        counting(monkeypatch, WeightFunction, name, counts)
+    counting(monkeypatch, WeightFunction, "value", counts)
     cfg = tmp_path / "model.json"
     cfg.write_text(json.dumps({
         "kind": "qubit_mixture", "psi1": {"name": "rotation"},

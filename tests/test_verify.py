@@ -11,7 +11,13 @@ import pytest
 from qcrb_kit import hermitian, models, quantum, verify
 from qcrb_kit.errors import DomainError
 from qcrb_kit.hermitian import SpectralDecomposition
-from qcrb_kit.models import ParametricStateModel, builtin_models
+from qcrb_kit.models import (
+    ParametricStateModel,
+    QubitMixtureModel,
+    WeightFunction,
+    builtin_models,
+    rotation_family,
+)
 from qcrb_kit.verify import CheckResult, VerifyOptions, all_passed, check_names, run_suite
 
 
@@ -148,7 +154,7 @@ def test_fd_step_reaches_the_catalog_models(clean_results):
 def test_fd_step_reaches_every_difference_in_the_suite(monkeypatch):
     # verify --fd-step h: every central difference of the run steps by h,
     # the suite's own family-level differences and the differenced weight of
-    # mixture-w0.7-fd (the one scalar difference) included
+    # mixture-w0.7-fd (stacked over its 5 sample thetas) included
     steps, shapes = set(), set()
     original = models._central_difference
 
@@ -162,9 +168,23 @@ def test_fd_step_reaches_every_difference_in_the_suite(monkeypatch):
     monkeypatch.setattr(verify, "_central_difference", recording)
     run_suite(options=VerifyOptions(fd_step=1e-3))
     assert steps == {1e-3}
-    assert () in shapes
+    assert (5,) in shapes
     # the forced square-root differences: one stacked (T, n, n) rule per grid
     assert any(len(shape) == 3 for shape in shapes)
+
+
+def test_weight_boundary_regularity_reads_the_weight_slope_of_the_closed_forms():
+    # w = theta without a slope, sampled at 1 - h/2: the weight is valid
+    # there, but its stencil side 1 + h/2 is not, so the closed forms have no
+    # w' and the check records their error instead of a ratio
+    edge = 1.0 - 0.5 * models.DEFAULT_FD_STEP
+    model = QubitMixtureModel(rotation_family(), WeightFunction(w=lambda t: t), sample_thetas=(0.5, edge))
+    with pytest.raises(DomainError) as raised:
+        quantum.helstrom_info_qubit_closed(model.at(edge))
+    expected = f"DomainError: {raised.value}"
+    assert expected == "DomainError: weight 1.000005 at theta=1.000005 outside (0, 1)"
+    row = {r.name: r for r in run_suite({"weight-theta": model})}["weight-boundary-regularity"]
+    assert (row.passed, row.residual, row.error) == (False, None, expected)
 
 
 def test_one_suite_run_evaluates_each_closed_form_once_per_point(monkeypatch):
