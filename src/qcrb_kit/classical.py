@@ -5,7 +5,7 @@ classical Fisher information of the outcome distribution is summed over
 the support and compared against the Helstrom bound. Outcome spaces are
 finite: the measure-theoretic integral over outcomes is realized as a sum.
 The state functions take ``(point, povm)``, the point a ``StatePoint``
-(``model.at(theta)``), and read its rho and drho.
+(``model.at(theta)``), and read its grid's stacked rho and drho.
 
 A measurement set is a unit of evaluation, as a theta grid is. Random
 measurements are drawn as a set (``random_povms``): each keeps its own
@@ -18,8 +18,8 @@ and normalization checks, the clip at 0 and the support mask to each
 measurement's slice of the (T, K) array; ``_scores_stage`` does the same
 product with the stacked drho, and ``_fisher_stage`` applies the
 score-blowup rule and sums each measurement's slice at every theta.
-``classical_fishers`` reads a point's row of it; ``classical_fisher`` and
-``outcome_probs`` (and so ``bound_check``) are the set of one. Every
+``classical_fishers`` reads a point's row of it; ``classical_fisher``,
+``outcome_probs`` and ``outcome_scores`` are the set of one. Every
 member of a set gets the bits it gets alone, and a set that fails is read
 again one member at a time, in order, so that its error is the one the
 first failing member raises alone.
@@ -236,12 +236,14 @@ def outcome_probs(pt: StatePoint, povm: Povm) -> OutcomeDistribution:
 
 
 def outcome_scores(pt: StatePoint, povm: Povm) -> np.ndarray:
-    """Per-outcome derivatives tr{drho m_x}; they sum to 0."""
-    return real_traces_against(pt.drho, povm.stack)
+    """Per-outcome derivatives tr{drho m_x}, which sum to 0: the ``_scores_stage`` of the set of one."""
+    return pt.layer(_scores_stage, (povm,))[0]
 
 
 def _scores_stage(grid: StateGrid, povms: tuple[Povm, ...]) -> tuple:
-    return (real_traces_against(grid.drho_stack(), _effects_of(povms)),)
+    scores = real_traces_against(grid.drho_stack(), _effects_of(povms))
+    scores.flags.writeable = False  # every outcome_scores of the grid's points shares it
+    return (scores,)
 
 
 def _fisher_stage(grid: StateGrid, povms: tuple[Povm, ...]) -> tuple:
@@ -285,11 +287,10 @@ def classical_fishers(pt: StatePoint, povms) -> list:
 def classical_fisher(pt: StatePoint, povm: Povm) -> float:
     """sum over the support of (tr{drho m_x})^2 / p_x: ``classical_fishers`` of the set of one.
 
-    The probabilities (those of ``outcome_probs``) and the scores are the
-    point's layers of its grid's stacked trace rule; the scores have the
-    same bits as ``outcome_scores``. An outcome with vanishing probability
-    but non-vanishing score makes the score function blow up and raises
-    SupportRegularityError.
+    The probabilities and the scores are the point's layers of its grid's
+    stacked trace rule, those of ``outcome_probs`` and ``outcome_scores``.
+    An outcome with vanishing probability but non-vanishing score makes the
+    score function blow up and raises SupportRegularityError.
     """
     return pt.layer(_fisher_stage, (povm,))[0][0]
 

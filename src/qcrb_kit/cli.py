@@ -381,7 +381,8 @@ def cmd_sweep_spectrum(args) -> int:
         raise ConfigError(f"--start-spectrum: {exc}") from exc
     if start.size < 2:
         raise DomainError("--start-spectrum needs at least two eigenvalue weights")
-    if np.any(start < 0.0) or abs(float(np.sum(start)) - 1.0) > LAMBDA_SUM_ATOL:
+    # written so that a NaN weight fails it
+    if not (np.all(start >= 0.0) and abs(float(np.sum(start)) - 1.0) <= LAMBDA_SUM_ATOL):
         raise DomainError(f"--start-spectrum must be a distribution, got {args.start_spectrum}")
     n = start.size
     uniform = np.full(n, 1.0 / n)

@@ -261,8 +261,10 @@ def povm_from_config(cfg: dict) -> Povm:
         mats = []
         for i, rows in enumerate(raw):
             where = f"povm.effects[{i}]"
-            if not isinstance(rows, (list, tuple)):
+            if not isinstance(rows, (list, tuple)) or not all(isinstance(row, (list, tuple)) for row in rows):
                 raise ConfigError(f"{where}: expected a matrix (list of rows)")
+            if len({len(row) for row in rows}) > 1:
+                raise ConfigError(f"{where}: rows of unequal length")
             mat = [
                 [_complex_entry(v, f"{where}[{r}][{c}]") for c, v in enumerate(row)]
                 for r, row in enumerate(rows)

@@ -6,16 +6,16 @@ immutable after construction; evaluation is pure.
 
 A theta grid is the unit of evaluation. ``model.grid(thetas)`` yields one
 ``StatePoint`` per theta, each a view into one layer of a ``StateGrid``;
-``model.at(theta)`` is a grid of one. A built-in model reads its inputs
-(the callables it wraps: psi and dpsi, the weight w and dw, the eigenvalue
-weights and the frame with their derivatives) once per theta of a grid, in
-two stages: ``_inputs_stage`` holds the value inputs, all that rho reads,
-and ``_dinputs_stage`` the derivative inputs. rho, drho and the closed-form
-ingredients of ``quantum`` are stacked numpy formulas over those (T, ...)
-arrays; a custom model's ``rho_matrix`` and ``_drho_analytic`` run once per
-theta instead, and are stacked. The validation, the eigendecomposition and
-the square-root solve (and, in ``quantum``, the SLD solve) each run once
-per grid on the (T, n, n) stack. Long grids are cut into blocks of
+``model.at(theta)`` is a grid of one. Every model reads its inputs once per
+theta of a grid, in two stages: ``_inputs_stage`` holds the value inputs,
+all that rho reads, and ``_dinputs_stage`` the derivative inputs. A
+built-in model's inputs are the callables it wraps (psi and dpsi, the
+weight w and dw, the eigenvalue weights and the frame with their
+derivatives); a custom model's are ``rho_matrix`` and ``_drho_analytic``.
+rho, drho and the closed-form ingredients of ``quantum`` are stacked numpy
+formulas over those (T, ...) arrays. The validation, the eigendecomposition
+and the square-root solve (and, in ``quantum``, the SLD solve) each run
+once per grid on the (T, n, n) stack. Long grids are cut into blocks of
 ``GRID_BLOCK_ENTRIES`` matrix entries.
 
 The finite differences that stand in for a derivative are grid stages as
@@ -28,18 +28,18 @@ analytic derivative is differenced from those value inputs
 rho: it is the forced difference, and the drho of a spectral model without
 both derivatives and of a custom model wherever ``_drho_analytic`` is None.
 ``_dsqrt_fd_stage`` differences their square roots, with one
-eigendecomposition per stencil grid. So a built-in model reads each stencil
-side once per grid (a custom model calls ``rho_matrix`` there). A forced
-difference is a point's layer of one of these stages, and so is the
-square-root solve's rank-deficient fallback: ``_dsqrt_route_stage`` holds
-the solve's result, or on an inconsistent point the difference, and every
-reader of a point's square-root derivative reads that one layer.
+eigendecomposition per stencil grid. So every model reads each stencil
+side once per grid. A forced difference is a point's layer of one of
+these stages, and so is the square-root solve's rank-deficient fallback:
+``_dsqrt_route_stage`` holds the solve's result, or on an inconsistent
+point the difference, and every reader of a point's square-root
+derivative reads that one layer.
 
-The point is the only per-theta route to a model's derivatives:
-``drho``, ``dsqrt_rho``, ``dlambdas_at`` and ``generator_at`` read the
-layers of ``model.at(theta)``, so they equal what the grid's closed forms
-read, bit for bit. Only a pure family's ``projector_derivative`` and
-``canonical_psi2``, which belong to no model, take a step of their own.
+The point is the only per-theta route to a model's inputs: ``drho``,
+``dsqrt_rho``, ``dlambdas_at``, ``generator_at``, ``projectors_at`` and
+``dprojectors_at`` read the layers of ``model.at(theta)``, bit for bit.
+Only a pure family's ``projector_derivative`` and ``canonical_psi2``, which
+belong to no model, take a step of their own.
 """
 
 from __future__ import annotations
@@ -171,8 +171,8 @@ class StateGrid:
     """One model at a block of thetas, whose stages each run once for the whole block.
 
     A stage is a function ``fn(grid, *args)`` that returns a tuple of
-    arrays with one layer per theta. Here they are a built-in model's value
-    and derivative inputs, rho with its eigendecomposition, drho, the
+    arrays with one layer per theta. Here they are the model's value and
+    derivative inputs, rho with its eigendecomposition, drho, the
     square-root derivative with its route, and the forced differences. In
     ``quantum`` they are the SLD and the scalars its routes read per theta:
     tr{rho L^2}, 4 tr{[(sqrt rho)']^2}, a pure model's 2 tr{(dP)^2}, and a
@@ -313,12 +313,12 @@ def _domain_checked(grid: StateGrid) -> ParametricStateModel:
 
 
 def _inputs_stage(grid: StateGrid) -> tuple:
-    """The value inputs of a built-in model at every theta: all that rho reads."""
+    """The value inputs of the model at every theta: all that rho reads."""
     return _domain_checked(grid)._inputs(grid.thetas)
 
 
 def _dinputs_stage(grid: StateGrid) -> tuple:
-    """The derivative inputs of a built-in model at every theta, analytic or differenced."""
+    """The derivative inputs of the model at every theta, analytic or differenced."""
     return _domain_checked(grid)._derivative_inputs(grid)
 
 
@@ -439,13 +439,14 @@ def _checked_step(fd_step: float) -> float:
 class ParametricStateModel:
     """Base class: map theta to a density matrix, with derivative access.
 
-    A custom model implements ``rho_matrix`` and may provide an analytic
-    derivative in ``_drho_analytic``; otherwise a central difference with
-    ``fd_step``, the one step all its derivatives use. A grid calls them once
-    per theta (``_rho_stack`` and ``_drho_stack``) and stacks the results.
-    The built-in kinds (pure, qubit mixture, spectral) instead build rho and
-    drho as stacked formulas over their inputs, which a grid reads once per
-    theta (see ``_StackedModel``). ``domain`` is a closed interval of
+    A model reads its value inputs at each theta (``_inputs``), maps them to
+    the (T, n, n) stack of rho (``_rho_formula``), and reads its derivative
+    inputs, analytic or differenced (``_derivative_inputs``); a grid runs the
+    readers once each, as ``_inputs_stage`` and ``_dinputs_stage``. A custom
+    model's one value input is ``rho_matrix`` (the formula is the identity),
+    and its one derivative input ``_drho_analytic``, or where that is None
+    the central difference of rho with ``fd_step`` (``_drho_fd_stage``), the
+    one step all its derivatives use. ``domain`` is a closed interval of
     admissible theta.
     """
 
@@ -497,17 +498,28 @@ class ParametricStateModel:
         """Structured derivative; any differenced ingredient uses ``fd_step``."""
         return None
 
-    def _rho_stack(self, grid: StateGrid) -> np.ndarray:
-        """rho at every theta of ``grid``, as one (T, n, n) array: ``rho_matrix`` per theta."""
-        return square_stack([self.rho_matrix(theta) for theta in grid.thetas])
+    def _inputs(self, thetas) -> tuple:
+        """(rho,): ``rho_matrix`` at each theta, stacked."""
+        return (square_stack([self.rho_matrix(theta) for theta in thetas]),)
 
-    def _drho_stack(self, grid: StateGrid) -> np.ndarray:
-        """drho at every theta of ``grid``: ``_drho_analytic``, or where it is None the ``_drho_fd_stage``."""
+    def _rho_formula(self, rho: np.ndarray) -> np.ndarray:
+        return rho
+
+    def _derivative_inputs(self, grid: StateGrid) -> tuple:
+        """(drho,): ``_drho_analytic`` at each theta, or where it is None the ``_drho_fd_stage``."""
         ds = [self._drho_analytic(theta) for theta in grid.thetas]
         if any(d is None for d in ds):
             fd = grid.stage(_drho_fd_stage)[0]
             ds = [fd[k] if d is None else d for k, d in enumerate(ds)]
-        return square_stack(ds)
+        return (square_stack(ds),)
+
+    def _rho_stack(self, grid: StateGrid) -> np.ndarray:
+        """rho at every theta of ``grid``, as one (T, n, n) array: the formula over its value inputs."""
+        return self._rho_formula(*grid.stage(_inputs_stage))
+
+    def _drho_stack(self, grid: StateGrid) -> np.ndarray:
+        """drho at every theta of ``grid``: here the one derivative input."""
+        return grid.stage(_dinputs_stage)[0]
 
     @property
     def has_analytic_derivative(self) -> bool:
@@ -559,25 +571,14 @@ class ParametricStateModel:
 
 
 class _StackedModel(ParametricStateModel):
-    """A built-in kind: rho and drho are stacked formulas over the model's inputs.
+    """A built-in kind: its inputs are the callables it wraps, read with their checks.
 
-    A kind implements ``_inputs(thetas)``, which reads the value inputs at
-    each theta (the callables the model wraps, with their checks);
-    ``_rho_formula(*inputs)``, which maps them to the (T, n, n) stack of rho;
-    ``_derivative_inputs(grid)``, which reads the derivative inputs,
-    analytic or differenced from the stencil grids' value inputs
-    (``_stencil_inputs``); and ``_drho_stack``, which combines both. A grid
-    runs the two readers as the stages ``_inputs_stage`` and
-    ``_dinputs_stage``, so each callable runs once per theta and once per
-    stencil side, and the closed-form ingredients in ``quantum`` read the
-    same stages. ``rho_matrix(theta)`` is the formula at one theta.
+    A differenced input reads the stencil grids' value inputs
+    (``_stencil_inputs``). ``rho_matrix(theta)`` is the formula at one theta.
     """
 
     def rho_matrix(self, theta: float) -> np.ndarray:
         return self._rho_formula(*self._inputs((theta,)))[0]
-
-    def _rho_stack(self, grid: StateGrid) -> np.ndarray:
-        return self._rho_formula(*grid.stage(_inputs_stage))
 
 
 def _family_dprojectors(grid: StateGrid, family: PureFamily, index: int) -> np.ndarray:
@@ -610,9 +611,6 @@ class PureStateModel(_StackedModel):
     def _derivative_inputs(self, grid: StateGrid) -> tuple:
         """(dP,): the projector derivative, which is drho and what the closed form reads."""
         return (_family_dprojectors(grid, self.family, 0),)
-
-    def _drho_stack(self, grid: StateGrid) -> np.ndarray:
-        return grid.stage(_dinputs_stage)[0]
 
     @property
     def has_analytic_derivative(self) -> bool:
@@ -782,33 +780,17 @@ class SpectralMixtureModel(_StackedModel):
         return u
 
     def projectors_at(self, theta: float) -> list[np.ndarray]:
-        return list(_frame_projectors(self.frame_at(theta)))
+        """P_k = u_k u_k^dagger of each column of the point's frame, as ``_spectral_projectors`` builds them."""
+        return list(_frame_projectors(self.at(theta).layer(_inputs_stage)[1]))
 
     def generator_at(self, theta: float) -> np.ndarray:
-        """A = U^dagger dU with its diagonal zeroed: the point's layer of the derivative inputs.
-
-        Without an analytic frame derivative, column k off the diagonal is read
-        from the differenced projectors as U^dagger dP_k u_k, which no column
-        phase convention affects. Either way A is made exactly skew-Hermitian.
-        """
+        """A = U^dagger dU, skew-Hermitian with its diagonal zeroed: the point's layer of the
+        derivative inputs (``_generator_from_stencil`` without an analytic frame derivative)."""
         return self.at(theta).layer(_dinputs_stage)[1]
 
     def dprojectors_at(self, theta: float) -> list[np.ndarray]:
-        """dP_k = du_k u_k^dagger + u_k du_k^dagger.
-
-        Without an analytic frame derivative du = U A, so the differenced
-        projectors are replaced by their projection onto the form above.
-        """
-        u = self.frame_at(theta)
-        if self._dframe is not None:
-            du = np.asarray(self._dframe(theta), dtype=complex)
-        else:
-            du = u @ self.generator_at(theta)
-        out = []
-        for j in range(self.dim):
-            d = np.outer(du[:, j], u[:, j].conj()) + np.outer(u[:, j], du[:, j].conj())
-            out.append((d + d.conj().T) / 2.0)
-        return out
+        """dP_k = du_k u_k^dagger + u_k du_k^dagger: the derivatives of ``_spectral_projectors``."""
+        return list(_spectral_projectors(self.at(theta))[1])
 
     def _inputs(self, thetas) -> tuple:
         """(lambda, U) at each theta: the checked weights and the checked frame."""
@@ -852,6 +834,21 @@ class SpectralMixtureModel(_StackedModel):
     @property
     def has_analytic_derivative(self) -> bool:
         return self._dlambdas is not None and self._dframe is not None
+
+
+def _spectral_projectors(pt: StatePoint) -> tuple[np.ndarray, np.ndarray]:
+    """(P, dP): a spectral model's frame projectors at a point and their derivatives, each (n, n, n).
+
+    U is the point's value input; du is the raw ``dframe``, so that one whose
+    U^dagger dU is not skew shows in the projector identities, or else U A
+    from the point's derivative inputs.
+    """
+    model, u = pt.model, pt.layer(_inputs_stage)[1]
+    if model._dframe is not None:
+        du = np.asarray(model._dframe(pt.theta), dtype=complex)
+    else:
+        du = u @ pt.layer(_dinputs_stage)[1]
+    return _frame_projectors(u), _projector_derivatives(u.T, du.T)
 
 
 def canonical_psi2(psi1: PureFamily, theta: float, h: float = DEFAULT_FD_STEP) -> UnitVector:

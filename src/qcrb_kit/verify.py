@@ -72,6 +72,7 @@ from .models import (
     _dsqrt_fd_stage,
     _inputs_stage,
     _projectors,
+    _spectral_projectors,
     builtin_models,
     random_spectral_model,
     rotation_mixture,
@@ -335,10 +336,8 @@ def _orthogonal_trace_identities(pt):
 
 
 def _spectral_identities(pt):
-    model, theta = pt.model, pt.theta
-    projs = model.projectors_at(theta)
-    dprojs = model.dprojectors_at(theta)
-    n = model.dim
+    projs, dprojs = _spectral_projectors(pt)
+    n = len(projs)
     dev = float(np.linalg.norm(sum(dprojs)))
     for l in range(n):
         dev = max(dev, abs(trace_product([projs[l], dprojs[l], projs[l], dprojs[l]])))

@@ -239,7 +239,9 @@ def test_outcome_rules_match_the_per_effect_traces_bitwise(model, povm):
 
 def test_outcome_scores_gate_an_imaginary_residue():
     povm = Povm([[[0.5, -0.5j], [0.5j, 0.5]], [[0.5, 0.5j], [-0.5j, 0.5]]])
-    skewed = SimpleNamespace(drho=np.array([[0.0, 1.0], [0.0, 0.0]]))  # not Hermitian
+    # a point whose grid holds a drho that is not Hermitian, read as a layer of its stage
+    grid = SimpleNamespace(drho_stack=lambda: np.array([[[0.0, 1.0], [0.0, 0.0]]]))
+    skewed = SimpleNamespace(layer=lambda fn, *args: tuple(a[0] for a in fn(grid, *args)))
     with pytest.raises(ValueError, match=r"^trace has imaginary residue 5\.000e-01 > 1e-10$"):
         outcome_scores(skewed, povm)
 

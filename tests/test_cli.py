@@ -274,6 +274,22 @@ def test_a_non_numeric_povm_entry_exits_one_without_traceback(
 
 
 @pytest.mark.parametrize("command", ["compute", "simulate"])
+@pytest.mark.parametrize("effects, where", [
+    ([[[1, 0], [0]], [[0, 0], [0, 1]]], "povm.effects[0]: rows of unequal length"),
+    ([[[1, 0], 5], [[0, 0], [0, 1]]], "povm.effects[0]: expected a matrix (list of rows)"),
+], ids=["ragged", "row-not-a-list"])
+def test_a_malformed_povm_matrix_exits_one_without_traceback(
+    model_paths, tmp_path, capsys, command, effects, where
+):
+    povm = tmp_path / "odd_povm.json"
+    povm.write_text(json.dumps({"kind": "explicit", "effects": effects}))
+    code, out, err = run_cli([command, "--model", model_paths["pure"], "--povm", povm], capsys)
+    assert code == EXIT_CONFIG
+    assert err.strip() == f"error: {where}"
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", ["compute", "simulate"])
 @pytest.mark.parametrize("fields, argv, step", [
     ({"fd_step": 0.001}, [], "0.001"),
     ({"fd_step": 0.001}, ["--fd-step", "2e-4"], "0.0002"),
@@ -498,6 +514,16 @@ def test_sweep_spectrum_two_dims_reproduces_weight_sweep(capsys):
 def test_sweep_spectrum_invalid_spectrum_rejected(capsys):
     code, _, _ = run_cli(["sweep-spectrum", "--start-spectrum", "0.7,0.7"], capsys)
     assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("spectrum", ["nan,0.5", "0.5,nan,0.5"])
+def test_a_nan_start_spectrum_is_a_domain_error(capsys, spectrum):
+    code, out, err = run_cli(["sweep-spectrum", "--start-spectrum", spectrum], capsys)
+    assert code == EXIT_CONFIG
+    assert err.strip().splitlines()[-1] == (
+        f"error: DomainError: --start-spectrum must be a distribution, got {spectrum}"
+    )
+    assert out == ""
 
 
 # --- verify ----------------------------------------------------------------------

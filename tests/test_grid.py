@@ -30,6 +30,7 @@ from qcrb_kit.hermitian import (
     real_trace_product,
     real_traces_against,
     solve_symmetric_product,
+    square_stack,
     trace_product,
 )
 from qcrb_kit.classical import (
@@ -327,11 +328,14 @@ def test_a_negative_probability_fails_alone_with_its_own_text():
 class ClippedRhoMixture(QubitMixtureModel):
     """A rotation mixture whose weight theta leaves (0, 1) past 1, while rho clips it:
     the state and its derivative are valid everywhere, and only the weight's readers
-    fail there. Its rho and drho are the base model's per-theta loops (``rho_matrix``,
-    and its central difference), which read no weight input."""
+    fail there. Its rho is ``rho_matrix`` per theta and its drho the central difference
+    of that rho, ``_drho_fd_stage``: neither reads a weight input."""
 
-    _rho_stack = ParametricStateModel._rho_stack
-    _drho_stack = ParametricStateModel._drho_stack
+    def _rho_stack(self, grid):
+        return square_stack([self.rho_matrix(theta) for theta in grid.thetas])
+
+    def _drho_stack(self, grid):
+        return grid.stage(_drho_fd_stage)[0]
 
     def __init__(self):
         super().__init__(rotation_family(), WeightFunction(w=lambda t: t, dw=lambda t: 1.0))
@@ -704,30 +708,65 @@ FULLY_DIFFERENCED = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(FULLY_DIFFERENCED))
-def test_the_closed_forms_of_a_differenced_model_read_no_route_stage(name, monkeypatch):
-    # a differenced input reads the stencil grids' value inputs, as the
-    # forced differences do, but no closed form reads rho, drho, a square
-    # root, a forced difference or the SLD
+# what the closed forms read beyond the model's input stages: their ingredient
+# stages, and the pure closed form itself
+CLOSED_FORM_STAGES = {
+    quantum: ("_qubit_stage", "_pure_stage", "_spectral_ingredients", "_qubit_ingredients",
+              "_pure_helstrom_closed"),
+}
+CATALOG = tuple(builtin_models())
+
+
+def _poison(monkeypatch, stages: dict, reader: str) -> None:
+    """Make each named stage raise "<reader> ran <stage>", wherever models or quantum hold it."""
     def poisoned(stage):
-        def raising(grid, *args):
-            raise AssertionError(f"a closed form ran {stage}")
+        def raising(*args):
+            raise AssertionError(f"{reader} ran {stage}")
         return raising
 
-    for module, names in ROUTE_STAGES.items():
+    for module, names in stages.items():
         for stage in names:
             original = getattr(module, stage)
             for other in (models, quantum):
                 if getattr(other, stage, None) is original:
                     monkeypatch.setattr(other, stage, poisoned(stage))
-    model = FULLY_DIFFERENCED[name]()
+
+
+@pytest.mark.parametrize("name", [*sorted(FULLY_DIFFERENCED), *CATALOG])
+def test_the_closed_forms_of_a_differenced_model_read_no_route_stage(name, monkeypatch):
+    # a differenced input reads the stencil grids' value inputs, as the
+    # forced differences do, but no closed form reads rho, drho, a square
+    # root, a forced difference or the SLD; nor does one of a catalog model,
+    # at each of its sample thetas
+    _poison(monkeypatch, ROUTE_STAGES, "a closed form")
+    if name in FULLY_DIFFERENCED:
+        model, thetas = FULLY_DIFFERENCED[name](), [-0.5, 0.4]
+    else:
+        model = builtin_models()[name]
+        thetas = model.sample_thetas
     routes = closed_routes(model.kind)
     assert routes
-    for pt in model.grid([-0.5, 0.4]):
+    for pt in model.grid(thetas):
         for route in routes.values():
             assert math.isfinite(route.closed_fn(pt))
         with pytest.raises(AssertionError, match="a closed form ran"):
             helstrom_info_sld(pt)
+
+
+@pytest.mark.parametrize("name", [*CATALOG, "custom"])
+def test_the_definitional_routes_read_no_closed_form_stage(name, monkeypatch):
+    # the reverse direction: I_H from the SLD and I_WY from the square-root
+    # derivative read no closed-form ingredient, at every catalog sample theta
+    # and on a custom model, which reads rho_matrix through the same input stages
+    _poison(monkeypatch, CLOSED_FORM_STAGES, "a definitional route")
+    model = HalfAnalyticRotation() if name == "custom" else builtin_models()[name]
+    routes = closed_routes(model.kind)
+    for pt in model.grid(model.sample_thetas):
+        assert math.isfinite(helstrom_info_sld(pt))
+        assert math.isfinite(wy_info_generic(pt))
+        for route in routes.values():
+            with pytest.raises(AssertionError, match="a definitional route ran"):
+                route.closed_fn(pt)
 
 
 # --- a grid gives the rows of its points alone --------------------------------------

@@ -331,6 +331,38 @@ def test_model_construction_errors_are_toolkit_errors():
         fixed_spectrum_model([0.5, 0.5], frame="spiral")
 
 
+def _projector_lists_by_columns(model, theta):
+    """The per-column outer products that built ``projectors_at`` and ``dprojectors_at``,
+    kept as their reference: du is the raw dframe, or U A without one."""
+    u = model.frame_at(theta)
+    if model._dframe is not None:
+        du = np.asarray(model._dframe(theta), dtype=complex)
+    else:
+        du = u @ model.generator_at(theta)
+    projs, dprojs = [], []
+    for j in range(model.dim):
+        projs.append(np.outer(u[:, j], u[:, j].conj()))
+        d = np.outer(du[:, j], u[:, j].conj()) + np.outer(u[:, j], du[:, j].conj())
+        dprojs.append((d + d.conj().T) / 2.0)
+    return projs, dprojs
+
+
+SPECTRAL_CATALOG = {name: m for name, m in builtin_models().items() if m.kind == "spectral"}
+
+
+@pytest.mark.parametrize(
+    "model",
+    [*SPECTRAL_CATALOG.values(), random_spectral_model(1616, 16),
+     qubit_mixture_as_spectral(rotation_mixture(sine_weight(0.7)))],
+    ids=[*SPECTRAL_CATALOG, "random-16", "no-dframe"],
+)
+def test_projector_accessors_equal_the_per_column_outer_products_bitwise(model):
+    for theta in model.sample_thetas:
+        projs, dprojs = _projector_lists_by_columns(model, theta)
+        assert np.array(model.projectors_at(theta)).tobytes() == np.array(projs).tobytes()
+        assert np.array(model.dprojectors_at(theta)).tobytes() == np.array(dprojs).tobytes()
+
+
 def test_spectral_differences_stay_inside_the_domain():
     # no dlambdas or dframe: both derivatives are central differences
     model = SpectralMixtureModel(
@@ -409,6 +441,11 @@ def test_unitary_path_matches_the_matrix_exponential(dim, columns):
 
 
 def test_cli_import_leaves_scipy_out():
+    # the runtime needs numpy only: importing the CLI loads none of the test extras
     src = Path(__file__).resolve().parent.parent / "src"
-    code = "import sys, qcrb_kit.cli; assert 'scipy' not in sys.modules, 'scipy imported'"
+    code = (
+        "import sys, qcrb_kit.cli; "
+        "loaded = [m for m in ('scipy', 'mpmath', 'hypothesis', 'pytest') if m in sys.modules]; "
+        "assert not loaded, f'imported {loaded}'"
+    )
     subprocess.run([sys.executable, "-c", code], check=True, cwd=src)

@@ -217,13 +217,40 @@ def test_an_embedded_mixture_differences_rho_once():
     assert counts == {"lambdas": 6, "frame": 6}
 
 
+class CountingRotation(ParametricStateModel):
+    """The rotation mixture of weight 0.8 as a custom model without ``_drho_analytic``,
+    counting its ``rho_matrix`` calls."""
+
+    def __init__(self):
+        super().__init__(2)
+        self.calls = 0
+        self.mixture = rotation_mixture(0.8)
+
+    def rho_matrix(self, theta):
+        self.calls += 1
+        return self.mixture.rho_matrix(theta)
+
+
+def test_a_custom_model_reads_each_stencil_side_once():
+    # drho is the forced difference of rho, and both forced differences read
+    # rho_matrix at the 6 stencil sides once, as the stencil grids' value inputs
+    model = CountingRotation()
+    for pt in model.grid([-0.4, 0.1, 0.6]):
+        pt.drho
+        pt.layer(models._drho_fd_stage)
+        pt.layer(models._dsqrt_fd_stage)
+    assert model.calls == 6
+
+
 def test_failed_evaluation_is_not_cached():
     model = TraceOffModel()
     pt = model.at(0.1)
     for _ in range(2):
         with pytest.raises(NotDensityMatrix):
             pt.rho
-    assert model.calls == 2
+    # the rho_matrix read is the model's value input, kept as any input stage is;
+    # the density check that fails on it runs again on every access
+    assert model.calls == 1
 
 
 # --- evaluation counts --------------------------------------------------------------

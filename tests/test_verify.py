@@ -14,6 +14,7 @@ from qcrb_kit.hermitian import SpectralDecomposition
 from qcrb_kit.models import (
     ParametricStateModel,
     QubitMixtureModel,
+    SpectralMixtureModel,
     WeightFunction,
     builtin_models,
     rotation_family,
@@ -130,6 +131,24 @@ def test_one_run_creates_each_point_once_and_the_extra_models_once(monkeypatch):
         "point": 115, "grid": 47 + stencils, "rho_stage": 47,
         "random_spectral_model": 5,
     }
+
+
+def test_the_spectral_identities_read_the_frame_of_the_table_point(monkeypatch):
+    # a spectral model's frame is read only by value input stages: its 5 sample
+    # thetas and their 10 stencil sides for each of the 4 catalog spectral
+    # models, and 3 thetas for each of the 5 extra models; the projector
+    # accessors are not called
+    counts = Counter()
+    for name in ("frame_at", "projectors_at", "dprojectors_at"):
+        original = getattr(SpectralMixtureModel, name)
+
+        def counted(self, theta, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(self, theta)
+
+        monkeypatch.setattr(SpectralMixtureModel, name, counted)
+    assert all_passed(run_suite())
+    assert counts == {"frame_at": 75}
 
 
 def test_tightened_fd_tolerance_fails_fd_checks():
