@@ -38,6 +38,7 @@ from .hermitian import (
     eigh,
     first_failing,
     hermitian_part,
+    projectors,
     real_traces_against,
 )
 from .models import StateGrid, StatePoint
@@ -166,8 +167,7 @@ def _evaluated_as_set(members, evaluate):
 
 def basis_povm(dim: int) -> Povm:
     """Projective measurement onto the computational basis."""
-    eye = np.eye(dim)
-    return Povm(eye[:, :, None] * eye[:, None, :])
+    return Povm(projectors(np.eye(dim)))
 
 
 @dataclass(frozen=True)

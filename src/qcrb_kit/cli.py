@@ -570,6 +570,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError as exc:  # an input too large for this machine's memory
+        print(f"error: MemoryError: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 def entry_point() -> None:

@@ -6,10 +6,16 @@ functions of immutable inputs; matrices are small and dense (target scale
 n <= 16, hard ceiling 64).
 
 Invariants are validated once, at construction, and the kernels trust the
-type: a ``HermitianMatrix`` (or ``DensityMatrix``) is square, within the
-dimension ceiling, finite and exactly Hermitian, so ``eigh`` hands it to
-LAPACK as it is. A raw array has none of these guarantees and is
+type: a ``HermitianMatrix`` is square, within the dimension ceiling, finite
+and exactly Hermitian, so ``eigh`` hands it to LAPACK as it is. A
+``DensityMatrix`` is a ``HermitianMatrix`` that also carries its spectral
+decomposition. A raw array has none of these guarantees and is
 symmetrized and scanned on every call.
+
+The matrix formulas that the models, the routes and the checks share are
+written here once each: the projector |v><v| (``projectors``), the
+unchecked Hermitian part (D + D*)/2 (``symmetrized``) and the
+reconstruction U diag(x) U* (``SpectralDecomposition.reconstruct``).
 
 The kernels take a (T, n, n) stack as readily as one matrix: ``eigh``,
 ``solve_symmetric_product`` and the trace helpers work layer by layer in
@@ -47,12 +53,25 @@ DIM_CEILING = 64
 
 
 def as_array(m) -> np.ndarray:
-    """Unwrap HermitianMatrix / DensityMatrix / array-likes to a complex ndarray."""
-    if isinstance(m, DensityMatrix):
-        return m.matrix.mat
+    """Unwrap a HermitianMatrix (a DensityMatrix too) or an array-like to a complex ndarray."""
     if isinstance(m, HermitianMatrix):
         return m.mat
     return np.asarray(m, dtype=complex)
+
+
+def symmetrized(d: np.ndarray) -> np.ndarray:
+    """(D + D*)/2 of a matrix, or of each matrix of a stack, unchecked."""
+    return (d + d.conj().swapaxes(-1, -2)) / 2.0
+
+
+def projectors(v: np.ndarray) -> np.ndarray:
+    """|v><v| of a vector, or of each vector of a stack of them."""
+    return v[..., :, None] * v.conj()[..., None, :]
+
+
+def _check_square(a: np.ndarray) -> None:
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionError(f"expected a square matrix, got shape {a.shape}")
 
 
 def first_failing(bad: np.ndarray):
@@ -100,8 +119,7 @@ def square_stack(mats) -> np.ndarray:
     """The matrices as one complex (T, n, n) array; the first that is not square names the error."""
     arrays = [np.asarray(m, dtype=complex) for m in mats]
     for a in arrays:
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DimensionError(f"expected a square matrix, got shape {a.shape}")
+        _check_square(a)
     return np.array(arrays)
 
 
@@ -117,8 +135,7 @@ class HermitianMatrix:
 
     def __init__(self, entries):
         a = np.asarray(entries, dtype=complex)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DimensionError(f"expected a square matrix, got shape {a.shape}")
+        _check_square(a)
         self.mat = hermitian_part(a)
 
     @classmethod
@@ -133,7 +150,7 @@ class HermitianMatrix:
         return self.mat.shape[-1]
 
     def __repr__(self) -> str:
-        return f"HermitianMatrix(dim={self.dim})"
+        return f"{type(self).__name__}(dim={self.dim})"
 
 
 class UnitVector:
@@ -154,7 +171,7 @@ class UnitVector:
         return self.vec.shape[0]
 
     def projector(self) -> np.ndarray:
-        return np.outer(self.vec, self.vec.conj())
+        return projectors(self.vec)
 
     def __repr__(self) -> str:
         return f"UnitVector(dim={self.dim})"
@@ -162,8 +179,8 @@ class UnitVector:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenvalues (ascending) and orthonormal eigenvector columns, of one matrix or of each
-    matrix of a stack (``eigenvalues`` (T, n), ``eigenvectors`` (T, n, n))."""
+    """Eigenvalues and orthonormal eigenvector columns, of one matrix or of each matrix of a
+    stack (``eigenvalues`` (T, n), ``eigenvectors`` (T, n, n)); ``eigh`` gives them ascending."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -174,8 +191,7 @@ class SpectralDecomposition:
 
     def projectors(self) -> list[np.ndarray]:
         """P_j = u_j u_j^dagger of each eigenvector column j, (n, n) or (T, n, n) each."""
-        u = self.eigenvectors
-        return [u[..., :, j, None] * u[..., None, :, j].conj() for j in range(self.dim)]
+        return list(np.moveaxis(projectors(self.eigenvectors.swapaxes(-1, -2)), -3, 0))
 
     def reconstruct(self) -> np.ndarray:
         """U diag(lambda) U^dagger, of the matrix or of each layer."""
@@ -206,8 +222,8 @@ def density_stack(a: np.ndarray) -> tuple[np.ndarray, SpectralDecomposition]:
     return h, dec
 
 
-class DensityMatrix:
-    """Hermitian, PSD, unit-trace matrix; caches its spectral decomposition.
+class DensityMatrix(HermitianMatrix):
+    """Hermitian, PSD, unit-trace matrix, with its spectral decomposition.
 
     Eigenvalues in [-1e-10, 0] are tolerated (finite-difference noise) and
     treated as 0 by consumers; anything lower is rejected. Built by
@@ -215,39 +231,23 @@ class DensityMatrix:
     of a stack that ``density_stack`` validated.
     """
 
-    __slots__ = ("matrix", "_decomp")
+    __slots__ = ("decomposition",)
 
     def __init__(self, entries):
         h, dec = density_stack(square_stack([as_array(entries)]))
-        self.matrix = HermitianMatrix.of_checked(h[0])
-        self._decomp = SpectralDecomposition(dec.eigenvalues[0], dec.eigenvectors[0])
+        self.mat = h[0]
+        self.decomposition = SpectralDecomposition(dec.eigenvalues[0], dec.eigenvectors[0])
 
     @classmethod
     def of_checked(cls, h: np.ndarray, decomp: SpectralDecomposition) -> "DensityMatrix":
         """Wrap one layer of a ``density_stack`` result and its eigendecomposition."""
-        d = cls.__new__(cls)
-        d.matrix = HermitianMatrix.of_checked(h)
-        d._decomp = decomp
+        d = super().of_checked(h)
+        d.decomposition = decomp
         return d
 
     @property
-    def mat(self) -> np.ndarray:
-        return self.matrix.mat
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.dim
-
-    @property
-    def decomposition(self) -> SpectralDecomposition:
-        return self._decomp
-
-    @property
     def eigenvalues(self) -> np.ndarray:
-        return self._decomp.eigenvalues
-
-    def __repr__(self) -> str:
-        return f"DensityMatrix(dim={self.dim})"
+        return self.decomposition.eigenvalues
 
 
 def _fix_phases(vecs: np.ndarray) -> np.ndarray:
@@ -269,13 +269,6 @@ def _fix_phases(vecs: np.ndarray) -> np.ndarray:
     return fixed.reshape(vecs.shape)
 
 
-def _symmetrized_square(m) -> np.ndarray:
-    a = as_array(m)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {a.shape}")
-    return (a + a.conj().T) / 2.0
-
-
 def eigh(m) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix, or of each of a stack, by LAPACK (``np.linalg.eigh``).
 
@@ -284,15 +277,18 @@ def eigh(m) -> SpectralDecomposition:
     convergence failure, or a non-finite entry (on which LAPACK would return
     NaN silently), raises EigenConvergenceError.
 
-    A ``HermitianMatrix`` or ``DensityMatrix`` goes to LAPACK as it is: its
-    (A + A*)/2 is itself, bit for bit, and it was checked finite when built;
-    a stacked one gives stacked eigenvalues and eigenvectors. Any other
-    input must be one square matrix, and is symmetrized and scanned.
+    A ``HermitianMatrix`` (a ``DensityMatrix`` too) goes to LAPACK as it
+    is: its (A + A*)/2 is itself, bit for bit, and it was checked finite
+    when built; a stacked one gives stacked eigenvalues and eigenvectors.
+    Any other input must be one square matrix, and is symmetrized and
+    scanned.
     """
-    if isinstance(m, (HermitianMatrix, DensityMatrix)):
-        a = as_array(m)
+    if isinstance(m, HermitianMatrix):
+        a = m.mat
     else:
-        a = _symmetrized_square(m)
+        a = np.asarray(m, dtype=complex)
+        _check_square(a)
+        a = symmetrized(a)
         if not np.isfinite(a).all():
             raise EigenConvergenceError(f"matrix of dim {a.shape[-1]} has non-finite entries")
     try:
@@ -333,13 +329,12 @@ def psd_sqrt(d) -> HermitianMatrix:
 
 
 def sqrt_stack(dec: SpectralDecomposition) -> np.ndarray:
-    """The PSD square root (u * sqrt_eigenvalues) @ u* of a decomposition, or of each
+    """The PSD square root U diag(sqrt_eigenvalues) U* of a decomposition, or of each
     layer of a stacked one, validated by ``hermitian_part``. No eigenvalue floor
     is checked: ``psd_sqrt`` does that, and a ``density_stack`` decomposition
     already meets a stricter one."""
-    u = dec.eigenvectors
-    roots = sqrt_eigenvalues(dec.eigenvalues)
-    return hermitian_part((u * roots[..., None, :]) @ u.conj().swapaxes(-1, -2))
+    roots = SpectralDecomposition(sqrt_eigenvalues(dec.eigenvalues), dec.eigenvectors)
+    return hermitian_part(roots.reconstruct())
 
 
 def solve_symmetric_product(dec: SpectralDecomposition, rhs) -> HermitianMatrix:
@@ -378,7 +373,7 @@ def solve_symmetric_product(dec: SpectralDecomposition, rhs) -> HermitianMatrix:
     # rounding asymmetry of the back transform past the construction gate:
     # 3.8e-12 and 2.0e-12 at the two @example points of
     # test_solve_involution_property, against HERMITICITY_ATOL = 1e-12
-    return HermitianMatrix.of_checked(hermitian_part((x + x.conj().swapaxes(-1, -2)) / 2.0))
+    return HermitianMatrix.of_checked(hermitian_part(symmetrized(x)))
 
 
 def trace_product(ms: Iterable):

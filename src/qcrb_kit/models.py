@@ -67,11 +67,13 @@ from .hermitian import (
     eigh,
     first_failing,
     hermitian_part,
+    projectors,
     real_trace_product,
     solve_symmetric_product,
     sqrt_eigenvalues,
     sqrt_stack,
     square_stack,
+    symmetrized,
 )
 
 DEFAULT_FD_STEP = 1e-5
@@ -98,19 +100,9 @@ def _stencil_difference(sides: np.ndarray, h: float) -> np.ndarray:
     return _central_difference(halves.__getitem__, 0.0, h)
 
 
-def _symmetrized(d: np.ndarray) -> np.ndarray:
-    """(D + D*)/2 of a matrix, or of each matrix of a stack."""
-    return (d + d.conj().swapaxes(-1, -2)) / 2.0
-
-
-def _projectors(v: np.ndarray) -> np.ndarray:
-    """|v><v| of a vector, or of each vector of a stack of them."""
-    return v[..., :, None] * v.conj()[..., None, :]
-
-
 def _projector_derivatives(v: np.ndarray, dv: np.ndarray) -> np.ndarray:
     """d/dtheta |v><v| = |dv><v| + |v><dv|, symmetrized; of one vector or of each of a stack."""
-    return _symmetrized(dv[..., :, None] * v.conj()[..., None, :] + v[..., :, None] * dv.conj()[..., None, :])
+    return symmetrized(dv[..., :, None] * v.conj()[..., None, :] + v[..., :, None] * dv.conj()[..., None, :])
 
 
 @dataclass(frozen=True)
@@ -135,13 +127,13 @@ class PureFamily:
         return np.asarray(self.dpsi(theta), dtype=complex).reshape(-1)
 
     def projector(self, theta: float) -> np.ndarray:
-        return _projectors(self.state(theta))
+        return projectors(self.state(theta))
 
     def projector_derivative(self, theta: float, h: float = DEFAULT_FD_STEP) -> np.ndarray:
         """d/dtheta of |psi><psi|; analytic when dpsi is available."""
         if self.dpsi is not None:
             return _projector_derivatives(self.state(theta), self.velocity(theta))
-        return _symmetrized(_central_difference(self.projector, theta, h))
+        return symmetrized(_central_difference(self.projector, theta, h))
 
 
 @dataclass(frozen=True)
@@ -358,7 +350,7 @@ def _drho_fd_stage(grid: StateGrid) -> tuple:
     diffs = [_stencil_difference(_sides(model._rho_stack(s)), model.fd_step) for s in grid.stencils()]
     # the quotient of Hermitian evaluations is Hermitian; dividing by 2h
     # amplifies matmul rounding asymmetry past the construction gate
-    return (_checked_drho(_symmetrized(np.concatenate(diffs))),)
+    return (_checked_drho(symmetrized(np.concatenate(diffs))),)
 
 
 def _checked_drho(stack: np.ndarray) -> np.ndarray:
@@ -587,7 +579,7 @@ def _family_dprojectors(grid: StateGrid, family: PureFamily, index: int) -> np.n
     if family.dpsi is not None:
         states = grid.stage(_inputs_stage)[index]
         return _projector_derivatives(states, np.array([family.velocity(t) for t in grid.thetas]))
-    return _symmetrized(_stencil_difference(_projectors(_stencil_inputs(grid, index)), grid.model.fd_step))
+    return symmetrized(_stencil_difference(projectors(_stencil_inputs(grid, index)), grid.model.fd_step))
 
 
 class PureStateModel(_StackedModel):
@@ -606,7 +598,7 @@ class PureStateModel(_StackedModel):
         return (np.array([self.family.state(t) for t in thetas]),)
 
     def _rho_formula(self, v: np.ndarray) -> np.ndarray:
-        return _projectors(v)
+        return projectors(v)
 
     def _derivative_inputs(self, grid: StateGrid) -> tuple:
         """(dP,): the projector derivative, which is drho and what the closed form reads."""
@@ -648,7 +640,7 @@ class QubitMixtureModel(_StackedModel):
         return np.array(ws), np.array(vs)
 
     def _rho_formula(self, w: np.ndarray, v: np.ndarray) -> np.ndarray:
-        p1 = _projectors(v)
+        p1 = projectors(v)
         w = w[:, None, None]
         return w * p1 + (1.0 - w) * (np.eye(2) - p1)
 
@@ -665,7 +657,7 @@ class QubitMixtureModel(_StackedModel):
     def _drho_stack(self, grid: StateGrid) -> np.ndarray:
         w, v = grid.stage(_inputs_stage)
         dw, dp1 = grid.stage(_dinputs_stage)
-        return dw[:, None, None] * (2.0 * _projectors(v) - np.eye(2)) + (2.0 * w - 1.0)[:, None, None] * dp1
+        return dw[:, None, None] * (2.0 * projectors(v) - np.eye(2)) + (2.0 * w - 1.0)[:, None, None] * dp1
 
     @property
     def has_analytic_derivative(self) -> bool:
@@ -684,7 +676,7 @@ def _checked_dlambdas(vals: np.ndarray) -> np.ndarray:
 
 def _frame_projectors(u: np.ndarray) -> np.ndarray:
     """P_k = u_k u_k^dagger of each column of a frame, or of each frame of a stack: (..., n, n, n)."""
-    return _projectors(u.swapaxes(-1, -2))
+    return projectors(u.swapaxes(-1, -2))
 
 
 def _skew_generator(a: np.ndarray) -> np.ndarray:
@@ -801,7 +793,7 @@ class SpectralMixtureModel(_StackedModel):
         return np.array(lams), np.array(frames)
 
     def _rho_formula(self, lam: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return (u * lam[..., None, :]) @ u.conj().swapaxes(-1, -2)
+        return SpectralDecomposition(lam, u).reconstruct()
 
     def _derivative_inputs(self, grid: StateGrid) -> tuple:
         """(lambda', A): the weight derivatives and the frame generator at every theta."""

@@ -57,8 +57,10 @@ from .hermitian import (
     SUPPORT_TOL,
     HermitianMatrix,
     eigh,
+    projectors,
     psd_sqrt,
     real_trace_product,
+    symmetrized,
     trace_product,
 )
 from .models import (
@@ -71,7 +73,6 @@ from .models import (
     _drho_fd_stage,
     _dsqrt_fd_stage,
     _inputs_stage,
-    _projectors,
     _spectral_projectors,
     builtin_models,
     random_spectral_model,
@@ -238,7 +239,7 @@ def _check_eigh_reconstruction(catalog, opts, points):
     for trial in range(20):
         n = int(rng.integers(2, 9))
         g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        m = HermitianMatrix((g + g.conj().T) / 2.0)
+        m = HermitianMatrix(symmetrized(g))
         dec = eigh(m)
         lam = dec.eigenvalues
         scale = max(1.0, np.linalg.norm(m.mat))
@@ -276,8 +277,7 @@ def _check_phase_invariance(catalog, opts, points):
         l_base = sld_spectral_sum(dec.eigenvalues, base_projs, drho)
         phases = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=rho.dim))
         scrambled = dec.eigenvectors * phases
-        projs = [np.outer(scrambled[:, j], scrambled[:, j].conj()) for j in range(rho.dim)]
-        l_scr = sld_spectral_sum(dec.eigenvalues, projs, drho)
+        l_scr = sld_spectral_sum(dec.eigenvalues, projectors(scrambled.T), drho)
         base = real_trace_product([rho, l_base, l_base])
         scr = real_trace_product([rho, l_scr, l_scr])
         yield abs(base - scr), f"{name} theta={theta:g}"
@@ -311,7 +311,7 @@ def _mixture_components(pt):
     dp2 differences the canonical psi2, independently of psi1's derivative.
     """
     model, theta, h = pt.model, pt.theta, pt.model.fd_step
-    p1 = _projectors(pt.layer(_inputs_stage)[1])
+    p1 = projectors(pt.layer(_inputs_stage)[1])
     p2 = model.psi2(theta).projector()
     dp1 = pt.layer(_dinputs_stage)[1]
     dp2 = _central_difference(lambda t: model.psi2(t).projector(), theta, h)

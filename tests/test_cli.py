@@ -179,6 +179,28 @@ def test_numerical_errors_exit_two_and_others_exit_one_without_traceback(
     assert out == ""
 
 
+@pytest.mark.parametrize("command, callee, option", [
+    ("simulate", "run_sim", "--n-samples=100000000000"),
+    ("compute", "parse_grid", "--theta-grid=0:1:100000000000"),
+])
+def test_an_input_too_large_for_memory_exits_one_without_traceback(
+    model_paths, capsys, monkeypatch, command, callee, option
+):
+    # the allocation is refused by a stand-in: a real one may be granted
+    # where the kernel overcommits memory
+    message = "Unable to allocate 745. GiB for an array with shape (100000000000,) and data type float64"
+
+    def refuse(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, callee, refuse)
+    argv = [command, "--model", model_paths["pure"], "--povm", model_paths["basis"], option]
+    got, out, err = run_cli(argv, capsys)
+    assert got == EXIT_CONFIG
+    assert err == f"error: MemoryError: {message}\n"
+    assert out == ""
+
+
 def test_compute_malformed_json_exits_one(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"kind": nope}')

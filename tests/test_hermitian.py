@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcrb_kit import hermitian
-from qcrb_kit.classical import Povm
+from qcrb_kit.classical import Povm, basis_povm
 from qcrb_kit.errors import (
     DimensionError,
     EigenConvergenceError,
@@ -204,7 +204,7 @@ def test_eigh_matches_lapack_eigenvalues():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16])
-def test_eigh_matches_jacobi_reference(n):
+def test_eigh_matches_the_mpmath_reference(n):
     m = random_hermitian(np.random.default_rng(100 + n), n)
     lapack, reference = eigh(m), mp_eigh(m)
     scale = max(1.0, np.linalg.norm(m))
@@ -249,7 +249,7 @@ def test_eigh_trusts_a_hermitian_matrix_and_matches_the_scanned_path_bitwise(n, 
     def no_scan(_):
         raise AssertionError("a HermitianMatrix or DensityMatrix is not symmetrized again")
 
-    monkeypatch.setattr(hermitian, "_symmetrized_square", no_scan)
+    monkeypatch.setattr(hermitian, "symmetrized", no_scan)
     for trusted, reference in ((eigh(m), scanned), (eigh(rho), scanned_rho)):
         assert trusted.eigenvalues.tobytes() == reference.eigenvalues.tobytes()
         assert trusted.eigenvectors.tobytes() == reference.eigenvectors.tobytes()
@@ -327,6 +327,31 @@ def test_projectors_and_reconstruction_of_a_stack_are_those_of_its_layers():
         ]
         assert layer.reconstruct().tobytes() == ((u * lam) @ u.conj().T).tobytes()
         np.testing.assert_allclose(layer.reconstruct(), stack[k], atol=1e-12)
+    # the other callers of the one projector formula: a unit vector's, and the basis POVM's
+    for j in range(3):
+        v = dec.eigenvectors[0][:, j]
+        assert UnitVector(v).projector().tobytes() == np.outer(v, v.conj()).tobytes()
+    for n in (1, 2, 5):
+        eye = np.eye(n)
+        reference = np.array([np.outer(eye[j], eye[j]) for j in range(n)], dtype=complex)
+        assert basis_povm(n).stack.tobytes() == reference.tobytes()
+
+
+def test_a_density_matrix_is_a_hermitian_matrix_with_the_same_kernel_bits():
+    n = 4
+    rng = np.random.default_rng(21)
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    rho = DensityMatrix(g @ g.conj().T / np.trace(g @ g.conj().T).real)
+    plain = HermitianMatrix.of_checked(rho.mat)
+    assert isinstance(rho, HermitianMatrix)
+    assert not hasattr(rho, "matrix")
+    assert hermitian.as_array(rho) is rho.mat
+    for a, b in ((eigh(rho), eigh(plain)), (rho.decomposition, eigh(plain))):
+        assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
+        assert a.eigenvectors.tobytes() == b.eigenvectors.tobytes()
+    assert trace_product([rho, rho]) == trace_product([plain, plain])
+    assert repr(rho) == f"DensityMatrix(dim={n})"
+    assert repr(plain) == f"HermitianMatrix(dim={n})"
 
 
 # --- psd_sqrt ----------------------------------------------------------------

@@ -1,6 +1,11 @@
-"""Tests for the package's public surface: ``qcrb_kit.__all__``."""
+"""Tests for the package's public surface: ``qcrb_kit.__all__``, and the modules' imports."""
+
+import ast
+from pathlib import Path
 
 import qcrb_kit
+
+PACKAGE_DIR = Path(qcrb_kit.__file__).parent
 
 
 def test_every_exported_name_resolves_and_none_repeats():
@@ -10,3 +15,46 @@ def test_every_exported_name_resolves_and_none_repeats():
     namespace = {}
     exec("from qcrb_kit import *", namespace)
     assert set(names) <= set(namespace)
+
+
+def _imported_names(tree: ast.Module) -> set[str]:
+    """The names that the module's import statements bind."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(a.asname or a.name for a in node.names)
+    return names
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    """The names that the module's code reads, string annotations included."""
+    names, annotations = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    for annotation in filter(None, annotations):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names |= _used_names(ast.parse(node.value, mode="eval"))
+    return names
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__ imports to re-export; every other module imports only what it reads
+    unused = {}
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        stale = sorted(_imported_names(tree) - _used_names(tree))
+        if stale:
+            unused[path.name] = stale
+    assert unused == {}
