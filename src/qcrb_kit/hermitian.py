@@ -128,21 +128,21 @@ class HermitianMatrix:
 
     Rejects input that is not square, or that ``hermitian_part`` rejects;
     the stored matrix is (A + A*)/2 with an exactly real diagonal, and is
-    read-only.
+    read-only. A ``HermitianMatrix`` argument gives its own matrix, bit for bit.
     """
 
     __slots__ = ("mat",)
 
     def __init__(self, entries):
-        a = np.asarray(entries, dtype=complex)
+        a = as_array(entries)
         _check_square(a)
         self.mat = hermitian_part(a)
 
     @classmethod
-    def of_checked(cls, h: np.ndarray) -> "HermitianMatrix":
+    def of_checked(cls, mat: np.ndarray) -> "HermitianMatrix":
         """Wrap a read-only matrix that ``hermitian_part`` returned, or one layer of it."""
         m = cls.__new__(cls)
-        m.mat = h
+        m.mat = mat
         return m
 
     @property
@@ -239,9 +239,9 @@ class DensityMatrix(HermitianMatrix):
         self.decomposition = SpectralDecomposition(dec.eigenvalues[0], dec.eigenvectors[0])
 
     @classmethod
-    def of_checked(cls, h: np.ndarray, decomp: SpectralDecomposition) -> "DensityMatrix":
+    def of_checked(cls, mat: np.ndarray, decomp: SpectralDecomposition) -> "DensityMatrix":
         """Wrap one layer of a ``density_stack`` result and its eigendecomposition."""
-        d = super().of_checked(h)
+        d = super().of_checked(mat)
         d.decomposition = decomp
         return d
 

@@ -35,11 +35,9 @@ these stages, and so is the square-root solve's rank-deficient fallback:
 point the difference, and every reader of a point's square-root
 derivative reads that one layer.
 
-The point is the only per-theta route to a model's inputs: ``drho``,
-``dsqrt_rho``, ``dlambdas_at``, ``generator_at``, ``projectors_at`` and
-``dprojectors_at`` read the layers of ``model.at(theta)``, bit for bit.
-Only a pure family's ``projector_derivative`` and ``canonical_psi2``, which
-belong to no model, take a step of their own.
+The point is the only per-theta route to a model's inputs, ``canonical_psi2``
+included, and every difference is ``_stencil_difference`` with the model's
+``fd_step``: no public function takes a step of its own.
 """
 
 from __future__ import annotations
@@ -90,14 +88,10 @@ DLAMBDA_SUM_ATOL = 1e-8
 GRID_BLOCK_ENTRIES = 1 << 15
 
 
-def _central_difference(f: Callable[[float], np.ndarray], theta: float, h: float) -> np.ndarray:
-    return (f(theta + h) - f(theta - h)) / (2.0 * h)
-
-
 def _stencil_difference(sides: np.ndarray, h: float) -> np.ndarray:
-    """The central difference of every theta, from a (T, 2, ...) array of its values at theta +- h."""
-    halves = {h: sides[:, 0], -h: sides[:, 1]}
-    return _central_difference(halves.__getitem__, 0.0, h)
+    """The central difference of every theta, from a (T, 2, ...) array of its values at theta +- h:
+    the package's one difference formula."""
+    return (sides[:, 0] - sides[:, 1]) / (2.0 * h)
 
 
 def _projector_derivatives(v: np.ndarray, dv: np.ndarray) -> np.ndarray:
@@ -125,15 +119,6 @@ class PureFamily:
     def velocity(self, theta: float) -> np.ndarray:
         """dpsi(theta) as a complex vector; the family must have dpsi."""
         return np.asarray(self.dpsi(theta), dtype=complex).reshape(-1)
-
-    def projector(self, theta: float) -> np.ndarray:
-        return projectors(self.state(theta))
-
-    def projector_derivative(self, theta: float, h: float = DEFAULT_FD_STEP) -> np.ndarray:
-        """d/dtheta of |psi><psi|; analytic when dpsi is available."""
-        if self.dpsi is not None:
-            return _projector_derivatives(self.state(theta), self.velocity(theta))
-        return symmetrized(_central_difference(self.projector, theta, h))
 
 
 @dataclass(frozen=True)
@@ -440,6 +425,10 @@ class ParametricStateModel:
     the central difference of rho with ``fd_step`` (``_drho_fd_stage``), the
     one step all its derivatives use. ``domain`` is a closed interval of
     admissible theta.
+
+    ``rho``, ``drho`` and ``dsqrt_rho`` read ``self.at(theta)``, and nothing
+    in the package calls them; they stay because the benchmark's tracer
+    wraps them by name.
     """
 
     kind = "custom"
@@ -542,23 +531,11 @@ class ParametricStateModel:
         return self.at(theta).rho
 
     def drho(self, theta: float) -> HermitianMatrix:
-        """Derivative of rho(theta): the point's drho, analytic where the model has it.
-
-        The forced central difference of rho on the stencil theta +- fd_step
-        is the point's ``_drho_fd_stage`` layer, ``self.at(theta).layer(_drho_fd_stage)``.
-        """
+        """The point's drho, analytic where the model has it (``_drho_stage``)."""
         return self.at(theta).drho
 
     def dsqrt_rho(self, theta: float) -> SqrtDerivative:
-        """Derivative of sqrt(rho(theta)): the point's square-root derivative.
-
-        It is the point's layer of its grid's eigenbasis solve of
-        2 sqrt(rho) X + X 2 sqrt(rho) = 2 drho; if the right-hand side turns
-        out inconsistent on a rank-deficient state, it falls back to the
-        central difference of the square root and flags it. That difference
-        is the point's ``_dsqrt_fd_stage`` layer, which evaluates rho on the
-        stencil theta +- fd_step only, never at theta.
-        """
+        """The point's square-root derivative, with its route (``_dsqrt_route_stage``)."""
         return self.at(theta).dsqrt
 
 
@@ -566,7 +543,8 @@ class _StackedModel(ParametricStateModel):
     """A built-in kind: its inputs are the callables it wraps, read with their checks.
 
     A differenced input reads the stencil grids' value inputs
-    (``_stencil_inputs``). ``rho_matrix(theta)`` is the formula at one theta.
+    (``_stencil_inputs``). ``rho_matrix(theta)`` is the formula at one
+    theta, which the benchmark's oracle reads.
     """
 
     def rho_matrix(self, theta: float) -> np.ndarray:
@@ -615,8 +593,8 @@ class QubitMixtureModel(_StackedModel):
     rho = w |psi1><psi1| + (1-w) |psi2><psi2| with <psi1|psi2> = 0. In two
     dimensions psi2 is fixed by psi1 up to a phase, so the second projector
     is I - |psi1><psi1| and nothing the model computes reads psi2's phase.
-    ``psi2`` gives the canonical choice: the image of psi1 under the
-    projector derivative, normalized.
+    ``canonical_psi2(model.at(theta))`` gives the canonical choice: the
+    image of psi1 under the projector derivative, normalized.
 
     Inputs: the weight w and the state psi1; w' (from dw or the checked
     weight at theta +- fd_step) and dP1 (as for a pure family).
@@ -662,9 +640,6 @@ class QubitMixtureModel(_StackedModel):
     @property
     def has_analytic_derivative(self) -> bool:
         return self.psi1.dpsi is not None and self.weight.dw is not None
-
-    def psi2(self, theta: float) -> UnitVector:
-        return canonical_psi2(self.psi1, theta, self.fd_step)
 
 
 def _checked_dlambdas(vals: np.ndarray) -> np.ndarray:
@@ -715,9 +690,9 @@ class SpectralMixtureModel(_StackedModel):
     derivatives of the weights and frame are used when supplied, central
     differences otherwise.
 
-    The frame's motion is carried by its generator A = U^dagger dU
-    (``generator_at``), skew-Hermitian with column a_k = U^dagger du_k. In
-    the frame basis each projector derivative is
+    The frame's motion is carried by its generator A = U^dagger dU (the
+    second derivative input), skew-Hermitian with column a_k = U^dagger du_k.
+    In the frame basis each projector derivative is
     U^dagger dP_k U = a_k e_k^T + e_k a_k^dagger, which never reads the
     diagonal of A (the phase gauge of the columns), so it is set to zero.
 
@@ -725,6 +700,9 @@ class SpectralMixtureModel(_StackedModel):
     and dframe, or from the checked weights and the frames at
     theta +- fd_step). Without both analytic derivatives drho is the central
     difference of rho, ``_drho_fd_stage``.
+
+    ``_inputs`` reads ``lambdas_at`` and ``frame_at``; ``dprojectors_at``
+    stays because the benchmark's tracer wraps it, as it does ``frame_at``.
     """
 
     kind = "spectral"
@@ -758,10 +736,6 @@ class SpectralMixtureModel(_StackedModel):
     def lambdas_at(self, theta: float) -> np.ndarray:
         return self._checked_lambdas(np.asarray(self._lambdas(theta), dtype=float).reshape(-1), theta)
 
-    def dlambdas_at(self, theta: float) -> np.ndarray:
-        """lambda' at theta: the point's layer of the derivative inputs, analytic or differenced."""
-        return self.at(theta).layer(_dinputs_stage)[0]
-
     def frame_at(self, theta: float) -> np.ndarray:
         u = np.asarray(self._frame(theta), dtype=complex)
         if u.shape != (self.dim, self.dim):
@@ -770,15 +744,6 @@ class SpectralMixtureModel(_StackedModel):
         if dev > ORTHO_ATOL:
             raise ValueError(f"frame deviates from unitarity by {dev:.3e} at theta={theta}")
         return u
-
-    def projectors_at(self, theta: float) -> list[np.ndarray]:
-        """P_k = u_k u_k^dagger of each column of the point's frame, as ``_spectral_projectors`` builds them."""
-        return list(_frame_projectors(self.at(theta).layer(_inputs_stage)[1]))
-
-    def generator_at(self, theta: float) -> np.ndarray:
-        """A = U^dagger dU, skew-Hermitian with its diagonal zeroed: the point's layer of the
-        derivative inputs (``_generator_from_stencil`` without an analytic frame derivative)."""
-        return self.at(theta).layer(_dinputs_stage)[1]
 
     def dprojectors_at(self, theta: float) -> list[np.ndarray]:
         """dP_k = du_k u_k^dagger + u_k du_k^dagger: the derivatives of ``_spectral_projectors``."""
@@ -843,22 +808,24 @@ def _spectral_projectors(pt: StatePoint) -> tuple[np.ndarray, np.ndarray]:
     return _frame_projectors(u), _projector_derivatives(u.T, du.T)
 
 
-def canonical_psi2(psi1: PureFamily, theta: float, h: float = DEFAULT_FD_STEP) -> UnitVector:
-    """Distinguished unit vector orthogonal to psi1(theta).
+def canonical_psi2(pt: StatePoint) -> UnitVector:
+    """Distinguished unit vector orthogonal to psi1 at a point of a ``QubitMixtureModel``.
 
-    Normalized image of the state under the projector derivative, with its
+    Normalized image of psi1 under its projector derivative dP1, with its
     psi1 component projected out; defined only where the family is not
-    stationary. The image is orthogonal to psi1 exactly only for an exact
-    derivative: a differenced one leaves an O(h^2) overlap wherever the
-    family's phase speed varies.
+    stationary. psi1 and dP1 are the point's model inputs, as the qubit
+    closed forms read them, so the point must be valid: the weight in (0, 1)
+    at theta, and at theta +- fd_step where an input is differenced. The
+    image is orthogonal to psi1 exactly only for an exact derivative: a
+    differenced one leaves an O(h^2) overlap wherever the phase speed varies.
     """
-    dp = psi1.projector_derivative(theta, h)
+    psi = pt.layer(_inputs_stage)[1]
+    dp = pt.layer(_dinputs_stage)[1]
     info = 2.0 * real_trace_product([dp, dp])
     if info <= STATIONARY_TOL:
         raise StationaryFamilyError(
-            f"family is stationary at theta={theta} (information {info:.3e})"
+            f"family is stationary at theta={pt.theta} (information {info:.3e})"
         )
-    psi = psi1.state(theta)
     v = dp @ psi
     v = v - np.vdot(psi, v) * psi
     psi2 = v / np.linalg.norm(v)
@@ -1033,8 +1000,8 @@ def fixed_spectrum_model(
 class _QubitEmbedding(SpectralMixtureModel):
     """The spectral model that ``qubit_mixture_as_spectral`` returns.
 
-    Its frame's psi2 differences psi1 with the mixture's step, which a
-    shallow copy would keep; so a new step embeds the mixture at that step.
+    Its frame's psi2 reads the mixture's points, at the mixture's step, which
+    a shallow copy would keep; so a new step embeds the mixture at that step.
     """
 
     def __init__(self, mixture: QubitMixtureModel, **kwargs):
@@ -1072,7 +1039,8 @@ def qubit_mixture_as_spectral(model: QubitMixtureModel) -> SpectralMixtureModel:
         return np.array([dw, -dw])
 
     def frame(t: float) -> np.ndarray:
-        return np.column_stack([model.psi1.state(t), model.psi2(t).vec])
+        pt = model.at(t)
+        return np.column_stack([pt.layer(_inputs_stage)[1], canonical_psi2(pt).vec])
 
     return _QubitEmbedding(
         model,

@@ -255,6 +255,17 @@ def _weighted_triple_sum(lam: np.ndarray, a: np.ndarray) -> complex:
     return complex(np.sum(coeff * a * e.T))
 
 
+def _pair_roots(lam: np.ndarray) -> np.ndarray:
+    """sqrt(lam_l lam_k), 0 where a weight is at or below ``SUPPORT_TOL``: the support rule
+    of ``sqrt_eigenvalues``, which the definitional route's square root follows."""
+    root = np.sqrt(lam[:, None] * lam)
+    dead = lam <= SUPPORT_TOL
+    if dead.any():
+        root[dead] = 0.0
+        root[:, dead] = 0.0
+    return root
+
+
 def _eigenweight_fisher(lam: np.ndarray, dlam: np.ndarray) -> float:
     """sum (lam')^2 / lam over the support, guarding vanishing eigenvalues."""
     total = 0.0
@@ -289,10 +300,10 @@ def wy_info_spectral(pt: StatePoint) -> float:
 
     sum_l lam_l I_WY,l + sum_l (lam'_l)^2/lam_l
     + 4 sum_l sum_{k!=l} sqrt(lam_l lam_k) tr{dP_l dP_k},
-    with I_WY,l = 4 tr{(dP_l)^2} the pure-state skew information.
+    with I_WY,l = 4 tr{(dP_l)^2} the pure-state skew information; sqrt is ``_pair_roots``.
     """
     lam, dlam, a = pt.cached(_spectral_ingredients)
-    root = np.sqrt(lam[:, None] * lam)
+    root = _pair_roots(lam)
     np.fill_diagonal(root, lam)  # the pure-state terms lam_l I_WY,l
     skew = complex(np.sum(root * _projector_derivative_gram(a)))
     total = _eigenweight_fisher(lam, dlam) + 4.0 * skew
@@ -307,10 +318,11 @@ def gamma_spectral(pt: StatePoint) -> float:
     gamma = -4 sum_l sum_{k!=l} [ (lam_l - sqrt(lam_l lam_k)) tr{dP_l dP_k}
             + sum_z lam_l (lam_k - lam_l) lam_z / (lam_l+lam_k)^2
               tr{P_l dP_k dP_z} ],
-    and I_WY = I_H + gamma. Vanishes when all eigenvalue weights coincide.
+    and I_WY = I_H + gamma (sqrt is ``_pair_roots``). Vanishes when all
+    eigenvalue weights coincide.
     """
     lam, _, a = pt.cached(_spectral_ingredients)
-    weight = lam[:, None] - np.sqrt(lam[:, None] * lam)
+    weight = lam[:, None] - _pair_roots(lam)
     np.fill_diagonal(weight, 0.0)
     skew = complex(np.sum(weight * _projector_derivative_gram(a)))
     total = -4.0 * (skew + _weighted_triple_sum(lam, a))

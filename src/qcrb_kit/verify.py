@@ -68,13 +68,14 @@ from .models import (
     DEFAULT_SEED,
     ParametricStateModel,
     StatePoint,
-    _central_difference,
     _dinputs_stage,
     _drho_fd_stage,
     _dsqrt_fd_stage,
     _inputs_stage,
     _spectral_projectors,
+    _stencil_difference,
     builtin_models,
+    canonical_psi2,
     random_spectral_model,
     rotation_mixture,
 )
@@ -308,13 +309,15 @@ def _mixture_components(pt):
     """p1, p2 = |psi1><psi1|, |psi2><psi2| and their derivatives dp1, dp2.
 
     p1 and dp1 are the point's model inputs, as the closed forms read them;
-    dp2 differences the canonical psi2, independently of psi1's derivative.
+    dp2 differences the point's canonical psi2 over a grid of theta +- fd_step,
+    independently of psi1's derivative.
     """
     model, theta, h = pt.model, pt.theta, pt.model.fd_step
     p1 = projectors(pt.layer(_inputs_stage)[1])
-    p2 = model.psi2(theta).projector()
+    p2 = canonical_psi2(pt).projector()
     dp1 = pt.layer(_dinputs_stage)[1]
-    dp2 = _central_difference(lambda t: model.psi2(t).projector(), theta, h)
+    sides = np.array([[canonical_psi2(side).projector() for side in model.grid((theta + h, theta - h))]])
+    dp2 = _stencil_difference(sides, h)[0]
     return p1, p2, dp1, dp2
 
 

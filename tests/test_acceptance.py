@@ -15,7 +15,9 @@ from qcrb_kit.cli import main, parse_csv
 from qcrb_kit.models import (
     PureFamily,
     PureStateModel,
+    _spectral_projectors,
     builtin_models,
+    canonical_psi2,
     random_pure_family,
     random_spectral_model,
     rotation_family,
@@ -34,6 +36,8 @@ from qcrb_kit.quantum import (
     wy_info_spectral,
 )
 from qcrb_kit.simulate import SimConfig, exact_estimator_moments, run_sim
+
+from model_formulas import dprojector_formula, projector_formula
 
 
 def verdict(number, ok, text):
@@ -262,19 +266,19 @@ def test_criterion_11_appendix_identity_suite():
         for theta in model.sample_thetas:
             worst = max(worst, abs(sld(model.at(theta)).score_mean))
             if model.kind == "qubit_mixture":
-                p1 = model.psi1.projector(theta)
-                p2 = model.psi2(theta).projector()
-                dp1 = model.psi1.projector_derivative(theta, h)
+                p1 = projector_formula(model.psi1, theta)
+                p2 = canonical_psi2(model.at(theta)).projector()
+                dp1 = dprojector_formula(model.psi1, theta, h)
                 dp2 = (
-                    model.psi2(theta + h).projector() - model.psi2(theta - h).projector()
+                    canonical_psi2(model.at(theta + h)).projector()
+                    - canonical_psi2(model.at(theta - h)).projector()
                 ) / (2 * h)
                 for pk in (p1, p2):
                     for dp in (dp1, dp2):
                         worst = max(worst, abs(np.trace(pk @ dp)))
                 worst = max(worst, abs(np.trace(p1 @ dp1 @ p1 @ dp1)))
             if model.kind == "spectral":
-                projs = model.projectors_at(theta)
-                dprojs = model.dprojectors_at(theta)
+                projs, dprojs = _spectral_projectors(model.at(theta))
                 for l in range(model.dim):
                     worst = max(
                         worst, abs(np.trace(projs[l] @ dprojs[l] @ projs[l] @ dprojs[l]))

@@ -406,6 +406,27 @@ def test_huge_theta_on_a_seeded_spectral_frame_exits_zero(tmp_path, capsys, thet
     assert row["i_h_sld"] == pytest.approx(row["i_h_closed"], rel=DEFAULT_TOL_ANALYTIC)
 
 
+@pytest.mark.parametrize("spectrum", [
+    [0.6, 0.4, 1e-16],
+    [0.6, 0.4, 1e-13],
+    [0.3, 0.2, 0.15, 0.1, 0.1, 0.1, 0.05, 1e-16],
+    [0.3, 0.2, 0.15, 0.1, 0.1, 0.1, 0.05, 1e-13],
+], ids=["dim3-1e-16", "dim3-1e-13", "dim8-1e-16", "dim8-1e-13"])
+def test_a_weight_below_the_support_tolerance_passes_the_skew_gates(tmp_path, capsys, spectrum):
+    # the spectral closed forms take sqrt(lam_k lam_l) under the support rule
+    # of the definitional route's square root, so a weight of rounding size
+    # counts as 0 on both routes and the skew residuals stay at rounding
+    cfg = tmp_path / "spectral.json"
+    cfg.write_text(json.dumps({"kind": "spectral", "spectrum": spectrum, "seed": 3}))
+    code, out, err = run_cli(["compute", "--model", cfg, "--theta-grid=-1:1:5"], capsys)
+    assert (code, err) == (EXIT_OK, "")
+    rows = rows_of(out)
+    assert len(rows) == 5
+    for row in rows:
+        assert row["res_route_i_wy"] <= 1e-11
+        assert abs(row["res_relation"]) <= 1e-11
+
+
 # --- the cells of a row --------------------------------------------------------
 
 RELATION_KEY = {"pure": "pure_doubling", "qubit_mixture": "prop1", "spectral": "prop2"}

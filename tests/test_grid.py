@@ -57,6 +57,7 @@ from qcrb_kit.models import (
     _dsqrt_fd_stage,
     _inputs_stage,
     builtin_models,
+    canonical_psi2,
     complex_rotation_family,
     fixed_spectrum_model,
     qubit_mixture_as_spectral,
@@ -79,6 +80,8 @@ from qcrb_kit.quantum import (
     wy_info_generic,
     wy_info_spectral,
 )
+
+from model_formulas import dprojector_formula, projector_formula, psi2_formula
 
 DIMS = (1, 2, 3, 4, 8, 16, 64)
 LAYERS = (1, 2, 21)
@@ -246,7 +249,7 @@ def _qubit_formula(pt):
     model, theta, h = pt.model, pt.theta, pt.model.fd_step
     w = model.weight.value(theta)
     dw = _slope_formula(model.weight, theta, h)
-    dp = _dprojector_formula(model.psi1, theta, h)
+    dp = dprojector_formula(model.psi1, theta, h)
     return w, dw, 2.0 * real_trace_product([dp, dp])
 
 
@@ -342,7 +345,7 @@ class ClippedRhoMixture(QubitMixtureModel):
 
     def rho_matrix(self, theta):
         w = min(max(theta, 0.1), 0.9)
-        p1 = self.psi1.projector(theta)
+        p1 = projector_formula(self.psi1, theta)
         return w * p1 + (1.0 - w) * (np.eye(2) - p1)
 
 
@@ -372,26 +375,8 @@ def test_a_weight_outside_the_unit_interval_fails_only_its_point():
 
 # --- the model's input stages -----------------------------------------------------------
 # The per-theta formulas of rho, drho and the closed-form ingredients that the input
-# stages replaced, kept here as their oracles. They call the model's callables directly.
-
-def _state_formula(family, theta):
-    return np.asarray(family.psi(theta), dtype=complex).reshape(-1)
-
-
-def _projector_formula(family, theta):
-    v = _state_formula(family, theta)
-    return np.outer(v, v.conj())
-
-
-def _dprojector_formula(family, theta, h):
-    if family.dpsi is not None:
-        v = _state_formula(family, theta)
-        dv = np.asarray(family.dpsi(theta), dtype=complex).reshape(-1)
-        d = np.outer(dv, v.conj()) + np.outer(v, dv.conj())
-    else:
-        d = (_projector_formula(family, theta + h) - _projector_formula(family, theta - h)) / (2.0 * h)
-    return (d + d.conj().T) / 2.0
-
+# stages replaced, kept here as their oracles; a family's state, projector and projector
+# derivative are in ``model_formulas``. They call the model's callables directly.
 
 def _slope_formula(weight, theta, h):
     if weight.dw is not None:
@@ -431,10 +416,10 @@ def _generator_formula(model, theta):
 
 def _rho_formula(model, theta):
     if model.kind == "pure":
-        return _projector_formula(model.family, theta)
+        return projector_formula(model.family, theta)
     if model.kind == "qubit_mixture":
         w = float(model.weight.w(theta))
-        p1 = _projector_formula(model.psi1, theta)
+        p1 = projector_formula(model.psi1, theta)
         return w * p1 + (1.0 - w) * (np.eye(2) - p1)
     u = np.asarray(model._frame(theta), dtype=complex)
     return (u * _lambdas_formula(model, theta)) @ u.conj().T
@@ -444,14 +429,14 @@ def _drho_analytic_formula(model, theta):
     h = model.fd_step
     if model.kind == "qubit_mixture":
         dw = _slope_formula(model.weight, theta, h)
-        dp1 = _dprojector_formula(model.psi1, theta, h)
+        dp1 = dprojector_formula(model.psi1, theta, h)
         w = float(model.weight.w(theta))
-        p1 = _projector_formula(model.psi1, theta)
+        p1 = projector_formula(model.psi1, theta)
         return dw * (2.0 * p1 - np.eye(2)) + (2.0 * w - 1.0) * dp1
     if not model.has_analytic_derivative:
         return None
     if model.kind == "pure":
-        return _dprojector_formula(model.family, theta, h)
+        return dprojector_formula(model.family, theta, h)
     lam = _lambdas_formula(model, theta)
     u = np.asarray(model._frame(theta), dtype=complex)
     inner = _generator_formula(model, theta) * (lam[None, :] - lam[:, None])
@@ -477,7 +462,7 @@ def _assert_inputs_equal_the_formulas(model, thetas):
         assert _same(pt.rho.mat, HermitianMatrix(_rho_formula(model, theta)).mat)
         assert _same(pt.drho.mat, _drho_formula_of_kind(model, theta))
         if model.kind == "pure":
-            dp = _dprojector_formula(model.family, theta, model.fd_step)
+            dp = dprojector_formula(model.family, theta, model.fd_step)
             assert _same(_pure_helstrom_closed(pt), 2.0 * real_trace_product([dp, dp]))
         elif model.kind == "qubit_mixture":
             assert _same(pt.cached(_qubit_ingredients), _qubit_formula(pt))
@@ -486,9 +471,10 @@ def _assert_inputs_equal_the_formulas(model, thetas):
             assert _same(lam, _lambdas_formula(model, theta))
             assert _same(dlam, _dlambdas_formula(model, theta))
             assert _same(a, _generator_formula(model, theta))
-            # the per-theta accessors are the layers of a point of one
-            assert _same(model.dlambdas_at(theta), dlam)
-            assert _same(model.generator_at(theta), a)
+            # the layers of a point of one
+            alone = model.at(theta).layer(_dinputs_stage)
+            assert _same(alone[0], dlam)
+            assert _same(alone[1], a)
 
 
 def test_input_stages_equal_the_per_theta_formulas_on_a_rank_deficient_spectrum():
@@ -511,6 +497,16 @@ def test_input_stages_equal_the_per_theta_formulas_without_a_frame_derivative(na
     model = qubit_mixture_as_spectral(EMBEDDED_MIXTURES[name]())
     assert model._dframe is None and (model._dlambdas is None) is (name == "mixture-w0.7-fd")
     _assert_inputs_equal_the_formulas(model, model.sample_thetas)
+
+
+@pytest.mark.parametrize("name", sorted(EMBEDDED_MIXTURES))
+def test_psi2_of_a_grid_point_equals_psi2_alone_and_the_formula_bitwise(name):
+    # psi2 reads the point's psi1 and dP1, analytic or differenced with fd_step
+    model = EMBEDDED_MIXTURES[name]()
+    for pt in model.grid(model.sample_thetas):
+        psi2 = canonical_psi2(pt).vec
+        assert _same(psi2, canonical_psi2(model.at(pt.theta)).vec)
+        assert _same(psi2, psi2_formula(model.psi1, pt.theta, model.fd_step))
 
 
 def _rotation_psi(t):
@@ -636,7 +632,8 @@ def test_a_stencil_side_that_fails_its_input_check_fails_only_its_point(case):
 def test_differenced_weights_just_below_zero_read_the_clipped_stencil():
     # weights x, 1 - x with x(theta) = -5e-13 + 1e-8 (theta - 0.3) and no
     # derivative: both stencil sides of 0.3 clip x to 0, so lambda' is 0, and
-    # dlambdas_at(0.3) is that layer rather than a difference of raw weights
+    # the layer of a point of one at 0.3 is that too, rather than a
+    # difference of raw weights
     base = random_spectral_model(5, 2)
 
     def lambdas(t):
@@ -646,8 +643,7 @@ def test_differenced_weights_just_below_zero_read_the_clipped_stencil():
     model = SpectralMixtureModel(2, lambdas=lambdas, frame=base._frame, dframe=base._dframe)
     dlam = next(model.grid([0.3, 0.6])).cached(_spectral_ingredients)[1]
     assert _same(dlam, np.zeros(2))
-    assert _same(model.dlambdas_at(0.3), dlam)
-    assert _same(model.dlambdas_at(0.3), model.at(0.3).layer(_dinputs_stage)[0])
+    assert _same(model.at(0.3).layer(_dinputs_stage)[0], dlam)
 
 
 class HalfAnalyticRotation(ParametricStateModel):

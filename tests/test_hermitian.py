@@ -354,6 +354,19 @@ def test_a_density_matrix_is_a_hermitian_matrix_with_the_same_kernel_bits():
     assert repr(plain) == f"HermitianMatrix(dim={n})"
 
 
+@pytest.mark.parametrize("kind", [HermitianMatrix, DensityMatrix])
+def test_a_hermitian_matrix_of_a_wrapped_matrix_is_its_matrix_bitwise(kind):
+    # HermitianMatrix unwraps a HermitianMatrix or DensityMatrix argument
+    # with as_array, as DensityMatrix does, and (A + A*)/2 of it is itself
+    rng = np.random.default_rng(8)
+    g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    wrapped = kind(g @ g.conj().T / np.trace(g @ g.conj().T).real)
+    for build in (HermitianMatrix, DensityMatrix):
+        rebuilt = build(wrapped)
+        assert type(rebuilt) is build
+        assert rebuilt.mat.tobytes() == wrapped.mat.tobytes()
+
+
 # --- psd_sqrt ----------------------------------------------------------------
 
 def test_psd_sqrt_scalar_matrix():

@@ -18,8 +18,10 @@ from qcrb_kit.models import (
     QubitMixtureModel,
     SpectralMixtureModel,
     WeightFunction,
+    _dinputs_stage,
     _drho_fd_stage,
     _dsqrt_fd_stage,
+    _spectral_projectors,
     _unitary_path,
     builtin_models,
     canonical_psi2,
@@ -35,6 +37,8 @@ from qcrb_kit.models import (
     sine_weight,
 )
 from qcrb_kit.quantum import _qubit_ingredients
+
+from model_formulas import dprojector_formula, projector_formula
 
 
 def rotation_drho(theta):
@@ -126,7 +130,7 @@ def test_mixture_sqrt_derivative_closed_form():
     v1 = model.psi1.state(theta)
     p1 = np.outer(v1, v1.conj())
     p2 = np.eye(2) - p1
-    dp1 = model.psi1.projector_derivative(theta)
+    dp1 = dprojector_formula(model.psi1, theta, model.fd_step)
     expected = (
         dw / (2 * math.sqrt(w)) * p1
         + math.sqrt(w) * dp1
@@ -170,15 +174,20 @@ def test_dsqrt_falls_back_when_rhs_leaves_the_support():
 
 # --- canonical psi2 ---------------------------------------------------------------
 
+def _psi2_at(family, theta, **kwargs):
+    """canonical_psi2 of a point of a mixture of ``family``: psi2 takes a mixture's point."""
+    return canonical_psi2(QubitMixtureModel(family, constant_weight(0.7), **kwargs).at(theta))
+
+
 def test_canonical_psi2_rotation_at_zero():
-    psi2 = canonical_psi2(rotation_family(), 0.0)
+    psi2 = _psi2_at(rotation_family(), 0.0)
     np.testing.assert_allclose(psi2.vec, [0.0, 1.0], atol=1e-12)
 
 
 def test_canonical_psi2_orthogonal_everywhere():
     fam = rotation_family()
     for theta in (-1.0, -0.2, 0.45, 1.3):
-        overlap = np.vdot(fam.state(theta), canonical_psi2(fam, theta).vec)
+        overlap = np.vdot(fam.state(theta), _psi2_at(fam, theta).vec)
         assert abs(overlap) <= 1e-10
 
 
@@ -190,7 +199,7 @@ def test_canonical_psi2_of_a_differenced_family_with_varying_speed(phase, h):
     # a central-difference dp leaves an O(h^2) overlap with psi1 where the
     # phase speed varies; it is projected out before normalizing
     fam = PureFamily(dim=2, psi=lambda t: np.array([math.cos(phase(t)), math.sin(phase(t))]))
-    psi2 = canonical_psi2(fam, 0.3, h)
+    psi2 = _psi2_at(fam, 0.3, fd_step=h)
     assert abs(np.vdot(fam.state(0.3), psi2.vec)) <= ORTHO_ATOL
     angle = phase(0.3)
     np.testing.assert_allclose(psi2.vec, [-math.sin(angle), math.cos(angle)], atol=1e-9)
@@ -199,7 +208,20 @@ def test_canonical_psi2_of_a_differenced_family_with_varying_speed(phase, h):
 def test_canonical_psi2_stationary_family_rejected():
     frozen = PureFamily(dim=2, psi=lambda t: np.array([1.0, 0.0]))
     with pytest.raises(StationaryFamilyError):
-        canonical_psi2(frozen, 0.3)
+        _psi2_at(frozen, 0.3)
+
+
+def test_canonical_psi2_needs_a_valid_mixture_point():
+    # psi2 reads the point's inputs: the weight at theta, and with a
+    # differenced psi1 the stencil theta +- fd_step inside the domain
+    drifting = QubitMixtureModel(rotation_family(), WeightFunction(w=lambda t: 0.5 + t))
+    with pytest.raises(DomainError, match="weight"):
+        canonical_psi2(drifting.at(0.7))
+    fd = QubitMixtureModel(PureFamily(dim=2, psi=rotation_family().psi), constant_weight(0.7),
+                           domain=(-1.0, 1.0))
+    canonical_psi2(fd.at(0.5))
+    with pytest.raises(DomainError, match="outside domain"):
+        canonical_psi2(fd.at(1.0))
 
 
 def test_mixture_requires_dim_two():
@@ -212,11 +234,11 @@ def test_mixture_requires_dim_two():
 def test_complement_projector_identities():
     model = rotation_mixture(0.7)
     for theta in (-0.5, 0.2, 1.0):
-        p1 = model.psi1.projector(theta)
-        p2 = model.psi2(theta).projector()
+        p1 = projector_formula(model.psi1, theta)
+        p2 = canonical_psi2(model.at(theta)).projector()
         assert np.linalg.norm(p2 - (np.eye(2) - p1)) <= 1e-10
         # tr{rho_k drho_h} = 0 for all component pairs
-        dp1 = model.psi1.projector_derivative(theta)
+        dp1 = dprojector_formula(model.psi1, theta, model.fd_step)
         for pk in (p1, p2):
             assert abs(np.trace(pk @ dp1)) <= 1e-9
 
@@ -239,8 +261,9 @@ def test_spectral_model_invariants():
         lam = model.lambdas_at(theta)
         assert abs(lam.sum() - 1.0) <= 1e-10
         assert np.all(lam >= 0.0) and np.all(lam <= 1.0)
-        assert abs(model.dlambdas_at(theta).sum()) <= 1e-8
-        projs = model.projectors_at(theta)
+        pt = model.at(theta)
+        assert abs(pt.layer(_dinputs_stage)[0].sum()) <= 1e-8
+        projs, _ = _spectral_projectors(pt)
         for l, p_l in enumerate(projs):
             for k, p_k in enumerate(projs):
                 expected = 1.0 if l == k else 0.0
@@ -250,8 +273,7 @@ def test_spectral_model_invariants():
 def test_spectral_appendix_identities():
     model = random_spectral_model(23, 4)
     for theta in (-0.4, 0.5):
-        projs = model.projectors_at(theta)
-        dprojs = model.dprojectors_at(theta)
+        projs, dprojs = _spectral_projectors(model.at(theta))
         assert np.linalg.norm(sum(dprojs)) <= 1e-9
         for l in range(4):
             assert abs(np.trace(projs[l] @ dprojs[l] @ projs[l] @ dprojs[l])) <= 1e-9
@@ -280,7 +302,9 @@ def test_embedding_differences_a_weight_without_slope_with_its_own_step():
     copied = qubit_mixture_as_spectral(mix).with_fd_step(1e-2)
     rebuilt = qubit_mixture_as_spectral(mix.with_fd_step(1e-2))
     for theta in (-0.6, 0.3):
-        np.testing.assert_array_equal(copied.dlambdas_at(theta), rebuilt.dlambdas_at(theta))
+        np.testing.assert_array_equal(
+            copied.at(theta).layer(_dinputs_stage)[0], rebuilt.at(theta).layer(_dinputs_stage)[0]
+        )
         np.testing.assert_array_equal(copied.drho(theta).mat, rebuilt.drho(theta).mat)
 
 
@@ -332,13 +356,13 @@ def test_model_construction_errors_are_toolkit_errors():
 
 
 def _projector_lists_by_columns(model, theta):
-    """The per-column outer products that built ``projectors_at`` and ``dprojectors_at``,
+    """The per-column outer products that built the frame projectors and ``dprojectors_at``,
     kept as their reference: du is the raw dframe, or U A without one."""
     u = model.frame_at(theta)
     if model._dframe is not None:
         du = np.asarray(model._dframe(theta), dtype=complex)
     else:
-        du = u @ model.generator_at(theta)
+        du = u @ model.at(theta).layer(_dinputs_stage)[1]
     projs, dprojs = [], []
     for j in range(model.dim):
         projs.append(np.outer(u[:, j], u[:, j].conj()))
@@ -359,7 +383,7 @@ SPECTRAL_CATALOG = {name: m for name, m in builtin_models().items() if m.kind ==
 def test_projector_accessors_equal_the_per_column_outer_products_bitwise(model):
     for theta in model.sample_thetas:
         projs, dprojs = _projector_lists_by_columns(model, theta)
-        assert np.array(model.projectors_at(theta)).tobytes() == np.array(projs).tobytes()
+        assert np.array(_spectral_projectors(model.at(theta))[0]).tobytes() == np.array(projs).tobytes()
         assert np.array(model.dprojectors_at(theta)).tobytes() == np.array(dprojs).tobytes()
 
 
@@ -371,9 +395,9 @@ def test_spectral_differences_stay_inside_the_domain():
         frame=lambda t: np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]]),
         domain=(0.0, 1.0),
     )
-    assert model.dlambdas_at(0.5) == pytest.approx([0.2, -0.2], abs=1e-9)
+    assert model.at(0.5).layer(_dinputs_stage)[0] == pytest.approx([0.2, -0.2], abs=1e-9)
     with pytest.raises(DomainError, match="outside domain"):
-        model.dlambdas_at(0.0)
+        model.at(0.0).layer(_dinputs_stage)
     with pytest.raises(DomainError, match="outside domain"):
         model.dprojectors_at(1.0)
 
@@ -390,7 +414,7 @@ def test_spectral_differences_stay_inside_the_domain():
 )
 def test_generator_is_skew_hermitian_with_zero_diagonal(model):
     for theta in (-0.7, 0.1, 0.5):
-        a = model.generator_at(theta)
+        a = model.at(theta).layer(_dinputs_stage)[1]
         assert a.shape == (model.dim, model.dim)
         assert np.array_equal(a, -a.conj().T)
         assert np.all(np.diag(a) == 0.0)
@@ -401,7 +425,7 @@ def test_differenced_generator_recovers_the_rotation_generator():
     model = qubit_mixture_as_spectral(rotation_mixture(sine_weight(0.7)))
     k = np.array([[0.0, -1.0], [1.0, 0.0]])
     for theta in (-0.7, 0.1, 0.5):
-        np.testing.assert_allclose(model.generator_at(theta), k, atol=1e-9)
+        np.testing.assert_allclose(model.at(theta).layer(_dinputs_stage)[1], k, atol=1e-9)
 
 
 def test_with_fd_step_copies_only_when_the_step_changes():

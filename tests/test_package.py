@@ -58,3 +58,47 @@ def test_no_module_imports_a_name_it_never_uses():
         if stale:
             unused[path.name] = stale
     assert unused == {}
+
+
+# where a finite-difference step may be named: the model constructors, the copy of a model
+# at a new step, and the config reader that builds a model
+STEP_OWNERS = {
+    "models.ParametricStateModel.__init__",
+    "models.ParametricStateModel.with_fd_step",
+    "configio.model_from_config",
+}
+
+
+def _public_functions(tree: ast.Module, module: str):
+    """(qualified name, node) of each public function and method: no part of the name is
+    private, and methods are those of public classes, nested to any depth."""
+    def walk(body, prefix):
+        for node in body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("_") and not node.name.startswith("__"):
+                continue
+            name = f"{prefix}.{node.name}"
+            if isinstance(node, ast.ClassDef):
+                yield from walk(node.body, name)
+            else:
+                yield name, node
+    yield from walk(tree.body, module)
+
+
+def test_no_public_function_takes_a_step_of_its_own():
+    # every difference steps by its model's fd_step: no function or method
+    # takes a per-call step h, and fd_step is a parameter only where a model
+    # is built
+    offenders, owners = [], set()
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for name, node in _public_functions(tree, path.stem):
+            args = node.args
+            params = {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)}
+            if "fd_step" in params and name in STEP_OWNERS:
+                owners.add(name)
+            elif "h" in params or "fd_step" in params:
+                offenders.append(name)
+    assert offenders == []
+    assert owners == STEP_OWNERS

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcrb_kit import quantum
+from qcrb_kit import models, quantum
 from qcrb_kit.errors import BoundaryRegularityError, DomainError
 from qcrb_kit.hermitian import real_trace_product
 from qcrb_kit.models import (
@@ -17,8 +17,10 @@ from qcrb_kit.models import (
     PureStateModel,
     SpectralMixtureModel,
     WeightFunction,
+    _dinputs_stage,
     _drho_fd_stage,
     _dsqrt_fd_stage,
+    _spectral_projectors,
     complex_rotation_family,
     fixed_spectrum_model,
     qubit_mixture_as_spectral,
@@ -320,10 +322,10 @@ def test_gamma_spectral_matches_generic_gap(make_model):
 
 def _spectral_sums_by_loops(model, theta):
     """(I_H, I_WY, gamma) as explicit projector sums: the reference for the contractions."""
+    pt = model.at(theta)
     lam = model.lambdas_at(theta)
-    dlam = model.dlambdas_at(theta)
-    projs = model.projectors_at(theta)
-    dprojs = model.dprojectors_at(theta)
+    dlam = pt.layer(_dinputs_stage)[0]
+    projs, dprojs = _spectral_projectors(pt)
     n = model.dim
     fisher = sum(dlam[l] ** 2 / lam[l] for l in range(n) if lam[l] > 1e-12)
     skew = gap = triple = 0.0
@@ -374,7 +376,7 @@ def _frame_basis_dprojectors(model, theta):
 def test_generator_contractions_match_the_projector_tensor(model):
     for theta in (-0.7, 0.1, 0.5):
         lam = model.lambdas_at(theta)
-        a = model.generator_at(theta)
+        a = model.at(theta).layer(_dinputs_stage)[1]
         d = _frame_basis_dprojectors(model, theta)
         gram = np.tensordot(d, d, axes=([1, 2], [2, 1]))
         pair = lam[:, None] + lam[None, :]
@@ -396,7 +398,7 @@ def test_no_closed_form_reads_the_phase_of_a_frame_column():
     twisted = SpectralMixtureModel(
         2,
         lambdas=plain.lambdas_at,
-        dlambdas=plain.dlambdas_at,
+        dlambdas=lambda t: plain.at(t).layer(_dinputs_stage)[0],
         frame=lambda t: plain.frame_at(t) * np.array([1.0, np.exp(1j * (0.7 * t**2 + 1.3 * t))]),
         domain=plain.domain,
     )
@@ -409,15 +411,21 @@ def test_no_closed_form_reads_the_phase_of_a_frame_column():
 
 
 def _count_projector_lists(monkeypatch) -> Counter:
+    # dprojectors_at, and the frame projectors of a point it reads
     calls = Counter()
-    for name in ("projectors_at", "dprojectors_at"):
-        original = getattr(SpectralMixtureModel, name)
+    original_at = SpectralMixtureModel.dprojectors_at
+    original_point = models._spectral_projectors
 
-        def counted(self, theta, _name=name, _original=original):
-            calls[_name] += 1
-            return _original(self, theta)
+    def counted_at(self, theta):
+        calls["dprojectors_at"] += 1
+        return original_at(self, theta)
 
-        monkeypatch.setattr(SpectralMixtureModel, name, counted)
+    def counted_point(pt):
+        calls["_spectral_projectors"] += 1
+        return original_point(pt)
+
+    monkeypatch.setattr(SpectralMixtureModel, "dprojectors_at", counted_at)
+    monkeypatch.setattr(models, "_spectral_projectors", counted_point)
     return calls
 
 

@@ -292,7 +292,7 @@ def test_compute_row_with_povm_evaluates_the_state_once_per_theta(tmp_path, monk
 def test_spectral_row_evaluates_the_spectral_ingredients_once(tmp_path, monkeypatch, capsys):
     counts = Counter()
     counting(monkeypatch, quantum, "_spectral_ingredients", counts)
-    for name in ("lambdas_at", "dlambdas_at", "frame_at", "generator_at", "dprojectors_at"):
+    for name in ("lambdas_at", "frame_at", "dprojectors_at"):
         counting(monkeypatch, SpectralMixtureModel, name, counts)
     model = random_spectral_model(9, 4)
     for attr in ("_lambdas", "_dlambdas", "_frame", "_dframe"):
@@ -316,7 +316,7 @@ def test_spectral_row_evaluates_the_spectral_ingredients_once(tmp_path, monkeypa
 def test_qubit_row_evaluates_the_qubit_ingredients_once(tmp_path, monkeypatch, capsys):
     counts = Counter()
     counting(monkeypatch, quantum, "_qubit_ingredients", counts)
-    for name in ("state", "velocity", "projector", "projector_derivative"):
+    for name in ("state", "velocity"):
         counting(monkeypatch, PureFamily, name, counts)
     counting(monkeypatch, WeightFunction, "value", counts)
     cfg = tmp_path / "model.json"

@@ -125,10 +125,15 @@ def test_one_run_creates_each_point_once_and_the_extra_models_once(monkeypatch):
     assert all_passed(results)
     # the forced differences of drho- and dsqrt-route-agreement evaluate one
     # stencil grid per catalog model grid, which makes no points and runs
-    # only the value inputs, no rho stage
+    # only the value inputs, no rho stage. The mixture identities difference
+    # psi2 over one grid of the two points theta +- fd_step per sample theta
+    # of each of the 5 mixtures, which runs only the input stages; the one
+    # mixture without dpsi or dw differences its inputs on a stencil grid
+    # of each of its 5 side grids.
     stencils = len(builtin_models())
+    sides = 5 * 5
     assert counts == {
-        "point": 115, "grid": 47 + stencils, "rho_stage": 47,
+        "point": 115 + 2 * sides, "grid": 47 + stencils + sides + 5, "rho_stage": 47,
         "random_spectral_model": 5,
     }
 
@@ -139,7 +144,7 @@ def test_the_spectral_identities_read_the_frame_of_the_table_point(monkeypatch):
     # models, and 3 thetas for each of the 5 extra models; the projector
     # accessors are not called
     counts = Counter()
-    for name in ("frame_at", "projectors_at", "dprojectors_at"):
+    for name in ("frame_at", "dprojectors_at"):
         original = getattr(SpectralMixtureModel, name)
 
         def counted(self, theta, _name=name, _original=original):
@@ -175,16 +180,16 @@ def test_fd_step_reaches_every_difference_in_the_suite(monkeypatch):
     # the suite's own family-level differences and the differenced weight of
     # mixture-w0.7-fd (stacked over its 5 sample thetas) included
     steps, shapes = set(), set()
-    original = models._central_difference
+    original = models._stencil_difference
 
-    def recording(f, theta, h):
+    def recording(sides, h):
         steps.add(h)
-        value = original(f, theta, h)
+        value = original(sides, h)
         shapes.add(np.shape(value))
         return value
 
-    monkeypatch.setattr(models, "_central_difference", recording)
-    monkeypatch.setattr(verify, "_central_difference", recording)
+    monkeypatch.setattr(models, "_stencil_difference", recording)
+    monkeypatch.setattr(verify, "_stencil_difference", recording)
     run_suite(options=VerifyOptions(fd_step=1e-3))
     assert steps == {1e-3}
     assert (5,) in shapes
