@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from .classical import bound_check
-from .configio import load_json, model_from_config, povm_from_config
+from .configio import NAMED_FAMILIES, load_json, model_from_config, povm_from_config
 from .errors import (
     BoundaryRegularityError,
     ConfigError,
@@ -34,11 +34,9 @@ from .models import (
     DEFAULT_FD_STEP,
     DEFAULT_SEED,
     LAMBDA_SUM_ATOL,
-    complex_rotation_family,
     fixed_spectrum_model,
     QubitMixtureModel,
     constant_weight,
-    rotation_family,
 )
 from .quantum import NEAR_ZERO_INFO, relation_report
 from .simulate import SimConfig, bound_chain_ok, run_sim
@@ -342,19 +340,11 @@ def _sweep_rows(args, axis: str, grid, model_at, columns) -> tuple[list[dict], i
     return rows, failures
 
 
-def _sweep_family(args):
-    if args.psi1 == "rotation":
-        return rotation_family()
-    if args.psi1 == "complex-rotation":
-        return complex_rotation_family()
-    raise ConfigError(f"--psi1: unknown family {args.psi1!r}")
-
-
 def cmd_sweep_w(args) -> int:
     grid = parse_grid(args.w_grid, "--w-grid")
     if grid[0] <= 0.0 or grid[-1] >= 1.0:
         raise DomainError(f"--w-grid touches the boundary of (0, 1): {args.w_grid}")
-    family = _sweep_family(args)
+    family = NAMED_FAMILIES[args.psi1]()
     rows, failures = _sweep_rows(
         args, "w", grid,
         lambda w: QubitMixtureModel(family, constant_weight(w), fd_step=args.fd_step),
@@ -400,7 +390,7 @@ def cmd_sweep_spectrum(args) -> int:
     monotone = all(b <= a + GAP_ORDER_SLACK for a, b in zip(gaps, gaps[1:]))
     if abs(grid[-1] - 1.0) < GRID_POINT_ATOL and gaps[-1] > UNIFORM_GAP_ATOL:
         failures += 1
-        logger.warning("gap at the uniform spectrum is %.3e, expected <= 1e-7", gaps[-1])
+        logger.warning("gap at the uniform spectrum is %.3e, expected <= %g", gaps[-1], UNIFORM_GAP_ATOL)
     meta = {"frame": args.frame, "seed": args.seed, "gap_monotone_nonincreasing": monotone}
     _emit(args, SWEEP_SPECTRUM_COLUMNS, rows, meta, args.fd_step)
     return EXIT_OK if failures == 0 else EXIT_NUMERIC
@@ -516,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--w-grid", default="0.5:0.9:5", dest="w_grid", help="lo:hi:steps in (0,1)")
     p.add_argument("--theta", type=_finite_float, default=0.3)
-    p.add_argument("--psi1", choices=("rotation", "complex-rotation"), default="rotation")
+    p.add_argument("--psi1", choices=tuple(NAMED_FAMILIES), default="rotation")
     p.set_defaults(fn=cmd_sweep_w)
 
     p = sub.add_parser("sweep-spectrum", help="interpolate a spectrum toward uniform")

@@ -130,21 +130,24 @@ def _params(spec: dict, where: str) -> list[float]:
     return [_real(v, f"{where}.params[{i}]") for i, v in enumerate(raw)]
 
 
+# the pure families a name alone builds, read by a config's "psi1" and by
+# ``sweep-w --psi1``; a config's "random" family needs a seed and a dim too
+NAMED_FAMILIES = {"rotation": rotation_family, "complex-rotation": complex_rotation_family}
+
+
 def _pure_family(spec, seed, dim, where: str):
     if not isinstance(spec, dict):
         raise ConfigError(f"{where}: expected an object with a 'name'")
     name = _field(spec, "name", where)
-    if name not in ("rotation", "complex-rotation", "random"):
+    if name not in NAMED_FAMILIES and name != "random":
         raise ConfigError(f"{where}.name: unknown family {name!r}")
     params = spec.get("params", [])
     if not isinstance(params, (list, tuple)):
         raise ConfigError(f"{where}.params: expected a list")
     if params:
         raise ConfigError(f"{where}.params: family {name!r} takes none, got {len(params)} entries")
-    if name == "rotation":
-        return rotation_family()
-    if name == "complex-rotation":
-        return complex_rotation_family()
+    if name in NAMED_FAMILIES:
+        return NAMED_FAMILIES[name]()
     if seed is None:
         raise ConfigError(f"{where}: family 'random' needs a top-level 'seed'")
     if dim is None:

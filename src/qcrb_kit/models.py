@@ -37,7 +37,9 @@ derivative reads that one layer.
 
 The point is the only per-theta route to a model's inputs, ``canonical_psi2``
 included, and every difference is ``_stencil_difference`` with the model's
-``fd_step``: no public function takes a step of its own.
+``fd_step``. That step is set once, by the constructor (``builtin_models``
+passes its ``fd_step`` to each model it builds), and no model is copied at
+another step: no public function takes a step of its own.
 """
 
 from __future__ import annotations
@@ -424,7 +426,8 @@ class ParametricStateModel:
     and its one derivative input ``_drho_analytic``, or where that is None
     the central difference of rho with ``fd_step`` (``_drho_fd_stage``), the
     one step all its derivatives use. ``domain`` is a closed interval of
-    admissible theta.
+    admissible theta. ``fd_step`` is set here, where the model is built, and
+    nowhere else: a model at another step is another model, built at it.
 
     ``rho``, ``drho`` and ``dsqrt_rho`` read ``self.at(theta)``, and nothing
     in the package calls them; they stay because the benchmark's tracer
@@ -452,16 +455,6 @@ class ParametricStateModel:
             sample_thetas = tuple(np.linspace(a + 0.1 * (b - a), b - 0.1 * (b - a), 5))
         self.sample_thetas = tuple(float(t) for t in sample_thetas)
 
-    def with_fd_step(self, fd_step: float) -> "ParametricStateModel":
-        """This model differencing with ``fd_step``: self if unchanged, else a shallow copy."""
-        step = _checked_step(fd_step)
-        if step == self.fd_step:
-            return self
-        out = object.__new__(type(self))
-        out.__dict__.update(self.__dict__)
-        out.fd_step = step
-        return out
-
     def _require_in_domain(self, theta: float) -> None:
         lo, hi = self.domain
         if not (lo <= theta <= hi):
@@ -487,11 +480,20 @@ class ParametricStateModel:
         return rho
 
     def _derivative_inputs(self, grid: StateGrid) -> tuple:
-        """(drho,): ``_drho_analytic`` at each theta, or where it is None the ``_drho_fd_stage``."""
+        """(drho,): ``_drho_analytic`` at each theta, or where it is None the ``_drho_fd_stage``.
+
+        The difference runs over only the thetas without an analytic form: the
+        grid's own stage where none has one, so that the forced difference
+        shares it, and else a grid of just those thetas, so that an analytic
+        theta neither evaluates its stencil nor needs one inside the domain.
+        """
         ds = [self._drho_analytic(theta) for theta in grid.thetas]
-        if any(d is None for d in ds):
-            fd = grid.stage(_drho_fd_stage)[0]
-            ds = [fd[k] if d is None else d for k, d in enumerate(ds)]
+        missing = [k for k, d in enumerate(ds) if d is None]
+        if missing:
+            thetas = [grid.thetas[k] for k in missing]
+            fd_grid = grid if len(thetas) == len(ds) else StateGrid(self, thetas)
+            for k, d in zip(missing, fd_grid.stage(_drho_fd_stage)[0]):
+                ds[k] = d
         return (square_stack(ds),)
 
     def _rho_stack(self, grid: StateGrid) -> np.ndarray:
@@ -997,33 +999,17 @@ def fixed_spectrum_model(
     )
 
 
-class _QubitEmbedding(SpectralMixtureModel):
-    """The spectral model that ``qubit_mixture_as_spectral`` returns.
-
-    Its frame's psi2 reads the mixture's points, at the mixture's step, which
-    a shallow copy would keep; so a new step embeds the mixture at that step.
-    """
-
-    def __init__(self, mixture: QubitMixtureModel, **kwargs):
-        super().__init__(2, **kwargs)
-        self.mixture = mixture
-
-    def with_fd_step(self, fd_step: float) -> SpectralMixtureModel:
-        if _checked_step(fd_step) == self.fd_step:
-            return self
-        return qubit_mixture_as_spectral(self.mixture.with_fd_step(fd_step))
-
-
 def qubit_mixture_as_spectral(model: QubitMixtureModel) -> SpectralMixtureModel:
     """Embed a qubit mixture as a two-eigenvalue spectral mixture.
 
     Frame columns are psi1 and the distinguished orthogonal psi2; the frame
     derivative is left to finite differences. The weight slope is analytic
     when the weight has one; otherwise the spectral model differences its
-    eigenvalue weights with its own ``fd_step``. ``with_fd_step`` on the
-    result embeds the mixture at the new step, so it reaches both psi2 and
-    the weight slope. Its drho is the difference of rho, since the frame
-    has no derivative.
+    eigenvalue weights. The result is built at the mixture's ``fd_step``,
+    at which its frame's psi2 reads the mixture's points, so every
+    difference of the embedding steps by it; to embed at another step,
+    build the mixture at that step. Its drho is the difference of rho,
+    since the frame has no derivative.
 
     Nothing in the package calls it, and no verify check or CLI config
     builds it: only the unit tests guard it.
@@ -1042,8 +1028,8 @@ def qubit_mixture_as_spectral(model: QubitMixtureModel) -> SpectralMixtureModel:
         pt = model.at(t)
         return np.column_stack([pt.layer(_inputs_stage)[1], canonical_psi2(pt).vec])
 
-    return _QubitEmbedding(
-        model,
+    return SpectralMixtureModel(
+        2,
         lambdas=lambdas,
         frame=frame,
         dlambdas=None if weight.dw is None else dlambdas,
@@ -1054,26 +1040,27 @@ def qubit_mixture_as_spectral(model: QubitMixtureModel) -> SpectralMixtureModel:
     )
 
 
-def builtin_models() -> dict[str, ParametricStateModel]:
-    """Named model catalog used by the verification suite and the CLI."""
+def builtin_models(fd_step: float = DEFAULT_FD_STEP) -> dict[str, ParametricStateModel]:
+    """Named model catalog used by the verification suite and the CLI, every model built at ``fd_step``."""
     rot = rotation_family()
     rot_fd = PureFamily(dim=2, psi=rot.psi)  # same family, derivative by differences
     w07_fd = WeightFunction(w=lambda t: 0.7)
     return {
-        "qubit-rotation": PureStateModel(rot),
-        "qubit-rotation-fd": PureStateModel(rot_fd),
-        "qubit-complex-rotation": PureStateModel(complex_rotation_family()),
-        "pure-random-3": PureStateModel(random_pure_family(101, 3)),
-        "pure-random-4": PureStateModel(random_pure_family(11, 4)),
-        "mixture-w0.9": rotation_mixture(0.9),
-        "mixture-w0.45": rotation_mixture(0.45),
-        "mixture-w0.7-fd": QubitMixtureModel(rot_fd, w07_fd),
+        "qubit-rotation": PureStateModel(rot, fd_step=fd_step),
+        "qubit-rotation-fd": PureStateModel(rot_fd, fd_step=fd_step),
+        "qubit-complex-rotation": PureStateModel(complex_rotation_family(), fd_step=fd_step),
+        "pure-random-3": PureStateModel(random_pure_family(101, 3), fd_step=fd_step),
+        "pure-random-4": PureStateModel(random_pure_family(11, 4), fd_step=fd_step),
+        "mixture-w0.9": rotation_mixture(0.9, fd_step=fd_step),
+        "mixture-w0.45": rotation_mixture(0.45, fd_step=fd_step),
+        "mixture-w0.7-fd": QubitMixtureModel(rot_fd, w07_fd, fd_step=fd_step),
         "sine-weight-mixture": rotation_mixture(
-            sine_weight(), domain=(-1.45, 1.45), sample_thetas=(-1.1, -0.5, 0.0, 0.4, 1.0)
+            sine_weight(), domain=(-1.45, 1.45), fd_step=fd_step,
+            sample_thetas=(-1.1, -0.5, 0.0, 0.4, 1.0),
         ),
-        "logistic-weight-mixture": rotation_mixture(logistic_weight(1.5, 0.0)),
-        "spectral-random-5-2": random_spectral_model(5, 2),
-        "spectral-random-7-3": random_spectral_model(7, 3),
-        "spectral-random-21-4": random_spectral_model(21, 4),
-        "spectral-random-3-6": random_spectral_model(3, 6),
+        "logistic-weight-mixture": rotation_mixture(logistic_weight(1.5, 0.0), fd_step=fd_step),
+        "spectral-random-5-2": random_spectral_model(5, 2, fd_step=fd_step),
+        "spectral-random-7-3": random_spectral_model(7, 3, fd_step=fd_step),
+        "spectral-random-21-4": random_spectral_model(21, 4, fd_step=fd_step),
+        "spectral-random-3-6": random_spectral_model(3, 6, fd_step=fd_step),
     }

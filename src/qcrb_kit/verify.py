@@ -10,7 +10,7 @@ are classed ``analytic`` or ``fd`` depending on whether a
 finite-difference ingredient is involved; the two classes can be tightened
 independently (tightening the fd class below its truncation error fails
 those checks by design). A catalog can be injected, which is how the tests
-exercise corrupted models.
+exercise corrupted models; its models keep the steps they were built at.
 
 One suite run evaluates each (model, theta) state once: the checks read a
 shared ``StatePoint`` from a run-wide table, whose points of one model are
@@ -26,7 +26,8 @@ in the order a per-measurement loop would, and draws its random POVMs as
 one set (``random_povms``); each point then reads the classical Fisher
 information of its set with one ``classical_fishers`` call, one trace
 rule per (point's grid, set). Only the projector-sum SLD of
-``sld-vs-spectral-sum`` is computed afresh per point. ``eigh-reconstruction``
+``sld-vs-spectral-sum``, and the rephased solve of
+``eigenvector-phase-invariance``, are computed afresh per point. ``eigh-reconstruction``
 holds LAPACK's eigenvalues against the power sums tr(M^k) of its matrices,
 so no second eigensolver runs. A check that measures one residual per
 sampled (model, theta) point is a ``_PointCheck`` row: a residual function
@@ -56,10 +57,11 @@ from .errors import QcrbError
 from .hermitian import (
     SUPPORT_TOL,
     HermitianMatrix,
+    SpectralDecomposition,
     eigh,
     projectors,
     psd_sqrt,
-    real_trace_product,
+    solve_symmetric_product,
     symmetrized,
     trace_product,
 )
@@ -123,6 +125,10 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class VerifyOptions:
+    """Tolerance overrides of the two classes, the seed of the random draws, and ``fd_step``:
+    the step the builtin catalog and the extra seeded spectral models are built at. An
+    injected catalog's models keep the steps they were built at."""
+
     tol_analytic: float | None = None
     tol_fd: float | None = None
     fd_step: float = DEFAULT_FD_STEP
@@ -268,20 +274,18 @@ def _solve_involution(pt):
 
 
 def _check_phase_invariance(catalog, opts, points):
+    # the solve on eigenvectors rephased at random must give the point's SLD:
+    # the matrices are compared, since tr{rho L^2} does not see a solve that
+    # transposes its eigenbasis solution, which the phases change
     rng = np.random.default_rng(opts.seed + 1)
     for name, model in _models(catalog, kinds=("qubit_mixture", "spectral")):
         theta = model.sample_thetas[1]
         pt = points.at(model, theta)
-        rho, drho = pt.rho, pt.drho
-        dec = rho.decomposition
-        base_projs = dec.projectors()
-        l_base = sld_spectral_sum(dec.eigenvalues, base_projs, drho)
-        phases = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=rho.dim))
-        scrambled = dec.eigenvectors * phases
-        l_scr = sld_spectral_sum(dec.eigenvalues, projectors(scrambled.T), drho)
-        base = real_trace_product([rho, l_base, l_base])
-        scr = real_trace_product([rho, l_scr, l_scr])
-        yield abs(base - scr), f"{name} theta={theta:g}"
+        dec = pt.rho.decomposition
+        phases = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=dec.dim))
+        rephased = SpectralDecomposition(dec.eigenvalues, dec.eigenvectors * phases)
+        l_mat = solve_symmetric_product(rephased, pt.drho).mat
+        yield float(np.linalg.norm(l_mat - pt.cached(sld).matrix.mat)), f"{name} theta={theta:g}"
 
 
 # --- model checks -----------------------------------------------------------
@@ -585,10 +589,14 @@ def run_suite(
     catalog: dict[str, ParametricStateModel] | None = None,
     options: VerifyOptions | None = None,
 ) -> list[CheckResult]:
-    """Run every invariant check; a raising check fails with its error recorded."""
-    catalog = builtin_models() if catalog is None else catalog
+    """Run every invariant check; a raising check fails with its error recorded.
+
+    Without a ``catalog`` the suite reads ``builtin_models(options.fd_step)``.
+    An injected catalog is read as given: each model differences with the
+    ``fd_step`` it was built at.
+    """
     opts = options or VerifyOptions()
-    catalog = {name: model.with_fd_step(opts.fd_step) for name, model in catalog.items()}
+    catalog = builtin_models(opts.fd_step) if catalog is None else catalog
     extra_spectral = _extra_spectral_models(opts)
     points = _PointTable(_suite_reads(catalog, extra_spectral), extra_spectral)
     results = []

@@ -315,7 +315,7 @@ def test_criterion_12_verify_exit_codes(tmp_path, monkeypatch):
 
     catalog = dict(builtin_models())
     catalog["corrupt"] = CorruptModel()
-    monkeypatch.setattr(verify_mod, "builtin_models", lambda: catalog)
+    monkeypatch.setattr(verify_mod, "builtin_models", lambda fd_step: catalog)
     corrupted = main(["verify", "--out", str(tmp_path / "verify2.csv")])
     ok = clean == 0 and corrupted == 2
     verdict(12, ok, f"verify exit codes: clean catalog {clean} == 0, corrupted {corrupted} == 2")

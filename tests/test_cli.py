@@ -593,7 +593,7 @@ def test_verify_flips_to_two_on_corrupted_catalog(capsys, monkeypatch):
 
     catalog = dict(builtin_models())
     catalog["corrupt"] = CorruptModel()
-    monkeypatch.setattr(verify_mod, "builtin_models", lambda: catalog)
+    monkeypatch.setattr(verify_mod, "builtin_models", lambda fd_step: catalog)
     code, out, _ = run_cli(["verify"], capsys)
     assert code == EXIT_NUMERIC
     rows = rows_of(out)

@@ -650,8 +650,8 @@ class HalfAnalyticRotation(ParametricStateModel):
     """The rotation mixture of weight 0.7 as a custom model with a real ``rho_matrix``,
     whose analytic drho 0.4 d|psi><psi| exists only at theta <= 0."""
 
-    def __init__(self):
-        super().__init__(2)
+    def __init__(self, domain=(-math.inf, math.inf)):
+        super().__init__(2, domain=domain)
 
     def rho_matrix(self, theta):
         c, s = math.cos(theta), math.sin(theta)
@@ -686,6 +686,28 @@ def test_a_drho_without_an_analytic_form_is_the_forced_difference(name):
             assert _same(pt.drho.mat, model.at(pt.theta).layer(_drho_fd_stage)[0])
         else:
             assert _same(pt.drho.mat, HermitianMatrix(analytic).mat)
+
+
+def test_a_custom_drho_differences_only_the_thetas_without_an_analytic_form(monkeypatch):
+    # analytic at theta <= 0: drho evaluates the stencil of theta = 0.3 alone,
+    # two states, and not those of the three analytic thetas as well
+    calls = []
+    original = HalfAnalyticRotation.rho_matrix
+    monkeypatch.setattr(HalfAnalyticRotation, "rho_matrix", lambda self, t: calls.append(t) or original(self, t))
+    model = HalfAnalyticRotation()
+    drho = [pt.drho.mat for pt in model.grid([-0.9, -0.6, -0.3, 0.3])]
+    assert len(calls) == 2
+    assert _same(drho[3], model.at(0.3).layer(_drho_fd_stage)[0])
+
+
+def test_an_analytic_theta_on_the_domain_edge_does_not_split_the_grid():
+    # theta = -1 has an analytic drho, so its stencil, half outside the domain,
+    # is never read, and the grid's drho stage runs once for all three thetas
+    model = HalfAnalyticRotation(domain=(-1.0, 1.0))
+    pts = list(model.grid([-1.0, -0.5, 0.3]))
+    assert _same(pts[0].drho.mat, HermitianMatrix(model._drho_analytic(-1.0)).mat)
+    assert _same(pts[2].drho.mat, model.at(0.3).layer(_drho_fd_stage)[0])
+    assert pts[0].grid._parts is None
 
 
 # every stage that reads rho, drho, the square-root derivative or the SLD

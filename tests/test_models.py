@@ -297,27 +297,30 @@ def test_qubit_mixture_as_spectral_reproduces_rho():
 
 
 def test_embedding_differences_a_weight_without_slope_with_its_own_step():
-    # with_fd_step on the embedding must reach the weight slope, not only the frame
-    mix = rotation_mixture(WeightFunction(w=sine_weight(0.8).w), domain=(-1.45, 1.45))
-    copied = qubit_mixture_as_spectral(mix).with_fd_step(1e-2)
-    rebuilt = qubit_mixture_as_spectral(mix.with_fd_step(1e-2))
+    # the embedding is built at the mixture's step: its differenced weight is the
+    # mixture's weight slope, bit for bit, and not the one at the default step
+    weight = WeightFunction(w=sine_weight(0.8).w)
+    mix = rotation_mixture(weight, domain=(-1.45, 1.45), fd_step=1e-2)
+    spec = qubit_mixture_as_spectral(mix)
+    assert spec.fd_step == 1e-2
+    default = rotation_mixture(weight, domain=(-1.45, 1.45))
     for theta in (-0.6, 0.3):
-        np.testing.assert_array_equal(
-            copied.at(theta).layer(_dinputs_stage)[0], rebuilt.at(theta).layer(_dinputs_stage)[0]
-        )
-        np.testing.assert_array_equal(copied.drho(theta).mat, rebuilt.drho(theta).mat)
+        dw = mix.at(theta).layer(_dinputs_stage)[0]
+        assert spec.at(theta).layer(_dinputs_stage)[0][0].tobytes() == dw.tobytes()
+        assert dw != default.at(theta).layer(_dinputs_stage)[0]
 
 
 def test_embedding_frame_differences_psi2_with_its_own_step():
-    # psi2 differences psi1, so with_fd_step on the embedding must reach it too
+    # psi2 differences psi1 at the mixture's step, and so does the embedding's frame
     phase = lambda t: 0.1 * t * t + t
     family = PureFamily(
         dim=2, psi=lambda t: np.array([math.cos(phase(t)), math.sin(phase(t))], dtype=complex)
     )
-    mix = QubitMixtureModel(family, sine_weight(0.7))
-    copied = qubit_mixture_as_spectral(mix).with_fd_step(1e-3)
-    rebuilt = qubit_mixture_as_spectral(mix.with_fd_step(1e-3))
-    assert copied.frame_at(0.3).tobytes() == rebuilt.frame_at(0.3).tobytes()
+    mix = QubitMixtureModel(family, sine_weight(0.7), fd_step=1e-3)
+    psi2 = canonical_psi2(mix.at(0.3)).vec
+    assert qubit_mixture_as_spectral(mix).frame_at(0.3)[:, 1].tobytes() == psi2.tobytes()
+    default = QubitMixtureModel(family, sine_weight(0.7))
+    assert canonical_psi2(default.at(0.3)).vec.tobytes() != psi2.tobytes()
 
 
 def test_builtin_catalog_satisfies_model_invariants():
@@ -428,17 +431,13 @@ def test_differenced_generator_recovers_the_rotation_generator():
         np.testing.assert_allclose(model.at(theta).layer(_dinputs_stage)[1], k, atol=1e-9)
 
 
-def test_with_fd_step_copies_only_when_the_step_changes():
-    model = PureStateModel(PureFamily(dim=2, psi=rotation_family().psi))
-    assert model.with_fd_step(model.fd_step) is model
-    coarse = model.with_fd_step(1e-3)
-    assert coarse is not model and type(coarse) is type(model)
-    assert (model.fd_step, coarse.fd_step) == (1e-5, 1e-3)
-    built = PureStateModel(model.family, fd_step=1e-3)
-    np.testing.assert_array_equal(coarse.drho(0.3).mat, built.drho(0.3).mat)
-    assert not np.array_equal(coarse.drho(0.3).mat, model.drho(0.3).mat)
+def test_a_model_differences_with_the_step_it_is_built_at():
+    family = PureFamily(dim=2, psi=rotation_family().psi)
     with pytest.raises(ConfigError, match="step must be positive"):
-        model.with_fd_step(0.0)
+        PureStateModel(family, fd_step=0.0)
+    coarse, fine = PureStateModel(family, fd_step=1e-3), PureStateModel(family, fd_step=1e-5)
+    assert (coarse.fd_step, fine.fd_step) == (1e-3, 1e-5)
+    assert not np.array_equal(coarse.drho(0.3).mat, fine.drho(0.3).mat)
 
 
 # --- exact frame exponentials ---------------------------------------------------------

@@ -60,11 +60,11 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == {}
 
 
-# where a finite-difference step may be named: the model constructors, the copy of a model
-# at a new step, and the config reader that builds a model
+# where a finite-difference step may be named: the model constructors, the catalog that
+# builds its models at one step, and the config reader that builds a model
 STEP_OWNERS = {
     "models.ParametricStateModel.__init__",
-    "models.ParametricStateModel.with_fd_step",
+    "models.builtin_models",
     "configio.model_from_config",
 }
 

@@ -10,7 +10,7 @@ import pytest
 
 from qcrb_kit import hermitian, models, quantum, verify
 from qcrb_kit.errors import DomainError
-from qcrb_kit.hermitian import SpectralDecomposition
+from qcrb_kit.hermitian import HermitianMatrix, SpectralDecomposition
 from qcrb_kit.models import (
     ParametricStateModel,
     QubitMixtureModel,
@@ -195,6 +195,41 @@ def test_fd_step_reaches_every_difference_in_the_suite(monkeypatch):
     assert (5,) in shapes
     # the forced square-root differences: one stacked (T, n, n) rule per grid
     assert any(len(shape) == 3 for shape in shapes)
+
+
+def test_the_suite_builds_the_catalog_at_its_step_and_reads_an_injected_one_as_given(clean_results):
+    # builtin_models(h) builds every model at h; run_suite builds it at the
+    # options' step, and an injected catalog keeps the steps it was built at
+    catalog = builtin_models(1e-3)
+    assert {model.fd_step for model in catalog.values()} == {1e-3}
+    coarse = run_suite(options=VerifyOptions(fd_step=1e-3))
+    injected_coarse = run_suite(catalog=catalog)
+    injected_default = run_suite(catalog=builtin_models(), options=VerifyOptions(fd_step=1e-3))
+
+    def fd_rows(results):
+        return [r for r in results if r.kind == "fd"]
+
+    assert fd_rows(injected_coarse) == fd_rows(coarse)
+    assert fd_rows(injected_default) == fd_rows(clean_results)
+    assert fd_rows(coarse) != fd_rows(clean_results)
+
+
+def _transposed_solve(dec, rhs):
+    # U x~^T U^dagger: Hermitian, but it changes with the phases of U's columns
+    u = dec.eigenvectors
+    u_h = u.conj().swapaxes(-1, -2)
+    x_tilde = u_h @ hermitian.solve_symmetric_product(dec, rhs).mat @ u
+    return HermitianMatrix.of_checked(hermitian.hermitian_part(u @ x_tilde.swapaxes(-1, -2) @ u_h))
+
+
+def test_eigenvector_phase_invariance_fails_a_solve_that_depends_on_the_phases(monkeypatch):
+    # tr{rho L^2} is blind to the transpose; the SLD solved again on rephased
+    # eigenvectors is not
+    monkeypatch.setattr(quantum, "solve_symmetric_product", _transposed_solve)
+    monkeypatch.setattr(verify, "solve_symmetric_product", _transposed_solve)
+    row = next(r for r in run_suite() if r.name == "eigenvector-phase-invariance")
+    assert not row.passed
+    assert row.residual > 1.0
 
 
 def test_weight_boundary_regularity_reads_the_weight_slope_of_the_closed_forms():
