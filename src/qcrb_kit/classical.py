@@ -317,15 +317,21 @@ def bound_check(pt: StatePoint, povm: Povm) -> BoundCheck:
     i = classical_fisher(pt, povm)
     i_h = pt.cached(helstrom_info_sld)
     i_wy = pt.cached(wy_info_generic)
+    gap, ok, crb = _bound_cells(i, i_h)
     return BoundCheck(
         i=i,
         i_h=i_h,
-        gap=i_h - i,
-        ok=bool(i <= i_h + BOUND_SLACK),
-        crb=1.0 / i if i > NEAR_ZERO_INFO else None,
+        gap=gap,
+        ok=ok,
+        crb=crb,
         qcrb=1.0 / i_h if i_h > NEAR_ZERO_INFO else None,
         approx_qcrb=1.0 / i_wy if i_wy > NEAR_ZERO_INFO else None,
     )
+
+
+def _bound_cells(i, i_h: float) -> tuple:
+    """(gap, ok, crb) of classical information ``i`` against the Helstrom information ``i_h``."""
+    return i_h - i, bool(i <= i_h + BOUND_SLACK), 1.0 / i if i > NEAR_ZERO_INFO else None
 
 
 def random_povms(specs) -> list[Povm]:

@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .classical import bound_check
+from .classical import _bound_cells, _fisher_stage
 from .configio import NAMED_FAMILIES, load_json, model_from_config, povm_from_config
 from .errors import (
     BoundaryRegularityError,
@@ -38,7 +38,7 @@ from .models import (
     QubitMixtureModel,
     constant_weight,
 )
-from .quantum import NEAR_ZERO_INFO, relation_report
+from .quantum import NEAR_ZERO_INFO, REPORT_FIELDS, _report_stage, _route_errors
 from .simulate import SimConfig, bound_chain_ok, run_sim
 from .verify import VerifyOptions, all_passed, run_suite
 
@@ -71,7 +71,7 @@ NUMERIC_OPTIONS = (
     "--n-samples", "--theta-grid", "--w-grid", "--t-grid", "--start-spectrum",
 )
 
-# the compute cells read from the point's relation_report, by column name
+# the compute cells read from the point's report cells, by column name
 REPORT_COLUMNS = [
     "theta", "kind", "i_h_sld", "i_h_closed", "i_wy_generic", "i_wy_closed",
     "ratio", "gap", "alpha", "beta", "gamma", "score_mean",
@@ -96,8 +96,13 @@ SIMULATE_COLUMNS = [
 
 # --- emission ----------------------------------------------------------------
 
+_BUILTIN_SCALARS = frozenset((float, int, bool, str, type(None)))
+
+
 def _pyify(value):
     """Coerce numpy scalars to builtins so formatting and JSON stay portable."""
+    if type(value) in _BUILTIN_SCALARS:  # most cells: the report's are builtins already
+        return value
     if isinstance(value, np.bool_):
         return bool(value)
     if isinstance(value, np.integer):
@@ -262,25 +267,10 @@ def _gate_residuals(row, tol, where) -> int:
     return failures
 
 
-def _relation_residual(report):
-    for key in ("pure_doubling", "prop1", "prop2", "pure_doubling_abs"):
-        if key in report.residuals:
-            return report.residuals[key]
-    return None
-
-
-def _report_cell(report, column: str):
-    """A cell read from ``report`` by column name.
-
-    ``res_relation`` is the kind's relation residual, any other ``res_*``
-    column the residual named by the rest of the column name (null when the
-    report has none), and every other column the report's attribute.
-    """
-    if column == "res_relation":
-        return _relation_residual(report)
-    if column.startswith("res_"):
-        return report.residuals.get(column[4:])
-    return getattr(report, column)
+def _report_cells(point) -> dict:
+    """The point's relation report by ``REPORT_FIELDS`` name: its layer of the grid's
+    report stage, which runs once per grid block."""
+    return dict(zip(REPORT_FIELDS, point.layer(_report_stage)))
 
 
 # --- commands ----------------------------------------------------------------
@@ -290,18 +280,21 @@ def cmd_compute(args) -> int:
     povm = povm_from_config(load_json(args.povm)) if args.povm else None
     rows = []
     failures = 0
-    # one grid: each state is evaluated once, shared by the report and the bound check
+    # one grid: each state is evaluated once, and the report and the classical
+    # information of each block of thetas are stacked stages of it
     for point in model.grid(float(theta) for theta in _thetas(args)):
         theta = point.theta
-        report = relation_report(point)
-        row = {column: _report_cell(report, column) for column in REPORT_COLUMNS}
+        cells = _report_cells(point)
+        row = {column: cells[column] for column in REPORT_COLUMNS}
         failures += _gate_residuals(row, _route_tol(args, model), f"theta={theta:g}")
-        if report.route_errors:
-            logger.warning("theta=%g route errors: %s", theta, report.route_errors)
+        route_errors = _route_errors(cells)
+        if route_errors:
+            logger.warning("theta=%g route errors: %s", theta, route_errors)
         if povm is not None:
-            check = bound_check(point, povm)
-            row.update({"cfi": check.i, "cfi_gap": check.gap, "cfi_ok": check.ok, "crb": check.crb})
-            if not check.ok:
+            i = point.layer(_fisher_stage, (povm,))[0][0]
+            gap, ok, crb = _bound_cells(i, row["i_h_sld"])
+            row.update({"cfi": i, "cfi_gap": gap, "cfi_ok": ok, "crb": crb})
+            if not ok:
                 failures += 1
                 logger.warning("theta=%g: classical information exceeds the bound", theta)
         rows.append(row)
@@ -315,7 +308,7 @@ def _sweep_rows(args, axis: str, grid, model_at, columns) -> tuple[list[dict], i
 
     ``model_at(x)`` builds the model at x. The cells ``i_h``, ``i_wy``, their
     ``gap`` and ``ratio`` come from the closed routes, the ``axis`` cell is x,
-    and every other column is read from the point's relation_report by name.
+    and every other column is read from the point's report cells by name.
     """
     theta = float(args.theta)
     rows = []
@@ -323,18 +316,18 @@ def _sweep_rows(args, axis: str, grid, model_at, columns) -> tuple[list[dict], i
     for x in grid:
         x = float(x)
         model = model_at(x)
-        report = relation_report(model.at(theta))
-        i_h, i_wy = report.i_h_closed, report.i_wy_closed
+        cells = _report_cells(model.at(theta))
+        i_h, i_wy = cells["i_h_closed"], cells["i_wy_closed"]
         if i_h is None or i_wy is None:
-            raise QcrbError(f"closed routes unavailable at {axis}={x}: {report.route_errors}")
-        cells = {
+            raise QcrbError(f"closed routes unavailable at {axis}={x}: {_route_errors(cells)}")
+        cells.update({
             axis: x,
             "i_h": i_h,
             "i_wy": i_wy,
             "gap": i_wy - i_h,
             "ratio": i_wy / i_h if i_h > NEAR_ZERO_INFO else None,
-        }
-        row = {c: cells[c] if c in cells else _report_cell(report, c) for c in columns}
+        })
+        row = {c: cells[c] for c in columns}
         rows.append(row)
         failures += _gate_residuals(row, _route_tol(args, model), f"{axis}={x:g}")
     return rows, failures
@@ -532,10 +525,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _log_level(name: str | None) -> int:
+    """The logging level that ``QCRB_LOG`` names: WARNING when unset, INFO for a name
+    that is no level (a ``logging`` attribute that is not an integer is none)."""
+    if not name:
+        return logging.WARNING
+    level = getattr(logging, name.upper(), None)
+    return level if isinstance(level, int) else logging.INFO
+
+
 def main(argv=None) -> int:
-    level = os.environ.get("QCRB_LOG")
     logging.basicConfig(
-        level=getattr(logging, level.upper(), logging.INFO) if level else logging.WARNING,
+        level=_log_level(os.environ.get("QCRB_LOG")),
         format="%(levelname)s %(name)s: %(message)s",
     )
     parser = build_parser()

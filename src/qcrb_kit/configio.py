@@ -139,6 +139,8 @@ def _pure_family(spec, seed, dim, where: str):
     if not isinstance(spec, dict):
         raise ConfigError(f"{where}: expected an object with a 'name'")
     name = _field(spec, "name", where)
+    if not isinstance(name, str):
+        raise ConfigError(f"{where}.name: expected a string")
     if name not in NAMED_FAMILIES and name != "random":
         raise ConfigError(f"{where}.name: unknown family {name!r}")
     params = spec.get("params", [])

@@ -12,8 +12,8 @@ all that rho reads, and ``_dinputs_stage`` the derivative inputs. A
 built-in model's inputs are the callables it wraps (psi and dpsi, the
 weight w and dw, the eigenvalue weights and the frame with their
 derivatives); a custom model's are ``rho_matrix`` and ``_drho_analytic``.
-rho, drho and the closed-form ingredients of ``quantum`` are stacked numpy
-formulas over those (T, ...) arrays. The validation, the eigendecomposition
+rho, drho and the closed forms of ``quantum`` are stacked numpy formulas
+over those (T, ...) arrays. The validation, the eigendecomposition
 and the square-root solve (and, in ``quantum``, the SLD solve) each run
 once per grid on the (T, n, n) stack. Long grids are cut into blocks of
 ``GRID_BLOCK_ENTRIES`` matrix entries.
@@ -150,14 +150,16 @@ class StateGrid:
     """One model at a block of thetas, whose stages each run once for the whole block.
 
     A stage is a function ``fn(grid, *args)`` that returns a tuple of
-    arrays with one layer per theta. Here they are the model's value and
-    derivative inputs, rho with its eigendecomposition, drho, the
+    arrays (or lists) with one layer per theta. Here they are the model's
+    value and derivative inputs, rho with its eigendecomposition, drho, the
     square-root derivative with its route, and the forced differences. In
-    ``quantum`` they are the SLD and the scalars its routes read per theta:
-    tr{rho L^2}, 4 tr{[(sqrt rho)']^2}, a pure model's 2 tr{(dP)^2}, and a
-    qubit mixture's weight, slope and I_H1. In ``classical`` they are a
-    measurement set's checked trace-rule distributions, its scores and its
-    classical Fisher information. Each runs on first use and is kept. A
+    ``quantum`` they are the SLD, tr{rho L^2}, 4 tr{[(sqrt rho)']^2}, the
+    closed forms' ingredients (a qubit mixture's weight, slope and I_H1, a
+    spectral mixture's weights and frame generator), each closed form and
+    alpha/beta, and the relation report, whose columns hold builtin
+    scalars. In ``classical`` they are a measurement set's checked
+    trace-rule distributions, its scores and its classical Fisher
+    information. Each runs on first use and is kept. A
     stage that raises is not kept; a grid of more than one theta then
     splits into grids of one, which keep the stages already run and
     evaluate the rest alone, so each point gets its own value or raises its
@@ -242,9 +244,8 @@ class StatePoint:
     uses the model's ``fd_step``. ``rho``, ``drho`` and ``dsqrt`` are
     evaluated on first access, for the whole grid at once; ``layer(fn)``
     reads the point's layer of any other stage of its grid, and
-    ``cached(fn)`` keeps any ``fn(point)``, which is how the SLD and the
-    closed-form ingredients are shared between routes. A failed evaluation
-    is not kept, so it raises again on every access.
+    ``cached(fn)`` keeps any ``fn(point)``, such as the point's SLD. A
+    failed evaluation is not kept, so it raises again on every access.
     """
 
     __slots__ = ("grid", "index", "model", "theta", "_values")

@@ -11,22 +11,24 @@ Wigner-Yanase skew information, each computable along independent routes:
   and projector derivatives, read from the frame generator A = U^dagger dU
   (O(n^2) work after the O(n^3) generator).
 
-``closed_routes(kind)`` is the one table of a kind's closed forms and the
-definitional route each must match. ``relation_report`` reads it and is the
-one producer of the cross-route and relation residuals, the core
-correctness surface: the verify route and relation checks and every CLI
-row read the point's report instead of recomputing them. Every route takes
-a ``StatePoint`` (``model.at(theta)``, or a point of ``model.grid(thetas)``);
-routes that read one point share its evaluated rho, drho, square-root
-derivative, SLD and closed-form ingredients instead of evaluating the state
-again. What a route reads per theta is a grid stage, run once per grid on
-the stacked arrays: the SLD solve, tr{rho L^2}, 4 tr{[(sqrt rho)']^2}, a
-pure model's 2 tr{(dP)^2} and a qubit mixture's (w, w', I_H1). The closed
-forms read the model's input stages (``models._inputs_stage`` and
+``closed_routes(kind)`` is the one table of a kind's closed forms, each
+named by its stage, and the definitional route each must match. The report
+stage ``_report_stage`` reads it and is the one producer of the cross-route
+and relation residuals, the core correctness surface: ``relation_report``
+is a point's layer of it, the verify route and relation checks read that
+report, and every CLI row reads the point's layer itself. Every route
+takes a ``StatePoint`` (``model.at(theta)``, or a point of
+``model.grid(thetas)``), and every number a route gives is a grid stage,
+run once per grid block on the stacked arrays: the SLD solve,
+tr{rho L^2}, 4 tr{[(sqrt rho)']^2}, each closed form with its ingredients,
+alpha/beta, and the report, which only assembles the others' columns. A
+public route of one point reads its layer of its stage. The closed forms
+read the model's input stages (``models._inputs_stage`` and
 ``_dinputs_stage``), never rho, drho or the SLD, so the routes share only
-the model's inputs (rho, drho, frame). Per point are left the layer reads,
-the closed-form arithmetic, alpha/beta, the relations and the report's
-assembly.
+the model's inputs (rho, drho, frame). A stacked formula keeps the bits of
+the scalar formula at each theta: sums over a layer's trailing axes add in
+the layer's order, and a float squared by ``x ** 2`` is squared by libm's
+pow (``np.float_power``), not by the multiplication of an array's ``** 2``.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .hermitian import (
     SUPPORT_TOL,
     HermitianMatrix,
     as_array,
+    first_failing,
     real_trace_product,
     solve_symmetric_product,
 )
@@ -133,43 +136,60 @@ def helstrom_info_sld(pt: StatePoint) -> float:
     return _check_nonnegative(float(pt.layer(_helstrom_stage)[0]), "Helstrom information")
 
 
+def _checked_nonnegative(values: np.ndarray, label: str) -> np.ndarray:
+    """``values``, one per theta, once none is below the noise floor; the first that is
+    names the error, with the text ``_check_nonnegative`` gives it alone."""
+    i = first_failing(values < INFO_FLOOR)
+    if i is not None:
+        _check_nonnegative(float(values[i]), label)
+    return values
+
+
 def _pure_helstrom_traces(dp):
     """2 tr{(dP)^2} of a projector derivative, or of each layer of a stack of them."""
     return 2.0 * real_trace_product([dp, dp])
 
 
 def _pure_stage(grid: StateGrid) -> tuple:
-    return (_pure_helstrom_traces(grid.stage(_dinputs_stage)[0]),)
+    """The pure-state shortcut 2 tr{(dP)^2} of every theta: one stacked trace on the
+    projector derivatives of the model's derivative inputs (the family's dpsi, or its
+    states at theta +- fd_step)."""
+    traces = _pure_helstrom_traces(grid.stage(_dinputs_stage)[0])
+    return (_checked_nonnegative(traces, "pure Helstrom information"),)
 
 
 def _pure_helstrom_closed(pt: StatePoint) -> float:
-    """The pure-state shortcut 2 tr{(dP)^2} of a pure model, at the model's step.
-
-    One stacked trace per grid, on the projector derivatives of the model's
-    derivative inputs: the family's dpsi, or its states at theta +- fd_step.
-    It is the report's ``i_h_closed`` of a pure point.
-    """
-    return _check_nonnegative(float(pt.layer(_pure_stage)[0]), "pure Helstrom information")
+    """The report's ``i_h_closed`` of a pure point: its layer of ``_pure_stage``."""
+    return float(pt.layer(_pure_stage)[0])
 
 
 def _qubit_stage(grid: StateGrid) -> tuple:
     """w, w' and I_H1 of every theta, from the model's input stages; I_H1 is one stacked trace."""
     w = grid.stage(_inputs_stage)[0]
     dw, dp1 = grid.stage(_dinputs_stage)
-    return w, dw, _pure_helstrom_traces(dp1)
+    return w, dw, _checked_nonnegative(_pure_helstrom_traces(dp1), "pure Helstrom information")
 
 
 def _qubit_ingredients(pt: StatePoint) -> tuple[float, float, float]:
     """The weight w, its slope w' and I_H1 of psi1, at the model's step.
 
-    The three qubit closed forms and alpha/beta share one set through
-    ``pt.cached``; I_WY1 is 2 I_H1. The set is the point's layer of its
-    grid's ``_qubit_stage``, which reads the model's inputs (the weight, its
-    slope and psi1's projector derivative) and never rho, drho or the SLD,
-    so the closed forms stay independent of the definitional routes.
+    The point's layer of its grid's ``_qubit_stage``, which the three qubit
+    closed forms and alpha/beta read. It reads the model's inputs (the
+    weight, its slope and psi1's projector derivative) and never rho, drho or
+    the SLD, so the closed forms stay independent of the definitional routes.
+    I_WY1 is 2 I_H1.
     """
-    w, dw, ih1 = (float(v) for v in pt.layer(_qubit_stage))
-    return w, dw, _check_nonnegative(ih1, "pure Helstrom information")
+    w, dw, ih1 = pt.layer(_qubit_stage)
+    return float(w), float(dw), float(ih1)
+
+
+# np.float_power squares as the scalar formula's float ``x ** 2`` does (libm's
+# pow); an array's ``** 2`` multiplies, which differs in the last bit on some weights
+
+def _helstrom_qubit_stage(grid: StateGrid) -> tuple:
+    w, dw, ih1 = grid.stage(_qubit_stage)
+    value = dw * dw / (w * (1.0 - w)) + np.float_power(2.0 * w - 1.0, 2) * ih1
+    return (_checked_nonnegative(value, "closed-form Helstrom information"),)
 
 
 def helstrom_info_qubit_closed(pt: StatePoint) -> float:
@@ -177,21 +197,33 @@ def helstrom_info_qubit_closed(pt: StatePoint) -> float:
 
     (w')^2 / (w(1-w)) + (2w-1)^2 I_H1, where I_H1 is the Helstrom
     information of the first pure family. Finite for all w in (0,1),
-    including w = 1/2.
+    including w = 1/2. The point's layer of its grid's stage.
     """
-    w, dw, ih1 = pt.cached(_qubit_ingredients)
-    value = dw * dw / (w * (1.0 - w)) + (2.0 * w - 1.0) ** 2 * ih1
-    return _check_nonnegative(value, "closed-form Helstrom information")
+    return float(pt.layer(_helstrom_qubit_stage)[0])
+
+
+def _wy_qubit_stage(grid: StateGrid) -> tuple:
+    w, dw, ih1 = grid.stage(_qubit_stage)
+    value = dw * dw / (w * (1.0 - w)) + (1.0 - 2.0 * np.sqrt(w * (1.0 - w))) * (2.0 * ih1)
+    return (_checked_nonnegative(value, "closed-form skew information"),)
 
 
 def wy_info_qubit_closed(pt: StatePoint) -> float:
     """Weight-based closed form for the skew information of the mixture.
 
-    (w')^2 / (w(1-w)) + (1 - 2 sqrt(w(1-w))) I_WY1.
+    (w')^2 / (w(1-w)) + (1 - 2 sqrt(w(1-w))) I_WY1; the point's layer of its grid's stage.
     """
-    w, dw, ih1 = pt.cached(_qubit_ingredients)
-    value = dw * dw / (w * (1.0 - w)) + (1.0 - 2.0 * np.sqrt(w * (1.0 - w))) * (2.0 * ih1)
-    return _check_nonnegative(float(value), "closed-form skew information")
+    return float(pt.layer(_wy_qubit_stage)[0])
+
+
+def _check_weight(w: float) -> None:
+    if not (0.0 < w < 1.0):
+        raise DomainError(f"weight {w!r} outside (0, 1)")
+
+
+def _alpha_beta_formula(w, dw):
+    root = 2.0 * np.sqrt(w * (1.0 - w))
+    return 2.0 / (1.0 + root), -(1.0 - root) / (1.0 + root) * dw * dw / (w * (1.0 - w))
 
 
 def alpha_beta(w: float, dw: float) -> tuple[float, float]:
@@ -201,83 +233,119 @@ def alpha_beta(w: float, dw: float) -> tuple[float, float]:
     beta = -(1 - 2 sqrt(w(1-w))) / (1 + 2 sqrt(w(1-w))) * (w')^2/(w(1-w))
     is nonpositive and vanishes for constant weights.
     """
-    if not (0.0 < w < 1.0):
-        raise DomainError(f"weight {w!r} outside (0, 1)")
-    root = 2.0 * np.sqrt(w * (1.0 - w))
-    alpha = 2.0 / (1.0 + root)
-    beta = -(1.0 - root) / (1.0 + root) * dw * dw / (w * (1.0 - w))
+    _check_weight(w)
+    alpha, beta = _alpha_beta_formula(w, dw)
     return float(alpha), float(beta)
 
 
+def _alpha_beta_stage(grid: StateGrid) -> tuple:
+    """``alpha_beta`` of every theta's (w, w'), read from ``_qubit_stage``."""
+    w, dw, _ = grid.stage(_qubit_stage)
+    i = first_failing(~((0.0 < w) & (w < 1.0)))
+    if i is not None:
+        _check_weight(float(w[i]))
+    return _alpha_beta_formula(w, dw)
+
+
+def _gamma_qubit_stage(grid: StateGrid) -> tuple:
+    w, _, ih1 = grid.stage(_qubit_stage)
+    return (np.float_power(1.0 - 2.0 * np.sqrt(w * (1.0 - w)), 2) * ih1,)
+
+
 def gamma_qubit_closed(pt: StatePoint) -> float:
-    """Two-dimensional gap I_WY - I_H = (1 - 2 sqrt(w(1-w)))^2 I_H1."""
-    w, _, ih1 = pt.cached(_qubit_ingredients)
-    return float((1.0 - 2.0 * np.sqrt(w * (1.0 - w))) ** 2 * ih1)
+    """Two-dimensional gap I_WY - I_H = (1 - 2 sqrt(w(1-w)))^2 I_H1; the point's layer of its grid's stage."""
+    return float(pt.layer(_gamma_qubit_stage)[0])
 
 
-def _spectral_ingredients(pt: StatePoint):
-    """Eigenvalue weights, their derivatives and the frame generator A = U^dagger dU.
+def _spectral_stage(grid: StateGrid) -> tuple:
+    """Eigenvalue weights, their derivatives and the frame generator A = U^dagger dU of every theta.
 
     With D_k = U^dagger dP_k U = a_k e_k^T + e_k a_k^dagger (a_k column k
     of A), tr{P_l dP_k dP_z} = (D_k D_z)_{ll} and tr{dP_k dP_z} = tr{D_k D_z}
     reduce to sums over entries of A, so no projector is built. The three
-    spectral closed forms share one set through ``pt.cached``. It is the
-    point's layer of the model's input stages, where lambda and A are
-    stacked over the grid, each frame and weight read once per theta.
+    spectral closed forms read this one set: the model's input stages, where
+    each frame and weight is read once per theta.
     """
-    lam = pt.layer(_inputs_stage)[0]
-    dlam, a = pt.layer(_dinputs_stage)
-    return lam, dlam, a
+    return (grid.stage(_inputs_stage)[0], *grid.stage(_dinputs_stage))
 
+
+def _spectral_ingredients(pt: StatePoint):
+    """lambda, lambda' and A at one point: its layer of ``_spectral_stage``."""
+    return pt.layer(_spectral_stage)
+
+
+# The spectral forms below take one point's lambda (n,) and A (n, n), or a
+# stack of them, (T, n) and (T, n, n); a stacked sum over the trailing axes
+# adds in the order of a sum over one layer, so each layer keeps its bits.
 
 def _projector_derivative_gram(a: np.ndarray) -> np.ndarray:
     """G[k, z] = tr{D_k D_z} = 2 delta_kz sum_i |A_ik|^2 - 2 |A_kz|^2."""
     sq = np.abs(a) ** 2
     gram = -2.0 * sq
-    gram[np.diag_indices_from(gram)] += 2.0 * np.sum(sq, axis=0)
+    diag = np.arange(a.shape[-1])
+    gram[..., diag, diag] += 2.0 * np.sum(sq, axis=-2)
     return gram
 
 
-def _weighted_triple_sum(lam: np.ndarray, a: np.ndarray) -> complex:
-    """sum_{l!=k} c_lk sum_z lam_z tr{P_l dP_k dP_z}.
+def _weighted_triple_sum(lam: np.ndarray, a: np.ndarray):
+    """sum_{l!=k} c_lk sum_z lam_z tr{P_l dP_k dP_z}, a complex number per layer.
 
     c_lk = lam_l (lam_k - lam_l) / (lam_l + lam_k)^2, and 0 for pairs with
     lam_l + lam_k at or below the support tolerance. With
     E = sum_z lam_z D_z, so that E_kl = A_kl (lam_l - lam_k), the inner sum
     is (D_k E)_{ll} = A_lk E_kl for l != k.
     """
-    pair = lam[:, None] + lam[None, :]
+    row, col = lam[..., :, None], lam[..., None, :]
+    pair = row + col
     keep = pair > SUPPORT_TOL
-    np.fill_diagonal(keep, False)
+    diag = np.arange(lam.shape[-1])
+    keep[..., diag, diag] = False
     coeff = np.zeros_like(pair)
-    coeff[keep] = (lam[:, None] * (lam[None, :] - lam[:, None]))[keep] / pair[keep] ** 2
-    e = a * (lam[None, :] - lam[:, None])
-    return complex(np.sum(coeff * a * e.T))
+    coeff[keep] = (row * (col - row))[keep] / pair[keep] ** 2
+    e = a * (col - row)
+    return np.sum(coeff * a * e.swapaxes(-1, -2), axis=(-2, -1))
 
 
 def _pair_roots(lam: np.ndarray) -> np.ndarray:
     """sqrt(lam_l lam_k), 0 where a weight is at or below ``SUPPORT_TOL``: the support rule
     of ``sqrt_eigenvalues``, which the definitional route's square root follows."""
-    root = np.sqrt(lam[:, None] * lam)
     dead = lam <= SUPPORT_TOL
-    if dead.any():
-        root[dead] = 0.0
-        root[:, dead] = 0.0
-    return root
+    root = np.sqrt(lam[..., :, None] * lam[..., None, :])
+    return np.where(dead[..., :, None] | dead[..., None, :], 0.0, root)
 
 
-def _eigenweight_fisher(lam: np.ndarray, dlam: np.ndarray) -> float:
-    """sum (lam')^2 / lam over the support, guarding vanishing eigenvalues."""
-    total = 0.0
-    for l in range(lam.shape[0]):
-        if lam[l] <= SUPPORT_TOL:
-            if abs(dlam[l]) > VANISHING_SLOPE_ATOL:
-                raise BoundaryRegularityError(
-                    f"eigenvalue {l} vanishes while its derivative is {dlam[l]:.3e}"
-                )
-            continue
-        total += dlam[l] * dlam[l] / lam[l]
-    return total
+def _eigenweight_fisher(lam: np.ndarray, dlam: np.ndarray) -> np.ndarray:
+    """sum (lam')^2 / lam over the support of each layer, added in eigenvalue order.
+
+    A vanishing eigenvalue adds 0, which leaves the running sum's bits as
+    they are; one whose derivative does not vanish raises, the first in
+    C order naming the error.
+    """
+    dead = lam <= SUPPORT_TOL
+    i = first_failing(dead & (np.abs(dlam) > VANISHING_SLOPE_ATOL))
+    if i is not None:
+        l = i % lam.shape[-1]
+        raise BoundaryRegularityError(
+            f"eigenvalue {l} vanishes while its derivative is {dlam.flat[i]:.3e}"
+        )
+    terms = np.divide(dlam * dlam, lam, out=np.zeros_like(lam), where=~dead)
+    return np.add.accumulate(terms, axis=-1)[..., -1]
+
+
+def _real_part(total: np.ndarray, sum_name: str) -> np.ndarray:
+    """The real part of a complex sum per theta; the first imaginary residue above
+    ``SUM_IMAG_ATOL`` names the error."""
+    i = first_failing(np.abs(total.imag) > SUM_IMAG_ATOL)
+    if i is not None:
+        raise ValueError(f"{sum_name} has imaginary residue {total.imag[i]:.3e}")
+    return total.real
+
+
+def _helstrom_spectral_stage(grid: StateGrid) -> tuple:
+    lam, dlam, a = grid.stage(_spectral_stage)
+    total = _eigenweight_fisher(lam, dlam) + 4.0 * _weighted_triple_sum(lam, a)
+    real = _real_part(total, "spectral Helstrom sum")
+    return (_checked_nonnegative(real, "spectral Helstrom information"),)
 
 
 def helstrom_info_spectral(pt: StatePoint) -> float:
@@ -286,13 +354,20 @@ def helstrom_info_spectral(pt: StatePoint) -> float:
     sum_l (lam'_l)^2/lam_l
     + sum_l sum_{k!=l} sum_z 4 lam_l (lam_k - lam_l) lam_z / (lam_l+lam_k)^2
       * tr{P_l dP_k dP_z}.
-    Eigenvalue pairs below the support tolerance are excluded.
+    Eigenvalue pairs below the support tolerance are excluded. The point's
+    layer of its grid's stage.
     """
-    lam, dlam, a = pt.cached(_spectral_ingredients)
-    total = _eigenweight_fisher(lam, dlam) + 4.0 * _weighted_triple_sum(lam, a)
-    if abs(total.imag) > SUM_IMAG_ATOL:
-        raise ValueError(f"spectral Helstrom sum has imaginary residue {total.imag:.3e}")
-    return _check_nonnegative(float(total.real), "spectral Helstrom information")
+    return float(pt.layer(_helstrom_spectral_stage)[0])
+
+
+def _wy_spectral_stage(grid: StateGrid) -> tuple:
+    lam, dlam, a = grid.stage(_spectral_stage)
+    root = _pair_roots(lam)
+    diag = np.arange(lam.shape[-1])
+    root[:, diag, diag] = lam  # the pure-state terms lam_l I_WY,l
+    skew = np.sum(root * _projector_derivative_gram(a), axis=(-2, -1))
+    total = _eigenweight_fisher(lam, dlam) + 4.0 * skew
+    return (_checked_nonnegative(total, "spectral skew information"),)
 
 
 def wy_info_spectral(pt: StatePoint) -> float:
@@ -300,16 +375,19 @@ def wy_info_spectral(pt: StatePoint) -> float:
 
     sum_l lam_l I_WY,l + sum_l (lam'_l)^2/lam_l
     + 4 sum_l sum_{k!=l} sqrt(lam_l lam_k) tr{dP_l dP_k},
-    with I_WY,l = 4 tr{(dP_l)^2} the pure-state skew information; sqrt is ``_pair_roots``.
+    with I_WY,l = 4 tr{(dP_l)^2} the pure-state skew information; sqrt is
+    ``_pair_roots``. Every term is real. The point's layer of its grid's stage.
     """
-    lam, dlam, a = pt.cached(_spectral_ingredients)
-    root = _pair_roots(lam)
-    np.fill_diagonal(root, lam)  # the pure-state terms lam_l I_WY,l
-    skew = complex(np.sum(root * _projector_derivative_gram(a)))
-    total = _eigenweight_fisher(lam, dlam) + 4.0 * skew
-    if abs(total.imag) > SUM_IMAG_ATOL:
-        raise ValueError(f"spectral skew sum has imaginary residue {total.imag:.3e}")
-    return _check_nonnegative(float(total.real), "spectral skew information")
+    return float(pt.layer(_wy_spectral_stage)[0])
+
+
+def _gamma_spectral_stage(grid: StateGrid) -> tuple:
+    lam, _, a = grid.stage(_spectral_stage)
+    weight = lam[:, :, None] - _pair_roots(lam)
+    diag = np.arange(lam.shape[-1])
+    weight[:, diag, diag] = 0.0
+    skew = np.sum(weight * _projector_derivative_gram(a), axis=(-2, -1))
+    return (_real_part(-4.0 * (skew + _weighted_triple_sum(lam, a)), "gamma sum"),)
 
 
 def gamma_spectral(pt: StatePoint) -> float:
@@ -319,16 +397,9 @@ def gamma_spectral(pt: StatePoint) -> float:
             + sum_z lam_l (lam_k - lam_l) lam_z / (lam_l+lam_k)^2
               tr{P_l dP_k dP_z} ],
     and I_WY = I_H + gamma (sqrt is ``_pair_roots``). Vanishes when all
-    eigenvalue weights coincide.
+    eigenvalue weights coincide. The point's layer of its grid's stage.
     """
-    lam, _, a = pt.cached(_spectral_ingredients)
-    weight = lam[:, None] - _pair_roots(lam)
-    np.fill_diagonal(weight, 0.0)
-    skew = complex(np.sum(weight * _projector_derivative_gram(a)))
-    total = -4.0 * (skew + _weighted_triple_sum(lam, a))
-    if abs(total.imag) > SUM_IMAG_ATOL:
-        raise ValueError(f"gamma sum has imaginary residue {total.imag:.3e}")
-    return float(total.real)
+    return float(pt.layer(_gamma_spectral_stage)[0])
 
 
 def _wy_stage(grid: StateGrid) -> tuple:
@@ -381,37 +452,40 @@ class QuantumInfoResult:
 
 @dataclass(frozen=True)
 class ClosedRoute:
-    """A closed form and the definitional route it must agree with (None for gamma).
+    """A closed form's stage, and the report field of the definitional route it
+    must agree with (None for gamma).
 
-    Both are attribute names in this module, looked up on each access of
-    ``closed_fn`` / ``definitional_fn``, so a patched or traced function is
-    the one that runs. A form that does not apply at a point raises there,
-    and ``relation_report`` records the error.
+    ``closed`` is an attribute name in this module, looked up on each access
+    of ``stage`` and ``closed_fn``, so a patched stage is the one that runs.
+    A form that does not apply at a theta raises there: the report stage
+    records the error of a grid of one, and a grid of more splits.
     """
 
     closed: str
     definitional: str | None = None
 
     @property
-    def closed_fn(self):
+    def stage(self):
         return globals()[self.closed]
 
     @property
-    def definitional_fn(self):
-        return globals()[self.definitional]
+    def closed_fn(self):
+        """The closed form at one point: the point's layer of the stage."""
+        stage = self.stage
+        return lambda pt: float(pt.layer(stage)[0])
 
 
 _CLOSED_ROUTES = {
-    "pure": {"i_h_closed": ClosedRoute("_pure_helstrom_closed", "helstrom_info_sld")},
+    "pure": {"i_h_closed": ClosedRoute("_pure_stage", "i_h_sld")},
     "qubit_mixture": {
-        "i_h_closed": ClosedRoute("helstrom_info_qubit_closed", "helstrom_info_sld"),
-        "i_wy_closed": ClosedRoute("wy_info_qubit_closed", "wy_info_generic"),
-        "gamma": ClosedRoute("gamma_qubit_closed"),
+        "i_h_closed": ClosedRoute("_helstrom_qubit_stage", "i_h_sld"),
+        "i_wy_closed": ClosedRoute("_wy_qubit_stage", "i_wy_generic"),
+        "gamma": ClosedRoute("_gamma_qubit_stage"),
     },
     "spectral": {
-        "i_h_closed": ClosedRoute("helstrom_info_spectral", "helstrom_info_sld"),
-        "i_wy_closed": ClosedRoute("wy_info_spectral", "wy_info_generic"),
-        "gamma": ClosedRoute("gamma_spectral"),
+        "i_h_closed": ClosedRoute("_helstrom_spectral_stage", "i_h_sld"),
+        "i_wy_closed": ClosedRoute("_wy_spectral_stage", "i_wy_generic"),
+        "gamma": ClosedRoute("_gamma_spectral_stage"),
     },
 }
 
@@ -426,62 +500,127 @@ def closed_routes(kind: str) -> dict[str, ClosedRoute]:
     return dict(_CLOSED_ROUTES.get(kind, {}))
 
 
-def relation_report(pt: StatePoint) -> QuantumInfoResult:
-    """Evaluate every applicable route at theta and record their residuals.
+# The columns of the report stage. A report's values; its residuals, as
+# res_<key>, and res_relation, the kind's relation residual (the first the
+# report has of pure_doubling, prop1, prop2 and pure_doubling_abs); its route
+# errors, as error_<key>; and its diagnostics.
+_VALUES = (
+    "i_h_sld", "i_wy_generic", "i_h_closed", "i_wy_closed", "alpha", "beta", "gamma",
+    "score_mean", "sharp_bound", "approx_bound",
+)
+_RESIDUALS = ("pure_doubling_abs", "pure_doubling", "prop1", "prop2", "route_i_h", "route_i_wy")
+_RELATIONS = ("pure_doubling", "prop1", "prop2", "pure_doubling_abs")
+_ROUTE_ERRORS = ("alpha_beta", "i_h_closed", "i_wy_closed", "gamma")
+_DIAGNOSTICS = ("sqrt_route", "fd_fallback", "support_dropped", "min_pair_sum")
+REPORT_FIELDS = (
+    "theta", "kind", *_VALUES, "ratio", "gap",
+    *("res_" + key for key in _RESIDUALS), "res_relation",
+    *("error_" + key for key in _ROUTE_ERRORS), *_DIAGNOSTICS,
+)
 
-    Always computes the definitional routes (SLD-based Helstrom, generic
-    skew), then each closed form of ``closed_routes(model.kind)`` and its
-    ``route_*`` residual |closed - definitional| / max(1, definitional);
-    alpha/beta and the relation residuals are filled in per model kind. A
+
+def _quotients(num, den: np.ndarray, where: np.ndarray) -> list:
+    """num / den at each theta where ``where`` holds, and None elsewhere."""
+    q = np.divide(num, den, out=np.zeros(den.shape), where=where).tolist()
+    return [v if ok else None for v, ok in zip(q, where.tolist())]
+
+
+def _scaled(dev: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """|dev| / max(1, scale) at each theta."""
+    return np.abs(dev) / np.where(scale > 1.0, scale, 1.0)
+
+
+def _report_stage(grid: StateGrid) -> tuple:
+    """Every value, residual, route error and diagnostic of ``relation_report``, one
+    column of builtin scalars per ``REPORT_FIELDS`` entry, each with one cell per theta.
+
+    The definitional routes come first, and a theta where one fails fails
+    the grid, as alone. Then alpha/beta of a qubit mixture and each closed
+    form of ``closed_routes(kind)``, from the stage the table names: one that
+    fails makes a grid of more than one theta raise, so that it splits and
+    each theta records only its own error; a grid of one records it under
+    ``error_<field>`` and leaves the value and every residual that reads it
+    null. Each ``route_*`` residual is |closed - definitional| / max(1,
+    definitional). The stage only assembles: every number is a stacked
+    formula over the routes' stages, with the bits of the scalar one.
+    """
+    kind, size = grid.model.kind, len(grid.thetas)
+    _, dropped, score, min_pair_sum = grid.stage(_sld_stage)
+    i_h = _checked_nonnegative(grid.stage(_helstrom_stage)[0], "Helstrom information")
+    i_wy = _checked_nonnegative(grid.stage(_wy_stage)[0], "skew information")
+    fell_back = grid.stage(_dsqrt_route_stage)[1]
+    values = {"i_h_sld": i_h, "i_wy_generic": i_wy, "score_mean": score}
+    cells = {}
+
+    def closed(field_name: str, stage) -> tuple | None:
+        try:
+            return grid.stage(stage)
+        except (QcrbError, ValueError) as exc:  # a failed route must not abort the report
+            if size > 1:
+                raise
+            cells["error_" + field_name] = [f"{type(exc).__name__}: {exc}"]
+            return None
+
+    if kind == "qubit_mixture" and (coefficients := closed("alpha_beta", _alpha_beta_stage)):
+        values["alpha"], values["beta"] = coefficients
+    routes = closed_routes(kind)
+    for name, route in routes.items():
+        if (out := closed(name, route.stage)) is not None:
+            values[name] = out[0]
+    res = {}
+    if kind == "pure":
+        res["pure_doubling_abs"] = np.abs(i_wy - 2.0 * i_h)
+        cells["res_pure_doubling"] = _quotients(res["pure_doubling_abs"], i_h, i_h > NEAR_ZERO_INFO)
+    if "alpha" in values:
+        res["prop1"] = _scaled(i_wy - (values["alpha"] * i_h + values["beta"]), i_h)
+    if "gamma" in values:
+        res["prop2"] = _scaled(i_wy - i_h - values["gamma"], i_h)
+    for name, route in routes.items():
+        if name in values and route.definitional is not None:
+            definitional = values[route.definitional]
+            res["route_" + name.removesuffix("_closed")] = _scaled(values[name] - definitional, definitional)
+    cells.update({name: v.tolist() for name, v in values.items()})
+    cells.update({"res_" + key: v.tolist() for key, v in res.items()})
+    nulls = [None] * size
+    relations = [cells.get("res_" + key, nulls) for key in _RELATIONS]
+    cells.update(
+        theta=list(grid.thetas),
+        kind=[kind] * size,
+        sharp_bound=_quotients(1.0, i_h, i_h > NEAR_ZERO_INFO),
+        approx_bound=_quotients(1.0, i_wy, i_wy > NEAR_ZERO_INFO),
+        ratio=_quotients(i_wy, i_h, i_h > NEAR_ZERO_INFO),
+        gap=(i_wy - i_h).tolist(),
+        res_relation=[next((r for r in rs if r is not None), None) for rs in zip(*relations)],
+        sqrt_route=["fd" if f else "solve" for f in fell_back.tolist()],
+        fd_fallback=fell_back.tolist(),
+        support_dropped=dropped.tolist(),
+        min_pair_sum=min_pair_sum.tolist(),
+    )
+    return tuple(cells.get(name, nulls) for name in REPORT_FIELDS)
+
+
+def _route_errors(cells: dict) -> dict[str, str]:
+    """The route errors of a point's report cells, keyed by route, in table order."""
+    return {key: e for key in _ROUTE_ERRORS if (e := cells["error_" + key]) is not None}
+
+
+def relation_report(pt: StatePoint) -> QuantumInfoResult:
+    """Every applicable route at theta and their residuals: the point's layer of its grid's
+    ``_report_stage``.
+
+    The definitional routes (SLD-based Helstrom, generic skew) always; each
+    closed form of ``closed_routes(model.kind)`` and its ``route_*``
+    residual; alpha/beta and the relation residuals per model kind. A
     failing closed route, or a qubit mixture's failing alpha/beta (under
     ``route_errors["alpha_beta"]``), is recorded in ``route_errors`` instead
     of aborting, and leaves no residual that reads it.
     """
-    model, theta = pt.model, pt.theta
-    s = pt.cached(sld)
-    out = QuantumInfoResult(
-        theta=theta,
-        kind=model.kind,
-        i_h_sld=pt.cached(helstrom_info_sld),
-        i_wy_generic=pt.cached(wy_info_generic),
-        score_mean=s.score_mean,
-        diagnostics={
-            "sqrt_route": pt.dsqrt.route,
-            "fd_fallback": pt.dsqrt.fd_fallback,
-            "support_dropped": s.support_dropped,
-            "min_pair_sum": s.min_pair_sum,
-        },
+    cells = dict(zip(REPORT_FIELDS, pt.layer(_report_stage)))
+    return QuantumInfoResult(
+        theta=cells["theta"],
+        kind=cells["kind"],
+        **{name: cells[name] for name in _VALUES},
+        residuals={key: r for key in _RESIDUALS if (r := cells["res_" + key]) is not None},
+        route_errors=_route_errors(cells),
+        diagnostics={key: cells[key] for key in _DIAGNOSTICS},
     )
-    if model.kind == "qubit_mixture":
-        try:
-            out.alpha, out.beta = alpha_beta(*pt.cached(_qubit_ingredients)[:2])
-        except (QcrbError, ValueError) as exc:  # as a failed closed route: recorded, not raised
-            out.route_errors["alpha_beta"] = f"{type(exc).__name__}: {exc}"
-    routes = closed_routes(model.kind)
-    for name, route in routes.items():
-        try:
-            setattr(out, name, float(route.closed_fn(pt)))
-        except (QcrbError, ValueError) as exc:  # a failed route must not abort the report
-            out.route_errors[name] = f"{type(exc).__name__}: {exc}"
-    res = out.residuals
-    scale = max(1.0, out.i_h_sld)
-    if model.kind == "pure":
-        res["pure_doubling_abs"] = abs(out.i_wy_generic - 2.0 * out.i_h_sld)
-        if out.i_h_sld > NEAR_ZERO_INFO:
-            res["pure_doubling"] = res["pure_doubling_abs"] / out.i_h_sld
-    if out.alpha is not None:
-        res["prop1"] = float(abs(out.i_wy_generic - (out.alpha * out.i_h_sld + out.beta)) / scale)
-    if out.gamma is not None:
-        res["prop2"] = float(abs(out.i_wy_generic - out.i_h_sld - out.gamma) / scale)
-    for name, route in routes.items():
-        value = getattr(out, name)
-        if value is not None and route.definitional is not None:
-            definitional = pt.cached(route.definitional_fn)
-            res["route_" + name.removesuffix("_closed")] = float(
-                abs(value - definitional) / max(1.0, definitional)
-            )
-    if out.i_h_sld > NEAR_ZERO_INFO:
-        out.sharp_bound = 1.0 / out.i_h_sld
-    if out.i_wy_generic > NEAR_ZERO_INFO:
-        out.approx_bound = 1.0 / out.i_wy_generic
-    return out

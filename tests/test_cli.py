@@ -3,6 +3,10 @@
 import json
 import logging
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -168,10 +172,11 @@ def test_tolerance_must_be_positive_and_finite(model_paths, capsys, option, valu
 def test_numerical_errors_exit_two_and_others_exit_one_without_traceback(
     model_paths, capsys, monkeypatch, error, code, label
 ):
-    def failing_report(*args, **kwargs):
+    # compute reads each row from the point's layer of the report stage
+    def failing_stage(*args, **kwargs):
         raise error("injected")
 
-    monkeypatch.setattr(cli, "relation_report", failing_report)
+    monkeypatch.setattr(cli, "_report_stage", failing_stage)
     got, out, err = run_cli(["compute", "--model", model_paths["pure"]], capsys)
     assert got == code
     assert f"error: {label}: injected" in err
@@ -272,6 +277,41 @@ def test_malformed_model_fields_exit_one_without_traceback(tmp_path, capsys, cfg
     assert code == EXIT_CONFIG
     assert err.startswith("error:") and field in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", [[], {}, 1])
+def test_a_family_name_that_is_no_string_exits_one(tmp_path, capsys, name):
+    # the name is checked before the family table's lookup, where an
+    # unhashable one would raise TypeError
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"kind": "pure", "psi1": {"name": name}}))
+    code, out, err = run_cli(["compute", "--model", path], capsys)
+    assert (code, out, err) == (EXIT_CONFIG, "", "error: model.psi1.name: expected a string\n")
+
+
+@pytest.mark.parametrize("value, level", [
+    ("BASIC_FORMAT", logging.INFO), ("_styles", logging.INFO), ("no-such-level", logging.INFO),
+    ("debug", logging.DEBUG), ("Error", logging.ERROR), ("", logging.WARNING),
+])
+def test_qcrb_log_reads_only_level_names(model_paths, capsys, monkeypatch, value, level):
+    # a logging attribute that is no level, such as the format string
+    # BASIC_FORMAT, falls back to INFO as an unknown name does
+    seen = {}
+    monkeypatch.setattr(logging, "basicConfig", lambda **kwargs: seen.update(kwargs))
+    monkeypatch.setenv("QCRB_LOG", value)
+    code, _, err = run_cli(["compute", "--model", model_paths["pure"]], capsys)
+    assert (code, err, seen["level"]) == (EXIT_OK, "", level)
+
+
+def test_qcrb_log_naming_no_level_runs_without_traceback(model_paths):
+    # a fresh process: in this one pytest's log handlers make basicConfig a no-op
+    src = Path(cli.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src), QCRB_LOG="BASIC_FORMAT")
+    argv = [sys.executable, "-m", "qcrb_kit.cli", "compute", "--model", str(model_paths["pure"])]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert done.returncode == EXIT_OK
+    assert "Traceback" not in done.stderr
+    assert done.stdout.startswith("#qcrb-kit v1")
 
 
 @pytest.mark.parametrize("entry, where", [
@@ -760,10 +800,11 @@ def test_an_empty_theta_grid_exits_one(model_paths, capsys, argv):
 
 
 def test_compute_logs_a_route_error_as_a_warning(tmp_path, capsys, caplog, monkeypatch):
-    def fail(pt):
+    def fail(grid):
         raise DomainError("route outside its domain")
 
-    monkeypatch.setattr(quantum, "helstrom_info_spectral", fail)
+    # the report runs the stage that the route table names
+    monkeypatch.setattr(quantum, quantum.closed_routes("spectral")["i_h_closed"].closed, fail)
     model = tmp_path / "spectral.json"
     model.write_text(json.dumps({"kind": "spectral", "dim": 3, "seed": 7}))
     with caplog.at_level(logging.WARNING, logger="qcrb_kit"):

@@ -24,7 +24,7 @@ from qcrb_kit.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 FUZZ = settings(deadline=None, derandomize=True)
 
 ODD = st.sampled_from([
-    None, True, "", "x", [], [1], {}, {"name": 1}, 0, -1, 0.0, -0.0, 2.5, 65, 2**70,
+    None, True, "", "x", [], [1], {}, {"name": 1}, {"name": []}, 0, -1, 0.0, -0.0, 2.5, 65, 2**70,
     1e-300, 1e308, -1e308, math.inf, -math.inf, math.nan,
 ])
 

@@ -5,6 +5,7 @@ into grids of one, and a long grid over a large model is evaluated block by bloc
 
 import hashlib
 import json
+import logging
 import math
 import tracemalloc
 
@@ -66,11 +67,14 @@ from qcrb_kit.models import (
     rotation_mixture,
     sine_weight,
 )
+from qcrb_kit.configio import model_from_config
 from qcrb_kit.quantum import (
     _pure_helstrom_closed,
     _qubit_ingredients,
     _spectral_ingredients,
+    alpha_beta,
     closed_routes,
+    gamma_qubit_closed,
     gamma_spectral,
     helstrom_info_qubit_closed,
     helstrom_info_spectral,
@@ -78,6 +82,7 @@ from qcrb_kit.quantum import (
     relation_report,
     sld,
     wy_info_generic,
+    wy_info_qubit_closed,
     wy_info_spectral,
 )
 
@@ -727,10 +732,13 @@ FULLY_DIFFERENCED = {
 
 
 # what the closed forms read beyond the model's input stages: their ingredient
-# stages, and the pure closed form itself
+# stages and readers, the stage of each closed form and of alpha/beta, and the
+# pure closed form's reader
 CLOSED_FORM_STAGES = {
     quantum: ("_qubit_stage", "_pure_stage", "_spectral_ingredients", "_qubit_ingredients",
-              "_pure_helstrom_closed"),
+              "_pure_helstrom_closed", "_spectral_stage", "_alpha_beta_stage",
+              "_helstrom_qubit_stage", "_wy_qubit_stage", "_gamma_qubit_stage",
+              "_helstrom_spectral_stage", "_wy_spectral_stage", "_gamma_spectral_stage"),
 }
 CATALOG = tuple(builtin_models())
 
@@ -859,6 +867,110 @@ def test_a_grid_fails_as_its_first_failing_theta_alone(tmp_path, capsys):
     error_lines = [line for line in grid[2].splitlines() if line.startswith("error:")]
     assert error_lines == [line for line in alone[2].splitlines() if line.startswith("error:")]
     assert error_lines == ["error: DomainError: theta=0.0 outside domain [-1.2, -0.2]"]
+
+
+# --- the report stage ----------------------------------------------------------------
+
+def _bits(value) -> str:
+    """A report field, or a dict of them, as text that tells -0.0 from 0.0 and every bit of a float."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return repr({key: _bits(v) for key, v in value.items()})
+    return repr(value)
+
+
+def _report_bits(report) -> dict:
+    return {key: _bits(value) for key, value in _report_row(report).items()}
+
+
+def test_a_closed_form_failing_at_one_theta_of_a_block_fails_only_its_row(tmp_path, capsys, caplog, monkeypatch):
+    # the report stage of the block raises, so the block splits, and only the
+    # failing theta's row records the error; every row is its theta's alone
+    model = random_spectral_model(7, 3)
+    thetas = np.linspace(-1.0, 1.0, 5).tolist()
+    bad = thetas[3]
+    route = closed_routes("spectral")["i_h_closed"]
+    original = route.stage
+
+    def failing_at_bad(grid):
+        if bad in grid.thetas:
+            raise DomainError("no closed form here")
+        return original(grid)
+
+    monkeypatch.setattr(quantum, route.closed, failing_at_bad)
+    monkeypatch.setattr(cli, "model_from_config", lambda cfg, fd_step=None: model)
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps({"kind": "spectral"}))
+    with caplog.at_level(logging.WARNING, logger="qcrb_kit"):
+        code, grid_json, _ = _compute(capsys, "--model", str(cfg), "--theta-grid=-1:1:5", "--format=json")
+    assert code == cli.EXIT_OK
+    payload = json.loads(grid_json)
+    assert [row["i_h_closed"] is None for row in payload["rows"]] == [theta == bad for theta in thetas]
+    warnings = [r.getMessage() for r in caplog.records if "route errors" in r.getMessage()]
+    assert warnings == [f"theta={bad:g} route errors: {{'i_h_closed': 'DomainError: no closed form here'}}"]
+    rows = []
+    for theta in thetas:
+        _, out, _ = _compute(capsys, "--model", str(cfg), f"--theta={theta!r}", "--format=json")
+        rows += json.loads(out)["rows"]
+    assert grid_json == cli.emit_json(payload["columns"], rows, payload["meta"])
+    for pt in model.grid(thetas):
+        report = relation_report(pt)
+        assert list(report.route_errors) == (["i_h_closed"] if pt.theta == bad else [])
+        assert _report_bits(report) == _report_bits(relation_report(model.at(pt.theta)))
+
+
+def test_a_dimension_64_grid_reports_in_blocks_as_each_theta_alone(tmp_path, capsys, monkeypatch):
+    # 17 thetas of dimension 64 fill three blocks of 8, 8 and 1; each row is
+    # the report of its theta alone, bit for bit
+    assert GRID_BLOCK_ENTRIES // 64**2 == 8
+    runs = []
+    original = cli._report_stage
+
+    def counted(grid):
+        runs.append(len(grid.thetas))
+        return original(grid)
+
+    monkeypatch.setattr(cli, "_report_stage", counted)
+    cfg = {"kind": "spectral", "dim": 64, "seed": 3}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(cfg))
+    code, out, _ = _compute(capsys, "--model", str(path), "--theta-grid=-1:1:17", "--format=json")
+    assert code == cli.EXIT_OK
+    assert runs == [8, 8, 1]
+    model = model_from_config(cfg)
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 17
+    for row in rows:
+        report = relation_report(model.at(row["theta"]))
+        cells = {**_report_row(report), **{"res_" + key: r for key, r in report.residuals.items()}}
+        expected = {column: cells.get(column) for column in cli.REPORT_COLUMNS}
+        expected["res_relation"] = report.residuals["prop2"]
+        assert {c: _bits(row.pop(c)) for c in cli.REPORT_COLUMNS} == {c: _bits(v) for c, v in expected.items()}
+        assert row == dict.fromkeys(("cfi", "cfi_gap", "cfi_ok", "crb"))  # no --povm
+
+
+def test_the_stacked_qubit_forms_keep_the_bits_of_the_scalar_formulas():
+    # the scalar formulas square a float with libm's pow (x ** 2); an array's
+    # ** 2 multiplies instead, which differs in the last bit on about one
+    # weight in a thousand, so a stacked form must square as pow does
+    weight = WeightFunction(w=lambda t: t, dw=lambda t: 0.3 * math.cos(7.0 * t))
+    model = QubitMixtureModel(rotation_family(), weight)
+    thetas = np.linspace(1e-4, 1.0 - 1e-4, 8_001).tolist()
+    got, expected = [], []
+    for pt in model.grid(thetas):
+        w, dw, ih1 = pt.cached(_qubit_ingredients)
+        root = np.sqrt(w * (1.0 - w))
+        expected.append((
+            dw * dw / (w * (1.0 - w)) + (2.0 * w - 1.0) ** 2 * ih1,
+            dw * dw / (w * (1.0 - w)) + (1.0 - 2.0 * root) * (2.0 * ih1),
+            (1.0 - 2.0 * root) ** 2 * ih1,
+            *alpha_beta(w, dw),
+        ))
+        report = relation_report(pt)
+        got.append((report.i_h_closed, report.i_wy_closed, report.gamma, report.alpha, report.beta))
+        assert (helstrom_info_qubit_closed(pt), wy_info_qubit_closed(pt), gamma_qubit_closed(pt)) == got[-1][:3]
+    assert _same(np.array(got), np.array(expected, dtype=float))
 
 
 # --- a failing stage splits the grid ------------------------------------------------

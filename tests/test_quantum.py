@@ -484,20 +484,21 @@ def test_report_route_errors_do_not_abort():
 
 
 def test_report_records_a_domain_error_from_a_route(monkeypatch):
-    def fail(state, theta=None, h=None):
+    def fail(grid):
         raise DomainError("route outside its domain")
 
-    monkeypatch.setattr(quantum, "helstrom_info_spectral", fail)
+    # the report runs the stage that the route table names
+    monkeypatch.setattr(quantum, quantum.closed_routes("spectral")["i_h_closed"].closed, fail)
     report = relation_report(random_spectral_model(7, 3).at(0.3))
     assert report.i_h_closed is None
     assert report.route_errors["i_h_closed"] == "DomainError: route outside its domain"
 
 
 def test_report_propagates_a_programming_error_from_a_route(monkeypatch):
-    def broken(state, theta=None, h=None):
+    def broken(grid):
         raise TypeError("unsupported operand")
 
-    monkeypatch.setattr(quantum, "helstrom_info_spectral", broken)
+    monkeypatch.setattr(quantum, quantum.closed_routes("spectral")["i_h_closed"].closed, broken)
     with pytest.raises(TypeError):
         relation_report(random_spectral_model(7, 3).at(0.3))
 

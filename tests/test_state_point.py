@@ -257,7 +257,7 @@ def test_failed_evaluation_is_not_cached():
 
 def test_report_and_bound_check_share_one_evaluation(monkeypatch):
     counts = counting_stages(monkeypatch)
-    counting(monkeypatch, quantum, "sld", counts)
+    counting(monkeypatch, quantum, "_report_stage", counts)
     counting(monkeypatch, classical, "_probs_stage", counts)
     counting(monkeypatch, classical, "_scores_stage", counts)
     model = CountingMixture()
@@ -267,12 +267,12 @@ def test_report_and_bound_check_share_one_evaluation(monkeypatch):
     assert check.i_h == report.i_h_sld
     assert check.approx_qcrb == 1.0 / report.i_wy_generic
     assert model.counts == each_input(1)
-    assert counts == {**ONE_STACKED_EVALUATION, "sld": 1, "_probs_stage": 1, "_scores_stage": 1}
+    assert counts == {**ONE_STACKED_EVALUATION, "_report_stage": 1, "_probs_stage": 1, "_scores_stage": 1}
 
 
 def test_compute_row_with_povm_evaluates_the_state_once_per_theta(tmp_path, monkeypatch, capsys):
     counts = counting_stages(monkeypatch)
-    counting(monkeypatch, quantum, "sld", counts)
+    counting(monkeypatch, cli, "_report_stage", counts)
     counting(monkeypatch, classical, "_probs_stage", counts)
     counting(monkeypatch, classical, "_scores_stage", counts)
     model = CountingMixture()
@@ -284,14 +284,15 @@ def test_compute_row_with_povm_evaluates_the_state_once_per_theta(tmp_path, monk
     code = cli.main(["compute", "--model", str(cfg), "--povm", str(povm), "--theta-grid=-1:1:5"])
     capsys.readouterr()
     assert code == cli.EXIT_OK
-    # each callable once per theta, and each stage once for the grid of five
+    # each callable once per theta, and each stage once for the grid of five,
+    # the rows' report stage included
     assert model.counts == each_input(5)
-    assert counts == {**ONE_STACKED_EVALUATION, "sld": 5, "_probs_stage": 1, "_scores_stage": 1}
+    assert counts == {**ONE_STACKED_EVALUATION, "_report_stage": 1, "_probs_stage": 1, "_scores_stage": 1}
 
 
 def test_spectral_row_evaluates_the_spectral_ingredients_once(tmp_path, monkeypatch, capsys):
     counts = Counter()
-    counting(monkeypatch, quantum, "_spectral_ingredients", counts)
+    counting(monkeypatch, quantum, "_spectral_stage", counts)
     for name in ("lambdas_at", "frame_at", "dprojectors_at"):
         counting(monkeypatch, SpectralMixtureModel, name, counts)
     model = random_spectral_model(9, 4)
@@ -305,17 +306,18 @@ def test_spectral_row_evaluates_the_spectral_ingredients_once(tmp_path, monkeypa
     assert code == cli.EXIT_OK
     for row in rows:  # all three closed forms ran
         assert None not in (row["i_h_closed"], row["i_wy_closed"], row["gamma"])
-    # per row: one ingredient set, and each callable and its checks once; rho,
-    # drho and the ingredients read the generator of one stacked formula
+    # one ingredient set for the grid, and per row each callable and its
+    # checks once; rho, drho and the ingredients read the generator of one
+    # stacked formula
     assert counts == {
-        "_spectral_ingredients": 3, "lambdas_at": 3, "frame_at": 3,
+        "_spectral_stage": 1, "lambdas_at": 3, "frame_at": 3,
         "_lambdas": 3, "_dlambdas": 3, "_frame": 3, "_dframe": 3,
     }
 
 
 def test_qubit_row_evaluates_the_qubit_ingredients_once(tmp_path, monkeypatch, capsys):
     counts = Counter()
-    counting(monkeypatch, quantum, "_qubit_ingredients", counts)
+    counting(monkeypatch, quantum, "_qubit_stage", counts)
     for name in ("state", "velocity"):
         counting(monkeypatch, PureFamily, name, counts)
     counting(monkeypatch, WeightFunction, "value", counts)
@@ -329,10 +331,10 @@ def test_qubit_row_evaluates_the_qubit_ingredients_once(tmp_path, monkeypatch, c
     assert code == cli.EXIT_OK
     for row in rows:  # all three closed forms and alpha/beta ran
         assert None not in (row["i_h_closed"], row["i_wy_closed"], row["gamma"], row["alpha"])
-    # per row: one ingredient set; psi1, its dpsi and the weight read once by
-    # the input stages, which rho, drho and the set share; no per-theta
-    # projector or slope formula
-    assert counts == {"_qubit_ingredients": 3, "state": 3, "velocity": 3, "value": 3}
+    # one ingredient set for the grid; per row psi1, its dpsi and the weight
+    # read once by the input stages, which rho, drho and the set share; no
+    # per-theta projector or slope formula
+    assert counts == {"_qubit_stage": 1, "state": 3, "velocity": 3, "value": 3}
 
 
 def test_simulation_evaluates_the_state_once(monkeypatch):

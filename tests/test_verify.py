@@ -249,24 +249,31 @@ def test_weight_boundary_regularity_reads_the_weight_slope_of_the_closed_forms()
 def test_one_suite_run_evaluates_each_closed_form_once_per_point(monkeypatch):
     # the route and relation checks read the point's one relation_report, so
     # a closed form runs once per sampled point: 25 mixture points, and 27
-    # spectral ones (4 catalog and 5 extra models at 3 thetas)
-    counts = Counter()
+    # spectral ones (4 catalog and 5 extra models at 3 thetas). Each closed
+    # form is the stage its route table entry names, run once per grid of a
+    # model's thetas, so it also evaluates the thetas of those grids that
+    # only other checks read: 0.3 of one mixture, and 0.48 and 0.96 of each
+    # catalog spectral model
+    evaluated = {}
 
     def counting(name):
         original = getattr(quantum, name)
+        seen = evaluated[name] = Counter()
 
-        def wrapper(pt):
-            counts[name] += 1
-            return original(pt)
+        def wrapper(grid):
+            seen.update((grid.model, theta) for theta in grid.thetas)
+            return original(grid)
 
         return wrapper
 
-    qubit = ["helstrom_info_qubit_closed", "wy_info_qubit_closed", "gamma_qubit_closed"]
-    spectral = ["helstrom_info_spectral", "wy_info_spectral", "gamma_spectral"]
+    qubit = [route.closed for route in quantum.closed_routes("qubit_mixture").values()]
+    spectral = [route.closed for route in quantum.closed_routes("spectral").values()]
     for name in qubit + spectral:
         monkeypatch.setattr(quantum, name, counting(name))
     assert all_passed(run_suite())
-    assert counts == {**dict.fromkeys(qubit, 25), **dict.fromkeys(spectral, 27)}
+    assert {name: max(seen.values()) for name, seen in evaluated.items()} == dict.fromkeys(evaluated, 1)
+    counts = {name: len(seen) for name, seen in evaluated.items()}
+    assert counts == {**dict.fromkeys(qubit, 25 + 1), **dict.fromkeys(spectral, 27 + 4 * 2)}
 
 
 def test_check_names_are_stable_and_unique():
