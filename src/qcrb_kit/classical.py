@@ -92,7 +92,10 @@ class Povm:
         return self.effects[i]
 
     def merged(self, i: int, j: int) -> "Povm":
-        """Coarse-grain by summing effects i and j into one outcome."""
+        """Coarse-grain by summing effects i and j, two indices in range(len(self)), into one outcome."""
+        for k in (i, j):
+            if not isinstance(k, int) or not 0 <= k < len(self):
+                raise ValueError(f"effect index {k!r} is not one of the {len(self)} effects")
         if i == j:
             raise ValueError("cannot merge an effect with itself")
         rest = [k for k in range(len(self)) if k not in (i, j)]
@@ -172,7 +175,7 @@ def basis_povm(dim: int) -> Povm:
 
 @dataclass(frozen=True)
 class OutcomeDistribution:
-    """Outcome probabilities and their support mask (p > 1e-12)."""
+    """Outcome probabilities and their support mask (p > ``SUPPORT_PROB``)."""
 
     probs: np.ndarray
     support: np.ndarray

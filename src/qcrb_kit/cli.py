@@ -38,7 +38,7 @@ from .models import (
     QubitMixtureModel,
     constant_weight,
 )
-from .quantum import NEAR_ZERO_INFO, REPORT_FIELDS, _report_stage, _route_errors
+from .quantum import NEAR_ZERO_INFO, _report_cells, _route_errors
 from .simulate import SimConfig, bound_chain_ok, run_sim
 from .verify import VerifyOptions, all_passed, run_suite
 
@@ -265,12 +265,6 @@ def _gate_residuals(row, tol, where) -> int:
             failures += 1
             logger.warning("%s: %s=%.3e exceeds %g", where, key, row[key], tol)
     return failures
-
-
-def _report_cells(point) -> dict:
-    """The point's relation report by ``REPORT_FIELDS`` name: its layer of the grid's
-    report stage, which runs once per grid block."""
-    return dict(zip(REPORT_FIELDS, point.layer(_report_stage)))
 
 
 # --- commands ----------------------------------------------------------------

@@ -225,7 +225,7 @@ def density_stack(a: np.ndarray) -> tuple[np.ndarray, SpectralDecomposition]:
 class DensityMatrix(HermitianMatrix):
     """Hermitian, PSD, unit-trace matrix, with its spectral decomposition.
 
-    Eigenvalues in [-1e-10, 0] are tolerated (finite-difference noise) and
+    Eigenvalues in [DENSITY_EIG_FLOOR, 0] are tolerated (finite-difference noise) and
     treated as 0 by consumers; anything lower is rejected. Built by
     ``density_stack`` on a stack of one, or, by ``of_checked``, as a layer
     of a stack that ``density_stack`` validated.
@@ -315,9 +315,9 @@ def sqrt_eigenvalues(eigenvalues: np.ndarray) -> np.ndarray:
 def psd_sqrt(d) -> HermitianMatrix:
     """Unique PSD square root of a PSD Hermitian matrix.
 
-    Eigenvalues in [-1e-8, SUPPORT_TOL] are flattened to 0 (tolerated
-    noise / support convention); anything below -1e-8 raises
-    NotPositiveSemidefinite.
+    Eigenvalues in [SQRT_EIG_FLOOR, SUPPORT_TOL] are flattened to 0
+    (tolerated noise / support convention); anything below
+    ``SQRT_EIG_FLOOR`` raises NotPositiveSemidefinite.
     """
     dec = d.decomposition if isinstance(d, DensityMatrix) else eigh(d)
     lam_min = float(dec.eigenvalues[0])

@@ -153,13 +153,12 @@ class StateGrid:
     arrays (or lists) with one layer per theta. Here they are the model's
     value and derivative inputs, rho with its eigendecomposition, drho, the
     square-root derivative with its route, and the forced differences. In
-    ``quantum`` they are the SLD, tr{rho L^2}, 4 tr{[(sqrt rho)']^2}, the
-    closed forms' ingredients (a qubit mixture's weight, slope and I_H1, a
-    spectral mixture's weights and frame generator), each closed form and
-    alpha/beta, and the relation report, whose columns hold builtin
-    scalars. In ``classical`` they are a measurement set's checked
-    trace-rule distributions, its scores and its classical Fisher
-    information. Each runs on first use and is kept. A
+    ``quantum`` they are the SLD, tr{rho L^2} and 4 tr{[(sqrt rho)']^2},
+    each checked against the noise floor, a qubit mixture's weight, slope
+    and I_H1, each closed form and alpha/beta, and the relation report,
+    whose columns hold builtin scalars. In ``classical`` they are a
+    measurement set's checked trace-rule distributions, its scores and its
+    classical Fisher information. Each runs on first use and is kept. A
     stage that raises is not kept; a grid of more than one theta then
     splits into grids of one, which keep the stages already run and
     evaluate the rest alone, so each point gets its own value or raises its

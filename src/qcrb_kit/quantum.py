@@ -20,15 +20,18 @@ report, and every CLI row reads the point's layer itself. Every route
 takes a ``StatePoint`` (``model.at(theta)``, or a point of
 ``model.grid(thetas)``), and every number a route gives is a grid stage,
 run once per grid block on the stacked arrays: the SLD solve,
-tr{rho L^2}, 4 tr{[(sqrt rho)']^2}, each closed form with its ingredients,
-alpha/beta, and the report, which only assembles the others' columns. A
-public route of one point reads its layer of its stage. The closed forms
-read the model's input stages (``models._inputs_stage`` and
-``_dinputs_stage``), never rho, drho or the SLD, so the routes share only
-the model's inputs (rho, drho, frame). A stacked formula keeps the bits of
-the scalar formula at each theta: sums over a layer's trailing axes add in
-the layer's order, and a float squared by ``x ** 2`` is squared by libm's
-pow (``np.float_power``), not by the multiplication of an array's ``** 2``.
+tr{rho L^2}, 4 tr{[(sqrt rho)']^2}, a qubit mixture's w, w' and I_H1, each
+closed form, alpha/beta, and the report, which only assembles the others'
+columns. The stage that gives a number is the only place that checks it
+(an information below the noise floor ``INFO_FLOOR`` raises there), and a
+public route of one point, like every other reader, reads its layer of the
+stage. The closed forms read the model's input stages
+(``models._inputs_stage`` and ``_dinputs_stage``), never rho, drho or the
+SLD, so the routes share only the model's inputs (rho, drho, frame). A
+stacked formula keeps the bits of the scalar formula at each theta: sums
+over a layer's trailing axes add in the layer's order, and a float squared
+by ``x ** 2`` is squared by libm's pow (``np.float_power``), not by the
+multiplication of an array's ``** 2``.
 """
 
 from __future__ import annotations
@@ -60,10 +63,13 @@ SUM_IMAG_ATOL = 1e-9
 VANISHING_SLOPE_ATOL = 1e-8
 
 
-def _check_nonnegative(value: float, label: str) -> float:
-    if value < INFO_FLOOR:
-        raise ValueError(f"{label} = {value!r} below noise floor {INFO_FLOOR}")
-    return value
+def _checked_nonnegative(values: np.ndarray, label: str) -> np.ndarray:
+    """``values``, one per theta, once none is below the noise floor ``INFO_FLOOR``; the
+    first that is names the error."""
+    i = first_failing(values < INFO_FLOOR)
+    if i is not None:
+        raise ValueError(f"{label} = {float(values[i])!r} below noise floor {INFO_FLOOR}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -128,59 +134,38 @@ def sld_spectral_sum(eigenvalues, projectors, drho) -> HermitianMatrix:
 def _helstrom_stage(grid: StateGrid) -> tuple:
     rho, _ = grid.rho_stack()
     l_mat = grid.stage(_sld_stage)[0]
-    return (real_trace_product([rho, l_mat, l_mat]),)
+    return (_checked_nonnegative(real_trace_product([rho, l_mat, l_mat]), "Helstrom information"),)
 
 
 def helstrom_info_sld(pt: StatePoint) -> float:
     """tr{rho L^2}: the definitional route, one stacked trace per grid."""
-    return _check_nonnegative(float(pt.layer(_helstrom_stage)[0]), "Helstrom information")
-
-
-def _checked_nonnegative(values: np.ndarray, label: str) -> np.ndarray:
-    """``values``, one per theta, once none is below the noise floor; the first that is
-    names the error, with the text ``_check_nonnegative`` gives it alone."""
-    i = first_failing(values < INFO_FLOOR)
-    if i is not None:
-        _check_nonnegative(float(values[i]), label)
-    return values
+    return float(pt.layer(_helstrom_stage)[0])
 
 
 def _pure_helstrom_traces(dp):
-    """2 tr{(dP)^2} of a projector derivative, or of each layer of a stack of them."""
-    return 2.0 * real_trace_product([dp, dp])
+    """2 tr{(dP)^2} of each layer of a stack of projector derivatives: the pure-state
+    Helstrom information, checked against the noise floor."""
+    return _checked_nonnegative(2.0 * real_trace_product([dp, dp]), "pure Helstrom information")
 
 
 def _pure_stage(grid: StateGrid) -> tuple:
     """The pure-state shortcut 2 tr{(dP)^2} of every theta: one stacked trace on the
     projector derivatives of the model's derivative inputs (the family's dpsi, or its
     states at theta +- fd_step)."""
-    traces = _pure_helstrom_traces(grid.stage(_dinputs_stage)[0])
-    return (_checked_nonnegative(traces, "pure Helstrom information"),)
-
-
-def _pure_helstrom_closed(pt: StatePoint) -> float:
-    """The report's ``i_h_closed`` of a pure point: its layer of ``_pure_stage``."""
-    return float(pt.layer(_pure_stage)[0])
+    return (_pure_helstrom_traces(grid.stage(_dinputs_stage)[0]),)
 
 
 def _qubit_stage(grid: StateGrid) -> tuple:
-    """w, w' and I_H1 of every theta, from the model's input stages; I_H1 is one stacked trace."""
+    """The weight w, its slope w' and I_H1 of psi1 of every theta, at the model's step.
+
+    The three qubit closed forms and alpha/beta read this stage. It reads the
+    model's input stages (the weight, its slope and psi1's projector
+    derivative) and never rho, drho or the SLD, so the closed forms stay
+    independent of the definitional routes. I_WY1 is 2 I_H1.
+    """
     w = grid.stage(_inputs_stage)[0]
     dw, dp1 = grid.stage(_dinputs_stage)
-    return w, dw, _checked_nonnegative(_pure_helstrom_traces(dp1), "pure Helstrom information")
-
-
-def _qubit_ingredients(pt: StatePoint) -> tuple[float, float, float]:
-    """The weight w, its slope w' and I_H1 of psi1, at the model's step.
-
-    The point's layer of its grid's ``_qubit_stage``, which the three qubit
-    closed forms and alpha/beta read. It reads the model's inputs (the
-    weight, its slope and psi1's projector derivative) and never rho, drho or
-    the SLD, so the closed forms stay independent of the definitional routes.
-    I_WY1 is 2 I_H1.
-    """
-    w, dw, ih1 = pt.layer(_qubit_stage)
-    return float(w), float(dw), float(ih1)
+    return w, dw, _pure_helstrom_traces(dp1)
 
 
 # np.float_power squares as the scalar formula's float ``x ** 2`` does (libm's
@@ -216,11 +201,6 @@ def wy_info_qubit_closed(pt: StatePoint) -> float:
     return float(pt.layer(_wy_qubit_stage)[0])
 
 
-def _check_weight(w: float) -> None:
-    if not (0.0 < w < 1.0):
-        raise DomainError(f"weight {w!r} outside (0, 1)")
-
-
 def _alpha_beta_formula(w, dw):
     root = 2.0 * np.sqrt(w * (1.0 - w))
     return 2.0 / (1.0 + root), -(1.0 - root) / (1.0 + root) * dw * dw / (w * (1.0 - w))
@@ -233,17 +213,16 @@ def alpha_beta(w: float, dw: float) -> tuple[float, float]:
     beta = -(1 - 2 sqrt(w(1-w))) / (1 + 2 sqrt(w(1-w))) * (w')^2/(w(1-w))
     is nonpositive and vanishes for constant weights.
     """
-    _check_weight(w)
+    if not (0.0 < w < 1.0):
+        raise DomainError(f"weight {w!r} outside (0, 1)")
     alpha, beta = _alpha_beta_formula(w, dw)
     return float(alpha), float(beta)
 
 
 def _alpha_beta_stage(grid: StateGrid) -> tuple:
-    """``alpha_beta`` of every theta's (w, w'), read from ``_qubit_stage``."""
+    """``alpha_beta`` of every theta's (w, w'), read from ``_qubit_stage``; the model's
+    weight input already lies inside (0, 1)."""
     w, dw, _ = grid.stage(_qubit_stage)
-    i = first_failing(~((0.0 < w) & (w < 1.0)))
-    if i is not None:
-        _check_weight(float(w[i]))
     return _alpha_beta_formula(w, dw)
 
 
@@ -257,26 +236,16 @@ def gamma_qubit_closed(pt: StatePoint) -> float:
     return float(pt.layer(_gamma_qubit_stage)[0])
 
 
-def _spectral_stage(grid: StateGrid) -> tuple:
-    """Eigenvalue weights, their derivatives and the frame generator A = U^dagger dU of every theta.
-
-    With D_k = U^dagger dP_k U = a_k e_k^T + e_k a_k^dagger (a_k column k
-    of A), tr{P_l dP_k dP_z} = (D_k D_z)_{ll} and tr{dP_k dP_z} = tr{D_k D_z}
-    reduce to sums over entries of A, so no projector is built. The three
-    spectral closed forms read this one set: the model's input stages, where
-    each frame and weight is read once per theta.
-    """
-    return (grid.stage(_inputs_stage)[0], *grid.stage(_dinputs_stage))
-
-
-def _spectral_ingredients(pt: StatePoint):
-    """lambda, lambda' and A at one point: its layer of ``_spectral_stage``."""
-    return pt.layer(_spectral_stage)
-
-
-# The spectral forms below take one point's lambda (n,) and A (n, n), or a
-# stack of them, (T, n) and (T, n, n); a stacked sum over the trailing axes
-# adds in the order of a sum over one layer, so each layer keeps its bits.
+# The three spectral closed forms read the model's input stages: the
+# eigenvalue weights lambda from ``_inputs_stage``, and their derivatives and
+# the frame generator A = U^dagger dU from ``_dinputs_stage``, where each frame
+# and weight is read once per theta. With D_k = U^dagger dP_k U = a_k e_k^T +
+# e_k a_k^dagger (a_k column k of A), tr{P_l dP_k dP_z} = (D_k D_z)_{ll} and
+# tr{dP_k dP_z} = tr{D_k D_z} reduce to sums over entries of A, so no
+# projector is built. The forms below take one point's lambda (n,) and A
+# (n, n), or a stack of them, (T, n) and (T, n, n); a stacked sum over the
+# trailing axes adds in the order of a sum over one layer, so each layer
+# keeps its bits.
 
 def _projector_derivative_gram(a: np.ndarray) -> np.ndarray:
     """G[k, z] = tr{D_k D_z} = 2 delta_kz sum_i |A_ik|^2 - 2 |A_kz|^2."""
@@ -342,7 +311,8 @@ def _real_part(total: np.ndarray, sum_name: str) -> np.ndarray:
 
 
 def _helstrom_spectral_stage(grid: StateGrid) -> tuple:
-    lam, dlam, a = grid.stage(_spectral_stage)
+    lam = grid.stage(_inputs_stage)[0]
+    dlam, a = grid.stage(_dinputs_stage)
     total = _eigenweight_fisher(lam, dlam) + 4.0 * _weighted_triple_sum(lam, a)
     real = _real_part(total, "spectral Helstrom sum")
     return (_checked_nonnegative(real, "spectral Helstrom information"),)
@@ -361,7 +331,8 @@ def helstrom_info_spectral(pt: StatePoint) -> float:
 
 
 def _wy_spectral_stage(grid: StateGrid) -> tuple:
-    lam, dlam, a = grid.stage(_spectral_stage)
+    lam = grid.stage(_inputs_stage)[0]
+    dlam, a = grid.stage(_dinputs_stage)
     root = _pair_roots(lam)
     diag = np.arange(lam.shape[-1])
     root[:, diag, diag] = lam  # the pure-state terms lam_l I_WY,l
@@ -382,7 +353,8 @@ def wy_info_spectral(pt: StatePoint) -> float:
 
 
 def _gamma_spectral_stage(grid: StateGrid) -> tuple:
-    lam, _, a = grid.stage(_spectral_stage)
+    lam = grid.stage(_inputs_stage)[0]
+    a = grid.stage(_dinputs_stage)[1]
     weight = lam[:, :, None] - _pair_roots(lam)
     diag = np.arange(lam.shape[-1])
     weight[:, diag, diag] = 0.0
@@ -404,7 +376,7 @@ def gamma_spectral(pt: StatePoint) -> float:
 
 def _wy_stage(grid: StateGrid) -> tuple:
     x = grid.stage(_dsqrt_route_stage)[0]
-    return (4.0 * real_trace_product([x, x]),)
+    return (_checked_nonnegative(4.0 * real_trace_product([x, x]), "skew information"),)
 
 
 def wy_info_generic(pt: StatePoint) -> float:
@@ -413,7 +385,7 @@ def wy_info_generic(pt: StatePoint) -> float:
     One stacked trace per grid, on the square-root derivatives that
     ``pt.dsqrt`` reads, the finite-difference fallback included.
     """
-    return _check_nonnegative(float(pt.layer(_wy_stage)[0]), "skew information")
+    return float(pt.layer(_wy_stage)[0])
 
 
 @dataclass
@@ -432,22 +404,14 @@ class QuantumInfoResult:
     score_mean: float = 0.0
     sharp_bound: float | None = None
     approx_bound: float | None = None
+    ratio: float | None = None  # I_WY / I_H, None where I_H is near zero
+    gap: float = 0.0  # I_WY - I_H
     residuals: dict[str, float] = field(default_factory=dict)
     route_errors: dict[str, str] = field(default_factory=dict)
     # how the definitional routes got their numbers: sqrt_route ("solve" |
     # "fd"), fd_fallback, support_dropped and min_pair_sum (the smallest
     # lam_i + lam_j kept in the SLD solve)
     diagnostics: dict[str, object] = field(default_factory=dict)
-
-    @property
-    def ratio(self) -> float | None:
-        if self.i_h_sld > NEAR_ZERO_INFO:
-            return self.i_wy_generic / self.i_h_sld
-        return None
-
-    @property
-    def gap(self) -> float:
-        return self.i_wy_generic - self.i_h_sld
 
 
 @dataclass(frozen=True)
@@ -456,7 +420,8 @@ class ClosedRoute:
     must agree with (None for gamma).
 
     ``closed`` is an attribute name in this module, looked up on each access
-    of ``stage`` and ``closed_fn``, so a patched stage is the one that runs.
+    of ``stage``, so a patched stage is the one that runs; the closed form at
+    one point is ``pt.layer(route.stage)[0]``.
     A form that does not apply at a theta raises there: the report stage
     records the error of a grid of one, and a grid of more splits.
     """
@@ -467,12 +432,6 @@ class ClosedRoute:
     @property
     def stage(self):
         return globals()[self.closed]
-
-    @property
-    def closed_fn(self):
-        """The closed form at one point: the point's layer of the stage."""
-        stage = self.stage
-        return lambda pt: float(pt.layer(stage)[0])
 
 
 _CLOSED_ROUTES = {
@@ -506,14 +465,14 @@ def closed_routes(kind: str) -> dict[str, ClosedRoute]:
 # errors, as error_<key>; and its diagnostics.
 _VALUES = (
     "i_h_sld", "i_wy_generic", "i_h_closed", "i_wy_closed", "alpha", "beta", "gamma",
-    "score_mean", "sharp_bound", "approx_bound",
+    "score_mean", "sharp_bound", "approx_bound", "ratio", "gap",
 )
 _RESIDUALS = ("pure_doubling_abs", "pure_doubling", "prop1", "prop2", "route_i_h", "route_i_wy")
 _RELATIONS = ("pure_doubling", "prop1", "prop2", "pure_doubling_abs")
 _ROUTE_ERRORS = ("alpha_beta", "i_h_closed", "i_wy_closed", "gamma")
 _DIAGNOSTICS = ("sqrt_route", "fd_fallback", "support_dropped", "min_pair_sum")
 REPORT_FIELDS = (
-    "theta", "kind", *_VALUES, "ratio", "gap",
+    "theta", "kind", *_VALUES,
     *("res_" + key for key in _RESIDUALS), "res_relation",
     *("error_" + key for key in _ROUTE_ERRORS), *_DIAGNOSTICS,
 )
@@ -546,8 +505,8 @@ def _report_stage(grid: StateGrid) -> tuple:
     """
     kind, size = grid.model.kind, len(grid.thetas)
     _, dropped, score, min_pair_sum = grid.stage(_sld_stage)
-    i_h = _checked_nonnegative(grid.stage(_helstrom_stage)[0], "Helstrom information")
-    i_wy = _checked_nonnegative(grid.stage(_wy_stage)[0], "skew information")
+    i_h = grid.stage(_helstrom_stage)[0]
+    i_wy = grid.stage(_wy_stage)[0]
     fell_back = grid.stage(_dsqrt_route_stage)[1]
     values = {"i_h_sld": i_h, "i_wy_generic": i_wy, "score_mean": score}
     cells = {}
@@ -604,6 +563,12 @@ def _route_errors(cells: dict) -> dict[str, str]:
     return {key: e for key in _ROUTE_ERRORS if (e := cells["error_" + key]) is not None}
 
 
+def _report_cells(pt: StatePoint) -> dict:
+    """The point's relation report by ``REPORT_FIELDS`` name: its layer of the grid's
+    report stage, which runs once per grid block."""
+    return dict(zip(REPORT_FIELDS, pt.layer(_report_stage)))
+
+
 def relation_report(pt: StatePoint) -> QuantumInfoResult:
     """Every applicable route at theta and their residuals: the point's layer of its grid's
     ``_report_stage``.
@@ -615,7 +580,7 @@ def relation_report(pt: StatePoint) -> QuantumInfoResult:
     ``route_errors["alpha_beta"]``), is recorded in ``route_errors`` instead
     of aborting, and leaves no residual that reads it.
     """
-    cells = dict(zip(REPORT_FIELDS, pt.layer(_report_stage)))
+    cells = _report_cells(pt)
     return QuantumInfoResult(
         theta=cells["theta"],
         kind=cells["kind"],

@@ -82,8 +82,7 @@ from .models import (
     rotation_mixture,
 )
 from .quantum import (
-    NEAR_ZERO_INFO,
-    _qubit_ingredients,
+    _qubit_stage,
     helstrom_info_sld,
     relation_report,
     sld,
@@ -223,7 +222,7 @@ class _PointCheck:
 def _constant_weight_at(pt) -> bool:
     # the constant-weight facts (alpha in [1,2], beta = 0, mixing loses
     # information) hold only where the weight does not move
-    return abs(pt.cached(_qubit_ingredients)[1]) <= CONSTANT_WEIGHT_SLOPE_ATOL
+    return abs(pt.layer(_qubit_stage)[1]) <= CONSTANT_WEIGHT_SLOPE_ATOL
 
 
 # --- kernel checks ----------------------------------------------------------
@@ -363,7 +362,7 @@ def _check_weight_boundary_regularity(catalog, opts, points):
     for name, model in _models(catalog, kinds=("qubit_mixture",)):
         worst = 0.0
         for theta in model.sample_thetas:
-            w, dw, _ = points.at(model, theta).cached(_qubit_ingredients)
+            w, dw, _ = points.at(model, theta).layer(_qubit_stage)
             worst = max(worst, abs(dw) / min(math.sqrt(w), math.sqrt(1.0 - w)))
         yield worst, name
 
@@ -375,10 +374,8 @@ def _score_zero(pt):
 
 
 def _pure_doubling(pt):
-    i_h = helstrom_info_sld(pt)
-    if i_h <= NEAR_ZERO_INFO:
-        return None
-    return abs(wy_info_generic(pt) / i_h - 2.0)
+    # |I_WY - 2 I_H| / I_H from the point's report; None where I_H is near zero
+    return pt.cached(relation_report).residuals.get("pure_doubling")
 
 
 def _sld_vs_spectral_sum(pt):
@@ -420,7 +417,7 @@ def _mixing_information_loss(pt):
     if not _constant_weight_at(pt):
         return None
     # I_H1 of psi1 at the model's step, as the closed forms read it; I_WY1 = 2 I_H1
-    i_h1 = pt.cached(_qubit_ingredients)[2]
+    i_h1 = pt.layer(_qubit_stage)[2]
     excess_h = helstrom_info_sld(pt) - i_h1
     excess_wy = wy_info_generic(pt) - 2.0 * i_h1
     return max(excess_h, excess_wy)

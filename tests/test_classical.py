@@ -325,6 +325,31 @@ def test_coarse_graining_never_increases_information():
         assert merged <= base + 1e-9
 
 
+@pytest.mark.parametrize("i, j, bad", [
+    (-1, 0, -1),  # would merge the last effect into the first and count it twice
+    (0, 3, 3),
+    (3, 3, 3),
+    (0, 1.0, 1.0),
+    ("0", 1, "0"),
+    (1, np.int64(2), np.int64(2)),
+])
+def test_merging_names_an_effect_index_outside_the_measurement(i, j, bad):
+    povm = random_povm(2, 3, 1)
+    with pytest.raises(ValueError) as info:
+        povm.merged(i, j)
+    assert str(info.value) == f"effect index {bad!r} is not one of the 3 effects"
+
+
+def test_merging_two_effects_sums_them_into_the_last_outcome():
+    povm = random_povm(2, 3, 1)
+    merged = povm.merged(2, 0)
+    assert len(merged) == 2
+    assert np.array_equal(merged.stack[0], povm.stack[1])
+    assert np.array_equal(merged.stack[1], povm.stack[2] + povm.stack[0])
+    with pytest.raises(ValueError, match="cannot merge an effect with itself"):
+        povm.merged(1, 1)
+
+
 def classical_fisher_by_outcome(pt, povm):
     """The per-outcome loop that ``classical_fisher`` replaced, kept as its reference."""
     dist = outcome_probs(pt, povm)

@@ -176,7 +176,7 @@ def test_numerical_errors_exit_two_and_others_exit_one_without_traceback(
     def failing_stage(*args, **kwargs):
         raise error("injected")
 
-    monkeypatch.setattr(cli, "_report_stage", failing_stage)
+    monkeypatch.setattr(quantum, "_report_stage", failing_stage)
     got, out, err = run_cli(["compute", "--model", model_paths["pure"]], capsys)
     assert got == code
     assert f"error: {label}: injected" in err

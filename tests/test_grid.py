@@ -69,9 +69,8 @@ from qcrb_kit.models import (
 )
 from qcrb_kit.configio import model_from_config
 from qcrb_kit.quantum import (
-    _pure_helstrom_closed,
-    _qubit_ingredients,
-    _spectral_ingredients,
+    _pure_stage,
+    _qubit_stage,
     alpha_beta,
     closed_routes,
     gamma_qubit_closed,
@@ -250,6 +249,16 @@ def _wy_formula(pt):
     return 4.0 * real_trace_product([d.matrix, d.matrix])
 
 
+def _qubit_inputs(pt):
+    return pt.layer(_qubit_stage)
+
+
+def _spectral_inputs(pt):
+    """lambda, lambda' and the frame generator A of a point: the spectral closed forms'
+    reads of its input stages."""
+    return (pt.layer(_inputs_stage)[0], *pt.layer(_dinputs_stage))
+
+
 def _qubit_formula(pt):
     model, theta, h = pt.model, pt.theta, pt.model.fd_step
     w = model.weight.value(theta)
@@ -361,7 +370,7 @@ def test_a_weight_outside_the_unit_interval_fails_only_its_point():
         alone = model.at(pt.theta)
         if pt.theta == 1.5:
             expected = "DomainError: weight 1.5 at theta=1.5 outside (0, 1)"
-            for fn in (_qubit_ingredients, helstrom_info_qubit_closed):
+            for fn in (_qubit_inputs, helstrom_info_qubit_closed):
                 assert _error_text(fn, pt) == _error_text(fn, alone) == expected
             assert _same(pt.rho.mat, alone.rho.mat)  # the clipped state stays readable
             # the report records the weight's error for alpha/beta and each closed
@@ -468,11 +477,11 @@ def _assert_inputs_equal_the_formulas(model, thetas):
         assert _same(pt.drho.mat, _drho_formula_of_kind(model, theta))
         if model.kind == "pure":
             dp = dprojector_formula(model.family, theta, model.fd_step)
-            assert _same(_pure_helstrom_closed(pt), 2.0 * real_trace_product([dp, dp]))
+            assert _same(pt.layer(_pure_stage)[0], 2.0 * real_trace_product([dp, dp]))
         elif model.kind == "qubit_mixture":
-            assert _same(pt.cached(_qubit_ingredients), _qubit_formula(pt))
+            assert _same(pt.layer(_qubit_stage), _qubit_formula(pt))
         else:
-            lam, dlam, a = pt.cached(_spectral_ingredients)
+            lam, dlam, a = _spectral_inputs(pt)
             assert _same(lam, _lambdas_formula(model, theta))
             assert _same(dlam, _dlambdas_formula(model, theta))
             assert _same(a, _generator_formula(model, theta))
@@ -568,8 +577,8 @@ FAILING_INPUTS = {
         "derivative", "ValueError: no dframe here",
     ),
 }
-INGREDIENTS = {"pure": _pure_helstrom_closed, "qubit_mixture": _qubit_ingredients,
-               "spectral": _spectral_ingredients}
+INGREDIENTS = {"pure": lambda pt: pt.layer(_pure_stage), "qubit_mixture": _qubit_inputs,
+               "spectral": _spectral_inputs}
 
 
 @pytest.mark.parametrize("case", sorted(FAILING_INPUTS))
@@ -600,11 +609,11 @@ STENCIL_SIDE_FAILURES = {
     # w(theta) = theta without a slope: the weight is valid at 1 - h/2, but
     # its stencil side 1 + h/2 leaves (0, 1)
     "weight": (lambda: QubitMixtureModel(rotation_family(), WeightFunction(w=lambda t: t)),
-               1.0 - 0.5 * DEFAULT_FD_STEP, _qubit_ingredients),
+               1.0 - 0.5 * DEFAULT_FD_STEP, _qubit_inputs),
     # eigenvalue weights without derivatives that sum to 1.01 at BAD + h only
     "lambdas": (lambda: _spectral_with(
         lambdas=_failing_at(BAD + DEFAULT_FD_STEP, random_spectral_model(7, 3)._lambdas, lambda v: 1.01 * v),
-        dlambdas=None), BAD, _spectral_ingredients),
+        dlambdas=None), BAD, _spectral_inputs),
 }
 
 
@@ -646,7 +655,7 @@ def test_differenced_weights_just_below_zero_read_the_clipped_stencil():
         return np.array([x, 1.0 - x])
 
     model = SpectralMixtureModel(2, lambdas=lambdas, frame=base._frame, dframe=base._dframe)
-    dlam = next(model.grid([0.3, 0.6])).cached(_spectral_ingredients)[1]
+    dlam = next(model.grid([0.3, 0.6])).layer(_dinputs_stage)[0]
     assert _same(dlam, np.zeros(2))
     assert _same(model.at(0.3).layer(_dinputs_stage)[0], dlam)
 
@@ -731,12 +740,10 @@ FULLY_DIFFERENCED = {
 }
 
 
-# what the closed forms read beyond the model's input stages: their ingredient
-# stages and readers, the stage of each closed form and of alpha/beta, and the
-# pure closed form's reader
+# what the closed forms read beyond the model's input stages: the qubit
+# ingredient stage, and the stage of each closed form and of alpha/beta
 CLOSED_FORM_STAGES = {
-    quantum: ("_qubit_stage", "_pure_stage", "_spectral_ingredients", "_qubit_ingredients",
-              "_pure_helstrom_closed", "_spectral_stage", "_alpha_beta_stage",
+    quantum: ("_qubit_stage", "_pure_stage", "_alpha_beta_stage",
               "_helstrom_qubit_stage", "_wy_qubit_stage", "_gamma_qubit_stage",
               "_helstrom_spectral_stage", "_wy_spectral_stage", "_gamma_spectral_stage"),
 }
@@ -774,7 +781,7 @@ def test_the_closed_forms_of_a_differenced_model_read_no_route_stage(name, monke
     assert routes
     for pt in model.grid(thetas):
         for route in routes.values():
-            assert math.isfinite(route.closed_fn(pt))
+            assert math.isfinite(pt.layer(route.stage)[0])
         with pytest.raises(AssertionError, match="a closed form ran"):
             helstrom_info_sld(pt)
 
@@ -792,7 +799,27 @@ def test_the_definitional_routes_read_no_closed_form_stage(name, monkeypatch):
         assert math.isfinite(wy_info_generic(pt))
         for route in routes.values():
             with pytest.raises(AssertionError, match="a definitional route ran"):
-                route.closed_fn(pt)
+                pt.layer(route.stage)
+
+
+# the stages that every route reads (the model's inputs) or that reads every
+# route (the report), so that neither poisoning test can name them
+SHARED_STAGES = ("_inputs_stage", "_dinputs_stage", "_report_stage")
+
+
+def test_every_stage_is_pinned_by_a_route_independence_test():
+    # a new stage is poisoned by one of the two tests above, or is named shared
+    named = {name for table in (ROUTE_STAGES, CLOSED_FORM_STAGES) for names in table.values() for name in names}
+    stages = {name for module in (models, quantum) for name in vars(module) if name.endswith("_stage")}
+    assert stages - named - set(SHARED_STAGES) == set()
+    for table in (ROUTE_STAGES, CLOSED_FORM_STAGES):
+        for module, names in table.items():
+            assert all(callable(getattr(module, name, None)) for name in names)
+    # and every closed form of the route table is poisoned in the reverse direction
+    kinds = {cls.kind for cls in (ParametricStateModel, PureStateModel, QubitMixtureModel, SpectralMixtureModel)}
+    for kind in kinds:
+        for route in closed_routes(kind).values():
+            assert route.closed in CLOSED_FORM_STAGES[quantum]
 
 
 # --- a grid gives the rows of its points alone --------------------------------------
@@ -925,13 +952,13 @@ def test_a_dimension_64_grid_reports_in_blocks_as_each_theta_alone(tmp_path, cap
     # the report of its theta alone, bit for bit
     assert GRID_BLOCK_ENTRIES // 64**2 == 8
     runs = []
-    original = cli._report_stage
+    original = quantum._report_stage
 
     def counted(grid):
         runs.append(len(grid.thetas))
         return original(grid)
 
-    monkeypatch.setattr(cli, "_report_stage", counted)
+    monkeypatch.setattr(quantum, "_report_stage", counted)
     cfg = {"kind": "spectral", "dim": 64, "seed": 3}
     path = tmp_path / "model.json"
     path.write_text(json.dumps(cfg))
@@ -959,7 +986,7 @@ def test_the_stacked_qubit_forms_keep_the_bits_of_the_scalar_formulas():
     thetas = np.linspace(1e-4, 1.0 - 1e-4, 8_001).tolist()
     got, expected = [], []
     for pt in model.grid(thetas):
-        w, dw, ih1 = pt.cached(_qubit_ingredients)
+        w, dw, ih1 = map(float, pt.layer(_qubit_stage))
         root = np.sqrt(w * (1.0 - w))
         expected.append((
             dw * dw / (w * (1.0 - w)) + (2.0 * w - 1.0) ** 2 * ih1,
@@ -971,6 +998,69 @@ def test_the_stacked_qubit_forms_keep_the_bits_of_the_scalar_formulas():
         got.append((report.i_h_closed, report.i_wy_closed, report.gamma, report.alpha, report.beta))
         assert (helstrom_info_qubit_closed(pt), wy_info_qubit_closed(pt), gamma_qubit_closed(pt)) == got[-1][:3]
     assert _same(np.array(got), np.array(expected, dtype=float))
+
+
+# --- the noise floor -----------------------------------------------------------------
+
+# each definitional route: the factor count of its stacked trace, the point's
+# matrix that is its first factor, its public route and the text of its
+# value once that trace reads -1 (tr{rho L^2} = -1, 4 tr{[(sqrt rho)']^2} = -4)
+FLOOR_ROUTES = {
+    "helstrom": (3, lambda pt: pt.rho.mat, helstrom_info_sld, "Helstrom information = -1.0"),
+    "skew": (2, lambda pt: pt.dsqrt.matrix.mat, wy_info_generic, "skew information = -4.0"),
+}
+
+
+def _trace_below_the_floor(monkeypatch, route, model, theta) -> str:
+    """Make the stacked trace of ``route`` read -1 at every layer of the state of
+    ``model`` at ``theta``, on a spectral model (whose closed forms take no trace), and
+    return the error text that the route's stage raises there."""
+    factors, matrix, _, value = FLOOR_ROUTES[route]
+    bad = matrix(model.at(theta))
+    original = quantum.real_trace_product
+
+    def trace(mats):
+        out = original(mats)
+        # the SLD stage's tr{rho L} has two distinct factors
+        if len(mats) == factors and (factors == 3 or mats[0] is mats[1]):
+            hit = [np.allclose(layer, bad, rtol=0.0, atol=1e-12) for layer in mats[0]]
+            out = np.where(hit, -1.0, out)
+        return out
+
+    monkeypatch.setattr(quantum, "real_trace_product", trace)
+    return f"ValueError: {value} below noise floor -1e-09"
+
+
+@pytest.mark.parametrize("route", sorted(FLOOR_ROUTES))
+def test_an_information_below_the_noise_floor_fails_only_its_point(route, monkeypatch):
+    # the stage that gives the number checks it: the block splits, and only
+    # the point below the floor raises, with the text it raises alone
+    model = random_spectral_model(7, 3)
+    expected = _trace_below_the_floor(monkeypatch, route, model, BAD)
+    public = FLOOR_ROUTES[route][2]
+    readers = {"helstrom": helstrom_info_sld, "skew": wy_info_generic, "report": relation_report}
+    for pt in model.grid([-0.5, 0.1, BAD, 0.7]):
+        alone = model.at(pt.theta)
+        texts = {name: _error_text(fn, pt) for name, fn in readers.items()}
+        assert texts == {name: _error_text(fn, alone) for name, fn in readers.items()}
+        failing = {name: expected for name, fn in readers.items() if fn in (public, relation_report)}
+        assert texts == {**dict.fromkeys(readers), **(failing if pt.theta == BAD else {})}
+        if pt.theta != BAD:
+            assert _report_bits(relation_report(pt)) == _report_bits(relation_report(alone))
+
+
+@pytest.mark.parametrize("route", sorted(FLOOR_ROUTES))
+def test_compute_exits_two_on_an_information_below_the_noise_floor(route, tmp_path, capsys, monkeypatch):
+    model = random_spectral_model(7, 3)
+    expected = _trace_below_the_floor(monkeypatch, route, model, 0.5)
+    monkeypatch.setattr(cli, "model_from_config", lambda cfg, fd_step=None: model)
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps({"kind": "spectral"}))
+    code, out, err = _compute(capsys, "--model", str(cfg), "--theta-grid=-1:1:5")
+    assert code == cli.EXIT_NUMERIC
+    assert out == ""
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [f"error: {expected}"]
+    assert "Traceback" not in err
 
 
 # --- a failing stage splits the grid ------------------------------------------------

@@ -36,7 +36,7 @@ from qcrb_kit.models import (
     rotation_mixture,
     sine_weight,
 )
-from qcrb_kit.quantum import _qubit_ingredients
+from qcrb_kit.quantum import _qubit_stage
 
 from model_formulas import dprojector_formula, projector_formula
 
@@ -248,7 +248,7 @@ def test_weight_boundary_regularity_ratio_bounded():
     model = rotation_mixture(sine_weight(), domain=(-1.45, 1.45))
     worst = 0.0
     for pt in model.grid(np.linspace(-1.4, 1.4, 21)):
-        w, dw, _ = pt.cached(_qubit_ingredients)
+        w, dw, _ = pt.layer(_qubit_stage)
         worst = max(worst, abs(dw) / min(math.sqrt(w), math.sqrt(1.0 - w)))
     assert worst <= 2.0
 

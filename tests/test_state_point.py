@@ -272,7 +272,7 @@ def test_report_and_bound_check_share_one_evaluation(monkeypatch):
 
 def test_compute_row_with_povm_evaluates_the_state_once_per_theta(tmp_path, monkeypatch, capsys):
     counts = counting_stages(monkeypatch)
-    counting(monkeypatch, cli, "_report_stage", counts)
+    counting(monkeypatch, quantum, "_report_stage", counts)
     counting(monkeypatch, classical, "_probs_stage", counts)
     counting(monkeypatch, classical, "_scores_stage", counts)
     model = CountingMixture()
@@ -292,7 +292,7 @@ def test_compute_row_with_povm_evaluates_the_state_once_per_theta(tmp_path, monk
 
 def test_spectral_row_evaluates_the_spectral_ingredients_once(tmp_path, monkeypatch, capsys):
     counts = Counter()
-    counting(monkeypatch, quantum, "_spectral_stage", counts)
+    counting(monkeypatch, models, "_dinputs_stage", counts, everywhere=True)
     for name in ("lambdas_at", "frame_at", "dprojectors_at"):
         counting(monkeypatch, SpectralMixtureModel, name, counts)
     model = random_spectral_model(9, 4)
@@ -310,7 +310,7 @@ def test_spectral_row_evaluates_the_spectral_ingredients_once(tmp_path, monkeypa
     # checks once; rho, drho and the ingredients read the generator of one
     # stacked formula
     assert counts == {
-        "_spectral_stage": 1, "lambdas_at": 3, "frame_at": 3,
+        "_dinputs_stage": 1, "lambdas_at": 3, "frame_at": 3,
         "_lambdas": 3, "_dlambdas": 3, "_frame": 3, "_dframe": 3,
     }
 
