@@ -14,8 +14,9 @@ symmetrized and scanned on every call.
 
 The matrix formulas that the models, the routes and the checks share are
 written here once each: the projector |v><v| (``projectors``), the
-unchecked Hermitian part (D + D*)/2 (``symmetrized``) and the
-reconstruction U diag(x) U* (``SpectralDecomposition.reconstruct``).
+unchecked Hermitian part (D + D*)/2 (``symmetrized``), the
+reconstruction U diag(x) U* (``SpectralDecomposition.reconstruct``) and
+the magnitude of a complex entry (``magnitudes``).
 
 The kernels take a (T, n, n) stack as readily as one matrix: ``eigh``,
 ``solve_symmetric_product`` and the trace helpers work layer by layer in
@@ -250,19 +251,23 @@ class DensityMatrix(HermitianMatrix):
         return self.decomposition.eigenvalues
 
 
+def magnitudes(z: np.ndarray) -> np.ndarray:
+    """|z| of each entry of a complex array by libm's hypot, with the bits of the scalar
+    ``abs``: np.abs of a complex array can differ from it in the last bit."""
+    return np.hypot(z.real, z.imag)
+
+
 def _fix_phases(vecs: np.ndarray) -> np.ndarray:
     """Rotate each column (of each matrix of a stack) so its largest-magnitude entry is real positive.
 
     np.argmax breaks exact-magnitude ties at the lowest index; a zero
-    column is left as it is. The pivot magnitudes are taken one scalar at a
-    time: np.abs of the pivot array can differ from the scalar abs in the
-    last bit.
+    column is left as it is. The pivot magnitudes are taken by ``magnitudes``.
     """
     n = vecs.shape[-1]
     stack = vecs.reshape(-1, n, n)
     rows = np.argmax(np.abs(stack), axis=1)
     pivots = stack[np.arange(stack.shape[0])[:, None], rows, np.arange(n)]
-    mags = np.array([abs(p) for p in pivots.flat]).reshape(pivots.shape)
+    mags = magnitudes(pivots)
     live = mags > 0.0
     factors = np.divide(pivots.conj(), mags, out=np.ones(pivots.shape, dtype=complex), where=live)
     fixed = np.multiply(stack, factors[:, None, :], out=stack.copy(), where=live[:, None, :])
@@ -313,26 +318,26 @@ def sqrt_eigenvalues(eigenvalues: np.ndarray) -> np.ndarray:
 
 
 def psd_sqrt(d) -> HermitianMatrix:
-    """Unique PSD square root of a PSD Hermitian matrix.
-
-    Eigenvalues in [SQRT_EIG_FLOOR, SUPPORT_TOL] are flattened to 0
-    (tolerated noise / support convention); anything below
-    ``SQRT_EIG_FLOOR`` raises NotPositiveSemidefinite.
-    """
+    """Unique PSD square root of a PSD Hermitian matrix: ``sqrt_stack`` of its decomposition."""
     dec = d.decomposition if isinstance(d, DensityMatrix) else eigh(d)
-    lam_min = float(dec.eigenvalues[0])
-    if lam_min < SQRT_EIG_FLOOR:
-        raise NotPositiveSemidefinite(
-            f"eigenvalue {lam_min:.3e} below floor {SQRT_EIG_FLOOR}"
-        )
     return HermitianMatrix.of_checked(sqrt_stack(dec))
 
 
 def sqrt_stack(dec: SpectralDecomposition) -> np.ndarray:
     """The PSD square root U diag(sqrt_eigenvalues) U* of a decomposition, or of each
-    layer of a stacked one, validated by ``hermitian_part``. No eigenvalue floor
-    is checked: ``psd_sqrt`` does that, and a ``density_stack`` decomposition
-    already meets a stricter one."""
+    layer of a stacked one, validated by ``hermitian_part``.
+
+    Eigenvalues in [SQRT_EIG_FLOOR, SUPPORT_TOL] are flattened to 0
+    (tolerated noise / support convention); an eigenvalue below
+    ``SQRT_EIG_FLOOR`` raises NotPositiveSemidefinite, the first failing
+    layer naming the error.
+    """
+    lam_min = dec.eigenvalues[..., 0]
+    i = first_failing(lam_min < SQRT_EIG_FLOOR)
+    if i is not None:
+        raise NotPositiveSemidefinite(
+            f"eigenvalue {float(lam_min.flat[i]):.3e} below floor {SQRT_EIG_FLOOR}"
+        )
     roots = SpectralDecomposition(sqrt_eigenvalues(dec.eigenvalues), dec.eigenvectors)
     return hermitian_part(roots.reconstruct())
 

@@ -152,13 +152,15 @@ class StateGrid:
     A stage is a function ``fn(grid, *args)`` that returns a tuple of
     arrays (or lists) with one layer per theta. Here they are the model's
     value and derivative inputs, rho with its eigendecomposition, drho, the
-    square-root derivative with its route, and the forced differences. In
+    square-root derivative with its route, the forced differences, a qubit
+    mixture's psi2 and a spectral model's frame projectors. In
     ``quantum`` they are the SLD, tr{rho L^2} and 4 tr{[(sqrt rho)']^2},
     each checked against the noise floor, a qubit mixture's weight, slope
     and I_H1, each closed form and alpha/beta, and the relation report,
     whose columns hold builtin scalars. In ``classical`` they are a
     measurement set's checked trace-rule distributions, its scores and its
-    classical Fisher information. Each runs on first use and is kept. A
+    classical Fisher information; in ``verify``, the residuals of its
+    kernel, difference and identity checks. Each runs on first use and is kept. A
     stage that raises is not kept; a grid of more than one theta then
     splits into grids of one, which keep the stages already run and
     evaluate the rest alone, so each point gets its own value or raises its
@@ -748,8 +750,8 @@ class SpectralMixtureModel(_StackedModel):
         return u
 
     def dprojectors_at(self, theta: float) -> list[np.ndarray]:
-        """dP_k = du_k u_k^dagger + u_k du_k^dagger: the derivatives of ``_spectral_projectors``."""
-        return list(_spectral_projectors(self.at(theta))[1])
+        """dP_k = du_k u_k^dagger + u_k du_k^dagger: the point's layer of ``_projectors_stage``."""
+        return list(self.at(theta).layer(_projectors_stage)[1])
 
     def _inputs(self, thetas) -> tuple:
         """(lambda, U) at each theta: the checked weights and the checked frame."""
@@ -795,23 +797,53 @@ class SpectralMixtureModel(_StackedModel):
         return self._dlambdas is not None and self._dframe is not None
 
 
-def _spectral_projectors(pt: StatePoint) -> tuple[np.ndarray, np.ndarray]:
-    """(P, dP): a spectral model's frame projectors at a point and their derivatives, each (n, n, n).
+def _projectors_stage(grid: StateGrid) -> tuple:
+    """(P, dP): a spectral model's frame projectors at every theta and their derivatives,
+    each (T, n, n, n).
 
-    U is the point's value input; du is the raw ``dframe``, so that one whose
+    U is the value input; du is the raw ``dframe``, so that one whose
     U^dagger dU is not skew shows in the projector identities, or else U A
-    from the point's derivative inputs.
+    from the derivative inputs.
     """
-    model, u = pt.model, pt.layer(_inputs_stage)[1]
+    model, u = grid.model, grid.stage(_inputs_stage)[1]
     if model._dframe is not None:
-        du = np.asarray(model._dframe(pt.theta), dtype=complex)
+        du = np.array([np.asarray(model._dframe(theta), dtype=complex) for theta in grid.thetas])
     else:
-        du = u @ pt.layer(_dinputs_stage)[1]
-    return _frame_projectors(u), _projector_derivatives(u.T, du.T)
+        du = u @ grid.stage(_dinputs_stage)[1]
+    return _frame_projectors(u), _projector_derivatives(u.swapaxes(-1, -2), du.swapaxes(-1, -2))
+
+
+def _psi2_stage(grid: StateGrid) -> tuple:
+    """A qubit mixture's canonical psi2 at every theta (see ``canonical_psi2``).
+
+    It reads psi1 and dP1 from the model's input stages. The stationarity
+    check is one stacked trace; psi2 itself is taken layer by layer, since
+    a stacked inner product or norm sums in another order and moves the last
+    bit. The first failing theta names the error.
+    """
+    psi = grid.stage(_inputs_stage)[1]
+    dp = grid.stage(_dinputs_stage)[1]
+    info = 2.0 * real_trace_product([dp, dp])
+    i = first_failing(info <= STATIONARY_TOL)
+    if i is not None:
+        raise StationaryFamilyError(
+            f"family is stationary at theta={grid.thetas[i]} (information {info[i]:.3e})"
+        )
+    psi2 = []
+    for p, d in zip(psi, dp):
+        v = d @ p
+        v = v - np.vdot(p, v) * p
+        v = v / np.linalg.norm(v)
+        overlap = abs(np.vdot(p, v))
+        if overlap > ORTHO_ATOL:
+            raise ValueError(f"constructed psi2 overlaps psi1 by {overlap:.3e}")
+        psi2.append(v)
+    return (np.array(psi2),)
 
 
 def canonical_psi2(pt: StatePoint) -> UnitVector:
-    """Distinguished unit vector orthogonal to psi1 at a point of a ``QubitMixtureModel``.
+    """Distinguished unit vector orthogonal to psi1 at a point of a ``QubitMixtureModel``:
+    the point's layer of ``_psi2_stage``, which runs once per grid.
 
     Normalized image of psi1 under its projector derivative dP1, with its
     psi1 component projected out; defined only where the family is not
@@ -821,20 +853,7 @@ def canonical_psi2(pt: StatePoint) -> UnitVector:
     image is orthogonal to psi1 exactly only for an exact derivative: a
     differenced one leaves an O(h^2) overlap wherever the phase speed varies.
     """
-    psi = pt.layer(_inputs_stage)[1]
-    dp = pt.layer(_dinputs_stage)[1]
-    info = 2.0 * real_trace_product([dp, dp])
-    if info <= STATIONARY_TOL:
-        raise StationaryFamilyError(
-            f"family is stationary at theta={pt.theta} (information {info:.3e})"
-        )
-    v = dp @ psi
-    v = v - np.vdot(psi, v) * psi
-    psi2 = v / np.linalg.norm(v)
-    overlap = abs(np.vdot(psi, psi2))
-    if overlap > ORTHO_ATOL:
-        raise ValueError(f"constructed psi2 overlaps psi1 by {overlap:.3e}")
-    return UnitVector(psi2)
+    return UnitVector(pt.layer(_psi2_stage)[0])
 
 
 # ---------------------------------------------------------------------------

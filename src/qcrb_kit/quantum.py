@@ -46,6 +46,7 @@ from .hermitian import (
     HermitianMatrix,
     as_array,
     first_failing,
+    hermitian_part,
     real_trace_product,
     solve_symmetric_product,
 )
@@ -116,19 +117,27 @@ def sld(pt: StatePoint) -> SldResult:
 def sld_spectral_sum(eigenvalues, projectors, drho) -> HermitianMatrix:
     """SLD as the double projector sum sum_{l,k} 2/(lam_l+lam_k) P_l drho P_k.
 
-    Independent of the eigenbasis solve; pairs below the support tolerance
-    are skipped. Used as a cross-check oracle for ``sld``.
+    Independent of the eigenbasis solve: it reads only the eigenvalues, the
+    projectors and drho. Used as a cross-check oracle for ``sld``. It takes
+    one point, or a stack: eigenvalues (T, n), projectors (T, n, n) each and
+    drho (T, n, n). A pair is skipped in each layer where its eigenvalues sum
+    to the support tolerance or less, so every layer gets the bits of its
+    sum alone.
     """
-    lam = np.asarray(eigenvalues, dtype=float)
     d = as_array(drho)
-    total = np.zeros_like(d)
-    for l, p_l in enumerate(projectors):
-        for k, p_k in enumerate(projectors):
-            denom = lam[l] + lam[k]
-            if denom <= SUPPORT_TOL:
-                continue
-            total += (2.0 / denom) * (p_l @ d @ p_k)
-    return HermitianMatrix(total)
+    n = d.shape[-1]
+    stack = d.reshape(-1, n, n)
+    lam = np.asarray(eigenvalues, dtype=float).reshape(len(stack), n)
+    ps = [np.reshape(p, stack.shape) for p in projectors]
+    total = np.zeros_like(stack)
+    for l, p_l in enumerate(ps):
+        for k, p_k in enumerate(ps):
+            denom = lam[:, l] + lam[:, k]
+            keep = denom > SUPPORT_TOL
+            if keep.any():
+                coeff = np.divide(2.0, denom, out=np.zeros_like(denom), where=keep)
+                np.add(total, coeff[:, None, None] * (p_l @ stack @ p_k), out=total, where=keep[:, None, None])
+    return HermitianMatrix.of_checked(hermitian_part(total.reshape(d.shape)))
 
 
 def _helstrom_stage(grid: StateGrid) -> tuple:

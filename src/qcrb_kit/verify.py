@@ -20,18 +20,25 @@ finite differences that ``drho-route-agreement`` and
 ``dsqrt-route-agreement`` compare against are stages of that grid too: the
 states at theta +- fd_step of all its thetas form one stencil grid per
 model grid, with one eigendecomposition, and both differences read its
-one evaluation of the model's inputs. The measurement checks work on
+one evaluation of the model's inputs; the mixture identities difference
+the canonical psi2 of the same stencil grids. The measurement checks work on
 measurement sets the same way: each first draws its specs from its rng,
 in the order a per-measurement loop would, and draws its random POVMs as
 one set (``random_povms``); each point then reads the classical Fisher
 information of its set with one ``classical_fishers`` call, one trace
-rule per (point's grid, set). Only the projector-sum SLD of
-``sld-vs-spectral-sum``, and the rephased solve of
-``eigenvector-phase-invariance``, are computed afresh per point. ``eigh-reconstruction``
+rule per (point's grid, set). ``eigh-reconstruction``
 holds LAPACK's eigenvalues against the power sums tr(M^k) of its matrices,
 so no second eigensolver runs. A check that measures one residual per
 sampled (model, theta) point is a ``_PointCheck`` row: a residual function
-plus the selection of models and thetas it runs over. The route and
+plus the selection of models and thetas it runs over. The kernel,
+difference and identity checks are check stages (``_stage_check``): the
+square-root composition, the solve's involution, the projector-sum SLD of
+``sld-vs-spectral-sum``, both route agreements, the two mixture identities
+and ``spectral-identities`` each run once per model grid on its stacked
+arrays, with the bits of the per-point formula at each theta, and a
+point's residual is its layer, so a theta where one fails splits the grid
+and raises only its own error. Only the rephased solve of
+``eigenvector-phase-invariance`` is computed afresh per point. The route and
 relation checks read the residuals of the point's one ``relation_report``,
 the numbers the CLI emits, rather than recomputing them.
 """
@@ -59,9 +66,10 @@ from .hermitian import (
     HermitianMatrix,
     SpectralDecomposition,
     eigh,
+    magnitudes,
     projectors,
-    psd_sqrt,
     solve_symmetric_product,
+    sqrt_stack,
     symmetrized,
     trace_product,
 )
@@ -73,16 +81,19 @@ from .models import (
     _dinputs_stage,
     _drho_fd_stage,
     _dsqrt_fd_stage,
+    _dsqrt_route_stage,
     _inputs_stage,
-    _spectral_projectors,
+    _projectors_stage,
+    _psi2_stage,
+    _sides,
     _stencil_difference,
     builtin_models,
-    canonical_psi2,
     random_spectral_model,
     rotation_mixture,
 )
 from .quantum import (
     _qubit_stage,
+    _sld_stage,
     helstrom_info_sld,
     relation_report,
     sld,
@@ -219,6 +230,28 @@ class _PointCheck:
                     yield dev, f"{name} theta={theta:g}"
 
 
+def _layer_residual(stage, pt) -> float:
+    return float(pt.layer(stage)[0])
+
+
+def _stage_check(stage, **selection) -> _PointCheck:
+    """A ``_PointCheck`` whose residual at a point is its layer of ``stage``: the check
+    runs once per model grid, on the stacked arrays, and a theta where it fails splits
+    the grid and raises only its own error."""
+    return _PointCheck(partial(_layer_residual, stage), **selection)
+
+
+def _norms(stack) -> np.ndarray:
+    """The 2-norm of each complex layer of a stack, with the bits of ``np.linalg.norm`` of the
+    layer: its formula, sqrt(re.re + im.im) by BLAS dots over the raveled layer, one layer
+    at a time. A stacked norm sums in another order, which moves the last bit."""
+    squares = []
+    for m in stack:
+        v = m.ravel(order="K")
+        squares.append(v.real.dot(v.real) + v.imag.dot(v.imag))
+    return np.sqrt(squares)
+
+
 def _constant_weight_at(pt) -> bool:
     # the constant-weight facts (alpha in [1,2], beta = 0, mixing loses
     # information) hold only where the weight does not move
@@ -256,20 +289,24 @@ def _check_eigh_reconstruction(catalog, opts, points):
         yield max(rec, orth, ref, order), f"trial {trial} (n={n})"
 
 
-def _psd_sqrt_composition(pt):
-    root = psd_sqrt(pt.rho)
-    return float(np.linalg.norm(root.mat @ root.mat - pt.rho.mat))
+def _psd_sqrt_stage(grid):
+    # the square root of every theta's rho, squared, against rho
+    rho, dec = grid.rho_stack()
+    root = sqrt_stack(dec)
+    return (_norms(root @ root - rho),)
 
 
-def _solve_involution(pt):
-    rho, drho = pt.rho, pt.drho
-    l_mat = pt.cached(sld).matrix
-    resid = 0.5 * (rho.mat @ l_mat.mat + l_mat.mat @ rho.mat) - drho.mat
-    dec = rho.decomposition
-    r_tilde = dec.eigenvectors.conj().T @ resid @ dec.eigenvectors
+def _solve_involution_stage(grid):
+    # the residual of the symmetrized-product equation on the support, in
+    # the eigenbasis of rho
+    rho, dec = grid.rho_stack()
+    l_mat = grid.stage(_sld_stage)[0]
+    resid = 0.5 * (rho @ l_mat + l_mat @ rho) - grid.drho_stack()
+    u = dec.eigenvectors
+    r_tilde = u.conj().swapaxes(-1, -2) @ resid @ u
     lam = dec.eigenvalues
-    keep = (lam[:, None] + lam[None, :]) > SUPPORT_TOL
-    return float(np.linalg.norm(r_tilde[keep]))
+    keep = (lam[:, :, None] + lam[:, None, :]) > SUPPORT_TOL
+    return (_norms([r[k] for r, k in zip(r_tilde, keep)]),)
 
 
 def _check_phase_invariance(catalog, opts, points):
@@ -297,61 +334,61 @@ def _drho_traceless(pt):
     return abs(float(np.trace(pt.drho.mat).real))
 
 
-def _drho_route_agreement(pt):
-    b = pt.layer(_drho_fd_stage)[0]
-    return float(np.linalg.norm(pt.drho.mat - b))
+def _drho_route_agreement_stage(grid):
+    return (_norms(grid.drho_stack() - grid.stage(_drho_fd_stage)[0]),)
 
 
-def _dsqrt_route_agreement(pt):
-    a = pt.dsqrt.matrix.mat
-    b = pt.layer(_dsqrt_fd_stage)[0]
-    return float(np.linalg.norm(a - b)) / max(1.0, float(np.linalg.norm(a)))
+def _dsqrt_route_agreement_stage(grid):
+    a = grid.stage(_dsqrt_route_stage)[0]
+    b = grid.stage(_dsqrt_fd_stage)[0]
+    return (_norms(a - b) / np.maximum(1.0, _norms(a)),)
 
 
-def _mixture_components(pt):
-    """p1, p2 = |psi1><psi1|, |psi2><psi2| and their derivatives dp1, dp2.
+def _mixture_stage(grid):
+    """p1, p2 = |psi1><psi1|, |psi2><psi2| and their derivatives dp1, dp2 at every theta.
 
-    p1 and dp1 are the point's model inputs, as the closed forms read them;
-    dp2 differences the point's canonical psi2 over a grid of theta +- fd_step,
-    independently of psi1's derivative.
+    p1 and dp1 are the model inputs, as the closed forms read them; dp2
+    differences the canonical psi2 of the grid's stencil grids (theta +-
+    fd_step), independently of psi1's derivative.
     """
-    model, theta, h = pt.model, pt.theta, pt.model.fd_step
-    p1 = projectors(pt.layer(_inputs_stage)[1])
-    p2 = canonical_psi2(pt).projector()
-    dp1 = pt.layer(_dinputs_stage)[1]
-    sides = np.array([[canonical_psi2(side).projector() for side in model.grid((theta + h, theta - h))]])
-    dp2 = _stencil_difference(sides, h)[0]
-    return p1, p2, dp1, dp2
+    h = grid.model.fd_step
+    p1 = projectors(grid.stage(_inputs_stage)[1])
+    p2 = projectors(grid.stage(_psi2_stage)[0])
+    dp1 = grid.stage(_dinputs_stage)[1]
+    sides = np.concatenate([_sides(projectors(s.stage(_psi2_stage)[0])) for s in grid.stencils()])
+    return p1, p2, dp1, _stencil_difference(sides, h)
 
 
-def _qubit_complement(pt):
+def _qubit_complement_stage(grid):
     # projector identity for every mixture; the derivative identity only
     # where psi1 has an analytic derivative (differencing a psi2 that was
     # itself built by differences measures rounding jitter, not the identity)
-    p1, p2, dp1, dp2 = pt.cached(_mixture_components)
-    dev = float(np.linalg.norm(p2 - (np.eye(2) - p1)))
-    if pt.model.psi1.dpsi is not None:
-        dev = max(dev, float(np.linalg.norm(dp1 + dp2)))
-    return dev
+    p1, p2, dp1, dp2 = grid.stage(_mixture_stage)
+    dev = _norms(p2 - (np.eye(2) - p1))
+    if grid.model.psi1.dpsi is not None:
+        dev = np.maximum(dev, _norms(dp1 + dp2))
+    return (dev,)
 
 
-def _orthogonal_trace_identities(pt):
+def _orthogonal_scores_stage(grid):
     # tr{rho_k drho_h} = 0 for pure components of the mixtures
-    p1, p2, dp1, dp2 = pt.cached(_mixture_components)
-    return max(abs(trace_product([pk, dp])) for pk in (p1, p2) for dp in (dp1, dp2))
+    p1, p2, dp1, dp2 = grid.stage(_mixture_stage)
+    traces = [trace_product([pk, dp]) for pk in (p1, p2) for dp in (dp1, dp2)]
+    return (np.max([magnitudes(t) for t in traces], axis=0),)
 
 
-def _spectral_identities(pt):
-    projs, dprojs = _spectral_projectors(pt)
-    n = len(projs)
-    dev = float(np.linalg.norm(sum(dprojs)))
+def _spectral_identities_stage(grid):
+    # sum_l dP_l = 0, tr{P_l dP_l P_l dP_l} = 0 and P_l dP_m + dP_l P_m = 0
+    # for l != m, at every theta
+    projs, dprojs = grid.stage(_projectors_stage)
+    n = projs.shape[1]
+    devs = [_norms(sum(dprojs[:, l] for l in range(n)))]
     for l in range(n):
-        dev = max(dev, abs(trace_product([projs[l], dprojs[l], projs[l], dprojs[l]])))
+        devs.append(magnitudes(trace_product([projs[:, l], dprojs[:, l], projs[:, l], dprojs[:, l]])))
         for m in range(n):
-            if m == l:
-                continue
-            dev = max(dev, float(np.linalg.norm(projs[l] @ dprojs[m] + dprojs[l] @ projs[m])))
-    return dev
+            if m != l:
+                devs.append(_norms(projs[:, l] @ dprojs[:, m] + dprojs[:, l] @ projs[:, m]))
+    return (np.max(devs, axis=0),)
 
 
 def _check_weight_boundary_regularity(catalog, opts, points):
@@ -378,11 +415,10 @@ def _pure_doubling(pt):
     return pt.cached(relation_report).residuals.get("pure_doubling")
 
 
-def _sld_vs_spectral_sum(pt):
-    a = pt.cached(sld).matrix.mat
-    dec = pt.rho.decomposition
-    b = sld_spectral_sum(dec.eigenvalues, dec.projectors(), pt.drho).mat
-    return float(np.linalg.norm(a - b))
+def _sld_vs_spectral_sum_stage(grid):
+    _, dec = grid.rho_stack()
+    b = sld_spectral_sum(dec.eigenvalues, dec.projectors(), grid.drho_stack()).mat
+    return (_norms(grid.stage(_sld_stage)[0] - b),)
 
 
 def _report_residual(key, pt):
@@ -520,23 +556,23 @@ _PROP1 = partial(_report_residual, "prop1")
 
 _CHECKS = [
     ("eigh-reconstruction", "analytic", 1e-10, _check_eigh_reconstruction),
-    ("psd-sqrt-composition", "analytic", 1e-9, _PointCheck(_psd_sqrt_composition)),
-    ("solve-involution", "analytic", 1e-9, _PointCheck(_solve_involution)),
+    ("psd-sqrt-composition", "analytic", 1e-9, _stage_check(_psd_sqrt_stage)),
+    ("solve-involution", "analytic", 1e-9, _stage_check(_solve_involution_stage)),
     ("eigenvector-phase-invariance", "analytic", 1e-10, _check_phase_invariance),
     ("state-trace-one", "analytic", 1e-10, _PointCheck(_trace_one)),
     ("drho-traceless-analytic", "analytic", 1e-8, _PointCheck(_drho_traceless, analytic=True)),
     ("drho-traceless-fd", "fd", 1e-8, _PointCheck(_drho_traceless, analytic=False)),
-    ("drho-route-agreement", "fd", 1e-7, _PointCheck(_drho_route_agreement, analytic=True)),
-    ("dsqrt-route-agreement", "fd", 1e-6, _PointCheck(_dsqrt_route_agreement)),
-    ("qubit-complement-identities", "fd", 1e-9, _PointCheck(_qubit_complement, kinds=_MIXTURES)),
+    ("drho-route-agreement", "fd", 1e-7, _stage_check(_drho_route_agreement_stage, analytic=True)),
+    ("dsqrt-route-agreement", "fd", 1e-6, _stage_check(_dsqrt_route_agreement_stage)),
+    ("qubit-complement-identities", "fd", 1e-9, _stage_check(_qubit_complement_stage, kinds=_MIXTURES)),
     ("orthogonal-component-scores", "fd", 1e-9,
-     _PointCheck(_orthogonal_trace_identities, kinds=_MIXTURES)),
+     _stage_check(_orthogonal_scores_stage, kinds=_MIXTURES)),
     ("spectral-identities", "analytic", 1e-9,
-     _PointCheck(_spectral_identities, kinds=("spectral",))),
+     _stage_check(_spectral_identities_stage, kinds=("spectral",))),
     ("weight-boundary-regularity", "analytic", BOUNDARY_RATIO_CAP, _check_weight_boundary_regularity),
     ("score-zero-analytic", "analytic", 1e-9, _PointCheck(_score_zero, analytic=True)),
     ("score-zero-fd", "fd", 1e-9, _PointCheck(_score_zero, analytic=False)),
-    ("sld-vs-spectral-sum", "analytic", 1e-10, _PointCheck(_sld_vs_spectral_sum)),
+    ("sld-vs-spectral-sum", "analytic", 1e-10, _stage_check(_sld_vs_spectral_sum_stage)),
     ("pure-doubling-analytic", "analytic", 1e-9,
      _PointCheck(_pure_doubling, kinds=("pure",), analytic=True)),
     ("pure-doubling-fd", "fd", 1e-6, _PointCheck(_pure_doubling, kinds=("pure",), analytic=False)),

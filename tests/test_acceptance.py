@@ -15,7 +15,7 @@ from qcrb_kit.cli import main, parse_csv
 from qcrb_kit.models import (
     PureFamily,
     PureStateModel,
-    _spectral_projectors,
+    _projectors_stage,
     builtin_models,
     canonical_psi2,
     random_pure_family,
@@ -278,7 +278,7 @@ def test_criterion_11_appendix_identity_suite():
                         worst = max(worst, abs(np.trace(pk @ dp)))
                 worst = max(worst, abs(np.trace(p1 @ dp1 @ p1 @ dp1)))
             if model.kind == "spectral":
-                projs, dprojs = _spectral_projectors(model.at(theta))
+                projs, dprojs = model.at(theta).layer(_projectors_stage)
                 for l in range(model.dim):
                     worst = max(
                         worst, abs(np.trace(projs[l] @ dprojs[l] @ projs[l] @ dprojs[l]))

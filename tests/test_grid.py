@@ -741,11 +741,14 @@ FULLY_DIFFERENCED = {
 
 
 # what the closed forms read beyond the model's input stages: the qubit
-# ingredient stage, and the stage of each closed form and of alpha/beta
+# ingredient stage, and the stage of each closed form and of alpha/beta; and
+# the stages over the model's inputs alone that verify's identity checks
+# read, a qubit mixture's psi2 and a spectral model's frame projectors
 CLOSED_FORM_STAGES = {
     quantum: ("_qubit_stage", "_pure_stage", "_alpha_beta_stage",
               "_helstrom_qubit_stage", "_wy_qubit_stage", "_gamma_qubit_stage",
               "_helstrom_spectral_stage", "_wy_spectral_stage", "_gamma_spectral_stage"),
+    models: ("_psi2_stage", "_projectors_stage"),
 }
 CATALOG = tuple(builtin_models())
 

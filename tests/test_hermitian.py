@@ -280,6 +280,9 @@ def phase_fixing_cases():
     yield zero  # a zero column, with signed zeros, is left as it is
     s = 1.0 / np.sqrt(2.0)
     yield np.array([[s, -1j * s, 0.6], [-s, s, -0.8j], [0.0, 0.0, 0.0]], dtype=complex)  # ties
+    # subnormal pivots, whose magnitude hypot must take as the scalar abs does; each is
+    # above 1 / DBL_MAX, so that its phase factor stays finite
+    yield np.array([[6e-309 + 8e-309j, 0.6, 1.5e-308j], [1e-309j, -0.8j, -1e-308], [0.0, 0.0, 0.0]])
 
 
 def test_fix_phases_matches_the_column_loop_bitwise():

@@ -21,7 +21,7 @@ from qcrb_kit.models import (
     _dinputs_stage,
     _drho_fd_stage,
     _dsqrt_fd_stage,
-    _spectral_projectors,
+    _projectors_stage,
     _unitary_path,
     builtin_models,
     canonical_psi2,
@@ -263,7 +263,7 @@ def test_spectral_model_invariants():
         assert np.all(lam >= 0.0) and np.all(lam <= 1.0)
         pt = model.at(theta)
         assert abs(pt.layer(_dinputs_stage)[0].sum()) <= 1e-8
-        projs, _ = _spectral_projectors(pt)
+        projs, _ = pt.layer(_projectors_stage)
         for l, p_l in enumerate(projs):
             for k, p_k in enumerate(projs):
                 expected = 1.0 if l == k else 0.0
@@ -273,7 +273,7 @@ def test_spectral_model_invariants():
 def test_spectral_appendix_identities():
     model = random_spectral_model(23, 4)
     for theta in (-0.4, 0.5):
-        projs, dprojs = _spectral_projectors(model.at(theta))
+        projs, dprojs = model.at(theta).layer(_projectors_stage)
         assert np.linalg.norm(sum(dprojs)) <= 1e-9
         for l in range(4):
             assert abs(np.trace(projs[l] @ dprojs[l] @ projs[l] @ dprojs[l])) <= 1e-9
@@ -386,7 +386,7 @@ SPECTRAL_CATALOG = {name: m for name, m in builtin_models().items() if m.kind ==
 def test_projector_accessors_equal_the_per_column_outer_products_bitwise(model):
     for theta in model.sample_thetas:
         projs, dprojs = _projector_lists_by_columns(model, theta)
-        assert np.array(_spectral_projectors(model.at(theta))[0]).tobytes() == np.array(projs).tobytes()
+        assert np.array(model.at(theta).layer(_projectors_stage)[0]).tobytes() == np.array(projs).tobytes()
         assert np.array(model.dprojectors_at(theta)).tobytes() == np.array(dprojs).tobytes()
 
 

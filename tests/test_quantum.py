@@ -20,7 +20,7 @@ from qcrb_kit.models import (
     _dinputs_stage,
     _drho_fd_stage,
     _dsqrt_fd_stage,
-    _spectral_projectors,
+    _projectors_stage,
     complex_rotation_family,
     fixed_spectrum_model,
     qubit_mixture_as_spectral,
@@ -325,7 +325,7 @@ def _spectral_sums_by_loops(model, theta):
     pt = model.at(theta)
     lam = model.lambdas_at(theta)
     dlam = pt.layer(_dinputs_stage)[0]
-    projs, dprojs = _spectral_projectors(pt)
+    projs, dprojs = pt.layer(_projectors_stage)
     n = model.dim
     fisher = sum(dlam[l] ** 2 / lam[l] for l in range(n) if lam[l] > 1e-12)
     skew = gap = triple = 0.0
@@ -411,21 +411,21 @@ def test_no_closed_form_reads_the_phase_of_a_frame_column():
 
 
 def _count_projector_lists(monkeypatch) -> Counter:
-    # dprojectors_at, and the frame projectors of a point it reads
+    # dprojectors_at, and the stage of frame projectors it reads
     calls = Counter()
     original_at = SpectralMixtureModel.dprojectors_at
-    original_point = models._spectral_projectors
+    original_stage = models._projectors_stage
 
     def counted_at(self, theta):
         calls["dprojectors_at"] += 1
         return original_at(self, theta)
 
-    def counted_point(pt):
-        calls["_spectral_projectors"] += 1
-        return original_point(pt)
+    def counted_stage(grid):
+        calls["_projectors_stage"] += 1
+        return original_stage(grid)
 
     monkeypatch.setattr(SpectralMixtureModel, "dprojectors_at", counted_at)
-    monkeypatch.setattr(models, "_spectral_projectors", counted_point)
+    monkeypatch.setattr(models, "_projectors_stage", counted_stage)
     return calls
 
 

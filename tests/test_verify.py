@@ -126,14 +126,12 @@ def test_one_run_creates_each_point_once_and_the_extra_models_once(monkeypatch):
     # the forced differences of drho- and dsqrt-route-agreement evaluate one
     # stencil grid per catalog model grid, which makes no points and runs
     # only the value inputs, no rho stage. The mixture identities difference
-    # psi2 over one grid of the two points theta +- fd_step per sample theta
-    # of each of the 5 mixtures, which runs only the input stages; the one
-    # mixture without dpsi or dw differences its inputs on a stencil grid
-    # of each of its 5 side grids.
+    # psi2 on those same stencil grids, which runs only their input stages;
+    # the one mixture without dpsi or dw differences its stencil's inputs on
+    # the stencil's own stencil grid.
     stencils = len(builtin_models())
-    sides = 5 * 5
     assert counts == {
-        "point": 115 + 2 * sides, "grid": 47 + stencils + sides + 5, "rho_stage": 47,
+        "point": 115, "grid": 47 + stencils + 1, "rho_stage": 47,
         "random_spectral_model": 5,
     }
 
