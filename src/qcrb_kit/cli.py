@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .classical import _bound_cells, _fisher_stage
+from .classical import _bound_cells, classical_fisher
 from .configio import NAMED_FAMILIES, load_json, model_from_config, povm_from_config
 from .errors import (
     BoundaryRegularityError,
@@ -285,7 +285,7 @@ def cmd_compute(args) -> int:
         if route_errors:
             logger.warning("theta=%g route errors: %s", theta, route_errors)
         if povm is not None:
-            i = point.layer(_fisher_stage, (povm,))[0][0]
+            i = classical_fisher(point, povm)
             gap, ok, crb = _bound_cells(i, row["i_h_sld"])
             row.update({"cfi": i, "cfi_gap": gap, "cfi_ok": ok, "crb": crb})
             if not ok:

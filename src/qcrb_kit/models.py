@@ -114,7 +114,7 @@ class PureFamily:
         if v.shape[0] != self.dim:
             raise DimensionError(f"state has dim {v.shape[0]}, family declares {self.dim}")
         norm = np.linalg.norm(v)
-        if abs(norm - 1.0) > UNIT_NORM_ATOL:
+        if not abs(norm - 1.0) <= UNIT_NORM_ATOL:  # a non-finite entry fails too
             raise ValueError(f"family state at theta={theta} has norm {norm!r}")
         return v
 
@@ -294,13 +294,29 @@ def _domain_checked(grid: StateGrid) -> ParametricStateModel:
 
 
 def _inputs_stage(grid: StateGrid) -> tuple:
-    """The value inputs of the model at every theta: all that rho reads."""
-    return _domain_checked(grid)._inputs(grid.thetas)
+    """The value inputs of the model at every theta: all that rho reads.
+
+    Each is checked where it is read, and a non-finite one fails its check,
+    so numpy's overflow and invalid-value warnings are not raised here.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _domain_checked(grid)._inputs(grid.thetas)
 
 
 def _dinputs_stage(grid: StateGrid) -> tuple:
     """The derivative inputs of the model at every theta, analytic or differenced."""
     return _domain_checked(grid)._derivative_inputs(grid)
+
+
+def _read(fn, thetas, name: str, dtype=complex) -> np.ndarray:
+    """fn(theta) of every theta as one array, without numpy's overflow and invalid-value
+    warnings; the first theta whose value is not finite names the error."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.array([fn(theta) for theta in thetas], dtype=dtype)
+    if not np.isfinite(values).all():
+        i = first_failing(~np.isfinite(values).reshape(len(values), -1).all(axis=1))
+        raise ValueError(f"{name} is not finite at theta={thetas[i]}")
+    return values
 
 
 def _sides(a: np.ndarray) -> np.ndarray:
@@ -560,7 +576,7 @@ def _family_dprojectors(grid: StateGrid, family: PureFamily, index: int) -> np.n
     or else by central differences of its states on the stencil."""
     if family.dpsi is not None:
         states = grid.stage(_inputs_stage)[index]
-        return _projector_derivatives(states, np.array([family.velocity(t) for t in grid.thetas]))
+        return _projector_derivatives(states, _read(family.velocity, grid.thetas, "dpsi"))
     return symmetrized(_stencil_difference(projectors(_stencil_inputs(grid, index)), grid.model.fd_step))
 
 
@@ -630,7 +646,7 @@ class QubitMixtureModel(_StackedModel):
         """(w', dP1): the weight's slope and psi1's projector derivative, at ``fd_step``."""
         weight = self.weight
         if weight.dw is not None:
-            dw = np.array([float(weight.dw(t)) for t in grid.thetas])
+            dw = _read(weight.dw, grid.thetas, "dw", float)
         else:
             dw = _stencil_difference(_stencil_inputs(grid, 0), self.fd_step)
         dp1 = _family_dprojectors(grid, self.psi1, 1)
@@ -648,7 +664,7 @@ class QubitMixtureModel(_StackedModel):
 
 def _checked_dlambdas(vals: np.ndarray) -> np.ndarray:
     total = abs(float(np.sum(vals)))
-    if total > DLAMBDA_SUM_ATOL:
+    if not total <= DLAMBDA_SUM_ATOL:  # a non-finite entry fails too
         raise ValueError(f"weight derivatives sum to {total:.3e} > {DLAMBDA_SUM_ATOL}")
     return vals
 
@@ -730,7 +746,7 @@ class SpectralMixtureModel(_StackedModel):
         if vals.shape[0] != self.dim:
             raise DimensionError(f"{vals.shape[0]} weights for dim {self.dim}")
         total = float(np.sum(vals))
-        if abs(total - 1.0) > LAMBDA_SUM_ATOL:
+        if not abs(total - 1.0) <= LAMBDA_SUM_ATOL:  # a non-finite weight fails too
             raise ValueError(f"eigenvalue weights sum to {total!r} at theta={theta}")
         lo, hi = float(np.min(vals)), float(np.max(vals))
         if lo < -LAMBDA_RANGE_ATOL or hi > 1.0 + LAMBDA_RANGE_ATOL:
@@ -745,7 +761,7 @@ class SpectralMixtureModel(_StackedModel):
         if u.shape != (self.dim, self.dim):
             raise DimensionError(f"frame has shape {u.shape}, expected {(self.dim, self.dim)}")
         dev = np.linalg.norm(u.conj().T @ u - np.eye(self.dim))
-        if dev > ORTHO_ATOL:
+        if not dev <= ORTHO_ATOL:  # a non-finite entry fails too
             raise ValueError(f"frame deviates from unitarity by {dev:.3e} at theta={theta}")
         return u
 
@@ -769,12 +785,12 @@ class SpectralMixtureModel(_StackedModel):
         h = self.fd_step
         u = grid.stage(_inputs_stage)[1]
         if self._dframe is not None:
-            du = np.array([np.asarray(self._dframe(t), dtype=complex) for t in grid.thetas])
+            du = _read(self._dframe, grid.thetas, "dframe")
             a = _generator_from_frames(u, du)
         else:
             a = _generator_from_stencil(u, _stencil_inputs(grid, 1), h)
         if self._dlambdas is not None:
-            dlam = np.array([np.asarray(self._dlambdas(t), dtype=float).reshape(-1) for t in grid.thetas])
+            dlam = _read(self._dlambdas, grid.thetas, "dlambdas", float).reshape(len(grid.thetas), -1)
         else:
             dlam = _stencil_difference(_stencil_inputs(grid, 0), h)
         for vals in dlam:
@@ -807,7 +823,7 @@ def _projectors_stage(grid: StateGrid) -> tuple:
     """
     model, u = grid.model, grid.stage(_inputs_stage)[1]
     if model._dframe is not None:
-        du = np.array([np.asarray(model._dframe(theta), dtype=complex) for theta in grid.thetas])
+        du = _read(model._dframe, grid.thetas, "dframe")
     else:
         du = u @ grid.stage(_dinputs_stage)[1]
     return _frame_projectors(u), _projector_derivatives(u.swapaxes(-1, -2), du.swapaxes(-1, -2))

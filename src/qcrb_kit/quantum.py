@@ -11,27 +11,26 @@ Wigner-Yanase skew information, each computable along independent routes:
   and projector derivatives, read from the frame generator A = U^dagger dU
   (O(n^2) work after the O(n^3) generator).
 
-``closed_routes(kind)`` is the one table of a kind's closed forms, each
-named by its stage, and the definitional route each must match. The report
-stage ``_report_stage`` reads it and is the one producer of the cross-route
-and relation residuals, the core correctness surface: ``relation_report``
-is a point's layer of it, the verify route and relation checks read that
-report, and every CLI row reads the point's layer itself. Every route
-takes a ``StatePoint`` (``model.at(theta)``, or a point of
-``model.grid(thetas)``), and every number a route gives is a grid stage,
-run once per grid block on the stacked arrays: the SLD solve,
+``closed_routes(kind)`` is the one table of a kind's closed routes, alpha/beta
+included: a row names its stage, the fields it fills and the definitional
+route it must match. The report stage ``_report_stage`` loops over the rows and
+is the one producer of the cross-route and relation residuals, the core
+correctness surface: ``relation_report`` is a point's layer of it, the verify
+route and relation checks read that report, and every CLI row reads the
+point's layer itself. Every route takes a ``StatePoint`` (``model.at(theta)``,
+or a point of ``model.grid(thetas)``), and every number a route gives is a
+grid stage, run once per grid block on the stacked arrays: the SLD solve,
 tr{rho L^2}, 4 tr{[(sqrt rho)']^2}, a qubit mixture's w, w' and I_H1, each
-closed form, alpha/beta, and the report, which only assembles the others'
-columns. The stage that gives a number is the only place that checks it
-(an information below the noise floor ``INFO_FLOOR`` raises there), and a
-public route of one point, like every other reader, reads its layer of the
-stage. The closed forms read the model's input stages
-(``models._inputs_stage`` and ``_dinputs_stage``), never rho, drho or the
-SLD, so the routes share only the model's inputs (rho, drho, frame). A
-stacked formula keeps the bits of the scalar formula at each theta: sums
-over a layer's trailing axes add in the layer's order, and a float squared
-by ``x ** 2`` is squared by libm's pow (``np.float_power``), not by the
-multiplication of an array's ``** 2``.
+closed route, and the report, which only assembles the others' columns. The
+stage that gives a number is the only place that checks it (an information
+below the noise floor ``INFO_FLOOR`` raises there), and a public route of one
+point, like every other reader, reads its layer of the stage. The closed forms
+read the model's input stages (``models._inputs_stage`` and
+``_dinputs_stage``), never rho, drho or the SLD, so the routes share only the
+model's inputs (rho, drho, frame). A stacked formula keeps the bits of the
+scalar formula at each theta: sums over a layer's trailing axes add in the
+layer's order, and a float squared by ``x ** 2`` is squared by libm's pow
+(``np.float_power``), not by the multiplication of an array's ``** 2``.
 """
 
 from __future__ import annotations
@@ -65,9 +64,9 @@ VANISHING_SLOPE_ATOL = 1e-8
 
 
 def _checked_nonnegative(values: np.ndarray, label: str) -> np.ndarray:
-    """``values``, one per theta, once none is below the noise floor ``INFO_FLOOR``; the
-    first that is names the error."""
-    i = first_failing(values < INFO_FLOOR)
+    """``values``, one per theta, once none is below the noise floor ``INFO_FLOOR`` or NaN;
+    the first that is names the error."""
+    i = first_failing(~(values >= INFO_FLOOR))
     if i is not None:
         raise ValueError(f"{label} = {float(values[i])!r} below noise floor {INFO_FLOOR}")
     return values
@@ -425,18 +424,21 @@ class QuantumInfoResult:
 
 @dataclass(frozen=True)
 class ClosedRoute:
-    """A closed form's stage, and the report field of the definitional route it
-    must agree with (None for gamma).
+    """One row of the route table: a closed route's stage, the report fields its
+    columns fill, and the definitional field that ``fields[0]`` must agree with
+    under the ``route_*`` key ``residual`` (both None for gamma and alpha/beta).
 
     ``closed`` is an attribute name in this module, looked up on each access
-    of ``stage``, so a patched stage is the one that runs; the closed form at
-    one point is ``pt.layer(route.stage)[0]``.
-    A form that does not apply at a theta raises there: the report stage
-    records the error of a grid of one, and a grid of more splits.
+    of ``stage``, so a patched stage is the one that runs; the row at one
+    point is ``pt.layer(route.stage)``. A route that does not apply at a
+    theta raises there: the report stage records the error of a grid of one,
+    and a grid of more splits.
     """
 
     closed: str
+    fields: tuple[str, ...]
     definitional: str | None = None
+    residual: str | None = None
 
     @property
     def stage(self):
@@ -444,41 +446,43 @@ class ClosedRoute:
 
 
 _CLOSED_ROUTES = {
-    "pure": {"i_h_closed": ClosedRoute("_pure_stage", "i_h_sld")},
+    "pure": {"i_h_closed": ClosedRoute("_pure_stage", ("i_h_closed",), "i_h_sld", "route_i_h")},
     "qubit_mixture": {
-        "i_h_closed": ClosedRoute("_helstrom_qubit_stage", "i_h_sld"),
-        "i_wy_closed": ClosedRoute("_wy_qubit_stage", "i_wy_generic"),
-        "gamma": ClosedRoute("_gamma_qubit_stage"),
+        "alpha_beta": ClosedRoute("_alpha_beta_stage", ("alpha", "beta")),
+        "i_h_closed": ClosedRoute("_helstrom_qubit_stage", ("i_h_closed",), "i_h_sld", "route_i_h"),
+        "i_wy_closed": ClosedRoute("_wy_qubit_stage", ("i_wy_closed",), "i_wy_generic", "route_i_wy"),
+        "gamma": ClosedRoute("_gamma_qubit_stage", ("gamma",)),
     },
     "spectral": {
-        "i_h_closed": ClosedRoute("_helstrom_spectral_stage", "i_h_sld"),
-        "i_wy_closed": ClosedRoute("_wy_spectral_stage", "i_wy_generic"),
-        "gamma": ClosedRoute("_gamma_spectral_stage"),
+        "i_h_closed": ClosedRoute("_helstrom_spectral_stage", ("i_h_closed",), "i_h_sld", "route_i_h"),
+        "i_wy_closed": ClosedRoute("_wy_spectral_stage", ("i_wy_closed",), "i_wy_generic", "route_i_wy"),
+        "gamma": ClosedRoute("_gamma_spectral_stage", ("gamma",)),
     },
 }
 
 
 def closed_routes(kind: str) -> dict[str, ClosedRoute]:
-    """The closed forms of a model kind, keyed by their ``QuantumInfoResult`` field.
+    """The rows of a model kind, keyed by the name of their route error, in report order.
 
-    The one place that pairs a kind with its closed forms and each closed
-    form with its definitional route; a kind without closed forms has none.
-    A model that declares a kind provides what that kind's forms read.
+    The one list of closed routes: it pairs a kind with its rows and each
+    row with its definitional route; a kind without closed routes has none.
+    A model that declares a kind provides what that kind's rows read.
     """
     return dict(_CLOSED_ROUTES.get(kind, {}))
 
 
-# The columns of the report stage. A report's values; its residuals, as
-# res_<key>, and res_relation, the kind's relation residual (the first the
-# report has of pure_doubling, prop1, prop2 and pure_doubling_abs); its route
-# errors, as error_<key>; and its diagnostics.
+# The columns of the report stage. A report's values; its residuals (the
+# relations and the rows'), as res_<key>, and res_relation, the first the report
+# has of pure_doubling, prop1, prop2 and pure_doubling_abs; each row's route
+# error, as error_<key>; and its diagnostics.
 _VALUES = (
     "i_h_sld", "i_wy_generic", "i_h_closed", "i_wy_closed", "alpha", "beta", "gamma",
     "score_mean", "sharp_bound", "approx_bound", "ratio", "gap",
 )
-_RESIDUALS = ("pure_doubling_abs", "pure_doubling", "prop1", "prop2", "route_i_h", "route_i_wy")
+_RESIDUALS = ("pure_doubling_abs", "pure_doubling", "prop1", "prop2", *dict.fromkeys(
+    r.residual for rows in _CLOSED_ROUTES.values() for r in rows.values() if r.residual))
 _RELATIONS = ("pure_doubling", "prop1", "prop2", "pure_doubling_abs")
-_ROUTE_ERRORS = ("alpha_beta", "i_h_closed", "i_wy_closed", "gamma")
+_ROUTE_ERRORS = tuple(dict.fromkeys(key for rows in _CLOSED_ROUTES.values() for key in rows))
 _DIAGNOSTICS = ("sqrt_route", "fd_fallback", "support_dropped", "min_pair_sum")
 REPORT_FIELDS = (
     "theta", "kind", *_VALUES,
@@ -503,14 +507,14 @@ def _report_stage(grid: StateGrid) -> tuple:
     column of builtin scalars per ``REPORT_FIELDS`` entry, each with one cell per theta.
 
     The definitional routes come first, and a theta where one fails fails
-    the grid, as alone. Then alpha/beta of a qubit mixture and each closed
-    form of ``closed_routes(kind)``, from the stage the table names: one that
-    fails makes a grid of more than one theta raise, so that it splits and
-    each theta records only its own error; a grid of one records it under
-    ``error_<field>`` and leaves the value and every residual that reads it
-    null. Each ``route_*`` residual is |closed - definitional| / max(1,
-    definitional). The stage only assembles: every number is a stacked
-    formula over the routes' stages, with the bits of the scalar one.
+    the grid, as alone. Then each row of ``closed_routes(kind)`` runs its
+    stage: one that fails makes a grid of more than one theta raise, so that
+    it splits and each theta records only its own error; a grid of one
+    records it under ``error_<key>`` and leaves the row's fields and every
+    residual that reads them null. Else the columns fill the fields, and the
+    row's residual is |closed - definitional| / max(1, definitional). The
+    stage only assembles: every number is a stacked formula over the routes'
+    stages, with the bits of the scalar one.
     """
     kind, size = grid.model.kind, len(grid.thetas)
     _, dropped, score, min_pair_sum = grid.stage(_sld_stage)
@@ -518,24 +522,19 @@ def _report_stage(grid: StateGrid) -> tuple:
     i_wy = grid.stage(_wy_stage)[0]
     fell_back = grid.stage(_dsqrt_route_stage)[1]
     values = {"i_h_sld": i_h, "i_wy_generic": i_wy, "score_mean": score}
-    cells = {}
-
-    def closed(field_name: str, stage) -> tuple | None:
+    cells, res = {}, {}
+    for key, route in closed_routes(kind).items():
         try:
-            return grid.stage(stage)
+            columns = grid.stage(route.stage)
         except (QcrbError, ValueError) as exc:  # a failed route must not abort the report
             if size > 1:
                 raise
-            cells["error_" + field_name] = [f"{type(exc).__name__}: {exc}"]
-            return None
-
-    if kind == "qubit_mixture" and (coefficients := closed("alpha_beta", _alpha_beta_stage)):
-        values["alpha"], values["beta"] = coefficients
-    routes = closed_routes(kind)
-    for name, route in routes.items():
-        if (out := closed(name, route.stage)) is not None:
-            values[name] = out[0]
-    res = {}
+            cells["error_" + key] = [f"{type(exc).__name__}: {exc}"]
+            continue
+        values.update(zip(route.fields, columns))
+        if route.residual is not None:
+            definitional = values[route.definitional]
+            res[route.residual] = _scaled(columns[0] - definitional, definitional)
     if kind == "pure":
         res["pure_doubling_abs"] = np.abs(i_wy - 2.0 * i_h)
         cells["res_pure_doubling"] = _quotients(res["pure_doubling_abs"], i_h, i_h > NEAR_ZERO_INFO)
@@ -543,10 +542,6 @@ def _report_stage(grid: StateGrid) -> tuple:
         res["prop1"] = _scaled(i_wy - (values["alpha"] * i_h + values["beta"]), i_h)
     if "gamma" in values:
         res["prop2"] = _scaled(i_wy - i_h - values["gamma"], i_h)
-    for name, route in routes.items():
-        if name in values and route.definitional is not None:
-            definitional = values[route.definitional]
-            res["route_" + name.removesuffix("_closed")] = _scaled(values[name] - definitional, definitional)
     cells.update({name: v.tolist() for name, v in values.items()})
     cells.update({"res_" + key: v.tolist() for key, v in res.items()})
     nulls = [None] * size
@@ -568,8 +563,8 @@ def _report_stage(grid: StateGrid) -> tuple:
 
 
 def _route_errors(cells: dict) -> dict[str, str]:
-    """The route errors of a point's report cells, keyed by route, in table order."""
-    return {key: e for key in _ROUTE_ERRORS if (e := cells["error_" + key]) is not None}
+    """The route errors of a point's report cells, keyed by row, in the order of its kind's rows."""
+    return {key: e for key in _CLOSED_ROUTES.get(cells["kind"], ()) if (e := cells["error_" + key]) is not None}
 
 
 def _report_cells(pt: StatePoint) -> dict:
@@ -583,11 +578,11 @@ def relation_report(pt: StatePoint) -> QuantumInfoResult:
     ``_report_stage``.
 
     The definitional routes (SLD-based Helstrom, generic skew) always; each
-    closed form of ``closed_routes(model.kind)`` and its ``route_*``
-    residual; alpha/beta and the relation residuals per model kind. A
-    failing closed route, or a qubit mixture's failing alpha/beta (under
-    ``route_errors["alpha_beta"]``), is recorded in ``route_errors`` instead
-    of aborting, and leaves no residual that reads it.
+    row of ``closed_routes(model.kind)`` (a qubit mixture's alpha/beta is
+    one) with its ``route_*`` residual; and the relation residuals that the
+    values allow. A failing row is recorded in ``route_errors`` under its key
+    instead of aborting, and leaves its fields null and no residual that
+    reads them.
     """
     cells = _report_cells(pt)
     return QuantumInfoResult(

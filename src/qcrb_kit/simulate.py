@@ -10,6 +10,7 @@ state functions take ``(point, povm)``, the point a ``StatePoint`` at theta0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,10 +108,12 @@ def run_sim(cfg: SimConfig) -> SimResult:
     idx = sample_outcomes(pt, cfg.povm, cfg.n_samples, seed=cfg.seed)
     samples = t[idx]
     n = cfg.n_samples
-    mean = float(np.mean(samples))
-    devs = samples - mean
-    m2 = float(np.mean(devs**2))
-    m4 = float(np.mean(devs**4))
+    # at a huge theta0 the moments overflow; the bound chain then fails on them
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(np.mean(samples))
+        devs = samples - mean
+        m2 = float(np.mean(devs**2))
+        m4 = float(np.mean(devs**4))
     empirical_var = m2 * n / (n - 1)
     se_var = float(np.sqrt(max(m4 - m2 * m2, 0.0) / n))
     info = classical_fisher(pt, cfg.povm)
@@ -127,12 +130,15 @@ def run_sim(cfg: SimConfig) -> SimResult:
 
 
 def bound_chain_excess(result: SimResult) -> float:
-    """How far the result breaks qcrb <= crb <= var + 3 SE; 0 where it holds."""
-    return max(
+    """How far the result breaks qcrb <= crb <= var + 3 SE; 0 where it holds, and inf
+    where a breach is not finite (a moment that overflowed), which Python's ``max`` would drop."""
+    breaches = (
         result.qcrb - result.crb,
         result.crb - result.empirical_var - 3.0 * result.standard_error_of_var,
-        0.0,
     )
+    if not all(math.isfinite(b) for b in breaches):
+        return math.inf
+    return max(*breaches, 0.0)
 
 
 def bound_chain_ok(result: SimResult) -> bool:

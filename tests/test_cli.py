@@ -446,6 +446,17 @@ def test_huge_theta_on_a_seeded_spectral_frame_exits_zero(tmp_path, capsys, thet
     assert row["i_h_sld"] == pytest.approx(row["i_h_closed"], rel=DEFAULT_TOL_ANALYTIC)
 
 
+def test_a_theta_whose_frame_overflows_exits_two_with_the_error_line_only(tmp_path, capsys):
+    # exp(theta K) overflows at 1e308; the frame is read as not finite where the
+    # model reads it, and numpy's warnings stay off stderr (pytest makes them errors)
+    cfg = tmp_path / "spectral.json"
+    cfg.write_text(json.dumps({"kind": "spectral", "dim": 5, "seed": 3}))
+    code, out, err = run_cli(["compute", "--model", cfg, "--theta", "1e308"], capsys)
+    assert code == EXIT_NUMERIC
+    assert out == ""
+    assert err == "error: ValueError: frame deviates from unitarity by nan at theta=1e+308\n"
+
+
 @pytest.mark.parametrize("spectrum", [
     [0.6, 0.4, 1e-16],
     [0.6, 0.4, 1e-13],
@@ -690,6 +701,23 @@ def test_simulate_seed_repeat_identical(model_paths, capsys):
     code1, out1, _ = run_cli(argv, capsys)
     code2, out2, _ = run_cli(argv, capsys)
     assert (code1, out1) == (code2, out2)
+
+
+def test_simulate_with_overflowing_moments_fails_the_bound_chain(tmp_path, capsys):
+    # at theta0 = 1e300 the sample moments overflow to inf and nan: the chain
+    # cannot be evaluated, so it fails, and numpy's warnings stay off stderr
+    model = tmp_path / "mix.json"
+    model.write_text(json.dumps({"kind": "qubit_mixture", "psi1": {"name": "rotation"},
+                                 "weight": {"form": "sine", "params": [0.7]}}))
+    povm = tmp_path / "povm.json"
+    povm.write_text(json.dumps({"kind": "random", "dim": 2, "n_effects": 4, "seed": 5}))
+    code, out, err = run_cli(["simulate", "--model", model, "--povm", povm,
+                              "--theta0", "1e300", "--n-samples", "200"], capsys)
+    assert code == EXIT_NUMERIC
+    assert err == ""
+    (row,) = rows_of(out)
+    assert row["empirical_var"] == math.inf and math.isnan(row["standard_error_of_var"])
+    assert row["bound_chain_ok"] is False
 
 
 def test_simulate_trivial_povm_exits_two(model_paths, capsys):

@@ -16,7 +16,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcrb_kit.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
@@ -169,11 +169,22 @@ def assert_contract(argv, workdir):
     assert "Traceback" not in err.getvalue(), (argv, err.getvalue())
 
 
+# a theta at which an exp(theta K) frame or pure family overflows to NaN
+HUGE_THETA = [({"kind": "spectral", "dim": 5, "seed": 3}, {"kind": "basis", "dim": 5}),
+              ({"kind": "pure", "psi1": {"name": "random"}, "dim": 4, "seed": 11}, {"kind": "basis", "dim": 4})]
+# sample moments that overflow at a huge theta0
+HUGE_THETA0 = ({"kind": "qubit_mixture", "psi1": {"name": "rotation"},
+                "weight": {"form": "sine", "params": [0.7]}},
+               {"kind": "random", "dim": 2, "n_effects": 4, "seed": 5})
+
+
 @settings(FUZZ, max_examples=80)
 @given(
     configs=model_and_povm(), with_povm=st.booleans(),
     extra=options({**COMMON, "--theta": number_text(), "--theta-grid": grid_text()}),
 )
+@example(configs=HUGE_THETA[0], with_povm=False, extra=["--theta", "1e308"])
+@example(configs=HUGE_THETA[1], with_povm=True, extra=["--theta", "1e308"])
 def test_compute_honours_the_exit_code_contract(workdir, configs, with_povm, extra):
     argv = ["compute", "--model", config_path(workdir, "m.json", configs[0])]
     if with_povm:
@@ -214,6 +225,7 @@ def test_an_odd_explicit_povm_entry_is_a_config_error(workdir, d, cell, entry):
         "--n-samples": st.sampled_from(["100", "250", "99", "0", "-5", "1e3", "x"]),
     }),
 )
+@example(configs=HUGE_THETA0, extra=["--theta0", "1e300", "--n-samples", "200"])
 def test_simulate_honours_the_exit_code_contract(workdir, configs, extra):
     argv = [
         "simulate", "--model", config_path(workdir, "m.json", configs[0]),

@@ -740,14 +740,19 @@ FULLY_DIFFERENCED = {
 }
 
 
+def _table_stages() -> tuple:
+    """The stage of every row of the route table, once each."""
+    return tuple(dict.fromkeys(
+        route.closed for routes in quantum._CLOSED_ROUTES.values() for route in routes.values()
+    ))
+
+
 # what the closed forms read beyond the model's input stages: the qubit
-# ingredient stage, and the stage of each closed form and of alpha/beta; and
-# the stages over the model's inputs alone that verify's identity checks
-# read, a qubit mixture's psi2 and a spectral model's frame projectors
+# ingredient stage, and the stage of each row of the route table; and the
+# stages over the model's inputs alone that verify's identity checks read, a
+# qubit mixture's psi2 and a spectral model's frame projectors
 CLOSED_FORM_STAGES = {
-    quantum: ("_qubit_stage", "_pure_stage", "_alpha_beta_stage",
-              "_helstrom_qubit_stage", "_wy_qubit_stage", "_gamma_qubit_stage",
-              "_helstrom_spectral_stage", "_wy_spectral_stage", "_gamma_spectral_stage"),
+    quantum: ("_qubit_stage", *_table_stages()),
     models: ("_psi2_stage", "_projectors_stage"),
 }
 CATALOG = tuple(builtin_models())
@@ -818,11 +823,36 @@ def test_every_stage_is_pinned_by_a_route_independence_test():
     for table in (ROUTE_STAGES, CLOSED_FORM_STAGES):
         for module, names in table.items():
             assert all(callable(getattr(module, name, None)) for name in names)
-    # and every closed form of the route table is poisoned in the reverse direction
-    kinds = {cls.kind for cls in (ParametricStateModel, PureStateModel, QubitMixtureModel, SpectralMixtureModel)}
-    for kind in kinds:
-        for route in closed_routes(kind).values():
-            assert route.closed in CLOSED_FORM_STAGES[quantum]
+
+
+def test_one_row_is_all_a_new_route_needs(monkeypatch, tmp_path, capsys):
+    # a toy gamma row for pure states, backed by the pure closed form: on a pure
+    # state I_WY = 2 I_H, so I_WY - I_H = I_H. Registering the row is the only edit
+    row = quantum.ClosedRoute("_pure_stage", ("gamma",))
+    monkeypatch.setitem(quantum._CLOSED_ROUTES["pure"], "gamma", row)
+    model = builtin_models()["qubit-rotation"]
+    for pt in model.grid(model.sample_thetas):
+        report = relation_report(pt)
+        assert report.gamma == report.i_h_closed and not report.route_errors
+        assert report.residuals["prop2"] <= 1e-12
+    # compute fills the gamma column
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps({"kind": "pure", "psi1": {"name": "rotation"}}))
+    code, out, _ = _compute(capsys, "--model", str(cfg), "--theta-grid=-1:1:5")
+    assert code == cli.EXIT_OK
+    rows = cli.parse_csv(out)[1]
+    assert len(rows) == 5 and all(r["gamma"] is not None and r["gamma"] == r["i_h_closed"] for r in rows)
+    # a failing stage is recorded under the row's key, and the row's field is null
+    def patched(grid):
+        raise DomainError("patched")
+
+    monkeypatch.setattr(quantum, "_pure_stage", patched)
+    report = relation_report(model.at(0.3))
+    assert report.gamma is None and "prop2" not in report.residuals
+    assert report.route_errors == {"i_h_closed": "DomainError: patched", "gamma": "DomainError: patched"}
+    # the reverse poisoning test reads the row from the table
+    assert row.closed in _table_stages()
+    test_the_definitional_routes_read_no_closed_form_stage("qubit-rotation", monkeypatch)
 
 
 # --- a grid gives the rows of its points alone --------------------------------------

@@ -1,6 +1,7 @@
 """Tests for the information quantities and their cross-route relations."""
 
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -581,3 +582,51 @@ def test_pure_doubling_property(seed):
     i_h = helstrom_info_sld(model.at(theta))
     if i_h > 1e-8:
         assert abs(wy_info_generic(model.at(theta)) / i_h - 2.0) <= 1e-6
+
+
+# --- non-finite model inputs ---------------------------------------------------------
+
+def _nan_at(fn):
+    """fn, except that its value at theta = 0.3 is NaN throughout."""
+    return lambda t: np.full(np.shape(fn(t)), np.nan) if t == 0.3 else fn(t)
+
+
+def _with_nan_derivative(name):
+    # a model whose one derivative input ``name`` reads NaN at theta = 0.3
+    rot = rotation_family()
+    if name == "dpsi":
+        return PureStateModel(PureFamily(2, psi=rot.psi, dpsi=_nan_at(rot.dpsi)))
+    if name == "dw":
+        sine = sine_weight(0.7)
+        return models.QubitMixtureModel(rot, WeightFunction(w=sine.w, dw=lambda t: math.nan if t == 0.3 else sine.dw(t)))
+    base = random_spectral_model(3, 4)
+    parts = dict(lambdas=base._lambdas, frame=base._frame, dlambdas=base._dlambdas, dframe=base._dframe)
+    parts[name] = _nan_at(parts[name])
+    return SpectralMixtureModel(4, **parts)
+
+
+HUGE_THETA_MODELS = {
+    "spectral": (lambda: random_spectral_model(3, 5), "frame deviates from unitarity by nan at theta=1e+308"),
+    "pure": (lambda: PureStateModel(random_pure_family(11, 4)), "family state at theta=1e+308 has norm"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(HUGE_THETA_MODELS))
+def test_every_route_raises_on_an_overflowing_input_instead_of_returning_nan(kind):
+    # exp(theta K) at theta = 1e308 is NaN; the model reads it as not finite, so
+    # every route of the point raises the input's error, with no numpy warning
+    make, message = HUGE_THETA_MODELS[kind]
+    routes = [helstrom_info_sld, wy_info_generic, relation_report]
+    routes += [lambda pt, r=route: pt.layer(r.stage) for route in quantum.closed_routes(kind).values()]
+    for route in routes:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            route(make().at(1e308))
+
+
+@pytest.mark.parametrize("name", ["dpsi", "dw", "dlambdas", "dframe"])
+def test_a_non_finite_derivative_input_raises_where_the_model_reads_it(name):
+    model = _with_nan_derivative(name)
+    assert math.isfinite(helstrom_info_sld(model.at(0.4)))
+    for route in (helstrom_info_sld, lambda pt: relation_report(pt).i_h_closed):
+        with pytest.raises(ValueError, match=rf"^{name} is not finite at theta=0.3$"):
+            route(model.at(0.3))

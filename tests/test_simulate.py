@@ -1,5 +1,7 @@
 """Tests for the Monte Carlo bound verification."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -108,6 +110,7 @@ def _sim_result(empirical_var, crb, qcrb, standard_error_of_var):
     (0.25, 0.25, 0.25, 0.01, 0.0),  # the chain holds
     (0.20, 0.25, 0.25, 0.01, 0.25 - 0.20 - 3.0 * 0.01),  # variance below crb - 3 SE
     (0.30, 0.20, 0.25, 0.01, 0.25 - 0.20),  # qcrb above crb
+    (math.inf, 0.25, 0.25, math.nan, math.inf),  # overflowed moments, which max() would drop
 ])
 def test_bound_chain_excess_is_the_largest_breach_and_gates_the_verdict(var, crb, qcrb, se, excess):
     result = _sim_result(var, crb, qcrb, se)

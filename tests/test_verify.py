@@ -286,6 +286,7 @@ def test_check_names_are_stable_and_unique():
 ONE_MODEL = {"pure": "qubit-rotation", "qubit_mixture": "mixture-w0.9",
              "spectral": "spectral-random-7-3"}
 ROUTE_CHECKS = {
+    ("qubit_mixture", "alpha_beta"): {"prop1-identity-analytic"},
     ("qubit_mixture", "i_h_closed"): {"qubit-route-h-analytic"},
     ("qubit_mixture", "i_wy_closed"): {"qubit-route-wy-analytic"},
     ("spectral", "i_h_closed"): {"spectral-route-h"},
@@ -301,11 +302,12 @@ def test_one_route_table_feeds_the_report_and_the_route_checks(monkeypatch, kind
     def patched(pt):
         raise DomainError("patched")
 
-    monkeypatch.setattr(quantum, quantum.closed_routes(kind)[field].closed, patched)
+    route = quantum.closed_routes(kind)[field]
+    monkeypatch.setattr(quantum, route.closed, patched)
     name = ONE_MODEL[kind]
     model = builtin_models()[name]
     report = quantum.relation_report(model.at(model.sample_thetas[0]))
-    assert getattr(report, field) is None
+    assert all(getattr(report, f) is None for f in route.fields)
     assert report.route_errors[field] == "DomainError: patched"
     results = run_suite(catalog={name: model})
     patched_checks = {r.name for r in results if "DomainError: patched" in (r.error or "")}
