@@ -36,6 +36,7 @@ from .hermitian import (
     trace_product,
 )
 from .models import (
+    BatchKey,
     ParametricStateModel,
     PureFamily,
     PureStateModel,
@@ -44,6 +45,7 @@ from .models import (
     StateGrid,
     StatePoint,
     WeightFunction,
+    batch_grid,
     builtin_models,
     canonical_psi2,
     complex_rotation_family,
@@ -106,9 +108,9 @@ __all__ = [
     "SupportRegularityError", "ZeroInformationError",
     "DensityMatrix", "HermitianMatrix", "SpectralDecomposition", "UnitVector",
     "eigh", "psd_sqrt", "solve_symmetric_product", "trace_product",
-    "ParametricStateModel", "PureFamily", "PureStateModel",
+    "BatchKey", "ParametricStateModel", "PureFamily", "PureStateModel",
     "QubitMixtureModel", "SpectralMixtureModel", "StateGrid", "StatePoint", "WeightFunction",
-    "builtin_models", "canonical_psi2", "complex_rotation_family",
+    "batch_grid", "builtin_models", "canonical_psi2", "complex_rotation_family",
     "constant_weight", "fixed_spectrum_model", "logistic_weight",
     "qubit_mixture_as_spectral", "random_pure_family",
     "random_spectral_model", "rotation_family", "rotation_mixture",

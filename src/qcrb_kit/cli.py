@@ -34,7 +34,8 @@ from .models import (
     DEFAULT_FD_STEP,
     DEFAULT_SEED,
     LAMBDA_SUM_ATOL,
-    fixed_spectrum_model,
+    batch_grid,
+    fixed_spectrum_models,
     QubitMixtureModel,
     constant_weight,
 )
@@ -297,20 +298,20 @@ def cmd_compute(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_NUMERIC
 
 
-def _sweep_rows(args, axis: str, grid, model_at, columns) -> tuple[list[dict], int]:
+def _sweep_rows(args, axis: str, grid, models, columns) -> tuple[list[dict], int]:
     """One row per grid value x of a sweep at ``--theta``, and the failed gates.
 
-    ``model_at(x)`` builds the model at x. The cells ``i_h``, ``i_wy``, their
-    ``gap`` and ``ratio`` come from the closed routes, the ``axis`` cell is x,
-    and every other column is read from the point's report cells by name.
+    ``models`` holds the model at each x, and their points are read as one
+    batch (``batch_grid``). The cells ``i_h``, ``i_wy``, their ``gap`` and
+    ``ratio`` come from the closed routes, the ``axis`` cell is x, and every
+    other column is read from the point's report cells by name.
     """
     theta = float(args.theta)
+    xs = [float(x) for x in grid]
     rows = []
     failures = 0
-    for x in grid:
-        x = float(x)
-        model = model_at(x)
-        cells = _report_cells(model.at(theta))
+    for x, point in zip(xs, batch_grid((model, theta) for model in models)):
+        cells = _report_cells(point)
         i_h, i_wy = cells["i_h_closed"], cells["i_wy_closed"]
         if i_h is None or i_wy is None:
             raise QcrbError(f"closed routes unavailable at {axis}={x}: {_route_errors(cells)}")
@@ -323,7 +324,7 @@ def _sweep_rows(args, axis: str, grid, model_at, columns) -> tuple[list[dict], i
         })
         row = {c: cells[c] for c in columns}
         rows.append(row)
-        failures += _gate_residuals(row, _route_tol(args, model), f"{axis}={x:g}")
+        failures += _gate_residuals(row, _route_tol(args, point.model), f"{axis}={x:g}")
     return rows, failures
 
 
@@ -332,11 +333,8 @@ def cmd_sweep_w(args) -> int:
     if grid[0] <= 0.0 or grid[-1] >= 1.0:
         raise DomainError(f"--w-grid touches the boundary of (0, 1): {args.w_grid}")
     family = NAMED_FAMILIES[args.psi1]()
-    rows, failures = _sweep_rows(
-        args, "w", grid,
-        lambda w: QubitMixtureModel(family, constant_weight(w), fd_step=args.fd_step),
-        SWEEP_W_COLUMNS,
-    )
+    models = [QubitMixtureModel(family, constant_weight(float(w)), fd_step=args.fd_step) for w in grid]
+    rows, failures = _sweep_rows(args, "w", grid, models, SWEEP_W_COLUMNS)
     # the gap must not shrink as the weight moves away from 1/2
     ordered = sorted(rows, key=lambda r: abs(r["w"] - 0.5))
     for prev, cur in zip(ordered, ordered[1:]):
@@ -366,13 +364,11 @@ def cmd_sweep_spectrum(args) -> int:
     grid = parse_grid(args.t_grid, "--t-grid")
     if grid[0] < 0.0 or grid[-1] > 1.0:
         raise DomainError("--t-grid must lie inside [0, 1]")
-    rows, failures = _sweep_rows(
-        args, "t", grid,
-        lambda t: fixed_spectrum_model(
-            (1.0 - t) * start + t * uniform, seed=args.seed, frame=args.frame, fd_step=args.fd_step
-        ),
-        SWEEP_SPECTRUM_COLUMNS,
+    models = fixed_spectrum_models(
+        [(1.0 - t) * start + t * uniform for t in map(float, grid)],
+        seed=args.seed, frame=args.frame, fd_step=args.fd_step,
     )
+    rows, failures = _sweep_rows(args, "t", grid, models, SWEEP_SPECTRUM_COLUMNS)
     gaps = [abs(r["gap"]) for r in rows]
     monotone = all(b <= a + GAP_ORDER_SLACK for a, b in zip(gaps, gaps[1:]))
     if abs(grid[-1] - 1.0) < GRID_POINT_ATOL and gaps[-1] > UNIFORM_GAP_ATOL:

@@ -4,36 +4,42 @@ Pure families, two-dimensional mixtures of orthogonal pure states, and
 general spectral mixtures built from a smooth orthonormal frame. Models are
 immutable after construction; evaluation is pure.
 
-A theta grid is the unit of evaluation. ``model.grid(thetas)`` yields one
-``StatePoint`` per theta, each a view into one layer of a ``StateGrid``;
-``model.at(theta)`` is a grid of one. Every model reads its inputs once per
-theta of a grid, in two stages: ``_inputs_stage`` holds the value inputs,
-all that rho reads, and ``_dinputs_stage`` the derivative inputs. A
-built-in model's inputs are the callables it wraps (psi and dpsi, the
-weight w and dw, the eigenvalue weights and the frame with their
+A batch of (model, theta) pairs is the unit of evaluation.
+``batch_grid(pairs)`` yields one ``StatePoint`` per pair, in the order
+given, each a view into one layer of a ``StateGrid``. The pairs whose
+models share a batch key (``BatchKey``: the model class, the dimension,
+``fd_step`` and which inputs have an analytic derivative) share a grid, so
+one grid may hold many models of one family side by side. A custom model
+keys on itself and never shares one. ``model.grid(thetas)`` is the batch of
+one model, and ``model.at(theta)`` a batch of one pair. A grid reads its
+inputs once per member, in two stages: ``_inputs_stage`` holds the value
+inputs, all that rho reads, and ``_dinputs_stage`` the derivative inputs.
+Each member's inputs are the callables its own model wraps (psi and dpsi,
+the weight w and dw, the eigenvalue weights and the frame with their
 derivatives); a custom model's are ``rho_matrix`` and ``_drho_analytic``.
 rho, drho and the closed forms of ``quantum`` are stacked numpy formulas
-over those (T, ...) arrays. The validation, the eigendecomposition
-and the square-root solve (and, in ``quantum``, the SLD solve) each run
-once per grid on the (T, n, n) stack. Long grids are cut into blocks of
-``GRID_BLOCK_ENTRIES`` matrix entries.
+over those (T, ...) arrays, which read the class, the dimension, the step
+and the analytic inputs from the key and never one member's model. The
+validation, the eigendecomposition and the square-root solve (and, in
+``quantum``, the SLD solve) each run once per grid on the (T, n, n) stack.
+Long batches are cut into blocks of ``GRID_BLOCK_ENTRIES`` matrix entries.
 
 The finite differences that stand in for a derivative are grid stages as
 well, and they all read one stencil. The 2T states rho(theta +- fd_step) of
-a grid form its stencil grids (``StateGrid.stencils``), kept with the grid
-and holding only their ``_inputs_stage``. A built-in input without an
-analytic derivative is differenced from those value inputs
-(``_stencil_inputs``), which pass the same checks as at theta.
-``_drho_fd_stage``, the one difference of rho, differences their stacked
-rho: it is the forced difference, and the drho of a spectral model without
-both derivatives and of a custom model wherever ``_drho_analytic`` is None.
-``_dsqrt_fd_stage`` differences their square roots, with one
-eigendecomposition per stencil grid. So every model reads each stencil
-side once per grid. A forced difference is a point's layer of one of
-these stages, and so is the square-root solve's rank-deficient fallback:
-``_dsqrt_route_stage`` holds the solve's result, or on an inconsistent
-point the difference, and every reader of a point's square-root
-derivative reads that one layer.
+a grid's members form its stencil grids (``StateGrid.stencils``), batch
+grids of (model, theta +- fd_step) kept with the grid and holding only
+their ``_inputs_stage``. A built-in input without an analytic derivative is
+differenced from those value inputs (``_stencil_inputs``), which pass the
+same checks as at theta. ``_drho_fd_stage``, the one difference of rho,
+differences their stacked rho: it is the forced difference, and the drho of
+a spectral model without both derivatives and of a custom model wherever
+``_drho_analytic`` is None. ``_dsqrt_fd_stage`` differences their square
+roots, with one eigendecomposition per stencil grid. So every member reads
+each stencil side once per grid. A forced difference is a point's layer of
+one of these stages, and so is the square-root solve's rank-deficient
+fallback: ``_dsqrt_route_stage`` holds the solve's result, or on an
+inconsistent point the difference, and every reader of a point's
+square-root derivative reads that one layer.
 
 The point is the only per-theta route to a model's inputs, ``canonical_psi2``
 included, and every difference is ``_stencil_difference`` with the model's
@@ -46,7 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -146,11 +152,39 @@ class SqrtDerivative:
     fd_fallback: bool = False  # True when the solve route failed and fd took over
 
 
-class StateGrid:
-    """One model at a block of thetas, whose stages each run once for the whole block.
+class BatchKey(NamedTuple):
+    """What the members of one grid share: the model class, the dimension, the step, and
+    the names of the inputs whose derivative is analytic (``ParametricStateModel._batch_key``).
 
-    A stage is a function ``fn(grid, *args)`` that returns a tuple of
-    arrays (or lists) with one layer per theta. Here they are the model's
+    The stages read these from the key, never from one member's model. A
+    custom model's key names the model itself as ``owner``, so it shares a
+    grid with no other model: its ``_drho_analytic`` may exist at only some
+    thetas, which no key could say.
+    """
+
+    cls: type
+    dim: int
+    fd_step: float
+    analytic: tuple[str, ...] = ()
+    owner: object = None
+
+    @property
+    def kind(self) -> str:
+        return self.cls.kind
+
+
+def _block_size(dim: int) -> int:
+    """The most states one stacked array of ``GRID_BLOCK_ENTRIES`` entries holds."""
+    return max(1, GRID_BLOCK_ENTRIES // (dim * dim))
+
+
+class StateGrid:
+    """The (model, theta) members of one batch key, whose stages each run once for the whole block.
+
+    ``members`` are the pairs, ``thetas`` their thetas, and ``key`` the
+    ``BatchKey`` every member's model has. A stage is a function
+    ``fn(grid, *args)`` that returns a tuple of arrays (or lists) with one
+    layer per member. Here they are the members'
     value and derivative inputs, rho with its eigendecomposition, drho, the
     square-root derivative with its route, the forced differences, a qubit
     mixture's psi2 and a spectral model's frame projectors. In
@@ -161,25 +195,26 @@ class StateGrid:
     measurement set's checked trace-rule distributions, its scores and its
     classical Fisher information; in ``verify``, the residuals of its
     kernel, difference and identity checks. Each runs on first use and is kept. A
-    stage that raises is not kept; a grid of more than one theta then
+    stage that raises is not kept; a grid of more than one member then
     splits into grids of one, which keep the stages already run and
     evaluate the rest alone, so each point gets its own value or raises its
     own error. The grid holds no reference to its points, so a grid is
     freed as soon as its last point is.
     """
 
-    __slots__ = ("model", "thetas", "_stages", "_parts", "_stencils")
+    __slots__ = ("key", "members", "thetas", "_stages", "_parts", "_stencils")
 
-    def __init__(self, model: ParametricStateModel, thetas: Iterable[float]):
-        self.model = model
-        self.thetas = tuple(thetas)
+    def __init__(self, key: BatchKey, members: Iterable[tuple[ParametricStateModel, float]]):
+        self.key = key
+        self.members = tuple(members)
+        self.thetas = tuple(theta for _, theta in self.members)
         self._stages: dict[tuple, tuple] = {}
         self._parts: list[StateGrid] | None = None
         self._stencils: tuple[StateGrid, ...] | None = None
 
     def points(self) -> tuple[StatePoint, ...]:
-        """One new point per theta, each a view into its layer."""
-        return tuple(StatePoint(self, k) for k in range(len(self.thetas)))
+        """One new point per member, each a view into its layer."""
+        return tuple(StatePoint(self, k) for k in range(len(self.members)))
 
     def stage(self, fn, *args) -> tuple:
         """fn(self, *args), run on the first call and kept."""
@@ -194,36 +229,39 @@ class StateGrid:
         if self._parts is None:
             try:
                 return tuple([a[k] for a in self.stage(fn, *args)])
-            except Exception:  # noqa: BLE001 - each theta then raises its own error alone
-                if len(self.thetas) == 1:
+            except Exception:  # noqa: BLE001 - each member then raises its own error alone
+                if len(self.members) == 1:
                     raise
                 self._split()
         return self._parts[k].layer(0, fn, *args)
 
     def stencils(self) -> tuple[StateGrid, ...]:
-        """The grids of the stencil theta +- fd_step of every theta, built on first use and kept.
+        """The grids of the stencil (model, theta +- fd_step) of every member, built on first use and kept.
 
-        Each holds theta + h and theta - h of consecutive thetas, in that
-        order; a stencil holds two states per theta, so it is cut at half a
-        grid block, and no stacked array outgrows ``GRID_BLOCK_ENTRIES``.
-        They are the grid's only reader of theta +- fd_step: the differenced
-        derivative inputs, the difference of rho and the difference of its
-        square root all read their ``_inputs_stage``, the one stage they
-        run, so the stencil's value inputs are read once.
+        Each holds theta + h and theta - h of consecutive members, in that
+        order, under the grid's key; a stencil holds two states per member,
+        so it is cut at half a grid block, and no stacked array outgrows
+        ``GRID_BLOCK_ENTRIES``. Each member's model checks that its stencil
+        lies in its domain. They are the grid's only reader of
+        theta +- fd_step: the differenced derivative inputs, the difference
+        of rho and the difference of its square root all read their
+        ``_inputs_stage``, the one stage they run, so the stencil's value
+        inputs are read once.
         """
         if self._stencils is None:
-            model, h = self.model, self.model.fd_step
-            for theta in self.thetas:
+            key, members = self.key, self.members
+            h = key.fd_step
+            for model, theta in members:
                 model._require_stencil(theta)
-            size = max(1, model._block_size() // 2)
+            size = max(1, _block_size(key.dim) // 2)
             self._stencils = tuple(
-                StateGrid(model, [t for theta in self.thetas[start:start + size] for t in (theta + h, theta - h)])
-                for start in range(0, len(self.thetas), size)
+                StateGrid(key, [(m, t) for m, theta in members[start:start + size] for t in (theta + h, theta - h)])
+                for start in range(0, len(members), size)
             )
         return self._stencils
 
     def _split(self) -> None:
-        self._parts = [StateGrid(self.model, (theta,)) for theta in self.thetas]
+        self._parts = [StateGrid(self.key, (member,)) for member in self.members]
         for key, arrays in self._stages.items():
             for k, part in enumerate(self._parts):
                 part._stages[key] = tuple(a[k:k + 1] for a in arrays)
@@ -241,21 +279,23 @@ class StateGrid:
 class StatePoint:
     """A model at one theta: a view into layer ``index`` of a ``StateGrid``.
 
-    ``model`` and ``theta`` are fixed at construction; any finite difference
-    uses the model's ``fd_step``. ``rho``, ``drho`` and ``dsqrt`` are
-    evaluated on first access, for the whole grid at once; ``layer(fn)``
-    reads the point's layer of any other stage of its grid, and
-    ``cached(fn)`` keeps any ``fn(point)``, such as the point's SLD. A
-    failed evaluation is not kept, so it raises again on every access.
+    ``model`` and ``theta`` are the grid's member ``index``, fixed at
+    construction; any finite difference uses the model's ``fd_step``.
+    ``rho``, ``drho`` and ``dsqrt`` are evaluated on first access, for the
+    whole grid at once, other models' members included; ``layer(fn)`` reads
+    the point's layer of any other stage of its grid, and ``cached(fn)``
+    keeps any ``fn(point)``, such as the point's SLD. A failed evaluation is
+    not kept, so it raises again on every access.
     """
 
     __slots__ = ("grid", "index", "model", "theta", "_values")
 
     def __init__(self, grid: StateGrid, index: int):
+        model, theta = grid.members[index]
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "index", index)
-        object.__setattr__(self, "model", grid.model)
-        object.__setattr__(self, "theta", grid.thetas[index])
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "_values", {})
 
     def __setattr__(self, name, value):
@@ -285,47 +325,47 @@ class StatePoint:
         return self.cached(_point_dsqrt)
 
 
-def _domain_checked(grid: StateGrid) -> ParametricStateModel:
-    """The grid's model, once every theta of the grid lies in its domain."""
-    model = grid.model
-    for theta in grid.thetas:
+def _domain_checked(grid: StateGrid) -> type:
+    """The grid's model class, once every member's theta lies in its model's domain."""
+    for model, theta in grid.members:
         model._require_in_domain(theta)
-    return model
+    return grid.key.cls
 
 
 def _inputs_stage(grid: StateGrid) -> tuple:
-    """The value inputs of the model at every theta: all that rho reads.
+    """The value inputs of every member: all that rho reads.
 
     Each is checked where it is read, and a non-finite one fails its check,
     so numpy's overflow and invalid-value warnings are not raised here.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        return _domain_checked(grid)._inputs(grid.thetas)
+        return _domain_checked(grid)._inputs(grid.members)
 
 
 def _dinputs_stage(grid: StateGrid) -> tuple:
-    """The derivative inputs of the model at every theta, analytic or differenced."""
+    """The derivative inputs of every member, analytic or differenced."""
     return _domain_checked(grid)._derivative_inputs(grid)
 
 
-def _read(fn, thetas, name: str, dtype=complex) -> np.ndarray:
-    """fn(theta) of every theta as one array, without numpy's overflow and invalid-value
-    warnings; the first theta whose value is not finite names the error."""
+def _read(grid: StateGrid, fn_of: Callable, name: str, dtype=complex) -> np.ndarray:
+    """``fn_of(model)(theta)`` of every member (model, theta) as one array, without numpy's
+    overflow and invalid-value warnings; the first member whose value is not finite names
+    the error."""
     with np.errstate(over="ignore", invalid="ignore"):
-        values = np.array([fn(theta) for theta in thetas], dtype=dtype)
+        values = np.array([fn_of(model)(theta) for model, theta in grid.members], dtype=dtype)
     if not np.isfinite(values).all():
         i = first_failing(~np.isfinite(values).reshape(len(values), -1).all(axis=1))
-        raise ValueError(f"{name} is not finite at theta={thetas[i]}")
+        raise ValueError(f"{name} is not finite at theta={grid.thetas[i]}")
     return values
 
 
 def _sides(a: np.ndarray) -> np.ndarray:
-    """A stencil grid's (2T, ...) array as (T, 2, ...): each theta's values at theta + h and theta - h."""
+    """A stencil grid's (2T, ...) array as (T, 2, ...): each member's values at theta + h and theta - h."""
     return a.reshape(-1, 2, *a.shape[1:])
 
 
 def _stencil_inputs(grid: StateGrid, index: int) -> np.ndarray:
-    """Value input ``index`` of a built-in model at theta +- fd_step of every theta, as a (T, 2, ...) array.
+    """Value input ``index`` of a built-in model at theta +- fd_step of every member, as a (T, 2, ...) array.
 
     It is read from the ``_inputs_stage`` of the grid's stencil grids, with
     its checks, so every differenced derivative input and both forced
@@ -351,8 +391,8 @@ def _drho_fd_stage(grid: StateGrid) -> tuple:
     are the model's stacked rho of the grid's stencil grids, whose value
     inputs ``_dsqrt_fd_stage`` reads as well.
     """
-    model = _domain_checked(grid)
-    diffs = [_stencil_difference(_sides(model._rho_stack(s)), model.fd_step) for s in grid.stencils()]
+    cls = _domain_checked(grid)
+    diffs = [_stencil_difference(_sides(cls._rho_stack(s)), grid.key.fd_step) for s in grid.stencils()]
     # the quotient of Hermitian evaluations is Hermitian; dividing by 2h
     # amplifies matmul rounding asymmetry past the construction gate
     return (_checked_drho(symmetrized(np.concatenate(diffs))),)
@@ -385,10 +425,10 @@ def _dsqrt_fd_stage(grid: StateGrid) -> tuple:
     follow ``psd_sqrt``. The stencil grid keeps only its value inputs, not
     this rho or its eigendecomposition.
     """
-    model, diffs = grid.model, []
+    key, diffs = grid.key, []
     for stencil in grid.stencils():
-        _, dec = density_stack(model._rho_stack(stencil))
-        diffs.append(_stencil_difference(_sides(sqrt_stack(dec)), model.fd_step))
+        _, dec = density_stack(key.cls._rho_stack(stencil))
+        diffs.append(_stencil_difference(_sides(sqrt_stack(dec)), key.fd_step))
     return (hermitian_part(np.concatenate(diffs)),)
 
 
@@ -436,16 +476,19 @@ def _checked_step(fd_step: float) -> float:
 class ParametricStateModel:
     """Base class: map theta to a density matrix, with derivative access.
 
-    A model reads its value inputs at each theta (``_inputs``), maps them to
-    the (T, n, n) stack of rho (``_rho_formula``), and reads its derivative
-    inputs, analytic or differenced (``_derivative_inputs``); a grid runs the
-    readers once each, as ``_inputs_stage`` and ``_dinputs_stage``. A custom
-    model's one value input is ``rho_matrix`` (the formula is the identity),
-    and its one derivative input ``_drho_analytic``, or where that is None
-    the central difference of rho with ``fd_step`` (``_drho_fd_stage``), the
-    one step all its derivatives use. ``domain`` is a closed interval of
-    admissible theta. ``fd_step`` is set here, where the model is built, and
-    nowhere else: a model at another step is another model, built at it.
+    A model class reads the value inputs of a grid's members (``_inputs``),
+    maps them to the (T, n, n) stack of rho (``_rho_formula``), and reads
+    their derivative inputs, analytic or differenced (``_derivative_inputs``);
+    a grid runs the readers once each, as ``_inputs_stage`` and
+    ``_dinputs_stage``. These are class methods over the grid: each member
+    calls its own model's callables, and what they share they read from the
+    grid's key (``_batch_key``). A custom model's one value input is
+    ``rho_matrix`` (the formula is the identity), and its one derivative
+    input ``_drho_analytic``, or where that is None the central difference
+    of rho with ``fd_step`` (``_drho_fd_stage``), the one step all its
+    derivatives use. ``domain`` is a closed interval of admissible theta.
+    ``fd_step`` is set here, where the model is built, and nowhere else: a
+    model at another step is another model, built at it.
 
     ``rho``, ``drho`` and ``dsqrt_rho`` read ``self.at(theta)``, and nothing
     in the package calls them; they stay because the benchmark's tracer
@@ -473,6 +516,10 @@ class ParametricStateModel:
             sample_thetas = tuple(np.linspace(a + 0.1 * (b - a), b - 0.1 * (b - a), 5))
         self.sample_thetas = tuple(float(t) for t in sample_thetas)
 
+    def _batch_key(self) -> BatchKey:
+        """The key of the grids this model's points share: a custom model's names the model."""
+        return BatchKey(type(self), self.dim, self.fd_step, owner=self)
+
     def _require_in_domain(self, theta: float) -> None:
         lo, hi = self.domain
         if not (lo <= theta <= hi):
@@ -490,36 +537,40 @@ class ParametricStateModel:
         """Structured derivative; any differenced ingredient uses ``fd_step``."""
         return None
 
-    def _inputs(self, thetas) -> tuple:
-        """(rho,): ``rho_matrix`` at each theta, stacked."""
-        return (square_stack([self.rho_matrix(theta) for theta in thetas]),)
+    @classmethod
+    def _inputs(cls, members) -> tuple:
+        """(rho,): ``rho_matrix`` of each (model, theta) member, stacked."""
+        return (square_stack([model.rho_matrix(theta) for model, theta in members]),)
 
-    def _rho_formula(self, rho: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def _rho_formula(rho: np.ndarray) -> np.ndarray:
         return rho
 
-    def _derivative_inputs(self, grid: StateGrid) -> tuple:
-        """(drho,): ``_drho_analytic`` at each theta, or where it is None the ``_drho_fd_stage``.
+    @classmethod
+    def _derivative_inputs(cls, grid: StateGrid) -> tuple:
+        """(drho,): ``_drho_analytic`` of each member, or where it is None the ``_drho_fd_stage``.
 
-        The difference runs over only the thetas without an analytic form: the
-        grid's own stage where none has one, so that the forced difference
-        shares it, and else a grid of just those thetas, so that an analytic
+        The difference runs over only the members without an analytic form:
+        the grid's own stage where none has one, so that the forced difference
+        shares it, and else a grid of just those members, so that an analytic
         theta neither evaluates its stencil nor needs one inside the domain.
         """
-        ds = [self._drho_analytic(theta) for theta in grid.thetas]
+        ds = [model._drho_analytic(theta) for model, theta in grid.members]
         missing = [k for k, d in enumerate(ds) if d is None]
         if missing:
-            thetas = [grid.thetas[k] for k in missing]
-            fd_grid = grid if len(thetas) == len(ds) else StateGrid(self, thetas)
+            fd_grid = grid if len(missing) == len(ds) else StateGrid(grid.key, [grid.members[k] for k in missing])
             for k, d in zip(missing, fd_grid.stage(_drho_fd_stage)[0]):
                 ds[k] = d
         return (square_stack(ds),)
 
-    def _rho_stack(self, grid: StateGrid) -> np.ndarray:
-        """rho at every theta of ``grid``, as one (T, n, n) array: the formula over its value inputs."""
-        return self._rho_formula(*grid.stage(_inputs_stage))
+    @classmethod
+    def _rho_stack(cls, grid: StateGrid) -> np.ndarray:
+        """rho of every member of ``grid``, as one (T, n, n) array: the formula over their value inputs."""
+        return cls._rho_formula(*grid.stage(_inputs_stage))
 
-    def _drho_stack(self, grid: StateGrid) -> np.ndarray:
-        """drho at every theta of ``grid``: here the one derivative input."""
+    @classmethod
+    def _drho_stack(cls, grid: StateGrid) -> np.ndarray:
+        """drho of every member of ``grid``: here the one derivative input."""
         return grid.stage(_dinputs_stage)[0]
 
     @property
@@ -527,25 +578,13 @@ class ParametricStateModel:
         return False
 
     def grid(self, thetas: Iterable[float]) -> Iterator[StatePoint]:
-        """The states at ``thetas``, in order, evaluated lazily and together.
-
-        Consecutive thetas share a ``StateGrid`` of at most
-        max(1, GRID_BLOCK_ENTRIES // dim^2) of them, so each stage runs once
-        per block and a long grid over a large model never stacks more than
-        one block; a block is built when the first of its points is reached.
-        """
-        thetas = list(thetas)
-        size = self._block_size()
-        for start in range(0, len(thetas), size):
-            yield from StateGrid(self, thetas[start:start + size]).points()
-
-    def _block_size(self) -> int:
-        """The most states one stacked array of ``GRID_BLOCK_ENTRIES`` entries holds."""
-        return max(1, GRID_BLOCK_ENTRIES // (self.dim * self.dim))
+        """The states at ``thetas``, in order, evaluated lazily and together: the batch of this
+        one model (``batch_grid``)."""
+        return batch_grid((self, theta) for theta in thetas)
 
     def at(self, theta: float) -> StatePoint:
-        """The state at theta: a grid of one."""
-        return StateGrid(self, (theta,)).points()[0]
+        """The state at theta: a batch of one."""
+        return next(batch_grid(((self, theta),)))
 
     def rho(self, theta: float) -> DensityMatrix:
         return self.at(theta).rho
@@ -559,25 +598,71 @@ class ParametricStateModel:
         return self.at(theta).dsqrt
 
 
+def batch_grid(pairs: Iterable[tuple[ParametricStateModel, float]]) -> Iterator[StatePoint]:
+    """The state of each (model, theta) pair, in the order given, evaluated lazily and together.
+
+    The pairs whose models share a batch key share a ``StateGrid``: each
+    key's pairs, in the order given, are cut into blocks of at most
+    max(1, GRID_BLOCK_ENTRIES // dim^2), so each stage runs once per block
+    and no stacked array outgrows a block. A block is built when the first
+    of its points is reached. A custom model keys on itself, so its pairs
+    share a grid with no other model's.
+    """
+    pairs = list(pairs)
+    keys, groups = {}, {}
+    for i, (model, _) in enumerate(pairs):
+        key = keys.get(id(model))  # the list holds every model, so no id is reused
+        if key is None:
+            key = keys[id(model)] = model._batch_key()
+        groups.setdefault(key, []).append(i)
+    blocks, slots = [], [None] * len(pairs)  # slots[i]: the block of pair i and its place there
+    for key, indices in groups.items():
+        size = _block_size(key.dim)
+        for start in range(0, len(indices), size):
+            block = indices[start:start + size]
+            for place, i in enumerate(block):
+                slots[i] = (len(blocks), place)
+            blocks.append((key, block))
+    live: dict[int, tuple] = {}  # the points of each built block that still has some to yield
+    for b, place in slots:
+        points = live.get(b)
+        if points is None:
+            key, block = blocks[b]
+            points = live[b] = StateGrid(key, [pairs[i] for i in block]).points()
+        if place == len(points) - 1:
+            del live[b]
+        yield points[place]
+
+
 class _StackedModel(ParametricStateModel):
     """A built-in kind: its inputs are the callables it wraps, read with their checks.
 
     A differenced input reads the stencil grids' value inputs
-    (``_stencil_inputs``). ``rho_matrix(theta)`` is the formula at one
-    theta, which the benchmark's oracle reads.
+    (``_stencil_inputs``). Its points batch with those of every model of its
+    class, dimension and step whose inputs ``_analytic_inputs`` names the
+    same. ``rho_matrix(theta)`` is the formula at one theta, which the
+    benchmark's oracle reads.
     """
 
+    def _analytic_inputs(self) -> tuple[str, ...]:
+        """The names of the inputs whose derivative is analytic, in the class's order."""
+        raise NotImplementedError
+
+    def _batch_key(self) -> BatchKey:
+        return BatchKey(type(self), self.dim, self.fd_step, self._analytic_inputs())
+
     def rho_matrix(self, theta: float) -> np.ndarray:
-        return self._rho_formula(*self._inputs((theta,)))[0]
+        return self._rho_formula(*self._inputs(((self, theta),)))[0]
 
 
-def _family_dprojectors(grid: StateGrid, family: PureFamily, index: int) -> np.ndarray:
-    """dP of ``family`` at every theta: from dpsi and its states, value input ``index``,
-    or else by central differences of its states on the stencil."""
-    if family.dpsi is not None:
+def _family_dprojectors(grid: StateGrid, index: int, analytic: bool, velocity: Callable) -> np.ndarray:
+    """dP of each member's pure family: from its states, value input ``index``, and its
+    dpsi, ``velocity(model)``, where that is ``analytic``, or else by central differences
+    of its states on the stencil."""
+    if analytic:
         states = grid.stage(_inputs_stage)[index]
-        return _projector_derivatives(states, _read(family.velocity, grid.thetas, "dpsi"))
-    return symmetrized(_stencil_difference(projectors(_stencil_inputs(grid, index)), grid.model.fd_step))
+        return _projector_derivatives(states, _read(grid, velocity, "dpsi"))
+    return symmetrized(_stencil_difference(projectors(_stencil_inputs(grid, index)), grid.key.fd_step))
 
 
 class PureStateModel(_StackedModel):
@@ -592,15 +677,22 @@ class PureStateModel(_StackedModel):
         super().__init__(family.dim, **kwargs)
         self.family = family
 
-    def _inputs(self, thetas) -> tuple:
-        return (np.array([self.family.state(t) for t in thetas]),)
+    def _analytic_inputs(self) -> tuple[str, ...]:
+        return ("dpsi",) if self.family.dpsi is not None else ()
 
-    def _rho_formula(self, v: np.ndarray) -> np.ndarray:
+    @classmethod
+    def _inputs(cls, members) -> tuple:
+        return (np.array([model.family.state(theta) for model, theta in members]),)
+
+    @staticmethod
+    def _rho_formula(v: np.ndarray) -> np.ndarray:
         return projectors(v)
 
-    def _derivative_inputs(self, grid: StateGrid) -> tuple:
+    @classmethod
+    def _derivative_inputs(cls, grid: StateGrid) -> tuple:
         """(dP,): the projector derivative, which is drho and what the closed form reads."""
-        return (_family_dprojectors(grid, self.family, 0),)
+        analytic = "dpsi" in grid.key.analytic
+        return (_family_dprojectors(grid, 0, analytic, lambda model: model.family.velocity),)
 
     @property
     def has_analytic_derivative(self) -> bool:
@@ -617,7 +709,8 @@ class QubitMixtureModel(_StackedModel):
     image of psi1 under the projector derivative, normalized.
 
     Inputs: the weight w and the state psi1; w' (from dw or the checked
-    weight at theta +- fd_step) and dP1 (as for a pure family).
+    weight at theta +- fd_step) and dP1 (as for a pure family). Its batch
+    key names psi1's dpsi and the weight's dw where each is analytic.
     """
 
     kind = "qubit_mixture"
@@ -629,30 +722,37 @@ class QubitMixtureModel(_StackedModel):
         self.psi1 = psi1
         self.weight = weight
 
-    def _inputs(self, thetas) -> tuple:
-        """(w, psi1) at each theta: the checked weight, then the checked state."""
+    def _analytic_inputs(self) -> tuple[str, ...]:
+        return tuple(name for name, fn in (("dpsi", self.psi1.dpsi), ("dw", self.weight.dw)) if fn is not None)
+
+    @classmethod
+    def _inputs(cls, members) -> tuple:
+        """(w, psi1) of each member: the checked weight, then the checked state."""
         ws, vs = [], []
-        for theta in thetas:
-            ws.append(self.weight.value(theta))
-            vs.append(self.psi1.state(theta))
+        for model, theta in members:
+            ws.append(model.weight.value(theta))
+            vs.append(model.psi1.state(theta))
         return np.array(ws), np.array(vs)
 
-    def _rho_formula(self, w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def _rho_formula(w: np.ndarray, v: np.ndarray) -> np.ndarray:
         p1 = projectors(v)
         w = w[:, None, None]
         return w * p1 + (1.0 - w) * (np.eye(2) - p1)
 
-    def _derivative_inputs(self, grid: StateGrid) -> tuple:
+    @classmethod
+    def _derivative_inputs(cls, grid: StateGrid) -> tuple:
         """(w', dP1): the weight's slope and psi1's projector derivative, at ``fd_step``."""
-        weight = self.weight
-        if weight.dw is not None:
-            dw = _read(weight.dw, grid.thetas, "dw", float)
+        analytic = grid.key.analytic
+        if "dw" in analytic:
+            dw = _read(grid, lambda model: model.weight.dw, "dw", float)
         else:
-            dw = _stencil_difference(_stencil_inputs(grid, 0), self.fd_step)
-        dp1 = _family_dprojectors(grid, self.psi1, 1)
+            dw = _stencil_difference(_stencil_inputs(grid, 0), grid.key.fd_step)
+        dp1 = _family_dprojectors(grid, 1, "dpsi" in analytic, lambda model: model.psi1.velocity)
         return dw, dp1
 
-    def _drho_stack(self, grid: StateGrid) -> np.ndarray:
+    @classmethod
+    def _drho_stack(cls, grid: StateGrid) -> np.ndarray:
         w, v = grid.stage(_inputs_stage)
         dw, dp1 = grid.stage(_dinputs_stage)
         return dw[:, None, None] * (2.0 * projectors(v) - np.eye(2)) + (2.0 * w - 1.0)[:, None, None] * dp1
@@ -769,42 +869,48 @@ class SpectralMixtureModel(_StackedModel):
         """dP_k = du_k u_k^dagger + u_k du_k^dagger: the point's layer of ``_projectors_stage``."""
         return list(self.at(theta).layer(_projectors_stage)[1])
 
-    def _inputs(self, thetas) -> tuple:
-        """(lambda, U) at each theta: the checked weights and the checked frame."""
+    def _analytic_inputs(self) -> tuple[str, ...]:
+        return tuple(name for name, fn in (("dlambdas", self._dlambdas), ("dframe", self._dframe)) if fn is not None)
+
+    @classmethod
+    def _inputs(cls, members) -> tuple:
+        """(lambda, U) of each member: the checked weights and the checked frame."""
         lams, frames = [], []
-        for theta in thetas:
-            lams.append(self.lambdas_at(theta))
-            frames.append(self.frame_at(theta))
+        for model, theta in members:
+            lams.append(model.lambdas_at(theta))
+            frames.append(model.frame_at(theta))
         return np.array(lams), np.array(frames)
 
-    def _rho_formula(self, lam: np.ndarray, u: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def _rho_formula(lam: np.ndarray, u: np.ndarray) -> np.ndarray:
         return SpectralDecomposition(lam, u).reconstruct()
 
-    def _derivative_inputs(self, grid: StateGrid) -> tuple:
-        """(lambda', A): the weight derivatives and the frame generator at every theta."""
-        h = self.fd_step
+    @classmethod
+    def _derivative_inputs(cls, grid: StateGrid) -> tuple:
+        """(lambda', A): the weight derivatives and the frame generator of every member."""
+        analytic, h = grid.key.analytic, grid.key.fd_step
         u = grid.stage(_inputs_stage)[1]
-        if self._dframe is not None:
-            du = _read(self._dframe, grid.thetas, "dframe")
-            a = _generator_from_frames(u, du)
+        if "dframe" in analytic:
+            a = _generator_from_frames(u, _read(grid, lambda model: model._dframe, "dframe"))
         else:
             a = _generator_from_stencil(u, _stencil_inputs(grid, 1), h)
-        if self._dlambdas is not None:
-            dlam = _read(self._dlambdas, grid.thetas, "dlambdas", float).reshape(len(grid.thetas), -1)
+        if "dlambdas" in analytic:
+            dlam = _read(grid, lambda model: model._dlambdas, "dlambdas", float).reshape(len(grid.members), -1)
         else:
             dlam = _stencil_difference(_stencil_inputs(grid, 0), h)
         for vals in dlam:
             _checked_dlambdas(vals)
         return dlam, a
 
-    def _drho_stack(self, grid: StateGrid) -> np.ndarray:
+    @classmethod
+    def _drho_stack(cls, grid: StateGrid) -> np.ndarray:
         """U (diag dlam + A Lambda - Lambda A) U^dagger, or the ``_drho_fd_stage``."""
-        if not self.has_analytic_derivative:
+        if grid.key.analytic != ("dlambdas", "dframe"):
             return grid.stage(_drho_fd_stage)[0]
         lam, u = grid.stage(_inputs_stage)
         dlam, a = grid.stage(_dinputs_stage)
         inner = a * (lam[:, None, :] - lam[:, :, None])
-        diag = np.arange(self.dim)
+        diag = np.arange(grid.key.dim)
         inner[:, diag, diag] = dlam
         return (u @ inner) @ u.conj().swapaxes(-1, -2)
 
@@ -814,16 +920,16 @@ class SpectralMixtureModel(_StackedModel):
 
 
 def _projectors_stage(grid: StateGrid) -> tuple:
-    """(P, dP): a spectral model's frame projectors at every theta and their derivatives,
+    """(P, dP): a spectral model's frame projectors at every member and their derivatives,
     each (T, n, n, n).
 
-    U is the value input; du is the raw ``dframe``, so that one whose
-    U^dagger dU is not skew shows in the projector identities, or else U A
-    from the derivative inputs.
+    U is the value input; du is each member's raw ``dframe``, so that one
+    whose U^dagger dU is not skew shows in the projector identities, or
+    else U A from the derivative inputs.
     """
-    model, u = grid.model, grid.stage(_inputs_stage)[1]
-    if model._dframe is not None:
-        du = _read(model._dframe, grid.thetas, "dframe")
+    u = grid.stage(_inputs_stage)[1]
+    if "dframe" in grid.key.analytic:
+        du = _read(grid, lambda model: model._dframe, "dframe")
     else:
         du = u @ grid.stage(_dinputs_stage)[1]
     return _frame_projectors(u), _projector_derivatives(u.swapaxes(-1, -2), du.swapaxes(-1, -2))
@@ -1008,10 +1114,22 @@ def fixed_spectrum_model(
 
     frame="rotation" (dim 2 only) uses the plane rotation frame, matching
     the rotation-family mixture; frame="random" uses a seeded exp(theta K)
-    path.
+    path. The one model of ``fixed_spectrum_models``.
     """
-    lam = np.asarray(spectrum, dtype=float).reshape(-1)
-    dim = lam.shape[0]
+    return fixed_spectrum_models([spectrum], seed=seed, frame=frame, **kwargs)[0]
+
+
+def fixed_spectrum_models(spectra, seed: int | None = None, frame: str = "random", **kwargs) -> list:
+    """One ``fixed_spectrum_model`` per spectrum, all of one dimension, sharing one frame path.
+
+    The frame depends on the dimension, ``frame`` and ``seed`` alone, so it
+    is built once: a model of the list is the one ``fixed_spectrum_model``
+    builds of its spectrum, bit for bit.
+    """
+    lams = [np.asarray(spectrum, dtype=float).reshape(-1) for spectrum in spectra]
+    dim = lams[0].shape[0]
+    if any(lam.shape[0] != dim for lam in lams):
+        raise DimensionError("spectra of one frame must share a dimension")
     if frame == "rotation":
         if dim != 2:
             raise DimensionError("rotation frame is two-dimensional")
@@ -1024,14 +1142,17 @@ def fixed_spectrum_model(
     else:
         raise ConfigError(f"unknown frame kind {frame!r}")
     frame_fn, dframe = _unitary_path(k, u0)
-    return SpectralMixtureModel(
-        dim,
-        lambdas=lambda t: lam.copy(),
-        frame=frame_fn,
-        dlambdas=lambda t: np.zeros(dim),
-        dframe=dframe,
-        **kwargs,
-    )
+    return [
+        SpectralMixtureModel(
+            dim,
+            lambdas=lambda t, lam=lam: lam.copy(),
+            frame=frame_fn,
+            dlambdas=lambda t: np.zeros(dim),
+            dframe=dframe,
+            **kwargs,
+        )
+        for lam in lams
+    ]
 
 
 def qubit_mixture_as_spectral(model: QubitMixtureModel) -> SpectralMixtureModel:

@@ -18,8 +18,10 @@ is the one producer of the cross-route and relation residuals, the core
 correctness surface: ``relation_report`` is a point's layer of it, the verify
 route and relation checks read that report, and every CLI row reads the
 point's layer itself. Every route takes a ``StatePoint`` (``model.at(theta)``,
-or a point of ``model.grid(thetas)``), and every number a route gives is a
-grid stage, run once per grid block on the stacked arrays: the SLD solve,
+or a point of ``model.grid(thetas)`` or of ``models.batch_grid(pairs)``), and
+every number a route gives is a grid stage, run once per grid block on the
+stacked arrays of its members, which may belong to several models of one
+batch key: the SLD solve,
 tr{rho L^2}, 4 tr{[(sqrt rho)']^2}, a qubit mixture's w, w' and I_H1, each
 closed route, and the report, which only assembles the others' columns. The
 stage that gives a number is the only place that checks it (an information
@@ -514,9 +516,9 @@ def _report_stage(grid: StateGrid) -> tuple:
     residual that reads them null. Else the columns fill the fields, and the
     row's residual is |closed - definitional| / max(1, definitional). The
     stage only assembles: every number is a stacked formula over the routes'
-    stages, with the bits of the scalar one.
+    stages, with the bits of the scalar one. The kind is the grid key's.
     """
-    kind, size = grid.model.kind, len(grid.thetas)
+    kind, size = grid.key.kind, len(grid.thetas)
     _, dropped, score, min_pair_sum = grid.stage(_sld_stage)
     i_h = grid.stage(_helstrom_stage)[0]
     i_wy = grid.stage(_wy_stage)[0]

@@ -3,7 +3,9 @@
 A locally unbiased one-step estimator makes the classical bound an exact
 single-sample identity: t(x) = theta0 + score(x) / (p(x) i), so the
 per-sample variance equals 1/i by direct summation. Sampling then only has
-to confirm the empirical variance statistically. Sampling uses numpy's
+to confirm the empirical variance statistically. The sample moments are
+those of the deviations score(x) / (p(x) i), taken before theta0 is added,
+so that no theta0, however large, rounds them away. Sampling uses numpy's
 PCG64 generator; identical (config, seed) gives identical results. The
 state functions take ``(point, povm)``, the point a ``StatePoint`` at theta0.
 """
@@ -70,6 +72,22 @@ def sample_outcomes(pt: StatePoint, povm: Povm, n: int, *, seed: int) -> np.ndar
     return rng.choice(len(probs), size=n, p=probs)
 
 
+def _deviations(pt: StatePoint, povm: Povm) -> tuple[np.ndarray, np.ndarray]:
+    """Per-outcome deviation score(x)/(p(x) i(theta0)) of the one-step estimator from theta0,
+    0 off the support, and the support."""
+    info = classical_fisher(pt, povm)
+    if info <= NEAR_ZERO_INFO:
+        raise ZeroInformationError(
+            f"classical information {info:.3e} at theta0={pt.theta}; estimator undefined"
+        )
+    dist = outcome_probs(pt, povm)
+    scores = outcome_scores(pt, povm)
+    d = np.zeros(len(dist))
+    on = dist.support
+    d[on] = (scores[on] / dist.probs[on]) / info
+    return d, on
+
+
 def one_step_estimator(pt: StatePoint, povm: Povm) -> np.ndarray:
     """Per-outcome estimate t(x) = theta0 + score(x)/(p(x) i(theta0)).
 
@@ -77,17 +95,10 @@ def one_step_estimator(pt: StatePoint, povm: Povm) -> np.ndarray:
     single-sample variance 1/i. Outcomes off the support never occur and
     get the neutral value theta0.
     """
-    theta0 = pt.theta
-    info = classical_fisher(pt, povm)
-    if info <= NEAR_ZERO_INFO:
-        raise ZeroInformationError(
-            f"classical information {info:.3e} at theta0={theta0}; estimator undefined"
-        )
-    dist = outcome_probs(pt, povm)
-    scores = outcome_scores(pt, povm)
-    t = np.full(len(dist), float(theta0))
-    on = dist.support
-    t[on] = theta0 + (scores[on] / dist.probs[on]) / info
+    theta0 = float(pt.theta)
+    d, on = _deviations(pt, povm)
+    t = np.full(len(d), theta0)
+    t[on] = theta0 + d[on]
     return t
 
 
@@ -104,11 +115,11 @@ def exact_estimator_moments(pt: StatePoint, povm: Povm) -> tuple[float, float]:
 def run_sim(cfg: SimConfig) -> SimResult:
     """Sample the estimator and compare its variance against the bound chain."""
     pt = cfg.model.at(cfg.theta0)
-    t = one_step_estimator(pt, cfg.povm)
+    d, _ = _deviations(pt, cfg.povm)
     idx = sample_outcomes(pt, cfg.povm, cfg.n_samples, seed=cfg.seed)
-    samples = t[idx]
+    samples = d[idx]  # the variance of t = theta0 + d, without theta0's rounding
     n = cfg.n_samples
-    # at a huge theta0 the moments overflow; the bound chain then fails on them
+    # a huge deviation overflows its moments; the bound chain then fails on them
     with np.errstate(over="ignore", invalid="ignore"):
         mean = float(np.mean(samples))
         devs = samples - mean

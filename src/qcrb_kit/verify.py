@@ -13,20 +13,24 @@ those checks by design). A catalog can be injected, which is how the tests
 exercise corrupted models; its models keep the steps they were built at.
 
 One suite run evaluates each (model, theta) state once: the checks read a
-shared ``StatePoint`` from a run-wide table, whose points of one model are
-views into one grid over the thetas the suite reads of it, so each model's
-rho, drho, eigendecomposition and solves run once, stacked. The forced
-finite differences that ``drho-route-agreement`` and
-``dsqrt-route-agreement`` compare against are stages of that grid too: the
-states at theta +- fd_step of all its thetas form one stencil grid per
-model grid, with one eigendecomposition, and both differences read its
-one evaluation of the model's inputs; the mixture identities difference
-the canonical psi2 of the same stencil grids. The measurement checks work on
+shared ``StatePoint`` from a run-wide table, whose points are views into
+batch grids (``models.batch_grid``): one per batch key, over every (model,
+theta) the suite reads of the models of that key, so the 19 models the
+table reads share 11 grids, and their rho, drho, eigendecompositions and
+solves run once per grid, stacked. ``monotone-gap-in-weight`` reads its 25
+mixtures as one batch too. The forced finite differences that
+``drho-route-agreement`` and ``dsqrt-route-agreement`` compare against are
+stages of the same grids: the states at theta +- fd_step of all a grid's
+members form one stencil grid per grid, with one eigendecomposition, and
+both differences read its one evaluation of the models' inputs; the mixture
+identities difference the canonical psi2 of the same stencil grids. A check
+stage runs over every member of a grid it reads, members of models the
+check does not select included. The measurement checks work on
 measurement sets the same way: each first draws its specs from its rng,
 in the order a per-measurement loop would, and draws its random POVMs as
 one set (``random_povms``); each point then reads the classical Fisher
 information of its set with one ``classical_fishers`` call, one trace
-rule per (point's grid, set). ``eigh-reconstruction``
+rule per (point's grid, set), over every member of that grid. ``eigh-reconstruction``
 holds LAPACK's eigenvalues against the power sums tr(M^k) of its matrices,
 so no second eigensolver runs. A check that measures one residual per
 sampled (model, theta) point is a ``_PointCheck`` row: a residual function
@@ -34,9 +38,9 @@ plus the selection of models and thetas it runs over. The kernel,
 difference and identity checks are check stages (``_stage_check``): the
 square-root composition, the solve's involution, the projector-sum SLD of
 ``sld-vs-spectral-sum``, both route agreements, the two mixture identities
-and ``spectral-identities`` each run once per model grid on its stacked
+and ``spectral-identities`` each run once per batch grid on its stacked
 arrays, with the bits of the per-point formula at each theta, and a
-point's residual is its layer, so a theta where one fails splits the grid
+point's residual is its layer, so a member where one fails splits the grid
 and raises only its own error. Only the rephased solve of
 ``eigenvector-phase-invariance`` is computed afresh per point. The route and
 relation checks read the residuals of the point's one ``relation_report``,
@@ -87,6 +91,7 @@ from .models import (
     _psi2_stage,
     _sides,
     _stencil_difference,
+    batch_grid,
     builtin_models,
     random_spectral_model,
     rotation_mixture,
@@ -148,25 +153,29 @@ class VerifyOptions:
 class _PointTable:
     """One StatePoint per (model, theta) for a whole suite run.
 
-    ``reads`` maps each model to the thetas the suite reads of it; the
-    first read of a model builds one grid over all of them, so each of its
-    stages runs once per model. A theta outside them gets a grid of one.
-    Keyed on the model objects themselves, which the table keeps alive: an
-    id() key could be reused by a later temporary model once the first one
-    is collected, and hand that model the wrong point. The run's extra
-    seeded spectral models live here too, so their points are shared as well.
+    ``reads`` maps each model to the thetas the suite reads of it. The
+    first read of a model builds one batch grid (``batch_grid``) over every
+    (model, theta) the suite reads of the models that share its batch key,
+    so each stage runs once per key and block, for all of those models
+    together. A theta outside them gets a grid of one. Keyed on the model
+    objects themselves, which the table keeps alive: an id() key could be
+    reused by a later temporary model once the first one is collected, and
+    hand that model the wrong point. The run's extra seeded spectral models
+    live here too, so their points are shared as well.
     """
 
     def __init__(self, reads: dict | None = None, extra_spectral=()):
-        self._reads = dict(reads or {})
+        self._pending: dict = {}  # batch key -> the (model, theta) pairs not yet evaluated
+        for model, thetas in (reads or {}).items():
+            self._pending.setdefault(model._batch_key(), []).extend((model, theta) for theta in thetas)
         self._points: dict[tuple, StatePoint] = {}
         self.extra_spectral = list(extra_spectral)
 
     def at(self, model: ParametricStateModel, theta: float) -> StatePoint:
         key = (model, theta)
         if key not in self._points:
-            thetas = self._reads.pop(model, ())
-            self._points.update(((model, pt.theta), pt) for pt in model.grid(thetas))
+            pairs = self._pending.pop(model._batch_key(), ())
+            self._points.update(((pt.model, pt.theta), pt) for pt in batch_grid(pairs))
             if key not in self._points:
                 self._points[key] = model.at(theta)
         return self._points[key]
@@ -236,7 +245,7 @@ def _layer_residual(stage, pt) -> float:
 
 def _stage_check(stage, **selection) -> _PointCheck:
     """A ``_PointCheck`` whose residual at a point is its layer of ``stage``: the check
-    runs once per model grid, on the stacked arrays, and a theta where it fails splits
+    runs once per batch grid, on the stacked arrays, and a member where it fails splits
     the grid and raises only its own error."""
     return _PointCheck(partial(_layer_residual, stage), **selection)
 
@@ -351,7 +360,7 @@ def _mixture_stage(grid):
     differences the canonical psi2 of the grid's stencil grids (theta +-
     fd_step), independently of psi1's derivative.
     """
-    h = grid.model.fd_step
+    h = grid.key.fd_step
     p1 = projectors(grid.stage(_inputs_stage)[1])
     p2 = projectors(grid.stage(_psi2_stage)[0])
     dp1 = grid.stage(_dinputs_stage)[1]
@@ -365,7 +374,7 @@ def _qubit_complement_stage(grid):
     # itself built by differences measures rounding jitter, not the identity)
     p1, p2, dp1, dp2 = grid.stage(_mixture_stage)
     dev = _norms(p2 - (np.eye(2) - p1))
-    if grid.model.psi1.dpsi is not None:
+    if "dpsi" in grid.key.analytic:
         dev = np.maximum(dev, _norms(dp1 + dp2))
     return (dev,)
 
@@ -441,10 +450,8 @@ def _ratio_ordering(pt):
 
 def _monotone_gap(catalog, opts, points):
     theta = 0.3
-    gaps = []
-    for w in np.arange(0.5, 0.99, 0.02):
-        pt = rotation_mixture(float(w)).at(theta)
-        gaps.append(wy_info_generic(pt) - helstrom_info_sld(pt))
+    mixtures = [rotation_mixture(float(w)) for w in np.arange(0.5, 0.99, 0.02)]
+    gaps = [wy_info_generic(pt) - helstrom_info_sld(pt) for pt in batch_grid((m, theta) for m in mixtures)]
     for i in range(1, len(gaps)):
         yield gaps[i - 1] - gaps[i], f"step {i}"
 

@@ -1,5 +1,5 @@
 """Tests for verify's check stages: each check that measures one residual per point runs
-once per model grid, on the stacked arrays, and a point's residual is its layer.
+once per batch grid, on the stacked arrays, and a point's residual is its layer.
 
 The per-point formulas the stages replaced are kept here as references: each stage's
 layer equals its formula at the point alone, bit for bit, on grids of one and of five,
@@ -291,28 +291,38 @@ def test_a_theta_that_fails_a_check_stage_fails_only_its_point_with_its_own_text
                 assert _same(layer, reference)
 
 
-# --- one run per model grid ---------------------------------------------------------
+# --- one run per batch grid ---------------------------------------------------------
 
-def test_one_suite_run_runs_each_check_stage_once_per_model_grid(monkeypatch):
-    # every check stage runs once on each model grid its check selects, over all the
-    # thetas the suite reads of the model, and on no grid of one; so do the stages
-    # they read: the mixture components on the 5 mixture grids, psi2 on those and on
-    # their stencil grids, and the frame projectors on the 4 spectral grids
+def test_one_suite_run_runs_each_check_stage_once_per_batch_grid(monkeypatch):
+    # every check stage runs once on each batch grid that holds a model its check
+    # selects, over every member of that grid: all the (model, theta) pairs the suite
+    # reads of the models of its batch key. It runs on no grid of one. So do the stages
+    # they read: the mixture components on the 2 mixture grids, psi2 on those and on
+    # their stencil grids, and the frame projectors on the 4 spectral grids that hold
+    # a catalog model
     runs = Counter()
     original = models.StateGrid.stage
 
     def recording(grid, fn, *args):
         if (fn, *args) not in grid._stages:
-            runs[fn.__name__, grid.model, grid.thetas] += 1
+            runs[fn.__name__, grid.members] += 1
         return original(grid, fn, *args)
 
     monkeypatch.setattr(models.StateGrid, "stage", recording)
     catalog = builtin_models()
+    extra = verify._extra_spectral_models(VerifyOptions())
+    monkeypatch.setattr(verify, "_extra_spectral_models", lambda opts: extra)
     assert all_passed(run_suite(catalog=catalog))
-    reads = verify._suite_reads(catalog, ())
+    batches = {}
+    for model, thetas in verify._suite_reads(catalog, extra).items():
+        batches.setdefault(model._batch_key(), []).extend((model, theta) for theta in thetas)
+    assert len(batches) == 11
+
+    def batch(model):
+        return tuple(batches[model._batch_key()])
 
     def grids_of(name):
-        return Counter({(model, thetas): n for (stage, model, thetas), n in runs.items() if stage == name})
+        return Counter({members: n for (stage, members), n in runs.items() if stage == name})
 
     checks = [fn for _, _, _, fn in verify._CHECKS
               if isinstance(fn, verify._PointCheck) and isinstance(fn.residual, partial)
@@ -320,11 +330,14 @@ def test_one_suite_run_runs_each_check_stage_once_per_model_grid(monkeypatch):
     assert {fn.residual.args[0].__name__ for fn in checks} == set(STAGES)
     for check in checks:
         selected = [model for _, model in verify._models(catalog, check.kinds, check.analytic)]
-        assert grids_of(check.residual.args[0].__name__) == {(m, reads[m]): 1 for m in selected}
+        assert grids_of(check.residual.args[0].__name__) == {batch(m): 1 for m in selected}
     mixtures = [model for model in catalog.values() if model.kind == "qubit_mixture"]
     spectral = [model for model in catalog.values() if model.kind == "spectral"]
-    assert grids_of("_mixture_stage") == {(m, reads[m]): 1 for m in mixtures}
-    assert grids_of("_projectors_stage") == {(m, reads[m]): 1 for m in spectral}
+    assert len(grids_of("_mixture_stage")) == 2
+    assert grids_of("_mixture_stage") == {batch(m): 1 for m in mixtures}
+    assert len(grids_of("_projectors_stage")) == 4
+    assert grids_of("_projectors_stage") == {batch(m): 1 for m in spectral}
     h = DEFAULT_FD_STEP
-    stencils = {(m, tuple(t for theta in reads[m] for t in (theta + h, theta - h))): 1 for m in mixtures}
-    assert grids_of("_psi2_stage") == {**{(m, reads[m]): 1 for m in mixtures}, **stencils}
+    stencils = {tuple((m, t) for m, theta in batch(model) for t in (theta + h, theta - h)): 1
+                for model in mixtures}
+    assert grids_of("_psi2_stage") == {**{batch(m): 1 for m in mixtures}, **stencils}

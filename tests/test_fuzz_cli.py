@@ -172,7 +172,7 @@ def assert_contract(argv, workdir):
 # a theta at which an exp(theta K) frame or pure family overflows to NaN
 HUGE_THETA = [({"kind": "spectral", "dim": 5, "seed": 3}, {"kind": "basis", "dim": 5}),
               ({"kind": "pure", "psi1": {"name": "random"}, "dim": 4, "seed": 11}, {"kind": "basis", "dim": 4})]
-# sample moments that overflow at a huge theta0
+# a theta0 so large that every estimate theta0 + score/(p i) rounds to theta0
 HUGE_THETA0 = ({"kind": "qubit_mixture", "psi1": {"name": "rotation"},
                 "weight": {"form": "sine", "params": [0.7]}},
                {"kind": "random", "dim": 2, "n_effects": 4, "seed": 5})
@@ -226,6 +226,7 @@ def test_an_odd_explicit_povm_entry_is_a_config_error(workdir, d, cell, entry):
     }),
 )
 @example(configs=HUGE_THETA0, extra=["--theta0", "1e300", "--n-samples", "200"])
+@example(configs=HUGE_THETA0, extra=["--theta0", "1e17", "--n-samples", "200"])
 def test_simulate_honours_the_exit_code_contract(workdir, configs, extra):
     argv = [
         "simulate", "--model", config_path(workdir, "m.json", configs[0]),

@@ -51,7 +51,6 @@ from qcrb_kit.models import (
     PureStateModel,
     QubitMixtureModel,
     SpectralMixtureModel,
-    StateGrid,
     WeightFunction,
     _dinputs_stage,
     _drho_fd_stage,
@@ -348,10 +347,12 @@ class ClippedRhoMixture(QubitMixtureModel):
     fail there. Its rho is ``rho_matrix`` per theta and its drho the central difference
     of that rho, ``_drho_fd_stage``: neither reads a weight input."""
 
-    def _rho_stack(self, grid):
-        return square_stack([self.rho_matrix(theta) for theta in grid.thetas])
+    @classmethod
+    def _rho_stack(cls, grid):
+        return square_stack([model.rho_matrix(theta) for model, theta in grid.members])
 
-    def _drho_stack(self, grid):
+    @classmethod
+    def _drho_stack(cls, grid):
         return grid.stage(_drho_fd_stage)[0]
 
     def __init__(self):
@@ -1123,8 +1124,9 @@ def _report_row(report):
 def test_only_the_inconsistent_points_fall_back_to_differences():
     model = SupportDropModel()
     thetas = [-0.6, -0.3, 0.0, 0.3, 0.6]
-    grid = StateGrid(model, thetas)
-    reports = [relation_report(pt) for pt in grid.points()]
+    points = list(model.grid(thetas))
+    assert {pt.grid for pt in points} == {points[0].grid}
+    reports = [relation_report(pt) for pt in points]
     routes = [(r.diagnostics["sqrt_route"], r.diagnostics["fd_fallback"]) for r in reports]
     assert routes == [("solve", False)] * 3 + [("fd", True)] * 2
     for theta, report in zip(thetas, reports):
@@ -1141,7 +1143,7 @@ def test_a_split_grid_keeps_the_stages_it_ran():
             return super().rho_matrix(theta)
 
     thetas = [-0.3, 0.3]
-    points = StateGrid(Counting(), thetas).points()
+    points = list(Counting().grid(thetas))
     for pt in points:
         pt.cached(relation_report)
     # one evaluation per theta, plus the two stencil states of the fallback

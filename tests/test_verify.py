@@ -92,9 +92,14 @@ def test_corrupted_model_fault_is_recorded_by_every_check_that_reads_it():
 def test_one_run_creates_each_point_once_and_the_extra_models_once(monkeypatch):
     # the three checks over the extra spectral models share one set of them,
     # and so share their points: 5 models x 3 thetas, not three times that.
-    # 115 points in 47 grids: one per catalog model over its 5 sample thetas
-    # (and theta 0.3 for the two estimator models), one per extra model over
-    # 3 thetas, and 28 grids of one (25 monotone-gap mixtures, 3 simulations)
+    # 115 points in 15 grids. The 19 models the table reads (14 catalog
+    # models over their 5 sample thetas, and theta 0.3 for the two estimator
+    # models; 5 extra models over 3 thetas) share 11 batch grids, one per
+    # batch key: pure dimension 2 with dpsi (2 models), without it, dimension
+    # 3 and 4; the analytic mixtures (4 models) and the differenced one; and
+    # spectral dimensions 2, 3, 4 and 6 (a catalog and an extra model each)
+    # and 5. The 25 monotone-gap mixtures share 1, and the 3 simulations take
+    # a grid of one each.
     counts = Counter()
     original_point = models.StatePoint.__init__
     original_grid = models.StateGrid.__init__
@@ -105,9 +110,9 @@ def test_one_run_creates_each_point_once_and_the_extra_models_once(monkeypatch):
         counts["point"] += 1
         original_point(self, grid, index)
 
-    def grid(self, model, thetas):
+    def grid(self, key, members):
         counts["grid"] += 1
-        original_grid(self, model, thetas)
+        original_grid(self, key, members)
 
     def rho_stage(grid):
         counts["rho_stage"] += 1
@@ -124,14 +129,15 @@ def test_one_run_creates_each_point_once_and_the_extra_models_once(monkeypatch):
     results = run_suite()
     assert all_passed(results)
     # the forced differences of drho- and dsqrt-route-agreement evaluate one
-    # stencil grid per catalog model grid, which makes no points and runs
-    # only the value inputs, no rho stage. The mixture identities difference
-    # psi2 on those same stencil grids, which runs only their input stages;
-    # the one mixture without dpsi or dw differences its stencil's inputs on
-    # the stencil's own stencil grid.
-    stencils = len(builtin_models())
+    # stencil grid per batch grid that holds a catalog model (all but the
+    # dimension-5 spectral one), which makes no points and runs only the
+    # value inputs, no rho stage. The mixture identities difference psi2 on
+    # those same stencil grids, which runs only their input stages; the one
+    # mixture without dpsi or dw differences its stencil's inputs on the
+    # stencil's own stencil grid.
+    stencils = 10
     assert counts == {
-        "point": 115, "grid": 47 + stencils + 1, "rho_stage": 47,
+        "point": 115, "grid": 15 + stencils + 1, "rho_stage": 15,
         "random_spectral_model": 5,
     }
 
@@ -139,7 +145,9 @@ def test_one_run_creates_each_point_once_and_the_extra_models_once(monkeypatch):
 def test_the_spectral_identities_read_the_frame_of_the_table_point(monkeypatch):
     # a spectral model's frame is read only by value input stages: its 5 sample
     # thetas and their 10 stencil sides for each of the 4 catalog spectral
-    # models, and 3 thetas for each of the 5 extra models; the projector
+    # models, and 3 thetas for each of the 5 extra models, with their 6
+    # stencil sides for the 4 extra models that share a batch grid with a
+    # catalog model, whose stencil grids hold every member; the projector
     # accessors are not called
     counts = Counter()
     for name in ("frame_at", "dprojectors_at"):
@@ -151,7 +159,7 @@ def test_the_spectral_identities_read_the_frame_of_the_table_point(monkeypatch):
 
         monkeypatch.setattr(SpectralMixtureModel, name, counted)
     assert all_passed(run_suite())
-    assert counts == {"frame_at": 75}
+    assert counts == {"frame_at": 4 * 15 + 5 * 3 + 4 * 6}
 
 
 def test_tightened_fd_tolerance_fails_fd_checks():
@@ -248,10 +256,10 @@ def test_one_suite_run_evaluates_each_closed_form_once_per_point(monkeypatch):
     # the route and relation checks read the point's one relation_report, so
     # a closed form runs once per sampled point: 25 mixture points, and 27
     # spectral ones (4 catalog and 5 extra models at 3 thetas). Each closed
-    # form is the stage its route table entry names, run once per grid of a
-    # model's thetas, so it also evaluates the thetas of those grids that
-    # only other checks read: 0.3 of one mixture, and 0.48 and 0.96 of each
-    # catalog spectral model
+    # form is the stage its route table entry names, run once per batch grid
+    # of its models' members, so it also evaluates the members of those grids
+    # that only other checks read: 0.3 of one mixture, and 0.48 and 0.96 of
+    # each catalog spectral model
     evaluated = {}
 
     def counting(name):
@@ -259,7 +267,7 @@ def test_one_suite_run_evaluates_each_closed_form_once_per_point(monkeypatch):
         seen = evaluated[name] = Counter()
 
         def wrapper(grid):
-            seen.update((grid.model, theta) for theta in grid.thetas)
+            seen.update(grid.members)
             return original(grid)
 
         return wrapper

@@ -10,13 +10,16 @@ thread variables set to 1. Its stdout, stderr, exit code and output file
 both sides. The commands that differ are printed, and the exit code is 1 if
 any does. ``--list`` prints the commands and runs nothing.
 
-The list holds 185 commands:
+The list holds 189 commands:
 - ``verify --seed=N`` for N = 0-39 and ``verify --fd-step`` 1e-3, 1e-4 and
   3e-6, each in CSV and JSON (86);
 - every pool command of the three benchmark workloads at seeds 5, 11 and
   52711, built by ``perfbench/workloads.make_pool`` (63);
-- ``sweep-w`` (3), ``sweep-spectrum`` (4, one with a zero weight) and
-  ``simulate`` with a basis and with a random POVM (2);
+- ``sweep-w`` (5), ``sweep-spectrum`` (6, three with a zero weight) and
+  ``simulate`` with a basis and with a random POVM (2); two sweeps of each
+  kind run 101 models, one batch grid: ``sweep-w`` for both psi1 families,
+  and ``sweep-spectrum`` on a 6-weight spectrum with a zero weight (random
+  frame) and on ``1,0`` (rotation frame, which is two-dimensional);
 - 22 ``compute`` runs over rank-deficient, tiny-weight, dimension 1, 16 and
   64, pure and qubit-mixture models, with POVMs, failing tolerances and
   malformed configs;
@@ -106,6 +109,11 @@ OTHERS = [
     ("sweep-spectrum", "--start-spectrum", "0.5,0.3,0.2,0", "--t-grid=0:1:6"),
     ("sweep-spectrum", "--frame", "rotation", "--start-spectrum", "0.8,0.2", "--format=json"),
     ("sweep-spectrum", "--seed", "7", "--start-spectrum", "0.4,0.3,0.2,0.1", "--t-grid=0:1:21"),
+    # batch grids of 101 models each
+    ("sweep-w", "--w-grid=0.02:0.98:101"),
+    ("sweep-w", "--w-grid=0.02:0.98:101", "--psi1", "complex-rotation"),
+    ("sweep-spectrum", "--t-grid=0:1:101", "--start-spectrum", "0.3,0.25,0.2,0.15,0.1,0"),
+    ("sweep-spectrum", "--t-grid=0:1:101", "--start-spectrum", "1,0", "--frame", "rotation"),
     ("simulate", "--model=pure-rotation.json", "--povm=basis-2.json", "--n-samples", "20000"),
     ("simulate", "--model=sine.json", "--povm=random-2.json", "--theta0", "-0.4", "--seed", "9"),
     ("--help",),
