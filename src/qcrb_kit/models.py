@@ -23,6 +23,8 @@ and the analytic inputs from the key and never one member's model. The
 validation, the eigendecomposition and the square-root solve (and, in
 ``quantum``, the SLD solve) each run once per grid on the (T, n, n) stack.
 Long batches are cut into blocks of ``GRID_BLOCK_ENTRIES`` matrix entries.
+``grid.view(rows)`` is a grid over some of a grid's members that reads the
+slices of the stages the grid has kept.
 
 The finite differences that stand in for a derivative are grid stages as
 well, and they all read one stencil. The 2T states rho(theta +- fd_step) of
@@ -194,21 +196,28 @@ class StateGrid:
     whose columns hold builtin scalars. In ``classical`` they are a
     measurement set's checked trace-rule distributions, its scores and its
     classical Fisher information; in ``verify``, the residuals of its
-    kernel, difference and identity checks. Each runs on first use and is kept. A
-    stage that raises is not kept; a grid of more than one member then
-    splits into grids of one, which keep the stages already run and
+    kernel, difference and identity checks. Each runs on first use and is kept.
+
+    ``view(rows)`` is a grid over some of the members, for a reader that
+    needs only those. For each stage its parent has kept, at the time the
+    view reads it, the view reads the slice at its rows; it runs every other
+    stage over its own members, with its own stencil grids. It holds the
+    parent's stage dict and its rows, not the parent, so no reference cycle
+    forms. A stage that raises is not kept; a grid of more than one member
+    then splits into views of one row, which read the stages already run and
     evaluate the rest alone, so each point gets its own value or raises its
     own error. The grid holds no reference to its points, so a grid is
-    freed as soon as its last point is.
+    freed as soon as its last point and view are.
     """
 
-    __slots__ = ("key", "members", "thetas", "_stages", "_parts", "_stencils")
+    __slots__ = ("key", "members", "thetas", "_stages", "_base", "_parts", "_stencils", "__weakref__")
 
     def __init__(self, key: BatchKey, members: Iterable[tuple[ParametricStateModel, float]]):
         self.key = key
         self.members = tuple(members)
         self.thetas = tuple(theta for _, theta in self.members)
         self._stages: dict[tuple, tuple] = {}
+        self._base: tuple[dict, tuple[int, ...]] | None = None  # a view's parent stages and rows
         self._parts: list[StateGrid] | None = None
         self._stencils: tuple[StateGrid, ...] | None = None
 
@@ -217,12 +226,26 @@ class StateGrid:
         return tuple(StatePoint(self, k) for k in range(len(self.members)))
 
     def stage(self, fn, *args) -> tuple:
-        """fn(self, *args), run on the first call and kept."""
+        """fn(self, *args), run on the first call and kept; on a view, the slice of the
+        parent's if the parent has kept it."""
         key = (fn, *args)
         stages = self._stages
         if key not in stages:
-            stages[key] = fn(self, *args)
+            base = self._base
+            if base is not None and key in base[0]:
+                stages[key] = tuple(_rows_of(a, base[1]) for a in base[0][key])
+            else:
+                stages[key] = fn(self, *args)
         return stages[key]
+
+    def view(self, rows: Iterable[int]) -> StateGrid:
+        """A grid over the members at ``rows``, in that order; all the members in order are the grid itself."""
+        rows = tuple(rows)
+        if rows == tuple(range(len(self.members))):
+            return self
+        view = StateGrid(self.key, [self.members[k] for k in rows])
+        view._base = (self._stages, rows)
+        return view
 
     def layer(self, k: int, fn, *args) -> tuple:
         """Layer k of every array of the stage fn(self, *args)."""
@@ -261,10 +284,7 @@ class StateGrid:
         return self._stencils
 
     def _split(self) -> None:
-        self._parts = [StateGrid(self.key, (member,)) for member in self.members]
-        for key, arrays in self._stages.items():
-            for k, part in enumerate(self._parts):
-                part._stages[key] = tuple(a[k:k + 1] for a in arrays)
+        self._parts = [self.view((k,)) for k in range(len(self.members))]
 
     def rho_stack(self) -> tuple[np.ndarray, SpectralDecomposition]:
         """The (T, n, n) stack of rho and its stacked eigendecomposition."""
@@ -274,6 +294,15 @@ class StateGrid:
     def drho_stack(self) -> np.ndarray:
         """The (T, n, n) stack of drho."""
         return self.stage(_drho_stage)[0]
+
+
+def _rows_of(a, rows: tuple[int, ...]):
+    """The layers of a stage's array (or list) at ``rows``: a slice where they are consecutive."""
+    if rows == tuple(range(rows[0], rows[-1] + 1)):
+        return a[rows[0]:rows[-1] + 1]
+    if isinstance(a, np.ndarray):
+        return a[list(rows)]
+    return [a[k] for k in rows]
 
 
 class StatePoint:

@@ -103,12 +103,12 @@ def one_step_estimator(pt: StatePoint, povm: Povm) -> np.ndarray:
 
 
 def exact_estimator_moments(pt: StatePoint, povm: Povm) -> tuple[float, float]:
-    """(mean, variance) of the one-step estimator by direct summation."""
-    theta0 = pt.theta
+    """(mean, variance) of the one-step estimator by direct summation: theta0 + sum p d and
+    sum p d^2 over the deviations d, so that no theta0, however large, rounds them away."""
     dist = outcome_probs(pt, povm)
-    t = one_step_estimator(pt, povm)
-    mean = float(np.sum(dist.probs * t))
-    var = float(np.sum(dist.probs * (t - theta0) ** 2))
+    d, _ = _deviations(pt, povm)
+    mean = float(pt.theta + np.sum(dist.probs * d))
+    var = float(np.sum(dist.probs * d**2))
     return mean, var
 
 
@@ -117,14 +117,17 @@ def run_sim(cfg: SimConfig) -> SimResult:
     pt = cfg.model.at(cfg.theta0)
     d, _ = _deviations(pt, cfg.povm)
     idx = sample_outcomes(pt, cfg.povm, cfg.n_samples, seed=cfg.seed)
-    samples = d[idx]  # the variance of t = theta0 + d, without theta0's rounding
     n = cfg.n_samples
-    # a huge deviation overflows its moments; the bound chain then fails on them
+    # the moments of t = theta0 + d, without theta0's rounding. A sample takes
+    # one of the K outcome values, so each power is taken once per outcome and
+    # gathered by sample: (d - mean)[idx] is d[idx] - mean elementwise, so the
+    # bits are those of the powers of the samples' deviations. A huge deviation
+    # overflows its moments; the bound chain then fails on them
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = float(np.mean(samples))
-        devs = samples - mean
-        m2 = float(np.mean(devs**2))
-        m4 = float(np.mean(devs**4))
+        mean = float(np.mean(d[idx]))
+        devs = d - mean
+        m2 = float(np.mean((devs**2)[idx]))
+        m4 = float(np.mean((devs**4)[idx]))
     empirical_var = m2 * n / (n - 1)
     se_var = float(np.sqrt(max(m4 - m2 * m2, 0.0) / n))
     info = classical_fisher(pt, cfg.povm)

@@ -18,19 +18,25 @@ batch grids (``models.batch_grid``): one per batch key, over every (model,
 theta) the suite reads of the models of that key, so the 19 models the
 table reads share 11 grids, and their rho, drho, eigendecompositions and
 solves run once per grid, stacked. ``monotone-gap-in-weight`` reads its 25
-mixtures as one batch too. The forced finite differences that
-``drho-route-agreement`` and ``dsqrt-route-agreement`` compare against are
-stages of the same grids: the states at theta +- fd_step of all a grid's
-members form one stencil grid per grid, with one eigendecomposition, and
-both differences read its one evaluation of the models' inputs; the mixture
-identities difference the canonical psi2 of the same stencil grids. A check
-stage runs over every member of a grid it reads, members of models the
-check does not select included. The measurement checks work on
-measurement sets the same way: each first draws its specs from its rng,
-in the order a per-measurement loop would, and draws its random POVMs as
-one set (``random_povms``); each point then reads the classical Fisher
-information of its set with one ``classical_fishers`` call, one trace
-rule per (point's grid, set), over every member of that grid. ``eigh-reconstruction``
+mixtures as one batch too. Most check stages run over every member of a
+grid they read, members of models the check does not select included,
+since another reader runs the same stages on the whole grid anyway. The
+readers that read only some members read a view of the grid over exactly
+those (``StateGrid.view``), which slices the stages the grid has kept, rho
+and drho among them, and runs the rest on its own members alone; the run
+keeps one view per (grid, rows). The forced finite differences that
+``drho-route-agreement`` and ``dsqrt-route-agreement`` compare against
+run on the view of the members the two checks select in each grid, which
+is the same view for both, or the grid itself where they select every
+member: its states at theta +- fd_step form one stencil grid, with one
+eigendecomposition, and both differences read its one evaluation of the
+models' inputs, so the extra spectral models read no stencil side. The
+mixture identities difference the canonical psi2 of the whole grid's
+stencil grids. The measurement checks work on measurement sets: each first
+draws its specs from its rng, in the order a per-measurement loop would,
+and draws its random POVMs as one set (``random_povms``); each set is then
+read on the view of exactly the points that use it, one trace rule per
+(view, set), each point with one ``classical_fishers`` call. ``eigh-reconstruction``
 holds LAPACK's eigenvalues against the power sums tr(M^k) of its matrices,
 so no second eigensolver runs. A check that measures one residual per
 sampled (model, theta) point is a ``_PointCheck`` row: a residual function
@@ -38,10 +44,10 @@ plus the selection of models and thetas it runs over. The kernel,
 difference and identity checks are check stages (``_stage_check``): the
 square-root composition, the solve's involution, the projector-sum SLD of
 ``sld-vs-spectral-sum``, both route agreements, the two mixture identities
-and ``spectral-identities`` each run once per batch grid on its stacked
-arrays, with the bits of the per-point formula at each theta, and a
-point's residual is its layer, so a member where one fails splits the grid
-and raises only its own error. Only the rephased solve of
+and ``spectral-identities`` each run once per batch grid (or view) on its
+stacked arrays, with the bits of the per-point formula at each theta, and
+a point's residual is its layer, so a member where one fails splits the
+grid and raises only its own error. Only the rephased solve of
 ``eigenvector-phase-invariance`` is computed afresh per point. The route and
 relation checks read the residuals of the point's one ``relation_report``,
 the numbers the CLI emits, rather than recomputing them.
@@ -162,6 +168,10 @@ class _PointTable:
     reused by a later temporary model once the first one is collected, and
     hand that model the wrong point. The run's extra seeded spectral models
     live here too, so their points are shared as well.
+
+    ``on_views(pts)`` hands a reader the points of a grid's view
+    (``StateGrid.view``) over only the rows it reads, one view per (grid,
+    rows) for the run.
     """
 
     def __init__(self, reads: dict | None = None, extra_spectral=()):
@@ -169,6 +179,7 @@ class _PointTable:
         for model, thetas in (reads or {}).items():
             self._pending.setdefault(model._batch_key(), []).extend((model, theta) for theta in thetas)
         self._points: dict[tuple, StatePoint] = {}
+        self._views: dict[tuple, tuple[StatePoint, ...]] = {}  # (grid, rows) -> the view's points
         self.extra_spectral = list(extra_spectral)
 
     def at(self, model: ParametricStateModel, theta: float) -> StatePoint:
@@ -179,6 +190,21 @@ class _PointTable:
             if key not in self._points:
                 self._points[key] = model.at(theta)
         return self._points[key]
+
+    def on_views(self, pts) -> list[StatePoint]:
+        """Each of ``pts`` as a point of the view of its grid over the rows of ``pts`` in that
+        grid; a view of every row is the grid itself, whose points are ``pts``."""
+        by_grid: dict = {}
+        for pt in pts:
+            by_grid.setdefault(pt.grid, {})[pt.index] = pt
+        out = {}
+        for grid, by_row in by_grid.items():
+            key = (grid, tuple(sorted(by_row)))
+            if key not in self._views:
+                view = grid.view(key[1])
+                self._views[key] = tuple(map(by_row.get, key[1])) if view is grid else view.points()
+            out.update(zip([(grid, k) for k in key[1]], self._views[key]))
+        return [out[pt.grid, pt.index] for pt in pts]
 
 
 def _models(catalog, kinds=None, analytic=None):
@@ -217,9 +243,12 @@ class _PointCheck:
 
     The fields select the points: catalog models of the given ``kinds`` and
     derivative class (``analytic``), the first ``first_thetas`` sample
-    thetas, and the run's extra spectral models. A residual of None skips
-    its point. The driver hands each residual function its point unread, so
-    an evaluation fault shows only in the checks that read the state.
+    thetas, and the run's extra spectral models. With ``on_view`` each
+    residual reads its point on the view of the selected points of its grid
+    (``_PointTable.on_views``), not on the whole grid. A residual of None
+    skips its point. The driver hands each residual function its point
+    unread, so an evaluation fault shows only in the checks that read the
+    state.
     """
 
     residual: Callable[[StatePoint], float | None]
@@ -227,16 +256,21 @@ class _PointCheck:
     analytic: bool | None = None
     first_thetas: int | None = None
     with_extra_spectral: bool = False
+    on_view: bool = False
 
     def __call__(self, catalog, opts, points):
         pairs = list(_models(catalog, self.kinds, self.analytic))
         if self.with_extra_spectral:
             pairs += points.extra_spectral
-        for name, model in pairs:
-            for theta in model.sample_thetas[:self.first_thetas]:
-                dev = self.residual(points.at(model, theta))
-                if dev is not None:
-                    yield dev, f"{name} theta={theta:g}"
+        cases = [(f"{name} theta={theta:g}", points.at(model, theta))
+                 for name, model in pairs for theta in model.sample_thetas[:self.first_thetas]]
+        pts = [pt for _, pt in cases]
+        if self.on_view:
+            pts = points.on_views(pts)
+        for (where, _), pt in zip(cases, pts):
+            dev = self.residual(pt)
+            if dev is not None:
+                yield dev, where
 
 
 def _layer_residual(stage, pt) -> float:
@@ -485,9 +519,9 @@ def _score_sum(catalog, opts, points, analytic):
     pairs = list(_models(catalog, analytic=analytic))
     povms = random_povms([(model.dim, 3, int(rng.integers(0, 2**31))) for _, model in pairs])
     for (name, model), povm in zip(pairs, povms):
-        for theta in model.sample_thetas[:3]:
-            dev = abs(float(np.sum(outcome_scores(points.at(model, theta), povm))))
-            yield dev, f"{name} theta={theta:g}"
+        for pt in points.on_views([points.at(model, theta) for theta in model.sample_thetas[:3]]):
+            dev = abs(float(np.sum(outcome_scores(pt, povm))))
+            yield dev, f"{name} theta={pt.theta:g}"
 
 
 _INEQUALITY_POVMS = 4  # random measurements per model in information-inequality
@@ -502,7 +536,7 @@ def _information_inequality(catalog, opts, points):
     ])
     for m, (name, model) in enumerate(pairs):
         theta = model.sample_thetas[2]
-        pt = points.at(model, theta)
+        [pt] = points.on_views([points.at(model, theta)])
         i_h = helstrom_info_sld(pt)
         own = povms[m * _INEQUALITY_POVMS:(m + 1) * _INEQUALITY_POVMS]
         for i in classical_fishers(pt, own):
@@ -517,7 +551,7 @@ def _coarse_graining(catalog, opts, points):
         specs.append((model.dim, 4, int(rng.integers(0, 2**31))))
         merges.append(sorted(rng.choice(4, size=2, replace=False)))
     for (name, model), povm, (i, j) in zip(pairs, random_povms(specs), merges):
-        pt = points.at(model, model.sample_thetas[1])
+        [pt] = points.on_views([points.at(model, model.sample_thetas[1])])
         base, merged = classical_fishers(pt, (povm, povm.merged(int(i), int(j))))
         yield merged - base, f"{name} merge ({i},{j})"
 
@@ -535,7 +569,7 @@ def _estimator_exact_variance(catalog, opts, points):
     theta = _ESTIMATOR_THETA
     povms = (basis_povm(2), random_povm(2, 3, opts.seed + 6))
     for name, povm in zip(_ESTIMATOR_MODELS, povms):
-        pt = points.at(_catalog_model(catalog, name), theta)
+        [pt] = points.on_views([points.at(_catalog_model(catalog, name), theta)])
         mean, var = exact_estimator_moments(pt, povm)
         i = classical_fisher(pt, povm)
         yield max(abs(mean - theta), abs(var - 1.0 / i)), name
@@ -569,8 +603,9 @@ _CHECKS = [
     ("state-trace-one", "analytic", 1e-10, _PointCheck(_trace_one)),
     ("drho-traceless-analytic", "analytic", 1e-8, _PointCheck(_drho_traceless, analytic=True)),
     ("drho-traceless-fd", "fd", 1e-8, _PointCheck(_drho_traceless, analytic=False)),
-    ("drho-route-agreement", "fd", 1e-7, _stage_check(_drho_route_agreement_stage, analytic=True)),
-    ("dsqrt-route-agreement", "fd", 1e-6, _stage_check(_dsqrt_route_agreement_stage)),
+    ("drho-route-agreement", "fd", 1e-7,
+     _stage_check(_drho_route_agreement_stage, analytic=True, on_view=True)),
+    ("dsqrt-route-agreement", "fd", 1e-6, _stage_check(_dsqrt_route_agreement_stage, on_view=True)),
     ("qubit-complement-identities", "fd", 1e-9, _stage_check(_qubit_complement_stage, kinds=_MIXTURES)),
     ("orthogonal-component-scores", "fd", 1e-9,
      _stage_check(_orthogonal_scores_stage, kinds=_MIXTURES)),

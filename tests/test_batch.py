@@ -3,13 +3,17 @@
 ``batch_grid(pairs)`` yields one point per pair, in the order given; the pairs whose
 models share a batch key share a grid, a custom model shares one with no other model,
 each point reads what it reads alone bit for bit, and a member that fails fails alone.
-The sweeps read all their models' points from one batch."""
+A view of a grid over some of its members slices the stages the grid has kept and runs
+the rest alone. The sweeps read all their models' points from one batch."""
 
+import gc
+import weakref
 from collections import Counter
 
 import pytest
 
 from qcrb_kit import models, quantum
+from qcrb_kit.classical import classical_fisher, outcome_probs, random_povm
 from qcrb_kit.cli import EXIT_OK, main
 from qcrb_kit.errors import DimensionError
 from qcrb_kit.models import (
@@ -24,6 +28,7 @@ from qcrb_kit.models import (
     random_spectral_model,
     rotation_family,
     rotation_mixture,
+    sine_weight,
 )
 
 from test_grid import HalfAnalyticRotation, _error_text, _same
@@ -140,6 +145,90 @@ def test_a_long_batch_over_several_models_is_cut_into_blocks_in_key_order():
     grids = list({id(pt.grid): pt.grid for pt in points}.values())
     assert [len(g.members) for g in grids] == [size, size, 4]
     assert [member for g in grids for member in g.members] == pairs
+
+
+# --- views ---------------------------------------------------------------------------
+
+def _view_pairs():
+    a, b = rotation_mixture(0.9), rotation_mixture(sine_weight(0.8))
+    return [(a, 0.1), (b, 0.3), (a, -0.5), (b, 0.7), (a, 0.6)]
+
+
+@pytest.mark.parametrize("rows", [(3, 0, 4), (1, 2)])
+def test_a_views_layers_equal_the_grids_bit_for_bit(rows):
+    points = list(batch_grid(_view_pairs()))
+    grid = points[0].grid
+    for pt in points:
+        pt.cached(quantum.relation_report)
+    view = grid.view(rows)
+    assert view.members == tuple(grid.members[k] for k in rows)
+    povm = random_povm(2, 3, 5)
+    for k, vpt in zip(rows, view.points()):
+        pt = points[k]
+        # the forced differences run on the view's own stencil grids, before the grid's
+        for stage in (models._drho_fd_stage, models._dsqrt_fd_stage):
+            assert _same(vpt.layer(stage)[0], pt.layer(stage)[0])
+        assert _cells_text(vpt) == _cells_text(pt)
+        assert _same(vpt.rho.mat, pt.rho.mat) and _same(vpt.dsqrt.matrix.mat, pt.dsqrt.matrix.mat)
+        assert _same(outcome_probs(vpt, povm).probs, outcome_probs(pt, povm).probs)
+        assert classical_fisher(vpt, povm) == classical_fisher(pt, povm)
+    assert [len(s.members) for s in view.stencils()] == [2 * len(rows)]
+    assert grid.view(range(len(grid.members))) is grid
+
+
+def test_a_view_runs_no_stage_its_grid_has_kept(monkeypatch):
+    runs = Counter()
+    for name in ("_inputs_stage", "_rho_stage"):
+        original = getattr(models, name)
+
+        def counted(grid, _name=name, _original=original):
+            runs[_name, len(grid.members)] += 1
+            return _original(grid)
+
+        monkeypatch.setattr(models, name, counted)
+    points = list(batch_grid(_view_pairs()))
+    for pt in points:
+        pt.rho
+    view = points[0].grid.view((0, 2))
+    for vpt in view.points():
+        vpt.rho, vpt.drho, vpt.layer(models._drho_fd_stage)
+    # the value inputs run once more, on the view's one stencil grid of 4 states
+    assert runs == {("_inputs_stage", 5): 1, ("_rho_stage", 5): 1, ("_inputs_stage", 4): 1}
+
+
+def test_a_failing_member_splits_only_the_view():
+    bad = QubitMixtureModel(rotation_family(), WeightFunction(w=lambda t: t, dw=lambda t: 1.0))
+    pairs = [(rotation_mixture(0.3), 0.2), (bad, 0.5), (bad, 1.5), (rotation_mixture(0.8), 0.4)]
+    grid = next(batch_grid(pairs)).grid
+    view = grid.view((1, 2, 3))
+    texts = [_error_text(quantum.relation_report, vpt) for vpt in view.points()]
+    assert texts == [None, "DomainError: weight 1.5 at theta=1.5 outside (0, 1)", None]
+    assert view._parts is not None and grid._parts is None and not grid._stages
+    for vpt in view.points():
+        if vpt.theta != 1.5:
+            assert _cells_text(vpt) == _cells_text(vpt.model.at(vpt.theta))
+
+
+def test_a_grid_is_freed_once_its_last_point_and_view_are_dropped():
+    # a view holds its grid's stage dict, not the grid, and a split grid's parts are
+    # views, so no reference cycle keeps a grid alive when the collector does not run
+    bad = QubitMixtureModel(rotation_family(), WeightFunction(w=lambda t: t, dw=lambda t: 1.0))
+    gc.disable()
+    try:
+        points = list(batch_grid([(bad, 0.2), (bad, 1.5), (bad, 0.4), (bad, 0.6)]))
+        grid = weakref.ref(points[0].grid)
+        assert _error_text(quantum.relation_report, points[1]) is not None
+        assert grid()._parts is not None
+        view_point = points[0].grid.view((2, 3)).points()[1]
+        view_point.layer(models._dsqrt_fd_stage)
+        view = weakref.ref(view_point.grid)
+        del points
+        assert grid() is None
+        assert _same(view_point.rho.mat, bad.at(0.6).rho.mat)
+        del view_point
+        assert view() is None
+    finally:
+        gc.enable()
 
 
 # --- the sweeps read one batch ---------------------------------------------------------

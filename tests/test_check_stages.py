@@ -296,15 +296,18 @@ def test_a_theta_that_fails_a_check_stage_fails_only_its_point_with_its_own_text
 def test_one_suite_run_runs_each_check_stage_once_per_batch_grid(monkeypatch):
     # every check stage runs once on each batch grid that holds a model its check
     # selects, over every member of that grid: all the (model, theta) pairs the suite
-    # reads of the models of its batch key. It runs on no grid of one. So do the stages
-    # they read: the mixture components on the 2 mixture grids, psi2 on those and on
-    # their stencil grids, and the frame projectors on the 4 spectral grids that hold
-    # a catalog model
+    # reads of the models of its batch key. The two route agreements run on the view of
+    # the members they select instead, which is the grid itself where they select every
+    # member. A check stage runs on no grid of one. So do the stages they read: the
+    # mixture components on the 2 mixture grids, psi2 on those and on their stencil
+    # grids, and the frame projectors on the 4 spectral grids that hold a catalog model.
+    # A view's slice of a stage its parent kept is not a run
     runs = Counter()
     original = models.StateGrid.stage
 
     def recording(grid, fn, *args):
-        if (fn, *args) not in grid._stages:
+        key = (fn, *args)
+        if key not in grid._stages and (grid._base is None or key not in grid._base[0]):
             runs[fn.__name__, grid.members] += 1
         return original(grid, fn, *args)
 
@@ -328,9 +331,18 @@ def test_one_suite_run_runs_each_check_stage_once_per_batch_grid(monkeypatch):
               if isinstance(fn, verify._PointCheck) and isinstance(fn.residual, partial)
               and fn.residual.func is verify._layer_residual]
     assert {fn.residual.args[0].__name__ for fn in checks} == set(STAGES)
+    assert {fn.residual.args[0].__name__ for fn in checks if fn.on_view} == {
+        "_drho_route_agreement_stage", "_dsqrt_route_agreement_stage"}
     for check in checks:
         selected = [model for _, model in verify._models(catalog, check.kinds, check.analytic)]
-        assert grids_of(check.residual.args[0].__name__) == {batch(m): 1 for m in selected}
+        expected = {batch(m): 1 for m in selected}
+        if check.on_view:
+            pairs = {(model, theta) for model in selected for theta in model.sample_thetas[:check.first_thetas]}
+            expected = {tuple(p for p in batch(m) if p in pairs): 1 for m in selected}
+            # views without the estimator theta of the pure and the analytic mixture
+            # grid, and without the extra model of the 4 spectral grids
+            assert sum(len(ms) < len(batch(ms[0][0])) for ms in expected) == 6
+        assert grids_of(check.residual.args[0].__name__) == expected
     mixtures = [model for model in catalog.values() if model.kind == "qubit_mixture"]
     spectral = [model for model in catalog.values() if model.kind == "spectral"]
     assert len(grids_of("_mixture_stage")) == 2

@@ -599,10 +599,10 @@ def test_one_suite_run_draws_and_reads_its_measurements_as_sets(monkeypatch):
     assert verify.all_passed(verify.run_suite())
     probs = {check: n for (name, check), n in counts.items() if name == "_probs_stage"}
     normalizers = {check: n for (name, check), n in counts.items() if name == "normalizer"}
-    # one trace rule per (grid, set): information-inequality reads one set per catalog
-    # model (14), coarse-graining one per pure or mixture model (10), and
-    # estimator-exact-variance one measurement on each of two models; each
-    # simulation run builds its own point
+    # one trace rule per set, on the view of the one point that reads it:
+    # information-inequality reads one set per catalog model (14), coarse-graining
+    # one per pure or mixture model (10), and estimator-exact-variance one
+    # measurement on each of two models; each simulation run builds its own point
     assert probs == {
         "information-inequality": 14, "coarse-graining-monotone": 10, "estimator-exact-variance": 2,
         "sim-bound-chain": 1, "sim-reproducibility": 2,

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from qcrb_kit.classical import Povm, basis_povm, outcome_probs
+from qcrb_kit.classical import Povm, basis_povm, classical_fisher, outcome_probs, random_povm
 from qcrb_kit.errors import ZeroInformationError
-from qcrb_kit.models import PureStateModel, rotation_family, rotation_mixture
+from qcrb_kit.models import PureStateModel, rotation_family, rotation_mixture, sine_weight
 from qcrb_kit.simulate import (
     BOUND_ORDER_SLACK,
     SimConfig,
     SimResult,
+    _deviations,
     bound_chain_excess,
     bound_chain_ok,
     exact_estimator_moments,
@@ -72,6 +73,17 @@ def test_estimator_locally_unbiased():
         assert var == pytest.approx(1.0 / classical_fisher(model.at(0.3), povm), abs=1e-9)
 
 
+@pytest.mark.parametrize("theta0", [1e8, 1e17])
+@pytest.mark.parametrize("model", [ROTATION, rotation_mixture(sine_weight(0.8))], ids=["rotation", "sine-mixture"])
+def test_exact_moments_at_a_huge_theta0_are_those_of_the_deviations(model, theta0):
+    # t = theta0 + d rounds the deviations d away at a huge theta0; the moments do not
+    pt = model.at(theta0)
+    povm = basis_povm(2)
+    mean, var = exact_estimator_moments(pt, povm)
+    assert var == pytest.approx(1.0 / classical_fisher(pt, povm), rel=1e-12)
+    assert mean == pytest.approx(theta0, rel=1e-15)
+
+
 def test_estimator_rejects_zero_information():
     with pytest.raises(ZeroInformationError):
         one_step_estimator(ROTATION.at(0.3), Povm([np.eye(2)]))
@@ -99,6 +111,34 @@ def test_run_sim_attaining_measurement():
     assert result.qcrb == pytest.approx(0.25, abs=1e-9)
     assert abs(result.empirical_var - 0.25) <= 3.0 * result.standard_error_of_var
     assert bound_chain_ok(result)
+
+
+# an effect orthogonal to the rotation's state at theta0 = 0: an outcome off the support
+OFF_SUPPORT_AT_0 = Povm([0.5 * np.outer(v, v) for v in
+                         ([1.0, 1.0] / np.sqrt(2.0), [1.0, -1.0] / np.sqrt(2.0), [0.0, 1.0], [1.0, 0.0])])
+SIM_CASES = [
+    *[(ROTATION, random_povm(2, k, 40 + k), 0.3) for k in range(2, 6)],
+    *[(rotation_mixture(0.8), random_povm(2, k, 50 + k), 1e17) for k in range(2, 6)],
+    (ROTATION, OFF_SUPPORT_AT_0, 0.0),
+    (ROTATION, OFF_SUPPORT_AT_0, 1e17),
+]
+
+
+@pytest.mark.parametrize("n", [100, 20_000])
+@pytest.mark.parametrize("case", range(len(SIM_CASES)))
+def test_run_sim_moments_equal_the_per_sample_moments_bit_for_bit(case, n):
+    model, povm, theta0 = SIM_CASES[case]
+    result = run_sim(SimConfig(model=model, povm=povm, theta0=theta0, n_samples=n, seed=case))
+    # the reference: each sample's deviation, its powers taken sample by sample
+    pt = model.at(theta0)
+    d, on = _deviations(pt, povm)
+    samples = d[sample_outcomes(pt, povm, n, seed=case)]
+    mean = np.mean(samples)
+    m2, m4 = float(np.mean((samples - mean) ** 2)), float(np.mean((samples - mean) ** 4))
+    assert result.empirical_var == m2 * n / (n - 1)
+    assert result.standard_error_of_var == float(np.sqrt(max(m4 - m2 * m2, 0.0) / n))
+    if povm is OFF_SUPPORT_AT_0 and theta0 == 0.0:
+        assert not on.all()
 
 
 def _sim_result(empirical_var, crb, qcrb, standard_error_of_var):

@@ -128,16 +128,27 @@ def test_one_run_creates_each_point_once_and_the_extra_models_once(monkeypatch):
     monkeypatch.setattr(verify, "random_spectral_model", random_spectral_model)
     results = run_suite()
     assert all_passed(results)
-    # the forced differences of drho- and dsqrt-route-agreement evaluate one
-    # stencil grid per batch grid that holds a catalog model (all but the
-    # dimension-5 spectral one), which makes no points and runs only the
-    # value inputs, no rho stage. The mixture identities difference psi2 on
-    # those same stencil grids, which runs only their input stages; the one
-    # mixture without dpsi or dw differences its stencil's inputs on the
+    # The checks that read only some members of a grid read views of it, which
+    # slice the rho stage and run no other: 118 points in 46 views. The route
+    # agreements read 6, of the 4 spectral grids without their extra model and
+    # of the pure grid with dpsi and the analytic mixture grid without the
+    # estimator theta (4 x 5 + 10 + 20 points); on the other 4 grids that hold
+    # a catalog model they select every member and read the grid itself.
+    # score-sum reads a view of the first 3 thetas of each of the 14 catalog
+    # models (42), coarse-graining-monotone one of one row for each of the 10
+    # pure and mixture models, information-inequality one for each catalog
+    # model (14), and estimator-exact-variance one for each of its 2 models.
+    views, view_points = 6 + 14 + 10 + 14 + 2, 4 * 5 + 10 + 20 + 42 + 10 + 14 + 2
+    # The forced differences evaluate one stencil grid per grid they read: the
+    # 6 views and those 4 grids. Stencil grids make no points and run only the
+    # value inputs, no rho stage. The mixture identities difference psi2 on the
+    # stencil grids of the 2 mixture grids: the differenced one's is among those
+    # 4, and the analytic one builds one of its own (the last 1 of stencils).
+    # The one mixture without dpsi or dw differences its stencil's inputs on the
     # stencil's own stencil grid.
-    stencils = 10
+    stencils = 6 + 4 + 1
     assert counts == {
-        "point": 115, "grid": 15 + stencils + 1, "rho_stage": 15,
+        "point": 115 + view_points, "grid": 15 + stencils + 1 + views, "rho_stage": 15,
         "random_spectral_model": 5,
     }
 
@@ -145,10 +156,9 @@ def test_one_run_creates_each_point_once_and_the_extra_models_once(monkeypatch):
 def test_the_spectral_identities_read_the_frame_of_the_table_point(monkeypatch):
     # a spectral model's frame is read only by value input stages: its 5 sample
     # thetas and their 10 stencil sides for each of the 4 catalog spectral
-    # models, and 3 thetas for each of the 5 extra models, with their 6
-    # stencil sides for the 4 extra models that share a batch grid with a
-    # catalog model, whose stencil grids hold every member; the projector
-    # accessors are not called
+    # models, and 3 thetas for each of the 5 extra models. The forced
+    # differences run on the view of the catalog members of each grid, so no
+    # extra model reads a stencil side; the projector accessors are not called
     counts = Counter()
     for name in ("frame_at", "dprojectors_at"):
         original = getattr(SpectralMixtureModel, name)
@@ -159,7 +169,7 @@ def test_the_spectral_identities_read_the_frame_of_the_table_point(monkeypatch):
 
         monkeypatch.setattr(SpectralMixtureModel, name, counted)
     assert all_passed(run_suite())
-    assert counts == {"frame_at": 4 * 15 + 5 * 3 + 4 * 6}
+    assert counts == {"frame_at": 4 * 15 + 5 * 3}
 
 
 def test_tightened_fd_tolerance_fails_fd_checks():

@@ -10,16 +10,20 @@ thread variables set to 1. Its stdout, stderr, exit code and output file
 both sides. The commands that differ are printed, and the exit code is 1 if
 any does. ``--list`` prints the commands and runs nothing.
 
-The list holds 189 commands:
+The list holds 192 commands:
 - ``verify --seed=N`` for N = 0-39 and ``verify --fd-step`` 1e-3, 1e-4 and
   3e-6, each in CSV and JSON (86);
 - every pool command of the three benchmark workloads at seeds 5, 11 and
   52711, built by ``perfbench/workloads.make_pool`` (63);
-- ``sweep-w`` (5), ``sweep-spectrum`` (6, three with a zero weight) and
-  ``simulate`` with a basis and with a random POVM (2); two sweeps of each
-  kind run 101 models, one batch grid: ``sweep-w`` for both psi1 families,
-  and ``sweep-spectrum`` on a 6-weight spectrum with a zero weight (random
-  frame) and on ``1,0`` (rotation frame, which is two-dimensional);
+- ``sweep-w`` (5) and ``sweep-spectrum`` (6, three with a zero weight); two
+  sweeps of each kind run 101 models, one batch grid: ``sweep-w`` for both
+  psi1 families, and ``sweep-spectrum`` on a 6-weight spectrum with a zero
+  weight (random frame) and on ``1,0`` (rotation frame, which is
+  two-dimensional);
+- ``simulate`` (5), which covers the sample moments: with a basis and with a
+  random POVM, at the default ``--n-samples`` of 100 000, at ``--theta0 1e17``,
+  and on the rotation at ``--theta0 0`` under a POVM with an outcome off the
+  support there;
 - 22 ``compute`` runs over rank-deficient, tiny-weight, dimension 1, 16 and
   64, pure and qubit-mixture models, with POVMs, failing tolerances and
   malformed configs;
@@ -66,6 +70,10 @@ CONFIGS = {
     "basis-3": {"kind": "basis", "dim": 3},
     "random-2": {"kind": "random", "dim": 2, "n_effects": 4, "seed": 11},
     "random-2-3": {"kind": "random", "dim": 2, "n_effects": 3, "seed": 5},
+    # halves of the |+>, |->, |1> and |0> projectors: |1> is off the support of the rotation at 0
+    "off-support-2": {"kind": "explicit", "effects": [
+        [[0.25, 0.25], [0.25, 0.25]], [[0.25, -0.25], [-0.25, 0.25]], [[0, 0], [0, 0.5]], [[0.5, 0], [0, 0]],
+    ]},
 }
 
 
@@ -116,6 +124,9 @@ OTHERS = [
     ("sweep-spectrum", "--t-grid=0:1:101", "--start-spectrum", "1,0", "--frame", "rotation"),
     ("simulate", "--model=pure-rotation.json", "--povm=basis-2.json", "--n-samples", "20000"),
     ("simulate", "--model=sine.json", "--povm=random-2.json", "--theta0", "-0.4", "--seed", "9"),
+    ("simulate", "--model=sine.json", "--povm=random-2.json"),
+    ("simulate", "--model=pure-rotation.json", "--povm=basis-2.json", "--theta0", "1e17"),
+    ("simulate", "--model=pure-rotation.json", "--povm=off-support-2.json", "--theta0", "0"),
     ("--help",),
     ("compute", "--help"),
     ("sweep-w", "--help"),
