@@ -28,6 +28,7 @@ first failing member raises alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -36,9 +37,13 @@ from .hermitian import (
     HermitianMatrix,
     as_array,
     eigh,
+    failing_layers,
     first_failing,
+    hermitian_faults,
     hermitian_part,
+    layer_norms,
     projectors,
+    raise_first,
     real_traces_against,
 )
 from .models import StateGrid, StatePoint
@@ -124,32 +129,57 @@ def _effect_stack(effects) -> np.ndarray:
     raise DimensionError("effects have mixed dimensions")
 
 
-def _checked_effects(whole: np.ndarray, sizes) -> list[np.ndarray]:
-    """The effects of consecutive measurements of one dimension, validated as one stack.
+def _effect_faults(whole: np.ndarray, sizes) -> tuple[list[np.ndarray], list]:
+    """The effects of consecutive measurements of one dimension, checked in one pass.
 
     ``whole`` is their (K, n, n) concatenation and ``sizes`` their effect
-    counts. One ``hermitian_part`` and one batched eigenvalue call check
-    every effect; then, measurement by measurement, its smallest eigenvalue
-    against ``EFFECT_EIG_FLOOR`` (the first failing effect names the error,
-    by its index in its own measurement) and the sum of its effects against
-    the identity. Returns each measurement's read-only (k, n, n) slice of
-    the symmetrized stack.
+    counts. Returns each measurement's read-only (k, n, n) slice of the
+    symmetrized stack, and the faults (``raise_first``) of the measurements,
+    in the order one measurement is checked: an effect that
+    ``hermitian_part`` rejects, an effect with an eigenvalue below
+    ``EFFECT_EIG_FLOOR`` (one batched eigenvalue call; the first names the
+    error, by its index in its own measurement), and effects whose sum
+    deviates from the identity by more than ``COMPLETENESS_ATOL``
+    (``layer_norms`` of the stacked sums).
     """
-    whole = hermitian_part(whole)
+    h, effect_faults = hermitian_faults(whole)
+    eye = np.eye(h.shape[-1])
+    starts = list(accumulate(sizes[:-1], initial=0))
+    spans = [slice(start, start + k) for start, k in zip(starts, sizes)]
+    faults, safe = [], h
+    if effect_faults:
+        rejected = failing_layers(effect_faults, len(h))
+
+        def rejected_error(j):
+            i = spans[j].start + first_failing(rejected[spans[j]])
+            return next(error(i) for bad, error in effect_faults if bad[i])
+
+        faults.append((np.logical_or.reduceat(rejected, starts), rejected_error))
+        # a rejected effect may not be finite: the identity stands in for it in the later checks
+        safe = np.where(rejected[:, None, None], eye, h)
     try:
-        lam_min = np.linalg.eigvalsh(whole)[:, 0]
+        lam_min = np.linalg.eigvalsh(safe)[:, 0]
     except np.linalg.LinAlgError as exc:
-        raise EigenConvergenceError(f"LAPACK eigvalsh failed: dims={whole.shape}: {exc}") from exc
-    stacks, start = [], 0
-    for k in sizes:
-        stack, low, start = whole[start:start + k], lam_min[start:start + k], start + k
-        i = first_failing(low < EFFECT_EIG_FLOOR)
-        if i is not None:
-            raise InvalidPovm(f"effect {i} has eigenvalue {low[i]:.3e} < {EFFECT_EIG_FLOOR}")
-        dev = float(np.linalg.norm(stack.sum(axis=0) - np.eye(stack.shape[1])))
-        if dev > COMPLETENESS_ATOL:
-            raise InvalidPovm(f"effects sum deviates from identity by {dev:.3e}")
-        stacks.append(stack)
+        raise EigenConvergenceError(f"LAPACK eigvalsh failed: dims={h.shape}: {exc}") from exc
+    low = lam_min < EFFECT_EIG_FLOOR
+    dev = layer_norms(np.add.reduceat(safe, starts, axis=0) - eye)
+    h.setflags(write=False)
+
+    def low_error(j):
+        i = first_failing(low[spans[j]])
+        return InvalidPovm(f"effect {i} has eigenvalue {lam_min[spans[j]][i]:.3e} < {EFFECT_EIG_FLOOR}")
+
+    return [h[s] for s in spans], faults + [
+        (np.logical_or.reduceat(low, starts), low_error),
+        (dev > COMPLETENESS_ATOL, lambda j: InvalidPovm(f"effects sum deviates from identity by {dev[j]:.3e}")),
+    ]
+
+
+def _checked_effects(whole: np.ndarray, sizes) -> list[np.ndarray]:
+    """Each measurement's read-only slice of ``_effect_faults``, once every measurement passes;
+    else the error of the first that fails, as it raises alone."""
+    stacks, faults = _effect_faults(whole, sizes)
+    raise_first(faults)
     return stacks
 
 
@@ -343,12 +373,16 @@ def random_povms(specs) -> list[Povm]:
     Each spec draws PSD A_x = B_x B_x* from its own ``default_rng(seed)``
     stream and normalizes them by S^{-1/2} (sum A) S^{-1/2}, so that its
     effects sum to the identity. A spec whose normalizer S has an eigenvalue
-    at or below NORMALIZER_EIG_FLOOR draws again from its stream, up to 10
-    times; no other spec does. The normalizers of one dimension go through
-    one stacked ``eigh``, its effects are built by one stacked R @ D @ R and
-    validated as one stack, so each measurement has the bits of its spec
-    drawn alone (``random_povm``), and a set that fails raises the error of
-    its first spec that fails alone.
+    at or below NORMALIZER_EIG_FLOOR, or whose normalized effects fail a
+    gate of ``Povm`` (a single effect, S^{-1/2} S S^{-1/2}, carries
+    rounding of order cond(S) times machine epsilon), draws again from its
+    stream, up to 10 times; no other spec does. After the tenth draw the
+    spec raises the error of its last gate. The normalizers of one
+    dimension go through one stacked ``eigh``, and the effects of each draw
+    are built by one stacked R @ D @ R and checked as one stack
+    (``_effect_faults``), so each measurement has the bits of its spec drawn
+    alone (``random_povm``), and a set that fails raises the error of its
+    first spec that fails alone.
     """
     return _evaluated_as_set(list(specs), _draw_set)
 
@@ -364,12 +398,12 @@ def _draw_set(specs: list) -> list[Povm]:
     for members in groups.values():
         rngs = {i: np.random.default_rng(specs[i][2]) for i in members}
         shapes = {i: (specs[i][1], 2, specs[i][0], specs[i][0]) for i in members}
-        draws, roots, pending = {}, {}, members
+        pending = members
         for _ in range(10):
             # per effect, the real and then the imaginary part of B_x
             g = np.concatenate([rngs[i].normal(size=shapes[i]) for i in pending])
             b = g[:, 0] + 1j * g[:, 1]
-            products, start = b @ b.conj().swapaxes(-1, -2), 0
+            products, start, draws = b @ b.conj().swapaxes(-1, -2), 0, {}
             for i in pending:
                 draws[i], start = products[start:start + specs[i][1]], start + specs[i][1]
             # summed one draw after the other: draws.sum(axis=0) may pair them
@@ -380,18 +414,21 @@ def _draw_set(specs: list) -> list[Povm]:
             lam, u = dec.eigenvalues, dec.eigenvectors
             if not regular.all():
                 lam, u = lam[regular], u[regular]
-            inv_roots = (u / np.sqrt(lam)[:, None, :]) @ u.conj().swapaxes(-1, -2)
-            roots.update(zip([i for i, ok in zip(pending, regular) if ok], inv_roots))
-            pending = [i for i, ok in zip(pending, regular) if not ok]
+            ready, faults = [i for i, ok in zip(pending, regular) if ok], []
+            if ready:
+                inv_roots = (u / np.sqrt(lam)[:, None, :]) @ u.conj().swapaxes(-1, -2)
+                sizes = [specs[i][1] for i in ready]
+                r = np.repeat(inv_roots, sizes, axis=0)
+                stacks, faults = _effect_faults(r @ np.concatenate([draws[i] for i in ready]) @ r, sizes)
+                for i, stack, bad in zip(ready, stacks, failing_layers(faults, len(ready))):
+                    if not bad:
+                        povms[i] = Povm._of_checked(stack)
+            pending = [i for i in pending if povms[i] is None]
             if not pending:
                 break
         else:
+            raise_first(faults)  # the last draw's gates, else its normalizer
             raise InvalidPovm("normalizer stayed singular after 10 draws")
-        sizes = [specs[i][1] for i in members]
-        r = np.repeat(np.array([roots[i] for i in members]), sizes, axis=0)
-        effects = r @ np.concatenate([draws[i] for i in members]) @ r
-        for i, stack in zip(members, _checked_effects(effects, sizes)):
-            povms[i] = Povm._of_checked(stack)
     return povms
 
 

@@ -19,14 +19,16 @@ reconstruction U diag(x) U* (``SpectralDecomposition.reconstruct``) and
 the magnitude of a complex entry (``magnitudes``).
 
 The kernels take a (T, n, n) stack as readily as one matrix: ``eigh``,
-``solve_symmetric_product`` and the trace helpers work layer by layer in
-one numpy call each, with the same bits as T separate calls, and a
-stacked ``HermitianMatrix`` or ``SpectralDecomposition`` keeps ``dim == n``.
-Where a stack fails a check, its first failing layer names the error.
+``solve_symmetric_product``, the trace helpers and ``layer_norms`` work
+layer by layer in one numpy call each, with the same bits as T separate
+calls, and a stacked ``HermitianMatrix`` or ``SpectralDecomposition`` keeps
+``dim == n``. Where a stack fails a check, its first failing layer names the
+error (``raise_first``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable
@@ -81,16 +83,50 @@ def first_failing(bad: np.ndarray):
     return i if bad.flat[i] else None
 
 
-def hermitian_part(a: np.ndarray) -> np.ndarray:
-    """(A + A*)/2 of a square matrix, or of each matrix of a (k, n, n) stack, validated.
+def failing_layers(faults, count: int) -> np.ndarray:
+    """The (count,) mask of the layers that fail any check of ``faults`` (``raise_first``)."""
+    return reduce(np.logical_or, [bad for bad, _ in faults], np.zeros(count, dtype=bool))
 
-    Each matrix must be of dimension 1 to ``DIM_CEILING``, finite (also once
-    symmetrized) and within ``HERMITICITY_ATOL`` of its conjugate transpose
-    entrywise; the first matrix of a stack that is not names the error, and
-    of the two checks finiteness comes first. The result is read-only and
-    its diagonal is exactly real: the imaginary part of a + conj(a) is
-    y + (-y), which is +0.
+
+def raise_first(faults) -> None:
+    """Raise the exception of the first failing layer of a stacked check; return if none fails.
+
+    ``faults`` are ``(bad, error)`` pairs in the order one layer is checked:
+    ``bad`` marks the layers that fail the check and ``error(k)`` builds
+    layer k's exception. The first layer that fails any check names the
+    error, by its first failing check, so a layer of a stack raises what it
+    raises in a stack of one.
     """
+    if faults:
+        i = first_failing(failing_layers(faults, len(faults[0][0])))
+        if i is not None:
+            raise next(error(i) for bad, error in faults if bad[i])
+
+
+def layer_norms(stack) -> np.ndarray:
+    """The 2-norm of each layer of a float or complex stack, with the bits of ``np.linalg.norm(layer)``.
+
+    ``np.linalg.norm`` ravels a layer in memory order (``order="K"``: its
+    axes by decreasing stride, ties in C order) into a contiguous vector and
+    takes sqrt(re.re + im.im) by BLAS dots over the strided views of the
+    real and imaginary parts. Here every layer is laid out in that order at
+    once, and ``np.vecdot`` runs the same dot kernel over each layer's views
+    in one call. A contiguous copy of ``.real`` would not do: BLAS sums a
+    unit-stride vector in another order.
+    """
+    z = np.asarray(stack)
+    if not z.flags.c_contiguous:  # a C-contiguous stack's layers are in that order already
+        z = np.ascontiguousarray(z.transpose(0, *sorted(range(1, z.ndim), key=lambda a: -abs(z.strides[a]))))
+    flat = z.reshape(len(z), math.prod(z.shape[1:]))
+    if flat.dtype.kind == "c":
+        return np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
+    return np.sqrt(np.vecdot(flat, flat))
+
+
+def hermitian_faults(a: np.ndarray) -> tuple[np.ndarray, list]:
+    """(A + A*)/2 of a square matrix, or of each matrix of a stack, unchecked, and the
+    faults (``raise_first``) of ``hermitian_part``'s checks, one mask entry per matrix:
+    [] where every matrix passes. A dimension out of range raises at once."""
     n = a.shape[-1]
     if n == 0:
         raise DimensionError("dimension 0: a matrix needs at least one row")
@@ -103,15 +139,29 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
     with np.errstate(invalid="ignore", over="ignore"):
         h = (a + a_h) / 2.0
         dev = np.abs(a - a_h)
-    if not (np.isfinite(h).all() and dev.max(initial=0.0) <= HERMITICITY_ATOL):
-        finite = np.isfinite(h).all(axis=(-2, -1)).reshape(-1)
-        worst = dev.max(axis=(-2, -1), initial=0.0).reshape(-1)
-        i = first_failing(~finite | (worst > HERMITICITY_ATOL))
-        if not finite[i]:
-            raise ValueError("matrix entries must be finite")
-        raise NotHermitianError(
-            f"max deviation from conjugate transpose {worst[i]:.3e} > {HERMITICITY_ATOL}"
-        )
+    if np.isfinite(h).all() and dev.max(initial=0.0) <= HERMITICITY_ATOL:
+        return h, []
+    worst = dev.max(axis=(-2, -1), initial=0.0).reshape(-1)
+    return h, [
+        (~np.isfinite(h).all(axis=(-2, -1)).reshape(-1), lambda k: ValueError("matrix entries must be finite")),
+        (worst > HERMITICITY_ATOL, lambda k: NotHermitianError(
+            f"max deviation from conjugate transpose {worst[k]:.3e} > {HERMITICITY_ATOL}"
+        )),
+    ]
+
+
+def hermitian_part(a: np.ndarray) -> np.ndarray:
+    """(A + A*)/2 of a square matrix, or of each matrix of a (k, n, n) stack, validated.
+
+    Each matrix must be of dimension 1 to ``DIM_CEILING``, finite (also once
+    symmetrized) and within ``HERMITICITY_ATOL`` of its conjugate transpose
+    entrywise; the first matrix of a stack that is not names the error, and
+    of the two checks finiteness comes first. The result is read-only and
+    its diagonal is exactly real: the imaginary part of a + conj(a) is
+    y + (-y), which is +0.
+    """
+    h, faults = hermitian_faults(a)
+    raise_first(faults)
     h.setflags(write=False)
     return h
 

@@ -17,6 +17,10 @@ inputs, all that rho reads, and ``_dinputs_stage`` the derivative inputs.
 Each member's inputs are the callables its own model wraps (psi and dpsi,
 the weight w and dw, the eigenvalue weights and the frame with their
 derivatives); a custom model's are ``rho_matrix`` and ``_drho_analytic``.
+A built-in model calls every member's callables first and then checks
+each input once for the whole stack; the first failing member, by its
+first failing check, raises what it raises alone (``raise_first``), and
+the per-theta accessors are that check on a stack of one.
 rho, drho and the closed forms of ``quantum`` are stacked numpy formulas
 over those (T, ...) arrays, which read the class, the dimension, the step
 and the analytic inputs from the key and never one member's model. The
@@ -75,7 +79,10 @@ from .hermitian import (
     eigh,
     first_failing,
     hermitian_part,
+    layer_norms,
+    magnitudes,
     projectors,
+    raise_first,
     real_trace_product,
     solve_symmetric_product,
     sqrt_eigenvalues,
@@ -104,6 +111,44 @@ def _stencil_difference(sides: np.ndarray, h: float) -> np.ndarray:
     return (sides[:, 0] - sides[:, 1]) / (2.0 * h)
 
 
+def _passed(inputs, faults):
+    """``inputs``, once every member passes its checks; else the error of the first member
+    that fails one (``raise_first``), as that member raises alone."""
+    raise_first(faults)
+    return inputs
+
+
+def _stacked(values: list, bad: np.ndarray, shape: tuple, dtype) -> np.ndarray:
+    """The members' values as one array; a member of the wrong shape, ``bad``, which has
+    failed its first check already, holds zeros."""
+    if bad.any():
+        values = [np.zeros(shape, dtype) if b else v for v, b in zip(values, bad)]
+    return np.array(values, dtype=dtype)
+
+
+def _state_check(dim: int, thetas, raws) -> tuple:
+    """The (T, dim) stack of pure-family states, from their raw values, and its faults:
+    a state of another dimension, then a norm off 1 (a non-finite entry fails too)."""
+    vs = [np.asarray(v, dtype=complex).reshape(-1) for v in raws]
+    wrong = np.array([v.shape[0] != dim for v in vs])
+    stack = _stacked(vs, wrong, (dim,), complex)
+    norms = layer_norms(stack)
+    return stack, [
+        (wrong, lambda k: DimensionError(f"state has dim {vs[k].shape[0]}, family declares {dim}")),
+        (~(np.abs(norms - 1.0) <= UNIT_NORM_ATOL),
+         lambda k: ValueError(f"family state at theta={thetas[k]} has norm {norms[k]!r}")),
+    ]
+
+
+def _weight_check(thetas, raws) -> tuple:
+    """The (T,) mixing weights, from their raw values, and their fault: a weight outside (0, 1)."""
+    ws = np.array(raws, dtype=float)
+    return ws, [(
+        ~((WEIGHT_EDGE < ws) & (ws < 1.0 - WEIGHT_EDGE)),
+        lambda k: DomainError(f"weight {float(ws[k])!r} at theta={thetas[k]} outside (0, 1)"),
+    )]
+
+
 def _projector_derivatives(v: np.ndarray, dv: np.ndarray) -> np.ndarray:
     """d/dtheta |v><v| = |dv><v| + |v><dv|, symmetrized; of one vector or of each of a stack."""
     return symmetrized(dv[..., :, None] * v.conj()[..., None, :] + v[..., :, None] * dv.conj()[..., None, :])
@@ -118,13 +163,8 @@ class PureFamily:
     dpsi: Callable[[float], np.ndarray] | None = None
 
     def state(self, theta: float) -> np.ndarray:
-        v = np.asarray(self.psi(theta), dtype=complex).reshape(-1)
-        if v.shape[0] != self.dim:
-            raise DimensionError(f"state has dim {v.shape[0]}, family declares {self.dim}")
-        norm = np.linalg.norm(v)
-        if not abs(norm - 1.0) <= UNIT_NORM_ATOL:  # a non-finite entry fails too
-            raise ValueError(f"family state at theta={theta} has norm {norm!r}")
-        return v
+        """psi(theta), checked: the stacked check of a stack of one."""
+        return _passed(*_state_check(self.dim, [theta], [self.psi(theta)]))[0]
 
     def velocity(self, theta: float) -> np.ndarray:
         """dpsi(theta) as a complex vector; the family must have dpsi."""
@@ -139,10 +179,8 @@ class WeightFunction:
     dw: Callable[[float], float] | None = None
 
     def value(self, theta: float) -> float:
-        v = float(self.w(theta))
-        if not (WEIGHT_EDGE < v < 1.0 - WEIGHT_EDGE):
-            raise DomainError(f"weight {v!r} at theta={theta} outside (0, 1)")
-        return v
+        """w(theta), checked: the stacked check of a stack of one."""
+        return float(_passed(*_weight_check([theta], [float(self.w(theta))]))[0])
 
 
 @dataclass(frozen=True)
@@ -711,7 +749,9 @@ class PureStateModel(_StackedModel):
 
     @classmethod
     def _inputs(cls, members) -> tuple:
-        return (np.array([model.family.state(theta) for model, theta in members]),)
+        """(psi,): every member's raw state, then one stacked check."""
+        raws = [model.family.psi(theta) for model, theta in members]
+        return (_passed(*_state_check(members[0][0].dim, [theta for _, theta in members], raws)),)
 
     @staticmethod
     def _rho_formula(v: np.ndarray) -> np.ndarray:
@@ -756,12 +796,13 @@ class QubitMixtureModel(_StackedModel):
 
     @classmethod
     def _inputs(cls, members) -> tuple:
-        """(w, psi1) of each member: the checked weight, then the checked state."""
-        ws, vs = [], []
-        for model, theta in members:
-            ws.append(model.weight.value(theta))
-            vs.append(model.psi1.state(theta))
-        return np.array(ws), np.array(vs)
+        """(w, psi1): every member's raw weight and state, then one stacked check of each, a
+        member's weight before its state."""
+        raws = [(float(model.weight.w(theta)), model.psi1.psi(theta)) for model, theta in members]
+        thetas = [theta for _, theta in members]
+        w, w_faults = _weight_check(thetas, [w for w, _ in raws])
+        v, v_faults = _state_check(2, thetas, [v for _, v in raws])
+        return _passed((w, v), w_faults + v_faults)
 
     @staticmethod
     def _rho_formula(w: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -791,11 +832,45 @@ class QubitMixtureModel(_StackedModel):
         return self.psi1.dpsi is not None and self.weight.dw is not None
 
 
-def _checked_dlambdas(vals: np.ndarray) -> np.ndarray:
-    total = abs(float(np.sum(vals)))
-    if not total <= DLAMBDA_SUM_ATOL:  # a non-finite entry fails too
-        raise ValueError(f"weight derivatives sum to {total:.3e} > {DLAMBDA_SUM_ATOL}")
-    return vals
+def _checked_dlambdas(dlam: np.ndarray) -> np.ndarray:
+    """The (T, n) weight derivatives, once each member's sum to 0 (a non-finite entry fails too)."""
+    total = np.abs(np.sum(dlam, axis=-1))
+    return _passed(dlam, [(
+        ~(total <= DLAMBDA_SUM_ATOL),
+        lambda k: ValueError(f"weight derivatives sum to {total[k]:.3e} > {DLAMBDA_SUM_ATOL}"),
+    )])
+
+
+def _lambda_check(dim: int, thetas, raws) -> tuple:
+    """The (T, dim) eigenvalue weights, from their raw values and clipped to [0, 1], and
+    their faults: another count, a sum off 1 (a non-finite weight fails too), a weight
+    outside [0, 1]."""
+    lams = [np.asarray(v, dtype=float).reshape(-1) for v in raws]
+    wrong = np.array([lam.shape[0] != dim for lam in lams])
+    stack = _stacked(lams, wrong, (dim,), float)
+    total = np.sum(stack, axis=-1)
+    outside = (np.min(stack, axis=-1) < -LAMBDA_RANGE_ATOL) | (np.max(stack, axis=-1) > 1.0 + LAMBDA_RANGE_ATOL)
+    return np.clip(stack, 0.0, 1.0), [
+        (wrong, lambda k: DimensionError(f"{lams[k].shape[0]} weights for dim {dim}")),
+        (~(np.abs(total - 1.0) <= LAMBDA_SUM_ATOL),
+         lambda k: ValueError(f"eigenvalue weights sum to {float(total[k])!r} at theta={thetas[k]}")),
+        (outside, lambda k: ValueError(f"eigenvalue weights outside [0, 1] at theta={thetas[k]}")),
+    ]
+
+
+def _frame_check(dim: int, thetas, raws) -> tuple:
+    """The (T, dim, dim) frames, from their raw values, and their faults: another shape,
+    then a deviation of U*U from the identity above ``ORTHO_ATOL`` (a non-finite entry
+    fails too)."""
+    us = [np.asarray(u, dtype=complex) for u in raws]
+    wrong = np.array([u.shape != (dim, dim) for u in us])
+    stack = _stacked(us, wrong, (dim, dim), complex)
+    dev = layer_norms(stack.conj().swapaxes(-1, -2) @ stack - np.eye(dim))
+    return stack, [
+        (wrong, lambda k: DimensionError(f"frame has shape {us[k].shape}, expected {(dim, dim)}")),
+        (~(dev <= ORTHO_ATOL),
+         lambda k: ValueError(f"frame deviates from unitarity by {dev[k]:.3e} at theta={thetas[k]}")),
+    ]
 
 
 def _frame_projectors(u: np.ndarray) -> np.ndarray:
@@ -850,8 +925,10 @@ class SpectralMixtureModel(_StackedModel):
     theta +- fd_step). Without both analytic derivatives drho is the central
     difference of rho, ``_drho_fd_stage``.
 
-    ``_inputs`` reads ``lambdas_at`` and ``frame_at``; ``dprojectors_at``
-    stays because the benchmark's tracer wraps it, as it does ``frame_at``.
+    ``_inputs`` reads every member's raw weights and frame and checks them
+    as one stack; ``lambdas_at`` and ``frame_at`` are that check on a stack
+    of one. ``dprojectors_at`` stays because the benchmark's tracer wraps
+    it, as it does ``frame_at``.
     """
 
     kind = "spectral"
@@ -871,28 +948,11 @@ class SpectralMixtureModel(_StackedModel):
         self._frame = frame
         self._dframe = dframe
 
-    def _checked_lambdas(self, vals: np.ndarray, theta: float) -> np.ndarray:
-        if vals.shape[0] != self.dim:
-            raise DimensionError(f"{vals.shape[0]} weights for dim {self.dim}")
-        total = float(np.sum(vals))
-        if not abs(total - 1.0) <= LAMBDA_SUM_ATOL:  # a non-finite weight fails too
-            raise ValueError(f"eigenvalue weights sum to {total!r} at theta={theta}")
-        lo, hi = float(np.min(vals)), float(np.max(vals))
-        if lo < -LAMBDA_RANGE_ATOL or hi > 1.0 + LAMBDA_RANGE_ATOL:
-            raise ValueError(f"eigenvalue weights outside [0, 1] at theta={theta}")
-        return np.clip(vals, 0.0, 1.0)
-
     def lambdas_at(self, theta: float) -> np.ndarray:
-        return self._checked_lambdas(np.asarray(self._lambdas(theta), dtype=float).reshape(-1), theta)
+        return _passed(*_lambda_check(self.dim, [theta], [self._lambdas(theta)]))[0]
 
     def frame_at(self, theta: float) -> np.ndarray:
-        u = np.asarray(self._frame(theta), dtype=complex)
-        if u.shape != (self.dim, self.dim):
-            raise DimensionError(f"frame has shape {u.shape}, expected {(self.dim, self.dim)}")
-        dev = np.linalg.norm(u.conj().T @ u - np.eye(self.dim))
-        if not dev <= ORTHO_ATOL:  # a non-finite entry fails too
-            raise ValueError(f"frame deviates from unitarity by {dev:.3e} at theta={theta}")
-        return u
+        return _passed(*_frame_check(self.dim, [theta], [self._frame(theta)]))[0]
 
     def dprojectors_at(self, theta: float) -> list[np.ndarray]:
         """dP_k = du_k u_k^dagger + u_k du_k^dagger: the point's layer of ``_projectors_stage``."""
@@ -903,12 +963,13 @@ class SpectralMixtureModel(_StackedModel):
 
     @classmethod
     def _inputs(cls, members) -> tuple:
-        """(lambda, U) of each member: the checked weights and the checked frame."""
-        lams, frames = [], []
-        for model, theta in members:
-            lams.append(model.lambdas_at(theta))
-            frames.append(model.frame_at(theta))
-        return np.array(lams), np.array(frames)
+        """(lambda, U): every member's raw weights and frame, then one stacked check of
+        each, a member's weights before its frame."""
+        raws = [(model._lambdas(theta), model._frame(theta)) for model, theta in members]
+        dim, thetas = members[0][0].dim, [theta for _, theta in members]
+        lam, lam_faults = _lambda_check(dim, thetas, [lam for lam, _ in raws])
+        u, u_faults = _frame_check(dim, thetas, [u for _, u in raws])
+        return _passed((lam, u), lam_faults + u_faults)
 
     @staticmethod
     def _rho_formula(lam: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -927,9 +988,7 @@ class SpectralMixtureModel(_StackedModel):
             dlam = _read(grid, lambda model: model._dlambdas, "dlambdas", float).reshape(len(grid.members), -1)
         else:
             dlam = _stencil_difference(_stencil_inputs(grid, 0), h)
-        for vals in dlam:
-            _checked_dlambdas(vals)
-        return dlam, a
+        return _checked_dlambdas(dlam), a
 
     @classmethod
     def _drho_stack(cls, grid: StateGrid) -> np.ndarray:
@@ -967,10 +1026,11 @@ def _projectors_stage(grid: StateGrid) -> tuple:
 def _psi2_stage(grid: StateGrid) -> tuple:
     """A qubit mixture's canonical psi2 at every theta (see ``canonical_psi2``).
 
-    It reads psi1 and dP1 from the model's input stages. The stationarity
-    check is one stacked trace; psi2 itself is taken layer by layer, since
-    a stacked inner product or norm sums in another order and moves the last
-    bit. The first failing theta names the error.
+    It reads psi1 and dP1 from the model's input stages, and takes every
+    theta at once: the stationarity check is one stacked trace, and psi2 one
+    stacked matrix-vector product, inner product (``np.vecdot``, the dot
+    kernel of ``np.vdot``) and ``layer_norms``, each with the bits of its
+    per-theta form. The first failing theta names the error.
     """
     psi = grid.stage(_inputs_stage)[1]
     dp = grid.stage(_dinputs_stage)[1]
@@ -980,16 +1040,14 @@ def _psi2_stage(grid: StateGrid) -> tuple:
         raise StationaryFamilyError(
             f"family is stationary at theta={grid.thetas[i]} (information {info[i]:.3e})"
         )
-    psi2 = []
-    for p, d in zip(psi, dp):
-        v = d @ p
-        v = v - np.vdot(p, v) * p
-        v = v / np.linalg.norm(v)
-        overlap = abs(np.vdot(p, v))
-        if overlap > ORTHO_ATOL:
-            raise ValueError(f"constructed psi2 overlaps psi1 by {overlap:.3e}")
-        psi2.append(v)
-    return (np.array(psi2),)
+    v = (dp @ psi[:, :, None])[:, :, 0]
+    v = v - np.vecdot(psi, v)[:, None] * psi
+    v = v / layer_norms(v)[:, None]
+    overlap = magnitudes(np.vecdot(psi, v))
+    i = first_failing(overlap > ORTHO_ATOL)
+    if i is not None:
+        raise ValueError(f"constructed psi2 overlaps psi1 by {overlap[i]:.3e}")
+    return (v,)
 
 
 def canonical_psi2(pt: StatePoint) -> UnitVector:

@@ -38,7 +38,10 @@ and draws its random POVMs as one set (``random_povms``); each set is then
 read on the view of exactly the points that use it, one trace rule per
 (view, set), each point with one ``classical_fishers`` call. ``eigh-reconstruction``
 holds LAPACK's eigenvalues against the power sums tr(M^k) of its matrices,
-so no second eigensolver runs. A check that measures one residual per
+so no second eigensolver runs; it draws its 20 trials in order and solves
+them as one stack per dimension. Every residual norm is a stacked
+``hermitian.layer_norms``, with the bits of ``np.linalg.norm`` of each
+layer. A check that measures one residual per
 sampled (model, theta) point is a ``_PointCheck`` row: a residual function
 plus the selection of models and thetas it runs over. The kernel,
 difference and identity checks are check stages (``_stage_check``): the
@@ -76,6 +79,8 @@ from .hermitian import (
     HermitianMatrix,
     SpectralDecomposition,
     eigh,
+    hermitian_part,
+    layer_norms,
     magnitudes,
     projectors,
     solve_symmetric_product,
@@ -284,17 +289,6 @@ def _stage_check(stage, **selection) -> _PointCheck:
     return _PointCheck(partial(_layer_residual, stage), **selection)
 
 
-def _norms(stack) -> np.ndarray:
-    """The 2-norm of each complex layer of a stack, with the bits of ``np.linalg.norm`` of the
-    layer: its formula, sqrt(re.re + im.im) by BLAS dots over the raveled layer, one layer
-    at a time. A stacked norm sums in another order, which moves the last bit."""
-    squares = []
-    for m in stack:
-        v = m.ravel(order="K")
-        squares.append(v.real.dot(v.real) + v.imag.dot(v.imag))
-    return np.sqrt(squares)
-
-
 def _constant_weight_at(pt) -> bool:
     # the constant-weight facts (alpha in [1,2], beta = 0, mixing loses
     # information) hold only where the weight does not move
@@ -303,40 +297,49 @@ def _constant_weight_at(pt) -> bool:
 
 # --- kernel checks ----------------------------------------------------------
 
-def _power_sum_gap(mat, lam, scale):
-    # max over k = 1..n of |tr(M^k) - sum lam^k| / scale^k, from matmuls and
-    # traces alone; for n eigenvalues these n power sums fix the spectrum
-    gap, power = 0.0, np.eye(len(lam))
-    for k in range(1, len(lam) + 1):
-        power = power @ mat
-        gap = max(gap, abs(np.trace(power) - np.sum(lam**k)) / scale**k)
-    return gap
+def _power_sum_gaps(mats, lam, scales):
+    # max over k = 1..n of |tr(M^k) - sum lam^k| / scale^k of each matrix of
+    # a stack, from matmuls and traces alone; for n eigenvalues these n power
+    # sums fix the spectrum. scale^k is taken per matrix, as a scalar power
+    gaps, power = np.zeros(len(lam)), np.eye(lam.shape[-1])
+    for k in range(1, lam.shape[-1] + 1):
+        power = power @ mats
+        diff = magnitudes(np.trace(power, axis1=-2, axis2=-1) - np.sum(lam**k, axis=-1))
+        gaps = np.maximum(gaps, diff / [scale**k for scale in scales])
+    return gaps
 
 
 def _check_eigh_reconstruction(catalog, opts, points):
     # reconstruction and orthonormality of the LAPACK solver, and its
     # eigenvalues against the power sums of the matrix; power sums do not
-    # see order, so ascending order is a term of its own
+    # see order, so ascending order is a term of its own. The 20 trials are
+    # drawn in order and solved as one stack per dimension
     rng = np.random.default_rng(opts.seed)
-    for trial in range(20):
+    draws = []
+    for _ in range(20):
         n = int(rng.integers(2, 9))
-        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        m = HermitianMatrix(symmetrized(g))
-        dec = eigh(m)
-        lam = dec.eigenvalues
-        scale = max(1.0, np.linalg.norm(m.mat))
-        rec = np.linalg.norm(dec.reconstruct() - m.mat) / scale
-        orth = np.linalg.norm(dec.eigenvectors.conj().T @ dec.eigenvectors - np.eye(n))
-        ref = _power_sum_gap(m.mat, lam, scale)
-        order = max(0.0, -float(np.min(np.diff(lam))))
-        yield max(rec, orth, ref, order), f"trial {trial} (n={n})"
+        draws.append(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    devs = {}
+    for n in dict.fromkeys(len(g) for g in draws):
+        trials = [t for t, g in enumerate(draws) if len(g) == n]
+        mats = hermitian_part(symmetrized(np.array([draws[t] for t in trials])))
+        dec = eigh(HermitianMatrix.of_checked(mats))
+        lam, u = dec.eigenvalues, dec.eigenvectors
+        scales = [max(1.0, norm) for norm in layer_norms(mats)]
+        rec = layer_norms(dec.reconstruct() - mats) / scales
+        orth = layer_norms(u.conj().swapaxes(-1, -2) @ u - np.eye(n))
+        ref = _power_sum_gaps(mats, lam, scales)
+        order = np.maximum(0.0, -np.min(np.diff(lam, axis=-1), axis=-1))
+        devs.update(zip(trials, np.max([rec, orth, ref, order], axis=0)))
+    for trial, g in enumerate(draws):
+        yield devs[trial], f"trial {trial} (n={len(g)})"
 
 
 def _psd_sqrt_stage(grid):
     # the square root of every theta's rho, squared, against rho
     rho, dec = grid.rho_stack()
     root = sqrt_stack(dec)
-    return (_norms(root @ root - rho),)
+    return (layer_norms(root @ root - rho),)
 
 
 def _solve_involution_stage(grid):
@@ -349,7 +352,15 @@ def _solve_involution_stage(grid):
     r_tilde = u.conj().swapaxes(-1, -2) @ resid @ u
     lam = dec.eigenvalues
     keep = (lam[:, :, None] + lam[:, None, :]) > SUPPORT_TOL
-    return (_norms([r[k] for r, k in zip(r_tilde, keep)]),)
+    # a layer's norm reads its kept entries in C order, as np.linalg.norm(r[keep])
+    # does: one stacked norm per support pattern, of which a grid mostly has one
+    dev, left = np.empty(len(keep)), np.ones(len(keep), dtype=bool)
+    while left.any():
+        pattern = keep[left.argmax()]
+        rows = left & (keep == pattern).all(axis=(1, 2))
+        dev[rows] = layer_norms(r_tilde[rows][:, pattern])
+        left &= ~rows
+    return (dev,)
 
 
 def _check_phase_invariance(catalog, opts, points):
@@ -378,13 +389,13 @@ def _drho_traceless(pt):
 
 
 def _drho_route_agreement_stage(grid):
-    return (_norms(grid.drho_stack() - grid.stage(_drho_fd_stage)[0]),)
+    return (layer_norms(grid.drho_stack() - grid.stage(_drho_fd_stage)[0]),)
 
 
 def _dsqrt_route_agreement_stage(grid):
     a = grid.stage(_dsqrt_route_stage)[0]
     b = grid.stage(_dsqrt_fd_stage)[0]
-    return (_norms(a - b) / np.maximum(1.0, _norms(a)),)
+    return (layer_norms(a - b) / np.maximum(1.0, layer_norms(a)),)
 
 
 def _mixture_stage(grid):
@@ -407,9 +418,9 @@ def _qubit_complement_stage(grid):
     # where psi1 has an analytic derivative (differencing a psi2 that was
     # itself built by differences measures rounding jitter, not the identity)
     p1, p2, dp1, dp2 = grid.stage(_mixture_stage)
-    dev = _norms(p2 - (np.eye(2) - p1))
+    dev = layer_norms(p2 - (np.eye(2) - p1))
     if "dpsi" in grid.key.analytic:
-        dev = np.maximum(dev, _norms(dp1 + dp2))
+        dev = np.maximum(dev, layer_norms(dp1 + dp2))
     return (dev,)
 
 
@@ -425,12 +436,12 @@ def _spectral_identities_stage(grid):
     # for l != m, at every theta
     projs, dprojs = grid.stage(_projectors_stage)
     n = projs.shape[1]
-    devs = [_norms(sum(dprojs[:, l] for l in range(n)))]
+    devs = [layer_norms(sum(dprojs[:, l] for l in range(n)))]
     for l in range(n):
         devs.append(magnitudes(trace_product([projs[:, l], dprojs[:, l], projs[:, l], dprojs[:, l]])))
         for m in range(n):
             if m != l:
-                devs.append(_norms(projs[:, l] @ dprojs[:, m] + dprojs[:, l] @ projs[:, m]))
+                devs.append(layer_norms(projs[:, l] @ dprojs[:, m] + dprojs[:, l] @ projs[:, m]))
     return (np.max(devs, axis=0),)
 
 
@@ -461,7 +472,7 @@ def _pure_doubling(pt):
 def _sld_vs_spectral_sum_stage(grid):
     _, dec = grid.rho_stack()
     b = sld_spectral_sum(dec.eigenvalues, dec.projectors(), grid.drho_stack()).mat
-    return (_norms(grid.stage(_sld_stage)[0] - b),)
+    return (layer_norms(grid.stage(_sld_stage)[0] - b),)
 
 
 def _report_residual(key, pt):

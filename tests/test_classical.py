@@ -469,6 +469,66 @@ def test_a_set_names_a_faulty_effect_by_its_index_in_its_own_measurement():
     assert _text(classical._checked_effects, incomplete, (3, 1)) == _text(Povm, incomplete[3:])
 
 
+def test_a_set_of_measurements_fails_as_its_first_failing_measurement_alone():
+    # one pass checks every measurement; the first that fails raises its own text,
+    # whichever gate a later measurement fails
+    good = random_povm(2, 3, 21)
+    incomplete = np.diag([1.0, 0.0])[None].astype(complex)
+    negative = np.array([np.diag([1.2, 0.5]), np.diag([-0.1, 0.25]), np.diag([-0.1, 0.25])], dtype=complex)
+    skew = good.stack.copy()
+    skew[1, 0, 1] += 1e-9
+    infinite = good.stack.copy()
+    infinite[2, 1, 1] = np.inf
+    faulty = {"incomplete": incomplete, "negative": negative, "skew": skew, "infinite": infinite}
+    texts = {name: _text(Povm, m) for name, m in faulty.items()}
+    assert texts == {
+        "incomplete": "InvalidPovm: effects sum deviates from identity by 1.000e+00",
+        "negative": "InvalidPovm: effect 1 has eigenvalue -1.000e-01 < -1e-10",
+        "skew": "NotHermitianError: max deviation from conjugate transpose 1.000e-09 > 1e-12",
+        "infinite": "ValueError: matrix entries must be finite",
+    }
+    for second in faulty:
+        for third in faulty:
+            parts = [good.stack, faulty[second], faulty[third]]
+            sizes = tuple(len(m) for m in parts)
+            assert _text(classical._checked_effects, np.concatenate(parts), sizes) == texts[second]
+
+
+def _first_draw(dim, n_effects, seed):
+    """The normalized effects of a spec's first draw, written out as the set builds them."""
+    g = np.random.default_rng(seed).normal(size=(n_effects, 2, dim, dim))
+    b = g[:, 0] + 1j * g[:, 1]
+    draws = b @ b.conj().swapaxes(-1, -2)
+    dec = eigh(HermitianMatrix.of_checked(hermitian.hermitian_part(np.array([sum(draws)]))))
+    u = dec.eigenvectors
+    r = np.repeat((u / np.sqrt(dec.eigenvalues)[:, None, :]) @ u.conj().swapaxes(-1, -2), n_effects, axis=0)
+    return r @ draws @ r
+
+
+@pytest.mark.parametrize("spec", [(3, 1, 335), (4, 1, 2073), (4, 1, 1215986873)])
+def test_a_single_effect_draw_that_misses_a_gate_draws_again(spec):
+    # one effect is S^{-1/2} S S^{-1/2}, the identity up to rounding of order
+    # cond(S) eps, which can miss the Hermiticity or completeness gate: the spec
+    # then draws again from its own stream, as a near-singular normalizer does
+    assert _text(Povm, _first_draw(*spec)) is not None
+    povm = random_povm(*spec)
+    assert len(povm) == 1
+    assert _text(Povm, povm.stack) is None
+    together = random_povms([(2, 3, 7), spec, (spec[0], 2, 9)])
+    assert together[1].stack.tobytes() == povm.stack.tobytes()
+    assert together[0].stack.tobytes() == random_povm(2, 3, 7).stack.tobytes()
+
+
+def test_a_draw_that_passes_its_gates_is_its_first_draw():
+    for spec in [*MIXED_SPECS, (3, 1, 336), (4, 1, 2074)]:
+        assert random_povm(*spec).stack.tobytes() == Povm(_first_draw(*spec)).stack.tobytes()
+
+
+def test_a_spec_that_misses_its_gates_ten_times_raises_the_last_gate(monkeypatch):
+    monkeypatch.setattr(classical, "COMPLETENESS_ATOL", -1.0)
+    assert _text(random_povm, 2, 3, 7).startswith("InvalidPovm: effects sum deviates from identity by ")
+
+
 def test_a_measurement_of_a_set_keeps_a_read_only_stack():
     for povm, spec in zip(random_povms(MIXED_SPECS), MIXED_SPECS):
         assert povm.stack.shape == (spec[1], spec[0], spec[0])

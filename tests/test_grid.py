@@ -604,6 +604,88 @@ def test_a_failing_input_fails_only_its_point_with_its_own_text(case):
             assert _same(pt.rho.mat, alone.rho.mat)
 
 
+def _two_columns(u):
+    return u[:, :2]
+
+
+def _three_entries(v):
+    return np.append(v, 0.0)
+
+
+# a model whose value input fails its check at BAD, the per-theta accessor that
+# checks that input alone, and its text
+STACKED_CHECK_FAILURES = {
+    "weights-off-sum": (
+        lambda: _spectral_with(lambdas=_failing_at(BAD, random_spectral_model(7, 3)._lambdas, lambda v: 1.01 * v)),
+        lambda model: model.lambdas_at(BAD), "ValueError: eigenvalue weights sum to 1.01 at theta=0.4",
+    ),
+    "frame-not-unitary": (
+        lambda: _spectral_with(frame=_failing_at(BAD, random_spectral_model(7, 3)._frame, lambda u: 1.01 * u)),
+        lambda model: model.frame_at(BAD), "ValueError: frame deviates from unitarity by 3.481e-02 at theta=0.4",
+    ),
+    "frame-shape": (
+        lambda: _spectral_with(frame=_failing_at(BAD, random_spectral_model(7, 3)._frame, _two_columns)),
+        lambda model: model.frame_at(BAD), "DimensionError: frame has shape (3, 2), expected (3, 3)",
+    ),
+    "state-off-norm": (
+        lambda: PureStateModel(PureFamily(2, psi=_failing_at(BAD, _rotation_psi, lambda v: 1.1 * v))),
+        lambda model: model.family.state(BAD), "ValueError: family state at theta=0.4 has norm np.float64(1.1)",
+    ),
+    "mixture-weight-outside": (
+        lambda: QubitMixtureModel(rotation_family(), WeightFunction(
+            w=_failing_at(BAD, sine_weight(0.8).w, lambda w: 1.1), dw=sine_weight(0.8).dw)),
+        lambda model: model.weight.value(BAD), "DomainError: weight 1.1 at theta=0.4 outside (0, 1)",
+    ),
+    "mixture-state-shape": (
+        lambda: QubitMixtureModel(PureFamily(2, psi=_failing_at(BAD, _rotation_psi, _three_entries)),
+                                  sine_weight(0.8)),
+        lambda model: model.psi1.state(BAD), "DimensionError: state has dim 3, family declares 2",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STACKED_CHECK_FAILURES))
+def test_a_stacked_input_check_raises_what_its_failing_member_raises_alone(case):
+    # the input stage checks every member's raw inputs as one stack; member 2
+    # fails, and the stack raises its text, which the member's grid of one and
+    # the per-theta accessor raise too; the grid then splits and only member 2 fails
+    make, accessor, expected = STACKED_CHECK_FAILURES[case]
+    model = make()
+    thetas = [-0.5, 0.1, BAD, 0.7]
+    pts = list(model.grid(thetas))
+    grid = pts[0].grid
+    assert _error_text(grid.stage, _inputs_stage) == expected
+    assert _error_text(model.at(BAD).grid.stage, _inputs_stage) == expected
+    assert _error_text(accessor, model) == expected
+    assert [_error_text(lambda pt: pt.rho, pt) for pt in pts] == [None, None, expected, None]
+    assert grid._parts is not None and len(grid._parts) == len(thetas)
+    for pt in pts:
+        if pt.theta != BAD:
+            assert _same(pt.rho.mat, model.at(pt.theta).rho.mat)
+
+
+def test_a_stacked_input_check_raises_in_member_order_then_check_order():
+    base = random_spectral_model(7, 3)
+    # member 0 fails a numeric check and member 1 a shape check: member 0's text wins
+    model = _spectral_with(lambdas=_failing_at(-0.5, base._lambdas, lambda v: 1.01 * v),
+                           frame=_failing_at(0.1, base._frame, _two_columns))
+    first = _error_text(model.lambdas_at, -0.5)
+    assert first.startswith("ValueError: eigenvalue weights sum to ")
+    pts = list(model.grid([-0.5, 0.1, 0.7]))
+    assert _error_text(pts[0].grid.stage, _inputs_stage) == first
+    assert [_error_text(lambda pt: pt.rho, pt) for pt in pts] == [
+        first, "DimensionError: frame has shape (3, 2), expected (3, 3)", None,
+    ]
+    # within one member, the weights are checked before the frame, and a mixture's
+    # weight before its state
+    both = _spectral_with(lambdas=_failing_at(BAD, base._lambdas, lambda v: 1.01 * v),
+                          frame=_failing_at(BAD, base._frame, _two_columns))
+    assert _error_text(lambda: both.at(BAD).rho) == "ValueError: eigenvalue weights sum to 1.01 at theta=0.4"
+    mixture = QubitMixtureModel(PureFamily(2, psi=_failing_at(BAD, _rotation_psi, _three_entries)),
+                                WeightFunction(w=_failing_at(BAD, sine_weight(0.8).w, lambda w: 1.1)))
+    assert _error_text(lambda: mixture.at(BAD).rho) == "DomainError: weight 1.1 at theta=0.4 outside (0, 1)"
+
+
 # a model with a differenced value input that fails its check only at one
 # stencil side, the theta whose stencil holds that side, and its ingredients
 STENCIL_SIDE_FAILURES = {

@@ -26,6 +26,7 @@ from qcrb_kit.hermitian import (
     _fix_phases,
     eigh,
     hermitian_part,
+    layer_norms,
     psd_sqrt,
     real_trace_product,
     real_traces_against,
@@ -554,3 +555,46 @@ def test_eigenvector_phase_invariance_downstream():
     base = sum(np.outer(dec.eigenvectors[:, j], dec.eigenvectors[:, j].conj()) for j in range(3))
     alt = sum(np.outer(twisted[:, j], twisted[:, j].conj()) for j in range(3))
     assert np.linalg.norm(base - alt) <= 1e-12
+
+
+# views of a (T, ...) array whose layers are laid out in other orders in memory
+LAYOUTS = {
+    "contiguous": lambda z: z,
+    "sliced": lambda z: z[::2, ::2],
+    "transposed": lambda z: np.swapaxes(z, -1, -2) if z.ndim == 3 else z.T,
+    "reversed": lambda z: z[::-1, ..., ::-1],
+    "fortran": np.asfortranarray,
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 64),
+    t=st.integers(1, 4),
+    vectors=st.booleans(),
+    dtype=st.sampled_from([float, complex]),
+    log_scale=st.floats(-200.0, 200.0),
+    special=st.sampled_from([None, np.inf, -np.inf, np.nan]),
+    layout=st.sampled_from(sorted(LAYOUTS)),
+)
+@example(seed=0, n=1, t=1, vectors=True, dtype=complex, log_scale=0.0, special=None, layout="contiguous")
+@example(seed=1, n=64, t=3, vectors=False, dtype=complex, log_scale=200.0, special=None, layout="transposed")
+@example(seed=2, n=8, t=2, vectors=False, dtype=complex, log_scale=-200.0, special=np.nan, layout="sliced")
+def test_layer_norms_have_the_bits_of_the_norm_of_each_layer(seed, n, t, vectors, dtype, log_scale, special, layout):
+    # the kernel contract: np.vecdot over the strided real and imaginary views runs the
+    # dot kernel of np.linalg.norm, so a numpy where the two part ways fails here
+    rng = np.random.default_rng(seed)
+    shape = (t, n) if vectors else (t, n, n)
+    z = rng.normal(size=shape).astype(dtype)
+    if dtype is complex:
+        z += 1j * rng.normal(size=shape)
+    z *= 10.0**log_scale
+    if special is not None:
+        z.flat[rng.integers(z.size)] = special
+    stack = LAYOUTS[layout](z)
+    with np.errstate(over="ignore", under="ignore"):  # both sides overflow alike at 1e200
+        norms = layer_norms(stack)
+        reference = np.array([np.linalg.norm(layer) for layer in stack])
+    assert norms.shape == (len(stack),)
+    assert norms.tobytes() == reference.tobytes()

@@ -306,13 +306,11 @@ def test_spectral_row_evaluates_the_spectral_ingredients_once(tmp_path, monkeypa
     assert code == cli.EXIT_OK
     for row in rows:  # all three closed forms ran
         assert None not in (row["i_h_closed"], row["i_wy_closed"], row["gamma"])
-    # one ingredient set for the grid, and per row each callable and its
-    # checks once; rho, drho and the ingredients read the generator of one
-    # stacked formula
-    assert counts == {
-        "_dinputs_stage": 1, "lambdas_at": 3, "frame_at": 3,
-        "_lambdas": 3, "_dlambdas": 3, "_frame": 3, "_dframe": 3,
-    }
+    # one ingredient set for the grid, and per row each callable once; its
+    # checks run on the stack, so the per-theta accessors lambdas_at and
+    # frame_at are not called; rho, drho and the ingredients read the
+    # generator of one stacked formula
+    assert counts == {"_dinputs_stage": 1, "_lambdas": 3, "_dlambdas": 3, "_frame": 3, "_dframe": 3}
 
 
 def test_qubit_row_evaluates_the_qubit_ingredients_once(tmp_path, monkeypatch, capsys):
@@ -321,6 +319,14 @@ def test_qubit_row_evaluates_the_qubit_ingredients_once(tmp_path, monkeypatch, c
     for name in ("state", "velocity"):
         counting(monkeypatch, PureFamily, name, counts)
     counting(monkeypatch, WeightFunction, "value", counts)
+    original = QubitMixtureModel.__init__
+
+    def init(self, psi1, weight, **kwargs):  # the callables of the configured model, counted
+        psi1 = PureFamily(psi1.dim, _counted(counts, "psi", psi1.psi), _counted(counts, "dpsi", psi1.dpsi))
+        weight = WeightFunction(_counted(counts, "w", weight.w), _counted(counts, "dw", weight.dw))
+        original(self, psi1, weight, **kwargs)
+
+    monkeypatch.setattr(QubitMixtureModel, "__init__", init)
     cfg = tmp_path / "model.json"
     cfg.write_text(json.dumps({
         "kind": "qubit_mixture", "psi1": {"name": "rotation"},
@@ -331,10 +337,12 @@ def test_qubit_row_evaluates_the_qubit_ingredients_once(tmp_path, monkeypatch, c
     assert code == cli.EXIT_OK
     for row in rows:  # all three closed forms and alpha/beta ran
         assert None not in (row["i_h_closed"], row["i_wy_closed"], row["gamma"], row["alpha"])
-    # one ingredient set for the grid; per row psi1, its dpsi and the weight
-    # read once by the input stages, which rho, drho and the set share; no
-    # per-theta projector or slope formula
-    assert counts == {"_qubit_stage": 1, "state": 3, "velocity": 3, "value": 3}
+    # one ingredient set for the grid; per row psi1, its dpsi, the weight and
+    # its slope read once by the input stages, which rho, drho and the set
+    # share; psi1 and the weight are checked on the stack, so the per-theta
+    # PureFamily.state and WeightFunction.value are not called; no per-theta
+    # projector or slope formula
+    assert counts == {"_qubit_stage": 1, "velocity": 3, "psi": 3, "dpsi": 3, "w": 3, "dw": 3}
 
 
 def test_simulation_evaluates_the_state_once(monkeypatch):

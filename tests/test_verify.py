@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qcrb_kit import hermitian, models, quantum, verify
+from qcrb_kit import cli, hermitian, models, quantum, verify
 from qcrb_kit.errors import DomainError
 from qcrb_kit.hermitian import HermitianMatrix, SpectralDecomposition
 from qcrb_kit.models import (
@@ -158,7 +158,9 @@ def test_the_spectral_identities_read_the_frame_of_the_table_point(monkeypatch):
     # thetas and their 10 stencil sides for each of the 4 catalog spectral
     # models, and 3 thetas for each of the 5 extra models. The forced
     # differences run on the view of the catalog members of each grid, so no
-    # extra model reads a stencil side; the projector accessors are not called
+    # extra model reads a stencil side. The input stages call each member's
+    # raw frame and check the stack, so neither the per-theta frame_at nor
+    # the projector accessors are called
     counts = Counter()
     for name in ("frame_at", "dprojectors_at"):
         original = getattr(SpectralMixtureModel, name)
@@ -168,8 +170,21 @@ def test_the_spectral_identities_read_the_frame_of_the_table_point(monkeypatch):
             return _original(self, theta)
 
         monkeypatch.setattr(SpectralMixtureModel, name, counted)
+    original_init = SpectralMixtureModel.__init__
+
+    def init(self, *args, **kwargs):
+        original_init(self, *args, **kwargs)
+        frame = self._frame
+
+        def counted_frame(theta):
+            counts["_frame"] += 1
+            return frame(theta)
+
+        self._frame = counted_frame
+
+    monkeypatch.setattr(SpectralMixtureModel, "__init__", init)
     assert all_passed(run_suite())
-    assert counts == {"frame_at": 4 * 15 + 5 * 3}
+    assert counts == {"_frame": 4 * 15 + 5 * 3}
 
 
 def test_tightened_fd_tolerance_fails_fd_checks():
@@ -361,15 +376,53 @@ def _mixed_vectors(lam, u, size):
 @pytest.mark.parametrize("corrupt", [_shift_one, _shift_adjacent_pair, _descending, _mixed_vectors])
 def test_eigh_reconstruction_fails_on_a_corrupted_decomposition(monkeypatch, corrupt):
     def corrupted(m):
+        # the check solves its trials as one stack per dimension: each matrix is corrupted
         dec = hermitian.eigh(m)
-        size = 1e-9 * np.linalg.norm(m.mat)
-        lam, u = corrupt(dec.eigenvalues.copy(), dec.eigenvectors, size)
-        return SpectralDecomposition(lam, u)
+        layers = [corrupt(lam.copy(), u, 1e-9 * np.linalg.norm(mat))
+                  for lam, u, mat in zip(dec.eigenvalues, dec.eigenvectors, m.mat)]
+        return SpectralDecomposition(np.array([lam for lam, _ in layers]), np.array([u for _, u in layers]))
 
     monkeypatch.setattr(verify, "eigh", corrupted)
     tol = next(t for name, _, t, _ in verify._CHECKS if name == "eigh-reconstruction")
     residual, _ = verify._worst(verify._check_eigh_reconstruction({}, VerifyOptions(), None))
     assert residual > tol
+
+
+def _eigh_reconstruction_trial(g):
+    # one trial of eigh-reconstruction, written out per matrix
+    n = len(g)
+    m = HermitianMatrix((g + g.conj().T) / 2.0)
+    dec = hermitian.eigh(m)
+    lam = dec.eigenvalues
+    scale = max(1.0, np.linalg.norm(m.mat))
+    rec = np.linalg.norm(dec.reconstruct() - m.mat) / scale
+    orth = np.linalg.norm(dec.eigenvectors.conj().T @ dec.eigenvectors - np.eye(n))
+    gap, power = 0.0, np.eye(n)
+    for k in range(1, n + 1):
+        power = power @ m.mat
+        gap = max(gap, abs(np.trace(power) - np.sum(lam**k)) / scale**k)
+    return max(rec, orth, gap, max(0.0, -float(np.min(np.diff(lam)))))
+
+
+@pytest.mark.parametrize("seed", [0, 7, 716, 20260810])
+def test_eigh_reconstruction_solves_one_stack_per_dimension_with_the_bits_of_each_trial(seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    draws = []
+    for _ in range(20):
+        n = int(rng.integers(2, 9))
+        draws.append(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    calls = []
+    monkeypatch.setattr(verify, "eigh", lambda m: calls.append(m.mat.shape) or hermitian.eigh(m))
+    cases = list(verify._check_eigh_reconstruction({}, VerifyOptions(seed=seed), None))
+    assert cases == [(_eigh_reconstruction_trial(g), f"trial {t} (n={len(g)})") for t, g in enumerate(draws)]
+    dims = list(dict.fromkeys(len(g) for g in draws))
+    assert calls == [(sum(len(g) == n for g in draws), n, n) for n in dims]
+
+
+def test_verify_passes_at_a_seed_whose_random_povm_draws_a_single_effect_again(capsys):
+    # seed 716 draws a one-effect measurement whose first draw misses the Hermiticity gate
+    assert cli.main(["verify", "--seed=716"]) == cli.EXIT_OK
+    assert "povm-completeness" in capsys.readouterr().out
 
 
 # --- the one reduction ------------------------------------------------------

@@ -10,9 +10,11 @@ thread variables set to 1. Its stdout, stderr, exit code and output file
 both sides. The commands that differ are printed, and the exit code is 1 if
 any does. ``--list`` prints the commands and runs nothing.
 
-The list holds 192 commands:
+The list holds 195 commands:
 - ``verify --seed=N`` for N = 0-39 and ``verify --fd-step`` 1e-3, 1e-4 and
-  3e-6, each in CSV and JSON (86);
+  3e-6, each in CSV and JSON (86), and ``verify`` at seeds 716 and 1707,
+  whose random measurements include a single-effect draw that misses a gate
+  of ``Povm`` (2);
 - every pool command of the three benchmark workloads at seeds 5, 11 and
   52711, built by ``perfbench/workloads.make_pool`` (63);
 - ``sweep-w`` (5) and ``sweep-spectrum`` (6, three with a zero weight); two
@@ -24,9 +26,9 @@ The list holds 192 commands:
   random POVM, at the default ``--n-samples`` of 100 000, at ``--theta0 1e17``,
   and on the rotation at ``--theta0 0`` under a POVM with an outcome off the
   support there;
-- 22 ``compute`` runs over rank-deficient, tiny-weight, dimension 1, 16 and
-  64, pure and qubit-mixture models, with POVMs, failing tolerances and
-  malformed configs;
+- 23 ``compute`` runs over rank-deficient, tiny-weight, dimension 1, 3, 16
+  and 64, pure and qubit-mixture models, with POVMs (a single-effect random
+  one among them), failing tolerances and malformed configs;
 - four ``--help`` texts and ``sweep-w --psi1 random``.
 """
 
@@ -54,6 +56,7 @@ CONFIGS = {
     "weight-1e-12": {"kind": "spectral", "spectrum": [0.6, 0.4, 1e-12], "seed": 3},
     "weight-1e-16": {"kind": "spectral", "spectrum": [0.6, 0.4, 1e-16], "seed": 3},
     "dim-1": {"kind": "spectral", "dim": 1, "seed": 1},
+    "dim-3": {"kind": "spectral", "dim": 3, "seed": 4},
     "dim-16": {"kind": "spectral", "dim": 16, "seed": 7},
     "dim-64": {"kind": "spectral", "dim": 64, "seed": 2},
     "pure-64": {"kind": "pure", "psi1": {"name": "random"}, "dim": 64, "seed": 5},
@@ -70,6 +73,8 @@ CONFIGS = {
     "basis-3": {"kind": "basis", "dim": 3},
     "random-2": {"kind": "random", "dim": 2, "n_effects": 4, "seed": 11},
     "random-2-3": {"kind": "random", "dim": 2, "n_effects": 3, "seed": 5},
+    # its first draw misses the Hermiticity gate of Povm, and it draws again
+    "random-3-1": {"kind": "random", "dim": 3, "n_effects": 1, "seed": 335},
     # halves of the |+>, |->, |1> and |0> projectors: |1> is off the support of the rotation at 0
     "off-support-2": {"kind": "explicit", "effects": [
         [[0.25, 0.25], [0.25, 0.25]], [[0.25, -0.25], [-0.25, 0.25]], [[0, 0], [0, 0.5]], [[0.5, 0], [0, 0]],
@@ -91,6 +96,7 @@ COMPUTE = [
     _compute("weight-1e-12", "--theta-grid=-1:1:41"),
     _compute("weight-1e-16", "--theta-grid=-1:1:21"),
     _compute("dim-1", "--theta-grid=-1:1:3"),
+    _compute("dim-3", "--theta-grid=-1:1:5", povm="random-3-1"),
     _compute("dim-16", "--theta-grid=-1:1:5", "--format=json"),
     _compute("dim-64", "--theta-grid=-1:1:17"),
     _compute("pure-64", "--theta-grid=-1:1:5"),
@@ -145,6 +151,7 @@ def commands(workdir: Path) -> list[tuple[str, ...]]:
     cmds = [("verify", f"--seed={n}", f"--format={fmt}") for n in range(40) for fmt in ("csv", "json")]
     cmds += [("verify", f"--fd-step={h}", f"--format={fmt}") for h in ("1e-3", "1e-4", "3e-6")
              for fmt in ("csv", "json")]
+    cmds += [("verify", "--seed=716"), ("verify", "--seed=1707")]
     for workload in WORKLOADS:
         for seed in POOL_SEEDS:
             cmds += [op.argv for op in make_pool(workload, seed, str(workdir / f"{workload}-{seed}"))]
