@@ -20,9 +20,12 @@ product with the stacked drho, and ``_fisher_stage`` applies the
 score-blowup rule and sums each measurement's slice at every theta.
 ``classical_fishers`` reads a point's row of it; ``classical_fisher``,
 ``outcome_probs`` and ``outcome_scores`` are the set of one. Every
-member of a set gets the bits it gets alone, and a set that fails is read
-again one member at a time, in order, so that its error is the one the
-first failing member raises alone.
+member of a set gets the bits it gets alone.
+
+A set that fails follows the rule of a batch grid (``models.StateGrid``):
+each check raises at its first failing member, and the set is then read
+again one member at a time, in order (``_evaluated_as_set``), so that its
+error is the one its first failing member raises alone.
 """
 
 from __future__ import annotations
@@ -32,18 +35,15 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import DimensionError, EigenConvergenceError, InvalidPovm, SupportRegularityError
+from .errors import DimensionError, EigenConvergenceError, InvalidPovm, NotHermitianError, SupportRegularityError
 from .hermitian import (
     HermitianMatrix,
     as_array,
     eigh,
-    failing_layers,
     first_failing,
-    hermitian_faults,
     hermitian_part,
     layer_norms,
     projectors,
-    raise_first,
     real_traces_against,
 )
 from .models import StateGrid, StatePoint
@@ -129,58 +129,41 @@ def _effect_stack(effects) -> np.ndarray:
     raise DimensionError("effects have mixed dimensions")
 
 
-def _effect_faults(whole: np.ndarray, sizes) -> tuple[list[np.ndarray], list]:
+def _checked_in_one_pass(whole: np.ndarray, sizes) -> list[np.ndarray]:
     """The effects of consecutive measurements of one dimension, checked in one pass.
 
     ``whole`` is their (K, n, n) concatenation and ``sizes`` their effect
-    counts. Returns each measurement's read-only (k, n, n) slice of the
-    symmetrized stack, and the faults (``raise_first``) of the measurements,
-    in the order one measurement is checked: an effect that
-    ``hermitian_part`` rejects, an effect with an eigenvalue below
-    ``EFFECT_EIG_FLOOR`` (one batched eigenvalue call; the first names the
-    error, by its index in its own measurement), and effects whose sum
-    deviates from the identity by more than ``COMPLETENESS_ATOL``
-    (``layer_norms`` of the stacked sums).
+    counts. One ``hermitian_part`` checks every effect, one batched
+    eigenvalue call finds any eigenvalue below ``EFFECT_EIG_FLOOR`` (named
+    by the effect's index in its own measurement), and ``layer_norms`` of
+    the stacked sums any measurement whose effects deviate from the
+    identity by more than ``COMPLETENESS_ATOL``; each check raises at its
+    first failure. Returns each measurement's read-only (k, n, n) slice of
+    the symmetrized stack.
     """
-    h, effect_faults = hermitian_faults(whole)
-    eye = np.eye(h.shape[-1])
-    starts = list(accumulate(sizes[:-1], initial=0))
-    spans = [slice(start, start + k) for start, k in zip(starts, sizes)]
-    faults, safe = [], h
-    if effect_faults:
-        rejected = failing_layers(effect_faults, len(h))
-
-        def rejected_error(j):
-            i = spans[j].start + first_failing(rejected[spans[j]])
-            return next(error(i) for bad, error in effect_faults if bad[i])
-
-        faults.append((np.logical_or.reduceat(rejected, starts), rejected_error))
-        # a rejected effect may not be finite: the identity stands in for it in the later checks
-        safe = np.where(rejected[:, None, None], eye, h)
+    h = hermitian_part(whole)
     try:
-        lam_min = np.linalg.eigvalsh(safe)[:, 0]
+        lam_min = np.linalg.eigvalsh(h)[:, 0]
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(f"LAPACK eigvalsh failed: dims={h.shape}: {exc}") from exc
-    low = lam_min < EFFECT_EIG_FLOOR
-    dev = layer_norms(np.add.reduceat(safe, starts, axis=0) - eye)
-    h.setflags(write=False)
-
-    def low_error(j):
-        i = first_failing(low[spans[j]])
-        return InvalidPovm(f"effect {i} has eigenvalue {lam_min[spans[j]][i]:.3e} < {EFFECT_EIG_FLOOR}")
-
-    return [h[s] for s in spans], faults + [
-        (np.logical_or.reduceat(low, starts), low_error),
-        (dev > COMPLETENESS_ATOL, lambda j: InvalidPovm(f"effects sum deviates from identity by {dev[j]:.3e}")),
-    ]
+    starts = list(accumulate(sizes[:-1], initial=0))
+    i = first_failing(lam_min < EFFECT_EIG_FLOOR)
+    if i is not None:
+        start = max(start for start in starts if start <= i)
+        raise InvalidPovm(f"effect {i - start} has eigenvalue {lam_min[i]:.3e} < {EFFECT_EIG_FLOOR}")
+    dev = layer_norms(np.add.reduceat(h, starts, axis=0) - np.eye(h.shape[-1]))
+    j = first_failing(dev > COMPLETENESS_ATOL)
+    if j is not None:
+        raise InvalidPovm(f"effects sum deviates from identity by {dev[j]:.3e}")
+    return [h[start:start + k] for start, k in zip(starts, sizes)]
 
 
 def _checked_effects(whole: np.ndarray, sizes) -> list[np.ndarray]:
-    """Each measurement's read-only slice of ``_effect_faults``, once every measurement passes;
-    else the error of the first that fails, as it raises alone."""
-    stacks, faults = _effect_faults(whole, sizes)
-    raise_first(faults)
-    return stacks
+    """``_checked_in_one_pass`` of a set of measurements; if it raises, the error of the
+    first measurement that fails alone (``_evaluated_as_set``)."""
+    bounds = list(accumulate(sizes, initial=0))
+    return _evaluated_as_set(range(len(sizes)), lambda part: _checked_in_one_pass(
+        whole[bounds[part[0]]:bounds[part[-1] + 1]], sizes[part[0]:part[-1] + 1]))
 
 
 def _evaluated_as_set(members, evaluate):
@@ -379,10 +362,11 @@ def random_povms(specs) -> list[Povm]:
     stream, up to 10 times; no other spec does. After the tenth draw the
     spec raises the error of its last gate. The normalizers of one
     dimension go through one stacked ``eigh``, and the effects of each draw
-    are built by one stacked R @ D @ R and checked as one stack
-    (``_effect_faults``), so each measurement has the bits of its spec drawn
-    alone (``random_povm``), and a set that fails raises the error of its
-    first spec that fails alone.
+    are built by one stacked R @ D @ R and checked in one pass
+    (``_checked_in_one_pass``); only when that pass raises is each spec
+    checked alone, to find the ones that draw again. So each measurement has
+    the bits of its spec drawn alone (``random_povm``), and a set that fails
+    raises the error of its first spec that fails alone.
     """
     return _evaluated_as_set(list(specs), _draw_set)
 
@@ -414,22 +398,40 @@ def _draw_set(specs: list) -> list[Povm]:
             lam, u = dec.eigenvalues, dec.eigenvectors
             if not regular.all():
                 lam, u = lam[regular], u[regular]
-            ready, faults = [i for i, ok in zip(pending, regular) if ok], []
+            ready, failure = [i for i, ok in zip(pending, regular) if ok], None
             if ready:
                 inv_roots = (u / np.sqrt(lam)[:, None, :]) @ u.conj().swapaxes(-1, -2)
                 sizes = [specs[i][1] for i in ready]
                 r = np.repeat(inv_roots, sizes, axis=0)
-                stacks, faults = _effect_faults(r @ np.concatenate([draws[i] for i in ready]) @ r, sizes)
-                for i, stack, bad in zip(ready, stacks, failing_layers(faults, len(ready))):
-                    if not bad:
+                effects = r @ np.concatenate([draws[i] for i in ready]) @ r
+                try:
+                    stacks = _checked_in_one_pass(effects, sizes)
+                except _GATE_ERRORS as exc:  # each spec alone, to find the ones that draw again
+                    bounds = list(accumulate(sizes, initial=0))
+                    failure, stacks = exc, [_passing_gates(effects[a:b]) for a, b in zip(bounds, bounds[1:])]
+                for i, stack in zip(ready, stacks):
+                    if stack is not None:
                         povms[i] = Povm._of_checked(stack)
             pending = [i for i in pending if povms[i] is None]
             if not pending:
                 break
         else:
-            raise_first(faults)  # the last draw's gates, else its normalizer
+            if failure is not None:  # the last draw's gates, else its normalizer
+                raise failure
             raise InvalidPovm("normalizer stayed singular after 10 draws")
     return povms
+
+
+# what the gates of ``Povm`` raise: a rejected effect, a negative eigenvalue, an incomplete sum
+_GATE_ERRORS = (ValueError, NotHermitianError, InvalidPovm)
+
+
+def _passing_gates(effects: np.ndarray) -> np.ndarray | None:
+    """The checked stack of one measurement's effects, or None where it misses a gate."""
+    try:
+        return _checked_in_one_pass(effects, [len(effects)])[0]
+    except _GATE_ERRORS:
+        return None
 
 
 def random_povm(dim: int, n_effects: int, seed: int) -> Povm:

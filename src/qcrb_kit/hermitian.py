@@ -22,8 +22,10 @@ The kernels take a (T, n, n) stack as readily as one matrix: ``eigh``,
 ``solve_symmetric_product``, the trace helpers and ``layer_norms`` work
 layer by layer in one numpy call each, with the same bits as T separate
 calls, and a stacked ``HermitianMatrix`` or ``SpectralDecomposition`` keeps
-``dim == n``. Where a stack fails a check, its first failing layer names the
-error (``raise_first``).
+``dim == n``. Each check of a stack raises at its first failing layer
+(``first_failing``), the checks in the order one layer is checked; a batch
+grid of states then reads that error again member by member, so that its
+first failing member raises its own (``models.StateGrid``).
 """
 
 from __future__ import annotations
@@ -83,26 +85,6 @@ def first_failing(bad: np.ndarray):
     return i if bad.flat[i] else None
 
 
-def failing_layers(faults, count: int) -> np.ndarray:
-    """The (count,) mask of the layers that fail any check of ``faults`` (``raise_first``)."""
-    return reduce(np.logical_or, [bad for bad, _ in faults], np.zeros(count, dtype=bool))
-
-
-def raise_first(faults) -> None:
-    """Raise the exception of the first failing layer of a stacked check; return if none fails.
-
-    ``faults`` are ``(bad, error)`` pairs in the order one layer is checked:
-    ``bad`` marks the layers that fail the check and ``error(k)`` builds
-    layer k's exception. The first layer that fails any check names the
-    error, by its first failing check, so a layer of a stack raises what it
-    raises in a stack of one.
-    """
-    if faults:
-        i = first_failing(failing_layers(faults, len(faults[0][0])))
-        if i is not None:
-            raise next(error(i) for bad, error in faults if bad[i])
-
-
 def layer_norms(stack) -> np.ndarray:
     """The 2-norm of each layer of a float or complex stack, with the bits of ``np.linalg.norm(layer)``.
 
@@ -123,10 +105,16 @@ def layer_norms(stack) -> np.ndarray:
     return np.sqrt(np.vecdot(flat, flat))
 
 
-def hermitian_faults(a: np.ndarray) -> tuple[np.ndarray, list]:
-    """(A + A*)/2 of a square matrix, or of each matrix of a stack, unchecked, and the
-    faults (``raise_first``) of ``hermitian_part``'s checks, one mask entry per matrix:
-    [] where every matrix passes. A dimension out of range raises at once."""
+def hermitian_part(a: np.ndarray) -> np.ndarray:
+    """(A + A*)/2 of a square matrix, or of each matrix of a (k, n, n) stack, validated.
+
+    Each matrix must be of dimension 1 to ``DIM_CEILING``, finite (also once
+    symmetrized) and within ``HERMITICITY_ATOL`` of its conjugate transpose
+    entrywise; the first matrix of a stack that is not names the error, and
+    of the two checks finiteness comes first. The result is read-only and
+    its diagonal is exactly real: the imaginary part of a + conj(a) is
+    y + (-y), which is +0.
+    """
     n = a.shape[-1]
     if n == 0:
         raise DimensionError("dimension 0: a matrix needs at least one row")
@@ -139,29 +127,15 @@ def hermitian_faults(a: np.ndarray) -> tuple[np.ndarray, list]:
     with np.errstate(invalid="ignore", over="ignore"):
         h = (a + a_h) / 2.0
         dev = np.abs(a - a_h)
-    if np.isfinite(h).all() and dev.max(initial=0.0) <= HERMITICITY_ATOL:
-        return h, []
-    worst = dev.max(axis=(-2, -1), initial=0.0).reshape(-1)
-    return h, [
-        (~np.isfinite(h).all(axis=(-2, -1)).reshape(-1), lambda k: ValueError("matrix entries must be finite")),
-        (worst > HERMITICITY_ATOL, lambda k: NotHermitianError(
-            f"max deviation from conjugate transpose {worst[k]:.3e} > {HERMITICITY_ATOL}"
-        )),
-    ]
-
-
-def hermitian_part(a: np.ndarray) -> np.ndarray:
-    """(A + A*)/2 of a square matrix, or of each matrix of a (k, n, n) stack, validated.
-
-    Each matrix must be of dimension 1 to ``DIM_CEILING``, finite (also once
-    symmetrized) and within ``HERMITICITY_ATOL`` of its conjugate transpose
-    entrywise; the first matrix of a stack that is not names the error, and
-    of the two checks finiteness comes first. The result is read-only and
-    its diagonal is exactly real: the imaginary part of a + conj(a) is
-    y + (-y), which is +0.
-    """
-    h, faults = hermitian_faults(a)
-    raise_first(faults)
+    if not (np.isfinite(h).all() and dev.max(initial=0.0) <= HERMITICITY_ATOL):
+        finite = np.isfinite(h).all(axis=(-2, -1)).reshape(-1)
+        worst = dev.max(axis=(-2, -1), initial=0.0).reshape(-1)
+        i = first_failing(~finite | (worst > HERMITICITY_ATOL))
+        if not finite[i]:
+            raise ValueError("matrix entries must be finite")
+        raise NotHermitianError(
+            f"max deviation from conjugate transpose {worst[i]:.3e} > {HERMITICITY_ATOL}"
+        )
     h.setflags(write=False)
     return h
 

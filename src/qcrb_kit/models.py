@@ -18,9 +18,8 @@ Each member's inputs are the callables its own model wraps (psi and dpsi,
 the weight w and dw, the eigenvalue weights and the frame with their
 derivatives); a custom model's are ``rho_matrix`` and ``_drho_analytic``.
 A built-in model calls every member's callables first and then checks
-each input once for the whole stack; the first failing member, by its
-first failing check, raises what it raises alone (``raise_first``), and
-the per-theta accessors are that check on a stack of one.
+each input once for the whole stack, and the per-theta accessors are that
+check on a stack of one.
 rho, drho and the closed forms of ``quantum`` are stacked numpy formulas
 over those (T, ...) arrays, which read the class, the dimension, the step
 and the analytic inputs from the key and never one member's model. The
@@ -29,6 +28,10 @@ validation, the eigendecomposition and the square-root solve (and, in
 Long batches are cut into blocks of ``GRID_BLOCK_ENTRIES`` matrix entries.
 ``grid.view(rows)`` is a grid over some of a grid's members that reads the
 slices of the stages the grid has kept.
+
+A stacked check raises at its first failing member, and a stage that raises
+on a grid of more than one member raises what its first failing member
+raises alone (``StateGrid.stage``).
 
 The finite differences that stand in for a derivative are grid stages as
 well, and they all read one stencil. The 2T states rho(theta +- fd_step) of
@@ -82,7 +85,6 @@ from .hermitian import (
     layer_norms,
     magnitudes,
     projectors,
-    raise_first,
     real_trace_product,
     solve_symmetric_product,
     sqrt_eigenvalues,
@@ -111,42 +113,28 @@ def _stencil_difference(sides: np.ndarray, h: float) -> np.ndarray:
     return (sides[:, 0] - sides[:, 1]) / (2.0 * h)
 
 
-def _passed(inputs, faults):
-    """``inputs``, once every member passes its checks; else the error of the first member
-    that fails one (``raise_first``), as that member raises alone."""
-    raise_first(faults)
-    return inputs
-
-
-def _stacked(values: list, bad: np.ndarray, shape: tuple, dtype) -> np.ndarray:
-    """The members' values as one array; a member of the wrong shape, ``bad``, which has
-    failed its first check already, holds zeros."""
-    if bad.any():
-        values = [np.zeros(shape, dtype) if b else v for v, b in zip(values, bad)]
-    return np.array(values, dtype=dtype)
-
-
-def _state_check(dim: int, thetas, raws) -> tuple:
-    """The (T, dim) stack of pure-family states, from their raw values, and its faults:
-    a state of another dimension, then a norm off 1 (a non-finite entry fails too)."""
+def _checked_states(dim: int, thetas, raws) -> np.ndarray:
+    """The (T, dim) stack of pure-family states, from their raw values: each of dimension
+    ``dim``, then of norm 1 (a non-finite entry fails too)."""
     vs = [np.asarray(v, dtype=complex).reshape(-1) for v in raws]
-    wrong = np.array([v.shape[0] != dim for v in vs])
-    stack = _stacked(vs, wrong, (dim,), complex)
+    i = first_failing(np.array([v.shape[0] != dim for v in vs]))
+    if i is not None:
+        raise DimensionError(f"state has dim {vs[i].shape[0]}, family declares {dim}")
+    stack = np.array(vs)
     norms = layer_norms(stack)
-    return stack, [
-        (wrong, lambda k: DimensionError(f"state has dim {vs[k].shape[0]}, family declares {dim}")),
-        (~(np.abs(norms - 1.0) <= UNIT_NORM_ATOL),
-         lambda k: ValueError(f"family state at theta={thetas[k]} has norm {norms[k]!r}")),
-    ]
+    i = first_failing(~(np.abs(norms - 1.0) <= UNIT_NORM_ATOL))
+    if i is not None:
+        raise ValueError(f"family state at theta={thetas[i]} has norm {norms[i]!r}")
+    return stack
 
 
-def _weight_check(thetas, raws) -> tuple:
-    """The (T,) mixing weights, from their raw values, and their fault: a weight outside (0, 1)."""
+def _checked_weights(thetas, raws) -> np.ndarray:
+    """The (T,) mixing weights, from their raw values, each in (0, 1)."""
     ws = np.array(raws, dtype=float)
-    return ws, [(
-        ~((WEIGHT_EDGE < ws) & (ws < 1.0 - WEIGHT_EDGE)),
-        lambda k: DomainError(f"weight {float(ws[k])!r} at theta={thetas[k]} outside (0, 1)"),
-    )]
+    i = first_failing(~((WEIGHT_EDGE < ws) & (ws < 1.0 - WEIGHT_EDGE)))
+    if i is not None:
+        raise DomainError(f"weight {float(ws[i])!r} at theta={thetas[i]} outside (0, 1)")
+    return ws
 
 
 def _projector_derivatives(v: np.ndarray, dv: np.ndarray) -> np.ndarray:
@@ -164,7 +152,7 @@ class PureFamily:
 
     def state(self, theta: float) -> np.ndarray:
         """psi(theta), checked: the stacked check of a stack of one."""
-        return _passed(*_state_check(self.dim, [theta], [self.psi(theta)]))[0]
+        return _checked_states(self.dim, [theta], [self.psi(theta)])[0]
 
     def velocity(self, theta: float) -> np.ndarray:
         """dpsi(theta) as a complex vector; the family must have dpsi."""
@@ -180,7 +168,7 @@ class WeightFunction:
 
     def value(self, theta: float) -> float:
         """w(theta), checked: the stacked check of a stack of one."""
-        return float(_passed(*_weight_check([theta], [float(self.w(theta))]))[0])
+        return float(_checked_weights([theta], [float(self.w(theta))])[0])
 
 
 @dataclass(frozen=True)
@@ -241,11 +229,16 @@ class StateGrid:
     view reads it, the view reads the slice at its rows; it runs every other
     stage over its own members, with its own stencil grids. It holds the
     parent's stage dict and its rows, not the parent, so no reference cycle
-    forms. A stage that raises is not kept; a grid of more than one member
-    then splits into views of one row, which read the stages already run and
-    evaluate the rest alone, so each point gets its own value or raises its
-    own error. The grid holds no reference to its points, so a grid is
-    freed as soon as its last point and view are.
+    forms. The grid holds no reference to its points, so a grid is freed as
+    soon as its last point and view are.
+
+    A stage that raises is not kept. On a grid of more than one member it
+    is the batch's failure, and ``stage`` names the member: the grid splits
+    into views of one row (once; they read the stages already run), and
+    runs the stage on each part in order. The first part that fails alone
+    raises its own error; if none does, the batch's error is raised again.
+    The parts keep what they ran, and from then on ``layer`` reads them, so
+    each point gets its own value or raises its own error.
     """
 
     __slots__ = ("key", "members", "thetas", "_stages", "_base", "_parts", "_stencils", "__weakref__")
@@ -265,7 +258,8 @@ class StateGrid:
 
     def stage(self, fn, *args) -> tuple:
         """fn(self, *args), run on the first call and kept; on a view, the slice of the
-        parent's if the parent has kept it."""
+        parent's if the parent has kept it. If it raises on more than one member, the
+        first member that fails alone raises its own error."""
         key = (fn, *args)
         stages = self._stages
         if key not in stages:
@@ -273,7 +267,16 @@ class StateGrid:
             if base is not None and key in base[0]:
                 stages[key] = tuple(_rows_of(a, base[1]) for a in base[0][key])
             else:
-                stages[key] = fn(self, *args)
+                try:
+                    stages[key] = fn(self, *args)
+                except Exception:  # noqa: BLE001 - re-raised below unless a member fails alone
+                    if len(self.members) == 1:
+                        raise
+                    if self._parts is None:
+                        self._parts = [self.view((k,)) for k in range(len(self.members))]
+                    for part in self._parts:
+                        part.stage(fn, *args)
+                    raise
         return stages[key]
 
     def view(self, rows: Iterable[int]) -> StateGrid:
@@ -286,14 +289,14 @@ class StateGrid:
         return view
 
     def layer(self, k: int, fn, *args) -> tuple:
-        """Layer k of every array of the stage fn(self, *args)."""
+        """Layer k of every array of the stage fn(self, *args); once the grid has split,
+        its part k's."""
         if self._parts is None:
             try:
                 return tuple([a[k] for a in self.stage(fn, *args)])
-            except Exception:  # noqa: BLE001 - each member then raises its own error alone
-                if len(self.members) == 1:
+            except Exception:  # noqa: BLE001 - a grid of more than one has split
+                if self._parts is None:
                     raise
-                self._split()
         return self._parts[k].layer(0, fn, *args)
 
     def stencils(self) -> tuple[StateGrid, ...]:
@@ -320,9 +323,6 @@ class StateGrid:
                 for start in range(0, len(members), size)
             )
         return self._stencils
-
-    def _split(self) -> None:
-        self._parts = [self.view((k,)) for k in range(len(self.members))]
 
     def rho_stack(self) -> tuple[np.ndarray, SpectralDecomposition]:
         """The (T, n, n) stack of rho and its stacked eigendecomposition."""
@@ -751,7 +751,7 @@ class PureStateModel(_StackedModel):
     def _inputs(cls, members) -> tuple:
         """(psi,): every member's raw state, then one stacked check."""
         raws = [model.family.psi(theta) for model, theta in members]
-        return (_passed(*_state_check(members[0][0].dim, [theta for _, theta in members], raws)),)
+        return (_checked_states(members[0][0].dim, [theta for _, theta in members], raws),)
 
     @staticmethod
     def _rho_formula(v: np.ndarray) -> np.ndarray:
@@ -796,13 +796,12 @@ class QubitMixtureModel(_StackedModel):
 
     @classmethod
     def _inputs(cls, members) -> tuple:
-        """(w, psi1): every member's raw weight and state, then one stacked check of each, a
-        member's weight before its state."""
+        """(w, psi1): every member's raw weight and state, then one stacked check of each,
+        the weights before the states."""
         raws = [(float(model.weight.w(theta)), model.psi1.psi(theta)) for model, theta in members]
         thetas = [theta for _, theta in members]
-        w, w_faults = _weight_check(thetas, [w for w, _ in raws])
-        v, v_faults = _state_check(2, thetas, [v for _, v in raws])
-        return _passed((w, v), w_faults + v_faults)
+        w = _checked_weights(thetas, [w for w, _ in raws])
+        return w, _checked_states(2, thetas, [v for _, v in raws])
 
     @staticmethod
     def _rho_formula(w: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -835,42 +834,44 @@ class QubitMixtureModel(_StackedModel):
 def _checked_dlambdas(dlam: np.ndarray) -> np.ndarray:
     """The (T, n) weight derivatives, once each member's sum to 0 (a non-finite entry fails too)."""
     total = np.abs(np.sum(dlam, axis=-1))
-    return _passed(dlam, [(
-        ~(total <= DLAMBDA_SUM_ATOL),
-        lambda k: ValueError(f"weight derivatives sum to {total[k]:.3e} > {DLAMBDA_SUM_ATOL}"),
-    )])
+    i = first_failing(~(total <= DLAMBDA_SUM_ATOL))
+    if i is not None:
+        raise ValueError(f"weight derivatives sum to {total[i]:.3e} > {DLAMBDA_SUM_ATOL}")
+    return dlam
 
 
-def _lambda_check(dim: int, thetas, raws) -> tuple:
-    """The (T, dim) eigenvalue weights, from their raw values and clipped to [0, 1], and
-    their faults: another count, a sum off 1 (a non-finite weight fails too), a weight
-    outside [0, 1]."""
+def _checked_lambdas(dim: int, thetas, raws) -> np.ndarray:
+    """The (T, dim) eigenvalue weights, from their raw values, clipped to [0, 1]: each member's
+    of count ``dim``, then summing to 1 (a non-finite weight fails too), then within [0, 1]."""
     lams = [np.asarray(v, dtype=float).reshape(-1) for v in raws]
-    wrong = np.array([lam.shape[0] != dim for lam in lams])
-    stack = _stacked(lams, wrong, (dim,), float)
+    i = first_failing(np.array([lam.shape[0] != dim for lam in lams]))
+    if i is not None:
+        raise DimensionError(f"{lams[i].shape[0]} weights for dim {dim}")
+    stack = np.array(lams)
     total = np.sum(stack, axis=-1)
+    i = first_failing(~(np.abs(total - 1.0) <= LAMBDA_SUM_ATOL))
+    if i is not None:
+        raise ValueError(f"eigenvalue weights sum to {float(total[i])!r} at theta={thetas[i]}")
     outside = (np.min(stack, axis=-1) < -LAMBDA_RANGE_ATOL) | (np.max(stack, axis=-1) > 1.0 + LAMBDA_RANGE_ATOL)
-    return np.clip(stack, 0.0, 1.0), [
-        (wrong, lambda k: DimensionError(f"{lams[k].shape[0]} weights for dim {dim}")),
-        (~(np.abs(total - 1.0) <= LAMBDA_SUM_ATOL),
-         lambda k: ValueError(f"eigenvalue weights sum to {float(total[k])!r} at theta={thetas[k]}")),
-        (outside, lambda k: ValueError(f"eigenvalue weights outside [0, 1] at theta={thetas[k]}")),
-    ]
+    i = first_failing(outside)
+    if i is not None:
+        raise ValueError(f"eigenvalue weights outside [0, 1] at theta={thetas[i]}")
+    return np.clip(stack, 0.0, 1.0)
 
 
-def _frame_check(dim: int, thetas, raws) -> tuple:
-    """The (T, dim, dim) frames, from their raw values, and their faults: another shape,
-    then a deviation of U*U from the identity above ``ORTHO_ATOL`` (a non-finite entry
-    fails too)."""
+def _checked_frames(dim: int, thetas, raws) -> np.ndarray:
+    """The (T, dim, dim) frames, from their raw values: each of shape (dim, dim), then with
+    U*U within ``ORTHO_ATOL`` of the identity (a non-finite entry fails too)."""
     us = [np.asarray(u, dtype=complex) for u in raws]
-    wrong = np.array([u.shape != (dim, dim) for u in us])
-    stack = _stacked(us, wrong, (dim, dim), complex)
+    i = first_failing(np.array([u.shape != (dim, dim) for u in us]))
+    if i is not None:
+        raise DimensionError(f"frame has shape {us[i].shape}, expected {(dim, dim)}")
+    stack = np.array(us)
     dev = layer_norms(stack.conj().swapaxes(-1, -2) @ stack - np.eye(dim))
-    return stack, [
-        (wrong, lambda k: DimensionError(f"frame has shape {us[k].shape}, expected {(dim, dim)}")),
-        (~(dev <= ORTHO_ATOL),
-         lambda k: ValueError(f"frame deviates from unitarity by {dev[k]:.3e} at theta={thetas[k]}")),
-    ]
+    i = first_failing(~(dev <= ORTHO_ATOL))
+    if i is not None:
+        raise ValueError(f"frame deviates from unitarity by {dev[i]:.3e} at theta={thetas[i]}")
+    return stack
 
 
 def _frame_projectors(u: np.ndarray) -> np.ndarray:
@@ -949,10 +950,10 @@ class SpectralMixtureModel(_StackedModel):
         self._dframe = dframe
 
     def lambdas_at(self, theta: float) -> np.ndarray:
-        return _passed(*_lambda_check(self.dim, [theta], [self._lambdas(theta)]))[0]
+        return _checked_lambdas(self.dim, [theta], [self._lambdas(theta)])[0]
 
     def frame_at(self, theta: float) -> np.ndarray:
-        return _passed(*_frame_check(self.dim, [theta], [self._frame(theta)]))[0]
+        return _checked_frames(self.dim, [theta], [self._frame(theta)])[0]
 
     def dprojectors_at(self, theta: float) -> list[np.ndarray]:
         """dP_k = du_k u_k^dagger + u_k du_k^dagger: the point's layer of ``_projectors_stage``."""
@@ -964,12 +965,11 @@ class SpectralMixtureModel(_StackedModel):
     @classmethod
     def _inputs(cls, members) -> tuple:
         """(lambda, U): every member's raw weights and frame, then one stacked check of
-        each, a member's weights before its frame."""
+        each, the weights before the frames."""
         raws = [(model._lambdas(theta), model._frame(theta)) for model, theta in members]
         dim, thetas = members[0][0].dim, [theta for _, theta in members]
-        lam, lam_faults = _lambda_check(dim, thetas, [lam for lam, _ in raws])
-        u, u_faults = _frame_check(dim, thetas, [u for _, u in raws])
-        return _passed((lam, u), lam_faults + u_faults)
+        lam = _checked_lambdas(dim, thetas, [lam for lam, _ in raws])
+        return lam, _checked_frames(dim, thetas, [u for _, u in raws])
 
     @staticmethod
     def _rho_formula(lam: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -31,8 +31,8 @@ is the same view for both, or the grid itself where they select every
 member: its states at theta +- fd_step form one stencil grid, with one
 eigendecomposition, and both differences read its one evaluation of the
 models' inputs, so the extra spectral models read no stencil side. The
-mixture identities difference the canonical psi2 of the whole grid's
-stencil grids. The measurement checks work on measurement sets: each first
+two mixture identities read the same view of each mixture grid, and
+difference the canonical psi2 of its stencil grids. The measurement checks work on measurement sets: each first
 draws its specs from its rng, in the order a per-measurement loop would,
 and draws its random POVMs as one set (``random_povms``); each set is then
 read on the view of exactly the points that use it, one trace rule per
@@ -617,9 +617,10 @@ _CHECKS = [
     ("drho-route-agreement", "fd", 1e-7,
      _stage_check(_drho_route_agreement_stage, analytic=True, on_view=True)),
     ("dsqrt-route-agreement", "fd", 1e-6, _stage_check(_dsqrt_route_agreement_stage, on_view=True)),
-    ("qubit-complement-identities", "fd", 1e-9, _stage_check(_qubit_complement_stage, kinds=_MIXTURES)),
+    ("qubit-complement-identities", "fd", 1e-9,
+     _stage_check(_qubit_complement_stage, kinds=_MIXTURES, on_view=True)),
     ("orthogonal-component-scores", "fd", 1e-9,
-     _stage_check(_orthogonal_scores_stage, kinds=_MIXTURES)),
+     _stage_check(_orthogonal_scores_stage, kinds=_MIXTURES, on_view=True)),
     ("spectral-identities", "analytic", 1e-9,
      _stage_check(_spectral_identities_stage, kinds=("spectral",))),
     ("weight-boundary-regularity", "analytic", BOUNDARY_RATIO_CAP, _check_weight_boundary_regularity),

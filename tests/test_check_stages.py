@@ -296,12 +296,13 @@ def test_a_theta_that_fails_a_check_stage_fails_only_its_point_with_its_own_text
 def test_one_suite_run_runs_each_check_stage_once_per_batch_grid(monkeypatch):
     # every check stage runs once on each batch grid that holds a model its check
     # selects, over every member of that grid: all the (model, theta) pairs the suite
-    # reads of the models of its batch key. The two route agreements run on the view of
-    # the members they select instead, which is the grid itself where they select every
-    # member. A check stage runs on no grid of one. So do the stages they read: the
-    # mixture components on the 2 mixture grids, psi2 on those and on their stencil
-    # grids, and the frame projectors on the 4 spectral grids that hold a catalog model.
-    # A view's slice of a stage its parent kept is not a run
+    # reads of the models of its batch key. The two route agreements and the two mixture
+    # identities run on the view of the members they select instead, which is the grid
+    # itself where they select every member. A check stage runs on no grid of one. So do
+    # the stages they read: the mixture components on the analytic mixture grid's view
+    # without the estimator theta and on the differenced mixture grid, psi2 on those and
+    # on their stencil grids, and the frame projectors on the 4 spectral grids that hold a
+    # catalog model. A view's slice of a stage its parent kept is not a run
     runs = Counter()
     original = models.StateGrid.stage
 
@@ -331,25 +332,28 @@ def test_one_suite_run_runs_each_check_stage_once_per_batch_grid(monkeypatch):
               if isinstance(fn, verify._PointCheck) and isinstance(fn.residual, partial)
               and fn.residual.func is verify._layer_residual]
     assert {fn.residual.args[0].__name__ for fn in checks} == set(STAGES)
-    assert {fn.residual.args[0].__name__ for fn in checks if fn.on_view} == {
-        "_drho_route_agreement_stage", "_dsqrt_route_agreement_stage"}
+    # the proper views each on_view check reads: without the estimator theta of the pure
+    # and the analytic mixture grid, and without the extra model of the 4 spectral grids
+    proper_views = {"_drho_route_agreement_stage": 6, "_dsqrt_route_agreement_stage": 6,
+                    "_qubit_complement_stage": 1, "_orthogonal_scores_stage": 1}
+    assert {fn.residual.args[0].__name__ for fn in checks if fn.on_view} == set(proper_views)
     for check in checks:
         selected = [model for _, model in verify._models(catalog, check.kinds, check.analytic)]
         expected = {batch(m): 1 for m in selected}
         if check.on_view:
             pairs = {(model, theta) for model in selected for theta in model.sample_thetas[:check.first_thetas]}
             expected = {tuple(p for p in batch(m) if p in pairs): 1 for m in selected}
-            # views without the estimator theta of the pure and the analytic mixture
-            # grid, and without the extra model of the 4 spectral grids
-            assert sum(len(ms) < len(batch(ms[0][0])) for ms in expected) == 6
+            assert sum(len(ms) < len(batch(ms[0][0])) for ms in expected) == \
+                proper_views[check.residual.args[0].__name__]
         assert grids_of(check.residual.args[0].__name__) == expected
     mixtures = [model for model in catalog.values() if model.kind == "qubit_mixture"]
     spectral = [model for model in catalog.values() if model.kind == "spectral"]
-    assert len(grids_of("_mixture_stage")) == 2
-    assert grids_of("_mixture_stage") == {batch(m): 1 for m in mixtures}
+    # the rows of the mixture identities: every sample theta of each mixture grid's models
+    rows = {tuple(p for p in batch(m) if p[1] in p[0].sample_thetas) for m in mixtures}
+    assert len(rows) == 2 and sum(len(ms) < len(batch(ms[0][0])) for ms in rows) == 1
+    assert grids_of("_mixture_stage") == {ms: 1 for ms in rows}
     assert len(grids_of("_projectors_stage")) == 4
     assert grids_of("_projectors_stage") == {batch(m): 1 for m in spectral}
     h = DEFAULT_FD_STEP
-    stencils = {tuple((m, t) for m, theta in batch(model) for t in (theta + h, theta - h)): 1
-                for model in mixtures}
-    assert grids_of("_psi2_stage") == {**{batch(m): 1 for m in mixtures}, **stencils}
+    stencils = {tuple((m, t) for m, theta in ms for t in (theta + h, theta - h)): 1 for ms in rows}
+    assert grids_of("_psi2_stage") == {**{ms: 1 for ms in rows}, **stencils}

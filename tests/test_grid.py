@@ -11,6 +11,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcrb_kit import cli, models, quantum
 from qcrb_kit.errors import (
@@ -56,10 +58,12 @@ from qcrb_kit.models import (
     _drho_fd_stage,
     _dsqrt_fd_stage,
     _inputs_stage,
+    _rho_stage,
     builtin_models,
     canonical_psi2,
     complex_rotation_family,
     fixed_spectrum_model,
+    logistic_weight,
     qubit_mixture_as_spectral,
     random_spectral_model,
     rotation_family,
@@ -684,6 +688,99 @@ def test_a_stacked_input_check_raises_in_member_order_then_check_order():
     mixture = QubitMixtureModel(PureFamily(2, psi=_failing_at(BAD, _rotation_psi, _three_entries)),
                                 WeightFunction(w=_failing_at(BAD, sine_weight(0.8).w, lambda w: 1.1)))
     assert _error_text(lambda: mixture.at(BAD).rho) == "DomainError: weight 1.1 at theta=0.4 outside (0, 1)"
+
+
+# --- one failure rule for a batch: the grid names its first failing member ----------
+
+def _first_text_alone(model, thetas, stage):
+    """The text of the first theta whose grid of one fails ``stage``, or None."""
+    return next(filter(None, (_error_text(model.at(theta).grid.stage, stage) for theta in thetas)), None)
+
+
+class DiagonalStates(ParametricStateModel):
+    """rho(theta) = diag(ROWS[theta]): a state at 0, below the PSD floor at 1, off unit trace at 2."""
+
+    ROWS = {0.0: [0.7, 0.3], 1.0: [1.1, -0.1], 2.0: [0.6, 0.6]}
+
+    def __init__(self):
+        super().__init__(2)
+
+    def rho_matrix(self, theta):
+        return np.diag(self.ROWS[theta]).astype(complex)
+
+
+def test_a_stage_raises_what_its_first_failing_member_raises_alone():
+    # member 1 fails the PSD floor and member 2 the trace check; the stacked
+    # validation checks the trace first, and the grid then names member 1
+    model = DiagonalStates()
+    thetas = [0.0, 1.0, 2.0]
+    pts = list(model.grid(thetas))
+    expected = "NotPositiveSemidefinite: eigenvalue -1.000e-01 below floor -1e-10"
+    assert _error_text(model.at(1.0).grid.stage, _rho_stage) == expected
+    assert _error_text(pts[0].grid.stage, _rho_stage) == expected
+    assert [_error_text(lambda pt: pt.rho, pt) for pt in pts] == [
+        None, expected, "NotDensityMatrix: trace np.float64(1.2) is not 1 within 1e-10",
+    ]
+    assert _same(pts[0].rho.mat, model.at(0.0).rho.mat)
+
+
+def test_the_input_stage_names_its_first_failing_member_before_a_later_domain_error():
+    # the weight underflows at theta = -1 and theta = 0.75 lies outside the
+    # domain: the stage raises theta = -1's weight error, as theta = -1 alone does
+    model = rotation_mixture(logistic_weight(100.0, 0.0), domain=(-1.0, 0.5))
+    thetas = [-1.0, 0.0, 0.75]
+    expected = _error_text(model.at(-1.0).grid.stage, _inputs_stage)
+    assert expected.startswith("DomainError: weight ") and expected.endswith(" at theta=-1.0 outside (0, 1)")
+    pts = list(model.grid(thetas))
+    assert _error_text(pts[0].grid.stage, _inputs_stage) == expected
+    assert [_error_text(lambda pt: pt.rho, pt) for pt in pts] == [
+        expected, None, "DomainError: theta=0.75 outside domain [-1.0, 0.5]",
+    ]
+
+
+LAMBDA_FAULTS = {"count": lambda v: np.append(v, 0.0), "sum": lambda v: 1.01 * v,
+                 "range": lambda v: np.array([1.5, -0.5, 0.0])}
+FRAME_FAULTS = {"shape": _two_columns, "unitarity": lambda u: 1.01 * u}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.sampled_from([None, *LAMBDA_FAULTS]), st.sampled_from([None, *FRAME_FAULTS])),
+                min_size=2, max_size=6))
+def test_a_spectral_grid_fails_as_its_first_failing_member_alone(faults):
+    # each member's weights and frame fail one check or none; a direct stage
+    # raises the first failing member's text alone, and every point reads as alone
+    base = random_spectral_model(7, 3)
+    thetas = [-0.5 + 0.2 * k for k in range(len(faults))]
+    lam_faults = {t: LAMBDA_FAULTS[f] for t, (f, _) in zip(thetas, faults) if f}
+    frame_faults = {t: FRAME_FAULTS[f] for t, (_, f) in zip(thetas, faults) if f}
+    model = _spectral_with(lambdas=lambda t: lam_faults.get(t, np.asarray)(base._lambdas(t)),
+                           frame=lambda t: frame_faults.get(t, np.asarray)(base._frame(t)))
+    for stage in (_inputs_stage, _rho_stage):
+        grid = next(model.grid(thetas)).grid
+        assert _error_text(grid.stage, stage) == _first_text_alone(model, thetas, stage)
+    for pt in model.grid(thetas):
+        alone = model.at(pt.theta)
+        text = _error_text(lambda p: p.rho, pt)
+        assert text == _error_text(lambda p: p.rho, alone)
+        if text is None:
+            assert _same(pt.rho.mat, alone.rho.mat)
+            assert _report_row(relation_report(pt)) == _report_row(relation_report(alone))
+
+
+def test_a_point_whose_two_stencil_sides_fail_raises_its_plus_side_text():
+    # the state fails the norm check at theta + h and the shape check at
+    # theta - h; the stencil grid checks shapes first, and then names its
+    # first member, theta + h
+    h = DEFAULT_FD_STEP
+    psi = _failing_at(BAD - h, _failing_at(BAD + h, _rotation_psi, lambda v: 1.1 * v), _three_entries)
+    model = PureStateModel(PureFamily(2, psi=psi))
+    plus = _error_text(lambda: model.at(BAD + h).rho)
+    assert plus.startswith("ValueError: family state at theta=") and "has norm" in plus
+    assert _error_text(lambda: model.at(BAD - h).rho) == "DimensionError: state has dim 3, family declares 2"
+    assert _error_text(lambda: model.at(BAD).drho) == plus
+    pts = list(model.grid([0.1, BAD, 0.7]))
+    assert [_error_text(lambda pt: pt.drho, pt) for pt in pts] == [None, plus, None]
+    assert _same(pts[1].rho.mat, model.at(BAD).rho.mat)
 
 
 # a model with a differenced value input that fails its check only at one

@@ -142,11 +142,11 @@ def test_one_run_creates_each_point_once_and_the_extra_models_once(monkeypatch):
     # The forced differences evaluate one stencil grid per grid they read: the
     # 6 views and those 4 grids. Stencil grids make no points and run only the
     # value inputs, no rho stage. The mixture identities difference psi2 on the
-    # stencil grids of the 2 mixture grids: the differenced one's is among those
-    # 4, and the analytic one builds one of its own (the last 1 of stencils).
-    # The one mixture without dpsi or dw differences its stencil's inputs on the
-    # stencil's own stencil grid.
-    stencils = 6 + 4 + 1
+    # stencil grids of the grid or view they read, which are among those 10: the
+    # differenced mixture grid and the analytic mixture grid's view without the
+    # estimator theta. The one mixture without dpsi or dw differences its
+    # stencil's inputs on the stencil's own stencil grid.
+    stencils = 6 + 4
     assert counts == {
         "point": 115 + view_points, "grid": 15 + stencils + 1 + views, "rho_stage": 15,
         "random_spectral_model": 5,

@@ -10,7 +10,7 @@ thread variables set to 1. Its stdout, stderr, exit code and output file
 both sides. The commands that differ are printed, and the exit code is 1 if
 any does. ``--list`` prints the commands and runs nothing.
 
-The list holds 195 commands:
+The list holds 197 commands:
 - ``verify --seed=N`` for N = 0-39 and ``verify --fd-step`` 1e-3, 1e-4 and
   3e-6, each in CSV and JSON (86), and ``verify`` at seeds 716 and 1707,
   whose random measurements include a single-effect draw that misses a gate
@@ -26,9 +26,11 @@ The list holds 195 commands:
   random POVM, at the default ``--n-samples`` of 100 000, at ``--theta0 1e17``,
   and on the rotation at ``--theta0 0`` under a POVM with an outcome off the
   support there;
-- 23 ``compute`` runs over rank-deficient, tiny-weight, dimension 1, 3, 16
+- 25 ``compute`` runs over rank-deficient, tiny-weight, dimension 1, 3, 16
   and 64, pure and qubit-mixture models, with POVMs (a single-effect random
-  one among them), failing tolerances and malformed configs;
+  one among them), failing tolerances and malformed configs, among them a
+  grid whose members fail in two ways (a weight that leaves (0, 1) and
+  thetas outside the domain) and an explicit POVM that fails two gates;
 - four ``--help`` texts and ``sweep-w --psi1 random``.
 """
 
@@ -67,6 +69,8 @@ CONFIGS = {
     "logistic": LOGISTIC,
     "constant": CONSTANT,
     "overflowing-weight": {**SINE, "weight": {"form": "logistic", "params": [1000.0, 0.5]}},
+    # its weight leaves (0, 1) below theta = -0.25 and at 0.5, and the grid leaves the domain past 0.5
+    "steep-logistic": {**SINE, "weight": {"form": "logistic", "params": [100.0, 0.0]}, "theta_domain": [-1.0, 0.5]},
     "bad-family": {"kind": "pure", "psi1": {"name": "nope"}},
     "basis-2": {"kind": "basis", "dim": 2},
     "basis-4": {"kind": "basis", "dim": 4},
@@ -79,6 +83,8 @@ CONFIGS = {
     "off-support-2": {"kind": "explicit", "effects": [
         [[0.25, 0.25], [0.25, 0.25]], [[0.25, -0.25], [-0.25, 0.25]], [[0, 0], [0, 0.5]], [[0.5, 0], [0, 0]],
     ]},
+    # effect 0 is not Hermitian, and the effects do not sum to the identity
+    "skew-incomplete-2": {"kind": "explicit", "effects": [[[0.5, 0.1], [0, 0.5]], [[0.25, 0], [0, 0.25]]]},
 }
 
 
@@ -113,6 +119,8 @@ COMPUTE = [
     _compute("overflowing-weight", "--theta=-0.8"),
     _compute("sine", "--theta=0.3", povm="basis-3"),
     _compute("bad-family"),
+    _compute("steep-logistic", "--theta-grid=-1:1:9"),
+    _compute("pure-rotation", "--theta=0.3", povm="skew-incomplete-2"),
 ]
 
 OTHERS = [
